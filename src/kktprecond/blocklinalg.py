@@ -288,21 +288,21 @@ def densify(A) -> np.ndarray:
 def block_to_scipy(A: BlockCsrMatrix) -> scipy.sparse.csr_matrix:
     """Scalar CSR view of a block matrix (stored zeros kept in the pattern)."""
     pat = A.pattern
-    roff, coff = pat.row_offsets, pat.col_offsets
-    rows, cols, vals = [], [], []
-    for i, j, blk in _iter_blocks(A):
-        r0, c0 = roff[i], coff[j]
-        ri, ci = np.indices(blk.shape)
-        rows.append((r0 + ri).ravel())
-        cols.append((c0 + ci).ravel())
-        vals.append(blk.ravel())
-    if rows:
-        coo = scipy.sparse.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(pat.n_rows, pat.n_cols),
-        )
-    else:
-        coo = scipy.sparse.coo_matrix((pat.n_rows, pat.n_cols))
-    csr = coo.tocsr()
+    shape = (pat.n_rows, pat.n_cols)
+    if not A.blocks:
+        return scipy.sparse.csr_matrix(shape)
+    # Entry e of the concatenated row-major blocks lies in block k at local
+    # offset t = a * n_cols_k + b.
+    brow = np.repeat(np.arange(pat.n_block_rows), np.diff(pat.row_ptr))
+    bcols = pat.col_block_sizes[pat.col_idx]
+    sizes = pat.row_block_sizes[brow] * bcols
+    starts = np.cumsum(sizes) - sizes
+    k = np.repeat(np.arange(len(sizes)), sizes)
+    t = np.arange(sizes.sum()) - starts[k]
+    a, b = np.divmod(t, bcols[k])
+    rows = pat.row_offsets[brow][k] + a
+    cols = pat.col_offsets[pat.col_idx][k] + b
+    vals = np.concatenate(A.blocks, axis=None)
+    csr = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
     csr.sort_indices()
     return csr

@@ -15,12 +15,14 @@ distortion residual, plus an elasticity regularization of the mesh block:
 
 and the constraint Jacobian is J = [J_u, J_y] with J_y = drdx dPhidy.
 B_uu and B_uy act matrix-free through their factors; B_yy is assembled because
-it loses block structure.
+it loses block structure. The operator applies the factors as scipy CSR
+matrices, converted on the first product and cached on the system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -29,9 +31,7 @@ from .blocklinalg import (
     BlockCsrMatrix,
     BlockPattern,
     PointCsrMatrix,
-    block_matvec,
     block_to_scipy,
-    block_transpose_matvec,
     densify,
 )
 from .errors import DimensionMismatch, SizeCapExceeded
@@ -42,6 +42,7 @@ __all__ = [
     "KktFactors",
     "KktSystem",
     "KktOperator",
+    "CsrFactors",
     "assemble_Byy",
     "kkt_matvec",
     "materialize_dense",
@@ -136,6 +137,23 @@ def assemble_Byy(factors: KktFactors) -> PointCsrMatrix:
     return PointCsrMatrix.from_scipy(Byy)
 
 
+@dataclass(frozen=True)
+class CsrFactors:
+    """Scalar CSR copies of the operator's factors, each with its transpose.
+
+    G = dRdx dPhidy maps mesh DOFs to the enriched residual, so that
+    B_uu = dRdu^T dRdu and B_uy = dRdu^T G are applied through their factors.
+    """
+
+    dRdu: scipy.sparse.csr_matrix
+    dRdu_T: scipy.sparse.csr_matrix
+    G: scipy.sparse.csr_matrix
+    G_T: scipy.sparse.csr_matrix
+    Ju: scipy.sparse.csr_matrix
+    Ju_T: scipy.sparse.csr_matrix
+    Jy_T: scipy.sparse.csr_matrix
+
+
 @dataclass
 class KktSystem:
     """Factors plus the right-hand-side data and the assembled Byy."""
@@ -168,6 +186,16 @@ class KktSystem:
     def dimension(self) -> int:
         return 2 * self.factors.n_u + self.factors.n_y
 
+    @cached_property
+    def csr(self) -> CsrFactors:
+        """CSR factors for the operator, built on first use: SQP steps create a
+        system per iteration and never apply it."""
+        f = self.factors
+        dRdu = block_to_scipy(f.dRdu)
+        G = (block_to_scipy(f.dRdx) @ self._Phi).tocsr()
+        Ju = block_to_scipy(f.Ju)
+        return CsrFactors(dRdu, dRdu.T.tocsr(), G, G.T.tocsr(), Ju, Ju.T.tocsr(), self.Jy.T.tocsr())
+
     def rhs(self) -> np.ndarray:
         """Right-hand side -(g, r) of the SQP step system."""
         return -np.concatenate([self.g, self.r])
@@ -184,31 +212,37 @@ class KktOperator:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return kkt_matvec(self, v)
 
+    def matmat(self, X):
+        """Product with a sparse block of columns, returned as sparse CSR."""
+        return kkt_matvec(self, X)
+
     def as_linear_operator(self) -> LinearOperator:
         return LinearOperator(self.dimension, self.matvec)
 
 
-def kkt_matvec(op: KktOperator, v: np.ndarray) -> np.ndarray:
-    """Action of the saddle-point matrix on (v_u, v_y, v_lambda)."""
+def kkt_matvec(op: KktOperator, v):
+    """Action of the saddle-point matrix on (v_u, v_y, v_lambda).
+
+    v is a 1-D vector or a sparse block of columns with one row per unknown.
+    B_uu is applied as dRdu^T (dRdu v_u + G v_y) and never formed.
+    """
     sys = op.system
-    f = sys.factors
-    n_u, n_y = f.n_u, f.n_y
-    v = np.asarray(v, dtype=float)
-    if v.shape != (2 * n_u + n_y,):
-        raise DimensionMismatch(f"vector length {v.shape} incompatible with dimension {op.dimension}")
+    n_u, n_y = sys.factors.n_u, sys.factors.n_y
+    block = scipy.sparse.issparse(v)
+    v = scipy.sparse.csr_matrix(v, dtype=float) if block else np.asarray(v, dtype=float)
+    if v.shape[0] != op.dimension or (not block and v.ndim != 1):
+        raise DimensionMismatch(f"operand shape {v.shape} incompatible with dimension {op.dimension}")
     vu = v[:n_u]
     vy = v[n_u : n_u + n_y]
     vl = v[n_u + n_y :]
 
-    phi_vy = sys._Phi @ vy
-    dRdu_vu = block_matvec(f.dRdu, vu)
-    buu_vu = block_transpose_matvec(f.dRdu, dRdu_vu)
-    buy_vy = block_transpose_matvec(f.dRdu, block_matvec(f.dRdx, phi_vy))
-    buyT_vu = sys._Phi.T @ block_transpose_matvec(f.dRdx, dRdu_vu)
-
-    out_u = buu_vu + buy_vy + block_transpose_matvec(f.Ju, vl)
-    out_y = buyT_vu + sys._Byy_csr @ vy + sys.Jy.T @ vl
-    out_l = block_matvec(f.Ju, vu) + sys.Jy @ vy
+    c = sys.csr
+    dRdu_vu = c.dRdu @ vu
+    out_u = c.dRdu_T @ (dRdu_vu + c.G @ vy) + c.Ju_T @ vl
+    out_y = c.G_T @ dRdu_vu + sys._Byy_csr @ vy + c.Jy_T @ vl
+    out_l = c.Ju @ vu + sys.Jy @ vy
+    if block:
+        return scipy.sparse.vstack([out_u, out_y, out_l], format="csr")
     return np.concatenate([out_u, out_y, out_l])
 
 

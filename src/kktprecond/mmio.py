@@ -89,12 +89,16 @@ def read_matrix(path):
             block_sizes = _parse_block_tag(lines[k])
         k += 1
     n_rows, n_cols, nnz = (int(t) for t in lines[k].split())
+    if len(lines) < k + 1 + nnz:
+        raise ManifestError(f"{path}: header declares {nnz} entries, file holds {len(lines) - k - 1}")
     rows = np.empty(nnz, dtype=int)
     cols = np.empty(nnz, dtype=int)
     vals = np.empty(nnz)
     for e, line in enumerate(lines[k + 1 : k + 1 + nnz]):
         t = line.split()
         rows[e], cols[e], vals[e] = int(t[0]) - 1, int(t[1]) - 1, float(t[2])
+    if nnz and (rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols):
+        raise ManifestError(f"{path}: entry outside the declared {n_rows} x {n_cols} shape")
     if block_sizes is None:
         order = np.lexsort((cols, rows))
         rows, cols, vals = rows[order], cols[order], vals[order]
@@ -106,28 +110,28 @@ def read_matrix(path):
 def _entries_to_block(n_rows, n_cols, rows, cols, vals, rbs, cbs):
     if rbs.sum() != n_rows or cbs.sum() != n_cols:
         raise ManifestError("block sizes inconsistent with matrix dimensions")
+    # Sort by (row, col); lexsort is stable, so the last of repeated entries
+    # is the last in file order, and it wins.
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    last = np.ones(len(rows), dtype=bool)
+    last[:-1] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    rows, cols, vals = rows[last], cols[last], vals[last]
+
     roff = np.concatenate([[0], np.cumsum(rbs)])
     coff = np.concatenate([[0], np.cumsum(cbs)])
     brow = np.searchsorted(roff, rows, side="right") - 1
     bcol = np.searchsorted(coff, cols, side="right") - 1
-    stored: dict[tuple[int, int], np.ndarray] = {}
-    for e in range(len(rows)):
-        key = (int(brow[e]), int(bcol[e]))
-        blk = stored.get(key)
-        if blk is None:
-            blk = np.zeros((rbs[key[0]], cbs[key[1]]))
-            stored[key] = blk
-        blk[rows[e] - roff[key[0]], cols[e] - coff[key[1]]] = vals[e]
-    row_ptr = [0]
-    col_idx: list[int] = []
-    blocks: list[np.ndarray] = []
-    for i in range(len(rbs)):
-        js = sorted(j for (bi, j) in stored if bi == i)
-        for j in js:
-            col_idx.append(j)
-            blocks.append(stored[(i, j)])
-        row_ptr.append(len(col_idx))
-    pat = BlockPattern(rbs, cbs, np.array(row_ptr), np.array(col_idx))
+    # Stored blocks in block-CSR order, and the block of each entry.
+    keys, block_of = np.unique(brow * len(cbs) + bcol, return_inverse=True)
+    bi, bj = np.divmod(keys, len(cbs))
+    sizes = rbs[bi] * cbs[bj]
+    starts = np.cumsum(sizes) - sizes
+    flat = np.zeros(sizes.sum())
+    flat[starts[block_of] + (rows - roff[brow]) * cbs[bcol] + (cols - coff[bcol])] = vals
+    blocks = [flat[s : s + n].reshape(rbs[i], cbs[j]) for s, n, i, j in zip(starts, sizes, bi, bj)]
+    row_ptr = np.searchsorted(bi, np.arange(len(rbs) + 1))
+    pat = BlockPattern(rbs, cbs, row_ptr, bj)
     return BlockCsrMatrix(pat, blocks)
 
 

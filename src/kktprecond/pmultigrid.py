@@ -100,17 +100,13 @@ class CoarseSystem:
 
 
 def assemble_coarse(opA, T: TransferOps, cap: int = COARSE_CAP) -> CoarseSystem:
-    """Galerkin coarse matrix A0 = Q A P, formed column by column and factored."""
+    """Galerkin coarse matrix A0 = Q A P, formed as one sparse product and factored."""
     P = full_prolongation(T)
     Q = full_restriction(T)
     nc = P.shape[1]
     if nc > cap:
         raise SizeCapExceeded(f"coarse dimension {nc} exceeds cap {cap}")
-    A0 = np.empty((nc, nc))
-    for c in range(nc):
-        unit = np.zeros(nc)
-        unit[c] = 1.0
-        A0[:, c] = Q @ opA.matvec(P @ unit)
+    A0 = (Q @ opA.matmat(P)).toarray()
     with warnings.catch_warnings():
         # The singularity check below raises a typed error, so scipy's
         # advisory warning would only duplicate it.

@@ -243,3 +243,34 @@ def test_block_to_scipy_matches_densify():
     rng = np.random.default_rng(23)
     A = random_block_tridiagonal(3, 2, rng)
     np.testing.assert_array_equal(block_to_scipy(A).toarray(), densify(A))
+
+
+@pytest.mark.parametrize(
+    "row_sizes, col_sizes, row_ptr, col_idx",
+    [
+        # dRdx-like: point columns, an empty block row.
+        ([3, 2, 4, 2], [1, 1, 1, 1, 1], [0, 2, 2, 5, 6], [0, 1, 1, 2, 4, 3]),
+        # Row and column block sizes that differ from each other and per block.
+        ([2, 3], [3, 1, 2], [0, 2, 5], [0, 2, 0, 1, 2]),
+    ],
+)
+def test_block_to_scipy_mixed_block_sizes(row_sizes, col_sizes, row_ptr, col_idx):
+    rng = np.random.default_rng(29)
+    pat = BlockPattern(row_sizes, col_sizes, row_ptr, col_idx)
+    brow = np.repeat(np.arange(len(row_sizes)), np.diff(row_ptr))
+    blocks = [rng.standard_normal((row_sizes[i], col_sizes[j])) for i, j in zip(brow, col_idx)]
+    blocks[1][:] = 0.0
+    A = BlockCsrMatrix(pat, blocks)
+    S = block_to_scipy(A)
+    np.testing.assert_array_equal(S.toarray(), densify(A))
+    # Stored zeros stay in the pattern: one entry per entry of a stored block.
+    assert S.nnz == sum(b.size for b in blocks)
+    assert S.has_sorted_indices
+
+
+def test_block_to_scipy_without_stored_blocks():
+    pat = BlockPattern([2, 3], [4], [0, 0, 0], [])
+    S = block_to_scipy(BlockCsrMatrix(pat, []))
+    assert S.shape == (5, 4)
+    assert S.nnz == 0
+    np.testing.assert_array_equal(S.toarray(), densify(BlockCsrMatrix(pat, [])))

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+from conftest import count_iterations
 from kktprecond.blocklinalg import BlockCsrMatrix, BlockPattern, PointCsrMatrix, block_matvec
 from kktprecond.conprec import (
     CATALOG,
@@ -237,6 +238,24 @@ def test_all_catalog_variants_build_and_apply(sys8_k1):
         w = P.apply_inverse(v)
         assert np.all(np.isfinite(w))
         assert np.linalg.norm(w) > 0
+
+
+# GMRES iterations (tol 1e-3 against the dense direct solution) of every
+# catalog variant, in CATALOG order. A kernel rewrite that keeps the math must
+# keep these counts.
+PINNED_CATALOG_ITERATIONS = {
+    "sys8_k1": [3, 22, 8, 20, 3, 13, 15, 14],
+    "sys16_k1": [3, 48, 26, 33, 3, 5, 17, 17],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CATALOG_ITERATIONS))
+def test_catalog_iteration_counts_are_pinned(name, request):
+    sys = request.getfixturevalue(name)
+    assert list(CATALOG) == ["A0", "BJ", "BILU", "BJ-ilu", "BILU-ilu", "A0-p0", "BJ-p0", "BILU-p0"]
+    results = [count_iterations(sys, variant) for variant in CATALOG]
+    assert all(converged for _, converged in results)
+    assert [iters for iters, _ in results] == PINNED_CATALOG_ITERATIONS[name]
 
 
 def test_unknown_variant_rejected(sys8_k1):

@@ -17,6 +17,7 @@ from kktprecond.kkt import (
     kkt_matvec,
     materialize_dense,
 )
+from kktprecond.pmultigrid import build_transfer, full_prolongation
 from kktprecond.shocktrack import ShockTrackProblem1d, build_kkt, dg_jacobians
 from kktprecond.stencil import generate_stencil_system
 
@@ -141,6 +142,51 @@ def test_matvec_matches_dense_on_generated_system(sys8_k1):
 def test_matvec_rejects_wrong_length(sys8_k1):
     with pytest.raises(DimensionMismatch):
         KktOperator(sys8_k1).matvec(np.zeros(3))
+
+
+@pytest.mark.parametrize("name", ["sys8_k1", "sys16_k1"])
+def test_matmat_matches_dense_on_prolongation(name, request):
+    sys = request.getfixturevalue(name)
+    op = KktOperator(sys)
+    X = full_prolongation(build_transfer(sys.dims))
+    A = materialize_dense(op)
+    got = op.matmat(X)
+    assert scipy.sparse.issparse(got)
+    np.testing.assert_allclose(got.toarray(), A @ X.toarray(), rtol=1e-12, atol=1e-12 * np.abs(A).max())
+
+
+def test_matmat_columns_match_matvec(sys8_k1):
+    op = KktOperator(sys8_k1)
+    X = scipy.sparse.random(op.dimension, 4, density=0.3, format="csr", random_state=7)
+    got = op.matmat(X).toarray()
+    for k in range(4):
+        np.testing.assert_allclose(got[:, k], op.matvec(X[:, [k]].toarray().ravel()), rtol=1e-13, atol=1e-13)
+
+
+def test_matmat_rejects_wrong_row_count(sys8_k1):
+    op = KktOperator(sys8_k1)
+    with pytest.raises(DimensionMismatch):
+        op.matmat(scipy.sparse.identity(op.dimension - 1, format="csr"))
+
+
+def test_matvec_rejects_dense_matrix(sys8_k1):
+    op = KktOperator(sys8_k1)
+    with pytest.raises(DimensionMismatch):
+        op.matvec(np.zeros((op.dimension, 2)))
+
+
+def test_csr_cache_is_built_on_first_product_only(prob8, states8):
+    sys = build_kkt(prob8, states8[1])
+    assert "csr" not in vars(sys)
+    op = KktOperator(sys)
+    op.matvec(np.zeros(op.dimension))
+    cache = sys.csr
+    op.matvec(np.ones(op.dimension))
+    assert sys.csr is cache
+    for fwd, tr in [(cache.dRdu, cache.dRdu_T), (cache.G, cache.G_T), (cache.Ju, cache.Ju_T)]:
+        assert isinstance(fwd, scipy.sparse.csr_matrix) and isinstance(tr, scipy.sparse.csr_matrix)
+        assert (fwd.T != tr).nnz == 0
+    assert (sys.Jy.T != cache.Jy_T).nnz == 0
 
 
 # Dense materialization ------------------------------------------------------

@@ -135,3 +135,53 @@ def test_vector_reader_rejects_multicolumn(tmp_path):
 def test_unsupported_matrix_type_raises(tmp_path):
     with pytest.raises(TypeError):
         write_matrix(tmp_path / "x.mtx", np.eye(2))
+
+
+def write_block_file(path, entries, shape=(3, 3), rows="1,2", cols="2,1"):
+    lines = ["%%MatrixMarket matrix coordinate real general", f"%%block-sizes rows={rows} cols={cols}"]
+    lines.append(f"{shape[0]} {shape[1]} {len(entries)}")
+    lines.extend(f"{r} {c} {v!r}" for r, c, v in entries)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_block_reader_groups_unsorted_entries(tmp_path):
+    # Entries in no particular order; block (1, 0) is partly written, so its
+    # missing entries read as stored zeros.
+    path = tmp_path / "u.mtx"
+    write_block_file(path, [(3, 3, 6.0), (1, 2, 2.0), (2, 1, 4.0), (1, 1, 1.0), (3, 1, 5.0), (2, 3, 3.0)])
+    A = read_matrix(path)
+    assert A.pattern.row_ptr.tolist() == [0, 1, 3]
+    assert A.pattern.col_idx.tolist() == [0, 0, 1]
+    np.testing.assert_array_equal(A.blocks[0], [[1.0, 2.0]])
+    np.testing.assert_array_equal(A.blocks[1], [[4.0, 0.0], [5.0, 0.0]])
+    np.testing.assert_array_equal(A.blocks[2], [[3.0], [6.0]])
+
+
+def test_block_reader_last_repeated_entry_wins(tmp_path):
+    path = tmp_path / "r.mtx"
+    write_block_file(path, [(1, 1, 1.0), (2, 3, 7.0), (1, 1, 9.0), (2, 3, 8.0), (1, 1, -2.0)])
+    A = read_matrix(path)
+    np.testing.assert_array_equal(densify(A), [[-2.0, 0.0, 0.0], [0.0, 0.0, 8.0], [0.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("entry", [(4, 1, 1.0), (1, 4, 1.0), (0, 1, 1.0), (1, 0, 1.0)])
+def test_block_reader_rejects_entry_outside_shape(tmp_path, entry):
+    path = tmp_path / "o.mtx"
+    write_block_file(path, [(1, 1, 1.0), entry])
+    with pytest.raises(ManifestError):
+        read_matrix(path)
+
+
+def test_reader_rejects_truncated_entry_list(tmp_path):
+    path = tmp_path / "t.mtx"
+    write_block_file(path, [(1, 1, 1.0), (2, 2, 2.0)])
+    path.write_text(path.read_text().replace("3 3 2", "3 3 3"))
+    with pytest.raises(ManifestError):
+        read_matrix(path)
+
+
+def test_block_reader_rejects_inconsistent_block_sizes(tmp_path):
+    path = tmp_path / "s.mtx"
+    write_block_file(path, [(1, 1, 1.0)], rows="1,1")
+    with pytest.raises(ManifestError):
+        read_matrix(path)

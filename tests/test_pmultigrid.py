@@ -83,7 +83,7 @@ def test_coarse_matches_dense_triple_product(sys16_k1):
 
 
 def test_zero_operator_gives_singular_coarse_matrix():
-    op = types.SimpleNamespace(matvec=lambda v: np.zeros_like(v))
+    op = types.SimpleNamespace(matvec=lambda v: np.zeros_like(v), matmat=lambda X: 0 * X)
     with pytest.raises(SingularCoarseMatrix):
         assemble_coarse(op, transfer_ops(4, 1, 1))
 
