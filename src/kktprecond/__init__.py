@@ -21,13 +21,7 @@ from .conprec import (
     point_ilu0_factor,
     point_jacobi,
 )
-from .dgprecond import (
-    apply_bilu_inverse,
-    apply_block_jacobi_inverse,
-    bilu0_factor,
-    build_block_jacobi,
-    mdf_order,
-)
+from .dgprecond import bilu0_factor, build_block_jacobi, mdf_order
 from .kkt import (
     KktFactors,
     KktOperator,

@@ -180,9 +180,9 @@ class BlockLuFactor:
     lu_entries: np.ndarray
     pivots: np.ndarray
 
-    def solve(self, b: np.ndarray, transpose: bool = False) -> np.ndarray:
-        trans = 1 if transpose else 0
-        return scipy.linalg.lu_solve((self.lu_entries, self.pivots), b, trans=trans)
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        """Solve A x = b, or A^T x = b for trans="T" (SuperLU's convention)."""
+        return scipy.linalg.lu_solve((self.lu_entries, self.pivots), b, trans=("N", "T").index(trans))
 
 
 def dense_lu_factor(block: np.ndarray) -> BlockLuFactor:

@@ -9,32 +9,26 @@ All eight catalog variants share the block anti-triangular layout
 whose inverse applies in five steps (three solves, two products). The Hessian
 approximation keeps only the mesh-mesh block; Ju~ is the exact Jacobian, its
 block diagonal, or its block ILU0 factorization, and Byy~ is exact, diagonal,
-or a point ILU0. The *-p0 variants wrap the application in a two-level
+or a point ILU0. Every approximation is a factor object with scipy's
+SuperLU call, solve(rhs, trans="N"); trans="T" solves with the transpose and
+is only used on Ju~. The *-p0 variants wrap the application in a two-level
 p-multigrid cycle with this preconditioner as the smoother.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .blocklinalg import PointCsrMatrix, block_to_scipy, densify
-from .dgprecond import (
-    BiluPrec,
-    BlockJacobiPrec,
-    apply_bilu_inverse,
-    apply_block_jacobi_inverse,
-    bilu0_factor,
-    build_block_jacobi,
-    mdf_order,
-)
+from .blocklinalg import PointCsrMatrix, block_to_scipy, dense_lu_factor
+from .dgprecond import BiluPrec, BlockJacobiPrec, bilu0_factor, build_block_jacobi, mdf_order
 from .errors import (
     DimensionMismatch,
+    SingularBlock,
     SingularSchurComplement,
     UnknownPreconditioner,
     ZeroPivot,
@@ -45,8 +39,6 @@ from .pmultigrid import CoarseSystem, TransferOps, assemble_coarse, build_transf
 
 __all__ = [
     "CATALOG",
-    "JuApprox",
-    "ByyApprox",
     "PointJacobiFactor",
     "PointIlu0Factor",
     "point_jacobi",
@@ -54,79 +46,10 @@ __all__ = [
     "AtPreconditioner",
     "build_at_preconditioner",
     "apply_at_inverse",
-    "densify_at_matrix",
     "generic_constrained_inverse",
 ]
 
 CATALOG = ("A0", "BJ", "BILU", "BJ-ilu", "BILU-ilu", "A0-p0", "BJ-p0", "BILU-p0")
-
-
-@dataclass
-class JuApprox:
-    """One of the three constraint-Jacobian approximations."""
-
-    variant: str
-    exact_lu: object = None
-    block_jacobi: BlockJacobiPrec | None = None
-    bilu: BiluPrec | None = None
-    _dense_source: object = None
-
-    def apply_inverse(self, v: np.ndarray) -> np.ndarray:
-        if self.variant == "exact":
-            return self.exact_lu.solve(np.asarray(v, dtype=float))
-        if self.variant == "block_jacobi":
-            return apply_block_jacobi_inverse(self.block_jacobi, v)
-        return apply_bilu_inverse(self.bilu, v)
-
-    def apply_transpose_inverse(self, v: np.ndarray) -> np.ndarray:
-        if self.variant == "exact":
-            return self.exact_lu.solve(np.asarray(v, dtype=float), trans="T")
-        if self.variant == "block_jacobi":
-            return apply_block_jacobi_inverse(self.block_jacobi, v, transpose=True)
-        return apply_bilu_inverse(self.bilu, v, transpose=True)
-
-    def densify(self) -> np.ndarray:
-        """The approximating matrix Ju~ as a dense array (test oracle)."""
-        if self.variant == "exact":
-            return densify(self._dense_source)
-        if self.variant == "block_jacobi":
-            src = self._dense_source
-            out = np.zeros(src.shape)
-            off = 0
-            pat = src.pattern
-            for i in range(pat.n_block_rows):
-                k = pat.block_index(i, i)
-                size = pat.row_block_sizes[i]
-                out[off : off + size, off : off + size] = src.blocks[k]
-                off += size
-            return out
-        # Recompose L U from the in-place blocks in permuted order, then map
-        # back to the original ordering. The split must happen at the block
-        # level: U owns the full diagonal blocks, L's diagonal is the identity.
-        pat = self.bilu.lu_blocks.pattern
-        n = pat.n_block_rows
-        roff = pat.row_offsets
-        L = np.eye(pat.n_rows)
-        U = np.zeros((pat.n_rows, pat.n_cols))
-        for m in range(n):
-            for k in range(pat.row_ptr[m], pat.row_ptr[m + 1]):
-                j = int(pat.col_idx[k])
-                blk = self.bilu.lu_blocks.blocks[k]
-                if j < m:
-                    L[roff[m] : roff[m + 1], roff[j] : roff[j + 1]] = blk
-                else:
-                    U[roff[m] : roff[m + 1], roff[j] : roff[j + 1]] = blk
-        approx_perm = L @ U
-        order = self.bilu.permutation
-        orig_sizes = np.empty(n, dtype=int)
-        orig_sizes[order] = pat.row_block_sizes
-        orig_off = np.concatenate([[0], np.cumsum(orig_sizes)])
-        point_perm = np.concatenate(
-            [np.arange(orig_off[order[m]], orig_off[order[m] + 1]) for m in range(n)]
-        )
-        out = np.zeros_like(approx_perm)
-        out[np.ix_(point_perm, point_perm)] = approx_perm
-        return out
 
 
 @dataclass
@@ -137,11 +60,9 @@ class PointJacobiFactor:
     diag: np.ndarray
     safeguarded: bool
 
-    def apply_inverse(self, v: np.ndarray) -> np.ndarray:
+    def solve(self, v: np.ndarray, trans: str = "N") -> np.ndarray:
+        """Divide by the diagonal, which is its own transpose."""
         return self.inv_diag * np.asarray(v, dtype=float)
-
-    def densify(self) -> np.ndarray:
-        return np.diag(self.diag)
 
 
 def point_jacobi(B: PointCsrMatrix) -> PointJacobiFactor:
@@ -149,17 +70,11 @@ def point_jacobi(B: PointCsrMatrix) -> PointJacobiFactor:
     n = B.n_rows
     if B.n_cols != n:
         raise DimensionMismatch("point Jacobi needs a square matrix")
-    diag = np.zeros(n)
-    for i in range(n):
-        sl = slice(B.row_ptr[i], B.row_ptr[i + 1])
-        hit = np.flatnonzero(B.col_idx[sl] == i)
-        if hit.size:
-            diag[i] = B.values[sl][hit[0]]
+    diag = B.to_scipy().diagonal()
     tiny = np.abs(diag) < 1e-300
     safeguarded = bool(tiny.any())
     if safeguarded:
         warnings.warn("point Jacobi: zero diagonal entries safeguarded to 1", RuntimeWarning)
-        diag = diag.copy()
         diag[tiny] = 1.0
     return PointJacobiFactor(1.0 / diag, diag, safeguarded)
 
@@ -174,7 +89,11 @@ class PointIlu0Factor:
     values: np.ndarray
     diag_pos: np.ndarray
 
-    def apply_inverse(self, v: np.ndarray) -> np.ndarray:
+    def solve(self, v: np.ndarray, trans: str = "N") -> np.ndarray:
+        """Forward then backward sweep; Byy~ is never applied transposed, so
+        there is no transposed sweep."""
+        if trans != "N":
+            raise NotImplementedError("point ILU0 has no transposed solve")
         v = np.asarray(v, dtype=float)
         if v.shape != (self.n,):
             raise DimensionMismatch(f"vector length {v.shape} incompatible with {self.n}")
@@ -187,18 +106,6 @@ class PointIlu0Factor:
             sl = slice(self.diag_pos[i] + 1, self.row_ptr[i + 1])
             x[i] = (x[i] - self.values[sl] @ x[self.col_idx[sl]]) / self.values[self.diag_pos[i]]
         return x
-
-    def densify(self) -> np.ndarray:
-        L = np.eye(self.n)
-        U = np.zeros((self.n, self.n))
-        for i in range(self.n):
-            for k in range(self.row_ptr[i], self.row_ptr[i + 1]):
-                j = self.col_idx[k]
-                if j < i:
-                    L[i, j] = self.values[k]
-                else:
-                    U[i, j] = self.values[k]
-        return L @ U
 
 
 def point_ilu0_factor(B: PointCsrMatrix) -> PointIlu0Factor:
@@ -241,31 +148,6 @@ def point_ilu0_factor(B: PointCsrMatrix) -> PointIlu0Factor:
 
 
 @dataclass
-class ByyApprox:
-    """One of the three mesh-block approximations."""
-
-    variant: str
-    exact_lu: object = None
-    jacobi: PointJacobiFactor | None = None
-    ilu: PointIlu0Factor | None = None
-    _dense_source: PointCsrMatrix | None = None
-
-    def apply_inverse(self, v: np.ndarray) -> np.ndarray:
-        if self.variant == "exact":
-            return self.exact_lu.solve(np.asarray(v, dtype=float))
-        if self.variant == "point_jacobi":
-            return self.jacobi.apply_inverse(v)
-        return self.ilu.apply_inverse(v)
-
-    def densify(self) -> np.ndarray:
-        if self.variant == "exact":
-            return self._dense_source.toarray()
-        if self.variant == "point_jacobi":
-            return self.jacobi.densify()
-        return self.ilu.densify()
-
-
-@dataclass
 class PmgWrapper:
     op: KktOperator
     transfers: TransferOps
@@ -277,8 +159,8 @@ class AtPreconditioner:
     """Block anti-triangular constrained preconditioner (optionally p-multigrid wrapped)."""
 
     variant: str
-    ju: JuApprox
-    byy: ByyApprox
+    ju: scipy.sparse.linalg.SuperLU | BlockJacobiPrec | BiluPrec
+    byy: scipy.sparse.linalg.SuperLU | PointJacobiFactor | PointIlu0Factor
     Jy: scipy.sparse.csr_matrix
     n_u: int
     n_y: int
@@ -320,43 +202,30 @@ def apply_at_inverse(P: AtPreconditioner, v: np.ndarray, bare: bool = False) -> 
     v1 = v[:n_u]
     v2 = v[n_u : n_u + n_y]
     v3 = v[n_u + n_y :]
-    w1 = P.ju.apply_transpose_inverse(v1)
+    w1 = P.ju.solve(v1, trans="T")
     t2 = P.Jy.T @ w1
-    w2 = P.byy.apply_inverse(v2 - t2)
+    w2 = P.byy.solve(v2 - t2)
     t3 = P.Jy @ w2
-    w3 = P.ju.apply_inverse(v3 - t3)
+    w3 = P.ju.solve(v3 - t3)
     return np.concatenate([w3, w2, w1])
 
 
-def _build_ju_approx(sys: KktSystem, kind: str) -> JuApprox:
+def _build_ju_approx(sys: KktSystem, kind: str):
     Ju = sys.factors.Ju
     if kind == "exact":
-        lu = scipy.sparse.linalg.splu(block_to_scipy(Ju).tocsc())
-        return JuApprox("exact", exact_lu=_SpluAdapter(lu), _dense_source=Ju)
+        return scipy.sparse.linalg.splu(block_to_scipy(Ju).tocsc())
     if kind == "block_jacobi":
-        return JuApprox("block_jacobi", block_jacobi=build_block_jacobi(Ju), _dense_source=Ju)
-    ordering = mdf_order(Ju)
-    return JuApprox("bilu", bilu=bilu0_factor(Ju, ordering), _dense_source=Ju)
+        return build_block_jacobi(Ju)
+    return bilu0_factor(Ju, mdf_order(Ju))
 
 
-class _SpluAdapter:
-    """Uniform solve(v, trans=...) facade over scipy's SuperLU object."""
-
-    def __init__(self, lu):
-        self._lu = lu
-
-    def solve(self, v, trans="N"):
-        return self._lu.solve(v, trans=trans)
-
-
-def _build_byy_approx(sys: KktSystem, kind: str) -> ByyApprox:
+def _build_byy_approx(sys: KktSystem, kind: str):
     Byy = sys.Byy
     if kind == "exact":
-        lu = scipy.sparse.linalg.splu(Byy.to_scipy().tocsc())
-        return ByyApprox("exact", exact_lu=_SpluAdapter(lu), _dense_source=Byy)
+        return scipy.sparse.linalg.splu(Byy.to_scipy().tocsc())
     if kind == "point_jacobi":
-        return ByyApprox("point_jacobi", jacobi=point_jacobi(Byy), _dense_source=Byy)
-    return ByyApprox("point_ilu0", ilu=point_ilu0_factor(Byy), _dense_source=Byy)
+        return point_jacobi(Byy)
+    return point_ilu0_factor(Byy)
 
 
 _VARIANT_TABLE = {
@@ -394,25 +263,6 @@ def build_at_preconditioner(sys: KktSystem, variant: str) -> AtPreconditioner:
     return prec
 
 
-def densify_at_matrix(P: AtPreconditioner) -> np.ndarray:
-    """Assembled dense anti-triangular matrix At (without any multigrid wrap)."""
-    n_u, n_y = P.n_u, P.n_y
-    dim = 2 * n_u + n_y
-    ju = P.ju.densify()
-    byy = P.byy.densify()
-    jy = P.Jy.toarray()
-    A = np.zeros((dim, dim))
-    su = slice(0, n_u)
-    sy = slice(n_u, n_u + n_y)
-    sl = slice(n_u + n_y, dim)
-    A[su, sl] = ju.T
-    A[sy, sy] = byy
-    A[sy, sl] = jy.T
-    A[sl, su] = ju
-    A[sl, sy] = jy
-    return A
-
-
 def generic_constrained_inverse(G: np.ndarray, Jt: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Apply the inverse of the generic constrained preconditioner [[G, Jt^T],[Jt, 0]].
 
@@ -420,7 +270,7 @@ def generic_constrained_inverse(G: np.ndarray, Jt: np.ndarray, v: np.ndarray) ->
 
         [[I, -G^-1 Jt^T], [0, I]] [[G^-1, 0], [0, -S^-1]] [[I, 0], [-Jt G^-1, I]] v.
 
-    Validation path only; requires a nonsingular G.
+    Validation path only; a singular G raises SingularBlock.
     """
     G = np.asarray(G, dtype=float)
     Jt = np.asarray(Jt, dtype=float)
@@ -430,21 +280,14 @@ def generic_constrained_inverse(G: np.ndarray, Jt: np.ndarray, v: np.ndarray) ->
     if Jt.shape[1] != n or v.shape != (n + m,):
         raise DimensionMismatch("generic constrained inverse: shapes disagree")
     v1, v2 = v[:n], v[n:]
-    g_lu = scipy.linalg.lu_factor(G)
-    ginv_v1 = scipy.linalg.lu_solve(g_lu, v1)
+    g_lu = dense_lu_factor(G)
+    ginv_v1 = g_lu.solve(v1)
     t = v2 - Jt @ ginv_v1
-    S = Jt @ scipy.linalg.lu_solve(g_lu, Jt.T)
+    S = Jt @ g_lu.solve(Jt.T)
     try:
-        with warnings.catch_warnings():
-            # The explicit singularity check below raises a typed error, so
-            # scipy's advisory warning would only duplicate it.
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            s_lu = scipy.linalg.lu_factor(S)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSchurComplement(str(exc)) from exc
-    smax = np.abs(S).max() if S.size else 0.0
-    if S.size and (smax == 0.0 or np.any(np.abs(np.diag(s_lu[0])) < 1e-14 * smax)):
-        raise SingularSchurComplement("Schur complement singular to working precision")
-    out2 = -scipy.linalg.lu_solve(s_lu, t)
-    out1 = ginv_v1 - scipy.linalg.lu_solve(g_lu, Jt.T @ out2)
+        s_lu = dense_lu_factor(S)
+    except SingularBlock as exc:
+        raise SingularSchurComplement("Schur complement singular to working precision") from exc
+    out2 = -s_lu.solve(t)
+    out1 = ginv_v1 - g_lu.solve(Jt.T @ out2)
     return np.concatenate([out1, out2])

@@ -21,10 +21,8 @@ __all__ = [
     "MdfOrdering",
     "BiluPrec",
     "build_block_jacobi",
-    "apply_block_jacobi_inverse",
     "mdf_order",
     "bilu0_factor",
-    "apply_bilu_inverse",
 ]
 
 
@@ -37,6 +35,18 @@ class BlockJacobiPrec:
     def dimension(self) -> int:
         return int(self.block_sizes.sum())
 
+    def solve(self, v: np.ndarray, trans: str = "N") -> np.ndarray:
+        """Solve with the block diagonal, or its transpose for trans="T"."""
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.dimension,):
+            raise DimensionMismatch(f"vector length {v.shape} incompatible with dimension {self.dimension}")
+        out = np.empty_like(v)
+        off = 0
+        for size, lu in zip(self.block_sizes, self.inverse_blocks):
+            out[off : off + size] = lu.solve(v[off : off + size], trans=trans)
+            off += size
+        return out
+
 
 @dataclass
 class MdfOrdering:
@@ -47,15 +57,71 @@ class MdfOrdering:
 @dataclass
 class BiluPrec:
     """In-place factors of the permuted matrix: strict lower L (unit diagonal
-    implied) and upper U including the diagonal, on the original pattern."""
+    implied) and upper U including the diagonal, on the original pattern.
+
+    point_perm[r] is the original point index of row r of the permuted
+    matrix."""
 
     permutation: np.ndarray
     lu_blocks: BlockCsrMatrix
     diag_lu: list[BlockLuFactor]
+    point_perm: np.ndarray
 
     @property
     def dimension(self) -> int:
         return int(self.lu_blocks.pattern.row_block_sizes.sum())
+
+    def solve(self, w: np.ndarray, trans: str = "N") -> np.ndarray:
+        """Solve the factored approximation against w, or its transpose for trans="T"."""
+        w = np.asarray(w, dtype=float)
+        if w.shape != (self.dimension,):
+            raise DimensionMismatch(f"vector length {w.shape} incompatible with dimension {self.dimension}")
+        pat = self.lu_blocks.pattern
+        n = pat.n_block_rows
+        roff = pat.row_offsets
+
+        # Gather w into permuted block layout.
+        w_perm = w[self.point_perm]
+        wp = [w_perm[roff[m] : roff[m + 1]] for m in range(n)]
+
+        if trans == "N":
+            # Forward: L v = w (unit diagonal), then backward: U x = v.
+            v = [None] * n
+            for m in range(n):
+                acc = wp[m].copy()
+                for k in range(pat.row_ptr[m], pat.row_ptr[m + 1]):
+                    j = int(pat.col_idx[k])
+                    if j < m:
+                        acc -= self.lu_blocks.blocks[k] @ v[j]
+                v[m] = acc
+            x = [None] * n
+            for m in range(n - 1, -1, -1):
+                acc = v[m].copy()
+                for k in range(pat.row_ptr[m], pat.row_ptr[m + 1]):
+                    j = int(pat.col_idx[k])
+                    if j > m:
+                        acc -= self.lu_blocks.blocks[k] @ x[j]
+                x[m] = self.diag_lu[m].solve(acc)
+        else:
+            # U^T t = w (column sweep, transposed pivot solves), then L^T x = t.
+            t = [wp[m].copy() for m in range(n)]
+            for m in range(n):
+                t[m] = self.diag_lu[m].solve(t[m], trans="T")
+                for k in range(pat.row_ptr[m], pat.row_ptr[m + 1]):
+                    j = int(pat.col_idx[k])
+                    if j > m:
+                        t[j] -= self.lu_blocks.blocks[k].T @ t[m]
+            x = [None] * n
+            for m in range(n - 1, -1, -1):
+                x[m] = t[m]
+                for k in range(pat.row_ptr[m], pat.row_ptr[m + 1]):
+                    j = int(pat.col_idx[k])
+                    if j < m:
+                        t[j] -= self.lu_blocks.blocks[k].T @ x[m]
+
+        out = np.empty_like(w)
+        out[self.point_perm] = np.concatenate(x)
+        return out
 
 
 def _require_square_blocks(A: BlockCsrMatrix):
@@ -82,18 +148,6 @@ def build_block_jacobi(A: BlockCsrMatrix) -> BlockJacobiPrec:
         except SingularBlock as exc:
             raise SingularBlock(f"block row {i}: {exc}") from exc
     return BlockJacobiPrec(factors, A.pattern.row_block_sizes.copy())
-
-
-def apply_block_jacobi_inverse(P: BlockJacobiPrec, v: np.ndarray, transpose: bool = False) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (P.dimension,):
-        raise DimensionMismatch(f"vector length {v.shape} incompatible with dimension {P.dimension}")
-    out = np.empty_like(v)
-    off = 0
-    for size, lu in zip(P.block_sizes, P.inverse_blocks):
-        out[off : off + size] = lu.solve(v[off : off + size], transpose=transpose)
-        off += size
-    return out
 
 
 def _adjacency(pat: BlockPattern):
@@ -223,7 +277,7 @@ def bilu0_factor(A: BlockCsrMatrix, ordering: MdfOrdering) -> BiluPrec:
             if k >= i:
                 break
             # L_ik = A_ik U_kk^-1, computed via the transposed pivot solve.
-            lik = pivot_lu(int(k)).solve(work.blocks[lo + off].T, transpose=True).T
+            lik = pivot_lu(int(k)).solve(work.blocks[lo + off].T, trans="T").T
             work.blocks[lo + off] = lik
             klo, khi = pat.row_ptr[k], pat.row_ptr[k + 1]
             for koff in range(klo, khi):
@@ -234,61 +288,6 @@ def bilu0_factor(A: BlockCsrMatrix, ordering: MdfOrdering) -> BiluPrec:
                 if target is not None:
                     work.blocks[target] = work.blocks[target] - lik @ work.blocks[koff]
         pivot_lu(i)
-    return BiluPrec(order, work, [lu for lu in diag_lu])
-
-
-def apply_bilu_inverse(P: BiluPrec, w: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """Solve the factored approximation against w (optionally its transpose)."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (P.dimension,):
-        raise DimensionMismatch(f"vector length {w.shape} incompatible with dimension {P.dimension}")
-    pat = P.lu_blocks.pattern
-    n = pat.n_block_rows
-    order = P.permutation
-    orig_sizes = np.empty(n, dtype=int)
-    orig_sizes[order] = pat.row_block_sizes
-    orig_off = np.concatenate([[0], np.cumsum(orig_sizes)])
-    slices = [slice(orig_off[order[m]], orig_off[order[m] + 1]) for m in range(n)]
-
-    # Gather w into permuted block layout.
-    wp = [w[slices[m]] for m in range(n)]
-
-    if not transpose:
-        # Forward: L v = w (unit diagonal), then backward: U x = v.
-        v = [None] * n
-        for m in range(n):
-            acc = wp[m].copy()
-            for k in range(pat.row_ptr[m], pat.row_ptr[m + 1]):
-                j = int(pat.col_idx[k])
-                if j < m:
-                    acc -= P.lu_blocks.blocks[k] @ v[j]
-            v[m] = acc
-        x = [None] * n
-        for m in range(n - 1, -1, -1):
-            acc = v[m].copy()
-            for k in range(pat.row_ptr[m], pat.row_ptr[m + 1]):
-                j = int(pat.col_idx[k])
-                if j > m:
-                    acc -= P.lu_blocks.blocks[k] @ x[j]
-            x[m] = P.diag_lu[m].solve(acc)
-    else:
-        # U^T t = w (column sweep, transposed pivot solves), then L^T x = t.
-        t = [wp[m].copy() for m in range(n)]
-        for m in range(n):
-            t[m] = P.diag_lu[m].solve(t[m], transpose=True)
-            for k in range(pat.row_ptr[m], pat.row_ptr[m + 1]):
-                j = int(pat.col_idx[k])
-                if j > m:
-                    t[j] -= P.lu_blocks.blocks[k].T @ t[m]
-        x = [None] * n
-        for m in range(n - 1, -1, -1):
-            x[m] = t[m]
-            for k in range(pat.row_ptr[m], pat.row_ptr[m + 1]):
-                j = int(pat.col_idx[k])
-                if j < m:
-                    t[j] -= P.lu_blocks.blocks[k].T @ x[m]
-
-    out = np.empty_like(w)
-    for m in range(n):
-        out[slices[m]] = x[m]
-    return out
+    offsets = A.pattern.row_offsets
+    point_perm = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in order])
+    return BiluPrec(order, work, [lu for lu in diag_lu], point_perm)

@@ -13,10 +13,6 @@ class SingularBlock(KktPrecondError):
     """A dense diagonal block is singular to working precision."""
 
 
-class SingularFactor(KktPrecondError):
-    """A triangular or sparse factor cannot be applied (zero pivot)."""
-
-
 class SingularPivotBlock(KktPrecondError):
     """A diagonal pivot block became singular during block elimination."""
 

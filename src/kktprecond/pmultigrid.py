@@ -11,14 +11,13 @@ directly, prolongate, then apply the smoother once as a correction.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
-from .errors import SingularCoarseMatrix, SizeCapExceeded
+from .blocklinalg import BlockLuFactor, dense_lu_factor
+from .errors import SingularBlock, SingularCoarseMatrix, SizeCapExceeded
 from .krylov import Preconditioner
 
 __all__ = [
@@ -94,7 +93,7 @@ def full_restriction(T: TransferOps) -> scipy.sparse.csr_matrix:
 @dataclass
 class CoarseSystem:
     A0: np.ndarray
-    lu: tuple
+    lu: BlockLuFactor
     P: scipy.sparse.csr_matrix
     Q: scipy.sparse.csr_matrix
 
@@ -107,20 +106,16 @@ def assemble_coarse(opA, T: TransferOps, cap: int = COARSE_CAP) -> CoarseSystem:
     if nc > cap:
         raise SizeCapExceeded(f"coarse dimension {nc} exceeds cap {cap}")
     A0 = (Q @ opA.matmat(P)).toarray()
-    with warnings.catch_warnings():
-        # The singularity check below raises a typed error, so scipy's
-        # advisory warning would only duplicate it.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A0, check_finite=False)
-    scale = np.abs(A0).max() if A0.size else 0.0
-    if A0.size and (scale == 0.0 or np.any(np.abs(np.diag(lu)) < 1e-14 * scale)):
-        raise SingularCoarseMatrix("coarse matrix is singular to working precision")
-    return CoarseSystem(A0, (lu, piv), P, Q)
+    try:
+        lu = dense_lu_factor(A0)
+    except SingularBlock as exc:
+        raise SingularCoarseMatrix("coarse matrix is singular to working precision") from exc
+    return CoarseSystem(A0, lu, P, Q)
 
 
 def pmg_apply(opA, coarse: CoarseSystem, T: TransferOps, smoother: Preconditioner, b: np.ndarray) -> np.ndarray:
     """One two-level cycle: coarse correction followed by one smoothing step."""
     b = np.asarray(b, dtype=float)
-    s = coarse.P @ scipy.linalg.lu_solve(coarse.lu, coarse.Q @ b)
+    s = coarse.P @ coarse.lu.solve(coarse.Q @ b)
     s = s + smoother.apply_inverse(b - opA.matvec(s))
     return s

@@ -649,7 +649,6 @@ class GenerateConfig:
     source: bool = True
     bc_left: float = 0.4
     bc_right: float = -0.6
-    seed: int = 0
     states: tuple[int, ...] = (1,)
     max_iters: int = 100
     case: str | None = None
@@ -698,7 +697,6 @@ def load_problem_config(path) -> GenerateConfig:
         "source": parse_bool,
         "bc_left": float,
         "bc_right": float,
-        "seed": int,
         "max_iters": int,
         "case": str,
     }

@@ -68,7 +68,7 @@ def test_lu_transpose_solve():
     A = rng.standard_normal((5, 5)) + 5.0 * np.eye(5)
     b = rng.standard_normal(5)
     lu = dense_lu_factor(A)
-    np.testing.assert_allclose(lu.solve(b, transpose=True), np.linalg.solve(A.T, b), rtol=1e-12)
+    np.testing.assert_allclose(lu.solve(b, trans="T"), np.linalg.solve(A.T, b), rtol=1e-12)
 
 
 def test_lu_rejects_singular_and_nonsquare():

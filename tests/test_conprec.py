@@ -5,28 +5,28 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+import kktprecond.conprec as conprec
 from conftest import count_iterations
 from kktprecond.blocklinalg import BlockCsrMatrix, BlockPattern, PointCsrMatrix, block_matvec
 from kktprecond.conprec import (
     CATALOG,
     AtPreconditioner,
-    ByyApprox,
-    JuApprox,
     apply_at_inverse,
     build_at_preconditioner,
-    densify_at_matrix,
     generic_constrained_inverse,
     point_ilu0_factor,
     point_jacobi,
 )
 from kktprecond.errors import (
     DimensionMismatch,
+    SingularBlock,
     SingularSchurComplement,
     UnknownPreconditioner,
     ZeroPivot,
 )
 from kktprecond.kkt import KktFactors, KktSystem, assemble_Byy
 from kktprecond.krylov import GmresConfig, LinearOperator, Preconditioner, gmres_solve
+from oracles import byy_matrix, densify_at_matrix, ju_matrix, point_ilu0_matrix, system_ju_byy
 
 
 def single_block(arr):
@@ -53,12 +53,10 @@ def manual_at(Ju, Byy, Jy):
     """Exact-solve AtPreconditioner assembled directly from dense pieces."""
     Ju = np.asarray(Ju, dtype=float)
     Byy = np.asarray(Byy, dtype=float)
-    ju = JuApprox("exact", exact_lu=DenseLu(Ju), _dense_source=single_block(Ju))
-    byy = ByyApprox("exact", exact_lu=DenseLu(Byy), _dense_source=point(Byy))
     return AtPreconditioner(
         variant="A0",
-        ju=ju,
-        byy=byy,
+        ju=DenseLu(Ju),
+        byy=DenseLu(Byy),
         Jy=scipy.sparse.csr_matrix(np.asarray(Jy, dtype=float)),
         n_u=Ju.shape[0],
         n_y=Byy.shape[0],
@@ -88,7 +86,7 @@ def test_scalar_five_step_example():
     P = manual_at([[2.0]], [[5.0]], [[3.0]])
     w = apply_at_inverse(P, np.array([2.0, 5.0, 4.0]))
     np.testing.assert_allclose(w, [1.4, 0.4, 1.0], atol=1e-14)
-    At = densify_at_matrix(P)
+    At = densify_at_matrix(P, [[2.0]], [[5.0]])
     np.testing.assert_allclose(w, np.linalg.solve(At, [2.0, 5.0, 4.0]), atol=1e-14)
 
 
@@ -99,7 +97,7 @@ def test_inverse_matches_dense_solve():
     Byy = Byy @ Byy.T + np.eye(3)
     Jy = rng.standard_normal((4, 3))
     P = manual_at(Ju, Byy, Jy)
-    At = densify_at_matrix(P)
+    At = densify_at_matrix(P, Ju, Byy)
     for _ in range(5):
         v = rng.standard_normal(11)
         np.testing.assert_allclose(apply_at_inverse(P, v), np.linalg.solve(At, v), rtol=1e-10)
@@ -111,7 +109,7 @@ def test_apply_then_multiply_round_trip():
     Byy = rng.standard_normal((2, 2))
     Byy = Byy @ Byy.T + np.eye(2)
     P = manual_at(Ju, Byy, rng.standard_normal((5, 2)))
-    At = densify_at_matrix(P)
+    At = densify_at_matrix(P, Ju, Byy)
     w = rng.standard_normal(12)
     np.testing.assert_allclose(apply_at_inverse(P, At @ w), w, rtol=1e-10)
 
@@ -148,13 +146,13 @@ def test_point_jacobi_identity():
     J = point_jacobi(point(np.eye(4)))
     assert not J.safeguarded
     v = np.array([1.0, -2.0, 3.0, 4.0])
-    np.testing.assert_array_equal(J.apply_inverse(v), v)
+    np.testing.assert_array_equal(J.solve(v), v)
 
 
 def test_point_jacobi_uses_only_diagonal():
     J = point_jacobi(point(np.array([[2.0, 7.0], [0.0, 4.0]])))
-    np.testing.assert_array_equal(J.apply_inverse(np.array([2.0, 4.0])), [1.0, 1.0])
-    np.testing.assert_array_equal(J.densify(), np.diag([2.0, 4.0]))
+    np.testing.assert_array_equal(J.solve(np.array([2.0, 4.0])), [1.0, 1.0])
+    np.testing.assert_array_equal(np.diag(J.diag), np.diag([2.0, 4.0]))
 
 
 def test_point_jacobi_safeguards_zero_diagonal():
@@ -173,9 +171,11 @@ def test_point_jacobi_rejects_rectangular():
 def test_point_ilu0_exact_on_diagonal():
     A = np.diag([2.0, 5.0, 0.5])
     F = point_ilu0_factor(point(A))
-    np.testing.assert_allclose(F.densify(), A, rtol=1e-15)
+    np.testing.assert_allclose(point_ilu0_matrix(F), A, rtol=1e-15)
     v = np.array([4.0, 10.0, 1.0])
-    np.testing.assert_allclose(F.apply_inverse(v), [2.0, 2.0, 2.0], rtol=1e-15)
+    np.testing.assert_allclose(F.solve(v), [2.0, 2.0, 2.0], rtol=1e-15)
+    with pytest.raises(NotImplementedError):
+        F.solve(v, trans="T")
 
 
 def test_point_ilu0_exact_on_tridiagonal():
@@ -184,9 +184,9 @@ def test_point_ilu0_exact_on_tridiagonal():
     A = np.diag(4.0 + rng.random(n)) + np.diag(rng.standard_normal(n - 1), 1)
     A += np.diag(rng.standard_normal(n - 1), -1)
     F = point_ilu0_factor(point(A))
-    np.testing.assert_allclose(F.densify(), A, rtol=1e-12, atol=1e-13)
+    np.testing.assert_allclose(point_ilu0_matrix(F), A, rtol=1e-12, atol=1e-13)
     v = rng.standard_normal(n)
-    np.testing.assert_allclose(F.apply_inverse(v), np.linalg.solve(A, v), rtol=1e-10)
+    np.testing.assert_allclose(F.solve(v), np.linalg.solve(A, v), rtol=1e-10)
 
 
 def grid_laplacian(m):
@@ -202,15 +202,15 @@ def test_point_ilu0_drops_fill_yet_beats_jacobi():
     A = grid_laplacian(4)
     B = PointCsrMatrix.from_scipy(A)
     F = point_ilu0_factor(B)
-    defect = np.linalg.norm(F.densify() - A.toarray())
+    defect = np.linalg.norm(point_ilu0_matrix(F) - A.toarray())
     assert defect > 1e-8
 
     rng = np.random.default_rng(15)
     b = rng.standard_normal(16)
     op = LinearOperator.from_matrix(A.toarray())
     cfg = GmresConfig(tol=1e-8, max_iters=100)
-    it_ilu = gmres_solve(op, b, Preconditioner(16, F.apply_inverse), cfg).iterations
-    it_jac = gmres_solve(op, b, Preconditioner(16, point_jacobi(B).apply_inverse), cfg).iterations
+    it_ilu = gmres_solve(op, b, Preconditioner(16, F.solve), cfg).iterations
+    it_jac = gmres_solve(op, b, Preconditioner(16, point_jacobi(B).solve), cfg).iterations
     assert it_ilu < it_jac
 
 
@@ -256,6 +256,50 @@ def test_catalog_iteration_counts_are_pinned(name, request):
     results = [count_iterations(sys, variant) for variant in CATALOG]
     assert all(converged for _, converged in results)
     assert [iters for iters, _ in results] == PINNED_CATALOG_ITERATIONS[name]
+
+
+@pytest.mark.parametrize("variant", CATALOG)
+def test_factor_solves_match_dense_oracle(variant, sys16_k1):
+    P = build_at_preconditioner(sys16_k1, variant)
+    Ju, Byy = system_ju_byy(sys16_k1)
+    ju = ju_matrix(P.ju, Ju)
+    byy = byy_matrix(P.byy, Byy)
+    rng = np.random.default_rng(23)
+    v = rng.standard_normal(P.n_u)
+    np.testing.assert_allclose(P.ju.solve(v), np.linalg.solve(ju, v), rtol=1e-10)
+    np.testing.assert_allclose(P.ju.solve(v, trans="T"), np.linalg.solve(ju.T, v), rtol=1e-10)
+    v = rng.standard_normal(P.n_y)
+    np.testing.assert_allclose(P.byy.solve(v), np.linalg.solve(byy, v), rtol=1e-10)
+
+
+HOOKED_NAMES = (
+    "mdf_order",
+    "bilu0_factor",
+    "point_ilu0_factor",
+    "assemble_coarse",
+    "pmg_apply",
+    "apply_at_inverse",
+)
+
+
+def test_build_and_apply_call_through_module_globals(sys8_k1, monkeypatch):
+    # Per-layer timing replaces these module attributes; building and applying
+    # must look them up at call time, or the wrapped layers read as zero.
+    calls = dict.fromkeys(HOOKED_NAMES, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in HOOKED_NAMES:
+        monkeypatch.setattr(conprec, name, counting(name, getattr(conprec, name)))
+    v = np.ones(2 * sys8_k1.factors.n_u + sys8_k1.factors.n_y)
+    for variant in ("BILU-ilu", "A0-p0"):
+        build_at_preconditioner(sys8_k1, variant).apply_inverse(v)
+    assert all(calls.values()), calls
 
 
 def test_unknown_variant_rejected(sys8_k1):
@@ -333,6 +377,11 @@ def test_generic_inverse_round_trip():
 def test_generic_inverse_rank_deficient_constraints():
     with pytest.raises(SingularSchurComplement):
         generic_constrained_inverse(np.eye(3), np.zeros((2, 3)), np.zeros(5))
+
+
+def test_generic_inverse_singular_g_raises():
+    with pytest.raises(SingularBlock):
+        generic_constrained_inverse(np.zeros((2, 2)), np.eye(2), np.ones(4))
 
 
 def test_generic_inverse_shape_checks():

@@ -4,17 +4,11 @@ import numpy as np
 import pytest
 
 from kktprecond.blocklinalg import BlockCsrMatrix, BlockPattern, densify
-from kktprecond.dgprecond import (
-    MdfOrdering,
-    apply_bilu_inverse,
-    apply_block_jacobi_inverse,
-    bilu0_factor,
-    build_block_jacobi,
-    mdf_order,
-)
+from kktprecond.dgprecond import MdfOrdering, bilu0_factor, build_block_jacobi, mdf_order
 from kktprecond.errors import SingularBlock, SingularPivotBlock
 from kktprecond.krylov import GmresConfig, LinearOperator, Preconditioner, gmres_solve
 from kktprecond.stencil import generate_stencil_system
+from oracles import bilu_factors
 
 
 def block_diag_matrix(blocks):
@@ -64,10 +58,10 @@ def test_block_jacobi_is_exact_inverse_of_block_diagonal():
     P = build_block_jacobi(A)
     v = rng.standard_normal(9)
     np.testing.assert_allclose(
-        apply_block_jacobi_inverse(P, v), np.linalg.solve(densify(A), v), rtol=1e-12
+        P.solve(v), np.linalg.solve(densify(A), v), rtol=1e-12
     )
     op = LinearOperator.from_matrix(densify(A))
-    M = Preconditioner(9, lambda w: apply_block_jacobi_inverse(P, w))
+    M = Preconditioner(9, P.solve)
     rep = gmres_solve(op, v, M, GmresConfig(tol=1e-8))
     assert rep.converged and rep.iterations == 1
 
@@ -87,17 +81,17 @@ def test_block_jacobi_identity_diagonals_is_identity_map():
         A.blocks[pat.block_index(i, i)] = np.eye(2)
     P = build_block_jacobi(A)
     v = rng.standard_normal(6)
-    np.testing.assert_allclose(apply_block_jacobi_inverse(P, v), v, rtol=1e-14)
+    np.testing.assert_allclose(P.solve(v), v, rtol=1e-14)
 
 
 def test_block_jacobi_examples_and_transpose():
     A = block_diag_matrix([np.eye(2), np.eye(3)])
     v = np.arange(5.0)
-    np.testing.assert_array_equal(apply_block_jacobi_inverse(build_block_jacobi(A), v), v)
+    np.testing.assert_array_equal(build_block_jacobi(A).solve(v), v)
 
     A2 = block_diag_matrix([np.array([[2.0]]), np.array([[2.0]])])
     np.testing.assert_allclose(
-        apply_block_jacobi_inverse(build_block_jacobi(A2), np.array([4.0, 4.0])), [2.0, 2.0]
+        build_block_jacobi(A2).solve(np.array([4.0, 4.0])), [2.0, 2.0]
     )
 
     rng = np.random.default_rng(3)
@@ -106,7 +100,7 @@ def test_block_jacobi_examples_and_transpose():
     P3 = build_block_jacobi(A3)
     w = rng.standard_normal(8)
     np.testing.assert_allclose(
-        apply_block_jacobi_inverse(P3, w, transpose=True),
+        P3.solve(w, trans="T"),
         np.linalg.solve(densify(A3).T, w),
         rtol=1e-12,
     )
@@ -225,11 +219,11 @@ def test_bilu_block_diagonal_factors_trivially():
         np.testing.assert_array_equal(got, want)
     v = rng.standard_normal(6)
     np.testing.assert_allclose(
-        apply_bilu_inverse(P, v), np.linalg.solve(densify(A), v), rtol=1e-12
+        P.solve(v), np.linalg.solve(densify(A), v), rtol=1e-12
     )
     np.testing.assert_allclose(
-        apply_bilu_inverse(P, v),
-        apply_block_jacobi_inverse(build_block_jacobi(A), v),
+        P.solve(v),
+        build_block_jacobi(A).solve(v),
         rtol=1e-12,
     )
 
@@ -241,22 +235,14 @@ def test_bilu_exact_on_block_tridiagonal():
     A = block_tridiagonal(5, 3, rng)
     P = bilu0_factor(A, natural_order(5))
     dense = densify(A)
-    pat = P.lu_blocks.pattern
-    roff = pat.row_offsets
-    L = np.eye(pat.n_rows)
-    U = np.zeros((pat.n_rows, pat.n_rows))
-    for i in range(pat.n_block_rows):
-        for k in range(pat.row_ptr[i], pat.row_ptr[i + 1]):
-            j = int(pat.col_idx[k])
-            target = L if j < i else U
-            target[roff[i] : roff[i + 1], roff[j] : roff[j + 1]] = P.lu_blocks.blocks[k]
+    L, U = bilu_factors(P)
     defect = np.linalg.norm(L @ U - dense) / np.linalg.norm(dense)
     assert defect <= 1e-12
 
     w = rng.standard_normal(15)
-    np.testing.assert_allclose(apply_bilu_inverse(P, w), np.linalg.solve(dense, w), rtol=1e-10)
+    np.testing.assert_allclose(P.solve(w), np.linalg.solve(dense, w), rtol=1e-10)
     np.testing.assert_allclose(
-        apply_bilu_inverse(P, w, transpose=True), np.linalg.solve(dense.T, w), rtol=1e-10
+        P.solve(w, trans="T"), np.linalg.solve(dense.T, w), rtol=1e-10
     )
 
 
@@ -266,42 +252,28 @@ def test_bilu_discards_fill_on_stencil():
     P = bilu0_factor(A, ordering)
     sizes = A.pattern.row_block_sizes
     Pm = permutation_matrix(ordering.order, sizes)
-    pat = P.lu_blocks.pattern
-    roff = pat.row_offsets
-    L = np.eye(pat.n_rows)
-    U = np.zeros((pat.n_rows, pat.n_rows))
-    for i in range(pat.n_block_rows):
-        for k in range(pat.row_ptr[i], pat.row_ptr[i + 1]):
-            j = int(pat.col_idx[k])
-            target = L if j < i else U
-            target[roff[i] : roff[i + 1], roff[j] : roff[j + 1]] = P.lu_blocks.blocks[k]
+    L, U = bilu_factors(P)
     PA = Pm @ densify(A) @ Pm.T
     assert np.linalg.norm(L @ U - PA) > 1e-8
 
 
 def test_bilu_inverse_consistent_with_permuted_factors():
-    # apply_bilu_inverse must equal a dense solve with the recomposed
+    # BiluPrec.solve must equal a dense solve with the recomposed
     # approximation mapped back to the original ordering.
     A = generate_stencil_system(3, 2, seed=1)
     ordering = mdf_order(A)
     P = bilu0_factor(A, ordering)
     sizes = A.pattern.row_block_sizes
     Pm = permutation_matrix(ordering.order, sizes)
-    pat = P.lu_blocks.pattern
-    roff = pat.row_offsets
-    L = np.eye(pat.n_rows)
-    U = np.zeros((pat.n_rows, pat.n_rows))
-    for i in range(pat.n_block_rows):
-        for k in range(pat.row_ptr[i], pat.row_ptr[i + 1]):
-            j = int(pat.col_idx[k])
-            target = L if j < i else U
-            target[roff[i] : roff[i + 1], roff[j] : roff[j + 1]] = P.lu_blocks.blocks[k]
+    L, U = bilu_factors(P)
     approx = Pm.T @ (L @ U) @ Pm
+    n = Pm.shape[0]
+    np.testing.assert_array_equal(np.eye(n)[P.point_perm], Pm)
     rng = np.random.default_rng(8)
-    w = rng.standard_normal(pat.n_rows)
-    np.testing.assert_allclose(apply_bilu_inverse(P, w), np.linalg.solve(approx, w), rtol=1e-10)
+    w = rng.standard_normal(n)
+    np.testing.assert_allclose(P.solve(w), np.linalg.solve(approx, w), rtol=1e-10)
     np.testing.assert_allclose(
-        apply_bilu_inverse(P, w, transpose=True), np.linalg.solve(approx.T, w), rtol=1e-10
+        P.solve(w, trans="T"), np.linalg.solve(approx.T, w), rtol=1e-10
     )
 
 
@@ -309,7 +281,7 @@ def test_bilu_identity_factor_returns_input():
     A = block_diag_matrix([np.eye(2), np.eye(2)])
     P = bilu0_factor(A, natural_order(2))
     w = np.array([1.0, -2.0, 3.0, -4.0])
-    np.testing.assert_allclose(apply_bilu_inverse(P, w), w, rtol=1e-14)
+    np.testing.assert_allclose(P.solve(w), w, rtol=1e-14)
 
 
 def test_bilu_singular_pivot_raises():

@@ -351,9 +351,10 @@ def test_config_defaults_and_case_name():
 
 def test_config_rejects_unknown_key(tmp_path):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("order = 3\n")
-    with pytest.raises(ValueError, match="unknown config key"):
-        load_problem_config(bad)
+    for text in ("order = 3\n", "seed = 3\n"):
+        bad.write_text(text)
+        with pytest.raises(ValueError, match="unknown config key"):
+            load_problem_config(bad)
 
 
 def test_config_rejects_bad_boolean(tmp_path):
