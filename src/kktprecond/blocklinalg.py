@@ -10,11 +10,12 @@ their block structure.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from .errors import DimensionMismatch, IndexOutOfRange, PatternViolation, SingularBlock
 
@@ -24,6 +25,9 @@ __all__ = [
     "PointCsrMatrix",
     "BlockLuFactor",
     "dense_lu_factor",
+    "PermutedLu",
+    "permuted_lu",
+    "sparse_lu",
     "block_matvec",
     "block_transpose_matvec",
     "block_transpose",
@@ -55,10 +59,9 @@ class BlockPattern:
             raise PatternViolation("row_ptr must be nondecreasing")
         if self.row_ptr[-1] != len(self.col_idx):
             raise PatternViolation("row_ptr end must equal number of stored blocks")
-        for i in range(nbr):
-            cols = self.col_idx[self.row_ptr[i] : self.row_ptr[i + 1]]
-            if cols.size and (np.any(np.diff(cols) <= 0) or cols[0] < 0 or cols[-1] >= nbc):
-                raise PatternViolation(f"block row {i}: col_idx must be strictly increasing and in range")
+        i = _first_bad_row(self.row_ptr, self.col_idx, nbc)
+        if i is not None:
+            raise PatternViolation(f"block row {i}: col_idx must be strictly increasing and in range")
 
     @property
     def n_block_rows(self) -> int:
@@ -84,6 +87,11 @@ class BlockPattern:
     def col_offsets(self) -> np.ndarray:
         return np.concatenate([[0], np.cumsum(self.col_block_sizes)])
 
+    @property
+    def block_rows(self) -> np.ndarray:
+        """Block row of each stored block."""
+        return np.repeat(np.arange(self.n_block_rows), np.diff(self.row_ptr))
+
     def block_index(self, i: int, j: int) -> int | None:
         """Position of block (i, j) in storage, or None if not stored."""
         lo, hi = self.row_ptr[i], self.row_ptr[i + 1]
@@ -91,6 +99,19 @@ class BlockPattern:
         if k < hi and self.col_idx[k] == j:
             return int(k)
         return None
+
+
+def _first_bad_row(row_ptr: np.ndarray, col_idx: np.ndarray, n_cols: int) -> int | None:
+    """First row of a CSR structure (row_ptr already checked nondecreasing and
+    ending at len(col_idx)) whose columns are not strictly increasing and in
+    [0, n_cols), or None."""
+    bad = (col_idx < 0) | (col_idx >= n_cols)
+    row_start = np.zeros(len(col_idx), dtype=bool)
+    row_start[row_ptr[:-1][row_ptr[:-1] < len(col_idx)]] = True
+    bad[1:] |= (np.diff(col_idx) <= 0) & ~row_start[1:]
+    if not bad.any():
+        return None
+    return int(np.searchsorted(row_ptr, np.argmax(bad), side="right") - 1)
 
 
 @dataclass
@@ -104,15 +125,15 @@ class BlockCsrMatrix:
         pat = self.pattern
         if len(self.blocks) != len(pat.col_idx):
             raise PatternViolation("one dense block required per stored position")
-        blocks = []
-        for k, j in enumerate(pat.col_idx):
-            i = int(np.searchsorted(pat.row_ptr, k, side="right") - 1)
-            blk = np.asarray(self.blocks[k], dtype=float)
-            want = (pat.row_block_sizes[i], pat.col_block_sizes[j])
-            if blk.shape != want:
-                raise DimensionMismatch(f"block ({i},{j}) has shape {blk.shape}, expected {want}")
-            blocks.append(blk)
-        self.blocks = blocks
+        self.blocks = [np.asarray(blk, dtype=float) for blk in self.blocks]
+        brow = pat.block_rows
+        want = list(zip(pat.row_block_sizes[brow].tolist(), pat.col_block_sizes[pat.col_idx].tolist()))
+        shapes = [blk.shape for blk in self.blocks]
+        if shapes != want:
+            k = next(k for k, (got, exp) in enumerate(zip(shapes, want)) if got != exp)
+            raise DimensionMismatch(
+                f"block ({brow[k]},{pat.col_idx[k]}) has shape {shapes[k]}, expected {want[k]}"
+            )
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -135,12 +156,13 @@ class PointCsrMatrix:
         self.values = np.asarray(self.values, dtype=float)
         if len(self.row_ptr) != self.n_rows + 1 or self.row_ptr[0] != 0:
             raise PatternViolation("row_ptr must have n_rows+1 entries starting at 0")
+        if np.any(np.diff(self.row_ptr) < 0):
+            raise PatternViolation("row_ptr must be nondecreasing")
         if self.row_ptr[-1] != len(self.col_idx) or len(self.col_idx) != len(self.values):
             raise PatternViolation("index and value arrays are inconsistent")
-        for i in range(self.n_rows):
-            cols = self.col_idx[self.row_ptr[i] : self.row_ptr[i + 1]]
-            if cols.size and (np.any(np.diff(cols) <= 0) or cols[0] < 0 or cols[-1] >= self.n_cols):
-                raise PatternViolation(f"row {i}: columns must be strictly increasing and in range")
+        i = _first_bad_row(self.row_ptr, self.col_idx, self.n_cols)
+        if i is not None:
+            raise PatternViolation(f"row {i}: columns must be strictly increasing and in range")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -205,6 +227,64 @@ def dense_lu_factor(block: np.ndarray) -> BlockLuFactor:
     if block.size and (scale == 0.0 or np.any(diag < 1e-14 * scale)):
         raise SingularBlock(f"pivot below 1e-14 relative threshold (scale {scale:g})")
     return BlockLuFactor(lu, piv)
+
+
+@dataclass
+class PermutedLu:
+    """Factors of a square A with A[rows][:, cols] = L U, L unit lower and U
+    upper triangular in point order.
+
+    L and U are each held as a SuperLU object of a natural-order
+    factorization that neither reorders nor pivots, so its solve is exactly
+    the triangular sweep: a solve is one gather, two compiled sweeps and one
+    scatter, and trans="T" is SuperLU's own transposed solve.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    lower: scipy.sparse.linalg.SuperLU
+    upper: scipy.sparse.linalg.SuperLU
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        """Solve A x = b, or A^T x = b for trans="T" (SuperLU's convention)."""
+        b = np.asarray(b, dtype=float)
+        if b.shape != self.rows.shape:
+            raise DimensionMismatch(f"vector length {b.shape} incompatible with dimension {len(self.rows)}")
+        x = np.empty_like(b)
+        if trans == "N":
+            x[self.cols] = self.upper.solve(self.lower.solve(b[self.rows]))
+        elif trans == "T":
+            x[self.rows] = self.lower.solve(self.upper.solve(b[self.cols], trans="T"), trans="T")
+        else:
+            raise ValueError(f"trans must be 'N' or 'T', got {trans!r}")
+        return x
+
+
+def permuted_lu(L, U, rows: np.ndarray, cols: np.ndarray) -> PermutedLu:
+    """Compile sparse triangular factors L (unit lower) and U (upper) of
+    A[rows][:, cols].
+
+    Raises RuntimeError if SuperLU reorders a column or picks an
+    off-diagonal pivot, since its solve would then not be the sweep.
+    """
+    identity = np.arange(len(rows))
+
+    def sweep(T) -> scipy.sparse.linalg.SuperLU:
+        lu = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(T), permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        if not (np.array_equal(lu.perm_r, identity) and np.array_equal(lu.perm_c, identity)):
+            raise RuntimeError("SuperLU permuted a triangular factor")
+        return lu
+
+    return PermutedLu(np.asarray(rows), np.asarray(cols), sweep(L), sweep(U))
+
+
+def sparse_lu(A) -> PermutedLu:
+    """Exact sparse LU of a square matrix (SuperLU with its default column
+    ordering and partial pivoting), compiled to a PermutedLu."""
+    lu = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(A))
+    # SuperLU factors Pr A Pc = L U with (Pr A)[perm_r[i]] = A[i] and
+    # (A Pc)[:, j] = A[:, perm_c[j]].
+    return permuted_lu(lu.L, lu.U, np.argsort(lu.perm_r), lu.perm_c)
 
 
 def _iter_blocks(A: BlockCsrMatrix):
@@ -293,7 +373,7 @@ def block_to_scipy(A: BlockCsrMatrix) -> scipy.sparse.csr_matrix:
         return scipy.sparse.csr_matrix(shape)
     # Entry e of the concatenated row-major blocks lies in block k at local
     # offset t = a * n_cols_k + b.
-    brow = np.repeat(np.arange(pat.n_block_rows), np.diff(pat.row_ptr))
+    brow = pat.block_rows
     bcols = pat.col_block_sizes[pat.col_idx]
     sizes = pat.row_block_sizes[brow] * bcols
     starts = np.cumsum(sizes) - sizes

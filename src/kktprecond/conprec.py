@@ -10,9 +10,11 @@ whose inverse applies in five steps (three solves, two products). The Hessian
 approximation keeps only the mesh-mesh block; Ju~ is the exact Jacobian, its
 block diagonal, or its block ILU0 factorization, and Byy~ is exact, diagonal,
 or a point ILU0. Every approximation is a factor object with scipy's
-SuperLU call, solve(rhs, trans="N"); trans="T" solves with the transpose and
-is only used on Ju~. The *-p0 variants wrap the application in a two-level
-p-multigrid cycle with this preconditioner as the smoother.
+SuperLU call, solve(rhs, trans="N"); trans="T" solves with the transpose.
+All but point Jacobi are compiled, when built, to a point row permutation
+and two natural-order SuperLU triangular factors (blocklinalg.PermutedLu).
+The *-p0 variants wrap the application in a two-level p-multigrid cycle with
+this preconditioner as the smoother.
 """
 
 from __future__ import annotations
@@ -22,9 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 
-from .blocklinalg import PointCsrMatrix, block_to_scipy, dense_lu_factor
+from .blocklinalg import (
+    PermutedLu,
+    PointCsrMatrix,
+    block_to_scipy,
+    dense_lu_factor,
+    permuted_lu,
+    sparse_lu,
+)
 from .dgprecond import BiluPrec, BlockJacobiPrec, bilu0_factor, build_block_jacobi, mdf_order
 from .errors import (
     DimensionMismatch,
@@ -62,7 +70,10 @@ class PointJacobiFactor:
 
     def solve(self, v: np.ndarray, trans: str = "N") -> np.ndarray:
         """Divide by the diagonal, which is its own transpose."""
-        return self.inv_diag * np.asarray(v, dtype=float)
+        v = np.asarray(v, dtype=float)
+        if v.shape != self.inv_diag.shape:
+            raise DimensionMismatch(f"vector length {v.shape} incompatible with {len(self.inv_diag)}")
+        return self.inv_diag * v
 
 
 def point_jacobi(B: PointCsrMatrix) -> PointJacobiFactor:
@@ -81,31 +92,19 @@ def point_jacobi(B: PointCsrMatrix) -> PointJacobiFactor:
 
 @dataclass
 class PointIlu0Factor:
-    """Zero-fill scalar ILU in natural ordering, stored in one CSR array."""
+    """Zero-fill scalar ILU in natural ordering, stored in one CSR array
+    (strict lower part of L, unit diagonal implied, and U), and compiled to
+    point triangular factors."""
 
     n: int
     row_ptr: np.ndarray
     col_idx: np.ndarray
     values: np.ndarray
-    diag_pos: np.ndarray
+    factors: PermutedLu
 
     def solve(self, v: np.ndarray, trans: str = "N") -> np.ndarray:
-        """Forward then backward sweep; Byy~ is never applied transposed, so
-        there is no transposed sweep."""
-        if trans != "N":
-            raise NotImplementedError("point ILU0 has no transposed solve")
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.n,):
-            raise DimensionMismatch(f"vector length {v.shape} incompatible with {self.n}")
-        y = v.copy()
-        for i in range(self.n):
-            sl = slice(self.row_ptr[i], self.diag_pos[i])
-            y[i] -= self.values[sl] @ y[self.col_idx[sl]]
-        x = y
-        for i in range(self.n - 1, -1, -1):
-            sl = slice(self.diag_pos[i] + 1, self.row_ptr[i + 1])
-            x[i] = (x[i] - self.values[sl] @ x[self.col_idx[sl]]) / self.values[self.diag_pos[i]]
-        return x
+        """Forward then backward sweep, or the transposed sweeps for trans="T"."""
+        return self.factors.solve(v, trans)
 
 
 def point_ilu0_factor(B: PointCsrMatrix) -> PointIlu0Factor:
@@ -144,7 +143,11 @@ def point_ilu0_factor(B: PointCsrMatrix) -> PointIlu0Factor:
                     values[target] -= lik * values[kk]
         if abs(values[diag_pos[i]]) < 1e-300:
             raise ZeroPivot(f"row {i}: zero pivot after elimination")
-    return PointIlu0Factor(n, row_ptr, col_idx, values, diag_pos)
+    S = scipy.sparse.csr_matrix((values, col_idx, row_ptr), shape=(n, n))
+    natural = np.arange(n)
+    L = scipy.sparse.tril(S, -1) + scipy.sparse.identity(n)
+    factors = permuted_lu(L, scipy.sparse.triu(S), natural, natural)
+    return PointIlu0Factor(n, row_ptr, col_idx, values, factors)
 
 
 @dataclass
@@ -159,8 +162,8 @@ class AtPreconditioner:
     """Block anti-triangular constrained preconditioner (optionally p-multigrid wrapped)."""
 
     variant: str
-    ju: scipy.sparse.linalg.SuperLU | BlockJacobiPrec | BiluPrec
-    byy: scipy.sparse.linalg.SuperLU | PointJacobiFactor | PointIlu0Factor
+    ju: PermutedLu | BlockJacobiPrec | BiluPrec
+    byy: PermutedLu | PointJacobiFactor | PointIlu0Factor
     Jy: scipy.sparse.csr_matrix
     n_u: int
     n_y: int
@@ -213,7 +216,7 @@ def apply_at_inverse(P: AtPreconditioner, v: np.ndarray, bare: bool = False) -> 
 def _build_ju_approx(sys: KktSystem, kind: str):
     Ju = sys.factors.Ju
     if kind == "exact":
-        return scipy.sparse.linalg.splu(block_to_scipy(Ju).tocsc())
+        return sparse_lu(block_to_scipy(Ju))
     if kind == "block_jacobi":
         return build_block_jacobi(Ju)
     return bilu0_factor(Ju, mdf_order(Ju))
@@ -222,7 +225,7 @@ def _build_ju_approx(sys: KktSystem, kind: str):
 def _build_byy_approx(sys: KktSystem, kind: str):
     Byy = sys.Byy
     if kind == "exact":
-        return scipy.sparse.linalg.splu(Byy.to_scipy().tocsc())
+        return sparse_lu(Byy.to_scipy())
     if kind == "point_jacobi":
         return point_jacobi(Byy)
     return point_ilu0_factor(Byy)

@@ -4,7 +4,9 @@ Both preconditioners approximate a square block-sparse DG Jacobian. Block
 Jacobi keeps only the diagonal blocks. Block ILU0 runs a block IKJ elimination
 restricted to the original sparsity pattern (fill positions are skipped), after
 a greedy reordering of the block rows that at each step eliminates the row
-whose discarded fill has the smallest aggregate Frobenius norm.
+whose discarded fill has the smallest aggregate Frobenius norm. Both compile
+their factors to a point row permutation and two point triangular factors
+when built, so a solve is a pair of compiled sparse triangular sweeps.
 """
 
 from __future__ import annotations
@@ -12,8 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
-from .blocklinalg import BlockCsrMatrix, BlockLuFactor, BlockPattern, dense_lu_factor
+from .blocklinalg import (
+    BlockCsrMatrix,
+    BlockLuFactor,
+    BlockPattern,
+    PermutedLu,
+    block_to_scipy,
+    dense_lu_factor,
+    permuted_lu,
+)
 from .errors import DimensionMismatch, SingularBlock, SingularPivotBlock
 
 __all__ = [
@@ -28,24 +39,14 @@ __all__ = [
 
 @dataclass
 class BlockJacobiPrec:
-    inverse_blocks: list[BlockLuFactor]
-    block_sizes: np.ndarray
+    """LU factors of the diagonal blocks, compiled to point triangular factors."""
 
-    @property
-    def dimension(self) -> int:
-        return int(self.block_sizes.sum())
+    block_sizes: np.ndarray
+    factors: PermutedLu
 
     def solve(self, v: np.ndarray, trans: str = "N") -> np.ndarray:
         """Solve with the block diagonal, or its transpose for trans="T"."""
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dimension,):
-            raise DimensionMismatch(f"vector length {v.shape} incompatible with dimension {self.dimension}")
-        out = np.empty_like(v)
-        off = 0
-        for size, lu in zip(self.block_sizes, self.inverse_blocks):
-            out[off : off + size] = lu.solve(v[off : off + size], trans=trans)
-            off += size
-        return out
+        return self.factors.solve(v, trans)
 
 
 @dataclass
@@ -56,72 +57,75 @@ class MdfOrdering:
 
 @dataclass
 class BiluPrec:
-    """In-place factors of the permuted matrix: strict lower L (unit diagonal
-    implied) and upper U including the diagonal, on the original pattern.
+    """Block ILU0 of the permuted matrix.
 
-    point_perm[r] is the original point index of row r of the permuted
-    matrix."""
+    lu_blocks holds the block IKJ factors on the original pattern: strict
+    lower blocks of L (unit block diagonal implied) and upper blocks of U,
+    diagonal blocks included. factors is the same L U compiled to point
+    triangular factors."""
 
     permutation: np.ndarray
     lu_blocks: BlockCsrMatrix
-    diag_lu: list[BlockLuFactor]
-    point_perm: np.ndarray
+    factors: PermutedLu
 
     @property
-    def dimension(self) -> int:
-        return int(self.lu_blocks.pattern.row_block_sizes.sum())
+    def point_perm(self) -> np.ndarray:
+        """point_perm[r] is the original point index of row r of the permuted matrix."""
+        return self.factors.cols
 
     def solve(self, w: np.ndarray, trans: str = "N") -> np.ndarray:
         """Solve the factored approximation against w, or its transpose for trans="T"."""
-        w = np.asarray(w, dtype=float)
-        if w.shape != (self.dimension,):
-            raise DimensionMismatch(f"vector length {w.shape} incompatible with dimension {self.dimension}")
-        pat = self.lu_blocks.pattern
-        n = pat.n_block_rows
-        roff = pat.row_offsets
+        return self.factors.solve(w, trans)
 
-        # Gather w into permuted block layout.
-        w_perm = w[self.point_perm]
-        wp = [w_perm[roff[m] : roff[m + 1]] for m in range(n)]
 
-        if trans == "N":
-            # Forward: L v = w (unit diagonal), then backward: U x = v.
-            v = [None] * n
-            for m in range(n):
-                acc = wp[m].copy()
-                for k in range(pat.row_ptr[m], pat.row_ptr[m + 1]):
-                    j = int(pat.col_idx[k])
-                    if j < m:
-                        acc -= self.lu_blocks.blocks[k] @ v[j]
-                v[m] = acc
-            x = [None] * n
-            for m in range(n - 1, -1, -1):
-                acc = v[m].copy()
-                for k in range(pat.row_ptr[m], pat.row_ptr[m + 1]):
-                    j = int(pat.col_idx[k])
-                    if j > m:
-                        acc -= self.lu_blocks.blocks[k] @ x[j]
-                x[m] = self.diag_lu[m].solve(acc)
-        else:
-            # U^T t = w (column sweep, transposed pivot solves), then L^T x = t.
-            t = [wp[m].copy() for m in range(n)]
-            for m in range(n):
-                t[m] = self.diag_lu[m].solve(t[m], trans="T")
-                for k in range(pat.row_ptr[m], pat.row_ptr[m + 1]):
-                    j = int(pat.col_idx[k])
-                    if j > m:
-                        t[j] -= self.lu_blocks.blocks[k].T @ t[m]
-            x = [None] * n
-            for m in range(n - 1, -1, -1):
-                x[m] = t[m]
-                for k in range(pat.row_ptr[m], pat.row_ptr[m + 1]):
-                    j = int(pat.col_idx[k])
-                    if j < m:
-                        t[j] -= self.lu_blocks.blocks[k].T @ x[m]
+def _compile_block_lu(F: BlockCsrMatrix, diag_lu: list[BlockLuFactor], point_perm: np.ndarray) -> PermutedLu:
+    """Point triangular factors of a block LU = L_blk U_blk in permuted order.
 
-        out = np.empty_like(w)
-        out[self.point_perm] = np.concatenate(x)
-        return out
+    The strict lower blocks of F are those of L_blk, whose diagonal blocks
+    are identities; its strict upper blocks are those of U_blk, whose
+    diagonal blocks D_m = P_m L_m U_m are given by their LAPACK factors.
+    With Pd, Ld, Ud the block diagonals of the P_m, L_m, U_m,
+
+        L_blk U_blk = Pd L^ U~,   L^ = Pd^T L_blk Pd Ld,   U~ = Ud + Ld^-1 Pd^T U_strict,
+
+    and L^ (unit lower) and U~ (upper) are point triangular.
+    """
+    pat = F.pattern
+    sizes = pat.row_block_sizes
+    n = int(sizes.sum())
+    blocks = list(F.blocks)
+    for m, k in enumerate(np.flatnonzero(pat.col_idx == pat.block_rows)):
+        blocks[k] = diag_lu[m].lu_entries
+    S = block_to_scipy(BlockCsrMatrix(pat, blocks)).tocoo()
+    blk = np.repeat(np.arange(len(sizes)), sizes)
+    same_block = blk[S.row] == blk[S.col]
+    below = S.col < S.row
+
+    def part(mask):
+        return scipy.sparse.csr_matrix((S.data[mask], (S.row[mask], S.col[mask])), shape=(n, n))
+
+    strict_ld = part(same_block & below)
+    ld = strict_ld + scipy.sparse.identity(n, format="csr")
+
+    # Pd^T x = x[prow]: LAPACK swaps row t of each block with its pivot row,
+    # for t = 0, 1, ... in turn; blocks do not interact.
+    starts = np.repeat(pat.row_offsets[:-1], sizes)
+    local = np.arange(n) - starts
+    piv = np.concatenate([lu.pivots for lu in diag_lu]) + starts
+    prow = np.arange(n)
+    for t in range(int(sizes.max())):
+        i = np.flatnonzero(local == t)
+        prow[i], prow[piv[i]] = prow[piv[i]], prow[i]
+
+    lower = ld + part(~same_block & below)[prow][:, prow] @ ld
+    # Ld^-1 X by the iteration X_k+1 = X_0 - (Ld - I) X_k, exact after
+    # (largest block - 1) steps because Ld - I is nilpotent of that order.
+    rhs = part(~same_block & ~below)[prow]
+    y = rhs
+    for _ in range(int(sizes.max()) - 1):
+        y = rhs - strict_ld @ y
+    upper = part(same_block & ~below) + y
+    return permuted_lu(lower, upper, point_perm[prow], point_perm)
 
 
 def _require_square_blocks(A: BlockCsrMatrix):
@@ -147,7 +151,12 @@ def build_block_jacobi(A: BlockCsrMatrix) -> BlockJacobiPrec:
             factors.append(dense_lu_factor(blk))
         except SingularBlock as exc:
             raise SingularBlock(f"block row {i}: {exc}") from exc
-    return BlockJacobiPrec(factors, A.pattern.row_block_sizes.copy())
+    sizes = A.pattern.row_block_sizes.copy()
+    nb = len(sizes)
+    diagonal = BlockCsrMatrix(
+        BlockPattern(sizes, sizes, np.arange(nb + 1), np.arange(nb)), [lu.lu_entries for lu in factors]
+    )
+    return BlockJacobiPrec(sizes, _compile_block_lu(diagonal, factors, np.arange(int(sizes.sum()))))
 
 
 def _adjacency(pat: BlockPattern):
@@ -290,4 +299,4 @@ def bilu0_factor(A: BlockCsrMatrix, ordering: MdfOrdering) -> BiluPrec:
         pivot_lu(i)
     offsets = A.pattern.row_offsets
     point_perm = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in order])
-    return BiluPrec(order, work, [lu for lu in diag_lu], point_perm)
+    return BiluPrec(order, work, _compile_block_lu(work, diag_lu, point_perm))

@@ -24,6 +24,8 @@ __all__ = ["write_matrix", "read_matrix", "write_vector", "read_vector"]
 _BANNER = "%%MatrixMarket matrix coordinate real general"
 _BANNER_ARRAY = "%%MatrixMarket matrix array real general"
 _BLOCK_TAG = "%%block-sizes"
+_ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("val", float)])
+_VALUE = np.dtype([("val", float)])
 
 
 def _fmt(x: float) -> str:
@@ -74,6 +76,26 @@ def _parse_block_tag(line: str):
     return sizes["rows"], sizes["cols"]
 
 
+def _parse(path, lines: list[str], dtype: np.dtype, what: str) -> np.ndarray:
+    """Parse whitespace-separated lines, one record of dtype each, in one
+    pass; a missing or extra field or a non-numeric token is a ManifestError."""
+    if not any(line.strip() for line in lines):
+        return np.zeros(0, dtype)
+    try:
+        return np.loadtxt(lines, dtype=dtype, ndmin=1, comments=None)
+    except ValueError as exc:
+        raise ManifestError(f"{path}: malformed {what} ({exc})") from exc
+
+
+def _size_line(path, lines: list[str], k: int, n_fields: int) -> list[int]:
+    """The n_fields nonnegative integers on line k."""
+    dtype = np.dtype([(f"f{i}", np.int64) for i in range(n_fields)])
+    size = _parse(path, lines[k : k + 1], dtype, "size line")
+    if len(size) != 1 or min(size[0].tolist()) < 0:
+        raise ManifestError(f"{path}: missing or negative size line")
+    return list(size[0].tolist())
+
+
 def read_matrix(path):
     """Read a coordinate file; returns BlockCsrMatrix if a block sidecar is present."""
     with open(path) as fh:
@@ -88,15 +110,11 @@ def read_matrix(path):
         if lines[k].startswith(_BLOCK_TAG):
             block_sizes = _parse_block_tag(lines[k])
         k += 1
-    n_rows, n_cols, nnz = (int(t) for t in lines[k].split())
-    if len(lines) < k + 1 + nnz:
-        raise ManifestError(f"{path}: header declares {nnz} entries, file holds {len(lines) - k - 1}")
-    rows = np.empty(nnz, dtype=int)
-    cols = np.empty(nnz, dtype=int)
-    vals = np.empty(nnz)
-    for e, line in enumerate(lines[k + 1 : k + 1 + nnz]):
-        t = line.split()
-        rows[e], cols[e], vals[e] = int(t[0]) - 1, int(t[1]) - 1, float(t[2])
+    n_rows, n_cols, nnz = _size_line(path, lines, k, 3)
+    entries = _parse(path, lines[k + 1 : k + 1 + nnz], _ENTRY, "entry")
+    if len(entries) != nnz:
+        raise ManifestError(f"{path}: header declares {nnz} entries, file holds {len(entries)}")
+    rows, cols, vals = entries["row"] - 1, entries["col"] - 1, entries["val"]
     if nnz and (rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols):
         raise ManifestError(f"{path}: entry outside the declared {n_rows} x {n_cols} shape")
     if block_sizes is None:
@@ -147,10 +165,10 @@ def write_vector(path, v: np.ndarray) -> None:
 def read_vector(path) -> np.ndarray:
     with open(path) as fh:
         lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("%")]
-    n, m = (int(t) for t in lines[0].split())
+    n, m = _size_line(path, lines, 0, 2)
     if m != 1:
         raise ManifestError(f"{path}: expected a single-column vector, got {m} columns")
-    vals = np.array([float(t) for t in lines[1 : 1 + n * m]])
+    vals = _parse(path, lines[1 : 1 + n], _VALUE, "value")["val"]
     if len(vals) != n:
         raise ManifestError(f"{path}: expected {n} entries, found {len(vals)}")
     return vals

@@ -97,6 +97,22 @@ def test_pattern_rejects_unsorted_or_out_of_range_columns():
         BlockPattern([2, 2], [2, 2], [0, 1, 2], [0, 2])
 
 
+def test_validation_names_the_first_bad_row_or_block():
+    # Row 1 is empty, row 2 repeats a column, row 3 is out of range.
+    with pytest.raises(PatternViolation, match="block row 2:"):
+        BlockPattern([1] * 4, [1] * 4, [0, 1, 1, 3, 4], [0, 1, 1, 4])
+    with pytest.raises(PatternViolation, match="^row 2:"):
+        PointCsrMatrix(4, 4, [0, 1, 1, 3, 4], [0, 2, 1, 4], np.zeros(4))
+    pat = BlockPattern([1, 2], [1, 2], [0, 1, 3], [0, 0, 1])
+    with pytest.raises(DimensionMismatch, match=r"block \(1,1\) has shape \(2, 1\), expected \(2, 2\)"):
+        BlockCsrMatrix(pat, [np.zeros((1, 1)), np.zeros((2, 1)), np.zeros((2, 1))])
+
+
+def test_point_csr_rejects_decreasing_row_ptr():
+    with pytest.raises(PatternViolation):
+        PointCsrMatrix(2, 2, [0, 2, 1], [0], [1.0])
+
+
 def test_block_shape_checked_against_pattern():
     pat = BlockPattern([2, 3], [2, 3], [0, 1, 2], [0, 1])
     with pytest.raises(DimensionMismatch):

@@ -174,8 +174,7 @@ def test_point_ilu0_exact_on_diagonal():
     np.testing.assert_allclose(point_ilu0_matrix(F), A, rtol=1e-15)
     v = np.array([4.0, 10.0, 1.0])
     np.testing.assert_allclose(F.solve(v), [2.0, 2.0, 2.0], rtol=1e-15)
-    with pytest.raises(NotImplementedError):
-        F.solve(v, trans="T")
+    np.testing.assert_allclose(F.solve(v, trans="T"), np.linalg.solve(A.T, v), rtol=1e-15)
 
 
 def test_point_ilu0_exact_on_tridiagonal():

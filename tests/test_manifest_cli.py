@@ -131,6 +131,25 @@ def test_cli_solve_unknown_preconditioner(sys8_k1, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "fname, damage",
+    [
+        ("ju.mtx", lambda fields: fields[:2]),
+        ("ju.mtx", lambda fields: fields[:2] + ["x"]),
+        ("g.mtx", lambda fields: ["x"]),
+        ("g.mtx", lambda fields: fields * 2),
+    ],
+    ids=["matrix-missing-field", "matrix-non-numeric", "vector-non-numeric", "vector-extra-field"],
+)
+def test_cli_solve_malformed_matrix_market_file(sys8_k1, tmp_path, capsys, fname, damage):
+    path = export_system(sys8_k1, tmp_path)
+    lines = (tmp_path / fname).read_text().splitlines()
+    lines[-1] = " ".join(damage(lines[-1].split()))
+    (tmp_path / fname).write_text("\n".join(lines) + "\n")
+    assert main(["solve", path, "--precond", "A0"]) == 2
+    assert "malformed" in capsys.readouterr().err
+
+
 def test_cli_solve_missing_manifest(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "gone.json"), "--precond", "A0"]) == 2
     assert "error:" in capsys.readouterr().err

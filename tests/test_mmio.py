@@ -185,3 +185,27 @@ def test_block_reader_rejects_inconsistent_block_sizes(tmp_path):
     write_block_file(path, [(1, 1, 1.0)], rows="1,1")
     with pytest.raises(ManifestError):
         read_matrix(path)
+
+
+@pytest.mark.parametrize("entry", ["2 1", "2 1 x", "2 x 1.0", "2 1 1.0 5"])
+def test_reader_rejects_malformed_entry(tmp_path, entry):
+    path = tmp_path / "m.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n{entry}\n")
+    with pytest.raises(ManifestError, match="malformed entry"):
+        read_matrix(path)
+
+
+@pytest.mark.parametrize("size_line", ["", "2 2", "2 2 x", "2 2 -1"])
+def test_reader_rejects_malformed_size_line(tmp_path, size_line):
+    path = tmp_path / "h.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate real general\n{size_line}\n")
+    with pytest.raises(ManifestError):
+        read_matrix(path)
+
+
+@pytest.mark.parametrize("text", ["2 1\n1.0\nx\n", "2 1\n1.0\n2.0 3.0\n", "2\n1.0\n2.0\n"])
+def test_vector_reader_rejects_malformed_lines(tmp_path, text):
+    path = tmp_path / "v.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n" + text)
+    with pytest.raises(ManifestError):
+        read_vector(path)
