@@ -31,6 +31,7 @@ from .kkt import (
     count_block_sparsity,
     kkt_matvec,
     materialize_dense,
+    reference_solution,
 )
 from .krylov import (
     DEFAULT_MAX_ITERS,

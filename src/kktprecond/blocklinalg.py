@@ -280,8 +280,14 @@ def permuted_lu(L, U, rows: np.ndarray, cols: np.ndarray) -> PermutedLu:
 
 def sparse_lu(A) -> PermutedLu:
     """Exact sparse LU of a square matrix (SuperLU with its default column
-    ordering and partial pivoting), compiled to a PermutedLu."""
-    lu = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(A))
+    ordering and partial pivoting), compiled to a PermutedLu.
+
+    Raises SingularBlock where SuperLU meets an exactly zero pivot.
+    """
+    try:
+        lu = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(A))
+    except RuntimeError as exc:
+        raise SingularBlock(f"sparse LU: {exc}") from exc
     # SuperLU factors Pr A Pc = L U with (Pr A)[perm_r[i]] = A[i] and
     # (A Pc)[:, j] = A[:, perm_c[j]].
     return permuted_lu(lu.L, lu.U, np.argsort(lu.perm_r), lu.perm_c)

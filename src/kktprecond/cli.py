@@ -14,12 +14,9 @@ import argparse
 import json
 import sys
 
-import numpy as np
-import scipy.linalg
-
 from .conprec import CATALOG, build_at_preconditioner
 from .errors import KktPrecondError, ManifestError, UnknownPreconditioner
-from .kkt import KktOperator, materialize_dense
+from .kkt import KktOperator, reference_solution
 from .krylov import DEFAULT_MAX_ITERS, DEFAULT_TOL, EXACT_SOLUTION, GmresConfig, gmres_solve
 from .manifest import export_system, import_system
 from .mmio import write_matrix
@@ -49,8 +46,7 @@ def _solve_one(sys, precond_name: str, tol: float, max_iters: int):
     prec = build_at_preconditioner(sys, precond_name)
     op = KktOperator(sys)
     rhs = sys.rhs()
-    s_ex = scipy.linalg.solve(materialize_dense(op), rhs)
-    cfg = GmresConfig(tol=tol, max_iters=max_iters, criterion=EXACT_SOLUTION, reference=s_ex)
+    cfg = GmresConfig(tol=tol, max_iters=max_iters, criterion=EXACT_SOLUTION, reference=reference_solution(sys))
     report = gmres_solve(op.as_linear_operator(), rhs, prec.as_preconditioner(), cfg)
     return report.iterations, report.converged
 

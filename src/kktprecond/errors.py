@@ -13,6 +13,10 @@ class SingularBlock(KktPrecondError):
     """A dense diagonal block is singular to working precision."""
 
 
+class SingularSystem(KktPrecondError):
+    """The assembled KKT matrix is singular, so it has no reference solution."""
+
+
 class SingularPivotBlock(KktPrecondError):
     """A diagonal pivot block became singular during block elimination."""
 

@@ -9,14 +9,16 @@ with unknown ordering (u, y, lambda). B is the Gauss-Newton Hessian of the
 least-squares objective built from the enriched DG residual and the mesh
 distortion residual, plus an elasticity regularization of the mesh block:
 
-    B_uu = dRdu^T dRdu                       (never materialized)
+    B_uu = dRdu^T dRdu                       (assembled only for the reference solve)
     B_uy = dRdu^T dRdx dPhidy
     B_yy = dPhidy^T ( dRdx^T dRdx + kappa^2 dRmshdx^T dRmshdx + gamma D ) dPhidy
 
 and the constraint Jacobian is J = [J_u, J_y] with J_y = drdx dPhidy.
 B_uu and B_uy act matrix-free through their factors; B_yy is assembled because
 it loses block structure. The operator applies the factors as scipy CSR
-matrices, converted on the first product and cached on the system.
+matrices, converted on the first product and cached on the system. The
+reference solution that GMRES is measured against is one sparse direct solve
+of the whole matrix, assembled from the same CSR factors.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.linalg
 
 from .blocklinalg import (
     BlockCsrMatrix,
@@ -34,7 +37,7 @@ from .blocklinalg import (
     block_to_scipy,
     densify,
 )
-from .errors import DimensionMismatch, SizeCapExceeded
+from .errors import DimensionMismatch, SingularSystem, SizeCapExceeded
 from .krylov import LinearOperator
 
 __all__ = [
@@ -46,6 +49,7 @@ __all__ = [
     "assemble_Byy",
     "kkt_matvec",
     "materialize_dense",
+    "reference_solution",
     "ata_pattern",
     "count_block_sparsity",
     "SparsityCounts",
@@ -277,6 +281,30 @@ def materialize_dense(op: KktOperator, cap: int = DENSE_CAP) -> np.ndarray:
     A[sl, sy] = jy
     A[sy, sl] = jy.T
     return A
+
+
+def reference_solution(sys: KktSystem) -> np.ndarray:
+    """Solution of the KKT system by one sparse direct solve.
+
+    The matrix is assembled from the cached CSR factors, B_uu = dRdu^T dRdu
+    included, for this solve only; the operator keeps B_uu unassembled.
+    Raises SingularSystem where SuperLU meets an exactly zero pivot.
+    """
+    c = sys.csr
+    buy = c.dRdu_T @ c.G
+    A = scipy.sparse.bmat(
+        [
+            [c.dRdu_T @ c.dRdu, buy, c.Ju_T],
+            [buy.T, sys._Byy_csr, c.Jy_T],
+            [c.Ju, sys.Jy, None],
+        ],
+        format="csc",
+    )
+    try:
+        lu = scipy.sparse.linalg.splu(A)
+    except RuntimeError as exc:
+        raise SingularSystem(f"KKT matrix of dimension {sys.dimension}: {exc}") from exc
+    return lu.solve(sys.rhs())
 
 
 def ata_pattern(pattern: BlockPattern) -> BlockPattern:

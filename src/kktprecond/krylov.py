@@ -1,26 +1,40 @@
 """GMRES without restart, left preconditioning, and the two convergence criteria.
 
-The solver runs Arnoldi with modified Gram-Schmidt on the preconditioned
-operator M^-1 A, triangularizes the Hessenberg matrix with Givens rotations,
-and starts from the zero initial guess so iteration counts are reproducible.
+The solver runs Arnoldi on the preconditioned operator M^-1 A and starts from
+the zero initial guess so iteration counts are reproducible. Each new vector
+is orthogonalized by classical Gram-Schmidt with one reorthogonalization
+(CGS2): two BLAS-2 passes h = V w, w -= V^T h against the whole basis, which
+keeps V orthonormal to working precision (Giraud, Langou & Rozloznik, Numer.
+Math. 2005). The Hessenberg columns are triangularized with Givens rotations
+into an upper triangle stored packed by columns and solved with BLAS dtpsv.
+The basis and the triangle grow in chunks, so storage follows the iterations
+actually taken, not max_iters.
+
 Convergence is measured either by the preconditioned relative residual
 
-    ||M^-1 A s - M^-1 b|| / ||M^-1 b||
+    ||M^-1 A s - M^-1 b|| / ||M^-1 b||,
 
-or, when a reference solution is supplied, by the relative error
+which the rotations give for free, or, when a reference solution s_ex is
+supplied, by the relative error
 
-    ||s_ex - s|| / ||s_ex||
+    ||s_ex - s|| / ||s_ex||.
 
-with the current iterate formed at every iteration.
+For the error, the solver keeps c_i = v_i . s_ex and, since V is orthonormal,
+estimates ||s_ex - V y||^2 = ||s_ex||^2 - 2 c . y + y . y from the k small
+coefficients y alone. The iterate V y and its explicit error are formed only
+once the estimate falls below max(10 tol, 1e-5), at a breakdown or at
+max_iters, and the stop decision is always taken on the explicit error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dtpsv
 
 from .errors import DimensionMismatch, NonFinite, ZeroReference
 
@@ -40,6 +54,17 @@ DEFAULT_MAX_ITERS = 1000
 
 PRECONDITIONED_RESIDUAL = "preconditioned_residual"
 EXACT_SOLUTION = "exact_solution"
+
+TOLERANCE = "tolerance"
+MAX_ITERS = "max_iters"
+BREAKDOWN = "breakdown"
+
+# Rows of Krylov storage allocated up front; the storage doubles when full.
+_CHUNK = 64
+# The error estimate cancels ||s_ex||^2 against terms of the same size, so at
+# small errors it can be rounding noise; below this value the explicit error
+# is formed whatever the tolerance.
+_ESTIMATE_FLOOR = 1e-5
 
 
 @dataclass(frozen=True)
@@ -96,10 +121,24 @@ class GmresConfig:
 
 @dataclass
 class SolveReport:
+    """Outcome of one GMRES solve.
+
+    history holds the criterion value after each iteration. Under the
+    exact-solution criterion an entry is the estimate from the small
+    coefficients until the iterate is formed, and the explicit error from
+    then on. stop_reason is TOLERANCE, MAX_ITERS or BREAKDOWN (the Krylov
+    space closed before the tolerance was met); criterion is the last value
+    of history, and true_residual is ||A s - b|| / ||b||, reported but never
+    used to decide convergence.
+    """
+
     solution: np.ndarray
     iterations: int
     converged: bool
     history: np.ndarray
+    stop_reason: str
+    criterion: float
+    true_residual: float
 
 
 def evaluate_criterion(kind, A: LinearOperator, M: Preconditioner, b, s, s_ex=None) -> float:
@@ -121,8 +160,32 @@ def evaluate_criterion(kind, A: LinearOperator, M: Preconditioner, b, s, s_ex=No
     raise ValueError(f"unknown criterion {kind!r}")
 
 
+def _true_residual(A: LinearOperator, b: np.ndarray, s: np.ndarray) -> float:
+    """||A s - b|| / ||b||, or the absolute residual when b = 0."""
+    r = float(np.linalg.norm(A.apply(s) - b))
+    b_norm = float(np.linalg.norm(b))
+    return r / b_norm if b_norm > 0 else r
+
+
+def _grow(a: np.ndarray, shape) -> np.ndarray:
+    """Copy of a in a larger zero array."""
+    out = np.zeros(shape)
+    out[tuple(slice(0, m) for m in a.shape)] = a
+    return out
+
+
+def _coefficients(R: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
+    """Coefficients y of the iterate y @ V[:k]: the solution of R[:k, :k] y =
+    g[:k], R upper triangular and packed by columns."""
+    return dtpsv(k, R, g[:k])
+
+
 def gmres_solve(A: LinearOperator, b: np.ndarray, M: Preconditioner, cfg: GmresConfig | None = None) -> SolveReport:
-    """Solve A s = b with left-preconditioned GMRES (no restart)."""
+    """Solve A s = b with left-preconditioned GMRES (no restart).
+
+    Raises NonFinite if an Arnoldi vector or the returned iterate is not
+    finite, which a breakdown on a singular operator can give.
+    """
     if cfg is None:
         cfg = GmresConfig()
     b = np.asarray(b, dtype=float)
@@ -135,66 +198,94 @@ def gmres_solve(A: LinearOperator, b: np.ndarray, M: Preconditioner, cfg: GmresC
     b_prec = M.apply_inverse(b)
     beta = np.linalg.norm(b_prec)
     if beta < 1e-300:
-        return SolveReport(np.zeros(n), 0, True, np.zeros(0))
+        zero = np.zeros(n)
+        return SolveReport(zero, 0, True, np.zeros(0), TOLERANCE, 0.0, _true_residual(A, b, zero))
+
+    exact = cfg.criterion == EXACT_SOLUTION
+    if exact:
+        ref = np.asarray(cfg.reference, dtype=float)
+        ref_norm = float(np.linalg.norm(ref))
+        if ref_norm < 1e-300:
+            raise ZeroReference("reference solution has zero norm")
 
     max_it = cfg.max_iters
-    V = np.zeros((max_it + 1, n))
-    H = np.zeros((max_it + 1, max_it))
-    cs = np.zeros(max_it)
-    sn = np.zeros(max_it)
-    g = np.zeros(max_it + 1)
+    rows = min(_CHUNK, max_it + 1)
+    V = np.zeros((rows, n))  # orthonormal basis, one vector per row
+    R = np.zeros(rows * (rows + 1) // 2)  # rotated Hessenberg matrix, upper triangle packed by columns
+    g = np.zeros(rows)  # rotated beta e_1
+    c = np.zeros(rows)  # c_i = v_i . s_ex
+    cs: list[float] = []
+    sn: list[float] = []
     V[0] = b_prec / beta
     g[0] = beta
+    if exact:
+        c[0] = V[0] @ ref
 
-    ref = cfg.reference
     history = []
-    best = np.zeros(n)
-    breakdown = False
-
     for j in range(max_it):
+        if j + 1 == len(V):
+            rows = min(2 * rows, max_it + 1)
+            V, R, g, c = _grow(V, (rows, n)), _grow(R, rows * (rows + 1) // 2), _grow(g, rows), _grow(c, rows)
+
         w = M.apply_inverse(A.apply(V[j]))
         if not np.all(np.isfinite(w)):
             raise NonFinite(f"Arnoldi vector at iteration {j + 1} contains NaN or Inf")
         norm_w0 = np.linalg.norm(w)
-        for i in range(j + 1):
-            H[i, j] = V[i] @ w
-            w -= H[i, j] * V[i]
-        H[j + 1, j] = np.linalg.norm(w)
-        if H[j + 1, j] > 1e-14 * max(norm_w0, 1e-300):
-            V[j + 1] = w / H[j + 1, j]
-        else:
-            breakdown = True
+        basis = V[: j + 1]
+        h = basis @ w
+        w -= h @ basis
+        h2 = basis @ w
+        w -= h2 @ basis
+        h += h2
+        h_next = float(np.linalg.norm(w))
+        breakdown = not h_next > 1e-14 * max(norm_w0, 1e-300)
+        if not breakdown:
+            V[j + 1] = w / h_next
+            if exact:
+                c[j + 1] = V[j + 1] @ ref
 
-        # Apply accumulated rotations to the new column, then zero the subdiagonal.
+        # Apply the accumulated rotations to the new column, then zero its
+        # subdiagonal entry with one more.
+        col = h.tolist()
+        col.append(h_next)
         for i in range(j):
-            hi, hj = H[i, j], H[i + 1, j]
-            H[i, j] = cs[i] * hi + sn[i] * hj
-            H[i + 1, j] = -sn[i] * hi + cs[i] * hj
-        denom = np.hypot(H[j, j], H[j + 1, j])
+            hi, hj = col[i], col[i + 1]
+            col[i] = cs[i] * hi + sn[i] * hj
+            col[i + 1] = -sn[i] * hi + cs[i] * hj
+        denom = math.hypot(col[j], col[j + 1])
         if denom < 1e-300:
-            cs[j], sn[j] = 1.0, 0.0
+            cs.append(1.0)
+            sn.append(0.0)
         else:
-            cs[j], sn[j] = H[j, j] / denom, H[j + 1, j] / denom
-        H[j, j] = cs[j] * H[j, j] + sn[j] * H[j + 1, j]
-        H[j + 1, j] = 0.0
+            cs.append(col[j] / denom)
+            sn.append(col[j + 1] / denom)
+        col[j] = cs[j] * col[j] + sn[j] * col[j + 1]
+        start = j * (j + 1) // 2
+        R[start : start + j + 1] = col[: j + 1]
         g[j + 1] = -sn[j] * g[j]
         g[j] = cs[j] * g[j]
 
-        y = scipy.linalg.solve_triangular(H[: j + 1, : j + 1], g[: j + 1], lower=False)
-        best = V[: j + 1].T @ y
-
-        if cfg.criterion == PRECONDITIONED_RESIDUAL:
-            value = abs(g[j + 1]) / beta
+        k = j + 1
+        last = breakdown or k == max_it
+        solution = None
+        if exact:
+            y = _coefficients(R, g, k)
+            err2 = ref_norm**2 - 2.0 * (c[:k] @ y) + y @ y
+            value = math.sqrt(max(err2, 0.0)) / ref_norm
+            if last or value < max(10.0 * cfg.tol, _ESTIMATE_FLOOR):
+                solution = y @ V[:k]
+                value = float(np.linalg.norm(ref - solution) / ref_norm)
         else:
-            ref_norm = np.linalg.norm(ref)
-            if ref_norm < 1e-300:
-                raise ZeroReference("reference solution has zero norm")
-            value = np.linalg.norm(ref - best) / ref_norm
+            value = float(abs(g[k]) / beta)
         history.append(value)
 
-        if value < cfg.tol:
-            return SolveReport(best, j + 1, True, np.array(history))
-        if breakdown:
-            return SolveReport(best, j + 1, False, np.array(history))
+        if value < cfg.tol or last:
+            break
 
-    return SolveReport(best, max_it, False, np.array(history))
+    if solution is None:
+        solution = _coefficients(R, g, k) @ V[:k]
+    if not np.all(np.isfinite(solution)):
+        raise NonFinite(f"GMRES iterate at iteration {k} contains NaN or Inf")
+    converged = value < cfg.tol
+    reason = TOLERANCE if converged else BREAKDOWN if breakdown else MAX_ITERS
+    return SolveReport(solution, k, converged, np.array(history), reason, value, _true_residual(A, b, solution))

@@ -9,12 +9,11 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from kktprecond import ShockTrackProblem1d, build_kkt, run_sqp
-from kktprecond.blocklinalg import BlockCsrMatrix
+from kktprecond.blocklinalg import BlockCsrMatrix, PointCsrMatrix
 from kktprecond.conprec import build_at_preconditioner
-from kktprecond.kkt import KktOperator, KktSystem, assemble_Byy, materialize_dense
+from kktprecond.kkt import KktOperator, KktSystem, assemble_Byy, reference_solution
 from kktprecond.krylov import EXACT_SOLUTION, GmresConfig, gmres_solve
 from kktprecond.shocktrack import SqpConfig
 
@@ -59,20 +58,31 @@ def zero_coupling_system(sys):
     return KktSystem(factors, sys.g, sys.r, assemble_Byy(factors), dims=sys.dims)
 
 
+def singular_system(sys):
+    """Copy of the zero-coupling system with column 0 of dPhidy zeroed: Byy
+    row and column 0 and Jy column 0 vanish, so the KKT matrix and the exact
+    Byy are exactly singular."""
+    phi = sys.factors.dPhidy.to_scipy().tolil()
+    phi[:, 0] = 0.0
+    factors = dataclasses.replace(
+        zero_coupling_system(sys).factors, dPhidy=PointCsrMatrix.from_scipy(phi.tocsr())
+    )
+    return KktSystem(factors, sys.g, sys.r, assemble_Byy(factors), dims=sys.dims)
+
+
 @pytest.fixture(scope="session")
 def sys8_zero_coupling(sys8_k1):
     return zero_coupling_system(sys8_k1)
 
 
 def count_iterations(sys, precond, tol=1e-3, max_iters=1000):
-    """GMRES iteration count against the dense direct solution, the convergence
-    measure used by the benchmark harness. precond is a catalog name or an
+    """GMRES iteration count against the sparse direct solution, the convergence
+    measure of `kktprecond solve`. precond is a catalog name or an
     already-built preconditioner object."""
     if isinstance(precond, str):
         precond = build_at_preconditioner(sys, precond)
     op = KktOperator(sys)
     rhs = sys.rhs()
-    s_ex = scipy.linalg.solve(materialize_dense(op), rhs)
-    cfg = GmresConfig(tol=tol, max_iters=max_iters, criterion=EXACT_SOLUTION, reference=s_ex)
+    cfg = GmresConfig(tol=tol, max_iters=max_iters, criterion=EXACT_SOLUTION, reference=reference_solution(sys))
     report = gmres_solve(op.as_linear_operator(), rhs, precond.as_preconditioner(), cfg)
     return report.iterations, report.converged

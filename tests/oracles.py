@@ -1,4 +1,5 @@
-"""Dense test oracles for the Ju~ / Byy~ factors and the assembled At matrix.
+"""Test oracles: dense Ju~ / Byy~ factors and the assembled At matrix, and the
+modified Gram-Schmidt GMRES loop that `krylov.gmres_solve` replaced.
 
 The exact, block Jacobi and point Jacobi approximations are rebuilt from the
 true dense Ju and Byy, so an oracle check compares each factor's solve against
@@ -7,6 +8,7 @@ fill, are recomposed from the factor entries as L U.
 """
 
 import numpy as np
+import scipy.linalg
 
 from kktprecond.blocklinalg import densify
 from kktprecond.conprec import PointIlu0Factor, PointJacobiFactor
@@ -95,3 +97,71 @@ def densify_at_matrix(P, Ju, Byy) -> np.ndarray:
     A[sl, su] = ju
     A[sl, sy] = jy
     return A
+
+
+def mgs_gmres(A, b, M, cfg):
+    """The original GMRES loop: modified Gram-Schmidt over the basis vectors,
+    storage for max_iters allocated up front and the iterate formed at every
+    iteration. Returns (solution, iterations, converged, history)."""
+    b = np.asarray(b, dtype=float)
+    n = A.dimension
+    b_prec = M.apply_inverse(b)
+    beta = np.linalg.norm(b_prec)
+    if beta < 1e-300:
+        return np.zeros(n), 0, True, np.zeros(0)
+
+    max_it = cfg.max_iters
+    V = np.zeros((max_it + 1, n))
+    H = np.zeros((max_it + 1, max_it))
+    cs = np.zeros(max_it)
+    sn = np.zeros(max_it)
+    g = np.zeros(max_it + 1)
+    V[0] = b_prec / beta
+    g[0] = beta
+
+    ref = cfg.reference
+    history = []
+    best = np.zeros(n)
+    breakdown = False
+
+    for j in range(max_it):
+        w = M.apply_inverse(A.apply(V[j]))
+        norm_w0 = np.linalg.norm(w)
+        for i in range(j + 1):
+            H[i, j] = V[i] @ w
+            w -= H[i, j] * V[i]
+        H[j + 1, j] = np.linalg.norm(w)
+        if H[j + 1, j] > 1e-14 * max(norm_w0, 1e-300):
+            V[j + 1] = w / H[j + 1, j]
+        else:
+            breakdown = True
+
+        for i in range(j):
+            hi, hj = H[i, j], H[i + 1, j]
+            H[i, j] = cs[i] * hi + sn[i] * hj
+            H[i + 1, j] = -sn[i] * hi + cs[i] * hj
+        denom = np.hypot(H[j, j], H[j + 1, j])
+        if denom < 1e-300:
+            cs[j], sn[j] = 1.0, 0.0
+        else:
+            cs[j], sn[j] = H[j, j] / denom, H[j + 1, j] / denom
+        H[j, j] = cs[j] * H[j, j] + sn[j] * H[j + 1, j]
+        H[j + 1, j] = 0.0
+        g[j + 1] = -sn[j] * g[j]
+        g[j] = cs[j] * g[j]
+
+        y = scipy.linalg.solve_triangular(H[: j + 1, : j + 1], g[: j + 1], lower=False)
+        best = V[: j + 1].T @ y
+
+        if ref is None:
+            value = abs(g[j + 1]) / beta
+        else:
+            value = np.linalg.norm(ref - best) / np.linalg.norm(ref)
+        history.append(value)
+
+        if value < cfg.tol:
+            return best, j + 1, True, np.array(history)
+        if breakdown:
+            return best, j + 1, False, np.array(history)
+
+    return best, max_it, False, np.array(history)

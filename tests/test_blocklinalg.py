@@ -15,6 +15,7 @@ from kktprecond.blocklinalg import (
     block_transpose_matvec,
     dense_lu_factor,
     densify,
+    sparse_lu,
 )
 from kktprecond.errors import (
     DimensionMismatch,
@@ -78,6 +79,12 @@ def test_lu_rejects_singular_and_nonsquare():
         dense_lu_factor(np.zeros((2, 2)))
     with pytest.raises(DimensionMismatch):
         dense_lu_factor(np.ones((2, 3)))
+
+
+def test_sparse_lu_rejects_exactly_singular_matrix():
+    # SuperLU's "Factor is exactly singular" is a typed error, not a RuntimeError.
+    with pytest.raises(SingularBlock, match="singular"):
+        sparse_lu(scipy.sparse.csr_matrix(np.array([[1.0, 0.0], [2.0, 0.0]])))
 
 
 # Pattern validation ---------------------------------------------------------

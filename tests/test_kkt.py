@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from conftest import singular_system
 from kktprecond.blocklinalg import BlockCsrMatrix, BlockPattern, PointCsrMatrix, densify
-from kktprecond.errors import DimensionMismatch, SizeCapExceeded
+from kktprecond.errors import DimensionMismatch, SingularSystem, SizeCapExceeded
 from kktprecond.kkt import (
     KktFactors,
     KktOperator,
@@ -16,6 +17,7 @@ from kktprecond.kkt import (
     count_block_sparsity,
     kkt_matvec,
     materialize_dense,
+    reference_solution,
 )
 from kktprecond.pmultigrid import build_transfer, full_prolongation
 from kktprecond.shocktrack import ShockTrackProblem1d, build_kkt, dg_jacobians
@@ -319,3 +321,18 @@ def test_system_validation_rejects_wrong_vector_lengths():
     f = tiny_factors()
     with pytest.raises(DimensionMismatch):
         KktSystem(f, np.zeros(2), np.zeros(2), assemble_Byy(f))
+
+
+# Sparse direct reference ----------------------------------------------------
+
+
+@pytest.mark.parametrize("fixture", ["sys8_k1", "sys16_k1", "sys8_zero_coupling"])
+def test_reference_solution_matches_dense_solve(fixture, request):
+    sys = request.getfixturevalue(fixture)
+    expect = np.linalg.solve(materialize_dense(KktOperator(sys)), sys.rhs())
+    np.testing.assert_allclose(reference_solution(sys), expect, rtol=1e-10, atol=1e-10 * np.abs(expect).max())
+
+
+def test_reference_solution_of_singular_system_raises(sys8_k1):
+    with pytest.raises(SingularSystem):
+        reference_solution(singular_system(sys8_k1))

@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kktprecond.errors import DimensionMismatch, NonFinite, ZeroReference
 from kktprecond.krylov import (
+    BREAKDOWN,
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
     EXACT_SOLUTION,
+    MAX_ITERS,
     PRECONDITIONED_RESIDUAL,
+    TOLERANCE,
     GmresConfig,
     LinearOperator,
     Preconditioner,
@@ -16,6 +21,7 @@ from kktprecond.krylov import (
     evaluate_criterion,
     gmres_solve,
 )
+from oracles import mgs_gmres
 
 
 def run(A, b, M=None, **cfg_kwargs):
@@ -202,3 +208,116 @@ def test_solver_matches_criterion_evaluation():
     rep = gmres_solve(op, b, M, GmresConfig(tol=1e-8))
     value = evaluate_criterion(PRECONDITIONED_RESIDUAL, op, M, b, rep.solution)
     np.testing.assert_allclose(value, rep.history[-1], rtol=1e-6, atol=1e-12)
+
+
+# Against the modified Gram-Schmidt loop ------------------------------------
+
+
+def shifted_system(seed, n, shift):
+    """Nonsymmetric A = shift I + N / sqrt(n), N standard normal: its spectrum
+    fills a disk of radius about 1 around shift, so GMRES converges at least
+    about as fast as shift^-k."""
+    rng = np.random.default_rng(seed)
+    return shift * np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n), rng.standard_normal(n)
+
+
+def assert_matches_oracle(A, b, M, cfg):
+    op = LinearOperator.from_matrix(A)
+    rep = gmres_solve(op, b, M, cfg)
+    solution, iterations, converged, _ = mgs_gmres(op, b, M, cfg)
+    assert rep.iterations == iterations
+    assert rep.converged == converged
+    assert np.linalg.norm(rep.solution - solution) <= 1e-10 * np.linalg.norm(solution)
+    return rep
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    shift=st.floats(1.5, 4.0),
+    exact=st.booleans(),
+    tol=st.sampled_from([1e-3, 1e-6, 1e-9]),
+    max_iters=st.integers(1, 50),
+    preconditioned=st.booleans(),
+)
+def test_gmres_matches_mgs_oracle(seed, n, shift, exact, tol, max_iters, preconditioned):
+    A, b = shifted_system(seed, n, shift)
+    M = Preconditioner.identity(n)
+    if preconditioned:
+        M = Preconditioner.from_matrix(shifted_system(seed + 1, n, shift)[0])
+    if exact:
+        cfg = GmresConfig(tol=tol, max_iters=max_iters, criterion=EXACT_SOLUTION, reference=np.linalg.solve(A, b))
+    else:
+        cfg = GmresConfig(tol=tol, max_iters=max_iters)
+    assert_matches_oracle(A, b, M, cfg)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["residual", "exact-solution"])
+def test_solve_over_several_storage_chunks_matches_oracle(exact):
+    # Over 128 iterations: the Krylov storage grows from 64 rows twice.
+    A, b = shifted_system(3, 300, 1.05)
+    cfg = GmresConfig(tol=1e-10)
+    if exact:
+        cfg = GmresConfig(tol=1e-10, criterion=EXACT_SOLUTION, reference=np.linalg.solve(A, b))
+    rep = assert_matches_oracle(A, b, Preconditioner.identity(300), cfg)
+    assert rep.converged
+    assert rep.iterations > 128
+
+
+def test_huge_max_iters_allocates_only_what_is_used():
+    # Storage for 10**6 iterations up front would be terabytes.
+    A, b = shifted_system(4, 50, 3.0)
+    rep = run(A, b, tol=1e-8, max_iters=10**6)
+    assert rep.converged
+    assert rep.iterations < 50
+
+
+# Stop reasons -----------------------------------------------------------------
+
+
+def test_stop_reason_tolerance_reports_criterion_and_true_residual():
+    A, b = shifted_system(5, 20, 2.0)
+    rep = run(A, b, tol=1e-6)
+    assert rep.stop_reason == TOLERANCE
+    assert rep.converged
+    assert rep.criterion == rep.history[-1] < 1e-6
+    np.testing.assert_allclose(rep.true_residual, np.linalg.norm(A @ rep.solution - b) / np.linalg.norm(b), rtol=1e-12)
+
+
+def test_stop_reason_max_iters():
+    A, b = shifted_system(6, 30, 2.0)
+    rep = run(A, b, tol=1e-14, max_iters=3)
+    assert rep.stop_reason == MAX_ITERS
+    assert not rep.converged
+    assert rep.iterations == 3
+    assert rep.criterion == rep.history[-1] > 1e-14
+
+
+def test_stop_reason_breakdown_is_not_max_iters():
+    # b is an eigenvector, so the Krylov space closes after one step with the
+    # exact solution (5, 0, 0); measured against another vector it misses tol.
+    A = np.diag([1.0, 2.0, 3.0])
+    b = np.array([5.0, 0.0, 0.0])
+    rep = run(A, b, tol=1e-6, max_iters=50, criterion=EXACT_SOLUTION, reference=np.ones(3))
+    assert rep.stop_reason == BREAKDOWN
+    assert not rep.converged
+    assert rep.iterations == 1
+    np.testing.assert_allclose(rep.criterion, np.linalg.norm([4.0, 1.0, 1.0]) / np.sqrt(3), rtol=1e-12)
+    assert rep.true_residual < 1e-15
+
+
+def test_breakdown_on_singular_operator_raises_nonfinite():
+    # The down-shift maps e_4 to 0: the Krylov space of e_1 closes after four
+    # steps with a zero pivot in the triangular factor, so there is no iterate.
+    with pytest.raises(NonFinite):
+        run(np.eye(4, k=-1), [1.0, 0.0, 0.0, 0.0])
+
+
+def test_exact_solution_history_ends_with_the_explicit_error():
+    A, b = shifted_system(7, 30, 2.0)
+    s_ex = np.linalg.solve(A, b)
+    rep = run(A, b, tol=1e-6, criterion=EXACT_SOLUTION, reference=s_ex)
+    assert rep.converged
+    explicit = np.linalg.norm(s_ex - rep.solution) / np.linalg.norm(s_ex)
+    assert rep.criterion == rep.history[-1] == pytest.approx(explicit, rel=1e-12)

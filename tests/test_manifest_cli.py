@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import kktprecond
-from conftest import zero_coupling_system
+from conftest import singular_system, zero_coupling_system
 from kktprecond.cli import CSV_COLUMNS, main
 from kktprecond.errors import ManifestError
 from kktprecond.kkt import KktOperator, materialize_dense
@@ -148,6 +148,16 @@ def test_cli_solve_malformed_matrix_market_file(sys8_k1, tmp_path, capsys, fname
     (tmp_path / fname).write_text("\n".join(lines) + "\n")
     assert main(["solve", path, "--precond", "A0"]) == 2
     assert "malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("precond", ["A0", "A0-p0", "BJ", "BILU"])
+def test_cli_solve_singular_system_exits_1(sys8_k1, tmp_path, capsys, precond):
+    # A0 and A0-p0 fail on the exact Byy factor, BJ and BILU on the reference.
+    path = export_system(singular_system(sys8_k1), tmp_path)
+    assert main(["solve", path, "--precond", precond]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "singular" in err
 
 
 def test_cli_solve_missing_manifest(tmp_path, capsys):
