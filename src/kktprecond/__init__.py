@@ -4,10 +4,7 @@ from .blocklinalg import (
     BlockCsrMatrix,
     BlockLuFactor,
     BlockPattern,
-    PointCsrMatrix,
-    assemble_point_csr,
-    block_matvec,
-    block_transpose,
+    block_to_scipy,
     block_transpose_matvec,
     dense_lu_factor,
     densify,

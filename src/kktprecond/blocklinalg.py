@@ -1,10 +1,11 @@
-"""Block and point sparse containers with the dense-block kernels used everywhere else.
+"""The block sparse container with the dense-block kernels used everywhere else.
 
-Matrices are partitioned into rectangular dense blocks (one group of rows per
-element, say) and stored in block-CSR form: the usual CSR index arrays over
-block rows/columns, with a dense array per stored block. Point (scalar) CSR is
-kept as a separate lightweight container since some assembled operators lose
-their block structure.
+Matrices whose block structure the preconditioners use (the DG Jacobians Ju
+and dRdu) are partitioned into rectangular dense blocks, one group of rows per
+element, and stored in block-CSR form: the usual CSR index arrays over block
+rows/columns, with a dense array per stored block. Every other matrix is a
+scipy CSR matrix, kept canonical by canonical_csr; block_to_scipy gives the
+scalar CSR view of a block matrix.
 """
 
 from __future__ import annotations
@@ -17,21 +18,18 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .errors import DimensionMismatch, IndexOutOfRange, PatternViolation, SingularBlock
+from .errors import DimensionMismatch, PatternViolation, SingularBlock
 
 __all__ = [
     "BlockPattern",
     "BlockCsrMatrix",
-    "PointCsrMatrix",
     "BlockLuFactor",
     "dense_lu_factor",
     "PermutedLu",
     "permuted_lu",
     "sparse_lu",
-    "block_matvec",
     "block_transpose_matvec",
-    "block_transpose",
-    "assemble_point_csr",
+    "canonical_csr",
     "densify",
     "block_to_scipy",
 ]
@@ -139,60 +137,14 @@ class BlockCsrMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.pattern.n_rows, self.pattern.n_cols)
 
-
-@dataclass
-class PointCsrMatrix:
-    """Scalar CSR matrix; columns sorted and unique within each row."""
-
-    n_rows: int
-    n_cols: int
-    row_ptr: np.ndarray
-    col_idx: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.row_ptr = np.asarray(self.row_ptr, dtype=int)
-        self.col_idx = np.asarray(self.col_idx, dtype=int)
-        self.values = np.asarray(self.values, dtype=float)
-        if len(self.row_ptr) != self.n_rows + 1 or self.row_ptr[0] != 0:
-            raise PatternViolation("row_ptr must have n_rows+1 entries starting at 0")
-        if np.any(np.diff(self.row_ptr) < 0):
-            raise PatternViolation("row_ptr must be nondecreasing")
-        if self.row_ptr[-1] != len(self.col_idx) or len(self.col_idx) != len(self.values):
-            raise PatternViolation("index and value arrays are inconsistent")
-        i = _first_bad_row(self.row_ptr, self.col_idx, self.n_cols)
-        if i is not None:
-            raise PatternViolation(f"row {i}: columns must be strictly increasing and in range")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n_rows, self.n_cols)
-
-    def to_scipy(self) -> scipy.sparse.csr_matrix:
-        return scipy.sparse.csr_matrix(
-            (self.values.copy(), self.col_idx.copy(), self.row_ptr.copy()),
-            shape=(self.n_rows, self.n_cols),
-        )
-
-    @classmethod
-    def from_scipy(cls, mat) -> "PointCsrMatrix":
-        csr = scipy.sparse.csr_matrix(mat)
-        csr.sum_duplicates()
-        csr.sort_indices()
-        return cls(csr.shape[0], csr.shape[1], csr.indptr, csr.indices, csr.data)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.n_cols,):
-            raise DimensionMismatch(f"vector length {v.shape} incompatible with {self.shape}")
-        y = np.zeros(self.n_rows)
-        for i in range(self.n_rows):
-            sl = slice(self.row_ptr[i], self.row_ptr[i + 1])
-            y[i] = self.values[sl] @ v[self.col_idx[sl]]
-        return y
-
     def toarray(self) -> np.ndarray:
-        return self.to_scipy().toarray()
+        """Dense copy, written block by block."""
+        pat = self.pattern
+        roff, coff = pat.row_offsets, pat.col_offsets
+        out = np.zeros(self.shape)
+        for i, j, blk in zip(pat.block_rows, pat.col_idx, self.blocks):
+            out[roff[i] : roff[i + 1], coff[j] : coff[j + 1]] = blk
+        return out
 
 
 @dataclass
@@ -293,27 +245,6 @@ def sparse_lu(A) -> PermutedLu:
     return permuted_lu(lu.L, lu.U, np.argsort(lu.perm_r), lu.perm_c)
 
 
-def _iter_blocks(A: BlockCsrMatrix):
-    """Yield (block_row, block_col, dense_block) over stored blocks."""
-    pat = A.pattern
-    for i in range(pat.n_block_rows):
-        for k in range(pat.row_ptr[i], pat.row_ptr[i + 1]):
-            yield i, int(pat.col_idx[k]), A.blocks[k]
-
-
-def block_matvec(A: BlockCsrMatrix, v: np.ndarray) -> np.ndarray:
-    """y = A v by block-row accumulation."""
-    v = np.asarray(v, dtype=float)
-    pat = A.pattern
-    if v.shape != (pat.n_cols,):
-        raise DimensionMismatch(f"vector length {v.shape} incompatible with {A.shape}")
-    roff, coff = pat.row_offsets, pat.col_offsets
-    y = np.zeros(pat.n_rows)
-    for i, j, blk in _iter_blocks(A):
-        y[roff[i] : roff[i + 1]] += blk @ v[coff[j] : coff[j + 1]]
-    return y
-
-
 def block_transpose_matvec(A: BlockCsrMatrix, v: np.ndarray) -> np.ndarray:
     """y = A^T v without materializing the transpose."""
     v = np.asarray(v, dtype=float)
@@ -322,53 +253,26 @@ def block_transpose_matvec(A: BlockCsrMatrix, v: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"vector length {v.shape} incompatible with {A.shape} transposed")
     roff, coff = pat.row_offsets, pat.col_offsets
     y = np.zeros(pat.n_cols)
-    for i, j, blk in _iter_blocks(A):
+    for i, j, blk in zip(pat.block_rows, pat.col_idx, A.blocks):
         y[coff[j] : coff[j + 1]] += blk.T @ v[roff[i] : roff[i + 1]]
     return y
 
 
-def block_transpose(A: BlockCsrMatrix) -> BlockCsrMatrix:
-    """Explicit block transpose (pattern and blocks)."""
-    pat = A.pattern
-    per_row: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(pat.n_block_cols)]
-    for i, j, blk in _iter_blocks(A):
-        per_row[j].append((i, blk.T.copy()))
-    row_ptr = [0]
-    col_idx: list[int] = []
-    blocks: list[np.ndarray] = []
-    for entries in per_row:
-        entries.sort(key=lambda t: t[0])
-        for i, blk in entries:
-            col_idx.append(i)
-            blocks.append(blk)
-        row_ptr.append(len(col_idx))
-    tpat = BlockPattern(pat.col_block_sizes, pat.row_block_sizes, np.array(row_ptr), np.array(col_idx))
-    return BlockCsrMatrix(tpat, blocks)
-
-
-def assemble_point_csr(triplets, n_rows: int, n_cols: int) -> PointCsrMatrix:
-    """Build a PointCsrMatrix from (row, col, value) triplets, summing duplicates."""
-    rows, cols, vals = [], [], []
-    for r, c, v in triplets:
-        if not (0 <= r < n_rows and 0 <= c < n_cols):
-            raise IndexOutOfRange(f"triplet ({r},{c}) outside {n_rows}x{n_cols}")
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-    coo = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
-    return PointCsrMatrix.from_scipy(coo)
+def canonical_csr(M, name: str = "matrix") -> scipy.sparse.csr_matrix:
+    """M as a float CSR matrix with sorted column indices and no repeated
+    entries (repeats are summed); a canonical float CSR input keeps its arrays."""
+    if not scipy.sparse.issparse(M):
+        raise TypeError(f"{name} must be a scipy sparse matrix, got {type(M).__name__}")
+    M = scipy.sparse.csr_matrix(M, dtype=float)
+    if not M.has_canonical_format:
+        M = M.copy()
+        M.sum_duplicates()
+    return M
 
 
 def densify(A) -> np.ndarray:
-    """Dense array from a BlockCsrMatrix or PointCsrMatrix."""
-    if isinstance(A, PointCsrMatrix):
-        return A.toarray()
-    pat = A.pattern
-    roff, coff = pat.row_offsets, pat.col_offsets
-    out = np.zeros((pat.n_rows, pat.n_cols))
-    for i, j, blk in _iter_blocks(A):
-        out[roff[i] : roff[i + 1], coff[j] : coff[j + 1]] = blk
-    return out
+    """Dense array of a BlockCsrMatrix or of a scipy sparse matrix."""
+    return A.toarray()
 
 
 def block_to_scipy(A: BlockCsrMatrix) -> scipy.sparse.csr_matrix:

@@ -25,17 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .blocklinalg import (
-    PermutedLu,
-    PointCsrMatrix,
-    block_to_scipy,
-    dense_lu_factor,
-    permuted_lu,
-    sparse_lu,
-)
+from .blocklinalg import PermutedLu, block_to_scipy, dense_lu_factor, permuted_lu, sparse_lu
 from .dgprecond import BiluPrec, BlockJacobiPrec, bilu0_factor, build_block_jacobi, mdf_order
 from .errors import (
     DimensionMismatch,
+    PatternViolation,
     SingularBlock,
     SingularSchurComplement,
     UnknownPreconditioner,
@@ -76,12 +70,11 @@ class PointJacobiFactor:
         return self.inv_diag * v
 
 
-def point_jacobi(B: PointCsrMatrix) -> PointJacobiFactor:
+def point_jacobi(B: scipy.sparse.csr_matrix) -> PointJacobiFactor:
     """diag(B) with entries below 1e-300 in magnitude replaced by 1."""
-    n = B.n_rows
-    if B.n_cols != n:
+    if B.shape[0] != B.shape[1]:
         raise DimensionMismatch("point Jacobi needs a square matrix")
-    diag = B.to_scipy().diagonal()
+    diag = B.diagonal()
     tiny = np.abs(diag) < 1e-300
     safeguarded = bool(tiny.any())
     if safeguarded:
@@ -107,14 +100,17 @@ class PointIlu0Factor:
         return self.factors.solve(v, trans)
 
 
-def point_ilu0_factor(B: PointCsrMatrix) -> PointIlu0Factor:
-    """Scalar IKJ elimination restricted to the pattern of B (natural order)."""
-    n = B.n_rows
-    if B.n_cols != n:
+def point_ilu0_factor(B: scipy.sparse.csr_matrix) -> PointIlu0Factor:
+    """Scalar IKJ elimination restricted to the pattern of B (natural order);
+    B must be canonical CSR (sorted column indices, no repeated entries)."""
+    n = B.shape[0]
+    if B.shape[1] != n:
         raise DimensionMismatch("point ILU0 needs a square matrix")
-    row_ptr = B.row_ptr.copy()
-    col_idx = B.col_idx.copy()
-    values = B.values.copy()
+    if not B.has_canonical_format:
+        raise PatternViolation("point ILU0 needs sorted column indices without repeated entries")
+    row_ptr = B.indptr.astype(np.int64)
+    col_idx = B.indices.astype(np.int64)
+    values = B.data.astype(float)
     diag_pos = np.full(n, -1, dtype=int)
     for i in range(n):
         sl = slice(row_ptr[i], row_ptr[i + 1])
@@ -225,7 +221,7 @@ def _build_ju_approx(sys: KktSystem, kind: str):
 def _build_byy_approx(sys: KktSystem, kind: str):
     Byy = sys.Byy
     if kind == "exact":
-        return sparse_lu(Byy.to_scipy())
+        return sparse_lu(Byy)
     if kind == "point_jacobi":
         return point_jacobi(Byy)
     return point_ilu0_factor(Byy)

@@ -41,10 +41,6 @@ class PatternViolation(KktPrecondError):
     """Block indices or CSR structure are malformed."""
 
 
-class IndexOutOfRange(KktPrecondError):
-    """A row or column index is outside the matrix dimensions."""
-
-
 class NonFinite(KktPrecondError):
     """A computed vector contains NaN or Inf."""
 

@@ -15,10 +15,12 @@ distortion residual, plus an elasticity regularization of the mesh block:
 
 and the constraint Jacobian is J = [J_u, J_y] with J_y = drdx dPhidy.
 B_uu and B_uy act matrix-free through their factors; B_yy is assembled because
-it loses block structure. The operator applies the factors as scipy CSR
-matrices, converted on the first product and cached on the system. The
-reference solution that GMRES is measured against is one sparse direct solve
-of the whole matrix, assembled from the same CSR factors.
+it loses block structure. Ju and dRdu are block matrices, whose blocks the
+preconditioners use; every other factor, B_yy and J_y are scipy CSR. The
+operator applies the scalar CSR view of the block factors, formed on the first
+product and cached on the system. The reference solution that GMRES is
+measured against is one sparse direct solve of the whole matrix, assembled
+from the same CSR factors.
 """
 
 from __future__ import annotations
@@ -30,13 +32,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .blocklinalg import (
-    BlockCsrMatrix,
-    BlockPattern,
-    PointCsrMatrix,
-    block_to_scipy,
-    densify,
-)
+from .blocklinalg import BlockCsrMatrix, BlockPattern, block_to_scipy, canonical_csr
 from .errors import DimensionMismatch, SingularSystem, SizeCapExceeded
 from .krylov import LinearOperator
 
@@ -86,19 +82,22 @@ class SystemDims:
 
 @dataclass
 class KktFactors:
-    """Factor matrices of the KKT blocks at one state."""
+    """Factor matrices of the KKT blocks at one state: Ju and dRdu are block
+    matrices, the others are made canonical scipy CSR here."""
 
     Ju: BlockCsrMatrix
     dRdu: BlockCsrMatrix
-    dRdx: BlockCsrMatrix
-    drdx: BlockCsrMatrix
-    dRmshdx: PointCsrMatrix
-    dPhidy: PointCsrMatrix
-    D: PointCsrMatrix
+    dRdx: scipy.sparse.csr_matrix
+    drdx: scipy.sparse.csr_matrix
+    dRmshdx: scipy.sparse.csr_matrix
+    dPhidy: scipy.sparse.csr_matrix
+    D: scipy.sparse.csr_matrix
     kappa: float
     gamma: float
 
     def __post_init__(self):
+        for name in ("dRdx", "drdx", "dRmshdx", "dPhidy", "D"):
+            setattr(self, name, canonical_csr(getattr(self, name), name))
         n_u = self.Ju.shape[1]
         n_x = self.dPhidy.shape[0]
         if self.Ju.shape != (n_u, n_u):
@@ -129,16 +128,12 @@ class KktFactors:
         return self.dPhidy.shape[0]
 
 
-def assemble_Byy(factors: KktFactors) -> PointCsrMatrix:
+def assemble_Byy(factors: KktFactors) -> scipy.sparse.csr_matrix:
     """Explicit sparse assembly of the mesh-mesh Hessian block."""
-    Ax = block_to_scipy(factors.dRdx)
-    Rm = factors.dRmshdx.to_scipy()
-    D = factors.D.to_scipy()
-    Phi = factors.dPhidy.to_scipy()
-    Bxx = (Ax.T @ Ax) + factors.kappa**2 * (Rm.T @ Rm) + factors.gamma * D
+    Ax, Rm, Phi = factors.dRdx, factors.dRmshdx, factors.dPhidy
+    Bxx = (Ax.T @ Ax) + factors.kappa**2 * (Rm.T @ Rm) + factors.gamma * factors.D
     Byy = (Phi.T @ Bxx @ Phi).tocsr()
-    Byy = 0.5 * (Byy + Byy.T)
-    return PointCsrMatrix.from_scipy(Byy)
+    return 0.5 * (Byy + Byy.T)
 
 
 @dataclass(frozen=True)
@@ -160,12 +155,13 @@ class CsrFactors:
 
 @dataclass
 class KktSystem:
-    """Factors plus the right-hand-side data and the assembled Byy."""
+    """Factors plus the right-hand-side data and the assembled Byy, made
+    canonical CSR like the scalar factors."""
 
     factors: KktFactors
     g: np.ndarray
     r: np.ndarray
-    Byy: PointCsrMatrix
+    Byy: scipy.sparse.csr_matrix
     dims: SystemDims | None = None
     state_index: int = 0
     case: str = "case"
@@ -178,13 +174,12 @@ class KktSystem:
             raise DimensionMismatch("gradient length must be N_u + N_y")
         if self.r.shape != (f.n_u,):
             raise DimensionMismatch("residual length must be N_u")
+        self.Byy = canonical_csr(self.Byy, "Byy")
         if self.Byy.shape != (f.n_y, f.n_y):
             raise DimensionMismatch("Byy must be N_y x N_y")
         # J_y is needed in transposed form by the preconditioners, so it is
         # stored as the explicit sparse product.
-        self._Phi = f.dPhidy.to_scipy()
-        self.Jy = (block_to_scipy(f.drdx) @ self._Phi).tocsr()
-        self._Byy_csr = self.Byy.to_scipy()
+        self.Jy = (f.drdx @ f.dPhidy).tocsr()
 
     @property
     def dimension(self) -> int:
@@ -196,7 +191,7 @@ class KktSystem:
         system per iteration and never apply it."""
         f = self.factors
         dRdu = block_to_scipy(f.dRdu)
-        G = (block_to_scipy(f.dRdx) @ self._Phi).tocsr()
+        G = (f.dRdx @ f.dPhidy).tocsr()
         Ju = block_to_scipy(f.Ju)
         return CsrFactors(dRdu, dRdu.T.tocsr(), G, G.T.tocsr(), Ju, Ju.T.tocsr(), self.Jy.T.tocsr())
 
@@ -243,7 +238,7 @@ def kkt_matvec(op: KktOperator, v):
     c = sys.csr
     dRdu_vu = c.dRdu @ vu
     out_u = c.dRdu_T @ (dRdu_vu + c.G @ vy) + c.Ju_T @ vl
-    out_y = c.G_T @ dRdu_vu + sys._Byy_csr @ vy + c.Jy_T @ vl
+    out_y = c.G_T @ dRdu_vu + sys.Byy @ vy + c.Jy_T @ vl
     out_l = c.Ju @ vu + sys.Jy @ vy
     if block:
         return scipy.sparse.vstack([out_u, out_y, out_l], format="csr")
@@ -259,13 +254,13 @@ def materialize_dense(op: KktOperator, cap: int = DENSE_CAP) -> np.ndarray:
     if dim > cap:
         raise SizeCapExceeded(f"dense materialization of dimension {dim} exceeds cap {cap}")
 
-    dRdu = densify(f.dRdu)
+    dRdu = f.dRdu.toarray()
     buu = dRdu.T @ dRdu
     buu = np.triu(buu) + np.triu(buu, 1).T
-    buy = dRdu.T @ (densify(f.dRdx) @ f.dPhidy.toarray())
+    buy = dRdu.T @ (f.dRdx.toarray() @ f.dPhidy.toarray())
     byy = sys.Byy.toarray()
     byy = np.triu(byy) + np.triu(byy, 1).T
-    ju = densify(f.Ju)
+    ju = f.Ju.toarray()
     jy = sys.Jy.toarray()
 
     A = np.zeros((dim, dim))
@@ -295,7 +290,7 @@ def reference_solution(sys: KktSystem) -> np.ndarray:
     A = scipy.sparse.bmat(
         [
             [c.dRdu_T @ c.dRdu, buy, c.Ju_T],
-            [buy.T, sys._Byy_csr, c.Jy_T],
+            [buy.T, sys.Byy, c.Jy_T],
             [c.Ju, sys.Jy, None],
         ],
         format="csc",

@@ -3,6 +3,10 @@
 The manifest persists the factor matrices rather than any assembled Hessian
 block, so B_uu is never materialized on disk; Byy is re-assembled on import,
 which doubles as a consistency check of the stored factors.
+
+ju.mtx and dRdu.mtx carry a %%block-sizes line; the scalar factors do not. A
+scalar factor written with one (dRdx.mtx and drdx.mtx of older manifests)
+imports as the scalar view of its blocks.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import os
 
 import numpy as np
 
+from .blocklinalg import BlockCsrMatrix, block_to_scipy
 from .errors import ManifestError
 from .kkt import KktFactors, KktSystem, SystemDims, assemble_Byy
 from .mmio import read_matrix, read_vector, write_matrix, write_vector
@@ -29,6 +34,8 @@ _MATRIX_FIELDS = (
     ("dPhidy", "dPhidy"),
     ("elasticity", "D"),
 )
+# The factors whose block structure the preconditioners use.
+_BLOCK_FIELDS = ("ju", "dRdu")
 
 
 def export_system(sys: KktSystem, outdir, prefix: str = "") -> str:
@@ -96,6 +103,11 @@ def import_system(path) -> KktSystem:
         return reader(full)
 
     loaded = {key: load("matrices", key, read_matrix) for key, _ in _MATRIX_FIELDS}
+    for key, mat in loaded.items():
+        if key in _BLOCK_FIELDS and not isinstance(mat, BlockCsrMatrix):
+            raise ManifestError(f"{path}: matrix {key} has no %%block-sizes line")
+        if key not in _BLOCK_FIELDS and isinstance(mat, BlockCsrMatrix):
+            loaded[key] = block_to_scipy(mat)
     g = load("vectors", "g", read_vector)
     r = load("vectors", "r", read_vector)
 

@@ -1,4 +1,4 @@
-"""Matrix Market IO for point and block CSR matrices.
+"""Matrix Market IO for scipy sparse and block CSR matrices.
 
 Files use the standard coordinate format. Block matrices additionally carry a
 comment line
@@ -6,18 +6,19 @@ comment line
     %%block-sizes rows=<s0,s1,...> cols=<s0,s1,...>
 
 immediately after the banner, so any Matrix Market reader still parses the file
-as a point matrix while this package recovers the block layout. Every entry of
-a stored block is written, zeros included, so the block pattern survives the
-round trip. Values are printed with 17 significant digits, which round-trips
-IEEE doubles exactly.
+as a point matrix while this package recovers the block layout. Every stored
+entry is written, zeros included, so a block pattern survives the round trip.
+Values are printed with 17 significant digits, which round-trips IEEE doubles
+exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse
 
-from .blocklinalg import BlockCsrMatrix, BlockPattern, PointCsrMatrix, _iter_blocks
-from .errors import ManifestError, PatternViolation
+from .blocklinalg import BlockCsrMatrix, BlockPattern, block_to_scipy, canonical_csr
+from .errors import ManifestError
 
 __all__ = ["write_matrix", "read_matrix", "write_vector", "read_vector"]
 
@@ -28,51 +29,36 @@ _ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("val", float)])
 _VALUE = np.dtype([("val", float)])
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def write_matrix(path, A) -> None:
-    """Write a PointCsrMatrix or BlockCsrMatrix in coordinate format."""
+    """Write a scipy sparse matrix or a BlockCsrMatrix in coordinate format,
+    entries sorted by (row, col); repeated entries of a scipy matrix are summed."""
     lines = [_BANNER]
-    entries = []
     if isinstance(A, BlockCsrMatrix):
         pat = A.pattern
-        rows = ",".join(str(s) for s in pat.row_block_sizes)
-        cols = ",".join(str(s) for s in pat.col_block_sizes)
-        lines.append(f"{_BLOCK_TAG} rows={rows} cols={cols}")
-        roff, coff = pat.row_offsets, pat.col_offsets
-        for i, j, blk in _iter_blocks(A):
-            r0, c0 = roff[i], coff[j]
-            for bi in range(blk.shape[0]):
-                for bj in range(blk.shape[1]):
-                    entries.append((r0 + bi, c0 + bj, blk[bi, bj]))
-        n_rows, n_cols = pat.n_rows, pat.n_cols
-    elif isinstance(A, PointCsrMatrix):
-        for i in range(A.n_rows):
-            for k in range(A.row_ptr[i], A.row_ptr[i + 1]):
-                entries.append((i, int(A.col_idx[k]), float(A.values[k])))
-        n_rows, n_cols = A.n_rows, A.n_cols
+        row_sizes = ",".join(map(str, pat.row_block_sizes.tolist()))
+        col_sizes = ",".join(map(str, pat.col_block_sizes.tolist()))
+        lines.append(f"{_BLOCK_TAG} rows={row_sizes} cols={col_sizes}")
+        S = block_to_scipy(A)
     else:
-        raise TypeError(f"unsupported matrix type {type(A).__name__}")
-    entries.sort(key=lambda t: (t[0], t[1]))
-    lines.append(f"{n_rows} {n_cols} {len(entries)}")
-    for r, c, v in entries:
-        lines.append(f"{r + 1} {c + 1} {_fmt(v)}")
+        S = canonical_csr(A)
+    rows = np.repeat(np.arange(1, S.shape[0] + 1), np.diff(S.indptr))
+    lines.append(f"{S.shape[0]} {S.shape[1]} {S.nnz}")
+    lines.extend(map("{} {} {:.17g}".format, rows.tolist(), (S.indices + 1).tolist(), S.data.tolist()))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_block_tag(line: str):
-    fields = line[len(_BLOCK_TAG) :].split()
+def _parse_block_tag(path, line: str):
+    """Row and column block sizes: two nonempty lists of positive integers."""
     sizes = {}
-    for field in fields:
+    for field in line[len(_BLOCK_TAG) :].split():
         key, _, val = field.partition("=")
-        if key not in ("rows", "cols") or not val:
-            raise PatternViolation(f"malformed block-sizes line: {line!r}")
-        sizes[key] = np.array([int(s) for s in val.split(",")])
-    if "rows" not in sizes or "cols" not in sizes:
-        raise PatternViolation(f"block-sizes line missing rows= or cols=: {line!r}")
+        words = val.split(",")
+        if key not in ("rows", "cols") or not all(w.isdecimal() and int(w) > 0 for w in words):
+            raise ManifestError(f"{path}: malformed block-sizes field {field!r}")
+        sizes[key] = np.array([int(w) for w in words])
+    if sizes.keys() != {"rows", "cols"}:
+        raise ManifestError(f"{path}: malformed block-sizes line, rows= and cols= required: {line!r}")
     return sizes["rows"], sizes["cols"]
 
 
@@ -97,7 +83,9 @@ def _size_line(path, lines: list[str], k: int, n_fields: int) -> list[int]:
 
 
 def read_matrix(path):
-    """Read a coordinate file; returns BlockCsrMatrix if a block sidecar is present."""
+    """Read a coordinate file as a canonical scipy CSR matrix, or as a
+    BlockCsrMatrix if the file carries a block-sizes line. Of repeated
+    (row, col) entries the last in the file wins."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith("%%MatrixMarket"):
@@ -108,7 +96,7 @@ def read_matrix(path):
     k = 1
     while k < len(lines) and lines[k].startswith("%"):
         if lines[k].startswith(_BLOCK_TAG):
-            block_sizes = _parse_block_tag(lines[k])
+            block_sizes = _parse_block_tag(path, lines[k])
         k += 1
     n_rows, n_cols, nnz = _size_line(path, lines, k, 3)
     entries = _parse(path, lines[k + 1 : k + 1 + nnz], _ENTRY, "entry")
@@ -117,25 +105,23 @@ def read_matrix(path):
     rows, cols, vals = entries["row"] - 1, entries["col"] - 1, entries["val"]
     if nnz and (rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols):
         raise ManifestError(f"{path}: entry outside the declared {n_rows} x {n_cols} shape")
-    if block_sizes is None:
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        row_ptr = np.searchsorted(rows, np.arange(n_rows + 1))
-        return PointCsrMatrix(n_rows, n_cols, row_ptr, cols, vals)
-    return _entries_to_block(n_rows, n_cols, rows, cols, vals, *block_sizes)
-
-
-def _entries_to_block(n_rows, n_cols, rows, cols, vals, rbs, cbs):
-    if rbs.sum() != n_rows or cbs.sum() != n_cols:
-        raise ManifestError("block sizes inconsistent with matrix dimensions")
     # Sort by (row, col); lexsort is stable, so the last of repeated entries
-    # is the last in file order, and it wins.
+    # is the last in file order, and it is the one kept.
     order = np.lexsort((cols, rows))
     rows, cols, vals = rows[order], cols[order], vals[order]
     last = np.ones(len(rows), dtype=bool)
     last[:-1] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
     rows, cols, vals = rows[last], cols[last], vals[last]
+    if block_sizes is None:
+        row_ptr = np.searchsorted(rows, np.arange(n_rows + 1))
+        return scipy.sparse.csr_matrix((vals, cols, row_ptr), shape=(n_rows, n_cols))
+    return _entries_to_block(path, n_rows, n_cols, rows, cols, vals, *block_sizes)
 
+
+def _entries_to_block(path, n_rows, n_cols, rows, cols, vals, rbs, cbs):
+    """Block matrix from unique entries sorted by (row, col)."""
+    if rbs.sum() != n_rows or cbs.sum() != n_cols:
+        raise ManifestError(f"{path}: block sizes inconsistent with matrix dimensions")
     roff = np.concatenate([[0], np.cumsum(rbs)])
     coff = np.concatenate([[0], np.cumsum(cbs)])
     brow = np.searchsorted(roff, rows, side="right") - 1
@@ -157,7 +143,7 @@ def write_vector(path, v: np.ndarray) -> None:
     """Write a dense vector in array format (n x 1)."""
     v = np.asarray(v, dtype=float).ravel()
     lines = [_BANNER_ARRAY, f"{len(v)} 1"]
-    lines.extend(_fmt(x) for x in v)
+    lines.extend(map("{:.17g}".format, v.tolist()))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -28,14 +28,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
-from .blocklinalg import (
-    BlockCsrMatrix,
-    BlockPattern,
-    PointCsrMatrix,
-    assemble_point_csr,
-    block_transpose_matvec,
-)
+from .blocklinalg import BlockCsrMatrix, BlockPattern, block_transpose_matvec
 from .errors import InvertedElement, LineSearchFailure
 from .kkt import KktFactors, KktOperator, KktSystem, SystemDims, assemble_Byy, materialize_dense
 
@@ -229,13 +224,12 @@ class ShockTrackProblem1d:
         return np.ones_like(u) if self.source_on else np.zeros_like(u)
 
 
-def _selection_matrix(n_x: int) -> PointCsrMatrix:
+def _selection_matrix(n_x: int) -> scipy.sparse.csr_matrix:
     """dphi/dy: inserts the pinned endpoints, passes interior nodes through."""
-    triplets = [(i, i - 1, 1.0) for i in range(1, n_x - 1)]
-    return assemble_point_csr(triplets, n_x, n_x - 2)
+    return scipy.sparse.eye(n_x, n_x - 2, k=-1, format="csr")
 
 
-def _assemble_elasticity(problem: ShockTrackProblem1d) -> PointCsrMatrix:
+def _assemble_elasticity(problem: ShockTrackProblem1d) -> scipy.sparse.csr_matrix:
     """Linear elasticity stiffness on the full mesh coefficient space.
 
     Element contribution (1/h0) * stiffness, with the modulus 1/h0 inversely
@@ -251,16 +245,16 @@ def _assemble_elasticity(problem: ShockTrackProblem1d) -> PointCsrMatrix:
     qb = problem.basis(problem.q)
     k_loc = (qb.D.T @ (problem.quad_wts[:, None] * qb.D)) / problem.h0**2
     k_loc = 0.5 * (k_loc + k_loc.T)
-    triplets = []
-    for e in range(problem.n_elem):
-        idx = problem.elem_x[e]
-        for a in range(problem.q + 1):
-            for b in range(problem.q + 1):
-                triplets.append((int(idx[a]), int(idx[b]), k_loc[a, b]))
-    return assemble_point_csr(triplets, problem.n_x, problem.n_x)
+    idx = problem.elem_x
+    shape = (problem.n_elem,) + k_loc.shape
+    rows = np.broadcast_to(idx[:, :, None], shape).ravel()
+    cols = np.broadcast_to(idx[:, None, :], shape).ravel()
+    vals = np.broadcast_to(k_loc, shape).ravel()
+    # tocsr sums the entries of nodes shared by two elements.
+    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(problem.n_x, problem.n_x)).tocsr()
 
 
-def elasticity_D(problem: ShockTrackProblem1d) -> PointCsrMatrix:
+def elasticity_D(problem: ShockTrackProblem1d) -> scipy.sparse.csr_matrix:
     return problem._elasticity
 
 
@@ -270,7 +264,7 @@ def phi_map(problem: ShockTrackProblem1d, y: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], y, [1.0]])
 
 
-def dphi_dy(problem: ShockTrackProblem1d) -> PointCsrMatrix:
+def dphi_dy(problem: ShockTrackProblem1d) -> scipy.sparse.csr_matrix:
     return problem._dphidy
 
 
@@ -315,41 +309,23 @@ def dg_residual(problem: ShockTrackProblem1d, u, x, test_degree: int) -> np.ndar
 
 
 def _tridiag_block_csr(n: int, row_size: int, col_size: int, diag, sub, sup) -> BlockCsrMatrix:
-    """Assemble a block tridiagonal matrix from per-element block stacks."""
-    row_ptr = [0]
-    col_idx: list[int] = []
-    blocks: list[np.ndarray] = []
-    for e in range(n):
-        if e > 0:
-            col_idx.append(e - 1)
-            blocks.append(sub[e])
-        col_idx.append(e)
-        blocks.append(diag[e])
-        if e < n - 1:
-            col_idx.append(e + 1)
-            blocks.append(sup[e])
-        row_ptr.append(len(col_idx))
-    pat = BlockPattern(
-        np.full(n, row_size), np.full(n, col_size), np.array(row_ptr), np.array(col_idx)
-    )
-    return BlockCsrMatrix(pat, blocks)
+    """Assemble a block tridiagonal matrix from per-element block stacks; the
+    sub block of the first row and the super block of the last are dropped."""
+    cols = np.arange(n)[:, None] + np.arange(-1, 2)
+    keep = (cols >= 0) & (cols < n)
+    blocks = np.stack([sub, diag, sup], axis=1)[keep]
+    row_ptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    pat = BlockPattern(np.full(n, row_size), np.full(n, col_size), row_ptr, cols[keep])
+    return BlockCsrMatrix(pat, list(blocks))
 
 
-def _mesh_column_block_csr(problem: ShockTrackProblem1d, row_size: int, dx_blocks) -> BlockCsrMatrix:
-    """Block rows = elements, point columns = mesh coefficients."""
-    n = problem.n_elem
-    row_ptr = [0]
-    col_idx: list[int] = []
-    blocks: list[np.ndarray] = []
-    for e in range(n):
-        for l in range(problem.q + 1):
-            col_idx.append(int(problem.elem_x[e, l]))
-            blocks.append(dx_blocks[e][:, l : l + 1])
-        row_ptr.append(len(col_idx))
-    pat = BlockPattern(
-        np.full(n, row_size), np.ones(problem.n_x, dtype=int), np.array(row_ptr), np.array(col_idx)
-    )
-    return BlockCsrMatrix(pat, blocks)
+def _mesh_column_csr(problem: ShockTrackProblem1d, vals: np.ndarray) -> scipy.sparse.csr_matrix:
+    """Rows grouped by element, columns the mesh coefficients: vals[e, i, l]
+    is the entry in row i of element e and column elem_x[e, l]."""
+    n, rows_per_elem, width = vals.shape
+    cols = np.broadcast_to(problem.elem_x[:, None, :], vals.shape).ravel()
+    row_ptr = np.arange(0, vals.size + 1, width)
+    return scipy.sparse.csr_matrix((vals.ravel(), cols, row_ptr), shape=(n * rows_per_elem, problem.n_x))
 
 
 def _jacobian_for_degree(problem: ShockTrackProblem1d, ue, gx, test_degree: int):
@@ -390,11 +366,11 @@ def dg_jacobians(problem: ShockTrackProblem1d, u, x):
 
     diag, sub, sup, dx = _jacobian_for_degree(problem, ue, gx, problem.p)
     Ju = _tridiag_block_csr(n, n_p, n_p, diag, sub, sup)
-    drdx = _mesh_column_block_csr(problem, n_p, dx)
+    drdx = _mesh_column_csr(problem, dx)
 
     diag, sub, sup, dx = _jacobian_for_degree(problem, ue, gx, problem.p + 1)
     dRdu = _tridiag_block_csr(n, n_t, n_p, diag, sub, sup)
-    dRdx = _mesh_column_block_csr(problem, n_t, dx)
+    dRdx = _mesh_column_csr(problem, dx)
     return Ju, dRdu, dRdx, drdx
 
 
@@ -409,11 +385,14 @@ def mesh_distortion(problem: ShockTrackProblem1d, x):
     rmsh = h / h0 + h0 / h - 2.0
     drmsh_dh = 1.0 / h0 - h0 / h**2
     dh_dx = np.einsum("g,eg,gl->el", w, np.sign(gx), qb.D)
-    triplets = []
-    for e in range(problem.n_elem):
-        for l in range(problem.q + 1):
-            triplets.append((e, int(problem.elem_x[e, l]), drmsh_dh[e] * dh_dx[e, l]))
-    return rmsh, assemble_point_csr(triplets, problem.n_elem, problem.n_x)
+    return rmsh, _mesh_column_csr(problem, (drmsh_dh[:, None] * dh_dx)[:, None, :])
+
+
+def _gradient(problem: ShockTrackProblem1d, R, rmsh, dRdu, dRdx, dRmshdx, kappa: float) -> np.ndarray:
+    """Gradient of f = 1/2 ||R||^2 + kappa^2/2 ||R_msh||^2 with respect to (u, y)."""
+    gu = block_transpose_matvec(dRdu, R)
+    gx_full = dRdx.T @ R + kappa**2 * (dRmshdx.T @ rmsh)
+    return np.concatenate([gu, problem._dphidy.T @ gx_full])
 
 
 def objective_and_gradient(problem: ShockTrackProblem1d, u, y, kappa: float):
@@ -423,10 +402,7 @@ def objective_and_gradient(problem: ShockTrackProblem1d, u, y, kappa: float):
     rmsh, dRmshdx = mesh_distortion(problem, x)
     _, dRdu, dRdx, _ = dg_jacobians(problem, u, x)
     f = 0.5 * (R @ R) + kappa**2 * 0.5 * (rmsh @ rmsh)
-    gu = block_transpose_matvec(dRdu, R)
-    gx_full = block_transpose_matvec(dRdx, R) + kappa**2 * (dRmshdx.to_scipy().T @ rmsh)
-    gy = problem._dphidy.to_scipy().T @ gx_full
-    return f, np.concatenate([gu, gy])
+    return f, _gradient(problem, R, rmsh, dRdu, dRdx, dRmshdx, kappa)
 
 
 @dataclass(frozen=True)
@@ -475,10 +451,7 @@ def build_kkt(
     Ju, dRdu, dRdx, drdx = dg_jacobians(problem, state.u, x)
     rmsh, dRmshdx = mesh_distortion(problem, x)
 
-    gu = block_transpose_matvec(dRdu, R)
-    gx_full = block_transpose_matvec(dRdx, R) + kappa**2 * (dRmshdx.to_scipy().T @ rmsh)
-    gy = problem._dphidy.to_scipy().T @ gx_full
-    g = np.concatenate([gu, gy])
+    g = _gradient(problem, R, rmsh, dRdu, dRdx, dRmshdx, kappa)
 
     factors = KktFactors(
         Ju=Ju,
@@ -517,8 +490,7 @@ def tracked_state(problem: ShockTrackProblem1d, kappa: float = 1e-7, gamma: floa
     j = int(interior[np.argmin(np.abs(x[interior] - SHOCK_POSITION))])
     x[j] = SHOCK_POSITION
     if problem.q == 2:
-        for e in range(n):
-            x[2 * e + 1] = 0.5 * (x[2 * e] + x[2 * e + 2])
+        x[1::2] = 0.5 * (x[:-1:2] + x[2::2])
 
     xe = x[problem.elem_x]
     sol_pos = xe @ problem._mesh_at_sol.T

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from kktprecond import ShockTrackProblem1d, build_kkt, run_sqp
-from kktprecond.blocklinalg import BlockCsrMatrix, PointCsrMatrix
+from kktprecond.blocklinalg import BlockCsrMatrix
 from kktprecond.conprec import build_at_preconditioner
 from kktprecond.kkt import KktOperator, KktSystem, assemble_Byy, reference_solution
 from kktprecond.krylov import EXACT_SOLUTION, GmresConfig, gmres_solve
@@ -62,11 +62,9 @@ def singular_system(sys):
     """Copy of the zero-coupling system with column 0 of dPhidy zeroed: Byy
     row and column 0 and Jy column 0 vanish, so the KKT matrix and the exact
     Byy are exactly singular."""
-    phi = sys.factors.dPhidy.to_scipy().tolil()
+    phi = sys.factors.dPhidy.tolil()
     phi[:, 0] = 0.0
-    factors = dataclasses.replace(
-        zero_coupling_system(sys).factors, dPhidy=PointCsrMatrix.from_scipy(phi.tocsr())
-    )
+    factors = dataclasses.replace(zero_coupling_system(sys).factors, dPhidy=phi.tocsr())
     return KktSystem(factors, sys.g, sys.r, assemble_Byy(factors), dims=sys.dims)
 
 

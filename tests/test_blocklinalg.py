@@ -7,22 +7,13 @@ import scipy.sparse
 from kktprecond.blocklinalg import (
     BlockCsrMatrix,
     BlockPattern,
-    PointCsrMatrix,
-    assemble_point_csr,
-    block_matvec,
     block_to_scipy,
-    block_transpose,
     block_transpose_matvec,
     dense_lu_factor,
     densify,
     sparse_lu,
 )
-from kktprecond.errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    PatternViolation,
-    SingularBlock,
-)
+from kktprecond.errors import DimensionMismatch, PatternViolation, SingularBlock
 
 
 def block_diag_pattern(sizes):
@@ -108,16 +99,9 @@ def test_validation_names_the_first_bad_row_or_block():
     # Row 1 is empty, row 2 repeats a column, row 3 is out of range.
     with pytest.raises(PatternViolation, match="block row 2:"):
         BlockPattern([1] * 4, [1] * 4, [0, 1, 1, 3, 4], [0, 1, 1, 4])
-    with pytest.raises(PatternViolation, match="^row 2:"):
-        PointCsrMatrix(4, 4, [0, 1, 1, 3, 4], [0, 2, 1, 4], np.zeros(4))
     pat = BlockPattern([1, 2], [1, 2], [0, 1, 3], [0, 0, 1])
     with pytest.raises(DimensionMismatch, match=r"block \(1,1\) has shape \(2, 1\), expected \(2, 2\)"):
         BlockCsrMatrix(pat, [np.zeros((1, 1)), np.zeros((2, 1)), np.zeros((2, 1))])
-
-
-def test_point_csr_rejects_decreasing_row_ptr():
-    with pytest.raises(PatternViolation):
-        PointCsrMatrix(2, 2, [0, 2, 1], [0], [1.0])
 
 
 def test_block_shape_checked_against_pattern():
@@ -132,21 +116,21 @@ def test_block_index_lookup():
     assert pat.block_index(2, 0) is None
 
 
-# Matvec kernels -------------------------------------------------------------
+# Matvec kernels: a block product goes through the scalar CSR view ----------
 
 
 def test_block_matvec_identity_pattern():
     pat = block_diag_pattern(np.array([2, 3]))
     A = BlockCsrMatrix(pat, [np.eye(2), np.eye(3)])
     v = np.arange(5.0)
-    np.testing.assert_array_equal(block_matvec(A, v), v)
+    np.testing.assert_array_equal(block_to_scipy(A) @ v, v)
 
 
 def test_block_matvec_antidiagonal_swaps_subvectors():
     pat = BlockPattern([2, 2], [2, 2], [0, 1, 2], [1, 0])
     A = BlockCsrMatrix(pat, [np.eye(2), np.eye(2)])
     v = np.array([1.0, 2.0, 3.0, 4.0])
-    np.testing.assert_array_equal(block_matvec(A, v), [3.0, 4.0, 1.0, 2.0])
+    np.testing.assert_array_equal(block_to_scipy(A) @ v, [3.0, 4.0, 1.0, 2.0])
 
 
 def test_block_matvec_matches_dense_oracle():
@@ -154,14 +138,7 @@ def test_block_matvec_matches_dense_oracle():
     A = random_block_tridiagonal(4, 3, rng)
     v = rng.standard_normal(12)
     expect = densify(A) @ v
-    np.testing.assert_allclose(block_matvec(A, v), expect, rtol=1e-13)
-
-
-def test_block_matvec_rejects_wrong_length():
-    pat = block_diag_pattern(np.array([2]))
-    A = BlockCsrMatrix(pat, [np.eye(2)])
-    with pytest.raises(DimensionMismatch):
-        block_matvec(A, np.zeros(3))
+    np.testing.assert_allclose(block_to_scipy(A) @ v, expect, rtol=1e-13)
 
 
 def test_transpose_matvec_symmetric_matches_matvec():
@@ -180,7 +157,7 @@ def test_transpose_matvec_symmetric_matches_matvec():
     np.testing.assert_array_equal(dense, dense.T)
     v = rng.standard_normal(8)
     np.testing.assert_allclose(
-        block_transpose_matvec(sym, v), block_matvec(sym, v), rtol=1e-13
+        block_transpose_matvec(sym, v), block_to_scipy(sym) @ v, rtol=1e-13
     )
 
 
@@ -207,59 +184,6 @@ def test_transpose_matvec_property():
         np.testing.assert_allclose(
             block_transpose_matvec(A, v), densify(A).T @ v, rtol=1e-12, atol=1e-13
         )
-
-
-def test_block_transpose_round_trip_and_dense_agreement():
-    rng = np.random.default_rng(17)
-    A = random_block_tridiagonal(5, 2, rng)
-    At = block_transpose(A)
-    np.testing.assert_array_equal(densify(At), densify(A).T)
-    np.testing.assert_array_equal(densify(block_transpose(At)), densify(A))
-
-
-# Point CSR assembly ---------------------------------------------------------
-
-
-def test_assemble_sums_duplicates():
-    A = assemble_point_csr([(0, 0, 1.0), (0, 0, 2.0)], 1, 1)
-    assert A.row_ptr.tolist() == [0, 1]
-    np.testing.assert_array_equal(A.values, [3.0])
-
-
-def test_assemble_empty_triplets():
-    A = assemble_point_csr([], 2, 2)
-    assert A.row_ptr.tolist() == [0, 0, 0]
-    np.testing.assert_array_equal(A.toarray(), np.zeros((2, 2)))
-
-
-def test_assemble_fem_stiffness_two_elements():
-    # 1D stiffness on two elements of length h = 0.5 with modulus 1/h: each
-    # element contributes (1/h) [[1,-1],[-1,1]] = [[2,-2],[-2,2]], and the
-    # shared node sums to 4.
-    h = 0.5
-    k_loc = (1.0 / h) * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    triplets = []
-    for e in range(2):
-        for a in range(2):
-            for b in range(2):
-                triplets.append((e + a, e + b, k_loc[a, b]))
-    A = assemble_point_csr(triplets, 3, 3)
-    expect = np.array([[2.0, -2.0, 0.0], [-2.0, 4.0, -2.0], [0.0, -2.0, 2.0]])
-    np.testing.assert_array_equal(A.toarray(), expect)
-
-
-def test_assemble_rejects_out_of_range():
-    with pytest.raises(IndexOutOfRange):
-        assemble_point_csr([(2, 0, 1.0)], 2, 2)
-
-
-def test_point_csr_matvec_and_scipy_round_trip():
-    rng = np.random.default_rng(19)
-    dense = rng.standard_normal((4, 6)) * (rng.random((4, 6)) < 0.4)
-    A = PointCsrMatrix.from_scipy(scipy.sparse.csr_matrix(dense))
-    v = rng.standard_normal(6)
-    np.testing.assert_allclose(A.matvec(v), dense @ v, rtol=1e-13, atol=1e-14)
-    np.testing.assert_array_equal(A.to_scipy().toarray(), A.toarray())
 
 
 def test_block_to_scipy_matches_densify():

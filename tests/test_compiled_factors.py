@@ -7,7 +7,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kktprecond.blocklinalg import BlockCsrMatrix, BlockPattern, PointCsrMatrix, block_to_scipy, densify, permuted_lu
+from kktprecond.blocklinalg import BlockCsrMatrix, BlockPattern, block_to_scipy, densify, permuted_lu
 from kktprecond.conprec import CATALOG, build_at_preconditioner, point_ilu0_factor
 from kktprecond.dgprecond import bilu0_factor, build_block_jacobi, mdf_order
 from kktprecond.errors import DimensionMismatch
@@ -47,7 +47,7 @@ def test_compiled_solves_match_dense_oracles(A, trans):
     dense = densify(A)
     n = dense.shape[0]
     v = np.random.default_rng(n).standard_normal(n)
-    ilu = point_ilu0_factor(PointCsrMatrix.from_scipy(block_to_scipy(A)))
+    ilu = point_ilu0_factor(block_to_scipy(A))
     factors = (
         (build_block_jacobi(A), lambda F: ju_matrix(F, dense)),
         (bilu0_factor(A, mdf_order(A)), bilu_matrix),

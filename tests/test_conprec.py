@@ -7,7 +7,7 @@ import scipy.sparse
 
 import kktprecond.conprec as conprec
 from conftest import count_iterations
-from kktprecond.blocklinalg import BlockCsrMatrix, BlockPattern, PointCsrMatrix, block_matvec
+from kktprecond.blocklinalg import BlockCsrMatrix, BlockPattern, block_to_scipy
 from kktprecond.conprec import (
     CATALOG,
     AtPreconditioner,
@@ -19,6 +19,7 @@ from kktprecond.conprec import (
 )
 from kktprecond.errors import (
     DimensionMismatch,
+    PatternViolation,
     SingularBlock,
     SingularSchurComplement,
     UnknownPreconditioner,
@@ -36,7 +37,7 @@ def single_block(arr):
 
 
 def point(arr):
-    return PointCsrMatrix.from_scipy(scipy.sparse.csr_matrix(np.asarray(arr, dtype=float)))
+    return scipy.sparse.csr_matrix(np.asarray(arr, dtype=float))
 
 
 class DenseLu:
@@ -68,8 +69,8 @@ def tiny_system(rng):
     f = KktFactors(
         Ju=single_block(rng.standard_normal((2, 2)) + 3.0 * np.eye(2)),
         dRdu=single_block(rng.standard_normal((3, 2))),
-        dRdx=single_block(rng.standard_normal((3, 3))),
-        drdx=single_block(rng.standard_normal((2, 3))),
+        dRdx=point(rng.standard_normal((3, 3))),
+        drdx=point(rng.standard_normal((2, 3))),
         dRmshdx=point(rng.standard_normal((1, 3))),
         dPhidy=point(np.array([[0.0], [1.0], [0.0]])),
         D=point(np.eye(3)),
@@ -129,7 +130,7 @@ def test_constraint_rows_reproduced_for_exact_jacobian(sys8_k1):
     n_u, n_y = P.n_u, P.n_y
     v = rng.standard_normal(P.dimension)
     w = apply_at_inverse(P, v)
-    lhs = block_matvec(sys8_k1.factors.Ju, w[:n_u]) + sys8_k1.Jy @ w[n_u : n_u + n_y]
+    lhs = block_to_scipy(sys8_k1.factors.Ju) @ w[:n_u] + sys8_k1.Jy @ w[n_u : n_u + n_y]
     np.testing.assert_allclose(lhs, v[n_u + n_y :], rtol=1e-10, atol=1e-12)
 
 
@@ -199,8 +200,7 @@ def grid_laplacian(m):
 
 def test_point_ilu0_drops_fill_yet_beats_jacobi():
     A = grid_laplacian(4)
-    B = PointCsrMatrix.from_scipy(A)
-    F = point_ilu0_factor(B)
+    F = point_ilu0_factor(A)
     defect = np.linalg.norm(point_ilu0_matrix(F) - A.toarray())
     assert defect > 1e-8
 
@@ -209,7 +209,7 @@ def test_point_ilu0_drops_fill_yet_beats_jacobi():
     op = LinearOperator.from_matrix(A.toarray())
     cfg = GmresConfig(tol=1e-8, max_iters=100)
     it_ilu = gmres_solve(op, b, Preconditioner(16, F.solve), cfg).iterations
-    it_jac = gmres_solve(op, b, Preconditioner(16, point_jacobi(B).solve), cfg).iterations
+    it_jac = gmres_solve(op, b, Preconditioner(16, point_jacobi(A).solve), cfg).iterations
     assert it_ilu < it_jac
 
 
@@ -218,8 +218,16 @@ def test_point_ilu0_missing_diagonal_raises():
         point_ilu0_factor(point(np.array([[0.0, 1.0], [1.0, 0.0]])))
 
 
+def test_point_ilu0_rejects_non_canonical_csr():
+    # Row 0 lists column 1 before column 0, so the entries stored before the
+    # diagonal would not be the strict lower part the elimination takes them for.
+    B = scipy.sparse.csr_matrix(([1.0, 4.0, 1.0, 4.0], [1, 0, 0, 1], [0, 2, 4]), shape=(2, 2))
+    with pytest.raises(PatternViolation):
+        point_ilu0_factor(B)
+
+
 def test_point_ilu0_zero_stored_pivot_raises():
-    B = PointCsrMatrix(2, 2, [0, 2, 4], [0, 1, 0, 1], [0.0, 1.0, 1.0, 0.0])
+    B = scipy.sparse.csr_matrix(([0.0, 1.0, 1.0, 0.0], [0, 1, 0, 1], [0, 2, 4]), shape=(2, 2))
     with pytest.raises(ZeroPivot):
         point_ilu0_factor(B)
 

@@ -1,11 +1,13 @@
 """KKT system assembly, matrix-free action, and sparsity accounting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse
 
 from conftest import singular_system
-from kktprecond.blocklinalg import BlockCsrMatrix, BlockPattern, PointCsrMatrix, densify
+from kktprecond.blocklinalg import BlockCsrMatrix, BlockPattern, densify
 from kktprecond.errors import DimensionMismatch, SingularSystem, SizeCapExceeded
 from kktprecond.kkt import (
     KktFactors,
@@ -31,7 +33,7 @@ def single_block(arr):
 
 
 def point(arr):
-    return PointCsrMatrix.from_scipy(scipy.sparse.csr_matrix(np.asarray(arr, dtype=float)))
+    return scipy.sparse.csr_matrix(np.asarray(arr, dtype=float))
 
 
 def tiny_factors(rng=None, kappa=0.5, gamma=0.25):
@@ -40,8 +42,8 @@ def tiny_factors(rng=None, kappa=0.5, gamma=0.25):
     return KktFactors(
         Ju=single_block(rng.standard_normal((2, 2)) + 2.0 * np.eye(2)),
         dRdu=single_block(rng.standard_normal((3, 2))),
-        dRdx=single_block(rng.standard_normal((3, 3))),
-        drdx=single_block(rng.standard_normal((2, 3))),
+        dRdx=point(rng.standard_normal((3, 3))),
+        drdx=point(rng.standard_normal((2, 3))),
         dRmshdx=point(rng.standard_normal((1, 3))),
         dPhidy=point(np.array([[0.0], [1.0], [0.0]])),
         D=point(np.eye(3) + 0.1),
@@ -56,7 +58,7 @@ def tiny_factors(rng=None, kappa=0.5, gamma=0.25):
 def test_byy_zero_when_all_terms_vanish():
     rng = np.random.default_rng(1)
     f = tiny_factors(rng, kappa=0.0, gamma=0.0)
-    f.dRdx = single_block(np.zeros((3, 3)))
+    f.dRdx = point(np.zeros((3, 3)))
     np.testing.assert_array_equal(assemble_Byy(f).toarray(), np.zeros((1, 1)))
 
 
@@ -66,8 +68,8 @@ def test_byy_reduces_to_elasticity():
     f = KktFactors(
         Ju=single_block(np.eye(2)),
         dRdu=single_block(rng.standard_normal((3, 2))),
-        dRdx=single_block(np.zeros((3, 3))),
-        drdx=single_block(rng.standard_normal((2, 3))),
+        dRdx=point(np.zeros((3, 3))),
+        drdx=point(rng.standard_normal((2, 3))),
         dRmshdx=point(np.zeros((1, 3))),
         dPhidy=point(np.eye(3)),
         D=point(D),
@@ -111,8 +113,8 @@ def test_matvec_byy_only_identity():
     f = KktFactors(
         Ju=single_block(np.zeros((2, 2))),
         dRdu=single_block(np.zeros((3, 2))),
-        dRdx=single_block(np.zeros((3, 3))),
-        drdx=single_block(np.zeros((2, 3))),
+        dRdx=point(np.zeros((3, 3))),
+        drdx=point(np.zeros((2, 3))),
         dRmshdx=point(np.zeros((1, 3))),
         dPhidy=point(np.array([[0.0], [1.0], [0.0]])),
         D=point(np.zeros((3, 3))),
@@ -198,8 +200,8 @@ def test_dense_zero_factors_give_zero_matrix():
     f = KktFactors(
         Ju=single_block(np.zeros((2, 2))),
         dRdu=single_block(np.zeros((3, 2))),
-        dRdx=single_block(np.zeros((3, 3))),
-        drdx=single_block(np.zeros((2, 3))),
+        dRdx=point(np.zeros((3, 3))),
+        drdx=point(np.zeros((2, 3))),
         dRmshdx=point(np.zeros((1, 3))),
         dPhidy=point(np.array([[0.0], [1.0], [0.0]])),
         D=point(np.zeros((3, 3))),
@@ -315,6 +317,21 @@ def test_factor_validation_rejects_inconsistent_shapes():
             kappa=-1.0,
             gamma=0.0,
         )
+
+
+def test_scalar_factors_are_made_canonical_csr():
+    f = tiny_factors()
+    # Unsorted columns and a repeated entry in row 0.
+    D = scipy.sparse.csr_matrix(([1.0, 2.0, 0.5, 4.0], [2, 0, 2, 1], [0, 3, 3, 4]), shape=(3, 3))
+    assert not D.has_canonical_format
+    g = dataclasses.replace(f, D=D)
+    assert isinstance(g.D, scipy.sparse.csr_matrix) and g.D.has_canonical_format
+    np.testing.assert_array_equal(g.D.toarray(), [[2.0, 0.0, 1.5], [0.0, 0.0, 0.0], [0.0, 4.0, 0.0]])
+    assert D.indices.tolist() == [2, 0, 2, 1]  # the caller's matrix is left alone
+    sys = KktSystem(g, np.zeros(3), np.zeros(2), scipy.sparse.coo_matrix(assemble_Byy(g)))
+    assert isinstance(sys.Byy, scipy.sparse.csr_matrix) and sys.Byy.has_canonical_format
+    with pytest.raises(TypeError):
+        dataclasses.replace(f, dRdx=f.Ju)
 
 
 def test_system_validation_rejects_wrong_vector_lengths():

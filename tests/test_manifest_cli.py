@@ -8,10 +8,12 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import kktprecond
 from conftest import singular_system, zero_coupling_system
-from kktprecond.cli import CSV_COLUMNS, main
+from kktprecond.blocklinalg import BlockCsrMatrix
+from kktprecond.cli import CATALOG, CSV_COLUMNS, main
 from kktprecond.errors import ManifestError
 from kktprecond.kkt import KktOperator, materialize_dense
 from kktprecond.manifest import export_system, import_system
@@ -132,22 +134,71 @@ def test_cli_solve_unknown_preconditioner(sys8_k1, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "fname, damage",
+    "fname, line, damage",
     [
-        ("ju.mtx", lambda fields: fields[:2]),
-        ("ju.mtx", lambda fields: fields[:2] + ["x"]),
-        ("g.mtx", lambda fields: ["x"]),
-        ("g.mtx", lambda fields: fields * 2),
+        ("ju.mtx", -1, lambda fields: fields[:2]),
+        ("ju.mtx", -1, lambda fields: fields[:2] + ["x"]),
+        ("g.mtx", -1, lambda fields: ["x"]),
+        ("g.mtx", -1, lambda fields: fields * 2),
+        # Line 1 of ju.mtx is "%%block-sizes rows=2,2,... cols=2,2,..." (p=1).
+        ("ju.mtx", 1, lambda fields: [fields[0], "rows=x" + fields[1][6:], fields[2]]),
+        ("ju.mtx", 1, lambda fields: fields[:2]),
+        ("ju.mtx", 1, lambda fields: [fields[0], "rows=0,4" + fields[1][8:], fields[2]]),
     ],
-    ids=["matrix-missing-field", "matrix-non-numeric", "vector-non-numeric", "vector-extra-field"],
+    ids=[
+        "matrix-missing-field",
+        "matrix-non-numeric",
+        "vector-non-numeric",
+        "vector-extra-field",
+        "block-size-not-integer",
+        "block-sizes-missing-cols",
+        "block-size-zero",
+    ],
 )
-def test_cli_solve_malformed_matrix_market_file(sys8_k1, tmp_path, capsys, fname, damage):
+def test_cli_solve_malformed_matrix_market_file(sys8_k1, tmp_path, capsys, fname, line, damage):
     path = export_system(sys8_k1, tmp_path)
     lines = (tmp_path / fname).read_text().splitlines()
-    lines[-1] = " ".join(damage(lines[-1].split()))
+    lines[line] = " ".join(damage(lines[line].split()))
     (tmp_path / fname).write_text("\n".join(lines) + "\n")
     assert main(["solve", path, "--precond", "A0"]) == 2
     assert "malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fname", ["ju.mtx", "dRdu.mtx"])
+def test_cli_solve_block_factor_without_block_sizes_exits_2(sys8_k1, tmp_path, capsys, fname):
+    path = export_system(sys8_k1, tmp_path)
+    lines = (tmp_path / fname).read_text().splitlines()
+    assert lines[1].startswith("%%block-sizes")
+    (tmp_path / fname).write_text("\n".join(lines[:1] + lines[2:]) + "\n")
+    for precond in ("A0", "BJ", "BILU"):
+        assert main(["solve", path, "--precond", precond]) == 2
+        assert "has no %%block-sizes line" in capsys.readouterr().err
+
+
+def test_cli_solves_block_tagged_mesh_jacobians_as_before(sys8_k1, tmp_path, capsys):
+    # Older manifests wrote dRdx.mtx and drdx.mtx as block matrices, one block
+    # row per element and one column per block; they import as their scalar
+    # view and give the same CSV rows.
+    dims = sys8_k1.dims
+    path = export_system(sys8_k1, tmp_path)
+    outputs = []
+    for tagged in (False, True):
+        if tagged:
+            for fname, rows_per_elem in (("dRdx.mtx", dims.p + 2), ("drdx.mtx", dims.p + 1)):
+                lines = (tmp_path / fname).read_text().splitlines()
+                rows = ",".join([str(rows_per_elem)] * dims.n_elem)
+                lines.insert(1, f"%%block-sizes rows={rows} cols={','.join(['1'] * dims.n_x)}")
+                (tmp_path / fname).write_text("\n".join(lines) + "\n")
+            assert isinstance(read_matrix(tmp_path / "dRdx.mtx"), BlockCsrMatrix)
+        for precond in CATALOG:
+            assert main(["solve", path, "--precond", precond]) == 0
+            outputs.append(capsys.readouterr().out)
+    assert outputs[len(CATALOG) :] == outputs[: len(CATALOG)]
+    loaded = import_system(path)
+    for name in ("dRdx", "drdx"):
+        got, want = getattr(loaded.factors, name), getattr(sys8_k1.factors, name)
+        assert isinstance(got, scipy.sparse.csr_matrix)
+        assert (got != want).nnz == 0 and got.nnz == want.nnz
 
 
 @pytest.mark.parametrize("precond", ["A0", "A0-p0", "BJ", "BILU"])

@@ -2,14 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kktprecond.blocklinalg import (
-    BlockCsrMatrix,
-    BlockPattern,
-    PointCsrMatrix,
-    assemble_point_csr,
-    densify,
-)
+from kktprecond.blocklinalg import BlockCsrMatrix, BlockPattern, densify
 from kktprecond.errors import ManifestError
 from kktprecond.mmio import read_matrix, read_vector, write_matrix, write_vector
 
@@ -25,16 +22,17 @@ def awkward_values(n, rng):
 def test_point_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(1)
     vals = awkward_values(9, rng)
-    triplets = [(i % 4, (3 * i) % 5, v) for i, v in enumerate(vals)]
-    A = assemble_point_csr(triplets, 4, 5)
+    rows = np.arange(9) % 4
+    cols = (3 * np.arange(9)) % 5
+    A = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(4, 5))
     path = tmp_path / "a.mtx"
     write_matrix(path, A)
     B = read_matrix(path)
-    assert isinstance(B, PointCsrMatrix)
+    assert isinstance(B, scipy.sparse.csr_matrix)
     assert B.shape == A.shape
-    np.testing.assert_array_equal(B.row_ptr, A.row_ptr)
-    np.testing.assert_array_equal(B.col_idx, A.col_idx)
-    np.testing.assert_array_equal(B.values, A.values)
+    np.testing.assert_array_equal(B.indptr, A.indptr)
+    np.testing.assert_array_equal(B.indices, A.indices)
+    np.testing.assert_array_equal(B.data, A.data)
 
 
 def test_block_round_trip_preserves_pattern_and_values(tmp_path):
@@ -83,12 +81,12 @@ def test_file_layout_banner_sidecar_one_based(tmp_path):
 
 
 def test_point_file_has_no_sidecar(tmp_path):
-    A = assemble_point_csr([(0, 1, 2.0)], 2, 2)
+    A = scipy.sparse.csr_matrix(([2.0], ([0], [1])), shape=(2, 2))
     path = tmp_path / "p.mtx"
     write_matrix(path, A)
     lines = path.read_text().splitlines()
     assert not any(line.startswith("%%block-sizes") for line in lines[1:])
-    assert isinstance(read_matrix(path), PointCsrMatrix)
+    assert isinstance(read_matrix(path), scipy.sparse.csr_matrix)
 
 
 def test_vector_round_trip_is_exact(tmp_path):
@@ -209,3 +207,89 @@ def test_vector_reader_rejects_malformed_lines(tmp_path, text):
     path.write_text("%%MatrixMarket matrix array real general\n" + text)
     with pytest.raises(ManifestError):
         read_vector(path)
+
+
+def test_point_reader_last_repeated_entry_wins(tmp_path):
+    path = tmp_path / "rp.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix coordinate real general\n2 3 5\n1 2 1.0\n2 3 7.0\n1 2 9.0\n2 1 4.0\n1 2 -2.0\n"
+    )
+    A = read_matrix(path)
+    assert isinstance(A, scipy.sparse.csr_matrix) and A.has_canonical_format
+    assert A.indptr.tolist() == [0, 1, 3]
+    assert A.indices.tolist() == [1, 0, 2]
+    np.testing.assert_array_equal(A.data, [-2.0, 4.0, 7.0])
+
+
+# The exact text the writer produced before it was vectorized.
+PINNED_BLOCK_TEXT = """\
+%%MatrixMarket matrix coordinate real general
+%%block-sizes rows=2,1 cols=1,2
+3 3 8
+1 1 1.5
+1 2 0
+1 3 0
+2 1 -2
+2 2 0
+2 3 0
+3 2 0.10000000000000001
+3 3 3
+"""
+PINNED_POINT_TEXT = """\
+%%MatrixMarket matrix coordinate real general
+3 3 3
+1 1 0
+1 3 0.33333333333333331
+3 2 -4.0000000000000001e-300
+"""
+
+
+def test_writer_bytes_are_pinned(tmp_path):
+    # Two block rows and columns with a stored all-zero block; a CSR matrix
+    # with an explicit zero and an empty row.
+    pat = BlockPattern([2, 1], [1, 2], [0, 2, 3], [0, 1, 1])
+    A = BlockCsrMatrix(pat, [np.array([[1.5], [-2.0]]), np.zeros((2, 2)), np.array([[0.1, 3.0]])])
+    P = scipy.sparse.csr_matrix(([0.0, 1.0 / 3.0, -4.0e-300], [0, 2, 1], [0, 2, 2, 3]), shape=(3, 3))
+    for M, text in ((A, PINNED_BLOCK_TEXT), (P, PINNED_POINT_TEXT)):
+        path = tmp_path / "pin.mtx"
+        write_matrix(path, M)
+        assert path.read_text() == text
+
+
+@st.composite
+def sparse_or_block_matrices(draw):
+    """A random block matrix (stored blocks may be all zero), or a random CSR
+    matrix with explicit zeros, empty rows and awkward values."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        rbs = rng.integers(1, 4, draw(st.integers(1, 4)))
+        cbs = rng.integers(1, 4, draw(st.integers(1, 4)))
+        stored = rng.random((len(rbs), len(cbs))) < 0.5
+        blocks = [awkward_values(rbs[i] * cbs[j], rng).reshape(rbs[i], cbs[j]) for i, j in zip(*np.nonzero(stored))]
+        if blocks and draw(st.booleans()):
+            blocks[0][:] = 0.0
+        row_ptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
+        return BlockCsrMatrix(BlockPattern(rbs, cbs, row_ptr, np.nonzero(stored)[1]), blocks)
+    shape = (draw(st.integers(0, 6)), draw(st.integers(1, 6)))
+    rows, cols = np.nonzero(rng.random(shape) < 0.4)
+    vals = awkward_values(len(rows), rng)
+    vals[rng.random(len(rows)) < 0.2] = 0.0
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=shape)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(sparse_or_block_matrices())
+def test_write_read_round_trip_is_exact(tmp_path_factory, A):
+    path = tmp_path_factory.mktemp("rt") / "a.mtx"
+    write_matrix(path, A)
+    B = read_matrix(path)
+    assert type(B) is type(A)
+    if isinstance(A, BlockCsrMatrix):
+        for field in ("row_block_sizes", "col_block_sizes", "row_ptr", "col_idx"):
+            np.testing.assert_array_equal(getattr(B.pattern, field), getattr(A.pattern, field))
+        assert all(np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)) for a, b in zip(A.blocks, B.blocks))
+    else:
+        assert B.shape == A.shape and B.has_canonical_format
+        np.testing.assert_array_equal(B.indptr, A.indptr)
+        np.testing.assert_array_equal(B.indices, A.indices)
+        assert np.array_equal(B.data, A.data) and np.array_equal(np.signbit(B.data), np.signbit(A.data))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from kktprecond.blocklinalg import block_transpose_matvec, densify
 from kktprecond.errors import InvertedElement
@@ -140,6 +141,20 @@ def test_linear_flux_jacobian_is_state_independent():
     Ju_a = dg_jacobians(prob, rng.standard_normal(prob.n_u), x)[0]
     Ju_b = dg_jacobians(prob, rng.standard_normal(prob.n_u), x)[0]
     np.testing.assert_array_equal(densify(Ju_a), densify(Ju_b))
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (2, 2)])
+def test_scalar_factors_are_canonical_csr_with_every_element_entry(p, q):
+    prob = ShockTrackProblem1d(6, p, q, source_on=False)
+    sys = build_kkt(prob, tracked_state(prob))
+    f = sys.factors
+    for M in (f.dRdx, f.drdx, f.dRmshdx, f.dPhidy, f.D, sys.Byy):
+        assert isinstance(M, scipy.sparse.csr_matrix) and M.has_canonical_format
+    # Without the source term the mesh-column Jacobians vanish, yet every
+    # entry of every element stays stored, as in the block layout they had.
+    assert f.dRdx.nnz == prob.n_u_enriched * (q + 1) and not f.dRdx.data.any()
+    assert f.drdx.nnz == prob.n_u * (q + 1) and not f.drdx.data.any()
+    assert f.dRmshdx.nnz == prob.n_elem * (q + 1)
 
 
 def test_jacobian_rows_are_block_tridiagonal(sys8_k1):
