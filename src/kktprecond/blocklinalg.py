@@ -10,11 +10,10 @@ scalar CSR view of a block matrix.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -24,6 +23,7 @@ __all__ = [
     "BlockPattern",
     "BlockCsrMatrix",
     "BlockLuFactor",
+    "check_trans",
     "dense_lu_factor",
     "PermutedLu",
     "permuted_lu",
@@ -147,36 +147,53 @@ class BlockCsrMatrix:
         return out
 
 
+def check_trans(trans: str) -> None:
+    """Reject a trans other than SuperLU's "N" (A x = b) and "T" (A^T x = b)."""
+    if trans not in ("N", "T"):
+        raise ValueError(f"trans must be 'N' or 'T', got {trans!r}")
+
+
 @dataclass
 class BlockLuFactor:
-    """In-place LU with partial pivoting of one square dense block."""
+    """In-place LU with partial pivoting of one square dense block, as LAPACK
+    getrf leaves it (0-based pivots)."""
 
     lu_entries: np.ndarray
     pivots: np.ndarray
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
-        """Solve A x = b, or A^T x = b for trans="T" (SuperLU's convention)."""
-        return scipy.linalg.lu_solve((self.lu_entries, self.pivots), b, trans=("N", "T").index(trans))
+        """Solve A x = b, or A^T x = b for trans="T", for a vector or a matrix
+        of right-hand sides, by LAPACK getrs."""
+        check_trans(trans)
+        b = np.asarray(b, dtype=float)
+        if b.ndim not in (1, 2) or b.shape[0] != len(self.pivots):
+            raise DimensionMismatch(f"right-hand side {b.shape} incompatible with block of order {len(self.pivots)}")
+        if b.size == 0:
+            return np.empty_like(b)
+        x, info = scipy.linalg.lapack.dgetrs(self.lu_entries, self.pivots, b, trans=int(trans == "T"))
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of getrs")
+        return x
 
 
 def dense_lu_factor(block: np.ndarray) -> BlockLuFactor:
-    """Factor one dense block as PA = LU, rejecting near-singular blocks.
+    """Factor one dense block as PA = LU by LAPACK getrf, rejecting
+    near-singular blocks.
 
     A pivot smaller than 1e-14 times the largest initial entry magnitude is
     treated as singular so downstream solves fail loudly instead of emitting
-    NaNs.
+    NaNs; an exactly zero pivot, which getrf reports, is one of these.
     """
     block = np.asarray(block, dtype=float)
     if block.ndim != 2 or block.shape[0] != block.shape[1]:
         raise DimensionMismatch(f"LU needs a square block, got {block.shape}")
-    scale = np.abs(block).max() if block.size else 0.0
-    with warnings.catch_warnings():
-        # The pivot check below turns exact singularity into a typed error, so
-        # scipy's advisory warning would only duplicate it.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(block, check_finite=False)
-    diag = np.abs(np.diag(lu))
-    if block.size and (scale == 0.0 or np.any(diag < 1e-14 * scale)):
+    if not block.size:
+        return BlockLuFactor(np.empty_like(block), np.arange(0, dtype=np.int32))
+    lu, piv, info = scipy.linalg.lapack.dgetrf(block)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrf")
+    scale = np.abs(block).max()
+    if scale == 0.0 or np.any(np.abs(np.diag(lu)) < 1e-14 * scale):
         raise SingularBlock(f"pivot below 1e-14 relative threshold (scale {scale:g})")
     return BlockLuFactor(lu, piv)
 
@@ -202,13 +219,12 @@ class PermutedLu:
         b = np.asarray(b, dtype=float)
         if b.shape != self.rows.shape:
             raise DimensionMismatch(f"vector length {b.shape} incompatible with dimension {len(self.rows)}")
+        check_trans(trans)
         x = np.empty_like(b)
         if trans == "N":
             x[self.cols] = self.upper.solve(self.lower.solve(b[self.rows]))
-        elif trans == "T":
-            x[self.rows] = self.lower.solve(self.upper.solve(b[self.cols], trans="T"), trans="T")
         else:
-            raise ValueError(f"trans must be 'N' or 'T', got {trans!r}")
+            x[self.rows] = self.lower.solve(self.upper.solve(b[self.cols], trans="T"), trans="T")
         return x
 
 

@@ -171,7 +171,8 @@ def cmd_sweep(args) -> int:
         for precond_pos, name in enumerate(preconds):
             try:
                 iters, converged = _solve_one(sys_i, name, tol, max_iters)
-            except KktPrecondError:
+            except KktPrecondError as exc:
+                print(f"error: {sys_i.case} {name}: {type(exc).__name__}: {exc}", file=sys.stderr)
                 iters, converged = max_iters, False
             rows.append(((value_pos, precond_pos), _csv_row(sys_i, name, iters, converged)))
     rows.sort(key=lambda item: item[0])

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
 
-from .blocklinalg import PermutedLu, block_to_scipy, dense_lu_factor, permuted_lu, sparse_lu
+from .blocklinalg import PermutedLu, block_to_scipy, check_trans, dense_lu_factor, permuted_lu, sparse_lu
 from .dgprecond import BiluPrec, BlockJacobiPrec, bilu0_factor, build_block_jacobi, mdf_order
 from .errors import (
     DimensionMismatch,
@@ -64,6 +65,7 @@ class PointJacobiFactor:
 
     def solve(self, v: np.ndarray, trans: str = "N") -> np.ndarray:
         """Divide by the diagonal, which is its own transpose."""
+        check_trans(trans)
         v = np.asarray(v, dtype=float)
         if v.shape != self.inv_diag.shape:
             raise DimensionMismatch(f"vector length {v.shape} incompatible with {len(self.inv_diag)}")
@@ -111,34 +113,38 @@ def point_ilu0_factor(B: scipy.sparse.csr_matrix) -> PointIlu0Factor:
     row_ptr = B.indptr.astype(np.int64)
     col_idx = B.indices.astype(np.int64)
     values = B.data.astype(float)
+    rows = np.repeat(np.arange(n), np.diff(row_ptr))
     diag_pos = np.full(n, -1, dtype=int)
-    for i in range(n):
-        sl = slice(row_ptr[i], row_ptr[i + 1])
-        hit = np.flatnonzero(col_idx[sl] == i)
-        if not hit.size:
-            raise ZeroPivot(f"row {i}: diagonal entry missing from pattern")
-        diag_pos[i] = row_ptr[i] + hit[0]
+    on_diag = np.flatnonzero(col_idx == rows)
+    diag_pos[rows[on_diag]] = on_diag
+    if np.any(diag_pos < 0):
+        raise ZeroPivot(f"row {np.argmax(diag_pos < 0)}: diagonal entry missing from pattern")
 
-    pos = {}
+    # The rows hold about four entries each, so the elimination runs on
+    # Python floats (the same IEEE operations as numpy's float64 scalars,
+    # without their per-operation overhead). where[j] is the position of
+    # (i, j) in the row i being eliminated, or -1.
+    ptr, cols, vals, diag = row_ptr.tolist(), col_idx.tolist(), values.tolist(), diag_pos.tolist()
+    where = [-1] * n
     for i in range(n):
-        for k in range(row_ptr[i], row_ptr[i + 1]):
-            pos[(i, int(col_idx[k]))] = k
-
-    for i in range(n):
-        for k in range(row_ptr[i], diag_pos[i]):
-            c = int(col_idx[k])
-            pivot = values[diag_pos[c]]
+        for t in range(ptr[i], ptr[i + 1]):
+            where[cols[t]] = t
+        for k in range(ptr[i], diag[i]):
+            c = cols[k]
+            pivot = vals[diag[c]]
             if abs(pivot) < 1e-300:
                 raise ZeroPivot(f"row {c}: zero pivot during elimination")
-            values[k] /= pivot
-            lik = values[k]
-            for kk in range(diag_pos[c] + 1, row_ptr[c + 1]):
-                j = int(col_idx[kk])
-                target = pos.get((i, j))
-                if target is not None:
-                    values[target] -= lik * values[kk]
-        if abs(values[diag_pos[i]]) < 1e-300:
+            vals[k] /= pivot
+            lik = vals[k]
+            for kk in range(diag[c] + 1, ptr[c + 1]):
+                target = where[cols[kk]]
+                if target >= 0:
+                    vals[target] -= lik * vals[kk]
+        for t in range(ptr[i], ptr[i + 1]):
+            where[cols[t]] = -1
+        if abs(vals[diag[i]]) < 1e-300:
             raise ZeroPivot(f"row {i}: zero pivot after elimination")
+    values = np.array(vals)
     S = scipy.sparse.csr_matrix((values, col_idx, row_ptr), shape=(n, n))
     natural = np.arange(n)
     L = scipy.sparse.tril(S, -1) + scipy.sparse.identity(n)
@@ -168,6 +174,12 @@ class AtPreconditioner:
     @property
     def dimension(self) -> int:
         return 2 * self.n_u + self.n_y
+
+    @cached_property
+    def Jy_T(self) -> scipy.sparse.csr_matrix:
+        """Jy^T as CSR, built on the first apply; its product adds each row
+        in ascending column order, as the transposed view of Jy would."""
+        return self.Jy.T.tocsr()
 
     def _apply_bare(self, v: np.ndarray) -> np.ndarray:
         return apply_at_inverse(self, v, bare=True)
@@ -202,7 +214,7 @@ def apply_at_inverse(P: AtPreconditioner, v: np.ndarray, bare: bool = False) -> 
     v2 = v[n_u : n_u + n_y]
     v3 = v[n_u + n_y :]
     w1 = P.ju.solve(v1, trans="T")
-    t2 = P.Jy.T @ w1
+    t2 = P.Jy_T @ w1
     w2 = P.byy.solve(v2 - t2)
     t3 = P.Jy @ w2
     w3 = P.ju.solve(v3 - t3)

@@ -170,6 +170,41 @@ def _adjacency(pat: BlockPattern):
     return out_nbrs, in_nbrs
 
 
+def _fill_table(A: BlockCsrMatrix, out_nbrs, in_nbrs) -> list[list[tuple[int, int, float]]]:
+    """Per block row k, the discarded fill triples (i, j, ||A_ik A_kk^-1 A_kj||_F^2)
+    over stored A_ik and A_kj with i, j, k distinct and A_ij not stored.
+
+    The pattern is never augmented, so the table is static; triples are
+    listed with i in in-neighbor order and j in column order.
+    """
+    pat = A.pattern
+    n = pat.n_block_rows
+    row_ptr = pat.row_ptr.tolist()
+    has_edge = {(i, j) for i in range(n) for j in out_nbrs[i]}
+    # Position of the stored block (i, j), found once per block row.
+    where = [dict(zip(out_nbrs[i], range(row_ptr[i], row_ptr[i + 1]))) for i in range(n)]
+    table = []
+    for k in range(n):
+        if k not in where[k]:
+            raise SingularBlock(f"block row {k}: diagonal block missing from pattern")
+        try:
+            diag_lu = dense_lu_factor(A.blocks[where[k][k]])
+        except SingularBlock as exc:
+            raise SingularBlock(f"block row {k}: {exc}") from exc
+        solved = {j: diag_lu.solve(A.blocks[where[k][j]]) for j in out_nbrs[k] if j != k}
+        triples = []
+        for i in in_nbrs[k]:
+            if i == k:
+                continue
+            ik = A.blocks[where[i][k]]
+            for j, akj in solved.items():
+                if j != i and (i, j) not in has_edge:
+                    fill = ik @ akj
+                    triples.append((i, j, float(np.sum(fill * fill))))
+        table.append(triples)
+    return table
+
+
 def mdf_order(A: BlockCsrMatrix) -> MdfOrdering:
     """Greedy minimum-discarded-fill ordering of the block rows.
 
@@ -179,43 +214,22 @@ def mdf_order(A: BlockCsrMatrix) -> MdfOrdering:
         w_k = sqrt( sum_{(i,j)} || A_ik A_kk^-1 A_kj ||_F^2 ),
 
     over pairs of uneliminated neighbors i != j with A_ik and A_kj stored but
-    A_ij absent from the pattern. Ties select the lowest original index. After
-    eliminating a row, only its neighbors' weights are recomputed; the pattern
-    itself is never augmented with fill.
+    A_ij absent from the pattern. Ties select the lowest original index. The
+    pattern itself is never augmented with fill, so every term is computed
+    once; after eliminating a row, only its neighbors' weights are summed
+    again over their remaining terms.
     """
     _require_square_blocks(A)
-    pat = A.pattern
-    n = pat.n_block_rows
-    out_nbrs, in_nbrs = _adjacency(pat)
-    has_edge = {(i, j) for i in range(n) for j in out_nbrs[i]}
-
-    diag_lu: list[BlockLuFactor] = []
-    for k in range(n):
-        blk = _diag_block(A, k)
-        if blk is None:
-            raise SingularBlock(f"block row {k}: diagonal block missing from pattern")
-        try:
-            diag_lu.append(dense_lu_factor(blk))
-        except SingularBlock as exc:
-            raise SingularBlock(f"block row {k}: {exc}") from exc
-
+    n = A.pattern.n_block_rows
+    out_nbrs, in_nbrs = _adjacency(A.pattern)
+    table = _fill_table(A, out_nbrs, in_nbrs)
     alive = np.ones(n, dtype=bool)
 
     def weight(k: int) -> float:
-        solved: dict[int, np.ndarray] = {}
-        for j in out_nbrs[k]:
-            if j != k and alive[j]:
-                kj = A.blocks[pat.block_index(k, j)]
-                solved[j] = diag_lu[k].solve(kj)
         total = 0.0
-        for i in in_nbrs[k]:
-            if i == k or not alive[i]:
-                continue
-            ik = A.blocks[pat.block_index(i, k)]
-            for j, akj in solved.items():
-                if j != i and (i, j) not in has_edge:
-                    fill = ik @ akj
-                    total += float(np.sum(fill * fill))
+        for i, j, f in table[k]:
+            if alive[i] and alive[j]:
+                total += f
         return float(np.sqrt(total))
 
     weights = np.array([weight(k) for k in range(n)])
@@ -235,24 +249,18 @@ def mdf_order(A: BlockCsrMatrix) -> MdfOrdering:
 
 
 def _permuted_copy(A: BlockCsrMatrix, order: np.ndarray) -> BlockCsrMatrix:
+    """P A P^T for the block row order: row m of the copy is row order[m] of
+    A, its columns renumbered the same way and sorted."""
     pat = A.pattern
     n = pat.n_block_rows
     pos = np.empty(n, dtype=int)
     pos[order] = np.arange(n)
-    row_ptr = [0]
-    col_idx: list[int] = []
-    blocks: list[np.ndarray] = []
-    for m in range(n):
-        i = order[m]
-        cols = pat.col_idx[pat.row_ptr[i] : pat.row_ptr[i + 1]]
-        entries = sorted((int(pos[j]), A.blocks[pat.block_index(i, int(j))]) for j in cols)
-        for c, blk in entries:
-            col_idx.append(c)
-            blocks.append(blk.copy())
-        row_ptr.append(len(col_idx))
+    new_cols = pos[pat.col_idx]
+    stored = np.lexsort((new_cols, pos[pat.block_rows]))
+    row_ptr = np.concatenate([[0], np.cumsum(np.diff(pat.row_ptr)[order])])
     sizes = pat.row_block_sizes[order]
-    new_pat = BlockPattern(sizes, sizes, np.array(row_ptr), np.array(col_idx))
-    return BlockCsrMatrix(new_pat, blocks)
+    new_pat = BlockPattern(sizes, sizes, row_ptr, new_cols[stored])
+    return BlockCsrMatrix(new_pat, [A.blocks[t].copy() for t in stored])
 
 
 def bilu0_factor(A: BlockCsrMatrix, ordering: MdfOrdering) -> BiluPrec:
@@ -279,23 +287,22 @@ def bilu0_factor(A: BlockCsrMatrix, ordering: MdfOrdering) -> BiluPrec:
                 raise SingularPivotBlock(f"step {k}: {exc}") from exc
         return diag_lu[k]
 
+    row_ptr = pat.row_ptr.tolist()
+    col_idx = pat.col_idx.tolist()
     for i in range(n):
-        lo, hi = pat.row_ptr[i], pat.row_ptr[i + 1]
-        row_cols = pat.col_idx[lo:hi]
-        for off, k in enumerate(row_cols):
+        lo, hi = row_ptr[i], row_ptr[i + 1]
+        where = dict(zip(col_idx[lo:hi], range(lo, hi)))
+        for t in range(lo, hi):
+            k = col_idx[t]
             if k >= i:
                 break
             # L_ik = A_ik U_kk^-1, computed via the transposed pivot solve.
-            lik = pivot_lu(int(k)).solve(work.blocks[lo + off].T, trans="T").T
-            work.blocks[lo + off] = lik
-            klo, khi = pat.row_ptr[k], pat.row_ptr[k + 1]
-            for koff in range(klo, khi):
-                j = int(pat.col_idx[koff])
-                if j <= k:
-                    continue
-                target = pat.block_index(i, j)
-                if target is not None:
-                    work.blocks[target] = work.blocks[target] - lik @ work.blocks[koff]
+            lik = pivot_lu(k).solve(work.blocks[t].T, trans="T").T
+            work.blocks[t] = lik
+            for koff in range(row_ptr[k], row_ptr[k + 1]):
+                j = col_idx[koff]
+                if j > k and j in where:
+                    work.blocks[where[j]] = work.blocks[where[j]] - lik @ work.blocks[koff]
         pivot_lu(i)
     offsets = A.pattern.row_offsets
     point_perm = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in order])

@@ -16,17 +16,27 @@ distortion residual, plus an elasticity regularization of the mesh block:
 and the constraint Jacobian is J = [J_u, J_y] with J_y = drdx dPhidy.
 B_uu and B_uy act matrix-free through their factors; B_yy is assembled because
 it loses block structure. Ju and dRdu are block matrices, whose blocks the
-preconditioners use; every other factor, B_yy and J_y are scipy CSR. The
-operator applies the scalar CSR view of the block factors, formed on the first
-product and cached on the system. The reference solution that GMRES is
-measured against is one sparse direct solve of the whole matrix, assembled
-from the same CSR factors.
+preconditioners use; every other factor, B_yy and J_y are scipy CSR.
+
+The operator is two sparse products. Products that share an operand are
+stacked row-wise into block-diagonal CSR matrices, formed on the first product
+from the scalar CSR views of the factors and cached on the system:
+
+    S1 = diag([dRdu; Ju], [G; B_yy; J_y], [Ju^T; J_y^T])   applied to (v_u, v_y, v_lambda)
+    S2 = diag(dRdu^T, G^T)                                 applied to (a + b, a)
+
+with G = dRdx dPhidy, a = dRdu v_u and b = G v_y. Each stacked matrix keeps
+its parts' arrays in stored order, so every entry of the product is the same
+float as that of the separate factor product. The reference solution that
+GMRES is measured against is one sparse direct solve of the whole matrix,
+assembled from the same CSR factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 import scipy.sparse
@@ -138,10 +148,14 @@ def assemble_Byy(factors: KktFactors) -> scipy.sparse.csr_matrix:
 
 @dataclass(frozen=True)
 class CsrFactors:
-    """Scalar CSR copies of the operator's factors, each with its transpose.
+    """Scalar CSR copies of the operator's factors, each with its transpose,
+    and the two stacked matrices the operator applies.
 
     G = dRdx dPhidy maps mesh DOFs to the enriched residual, so that
     B_uu = dRdu^T dRdu and B_uy = dRdu^T G are applied through their factors.
+    S1 = diag([dRdu; Ju], [G; Byy; Jy], [Ju^T; Jy^T]) acts on the whole
+    (v_u, v_y, v_lambda) and S2 = diag(dRdu^T, G^T) on (dRdu v_u + G v_y,
+    dRdu v_u).
     """
 
     dRdu: scipy.sparse.csr_matrix
@@ -151,6 +165,31 @@ class CsrFactors:
     Ju: scipy.sparse.csr_matrix
     Ju_T: scipy.sparse.csr_matrix
     Jy_T: scipy.sparse.csr_matrix
+    S1: scipy.sparse.csr_matrix
+    S2: scipy.sparse.csr_matrix
+
+
+def _stacked_diagonal(groups) -> scipy.sparse.csr_matrix:
+    """CSR matrix block_diag(vstack(g) for g in groups) of CSR matrices.
+
+    The arrays of each matrix are concatenated as stored, never re-sorted:
+    every row of the result holds the entries of one row of one matrix in
+    their stored order, so its product with a vector or a sparse block
+    accumulates the same float sequence as that matrix's own product.
+    """
+    indptr, indices, data = [np.zeros(1, dtype=np.int64)], [], []
+    n_rows = n_cols = nnz = 0
+    for group in groups:
+        for M in group:
+            indptr.append(M.indptr[1:] + nnz)
+            indices.append(M.indices[: M.nnz] + n_cols)
+            data.append(M.data[: M.nnz])
+            n_rows += M.shape[0]
+            nnz += M.nnz
+        n_cols += group[0].shape[1]
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(data), np.concatenate(indices), np.concatenate(indptr)), shape=(n_rows, n_cols)
+    )
 
 
 @dataclass
@@ -193,7 +232,10 @@ class KktSystem:
         dRdu = block_to_scipy(f.dRdu)
         G = (f.dRdx @ f.dPhidy).tocsr()
         Ju = block_to_scipy(f.Ju)
-        return CsrFactors(dRdu, dRdu.T.tocsr(), G, G.T.tocsr(), Ju, Ju.T.tocsr(), self.Jy.T.tocsr())
+        dRdu_T, G_T, Ju_T, Jy_T = (M.T.tocsr() for M in (dRdu, G, Ju, self.Jy))
+        S1 = _stacked_diagonal([[dRdu, Ju], [G, self.Byy, self.Jy], [Ju_T, Jy_T]])
+        S2 = _stacked_diagonal([[dRdu_T], [G_T]])
+        return CsrFactors(dRdu, dRdu_T, G, G_T, Ju, Ju_T, Jy_T, S1, S2)
 
     def rhs(self) -> np.ndarray:
         """Right-hand side -(g, r) of the SQP step system."""
@@ -223,7 +265,11 @@ def kkt_matvec(op: KktOperator, v):
     """Action of the saddle-point matrix on (v_u, v_y, v_lambda).
 
     v is a 1-D vector or a sparse block of columns with one row per unknown.
-    B_uu is applied as dRdu^T (dRdu v_u + G v_y) and never formed.
+    B_uu is applied as dRdu^T (a + b) with a = dRdu v_u and b = G v_y, and
+    never formed. The factor products are two: S1 v gives a, Ju v_u, b,
+    Byy v_y, Jy v_y, Ju^T v_lambda and Jy^T v_lambda, and S2 (a + b, a) gives
+    dRdu^T (a + b) and G^T a; the sums that follow are those of the separate
+    products, in the same order.
     """
     sys = op.system
     n_u, n_y = sys.factors.n_u, sys.factors.n_y
@@ -231,18 +277,22 @@ def kkt_matvec(op: KktOperator, v):
     v = scipy.sparse.csr_matrix(v, dtype=float) if block else np.asarray(v, dtype=float)
     if v.shape[0] != op.dimension or (not block and v.ndim != 1):
         raise DimensionMismatch(f"operand shape {v.shape} incompatible with dimension {op.dimension}")
-    vu = v[:n_u]
-    vy = v[n_u : n_u + n_y]
-    vl = v[n_u + n_y :]
+    stack = _vstack if block else np.concatenate
 
     c = sys.csr
-    dRdu_vu = c.dRdu @ vu
-    out_u = c.dRdu_T @ (dRdu_vu + c.G @ vy) + c.Ju_T @ vl
-    out_y = c.G_T @ dRdu_vu + sys.Byy @ vy + c.Jy_T @ vl
-    out_l = c.Ju @ vu + sys.Jy @ vy
-    if block:
-        return scipy.sparse.vstack([out_u, out_y, out_l], format="csr")
-    return np.concatenate([out_u, out_y, out_l])
+    n_r = c.G.shape[0]
+    ends = list(accumulate([n_r, n_u, n_r, n_y, n_u, n_u, n_y], initial=0))
+    w = c.S1 @ v
+    a, ju_vu, b, byy_vy, jy_vy, jut_vl, jyt_vl = (w[lo:hi] for lo, hi in zip(ends[:-1], ends[1:]))
+    t = c.S2 @ stack([a + b, a])
+    out_u = t[:n_u] + jut_vl
+    out_y = t[n_u:] + byy_vy + jyt_vl
+    out_l = ju_vu + jy_vy
+    return stack([out_u, out_y, out_l])
+
+
+def _vstack(blocks) -> scipy.sparse.csr_matrix:
+    return scipy.sparse.vstack(blocks, format="csr")
 
 
 def materialize_dense(op: KktOperator, cap: int = DENSE_CAP) -> np.ndarray:

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.blas import dtpsv
 
+from .blocklinalg import dense_lu_factor
 from .errors import DimensionMismatch, NonFinite, ZeroReference
 
 __all__ = [
@@ -95,10 +95,10 @@ class Preconditioner:
 
     @classmethod
     def from_matrix(cls, M) -> "Preconditioner":
-        """Exact inverse of a dense matrix via LU, mostly for tests."""
-        M = np.asarray(M, dtype=float)
-        lu = scipy.linalg.lu_factor(M)
-        return cls(M.shape[0], lambda v: scipy.linalg.lu_solve(lu, v))
+        """Exact inverse of a dense matrix via blocklinalg's dense LU, mostly
+        for tests; a near-singular M raises SingularBlock."""
+        lu = dense_lu_factor(M)
+        return cls(lu.lu_entries.shape[0], lu.solve)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,6 @@ from __future__ import annotations
 import json
 import os
 
-import numpy as np
-
 from .blocklinalg import BlockCsrMatrix, block_to_scipy
 from .errors import ManifestError
 from .kkt import KktFactors, KktSystem, SystemDims, assemble_Byy

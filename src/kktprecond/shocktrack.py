@@ -23,8 +23,7 @@ factorization, recording every linearization state for the benchmark harness.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg

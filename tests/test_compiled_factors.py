@@ -7,7 +7,14 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kktprecond.blocklinalg import BlockCsrMatrix, BlockPattern, block_to_scipy, densify, permuted_lu
+from kktprecond.blocklinalg import (
+    BlockCsrMatrix,
+    BlockPattern,
+    block_to_scipy,
+    dense_lu_factor,
+    densify,
+    permuted_lu,
+)
 from kktprecond.conprec import CATALOG, build_at_preconditioner, point_ilu0_factor
 from kktprecond.dgprecond import bilu0_factor, build_block_jacobi, mdf_order
 from kktprecond.errors import DimensionMismatch
@@ -88,3 +95,30 @@ def test_permuted_lu_rejects_a_factor_superlu_would_pivot():
     identity = scipy.sparse.identity(2, format="csr")
     with pytest.raises(RuntimeError, match="permuted"):
         permuted_lu(swap, identity, np.arange(2), np.arange(2))
+
+
+FACTOR_TYPES = ("PermutedLu", "BlockJacobiPrec", "BiluPrec", "PointJacobiFactor", "PointIlu0Factor", "BlockLuFactor")
+
+
+def _factor_of_type(kind, sys):
+    """A factor of one solve-protocol type built on sys, with its order."""
+    n_u, n_y = sys.factors.n_u, sys.factors.n_y
+    if kind == "BlockLuFactor":
+        return dense_lu_factor(np.array([[2.0, 1.0], [1.0, 3.0]])), 2
+    variant, part, n = {
+        "PermutedLu": ("A0", "ju", n_u),
+        "BlockJacobiPrec": ("BJ", "ju", n_u),
+        "BiluPrec": ("BILU", "ju", n_u),
+        "PointJacobiFactor": ("BJ", "byy", n_y),
+        "PointIlu0Factor": ("BJ-ilu", "byy", n_y),
+    }[kind]
+    return getattr(build_at_preconditioner(sys, variant), part), n
+
+
+@pytest.mark.parametrize("kind", FACTOR_TYPES)
+def test_factor_solves_reject_unknown_trans(kind, sys8_k1):
+    factor, n = _factor_of_type(kind, sys8_k1)
+    assert type(factor).__name__ == kind
+    for bad in ("X", "t", "C", 1):
+        with pytest.raises(ValueError, match=f"trans must be 'N' or 'T', got {bad!r}"):
+            factor.solve(np.ones(n), trans=bad)

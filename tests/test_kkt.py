@@ -17,7 +17,6 @@ from kktprecond.kkt import (
     assemble_Byy,
     ata_pattern,
     count_block_sparsity,
-    kkt_matvec,
     materialize_dense,
     reference_solution,
 )

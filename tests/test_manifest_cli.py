@@ -1,7 +1,9 @@
 """System export/import manifests and the command-line harness."""
 
+import ast
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,10 +13,12 @@ import pytest
 import scipy.sparse
 
 import kktprecond
+import kktprecond.cli
 from conftest import singular_system, zero_coupling_system
 from kktprecond.blocklinalg import BlockCsrMatrix
 from kktprecond.cli import CATALOG, CSV_COLUMNS, main
-from kktprecond.errors import ManifestError
+from kktprecond.conprec import build_at_preconditioner
+from kktprecond.errors import ManifestError, SingularBlock
 from kktprecond.kkt import KktOperator, materialize_dense
 from kktprecond.manifest import export_system, import_system
 from kktprecond.mmio import read_matrix
@@ -269,6 +273,26 @@ def test_cli_sweep_gamma_axis_ordering(tmp_path, capsys):
     assert all(r[9] == "true" for r in rows)
 
 
+def test_cli_sweep_reports_solve_errors(tmp_path, capsys, monkeypatch):
+    def failing_build(sys, variant):
+        if variant == "BJ":
+            raise SingularBlock("block row 3: pivot below threshold")
+        return build_at_preconditioner(sys, variant)
+
+    monkeypatch.setattr(kktprecond.cli, "build_at_preconditioner", failing_build)
+    spec = tmp_path / "sweep.json"
+    spec.write_text(
+        json.dumps({"axis": "gamma", "values": [0.1], "preconditioners": ["A0", "BJ"], "fixed": {"n_elem": 8}})
+    )
+    assert main(["sweep", str(spec)]) == 0
+    out, err = capsys.readouterr()
+    rows = [line.split(",") for line in out.strip().splitlines()[2:]]
+    assert [(r[1], r[9]) for r in rows] == [("A0", "true"), ("BJ", "false")]
+    assert rows[1][8] == "1000"
+    case = rows[1][0]
+    assert err.splitlines() == [f"error: {case} BJ: SingularBlock: block row 3: pivot below threshold"]
+
+
 def test_cli_sweep_rejects_bad_specs(tmp_path, capsys):
     cases = [
         {"axis": "volume", "values": [1], "preconditioners": ["A0"]},
@@ -323,14 +347,48 @@ def test_stencil_edge_grids(tmp_path):
 # Console script -------------------------------------------------------------
 
 
-def _declared_console_scripts():
-    """The ``[project.scripts]`` table of the repository's pyproject.toml."""
+def _pyproject():
+    """The ``[project]`` table of the repository's pyproject.toml."""
     if sys.version_info >= (3, 11):
         import tomllib
     else:
         tomllib = pytest.importorskip("tomli")
     with open(PYPROJECT, "rb") as fh:
-        return tomllib.load(fh)["project"]["scripts"]
+        return tomllib.load(fh)["project"]
+
+
+def _declared_console_scripts():
+    """The ``[project.scripts]`` table of the repository's pyproject.toml."""
+    return _pyproject()["scripts"]
+
+
+def _requirement_names(requirements):
+    return {re.split(r"[\s<>=!~;\[]", req, maxsplit=1)[0].lower() for req in requirements}
+
+
+def test_test_extra_covers_every_test_import():
+    # `pip install .[test]` is the one dependency list CI installs, so every
+    # third-party module a test module imports must be in the extra.
+    project = _pyproject()
+    extra = project["optional-dependencies"]["test"]
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    modules = [name for name in os.listdir(tests_dir) if name.endswith(".py")]
+    local = {name[:-3] for name in modules} | {"kktprecond"}
+    imported = set()
+    for name in modules:
+        with open(os.path.join(tests_dir, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - local - _requirement_names(project["dependencies"])
+    assert {"hypothesis", "pytest"} <= third_party
+    assert third_party <= _requirement_names(extra)
+    # Python 3.10 reads pyproject.toml through tomli, the backport of tomllib.
+    markers = {req.split(";")[0].strip(): req.split(";")[1].strip() for req in extra if ";" in req}
+    assert markers.get("tomli") == 'python_version < "3.11"'
 
 
 def test_console_script_runs(tmp_path):
