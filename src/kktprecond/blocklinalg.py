@@ -25,11 +25,14 @@ __all__ = [
     "BlockLuFactor",
     "check_trans",
     "dense_lu_factor",
+    "first_singular",
+    "getrf",
     "PermutedLu",
     "permuted_lu",
     "sparse_lu",
     "block_transpose_matvec",
     "canonical_csr",
+    "stacked_diagonal",
     "densify",
     "block_to_scipy",
 ]
@@ -176,26 +179,52 @@ class BlockLuFactor:
         return x
 
 
+def getrf(block: np.ndarray) -> BlockLuFactor:
+    """LAPACK getrf of one square dense block, with no pivot test (see
+    first_singular)."""
+    lu, piv, info = scipy.linalg.lapack.dgetrf(block)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrf")
+    return BlockLuFactor(lu, piv)
+
+
+def first_singular(blocks: list[np.ndarray], factors: list[BlockLuFactor]) -> tuple[int, str] | None:
+    """Position and description of the first near-singular block, found by
+    one vectorized test over all of them, or None.
+
+    A pivot smaller than 1e-14 times the largest initial entry magnitude of
+    its block is treated as singular so downstream solves fail loudly instead
+    of emitting NaNs; an exactly zero pivot, which getrf reports, is one of
+    these. Empty blocks pass.
+    """
+    sizes = np.array([len(f.pivots) for f in factors], dtype=int)
+    keep = np.flatnonzero(sizes)
+    sizes = sizes[keep]
+    if not len(keep):
+        return None
+    entries = np.abs(np.concatenate([np.ravel(blocks[k]) for k in keep]))
+    scale = np.maximum.reduceat(entries, np.cumsum(sizes**2) - sizes**2)
+    pivots = np.abs(np.concatenate([np.diagonal(factors[k].lu_entries) for k in keep]))
+    small = np.logical_or.reduceat(pivots < 1e-14 * np.repeat(scale, sizes), np.cumsum(sizes) - sizes)
+    bad = np.flatnonzero((scale == 0.0) | small)
+    if not len(bad):
+        return None
+    return int(keep[bad[0]]), f"pivot below 1e-14 relative threshold (scale {scale[bad[0]]:g})"
+
+
 def dense_lu_factor(block: np.ndarray) -> BlockLuFactor:
     """Factor one dense block as PA = LU by LAPACK getrf, rejecting
-    near-singular blocks.
-
-    A pivot smaller than 1e-14 times the largest initial entry magnitude is
-    treated as singular so downstream solves fail loudly instead of emitting
-    NaNs; an exactly zero pivot, which getrf reports, is one of these.
-    """
+    near-singular blocks as first_singular does."""
     block = np.asarray(block, dtype=float)
     if block.ndim != 2 or block.shape[0] != block.shape[1]:
         raise DimensionMismatch(f"LU needs a square block, got {block.shape}")
     if not block.size:
         return BlockLuFactor(np.empty_like(block), np.arange(0, dtype=np.int32))
-    lu, piv, info = scipy.linalg.lapack.dgetrf(block)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of getrf")
-    scale = np.abs(block).max()
-    if scale == 0.0 or np.any(np.abs(np.diag(lu)) < 1e-14 * scale):
-        raise SingularBlock(f"pivot below 1e-14 relative threshold (scale {scale:g})")
-    return BlockLuFactor(lu, piv)
+    lu = getrf(block)
+    bad = first_singular([block], [lu])
+    if bad:
+        raise SingularBlock(bad[1])
+    return lu
 
 
 @dataclass
@@ -232,13 +261,17 @@ def permuted_lu(L, U, rows: np.ndarray, cols: np.ndarray) -> PermutedLu:
     """Compile sparse triangular factors L (unit lower) and U (upper) of
     A[rows][:, cols].
 
-    Raises RuntimeError if SuperLU reorders a column or picks an
-    off-diagonal pivot, since its solve would then not be the sweep.
+    Raises SingularBlock where SuperLU meets a zero on the diagonal, and
+    RuntimeError if it reorders a column or picks an off-diagonal pivot,
+    since its solve would then not be the sweep.
     """
     identity = np.arange(len(rows))
 
     def sweep(T) -> scipy.sparse.linalg.SuperLU:
-        lu = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(T), permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        try:
+            lu = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(T), permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        except RuntimeError as exc:
+            raise SingularBlock(f"triangular factor: {exc}") from exc
         if not (np.array_equal(lu.perm_r, identity) and np.array_equal(lu.perm_c, identity)):
             raise RuntimeError("SuperLU permuted a triangular factor")
         return lu
@@ -286,13 +319,37 @@ def canonical_csr(M, name: str = "matrix") -> scipy.sparse.csr_matrix:
     return M
 
 
+def stacked_diagonal(groups) -> scipy.sparse.csr_matrix:
+    """CSR matrix block_diag(vstack(g) for g in groups) of CSR matrices.
+
+    The arrays of each matrix are concatenated as stored, never re-sorted:
+    every row of the result holds the entries of one row of one matrix in
+    their stored order, so its product with a vector or a sparse block
+    accumulates the same float sequence as that matrix's own product.
+    """
+    indptr, indices, data = [np.zeros(1, dtype=np.int64)], [], []
+    n_rows = n_cols = nnz = 0
+    for group in groups:
+        for M in group:
+            indptr.append(M.indptr[1:] + nnz)
+            indices.append(M.indices[: M.nnz] + n_cols)
+            data.append(M.data[: M.nnz])
+            n_rows += M.shape[0]
+            nnz += M.nnz
+        n_cols += group[0].shape[1]
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(data), np.concatenate(indices), np.concatenate(indptr)), shape=(n_rows, n_cols)
+    )
+
+
 def densify(A) -> np.ndarray:
     """Dense array of a BlockCsrMatrix or of a scipy sparse matrix."""
     return A.toarray()
 
 
 def block_to_scipy(A: BlockCsrMatrix) -> scipy.sparse.csr_matrix:
-    """Scalar CSR view of a block matrix (stored zeros kept in the pattern)."""
+    """Scalar CSR view of a block matrix (stored zeros kept in the pattern),
+    with sorted column indices, placed directly from the block layout."""
     pat = A.pattern
     shape = (pat.n_rows, pat.n_cols)
     if not A.blocks:
@@ -306,9 +363,15 @@ def block_to_scipy(A: BlockCsrMatrix) -> scipy.sparse.csr_matrix:
     k = np.repeat(np.arange(len(sizes)), sizes)
     t = np.arange(sizes.sum()) - starts[k]
     a, b = np.divmod(t, bcols[k])
-    rows = pat.row_offsets[brow][k] + a
-    cols = pat.col_offsets[pat.col_idx][k] + b
-    vals = np.concatenate(A.blocks, axis=None)
-    csr = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
-    csr.sort_indices()
-    return csr
+    # The stored blocks of a block row lie side by side in each of its point
+    # rows, block k starting `before[k]` entries into the row.
+    first = np.cumsum(bcols) - bcols
+    before = first - first[pat.row_ptr[brow]]
+    row_width = np.bincount(brow, weights=bcols, minlength=pat.n_block_rows).astype(int)
+    indptr = np.concatenate([[0], np.cumsum(np.repeat(row_width, pat.row_block_sizes))])
+    dest = indptr[pat.row_offsets[brow][k] + a] + before[k] + b
+    indices = np.empty(len(dest), dtype=int)
+    indices[dest] = pat.col_offsets[pat.col_idx][k] + b
+    data = np.empty(len(dest))
+    data[dest] = np.concatenate(A.blocks, axis=None)
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=shape)

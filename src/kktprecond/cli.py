@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage error, 1 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -189,7 +190,9 @@ def cmd_stencil(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="kktprecond",
         description="Benchmark harness for constrained KKT preconditioners.",
@@ -199,36 +202,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="run the SQP driver and export KKT systems")
     p_gen.add_argument("config", help="key = value problem config file")
     p_gen.add_argument("outdir", help="output directory (created if missing)")
-    p_gen.set_defaults(func=cmd_generate)
 
     p_solve = sub.add_parser("solve", help="run preconditioned GMRES on an exported system")
     p_solve.add_argument("manifest", help="system manifest JSON")
     p_solve.add_argument("--precond", required=True, help=f"one of: {', '.join(CATALOG)}")
     p_solve.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_solve.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
-    p_solve.set_defaults(func=cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="batch solves along one study axis")
     p_sweep.add_argument("spec", help="sweep spec JSON")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_sten = sub.add_parser("stencil", help="generate a synthetic 2D block stencil matrix")
     p_sten.add_argument("out", help="output Matrix Market file")
     p_sten.add_argument("--n", type=int, required=True, help="grid size")
     p_sten.add_argument("--block", type=int, required=True, help="block size")
     p_sten.add_argument("--seed", type=int, default=0)
-    p_sten.set_defaults(func=cmd_stencil)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        return args.func(args)
+        # Looked up at call time, so a replaced module attribute is the one run.
+        return globals()[f"cmd_{args.command}"](args)
     except (UsageError, UnknownPreconditioner, ManifestError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

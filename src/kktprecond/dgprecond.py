@@ -21,8 +21,8 @@ from .blocklinalg import (
     BlockLuFactor,
     BlockPattern,
     PermutedLu,
-    block_to_scipy,
-    dense_lu_factor,
+    first_singular,
+    getrf,
     permuted_lu,
 )
 from .errors import DimensionMismatch, SingularBlock, SingularPivotBlock
@@ -78,53 +78,108 @@ class BiluPrec:
         return self.factors.solve(w, trans)
 
 
-def _compile_block_lu(F: BlockCsrMatrix, diag_lu: list[BlockLuFactor], point_perm: np.ndarray) -> PermutedLu:
-    """Point triangular factors of a block LU = L_blk U_blk in permuted order.
+def _stacked(blocks: list[np.ndarray], s: int) -> np.ndarray:
+    """(len(blocks), s, s) array of blocks of at most s rows and columns,
+    zero-padded at the bottom and right."""
+    if all(blk.shape == (s, s) for blk in blocks):
+        return np.array(blocks, dtype=float).reshape(len(blocks), s, s)
+    out = np.zeros((len(blocks), s, s))
+    for dst, blk in zip(out, blocks):
+        dst[: blk.shape[0], : blk.shape[1]] = blk
+    return out
 
-    The strict lower blocks of F are those of L_blk, whose diagonal blocks
-    are identities; its strict upper blocks are those of U_blk, whose
-    diagonal blocks D_m = P_m L_m U_m are given by their LAPACK factors.
-    With Pd, Ld, Ud the block diagonals of the P_m, L_m, U_m,
+
+def _nonzeros(vals: np.ndarray, I: np.ndarray, J: np.ndarray, pat: BlockPattern):
+    """Point (rows, cols, values) of the nonzero entries of the zero-padded
+    blocks vals[x] at block position (I[x], J[x])."""
+    t = np.arange(vals.shape[1])
+    inside = (t[:, None] < pat.row_block_sizes[I][:, None, None]) & (t < pat.col_block_sizes[J][:, None, None])
+    x, a, b = np.nonzero(inside & (vals != 0))
+    return pat.row_offsets[I][x] + a, pat.col_offsets[J][x] + b, vals[x, a, b]
+
+
+def _csc(n: int, parts) -> scipy.sparse.csc_matrix:
+    """Canonical n x n CSC matrix of (rows, cols, values) parts with no
+    position repeated."""
+    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
+    order = np.argsort(cols * n + rows)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
+    return scipy.sparse.csc_matrix((vals[order], rows[order], indptr), shape=(n, n))
+
+
+def _block_lu_triangles(pat: BlockPattern, blocks: list[np.ndarray], diag_lu: list[BlockLuFactor]):
+    """Point factors L^, U~ and the row order prow of a block LU = L_blk U_blk.
+
+    The strict lower blocks of (pat, blocks) are those of L_blk, whose
+    diagonal blocks are identities; its strict upper blocks are those of
+    U_blk, whose diagonal blocks D_m = P_m L_m U_m are given by their LAPACK
+    factors (the diagonal blocks of blocks are not read). With Pd, Ld, Ud the
+    block diagonals of the P_m, L_m, U_m and Pd^T x = x[prow],
 
         L_blk U_blk = Pd L^ U~,   L^ = Pd^T L_blk Pd Ld,   U~ = Ud + Ld^-1 Pd^T U_strict,
 
-    and L^ (unit lower) and U~ (upper) are point triangular.
+    and L^ (unit lower) and U~ (upper) are point triangular. Every block is
+    formed in a zero-padded (count, s, s) stack: a block of L^ below the
+    diagonal is sum_c B[p_I][:, c] (Ld_J[p_J^-1])[c, :] over c in ascending
+    order, and a block of U~ is a forward substitution with Ld_I; each entry
+    adds the same nonzero products in the same order as the scipy sparse
+    products of the plain formulas, and entries that come out zero are not
+    stored.
     """
-    pat = F.pattern
     sizes = pat.row_block_sizes
-    n = int(sizes.sum())
-    blocks = list(F.blocks)
-    for m, k in enumerate(np.flatnonzero(pat.col_idx == pat.block_rows)):
-        blocks[k] = diag_lu[m].lu_entries
-    S = block_to_scipy(BlockCsrMatrix(pat, blocks)).tocoo()
-    blk = np.repeat(np.arange(len(sizes)), sizes)
-    same_block = blk[S.row] == blk[S.col]
-    below = S.col < S.row
+    n, nb, s = int(sizes.sum()), len(sizes), int(sizes.max())
+    block_rows, block_cols = pat.block_rows, pat.col_idx
 
-    def part(mask):
-        return scipy.sparse.csr_matrix((S.data[mask], (S.row[mask], S.col[mask])), shape=(n, n))
-
-    strict_ld = part(same_block & below)
-    ld = strict_ld + scipy.sparse.identity(n, format="csr")
-
-    # Pd^T x = x[prow]: LAPACK swaps row t of each block with its pivot row,
-    # for t = 0, 1, ... in turn; blocks do not interact.
+    # LAPACK swaps row t of each block with its pivot row, for t = 0, 1, ...
+    # in turn; blocks do not interact.
     starts = np.repeat(pat.row_offsets[:-1], sizes)
     local = np.arange(n) - starts
     piv = np.concatenate([lu.pivots for lu in diag_lu]) + starts
     prow = np.arange(n)
-    for t in range(int(sizes.max())):
+    for t in range(s):
         i = np.flatnonzero(local == t)
         prow[i], prow[piv[i]] = prow[piv[i]], prow[i]
+    # perm[I] is the row order p_I within block I and inv[I] its inverse,
+    # both padded with the identity.
+    perm = np.tile(np.arange(s), (nb, 1))
+    perm[np.repeat(np.arange(nb), sizes), local] = prow - starts
+    inv = np.empty_like(perm)
+    inv[np.arange(nb)[:, None], perm] = np.arange(s)
 
-    lower = ld + part(~same_block & below)[prow][:, prow] @ ld
-    # Ld^-1 X by the iteration X_k+1 = X_0 - (Ld - I) X_k, exact after
-    # (largest block - 1) steps because Ld - I is nilpotent of that order.
-    rhs = part(~same_block & ~below)[prow]
-    y = rhs
-    for _ in range(int(sizes.max()) - 1):
-        y = rhs - strict_ld @ y
-    upper = part(same_block & ~below) + y
+    LU = _stacked([lu.lu_entries for lu in diag_lu], s)
+    strict_ld = np.tril(LU, -1)
+    ld = strict_ld + np.eye(s)
+    diag = np.arange(nb)
+    lower = [_nonzeros(ld, diag, diag, pat)]
+    upper = [_nonzeros(np.triu(LU), diag, diag, pat)]
+
+    k = np.flatnonzero(block_cols < block_rows)
+    I, J, x = block_rows[k], block_cols[k], np.arange(len(k))[:, None]
+    B = _stacked([blocks[t] for t in k], s)[x, perm[I]]
+    M = ld[J][x, inv[J]]
+    R = B[:, :, 0, None] * M[:, None, 0, :]
+    for c in range(1, s):
+        R = R + B[:, :, c, None] * M[:, None, c, :]
+    lower.append(_nonzeros(R, I, J, pat))
+
+    k = np.flatnonzero(block_cols > block_rows)
+    I, J, x = block_rows[k], block_cols[k], np.arange(len(k))[:, None]
+    rhs = _stacked([blocks[t] for t in k], s)[x, perm[I]]
+    L = strict_ld[I]
+    y = rhs.copy()
+    for a in range(1, s):
+        acc = L[:, a, 0, None] * y[:, 0, :]
+        for b in range(1, a):
+            acc = acc + L[:, a, b, None] * y[:, b, :]
+        y[:, a, :] = rhs[:, a, :] - acc
+    upper.append(_nonzeros(y, I, J, pat))
+    return _csc(n, lower), _csc(n, upper), prow
+
+
+def _compile_block_lu(pat: BlockPattern, blocks, diag_lu: list[BlockLuFactor], point_perm: np.ndarray) -> PermutedLu:
+    """Point triangular factors of a block LU in permuted order; see
+    _block_lu_triangles."""
+    lower, upper, prow = _block_lu_triangles(pat, blocks, diag_lu)
     return permuted_lu(lower, upper, point_perm[prow], point_perm)
 
 
@@ -134,29 +189,41 @@ def _require_square_blocks(A: BlockCsrMatrix):
         raise DimensionMismatch("preconditioner needs a square block matrix with matching block sizes")
 
 
-def _diag_block(A: BlockCsrMatrix, i: int):
-    k = A.pattern.block_index(i, i)
-    return None if k is None else A.blocks[k]
+def _diagonal_positions(pat: BlockPattern) -> tuple[list[int], int]:
+    """Storage positions of the diagonal blocks of the block rows before the
+    first one without a stored diagonal block, and that row (or the number
+    of block rows)."""
+    stored = np.flatnonzero(pat.col_idx == pat.block_rows)
+    missing = np.flatnonzero(pat.block_rows[stored] != np.arange(len(stored)))
+    first_missing = int(missing[0]) if len(missing) else len(stored)
+    return stored[:first_missing].tolist(), first_missing
+
+
+def _diag_lus(A: BlockCsrMatrix) -> list[BlockLuFactor]:
+    """LU factors of the diagonal blocks of A, one getrf call each and one
+    pivot check for all; raises SingularBlock for the first block row whose
+    diagonal block is missing or singular."""
+    pat = A.pattern
+    stored, first_missing = _diagonal_positions(pat)
+    blocks = [A.blocks[k] for k in stored]
+    factors = [getrf(blk) for blk in blocks]
+    bad = first_singular(blocks, factors)
+    if bad:
+        raise SingularBlock(f"block row {bad[0]}: {bad[1]}")
+    if first_missing < pat.n_block_rows:
+        raise SingularBlock(f"block row {first_missing}: diagonal block missing from pattern")
+    return factors
 
 
 def build_block_jacobi(A: BlockCsrMatrix) -> BlockJacobiPrec:
     """LU-factor every diagonal block of A."""
     _require_square_blocks(A)
-    factors = []
-    for i in range(A.pattern.n_block_rows):
-        blk = _diag_block(A, i)
-        if blk is None:
-            raise SingularBlock(f"block row {i}: diagonal block missing from pattern")
-        try:
-            factors.append(dense_lu_factor(blk))
-        except SingularBlock as exc:
-            raise SingularBlock(f"block row {i}: {exc}") from exc
+    factors = _diag_lus(A)
     sizes = A.pattern.row_block_sizes.copy()
     nb = len(sizes)
-    diagonal = BlockCsrMatrix(
-        BlockPattern(sizes, sizes, np.arange(nb + 1), np.arange(nb)), [lu.lu_entries for lu in factors]
-    )
-    return BlockJacobiPrec(sizes, _compile_block_lu(diagonal, factors, np.arange(int(sizes.sum()))))
+    diagonal = BlockPattern(sizes, sizes, np.arange(nb + 1), np.arange(nb))
+    blocks = [lu.lu_entries for lu in factors]
+    return BlockJacobiPrec(sizes, _compile_block_lu(diagonal, blocks, factors, np.arange(int(sizes.sum()))))
 
 
 def _adjacency(pat: BlockPattern):
@@ -183,15 +250,10 @@ def _fill_table(A: BlockCsrMatrix, out_nbrs, in_nbrs) -> list[list[tuple[int, in
     has_edge = {(i, j) for i in range(n) for j in out_nbrs[i]}
     # Position of the stored block (i, j), found once per block row.
     where = [dict(zip(out_nbrs[i], range(row_ptr[i], row_ptr[i + 1]))) for i in range(n)]
+    diag_lus = _diag_lus(A)
     table = []
     for k in range(n):
-        if k not in where[k]:
-            raise SingularBlock(f"block row {k}: diagonal block missing from pattern")
-        try:
-            diag_lu = dense_lu_factor(A.blocks[where[k][k]])
-        except SingularBlock as exc:
-            raise SingularBlock(f"block row {k}: {exc}") from exc
-        solved = {j: diag_lu.solve(A.blocks[where[k][j]]) for j in out_nbrs[k] if j != k}
+        solved = {j: diag_lus[k].solve(A.blocks[where[k][j]]) for j in out_nbrs[k] if j != k}
         triples = []
         for i in in_nbrs[k]:
             if i == k:
@@ -273,37 +335,33 @@ def bilu0_factor(A: BlockCsrMatrix, ordering: MdfOrdering) -> BiluPrec:
     order = np.asarray(ordering.order, dtype=int)
     work = _permuted_copy(A, order)
     pat = work.pattern
-    n = pat.n_block_rows
-    diag_lu: list[BlockLuFactor | None] = [None] * n
-
-    def pivot_lu(k: int) -> BlockLuFactor:
-        if diag_lu[k] is None:
-            idx = pat.block_index(k, k)
-            if idx is None:
-                raise SingularPivotBlock(f"step {k}: diagonal block missing from permuted pattern")
-            try:
-                diag_lu[k] = dense_lu_factor(work.blocks[idx])
-            except SingularBlock as exc:
-                raise SingularPivotBlock(f"step {k}: {exc}") from exc
-        return diag_lu[k]
-
+    diag_pos, first_missing = _diagonal_positions(pat)
+    diag_lu: list[BlockLuFactor] = []
     row_ptr = pat.row_ptr.tolist()
     col_idx = pat.col_idx.tolist()
-    for i in range(n):
-        lo, hi = row_ptr[i], row_ptr[i + 1]
-        where = dict(zip(col_idx[lo:hi], range(lo, hi)))
-        for t in range(lo, hi):
-            k = col_idx[t]
-            if k >= i:
-                break
-            # L_ik = A_ik U_kk^-1, computed via the transposed pivot solve.
-            lik = pivot_lu(k).solve(work.blocks[t].T, trans="T").T
-            work.blocks[t] = lik
-            for koff in range(row_ptr[k], row_ptr[k + 1]):
-                j = col_idx[koff]
-                if j > k and j in where:
-                    work.blocks[where[j]] = work.blocks[where[j]] - lik @ work.blocks[koff]
-        pivot_lu(i)
+    # The pivots are checked once, after the elimination: what a singular
+    # pivot does to the rows after it is discarded with the factors.
+    with np.errstate(all="ignore"):
+        for i in range(first_missing):
+            lo, hi = row_ptr[i], row_ptr[i + 1]
+            where = dict(zip(col_idx[lo:hi], range(lo, hi)))
+            for t in range(lo, hi):
+                k = col_idx[t]
+                if k >= i:
+                    break
+                # L_ik = A_ik U_kk^-1, computed via the transposed pivot solve.
+                lik = diag_lu[k].solve(work.blocks[t].T, trans="T").T
+                work.blocks[t] = lik
+                for koff in range(row_ptr[k], row_ptr[k + 1]):
+                    j = col_idx[koff]
+                    if j > k and j in where:
+                        work.blocks[where[j]] = work.blocks[where[j]] - lik @ work.blocks[koff]
+            diag_lu.append(getrf(work.blocks[diag_pos[i]]))
+    bad = first_singular([work.blocks[t] for t in diag_pos], diag_lu)
+    if bad:
+        raise SingularPivotBlock(f"step {bad[0]}: {bad[1]}")
+    if first_missing < pat.n_block_rows:
+        raise SingularPivotBlock(f"step {first_missing}: diagonal block missing from permuted pattern")
     offsets = A.pattern.row_offsets
     point_perm = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in order])
-    return BiluPrec(order, work, _compile_block_lu(work, diag_lu, point_perm))
+    return BiluPrec(order, work, _compile_block_lu(pat, work.blocks, diag_lu, point_perm))

@@ -42,7 +42,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .blocklinalg import BlockCsrMatrix, BlockPattern, block_to_scipy, canonical_csr
+from .blocklinalg import BlockCsrMatrix, BlockPattern, block_to_scipy, canonical_csr, stacked_diagonal
 from .errors import DimensionMismatch, SingularSystem, SizeCapExceeded
 from .krylov import LinearOperator
 
@@ -56,6 +56,7 @@ __all__ = [
     "kkt_matvec",
     "materialize_dense",
     "reference_solution",
+    "assembled_kkt",
     "ata_pattern",
     "count_block_sparsity",
     "SparsityCounts",
@@ -169,29 +170,6 @@ class CsrFactors:
     S2: scipy.sparse.csr_matrix
 
 
-def _stacked_diagonal(groups) -> scipy.sparse.csr_matrix:
-    """CSR matrix block_diag(vstack(g) for g in groups) of CSR matrices.
-
-    The arrays of each matrix are concatenated as stored, never re-sorted:
-    every row of the result holds the entries of one row of one matrix in
-    their stored order, so its product with a vector or a sparse block
-    accumulates the same float sequence as that matrix's own product.
-    """
-    indptr, indices, data = [np.zeros(1, dtype=np.int64)], [], []
-    n_rows = n_cols = nnz = 0
-    for group in groups:
-        for M in group:
-            indptr.append(M.indptr[1:] + nnz)
-            indices.append(M.indices[: M.nnz] + n_cols)
-            data.append(M.data[: M.nnz])
-            n_rows += M.shape[0]
-            nnz += M.nnz
-        n_cols += group[0].shape[1]
-    return scipy.sparse.csr_matrix(
-        (np.concatenate(data), np.concatenate(indices), np.concatenate(indptr)), shape=(n_rows, n_cols)
-    )
-
-
 @dataclass
 class KktSystem:
     """Factors plus the right-hand-side data and the assembled Byy, made
@@ -222,7 +200,8 @@ class KktSystem:
 
     @property
     def dimension(self) -> int:
-        return 2 * self.factors.n_u + self.factors.n_y
+        n_u, n_y = self.Jy.shape
+        return 2 * n_u + n_y
 
     @cached_property
     def csr(self) -> CsrFactors:
@@ -233,8 +212,8 @@ class KktSystem:
         G = (f.dRdx @ f.dPhidy).tocsr()
         Ju = block_to_scipy(f.Ju)
         dRdu_T, G_T, Ju_T, Jy_T = (M.T.tocsr() for M in (dRdu, G, Ju, self.Jy))
-        S1 = _stacked_diagonal([[dRdu, Ju], [G, self.Byy, self.Jy], [Ju_T, Jy_T]])
-        S2 = _stacked_diagonal([[dRdu_T], [G_T]])
+        S1 = stacked_diagonal([[dRdu, Ju], [G, self.Byy, self.Jy], [Ju_T, Jy_T]])
+        S2 = stacked_diagonal([[dRdu_T], [G_T]])
         return CsrFactors(dRdu, dRdu_T, G, G_T, Ju, Ju_T, Jy_T, S1, S2)
 
     def rhs(self) -> np.ndarray:
@@ -269,30 +248,50 @@ def kkt_matvec(op: KktOperator, v):
     never formed. The factor products are two: S1 v gives a, Ju v_u, b,
     Byy v_y, Jy v_y, Ju^T v_lambda and Jy^T v_lambda, and S2 (a + b, a) gives
     dRdu^T (a + b) and G^T a; the sums that follow are those of the separate
-    products, in the same order.
+    products, in the same order. For a sparse block the slicing, the sums
+    and the stacking are themselves sparse products with 0/1 matrices whose
+    rows list the summed rows in that order (see _row_sums).
     """
     sys = op.system
-    n_u, n_y = sys.factors.n_u, sys.factors.n_y
+    n_u, n_y = sys.Jy.shape
     block = scipy.sparse.issparse(v)
     v = scipy.sparse.csr_matrix(v, dtype=float) if block else np.asarray(v, dtype=float)
     if v.shape[0] != op.dimension or (not block and v.ndim != 1):
         raise DimensionMismatch(f"operand shape {v.shape} incompatible with dimension {op.dimension}")
-    stack = _vstack if block else np.concatenate
 
     c = sys.csr
     n_r = c.G.shape[0]
     ends = list(accumulate([n_r, n_u, n_r, n_y, n_u, n_u, n_y], initial=0))
     w = c.S1 @ v
+    if block:
+        o_a, o_ju, o_b, o_byy, o_jy, o_jut, o_jyt, n_w = ends
+        n_t = n_u + n_y
+        # w -> (a + b, a, w) -> (S2 (a + b, a), w) = (t, w) -> the three outputs.
+        select = _row_sums(n_w, [(n_r, [o_a, o_b]), (n_r, [o_a]), (n_w, [0])])
+        carry = stacked_diagonal([[c.S2], [scipy.sparse.identity(n_w, format="csr")]])
+        out = [(n_u, [0, n_t + o_jut]), (n_y, [n_u, n_t + o_byy, n_t + o_jyt]), (n_u, [n_t + o_ju, n_t + o_jy])]
+        return _row_sums(n_t + n_w, out) @ (carry @ (select @ w))
     a, ju_vu, b, byy_vy, jy_vy, jut_vl, jyt_vl = (w[lo:hi] for lo, hi in zip(ends[:-1], ends[1:]))
-    t = c.S2 @ stack([a + b, a])
+    t = c.S2 @ np.concatenate([a + b, a])
     out_u = t[:n_u] + jut_vl
     out_y = t[n_u:] + byy_vy + jyt_vl
     out_l = ju_vu + jy_vy
-    return stack([out_u, out_y, out_l])
+    return np.concatenate([out_u, out_y, out_l])
 
 
-def _vstack(blocks) -> scipy.sparse.csr_matrix:
-    return scipy.sparse.vstack(blocks, format="csr")
+def _row_sums(n_cols: int, pieces) -> scipy.sparse.csr_matrix:
+    """0/1 CSR matrix with `length` rows per piece (length, starts): row i
+    of a piece holds columns start + i for its starts in the listed order.
+
+    Its product with a sparse block X adds rows of X left to right starting
+    from 0, and each term is 1.0 times an entry, so every entry is the float
+    of the same sums taken with sparse additions; entries that come out zero
+    are dropped by both.
+    """
+    cols = np.concatenate([np.add.outer(np.arange(length), starts).ravel() for length, starts in pieces])
+    counts = np.concatenate([np.full(length, len(starts)) for length, starts in pieces])
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return scipy.sparse.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(len(counts), n_cols))
 
 
 def materialize_dense(op: KktOperator, cap: int = DENSE_CAP) -> np.ndarray:
@@ -335,21 +334,23 @@ def reference_solution(sys: KktSystem) -> np.ndarray:
     included, for this solve only; the operator keeps B_uu unassembled.
     Raises SingularSystem where SuperLU meets an exactly zero pivot.
     """
-    c = sys.csr
-    buy = c.dRdu_T @ c.G
-    A = scipy.sparse.bmat(
-        [
-            [c.dRdu_T @ c.dRdu, buy, c.Ju_T],
-            [buy.T, sys.Byy, c.Jy_T],
-            [c.Ju, sys.Jy, None],
-        ],
-        format="csc",
-    )
     try:
-        lu = scipy.sparse.linalg.splu(A)
+        lu = scipy.sparse.linalg.splu(assembled_kkt(sys))
     except RuntimeError as exc:
         raise SingularSystem(f"KKT matrix of dimension {sys.dimension}: {exc}") from exc
     return lu.solve(sys.rhs())
+
+
+def assembled_kkt(sys: KktSystem) -> scipy.sparse.csc_matrix:
+    """The whole KKT matrix as canonical CSC with every stored entry of its
+    blocks, explicit zeros included. All blocks are CSR, so scipy stacks
+    their arrays directly, without a COO copy, and one conversion sorts the
+    rows of each column."""
+    c = sys.csr
+    buy = c.dRdu_T @ c.G
+    zero = scipy.sparse.csr_matrix((sys.factors.n_u, sys.factors.n_u))
+    blocks = [[c.dRdu_T @ c.dRdu, buy, c.Ju_T], [buy.T.tocsr(), sys.Byy, c.Jy_T], [c.Ju, sys.Jy, zero]]
+    return scipy.sparse.bmat(blocks, format="csr").tocsc()
 
 
 def ata_pattern(pattern: BlockPattern) -> BlockPattern:

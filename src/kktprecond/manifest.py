@@ -85,17 +85,18 @@ def import_system(path) -> KktSystem:
         raise ManifestError(f"manifest not found: {path}")
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{path}: invalid JSON ({exc})")
-    if manifest.get("version") != MANIFEST_VERSION:
-        raise ManifestError(f"{path}: unsupported manifest version {manifest.get('version')!r}")
+    version = manifest.get("version") if isinstance(manifest, dict) else None
+    if version != MANIFEST_VERSION:
+        raise ManifestError(f"{path}: unsupported manifest version {version!r}")
 
     base = os.path.dirname(os.path.abspath(path))
 
     def load(section, key, reader):
         try:
             fname = manifest[section][key]
-        except KeyError:
-            raise ManifestError(f"{path}: missing {section} entry {key!r}")
-        full = os.path.join(base, fname)
+            full = os.path.join(base, fname)
+        except (KeyError, TypeError):
+            raise ManifestError(f"{path}: missing or malformed {section} entry {key!r}")
         if not os.path.exists(full):
             raise ManifestError(f"{path}: referenced file missing: {fname}")
         return reader(full)
@@ -114,18 +115,16 @@ def import_system(path) -> KktSystem:
         dims = SystemDims(int(d["n_elem"]), int(d["p"]), int(d["q"]))
         scalars = manifest["scalars"]
         kappa, gamma = float(scalars["kappa"]), float(scalars["gamma"])
-    except (KeyError, TypeError, ValueError) as exc:
+        state_index = int(manifest.get("state_index", 0))
+        expected = {"n_u": dims.n_u, "n_u_enriched": dims.n_u_enriched, "n_y": dims.n_y, "n_x": dims.n_x}
+        stated = {key: int(d.get(key, want)) for key, want in expected.items()}
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ManifestError(f"{path}: malformed dimensions or scalars ({exc})")
-
-    expected = {
-        "n_u": dims.n_u,
-        "n_u_enriched": dims.n_u_enriched,
-        "n_y": dims.n_y,
-        "n_x": dims.n_x,
-    }
+    if not kappa >= 0 or not gamma >= 0:
+        raise ManifestError(f"{path}: kappa and gamma must be nonnegative, got {kappa!r} and {gamma!r}")
     for key, want in expected.items():
-        if int(d.get(key, want)) != want:
-            raise ManifestError(f"{path}: dimension {key}={d[key]} inconsistent with n_elem/p/q")
+        if stated[key] != want:
+            raise ManifestError(f"{path}: dimension {key}={stated[key]} inconsistent with n_elem/p/q")
 
     shapes = {
         "ju": (dims.n_u, dims.n_u),
@@ -160,6 +159,6 @@ def import_system(path) -> KktSystem:
         r,
         assemble_Byy(factors),
         dims=dims,
-        state_index=int(manifest.get("state_index", 0)),
+        state_index=state_index,
         case=str(manifest.get("case", "case")),
     )

@@ -54,9 +54,11 @@ def _parse_block_tag(path, line: str):
     for field in line[len(_BLOCK_TAG) :].split():
         key, _, val = field.partition("=")
         words = val.split(",")
-        if key not in ("rows", "cols") or not all(w.isdecimal() and int(w) > 0 for w in words):
+        if key not in ("rows", "cols") or not all(map(str.isdecimal, words)):
             raise ManifestError(f"{path}: malformed block-sizes field {field!r}")
-        sizes[key] = np.array([int(w) for w in words])
+        sizes[key] = np.array(list(map(int, words)))
+        if not sizes[key].all():
+            raise ManifestError(f"{path}: malformed block-sizes field {field!r}")
     if sizes.keys() != {"rows", "cols"}:
         raise ManifestError(f"{path}: malformed block-sizes line, rows= and cols= required: {line!r}")
     return sizes["rows"], sizes["cols"]
@@ -73,25 +75,29 @@ def _parse(path, lines: list[str], dtype: np.dtype, what: str) -> np.ndarray:
         raise ManifestError(f"{path}: malformed {what} ({exc})") from exc
 
 
+def _check_banner(path, lines: list[str], banner: str) -> None:
+    """The first line must be banner (its words compared case-insensitively)."""
+    if not lines or not lines[0].startswith("%%MatrixMarket"):
+        raise ManifestError(f"{path}: missing MatrixMarket banner")
+    if lines[0].lower().split() != banner.lower().split():
+        raise ManifestError(f"{path}: unsupported banner {lines[0]!r}, expected {banner!r}")
+
+
 def _size_line(path, lines: list[str], k: int, n_fields: int) -> list[int]:
     """The n_fields nonnegative integers on line k."""
-    dtype = np.dtype([(f"f{i}", np.int64) for i in range(n_fields)])
-    size = _parse(path, lines[k : k + 1], dtype, "size line")
-    if len(size) != 1 or min(size[0].tolist()) < 0:
-        raise ManifestError(f"{path}: missing or negative size line")
-    return list(size[0].tolist())
+    words = lines[k].split() if k < len(lines) else []
+    if len(words) != n_fields or not all(w.isdecimal() for w in words):
+        raise ManifestError(f"{path}: missing or malformed size line")
+    return [int(w) for w in words]
 
 
 def read_matrix(path):
-    """Read a coordinate file as a canonical scipy CSR matrix, or as a
-    BlockCsrMatrix if the file carries a block-sizes line. Of repeated
+    """Read a coordinate real general file as a canonical scipy CSR matrix, or
+    as a BlockCsrMatrix if the file carries a block-sizes line. Of repeated
     (row, col) entries the last in the file wins."""
     with open(path) as fh:
         lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("%%MatrixMarket"):
-        raise ManifestError(f"{path}: missing MatrixMarket banner")
-    if "coordinate" not in lines[0]:
-        raise ManifestError(f"{path}: expected coordinate format")
+    _check_banner(path, lines, _BANNER)
     block_sizes = None
     k = 1
     while k < len(lines) and lines[k].startswith("%"):
@@ -105,13 +111,15 @@ def read_matrix(path):
     rows, cols, vals = entries["row"] - 1, entries["col"] - 1, entries["val"]
     if nnz and (rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols):
         raise ManifestError(f"{path}: entry outside the declared {n_rows} x {n_cols} shape")
-    # Sort by (row, col); lexsort is stable, so the last of repeated entries
+    # Sort by (row, col); the sort is stable, so the last of repeated entries
     # is the last in file order, and it is the one kept.
-    order = np.lexsort((cols, rows))
+    key = rows * n_cols + cols
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    last = np.ones(len(key), dtype=bool)
+    last[:-1] = key[1:] != key[:-1]
+    order = order[last]
     rows, cols, vals = rows[order], cols[order], vals[order]
-    last = np.ones(len(rows), dtype=bool)
-    last[:-1] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    rows, cols, vals = rows[last], cols[last], vals[last]
     if block_sizes is None:
         row_ptr = np.searchsorted(rows, np.arange(n_rows + 1))
         return scipy.sparse.csr_matrix((vals, cols, row_ptr), shape=(n_rows, n_cols))
@@ -119,7 +127,8 @@ def read_matrix(path):
 
 
 def _entries_to_block(path, n_rows, n_cols, rows, cols, vals, rbs, cbs):
-    """Block matrix from unique entries sorted by (row, col)."""
+    """Block matrix from unique entries sorted by (row, col). The blocks of
+    each shape are filled as one (count, rows, cols) array."""
     if rbs.sum() != n_rows or cbs.sum() != n_cols:
         raise ManifestError(f"{path}: block sizes inconsistent with matrix dimensions")
     roff = np.concatenate([[0], np.cumsum(rbs)])
@@ -129,14 +138,20 @@ def _entries_to_block(path, n_rows, n_cols, rows, cols, vals, rbs, cbs):
     # Stored blocks in block-CSR order, and the block of each entry.
     keys, block_of = np.unique(brow * len(cbs) + bcol, return_inverse=True)
     bi, bj = np.divmod(keys, len(cbs))
-    sizes = rbs[bi] * cbs[bj]
-    starts = np.cumsum(sizes) - sizes
-    flat = np.zeros(sizes.sum())
-    flat[starts[block_of] + (rows - roff[brow]) * cbs[bcol] + (cols - coff[bcol])] = vals
-    blocks = [flat[s : s + n].reshape(rbs[i], cbs[j]) for s, n, i, j in zip(starts, sizes, bi, bj)]
+    n_r, n_c = rbs[bi], cbs[bj]
+    local_r, local_c = rows - roff[brow], cols - coff[bcol]
+    blocks = np.empty(len(keys), dtype=object)
+    for r, c in set(zip(n_r.tolist(), n_c.tolist())):
+        members = np.flatnonzero((n_r == r) & (n_c == c))
+        slot = np.zeros(len(keys), dtype=int)
+        slot[members] = np.arange(len(members))
+        mine = np.flatnonzero((n_r[block_of] == r) & (n_c[block_of] == c))
+        stack = np.zeros((len(members), r, c))
+        stack[slot[block_of[mine]], local_r[mine], local_c[mine]] = vals[mine]
+        blocks[members] = list(stack)
     row_ptr = np.searchsorted(bi, np.arange(len(rbs) + 1))
     pat = BlockPattern(rbs, cbs, row_ptr, bj)
-    return BlockCsrMatrix(pat, blocks)
+    return BlockCsrMatrix(pat, blocks.tolist())
 
 
 def write_vector(path, v: np.ndarray) -> None:
@@ -149,8 +164,11 @@ def write_vector(path, v: np.ndarray) -> None:
 
 
 def read_vector(path) -> np.ndarray:
+    """Read an array real general file with one column."""
     with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("%")]
+        lines = fh.read().splitlines()
+    _check_banner(path, lines, _BANNER_ARRAY)
+    lines = [ln for ln in lines[1:] if ln and not ln.startswith("%")]
     n, m = _size_line(path, lines, 0, 2)
     if m != 1:
         raise ManifestError(f"{path}: expected a single-column vector, got {m} columns")

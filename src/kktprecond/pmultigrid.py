@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .blocklinalg import BlockLuFactor, dense_lu_factor
+from .blocklinalg import BlockLuFactor, dense_lu_factor, stacked_diagonal
 from .errors import SingularBlock, SingularCoarseMatrix, SizeCapExceeded
 from .krylov import Preconditioner
 
@@ -47,33 +47,22 @@ class TransferOps:
 def transfer_ops(n_elem: int, p: int, q: int) -> TransferOps:
     """Transfers for an n_elem mesh with solution degree p and mesh degree q."""
     n_u = n_elem * (p + 1)
-    Pu = scipy.sparse.csr_matrix(
-        (np.ones(n_u), (np.arange(n_u), np.repeat(np.arange(n_elem), p + 1))),
-        shape=(n_u, n_elem),
-    )
+    element = np.repeat(np.arange(n_elem), p + 1)
+    Pu = scipy.sparse.csr_matrix((np.ones(n_u), element, np.arange(n_u + 1)), shape=(n_u, n_elem))
 
+    # Mesh node g at local fraction l/q of element e is the linear blend of
+    # the element endpoints e and e + 1 with weights 1 - l/q and l/q; pinned
+    # domain endpoints and zero weights contribute nothing.
     n_y = q * n_elem - 1
     n_yc = n_elem - 1
-    rows, cols, vals = [], [], []
-    for g in range(1, q * n_elem):
-        e, l = divmod(g, q)
-        if l == 0:
-            rows.append(g - 1)
-            cols.append(e - 1)
-            vals.append(1.0)
-        else:
-            # Interior node of element e at local fraction l/q: linear blend of
-            # the element endpoints; pinned domain endpoints contribute nothing.
-            for vertex, wgt in ((e, 1.0 - l / q), (e + 1, l / q)):
-                if 0 < vertex < n_elem:
-                    rows.append(g - 1)
-                    cols.append(vertex - 1)
-                    vals.append(wgt)
-    Py = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n_y, n_yc))
-    Qy = scipy.sparse.csr_matrix(
-        (np.ones(n_yc), (np.arange(n_yc), q * np.arange(1, n_elem) - 1)),
-        shape=(n_yc, n_y),
-    )
+    e, l = np.divmod(np.arange(1, q * n_elem), q)
+    vertex = np.stack([e, e + 1], axis=1).ravel()
+    weight = np.stack([1.0 - l / q, l / q], axis=1).ravel()
+    keep = (0 < vertex) & (vertex < n_elem) & (weight != 0.0)
+    rows = np.repeat(np.arange(n_y), 2)[keep]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_y))])
+    Py = scipy.sparse.csr_matrix((weight[keep], vertex[keep] - 1, indptr), shape=(n_y, n_yc))
+    Qy = scipy.sparse.csr_matrix((np.ones(n_yc), q * np.arange(1, n_elem) - 1, np.arange(n_elem)), shape=(n_yc, n_y))
     return TransferOps(Pu, Py, Qy)
 
 
@@ -83,11 +72,12 @@ def build_transfer(problem) -> TransferOps:
 
 
 def full_prolongation(T: TransferOps) -> scipy.sparse.csr_matrix:
-    return scipy.sparse.block_diag([T.Pu, T.Py, T.Pu], format="csr")
+    return stacked_diagonal([[T.Pu], [T.Py], [T.Pu]])
 
 
 def full_restriction(T: TransferOps) -> scipy.sparse.csr_matrix:
-    return scipy.sparse.block_diag([T.Pu.T, T.Qy, T.Pu.T], format="csr")
+    Pu_T = T.Pu.T.tocsr()
+    return stacked_diagonal([[Pu_T], [T.Qy], [Pu_T]])
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Test oracles: dense Ju~ / Byy~ factors and the assembled At matrix, the
 modified Gram-Schmidt GMRES loop that `krylov.gmres_solve` replaced, and the
-plain kernels that the operator, the dense LU and the factor builds replaced.
+plain kernels that the operator, the dense LU, the factor builds, the Matrix
+Market reader and the reference assembly replaced.
 
 The exact, block Jacobi and point Jacobi approximations are rebuilt from the
 true dense Ju and Byy, so an oracle check compares each factor's solve against
@@ -10,8 +11,11 @@ fill, are recomposed from the factor entries as L U.
 The replaced kernels (nine separate KKT factor products, scipy's lu_factor /
 lu_solve wrappers, MDF weights recomputed from the blocks, the block and point
 IKJ loops with per-update lookups, the preconditioner apply through the
-transposed view of Jy) do the same float operations in the same order as
-their replacements, so tests compare the two with np.array_equal.
+transposed view of Jy, the block LU compiled through scipy sparse products,
+the sliced sparse-block KKT product, the transfers built by a loop and
+block_diag, the KKT matrix assembled by bmat, the reader with a second
+loadtxt and a reshape per block) do the same float operations in the same
+order as their replacements, so tests compare the two with np.array_equal.
 """
 
 import warnings
@@ -20,10 +24,12 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from kktprecond.blocklinalg import BlockCsrMatrix, BlockPattern, densify
+from kktprecond.blocklinalg import BlockCsrMatrix, BlockPattern, block_to_scipy, densify
 from kktprecond.conprec import PointIlu0Factor, PointJacobiFactor
 from kktprecond.dgprecond import BiluPrec, BlockJacobiPrec
-from kktprecond.pmultigrid import full_prolongation, full_restriction
+from kktprecond.errors import ManifestError
+from kktprecond.mmio import _BLOCK_TAG, _ENTRY, _VALUE, _parse, _parse_block_tag
+from kktprecond.pmultigrid import TransferOps, full_prolongation, full_restriction
 
 
 def bilu_factors(P: BiluPrec):
@@ -333,3 +339,194 @@ def five_step_apply(P, sys, v):
     A0 = (restrict @ nine_product_matvec(sys, prolong)).toarray()
     s = prolong @ scipy_lu_solve(scipy_lu_factor(A0), restrict @ v)
     return s + bare(v - nine_product_matvec(sys, s)), A0
+
+
+def per_block_pivot_check(blocks, factors):
+    """Position of the first block that dense_lu_factor's per-block test
+    rejects, or None."""
+    for m, (block, lu) in enumerate(zip(blocks, factors)):
+        if not block.size:
+            continue
+        scale = np.abs(block).max()
+        if scale == 0.0 or np.any(np.abs(np.diag(lu.lu_entries)) < 1e-14 * scale):
+            return m
+    return None
+
+
+def sparse_block_lu_triangles(F: BlockCsrMatrix, diag_lu):
+    """(L^, U~, prow) of a block LU formed by scipy sparse fancy indexing,
+    products and COO round trips, with Ld^-1 applied by the nilpotent
+    iteration; L^ and U~ are CSR."""
+    pat = F.pattern
+    sizes = pat.row_block_sizes
+    n = int(sizes.sum())
+    blocks = list(F.blocks)
+    for m, k in enumerate(np.flatnonzero(pat.col_idx == pat.block_rows)):
+        blocks[k] = diag_lu[m].lu_entries
+    S = block_to_scipy(BlockCsrMatrix(pat, blocks)).tocoo()
+    blk = np.repeat(np.arange(len(sizes)), sizes)
+    same_block = blk[S.row] == blk[S.col]
+    below = S.col < S.row
+
+    def part(mask):
+        return scipy.sparse.csr_matrix((S.data[mask], (S.row[mask], S.col[mask])), shape=(n, n))
+
+    strict_ld = part(same_block & below)
+    ld = strict_ld + scipy.sparse.identity(n, format="csr")
+    starts = np.repeat(pat.row_offsets[:-1], sizes)
+    local = np.arange(n) - starts
+    piv = np.concatenate([lu.pivots for lu in diag_lu]) + starts
+    prow = np.arange(n)
+    for t in range(int(sizes.max())):
+        i = np.flatnonzero(local == t)
+        prow[i], prow[piv[i]] = prow[piv[i]], prow[i]
+    lower = ld + part(~same_block & below)[prow][:, prow] @ ld
+    rhs = part(~same_block & ~below)[prow]
+    y = rhs
+    for _ in range(int(sizes.max()) - 1):
+        y = rhs - strict_ld @ y
+    upper = part(same_block & ~below) + y
+    return lower, upper, prow
+
+
+def sliced_block_matvec(sys, X):
+    """The KKT product with a sparse block of columns by row slices, sparse
+    sums and scipy vstack of the two stacked products."""
+    n_u, n_y = sys.factors.n_u, sys.factors.n_y
+    c = sys.csr
+    n_r = c.G.shape[0]
+    ends = np.cumsum([0, n_r, n_u, n_r, n_y, n_u, n_u, n_y])
+    w = c.S1 @ scipy.sparse.csr_matrix(X, dtype=float)
+    a, ju_vu, b, byy_vy, jy_vy, jut_vl, jyt_vl = (w[lo:hi] for lo, hi in zip(ends[:-1], ends[1:]))
+    t = c.S2 @ scipy.sparse.vstack([a + b, a], format="csr")
+    out_u = t[:n_u] + jut_vl
+    out_y = t[n_u:] + byy_vy + jyt_vl
+    out_l = ju_vu + jy_vy
+    return scipy.sparse.vstack([out_u, out_y, out_l], format="csr")
+
+
+def looped_transfers(n_elem, p, q):
+    """(TransferOps, P, Q) with Py built node by node and P, Q by block_diag."""
+    n_u = n_elem * (p + 1)
+    Pu = scipy.sparse.csr_matrix(
+        (np.ones(n_u), (np.arange(n_u), np.repeat(np.arange(n_elem), p + 1))), shape=(n_u, n_elem)
+    )
+    n_y, n_yc = q * n_elem - 1, n_elem - 1
+    rows, cols, vals = [], [], []
+    for g in range(1, q * n_elem):
+        e, l = divmod(g, q)
+        if l == 0:
+            rows.append(g - 1)
+            cols.append(e - 1)
+            vals.append(1.0)
+        else:
+            for vertex, wgt in ((e, 1.0 - l / q), (e + 1, l / q)):
+                if 0 < vertex < n_elem:
+                    rows.append(g - 1)
+                    cols.append(vertex - 1)
+                    vals.append(wgt)
+    Py = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n_y, n_yc))
+    Qy = scipy.sparse.csr_matrix((np.ones(n_yc), (np.arange(n_yc), q * np.arange(1, n_elem) - 1)), shape=(n_yc, n_y))
+    P = scipy.sparse.block_diag([Pu, Py, Pu], format="csr")
+    Q = scipy.sparse.block_diag([Pu.T, Qy, Pu.T], format="csr")
+    return TransferOps(Pu, Py, Qy), P, Q
+
+
+def sliced_coarse_matrix(sys):
+    """The p-multigrid coarse matrix Q A P from the looped transfers and the
+    sliced sparse-block product."""
+    _, P, Q = looped_transfers(sys.dims.n_elem, sys.dims.p, sys.dims.q)
+    return (Q @ sliced_block_matvec(sys, P)).toarray()
+
+
+def bmat_kkt(sys):
+    """The assembled KKT matrix through bmat's COO path."""
+    c = sys.csr
+    buy = c.dRdu_T @ c.G
+    blocks = [[c.dRdu_T @ c.dRdu, buy, c.Ju_T], [buy.T, sys.Byy, c.Jy_T], [c.Ju, sys.Jy, None]]
+    return scipy.sparse.bmat(blocks, format="csc")
+
+
+def two_pass_read_matrix(path):
+    """The reader that parsed the size line with a second loadtxt, sorted by
+    lexsort and reshaped each block on its own."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines or not lines[0].startswith("%%MatrixMarket"):
+        raise ManifestError(f"{path}: missing MatrixMarket banner")
+    if "coordinate" not in lines[0]:
+        raise ManifestError(f"{path}: expected coordinate format")
+    block_sizes = None
+    k = 1
+    while k < len(lines) and lines[k].startswith("%"):
+        if lines[k].startswith(_BLOCK_TAG):
+            block_sizes = _parse_block_tag(path, lines[k])
+        k += 1
+    size = _parse(path, lines[k : k + 1], np.dtype([(f"f{i}", np.int64) for i in range(3)]), "size line")
+    if len(size) != 1 or min(size[0].tolist()) < 0:
+        raise ManifestError(f"{path}: missing or negative size line")
+    n_rows, n_cols, nnz = size[0].tolist()
+    entries = _parse(path, lines[k + 1 : k + 1 + nnz], _ENTRY, "entry")
+    if len(entries) != nnz:
+        raise ManifestError(f"{path}: header declares {nnz} entries, file holds {len(entries)}")
+    rows, cols, vals = entries["row"] - 1, entries["col"] - 1, entries["val"]
+    if nnz and (rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols):
+        raise ManifestError(f"{path}: entry outside the declared {n_rows} x {n_cols} shape")
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    last = np.ones(len(rows), dtype=bool)
+    last[:-1] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    rows, cols, vals = rows[last], cols[last], vals[last]
+    if block_sizes is None:
+        row_ptr = np.searchsorted(rows, np.arange(n_rows + 1))
+        return scipy.sparse.csr_matrix((vals, cols, row_ptr), shape=(n_rows, n_cols))
+    rbs, cbs = block_sizes
+    if rbs.sum() != n_rows or cbs.sum() != n_cols:
+        raise ManifestError(f"{path}: block sizes inconsistent with matrix dimensions")
+    roff = np.concatenate([[0], np.cumsum(rbs)])
+    coff = np.concatenate([[0], np.cumsum(cbs)])
+    brow = np.searchsorted(roff, rows, side="right") - 1
+    bcol = np.searchsorted(coff, cols, side="right") - 1
+    keys, block_of = np.unique(brow * len(cbs) + bcol, return_inverse=True)
+    bi, bj = np.divmod(keys, len(cbs))
+    sizes = rbs[bi] * cbs[bj]
+    starts = np.cumsum(sizes) - sizes
+    flat = np.zeros(sizes.sum())
+    flat[starts[block_of] + (rows - roff[brow]) * cbs[bcol] + (cols - coff[bcol])] = vals
+    blocks = [flat[s : s + n].reshape(rbs[i], cbs[j]) for s, n, i, j in zip(starts, sizes, bi, bj)]
+    row_ptr = np.searchsorted(bi, np.arange(len(rbs) + 1))
+    return BlockCsrMatrix(BlockPattern(rbs, cbs, row_ptr, bj), blocks)
+
+
+def two_pass_read_vector(path):
+    """The vector reader that skipped every comment line, banner included."""
+    with open(path) as fh:
+        lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("%")]
+    size = _parse(path, lines[:1], np.dtype([("f0", np.int64), ("f1", np.int64)]), "size line")
+    if len(size) != 1 or min(size[0].tolist()) < 0 or size[0][1] != 1:
+        raise ManifestError(f"{path}: bad size line")
+    n = int(size[0][0])
+    vals = _parse(path, lines[1 : 1 + n], _VALUE, "value")["val"]
+    if len(vals) != n:
+        raise ManifestError(f"{path}: expected {n} entries, found {len(vals)}")
+    return vals
+
+
+def coo_block_to_scipy(A: BlockCsrMatrix):
+    """Scalar CSR view of a block matrix through a COO matrix and a sort."""
+    pat = A.pattern
+    shape = (pat.n_rows, pat.n_cols)
+    if not A.blocks:
+        return scipy.sparse.csr_matrix(shape)
+    brow = pat.block_rows
+    bcols = pat.col_block_sizes[pat.col_idx]
+    sizes = pat.row_block_sizes[brow] * bcols
+    starts = np.cumsum(sizes) - sizes
+    k = np.repeat(np.arange(len(sizes)), sizes)
+    a, b = np.divmod(np.arange(sizes.sum()) - starts[k], bcols[k])
+    rows = pat.row_offsets[brow][k] + a
+    cols = pat.col_offsets[pat.col_idx][k] + b
+    csr = scipy.sparse.coo_matrix((np.concatenate(A.blocks, axis=None), (rows, cols)), shape=shape).tocsr()
+    csr.sort_indices()
+    return csr
+

@@ -4,28 +4,44 @@ Each kernel keeps the float operations of its oracle in `oracles.py` and
 their order, so every comparison here is np.array_equal, never a tolerance.
 """
 
+import os
+
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kktprecond.blocklinalg import BlockCsrMatrix, block_to_scipy, dense_lu_factor
+from kktprecond.blocklinalg import BlockCsrMatrix, BlockPattern, block_to_scipy, dense_lu_factor, first_singular, getrf
 from kktprecond.conprec import CATALOG, build_at_preconditioner, point_ilu0_factor
-from kktprecond.dgprecond import bilu0_factor, mdf_order
-from kktprecond.kkt import KktOperator
-from kktprecond.pmultigrid import build_transfer, full_prolongation
+from kktprecond.dgprecond import _block_lu_triangles, bilu0_factor, build_block_jacobi, mdf_order
+from kktprecond.errors import SingularBlock
+from kktprecond.kkt import KktOperator, assembled_kkt, reference_solution
+from kktprecond.manifest import export_system
+from kktprecond.mmio import read_matrix, read_vector, write_matrix
+from kktprecond.pmultigrid import assemble_coarse, build_transfer, full_prolongation, full_restriction, transfer_ops
 from kktprecond.stencil import generate_stencil_system
 from oracles import (
+    bmat_kkt,
+    coo_block_to_scipy,
     five_step_apply,
     ikj_bilu_blocks,
     ikj_point_ilu0_values,
+    looped_transfers,
     nine_product_matvec,
+    per_block_pivot_check,
     recomputing_mdf_order,
     scipy_lu_factor,
     scipy_lu_solve,
+    sliced_block_matvec,
+    sliced_coarse_matrix,
+    sparse_block_lu_triangles,
+    two_pass_read_matrix,
+    two_pass_read_vector,
 )
 from test_compiled_factors import dominant_block_matrices
+from test_mmio import sparse_or_block_matrices
 
 SYSTEMS = ("sys8_k1", "sys16_k1", "sys8_zero_coupling")
 
@@ -143,3 +159,182 @@ def test_catalog_apply_matches_five_step_oracle(name, variant, request):
     assert (P.multigrid is None) == (A0 is None)
     if A0 is not None:
         assert np.array_equal(P.multigrid.coarse.A0, A0)
+
+
+def _bits(a) -> np.ndarray:
+    """The IEEE bit patterns of a float array, so -0.0 differs from 0.0."""
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def _same_arrays(X, Y) -> bool:
+    """Same shape, index arrays and data bits of two compressed matrices."""
+    return (
+        X.shape == Y.shape
+        and np.array_equal(X.indptr, Y.indptr)
+        and np.array_equal(X.indices, Y.indices)
+        and np.array_equal(_bits(X.data), _bits(Y.data))
+    )
+
+
+def _same_matrix(A, B) -> bool:
+    """Same type, layout and value bits of two read matrices."""
+    if isinstance(A, BlockCsrMatrix):
+        fields = ("row_block_sizes", "col_block_sizes", "row_ptr", "col_idx")
+        return (
+            isinstance(B, BlockCsrMatrix)
+            and all(np.array_equal(getattr(A.pattern, f), getattr(B.pattern, f)) for f in fields)
+            and all(
+                a.shape == b.shape and np.array_equal(_bits(a), _bits(b)) for a, b in zip(A.blocks, B.blocks, strict=True)
+            )
+        )
+    return type(A) is type(B) and _same_arrays(A, B)
+
+
+@pytest.mark.parametrize("name", ["sys8_k1", "sys16_k1"])
+def test_reader_matches_two_pass_reader_on_exported_systems(name, request, tmp_path):
+    export_system(request.getfixturevalue(name), tmp_path)
+    for fname in sorted(os.listdir(tmp_path)):
+        path = tmp_path / fname
+        if fname in ("g.mtx", "r.mtx"):
+            assert np.array_equal(_bits(read_vector(path)), _bits(two_pass_read_vector(path)))
+        elif fname.endswith(".mtx"):
+            assert _same_matrix(read_matrix(path), two_pass_read_matrix(path))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sparse_or_block_matrices(), st.integers(0, 2**32 - 1))
+def test_reader_matches_two_pass_reader_on_shuffled_repeated_entries(tmp_path_factory, A, seed):
+    # Mixed block sizes, entries in random order, and some entries repeated
+    # later in the file with other values (the last one wins).
+    path = tmp_path_factory.mktemp("shuffled") / "a.mtx"
+    write_matrix(path, A)
+    lines = path.read_text().splitlines()
+    k = 2 if isinstance(A, BlockCsrMatrix) else 1
+    rng = np.random.default_rng(seed)
+    entries = [lines[i] for i in rng.permutation(range(k + 1, len(lines)))]
+    for i in rng.integers(0, len(entries), len(entries) // 2) if entries else []:
+        row, col, _ = entries[i].split()
+        entries.append(f"{row} {col} {rng.standard_normal()!r}")
+    n_rows, n_cols, _ = lines[k].split()
+    path.write_text("\n".join(lines[:k] + [f"{n_rows} {n_cols} {len(entries)}"] + entries) + "\n")
+    assert _same_matrix(read_matrix(path), two_pass_read_matrix(path))
+
+
+def _diag_factors(F: BlockCsrMatrix):
+    pat = F.pattern
+    return [getrf(F.blocks[k]) for k in np.flatnonzero(pat.col_idx == pat.block_rows)]
+
+
+def _assert_triangles_match(F: BlockCsrMatrix, diag_lu):
+    lower, upper, prow = _block_lu_triangles(F.pattern, F.blocks, diag_lu)
+    want_lower, want_upper, want_prow = sparse_block_lu_triangles(F, diag_lu)
+    assert np.array_equal(prow, want_prow)
+    # permuted_lu hands SuperLU the CSC form of each factor.
+    assert _same_arrays(lower, scipy.sparse.csc_matrix(want_lower))
+    assert _same_arrays(upper, scipy.sparse.csc_matrix(want_upper))
+
+
+def _block_jacobi_input(A: BlockCsrMatrix):
+    sizes = A.pattern.row_block_sizes
+    diag = np.flatnonzero(A.pattern.col_idx == A.pattern.block_rows)
+    pat = BlockPattern(sizes, sizes, np.arange(len(sizes) + 1), np.arange(len(sizes)))
+    F = BlockCsrMatrix(pat, [A.blocks[k] for k in diag])
+    return F, _diag_factors(F)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(dominant_block_matrices())
+def test_block_lu_triangles_match_sparse_products(A):
+    # Mixed block sizes with row-swapping pivots: the block Jacobi and the
+    # block ILU0 factors, and the first block row taken as L blocks.
+    _assert_triangles_match(*_block_jacobi_input(A))
+    work = bilu0_factor(A, mdf_order(A)).lu_blocks
+    _assert_triangles_match(work, _diag_factors(work))
+
+
+@pytest.mark.parametrize("name", ["sys8_k1", "sys16_k1"])
+def test_block_lu_triangles_match_sparse_products_on_systems(name, request):
+    Ju = request.getfixturevalue(name).factors.Ju
+    _assert_triangles_match(*_block_jacobi_input(Ju))
+    P = bilu0_factor(Ju, mdf_order(Ju))
+    _assert_triangles_match(P.lu_blocks, _diag_factors(P.lu_blocks))
+    for A in (Ju, scaled_stencil(0)):
+        F, diag_lu = _block_jacobi_input(A)
+        lower, upper, prow = sparse_block_lu_triangles(F, diag_lu)
+        got = build_block_jacobi(A).factors
+        assert np.array_equal(got.rows, prow) and np.array_equal(got.cols, np.arange(len(prow)))
+
+
+@st.composite
+def block_batches(draw):
+    """Square blocks of mixed orders (0 to 5) scaled over many decades, some
+    exactly singular, some nearly so, some all zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for _ in range(draw(st.integers(1, 8))):
+        n = int(rng.integers(0, 6))
+        block = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-8.0, 8.0)
+        kind = rng.integers(0, 5)
+        if n and kind == 0:
+            block[:, -1] = block[:, 0]
+        elif n and kind == 1:
+            block[-1] = 1e-15 * block[0]
+        elif kind == 2:
+            block[:] = 0.0
+        blocks.append(block)
+    return blocks
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(block_batches())
+def test_vectorized_pivot_check_matches_per_block_check(blocks):
+    factors = [getrf(b) if b.size else dense_lu_factor(b) for b in blocks]
+    want = per_block_pivot_check(blocks, factors)
+    bad = first_singular(blocks, factors)
+    if want is None:
+        assert bad is None
+        return
+    assert bad[0] == want
+    with pytest.raises(SingularBlock) as single:
+        dense_lu_factor(blocks[want])
+    assert str(single.value) == bad[1]
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_sparse_block_product_and_coarse_matrix_match_sliced_oracle(name, request):
+    sys = request.getfixturevalue(name)
+    op = KktOperator(sys)
+    prolong = full_prolongation(build_transfer(sys.dims))
+    block = scipy.sparse.random(op.dimension, 7, density=0.2, format="csr", random_state=1)
+    for X in (prolong, block):
+        got, want = op.matmat(X), sliced_block_matvec(sys, X)
+        assert got.nnz == want.nnz and np.array_equal(_bits(got.toarray()), _bits(want.toarray()))
+    A0 = assemble_coarse(op, build_transfer(sys.dims)).A0
+    assert np.array_equal(_bits(A0), _bits(sliced_coarse_matrix(sys)))
+
+
+@pytest.mark.parametrize("n_elem", [1, 2, 3, 8, 64])
+@pytest.mark.parametrize("p, q", [(0, 1), (1, 1), (2, 2), (3, 1), (1, 3), (2, 4)])
+def test_transfers_match_looped_construction(n_elem, p, q):
+    T = transfer_ops(n_elem, p, q)
+    want, P, Q = looped_transfers(n_elem, p, q)
+    pairs = [(T.Pu, want.Pu), (T.Py, want.Py), (T.Qy, want.Qy), (full_prolongation(T), P), (full_restriction(T), Q)]
+    assert all(_same_arrays(got, exp) for got, exp in pairs)
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_reference_assembly_matches_bmat(name, request):
+    sys = request.getfixturevalue(name)
+    A = assembled_kkt(sys)
+    assert isinstance(A, scipy.sparse.csc_matrix) and _same_arrays(A, bmat_kkt(sys))
+    want = scipy.sparse.linalg.splu(bmat_kkt(sys)).solve(sys.rhs())
+    assert np.array_equal(_bits(reference_solution(sys)), _bits(want))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.one_of(dominant_block_matrices(), sparse_or_block_matrices().filter(lambda A: isinstance(A, BlockCsrMatrix))))
+def test_block_to_scipy_matches_coo_construction(A):
+    # Rectangular and mixed block sizes, stored zero blocks, empty block rows.
+    got, want = block_to_scipy(A), coo_block_to_scipy(A)
+    assert _same_arrays(got, want)
+    assert got.indices.dtype == want.indices.dtype and got.indptr.dtype == want.indptr.dtype

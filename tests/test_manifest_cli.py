@@ -1,16 +1,21 @@
 """System export/import manifests and the command-line harness."""
 
 import ast
+import contextlib
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kktprecond
 import kktprecond.cli
@@ -168,6 +173,99 @@ def test_cli_solve_malformed_matrix_market_file(sys8_k1, tmp_path, capsys, fname
     assert "malformed" in capsys.readouterr().err
 
 
+# Tokens a damaged manifest file may hold: numbers the readers must bound,
+# non-finite values, JSON values of the wrong type, and Matrix Market words
+# out of place.
+DAMAGE_TOKENS = (
+    "", "0", "-1", "2", "3.5", "99999", "x", "nan", "inf", "1e308", "NaN,", "Infinity,", "-1,", "null,",
+    '"a",', "[1],", "{},", "%", "%%MatrixMarket", "rows=1", "cols=0,1",
+)  # fmt: skip
+
+
+@pytest.fixture(scope="module")
+def exported8(sys8_k1, tmp_path_factory):
+    return export_system(sys8_k1, tmp_path_factory.mktemp("fuzz"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_cli_solve_survives_one_damaged_line(exported8, data):
+    # One line of one file of the manifest loses, repeats or replaces a
+    # token, or the file ends inside it: solve exits 0, 1 or 2 and never
+    # raises.
+    outdir = os.path.dirname(exported8)
+    path = os.path.join(outdir, data.draw(st.sampled_from(sorted(os.listdir(outdir)))))
+    with open(path) as fh:
+        original = fh.read()
+    lines = original.split("\n")
+    i = data.draw(st.integers(0, len(lines) - 1))
+    tokens = lines[i].split()
+    how = data.draw(st.sampled_from(["drop", "duplicate", "replace", "truncate"]))
+    if how == "truncate":
+        damaged = lines[:i] + [lines[i][: data.draw(st.integers(0, len(lines[i])))]]
+    else:
+        j = data.draw(st.integers(0, max(len(tokens) - 1, 0)))
+        if how == "drop":
+            new = []
+        elif how == "duplicate":
+            new = tokens[j : j + 1] * 2
+        else:
+            new = [data.draw(st.sampled_from(DAMAGE_TOKENS))]
+        damaged = lines[:i] + [" ".join(tokens[:j] + new + tokens[j + 1 :])] + lines[i + 1 :]
+    precond = data.draw(st.sampled_from(CATALOG))
+    try:
+        with open(path, "w") as fh:
+            fh.write("\n".join(damaged))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert main(["solve", exported8, "--precond", precond]) in (0, 1, 2)
+    finally:
+        with open(path, "w") as fh:
+            fh.write(original)
+
+
+@pytest.mark.parametrize(
+    "fname, line, value, precond", [("ju.mtx", 30, "1e308", "BILU-ilu"), ("elasticity.mtx", 18, "-inf", "BJ-ilu")]
+)
+def test_cli_solve_overflowing_factor_exits_1(sys8_k1, tmp_path, capsys, fname, line, value, precond):
+    # A huge or infinite entry leaves a zero on the diagonal of a compiled
+    # triangular factor; SuperLU's RuntimeError becomes a typed error.
+    path = export_system(sys8_k1, tmp_path)
+    lines = (tmp_path / fname).read_text().splitlines()
+    row, col, _ = lines[line].split()
+    lines[line] = f"{row} {col} {value}"
+    (tmp_path / fname).write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["solve", path, "--precond", precond]) == 1
+    assert "triangular factor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: m["matrices"].update(ju=1e308),
+        lambda m: m["matrices"].update(ju=["ju.mtx"]),
+        lambda m: m.update(matrices="ju.mtx"),
+        lambda m: m.update(state_index=None),
+        lambda m: m["dimensions"].update(n_u=None),
+        lambda m: m["scalars"].update(gamma=-1.0),
+        lambda m: m["scalars"].update(kappa=float("nan")),
+    ],
+    ids=["file-number", "file-list", "section-string", "state-null", "dimension-null", "gamma-negative", "kappa-nan"],
+)
+def test_cli_solve_malformed_manifest_values_exit_2(sys8_k1, tmp_path, capsys, edit):
+    path = export_system(sys8_k1, tmp_path)
+    with open(path) as fh:
+        manifest = json.load(fh)
+    edit(manifest)
+    with open(path, "w") as fh:
+        json.dump(manifest, fh)
+    assert main(["solve", path, "--precond", "A0"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("fname", ["ju.mtx", "dRdu.mtx"])
 def test_cli_solve_block_factor_without_block_sizes_exits_2(sys8_k1, tmp_path, capsys, fname):
     path = export_system(sys8_k1, tmp_path)
@@ -291,6 +389,20 @@ def test_cli_sweep_reports_solve_errors(tmp_path, capsys, monkeypatch):
     assert rows[1][8] == "1000"
     case = rows[1][0]
     assert err.splitlines() == [f"error: {case} BJ: SingularBlock: block row 3: pivot below threshold"]
+
+
+def test_main_runs_the_command_bound_at_call_time(sys8_k1, tmp_path, capsys, monkeypatch):
+    # The parser is built once, on the first call; a command function
+    # replaced after that call (as a benchmark hook does) is the one run.
+    path = export_system(sys8_k1, tmp_path)
+    assert main(["solve", path, "--precond", "BJ"]) == 0
+    capsys.readouterr()
+    calls = []
+    monkeypatch.setattr(kktprecond.cli, "cmd_solve", lambda args: calls.append(args.manifest) or 0)
+    assert main(["solve", path, "--precond", "BJ"]) == 0
+    assert calls == [path]
+    assert capsys.readouterr().out == ""
+    assert kktprecond.cli.build_parser() is kktprecond.cli.build_parser()
 
 
 def test_cli_sweep_rejects_bad_specs(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -293,3 +294,48 @@ def test_write_read_round_trip_is_exact(tmp_path_factory, A):
         np.testing.assert_array_equal(B.indptr, A.indptr)
         np.testing.assert_array_equal(B.indices, A.indices)
         assert np.array_equal(B.data, A.data) and np.array_equal(np.signbit(B.data), np.signbit(A.data))
+
+
+@pytest.mark.parametrize("field", ["symmetric", "skew-symmetric"])
+def test_reader_rejects_symmetric_storage(tmp_path, field):
+    # A symmetric file stores one triangle; read as general it would lose the
+    # other. scipy writes [[2, 1], [1, 3]] as its lower triangle.
+    path = tmp_path / "sym.mtx"
+    A = np.array([[2.0, 1.0], [1.0, 3.0]]) if field == "symmetric" else np.array([[0.0, 1.0], [-1.0, 0.0]])
+    scipy.io.mmwrite(path, scipy.sparse.csr_matrix(A), symmetry=field)
+    assert path.read_text().splitlines()[0] == f"%%MatrixMarket matrix coordinate real {field}"
+    with pytest.raises(ManifestError, match="unsupported banner"):
+        read_matrix(path)
+
+
+@pytest.mark.parametrize(
+    "banner", ["%%MatrixMarket matrix coordinate integer general", "%%MatrixMarket matrix coordinate complex general"]
+)
+def test_reader_rejects_other_fields(tmp_path, banner):
+    path = tmp_path / "f.mtx"
+    path.write_text(f"{banner}\n1 1 1\n1 1 2\n")
+    with pytest.raises(ManifestError, match="unsupported banner"):
+        read_matrix(path)
+
+
+def test_reader_banner_words_are_case_insensitive(tmp_path):
+    path = tmp_path / "c.mtx"
+    path.write_text("%%MatrixMarket MATRIX Coordinate Real General\n1 2 1\n1 2 5.0\n")
+    assert read_matrix(path).toarray().tolist() == [[0.0, 5.0]]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2 1\n1.0\n2.0\n",
+        "%%MatrixMarket matrix coordinate real general\n2 1\n1.0\n2.0\n",
+        "%%MatrixMarket matrix array real symmetric\n2 1\n1.0\n2.0\n",
+    ],
+)
+def test_vector_reader_requires_array_banner(tmp_path, text):
+    # Without a banner, or with a coordinate one, the lines used to parse as
+    # a two-entry vector.
+    path = tmp_path / "v.mtx"
+    path.write_text(text)
+    with pytest.raises(ManifestError, match="banner"):
+        read_vector(path)
