@@ -1,11 +1,9 @@
-"""The block sparse container with the dense-block kernels used everywhere else.
+"""Dense-block kernels and the canonical forms of the sparse matrices.
 
 Matrices whose block structure the preconditioners use (the DG Jacobians Ju
-and dRdu) are partitioned into rectangular dense blocks, one group of rows per
-element, and stored in block-CSR form: the usual CSR index arrays over block
-rows/columns, with a dense array per stored block. Every other matrix is a
-scipy CSR matrix, kept canonical by canonical_csr; block_to_scipy gives the
-scalar CSR view of a block matrix.
+and dRdu) are scipy BSR matrices with one block row per element, kept
+canonical by canonical_bsr; every other matrix is a scipy CSR matrix, kept
+canonical by canonical_csr.
 """
 
 from __future__ import annotations
@@ -20,8 +18,6 @@ import scipy.sparse.linalg
 from .errors import DimensionMismatch, PatternViolation, SingularBlock
 
 __all__ = [
-    "BlockPattern",
-    "BlockCsrMatrix",
     "BlockLuFactor",
     "check_trans",
     "dense_lu_factor",
@@ -30,124 +26,10 @@ __all__ = [
     "PermutedLu",
     "permuted_lu",
     "sparse_lu",
-    "block_transpose_matvec",
+    "canonical_bsr",
     "canonical_csr",
     "stacked_diagonal",
-    "densify",
-    "block_to_scipy",
 ]
-
-
-@dataclass(frozen=True)
-class BlockPattern:
-    """Block-CSR sparsity pattern with per-group row and column sizes."""
-
-    row_block_sizes: np.ndarray
-    col_block_sizes: np.ndarray
-    row_ptr: np.ndarray
-    col_idx: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "row_block_sizes", np.asarray(self.row_block_sizes, dtype=int))
-        object.__setattr__(self, "col_block_sizes", np.asarray(self.col_block_sizes, dtype=int))
-        object.__setattr__(self, "row_ptr", np.asarray(self.row_ptr, dtype=int))
-        object.__setattr__(self, "col_idx", np.asarray(self.col_idx, dtype=int))
-        nbr = len(self.row_block_sizes)
-        nbc = len(self.col_block_sizes)
-        if len(self.row_ptr) != nbr + 1 or self.row_ptr[0] != 0:
-            raise PatternViolation("row_ptr must have one entry per block row plus a leading 0")
-        if np.any(np.diff(self.row_ptr) < 0):
-            raise PatternViolation("row_ptr must be nondecreasing")
-        if self.row_ptr[-1] != len(self.col_idx):
-            raise PatternViolation("row_ptr end must equal number of stored blocks")
-        i = _first_bad_row(self.row_ptr, self.col_idx, nbc)
-        if i is not None:
-            raise PatternViolation(f"block row {i}: col_idx must be strictly increasing and in range")
-
-    @property
-    def n_block_rows(self) -> int:
-        return len(self.row_block_sizes)
-
-    @property
-    def n_block_cols(self) -> int:
-        return len(self.col_block_sizes)
-
-    @property
-    def n_rows(self) -> int:
-        return int(self.row_block_sizes.sum())
-
-    @property
-    def n_cols(self) -> int:
-        return int(self.col_block_sizes.sum())
-
-    @property
-    def row_offsets(self) -> np.ndarray:
-        return np.concatenate([[0], np.cumsum(self.row_block_sizes)])
-
-    @property
-    def col_offsets(self) -> np.ndarray:
-        return np.concatenate([[0], np.cumsum(self.col_block_sizes)])
-
-    @property
-    def block_rows(self) -> np.ndarray:
-        """Block row of each stored block."""
-        return np.repeat(np.arange(self.n_block_rows), np.diff(self.row_ptr))
-
-    def block_index(self, i: int, j: int) -> int | None:
-        """Position of block (i, j) in storage, or None if not stored."""
-        lo, hi = self.row_ptr[i], self.row_ptr[i + 1]
-        k = lo + np.searchsorted(self.col_idx[lo:hi], j)
-        if k < hi and self.col_idx[k] == j:
-            return int(k)
-        return None
-
-
-def _first_bad_row(row_ptr: np.ndarray, col_idx: np.ndarray, n_cols: int) -> int | None:
-    """First row of a CSR structure (row_ptr already checked nondecreasing and
-    ending at len(col_idx)) whose columns are not strictly increasing and in
-    [0, n_cols), or None."""
-    bad = (col_idx < 0) | (col_idx >= n_cols)
-    row_start = np.zeros(len(col_idx), dtype=bool)
-    row_start[row_ptr[:-1][row_ptr[:-1] < len(col_idx)]] = True
-    bad[1:] |= (np.diff(col_idx) <= 0) & ~row_start[1:]
-    if not bad.any():
-        return None
-    return int(np.searchsorted(row_ptr, np.argmax(bad), side="right") - 1)
-
-
-@dataclass
-class BlockCsrMatrix:
-    """Pattern plus one dense array per stored block, aligned with col_idx."""
-
-    pattern: BlockPattern
-    blocks: list[np.ndarray]
-
-    def __post_init__(self):
-        pat = self.pattern
-        if len(self.blocks) != len(pat.col_idx):
-            raise PatternViolation("one dense block required per stored position")
-        self.blocks = [np.asarray(blk, dtype=float) for blk in self.blocks]
-        brow = pat.block_rows
-        want = list(zip(pat.row_block_sizes[brow].tolist(), pat.col_block_sizes[pat.col_idx].tolist()))
-        shapes = [blk.shape for blk in self.blocks]
-        if shapes != want:
-            k = next(k for k, (got, exp) in enumerate(zip(shapes, want)) if got != exp)
-            raise DimensionMismatch(
-                f"block ({brow[k]},{pat.col_idx[k]}) has shape {shapes[k]}, expected {want[k]}"
-            )
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.pattern.n_rows, self.pattern.n_cols)
-
-    def toarray(self) -> np.ndarray:
-        """Dense copy, written block by block."""
-        pat = self.pattern
-        roff, coff = pat.row_offsets, pat.col_offsets
-        out = np.zeros(self.shape)
-        for i, j, blk in zip(pat.block_rows, pat.col_idx, self.blocks):
-            out[roff[i] : roff[i + 1], coff[j] : coff[j + 1]] = blk
-        return out
 
 
 def check_trans(trans: str) -> None:
@@ -188,28 +70,22 @@ def getrf(block: np.ndarray) -> BlockLuFactor:
     return BlockLuFactor(lu, piv)
 
 
-def first_singular(blocks: list[np.ndarray], factors: list[BlockLuFactor]) -> tuple[int, str] | None:
-    """Position and description of the first near-singular block, found by
-    one vectorized test over all of them, or None.
+def first_singular(blocks: np.ndarray, factors: list[BlockLuFactor]) -> tuple[int, str] | None:
+    """Position and description of the first near-singular block of a
+    (count, s, s) stack, found by one vectorized test over all of them, or
+    None.
 
     A pivot smaller than 1e-14 times the largest initial entry magnitude of
     its block is treated as singular so downstream solves fail loudly instead
     of emitting NaNs; an exactly zero pivot, which getrf reports, is one of
-    these. Empty blocks pass.
+    these.
     """
-    sizes = np.array([len(f.pivots) for f in factors], dtype=int)
-    keep = np.flatnonzero(sizes)
-    sizes = sizes[keep]
-    if not len(keep):
-        return None
-    entries = np.abs(np.concatenate([np.ravel(blocks[k]) for k in keep]))
-    scale = np.maximum.reduceat(entries, np.cumsum(sizes**2) - sizes**2)
-    pivots = np.abs(np.concatenate([np.diagonal(factors[k].lu_entries) for k in keep]))
-    small = np.logical_or.reduceat(pivots < 1e-14 * np.repeat(scale, sizes), np.cumsum(sizes) - sizes)
-    bad = np.flatnonzero((scale == 0.0) | small)
+    scale = np.abs(blocks).max(axis=(1, 2))
+    pivots = np.abs(np.array([np.diagonal(f.lu_entries) for f in factors]))
+    bad = np.flatnonzero((scale == 0.0) | np.any(pivots < 1e-14 * scale[:, None], axis=1))
     if not len(bad):
         return None
-    return int(keep[bad[0]]), f"pivot below 1e-14 relative threshold (scale {scale[bad[0]]:g})"
+    return int(bad[0]), f"pivot below 1e-14 relative threshold (scale {scale[bad[0]]:g})"
 
 
 def dense_lu_factor(block: np.ndarray) -> BlockLuFactor:
@@ -221,7 +97,7 @@ def dense_lu_factor(block: np.ndarray) -> BlockLuFactor:
     if not block.size:
         return BlockLuFactor(np.empty_like(block), np.arange(0, dtype=np.int32))
     lu = getrf(block)
-    bad = first_singular([block], [lu])
+    bad = first_singular(block[None], [lu])
     if bad:
         raise SingularBlock(bad[1])
     return lu
@@ -294,17 +170,22 @@ def sparse_lu(A) -> PermutedLu:
     return permuted_lu(lu.L, lu.U, np.argsort(lu.perm_r), lu.perm_c)
 
 
-def block_transpose_matvec(A: BlockCsrMatrix, v: np.ndarray) -> np.ndarray:
-    """y = A^T v without materializing the transpose."""
-    v = np.asarray(v, dtype=float)
-    pat = A.pattern
-    if v.shape != (pat.n_rows,):
-        raise DimensionMismatch(f"vector length {v.shape} incompatible with {A.shape} transposed")
-    roff, coff = pat.row_offsets, pat.col_offsets
-    y = np.zeros(pat.n_cols)
-    for i, j, blk in zip(pat.block_rows, pat.col_idx, A.blocks):
-        y[coff[j] : coff[j + 1]] += blk.T @ v[roff[i] : roff[i + 1]]
-    return y
+def canonical_bsr(M, name: str = "matrix") -> scipy.sparse.bsr_matrix:
+    """M as a float BSR matrix; a float input keeps its arrays.
+
+    Raises TypeError if M is not BSR and PatternViolation if its index
+    arrays are malformed or a block row repeats or misorders its block
+    column indices.
+    """
+    if getattr(M, "format", None) != "bsr":
+        raise TypeError(f"{name} must be a scipy BSR matrix, got {type(M).__name__}")
+    try:
+        M.check_format(full_check=True)
+    except ValueError as exc:
+        raise PatternViolation(f"{name}: {exc}") from exc
+    if not M.has_canonical_format:
+        raise PatternViolation(f"{name}: block column indices must be strictly increasing in every block row")
+    return M.astype(float, copy=False)
 
 
 def canonical_csr(M, name: str = "matrix") -> scipy.sparse.csr_matrix:
@@ -340,38 +221,3 @@ def stacked_diagonal(groups) -> scipy.sparse.csr_matrix:
     return scipy.sparse.csr_matrix(
         (np.concatenate(data), np.concatenate(indices), np.concatenate(indptr)), shape=(n_rows, n_cols)
     )
-
-
-def densify(A) -> np.ndarray:
-    """Dense array of a BlockCsrMatrix or of a scipy sparse matrix."""
-    return A.toarray()
-
-
-def block_to_scipy(A: BlockCsrMatrix) -> scipy.sparse.csr_matrix:
-    """Scalar CSR view of a block matrix (stored zeros kept in the pattern),
-    with sorted column indices, placed directly from the block layout."""
-    pat = A.pattern
-    shape = (pat.n_rows, pat.n_cols)
-    if not A.blocks:
-        return scipy.sparse.csr_matrix(shape)
-    # Entry e of the concatenated row-major blocks lies in block k at local
-    # offset t = a * n_cols_k + b.
-    brow = pat.block_rows
-    bcols = pat.col_block_sizes[pat.col_idx]
-    sizes = pat.row_block_sizes[brow] * bcols
-    starts = np.cumsum(sizes) - sizes
-    k = np.repeat(np.arange(len(sizes)), sizes)
-    t = np.arange(sizes.sum()) - starts[k]
-    a, b = np.divmod(t, bcols[k])
-    # The stored blocks of a block row lie side by side in each of its point
-    # rows, block k starting `before[k]` entries into the row.
-    first = np.cumsum(bcols) - bcols
-    before = first - first[pat.row_ptr[brow]]
-    row_width = np.bincount(brow, weights=bcols, minlength=pat.n_block_rows).astype(int)
-    indptr = np.concatenate([[0], np.cumsum(np.repeat(row_width, pat.row_block_sizes))])
-    dest = indptr[pat.row_offsets[brow][k] + a] + before[k] + b
-    indices = np.empty(len(dest), dtype=int)
-    indices[dest] = pat.col_offsets[pat.col_idx][k] + b
-    data = np.empty(len(dest))
-    data[dest] = np.concatenate(A.blocks, axis=None)
-    return scipy.sparse.csr_matrix((data, indices, indptr), shape=shape)

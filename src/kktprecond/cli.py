@@ -70,6 +70,22 @@ def _csv_row(sys, precond_name: str, iters: int, converged: bool) -> str:
     )
 
 
+def _problem(cfg: GenerateConfig):
+    """The problem of a config; parameters it rejects are a usage error."""
+    try:
+        return make_problem(cfg)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"invalid problem parameters: {exc}")
+
+
+def _cast(kind, value, what: str):
+    """kind(value), or a usage error naming what the value is."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"invalid {what} {value!r}")
+
+
 def cmd_generate(args) -> int:
     try:
         cfg = load_problem_config(args.config)
@@ -77,7 +93,7 @@ def cmd_generate(args) -> int:
         raise UsageError(f"config file not found: {args.config}")
     except ValueError as exc:
         raise UsageError(str(exc))
-    problem = make_problem(cfg)
+    problem = _problem(cfg)
     sqp = SqpConfig(max_iters=cfg.max_iters, kappa=cfg.kappa, gamma=cfg.gamma)
     states = run_sqp(problem, sqp)
     for k in cfg.states:
@@ -105,10 +121,13 @@ def _sweep_systems(spec: dict):
     values = spec.get("values")
     if axis not in ("kappa", "gamma", "state", "degree", "mesh"):
         raise UsageError(f"unknown sweep axis {axis!r}")
-    if not values:
+    if not isinstance(values, list) or not values:
         raise UsageError("sweep values must be a nonempty list")
-    fixed = dict(spec.get("fixed", {}))
-    state_index = int(fixed.pop("state", 1))
+    fixed = spec.get("fixed", {})
+    if not isinstance(fixed, dict):
+        raise UsageError("sweep fixed parameters must be a JSON object")
+    fixed = dict(fixed)
+    state_index = _cast(int, fixed.pop("state", 1), "state")
     cfg_fields = {k: v for k, v in fixed.items() if k in GenerateConfig.__dataclass_fields__}
     unknown = set(fixed) - set(cfg_fields)
     if unknown:
@@ -116,7 +135,7 @@ def _sweep_systems(spec: dict):
     base = GenerateConfig(**cfg_fields)
 
     def generate(cfg: GenerateConfig, k: int):
-        problem = make_problem(cfg)
+        problem = _problem(cfg)
         sqp = SqpConfig(max_iters=cfg.max_iters, kappa=cfg.kappa, gamma=cfg.gamma)
         states = run_sqp(problem, sqp)
         if not 0 <= k < len(states):
@@ -124,27 +143,30 @@ def _sweep_systems(spec: dict):
         return problem, states
 
     if axis in ("kappa", "gamma"):
+        scalars = [_cast(float, v, f"{axis} value") for v in values]
         problem, states = generate(base, state_index)
         state = states[state_index]
-        for i, val in enumerate(values):
-            override = {axis: float(val)}
-            yield i, build_kkt(problem, state, case=base.case_name, **override)
+        for i, val in enumerate(scalars):
+            yield i, build_kkt(problem, state, case=base.case_name, **{axis: val})
     elif axis == "state":
-        problem, states = generate(base, max(int(v) for v in values))
-        for i, val in enumerate(values):
-            yield i, build_kkt(problem, states[int(val)], case=base.case_name)
+        ks = [_cast(int, v, "state") for v in values]
+        if min(ks) < 0:
+            raise UsageError(f"state {min(ks)} not available: states are numbered from 0")
+        problem, states = generate(base, max(ks))
+        for i, k in enumerate(ks):
+            yield i, build_kkt(problem, states[k], case=base.case_name)
     elif axis == "degree":
         for i, val in enumerate(values):
-            if isinstance(val, (list, tuple)):
-                p, q = int(val[0]), int(val[1])
-            else:
-                p, q = int(val), base.q
+            pair = val if isinstance(val, list) else [val, base.q]
+            if len(pair) != 2:
+                raise UsageError(f"invalid degree {val!r}: a degree p or a pair [p, q]")
+            p, q = (_cast(int, d, "degree") for d in pair)
             cfg = GenerateConfig(**{**cfg_fields, "p": p, "q": q})
             problem, states = generate(cfg, state_index)
             yield i, build_kkt(problem, states[state_index], case=cfg.case_name)
     else:
         for i, val in enumerate(values):
-            cfg = GenerateConfig(**{**cfg_fields, "n_elem": int(val)})
+            cfg = GenerateConfig(**{**cfg_fields, "n_elem": _cast(int, val, "mesh size")})
             problem, states = generate(cfg, state_index)
             yield i, build_kkt(problem, states[state_index], case=cfg.case_name)
 
@@ -157,15 +179,17 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"sweep spec not found: {args.spec}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"{args.spec}: invalid JSON ({exc})")
+    if not isinstance(spec, dict):
+        raise UsageError(f"{args.spec}: a sweep spec must be a JSON object")
 
     preconds = spec.get("preconditioners")
-    if not preconds:
+    if not isinstance(preconds, list) or not preconds:
         raise UsageError("sweep needs a nonempty preconditioner list")
     for name in preconds:
         if name not in CATALOG:
             raise UsageError(f"unknown preconditioner {name!r}; catalog: {', '.join(CATALOG)}")
-    tol = float(spec.get("tol", DEFAULT_TOL))
-    max_iters = int(spec.get("max_iters", DEFAULT_MAX_ITERS))
+    tol = _cast(float, spec.get("tol", DEFAULT_TOL), "tol")
+    max_iters = _cast(int, spec.get("max_iters", DEFAULT_MAX_ITERS), "max_iters")
 
     rows = []
     for value_pos, sys_i in _sweep_systems(spec):

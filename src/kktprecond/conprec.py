@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 
-from .blocklinalg import PermutedLu, block_to_scipy, check_trans, dense_lu_factor, permuted_lu, sparse_lu
+from .blocklinalg import PermutedLu, check_trans, dense_lu_factor, permuted_lu, sparse_lu
 from .dgprecond import BiluPrec, BlockJacobiPrec, bilu0_factor, build_block_jacobi, mdf_order
 from .errors import (
     DimensionMismatch,
@@ -224,7 +224,7 @@ def apply_at_inverse(P: AtPreconditioner, v: np.ndarray, bare: bool = False) -> 
 def _build_ju_approx(sys: KktSystem, kind: str):
     Ju = sys.factors.Ju
     if kind == "exact":
-        return sparse_lu(block_to_scipy(Ju))
+        return sparse_lu(Ju.tocsr())
     if kind == "block_jacobi":
         return build_block_jacobi(Ju)
     return bilu0_factor(Ju, mdf_order(Ju))

@@ -16,15 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .blocklinalg import (
-    BlockCsrMatrix,
-    BlockLuFactor,
-    BlockPattern,
-    PermutedLu,
-    first_singular,
-    getrf,
-    permuted_lu,
-)
+from .blocklinalg import BlockLuFactor, PermutedLu, canonical_bsr, first_singular, getrf, permuted_lu
 from .errors import DimensionMismatch, SingularBlock, SingularPivotBlock
 
 __all__ = [
@@ -65,7 +57,7 @@ class BiluPrec:
     triangular factors."""
 
     permutation: np.ndarray
-    lu_blocks: BlockCsrMatrix
+    lu_blocks: scipy.sparse.bsr_matrix
     factors: PermutedLu
 
     @property
@@ -78,24 +70,12 @@ class BiluPrec:
         return self.factors.solve(w, trans)
 
 
-def _stacked(blocks: list[np.ndarray], s: int) -> np.ndarray:
-    """(len(blocks), s, s) array of blocks of at most s rows and columns,
-    zero-padded at the bottom and right."""
-    if all(blk.shape == (s, s) for blk in blocks):
-        return np.array(blocks, dtype=float).reshape(len(blocks), s, s)
-    out = np.zeros((len(blocks), s, s))
-    for dst, blk in zip(out, blocks):
-        dst[: blk.shape[0], : blk.shape[1]] = blk
-    return out
-
-
-def _nonzeros(vals: np.ndarray, I: np.ndarray, J: np.ndarray, pat: BlockPattern):
-    """Point (rows, cols, values) of the nonzero entries of the zero-padded
-    blocks vals[x] at block position (I[x], J[x])."""
-    t = np.arange(vals.shape[1])
-    inside = (t[:, None] < pat.row_block_sizes[I][:, None, None]) & (t < pat.col_block_sizes[J][:, None, None])
-    x, a, b = np.nonzero(inside & (vals != 0))
-    return pat.row_offsets[I][x] + a, pat.col_offsets[J][x] + b, vals[x, a, b]
+def _nonzeros(vals: np.ndarray, I: np.ndarray, J: np.ndarray):
+    """Point (rows, cols, values) of the nonzero entries of the s x s blocks
+    vals[x] at block position (I[x], J[x])."""
+    s = vals.shape[1]
+    x, a, b = np.nonzero(vals)
+    return I[x] * s + a, J[x] * s + b, vals[x, a, b]
 
 
 def _csc(n: int, parts) -> scipy.sparse.csc_matrix:
@@ -107,64 +87,66 @@ def _csc(n: int, parts) -> scipy.sparse.csc_matrix:
     return scipy.sparse.csc_matrix((vals[order], rows[order], indptr), shape=(n, n))
 
 
-def _block_lu_triangles(pat: BlockPattern, blocks: list[np.ndarray], diag_lu: list[BlockLuFactor]):
+def _block_rows(A) -> np.ndarray:
+    """Block row of each stored block of a BSR matrix."""
+    return np.repeat(np.arange(len(A.indptr) - 1), np.diff(A.indptr))
+
+
+def _block_lu_triangles(A, diag_lu: list[BlockLuFactor]):
     """Point factors L^, U~ and the row order prow of a block LU = L_blk U_blk.
 
-    The strict lower blocks of (pat, blocks) are those of L_blk, whose
+    The strict lower blocks of the BSR matrix A are those of L_blk, whose
     diagonal blocks are identities; its strict upper blocks are those of
     U_blk, whose diagonal blocks D_m = P_m L_m U_m are given by their LAPACK
-    factors (the diagonal blocks of blocks are not read). With Pd, Ld, Ud the
+    factors (the diagonal blocks of A are not read). With Pd, Ld, Ud the
     block diagonals of the P_m, L_m, U_m and Pd^T x = x[prow],
 
         L_blk U_blk = Pd L^ U~,   L^ = Pd^T L_blk Pd Ld,   U~ = Ud + Ld^-1 Pd^T U_strict,
 
     and L^ (unit lower) and U~ (upper) are point triangular. Every block is
-    formed in a zero-padded (count, s, s) stack: a block of L^ below the
-    diagonal is sum_c B[p_I][:, c] (Ld_J[p_J^-1])[c, :] over c in ascending
-    order, and a block of U~ is a forward substitution with Ld_I; each entry
-    adds the same nonzero products in the same order as the scipy sparse
-    products of the plain formulas, and entries that come out zero are not
-    stored.
+    formed in a (count, s, s) stack: a block of L^ below the diagonal is
+    sum_c B[p_I][:, c] (Ld_J[p_J^-1])[c, :] over c in ascending order, and a
+    block of U~ is a forward substitution with Ld_I; each entry adds the same
+    nonzero products in the same order as the scipy sparse products of the
+    plain formulas, and entries that come out zero are not stored.
     """
-    sizes = pat.row_block_sizes
-    n, nb, s = int(sizes.sum()), len(sizes), int(sizes.max())
-    block_rows, block_cols = pat.block_rows, pat.col_idx
+    n, s = A.shape[0], A.blocksize[0]
+    nb = n // s
+    block_rows, block_cols = _block_rows(A), A.indices
 
     # LAPACK swaps row t of each block with its pivot row, for t = 0, 1, ...
     # in turn; blocks do not interact.
-    starts = np.repeat(pat.row_offsets[:-1], sizes)
-    local = np.arange(n) - starts
+    local = np.arange(n) % s
+    starts = np.arange(n) - local
     piv = np.concatenate([lu.pivots for lu in diag_lu]) + starts
     prow = np.arange(n)
     for t in range(s):
         i = np.flatnonzero(local == t)
         prow[i], prow[piv[i]] = prow[piv[i]], prow[i]
-    # perm[I] is the row order p_I within block I and inv[I] its inverse,
-    # both padded with the identity.
-    perm = np.tile(np.arange(s), (nb, 1))
-    perm[np.repeat(np.arange(nb), sizes), local] = prow - starts
+    # perm[I] is the row order p_I within block I and inv[I] its inverse.
+    perm = (prow - starts).reshape(nb, s)
     inv = np.empty_like(perm)
     inv[np.arange(nb)[:, None], perm] = np.arange(s)
 
-    LU = _stacked([lu.lu_entries for lu in diag_lu], s)
+    LU = np.array([lu.lu_entries for lu in diag_lu]).reshape(nb, s, s)
     strict_ld = np.tril(LU, -1)
     ld = strict_ld + np.eye(s)
     diag = np.arange(nb)
-    lower = [_nonzeros(ld, diag, diag, pat)]
-    upper = [_nonzeros(np.triu(LU), diag, diag, pat)]
+    lower = [_nonzeros(ld, diag, diag)]
+    upper = [_nonzeros(np.triu(LU), diag, diag)]
 
     k = np.flatnonzero(block_cols < block_rows)
     I, J, x = block_rows[k], block_cols[k], np.arange(len(k))[:, None]
-    B = _stacked([blocks[t] for t in k], s)[x, perm[I]]
+    B = A.data[k][x, perm[I]]
     M = ld[J][x, inv[J]]
     R = B[:, :, 0, None] * M[:, None, 0, :]
     for c in range(1, s):
         R = R + B[:, :, c, None] * M[:, None, c, :]
-    lower.append(_nonzeros(R, I, J, pat))
+    lower.append(_nonzeros(R, I, J))
 
     k = np.flatnonzero(block_cols > block_rows)
     I, J, x = block_rows[k], block_cols[k], np.arange(len(k))[:, None]
-    rhs = _stacked([blocks[t] for t in k], s)[x, perm[I]]
+    rhs = A.data[k][x, perm[I]]
     L = strict_ld[I]
     y = rhs.copy()
     for a in range(1, s):
@@ -172,93 +154,95 @@ def _block_lu_triangles(pat: BlockPattern, blocks: list[np.ndarray], diag_lu: li
         for b in range(1, a):
             acc = acc + L[:, a, b, None] * y[:, b, :]
         y[:, a, :] = rhs[:, a, :] - acc
-    upper.append(_nonzeros(y, I, J, pat))
+    upper.append(_nonzeros(y, I, J))
     return _csc(n, lower), _csc(n, upper), prow
 
 
-def _compile_block_lu(pat: BlockPattern, blocks, diag_lu: list[BlockLuFactor], point_perm: np.ndarray) -> PermutedLu:
+def _compile_block_lu(A, diag_lu: list[BlockLuFactor], point_perm: np.ndarray) -> PermutedLu:
     """Point triangular factors of a block LU in permuted order; see
     _block_lu_triangles."""
-    lower, upper, prow = _block_lu_triangles(pat, blocks, diag_lu)
+    lower, upper, prow = _block_lu_triangles(A, diag_lu)
     return permuted_lu(lower, upper, point_perm[prow], point_perm)
 
 
-def _require_square_blocks(A: BlockCsrMatrix):
-    pat = A.pattern
-    if pat.n_block_rows != pat.n_block_cols or np.any(pat.row_block_sizes != pat.col_block_sizes):
-        raise DimensionMismatch("preconditioner needs a square block matrix with matching block sizes")
+def _square_bsr(A) -> scipy.sparse.bsr_matrix:
+    """A as a canonical BSR matrix, which must be square with square blocks."""
+    A = canonical_bsr(A, "block matrix")
+    if A.shape[0] != A.shape[1] or A.blocksize[0] != A.blocksize[1]:
+        raise DimensionMismatch("preconditioner needs a square block matrix with square blocks")
+    return A
 
 
-def _diagonal_positions(pat: BlockPattern) -> tuple[list[int], int]:
+def _diagonal_positions(A) -> tuple[np.ndarray, int]:
     """Storage positions of the diagonal blocks of the block rows before the
     first one without a stored diagonal block, and that row (or the number
     of block rows)."""
-    stored = np.flatnonzero(pat.col_idx == pat.block_rows)
-    missing = np.flatnonzero(pat.block_rows[stored] != np.arange(len(stored)))
+    block_rows = _block_rows(A)
+    stored = np.flatnonzero(A.indices == block_rows)
+    missing = np.flatnonzero(block_rows[stored] != np.arange(len(stored)))
     first_missing = int(missing[0]) if len(missing) else len(stored)
-    return stored[:first_missing].tolist(), first_missing
+    return stored[:first_missing], first_missing
 
 
-def _diag_lus(A: BlockCsrMatrix) -> list[BlockLuFactor]:
+def _diag_lus(A) -> list[BlockLuFactor]:
     """LU factors of the diagonal blocks of A, one getrf call each and one
     pivot check for all; raises SingularBlock for the first block row whose
     diagonal block is missing or singular."""
-    pat = A.pattern
-    stored, first_missing = _diagonal_positions(pat)
-    blocks = [A.blocks[k] for k in stored]
+    stored, first_missing = _diagonal_positions(A)
+    blocks = A.data[stored]
     factors = [getrf(blk) for blk in blocks]
     bad = first_singular(blocks, factors)
     if bad:
         raise SingularBlock(f"block row {bad[0]}: {bad[1]}")
-    if first_missing < pat.n_block_rows:
+    if first_missing < len(A.indptr) - 1:
         raise SingularBlock(f"block row {first_missing}: diagonal block missing from pattern")
     return factors
 
 
-def build_block_jacobi(A: BlockCsrMatrix) -> BlockJacobiPrec:
-    """LU-factor every diagonal block of A."""
-    _require_square_blocks(A)
+def build_block_jacobi(A) -> BlockJacobiPrec:
+    """LU-factor every diagonal block of the square BSR matrix A."""
+    A = _square_bsr(A)
     factors = _diag_lus(A)
-    sizes = A.pattern.row_block_sizes.copy()
-    nb = len(sizes)
-    diagonal = BlockPattern(sizes, sizes, np.arange(nb + 1), np.arange(nb))
-    blocks = [lu.lu_entries for lu in factors]
-    return BlockJacobiPrec(sizes, _compile_block_lu(diagonal, blocks, factors, np.arange(int(sizes.sum()))))
+    nb = len(factors)
+    lu_entries = np.array([lu.lu_entries for lu in factors]).reshape(nb, *A.blocksize)
+    diagonal = scipy.sparse.bsr_matrix((lu_entries, np.arange(nb), np.arange(nb + 1)), shape=A.shape)
+    return BlockJacobiPrec(np.full(nb, A.blocksize[0]), _compile_block_lu(diagonal, factors, np.arange(A.shape[0])))
 
 
-def _adjacency(pat: BlockPattern):
+def _adjacency(A):
     """Static out-neighbors (stored columns) and in-neighbors per block row."""
-    n = pat.n_block_rows
-    out_nbrs = [pat.col_idx[pat.row_ptr[i] : pat.row_ptr[i + 1]].tolist() for i in range(n)]
-    in_nbrs: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in out_nbrs[i]:
+    ptr = A.indptr.tolist()
+    cols = A.indices.tolist()
+    out_nbrs = [cols[lo:hi] for lo, hi in zip(ptr[:-1], ptr[1:])]
+    in_nbrs: list[list[int]] = [[] for _ in out_nbrs]
+    for i, nbrs in enumerate(out_nbrs):
+        for j in nbrs:
             in_nbrs[j].append(i)
     return out_nbrs, in_nbrs
 
 
-def _fill_table(A: BlockCsrMatrix, out_nbrs, in_nbrs) -> list[list[tuple[int, int, float]]]:
+def _fill_table(A, out_nbrs, in_nbrs) -> list[list[tuple[int, int, float]]]:
     """Per block row k, the discarded fill triples (i, j, ||A_ik A_kk^-1 A_kj||_F^2)
     over stored A_ik and A_kj with i, j, k distinct and A_ij not stored.
 
     The pattern is never augmented, so the table is static; triples are
     listed with i in in-neighbor order and j in column order.
     """
-    pat = A.pattern
-    n = pat.n_block_rows
-    row_ptr = pat.row_ptr.tolist()
+    n = len(out_nbrs)
+    ptr = A.indptr.tolist()
+    blocks = list(A.data)
     has_edge = {(i, j) for i in range(n) for j in out_nbrs[i]}
     # Position of the stored block (i, j), found once per block row.
-    where = [dict(zip(out_nbrs[i], range(row_ptr[i], row_ptr[i + 1]))) for i in range(n)]
+    where = [dict(zip(out_nbrs[i], range(ptr[i], ptr[i + 1]))) for i in range(n)]
     diag_lus = _diag_lus(A)
     table = []
     for k in range(n):
-        solved = {j: diag_lus[k].solve(A.blocks[where[k][j]]) for j in out_nbrs[k] if j != k}
+        solved = {j: diag_lus[k].solve(blocks[where[k][j]]) for j in out_nbrs[k] if j != k}
         triples = []
         for i in in_nbrs[k]:
             if i == k:
                 continue
-            ik = A.blocks[where[i][k]]
+            ik = blocks[where[i][k]]
             for j, akj in solved.items():
                 if j != i and (i, j) not in has_edge:
                     fill = ik @ akj
@@ -267,7 +251,7 @@ def _fill_table(A: BlockCsrMatrix, out_nbrs, in_nbrs) -> list[list[tuple[int, in
     return table
 
 
-def mdf_order(A: BlockCsrMatrix) -> MdfOrdering:
+def mdf_order(A) -> MdfOrdering:
     """Greedy minimum-discarded-fill ordering of the block rows.
 
     The weight of an uneliminated row k is the Frobenius norm of the aggregate
@@ -281,9 +265,9 @@ def mdf_order(A: BlockCsrMatrix) -> MdfOrdering:
     once; after eliminating a row, only its neighbors' weights are summed
     again over their remaining terms.
     """
-    _require_square_blocks(A)
-    n = A.pattern.n_block_rows
-    out_nbrs, in_nbrs = _adjacency(A.pattern)
+    A = _square_bsr(A)
+    out_nbrs, in_nbrs = _adjacency(A)
+    n = len(out_nbrs)
     table = _fill_table(A, out_nbrs, in_nbrs)
     alive = np.ones(n, dtype=bool)
 
@@ -310,35 +294,33 @@ def mdf_order(A: BlockCsrMatrix) -> MdfOrdering:
     return MdfOrdering(order, selected)
 
 
-def _permuted_copy(A: BlockCsrMatrix, order: np.ndarray) -> BlockCsrMatrix:
+def _permuted_copy(A, order: np.ndarray) -> scipy.sparse.bsr_matrix:
     """P A P^T for the block row order: row m of the copy is row order[m] of
     A, its columns renumbered the same way and sorted."""
-    pat = A.pattern
-    n = pat.n_block_rows
+    n = len(order)
     pos = np.empty(n, dtype=int)
     pos[order] = np.arange(n)
-    new_cols = pos[pat.col_idx]
-    stored = np.lexsort((new_cols, pos[pat.block_rows]))
-    row_ptr = np.concatenate([[0], np.cumsum(np.diff(pat.row_ptr)[order])])
-    sizes = pat.row_block_sizes[order]
-    new_pat = BlockPattern(sizes, sizes, row_ptr, new_cols[stored])
-    return BlockCsrMatrix(new_pat, [A.blocks[t].copy() for t in stored])
+    new_cols = pos[A.indices]
+    stored = np.lexsort((new_cols, pos[_block_rows(A)]))
+    indptr = np.concatenate([[0], np.cumsum(np.diff(A.indptr)[order])])
+    return scipy.sparse.bsr_matrix((A.data[stored], new_cols[stored], indptr), shape=A.shape)
 
 
-def bilu0_factor(A: BlockCsrMatrix, ordering: MdfOrdering) -> BiluPrec:
-    """Zero-fill block LU of the symmetrically permuted matrix.
+def bilu0_factor(A, ordering: MdfOrdering) -> BiluPrec:
+    """Zero-fill block LU of the symmetrically permuted square BSR matrix.
 
     Block IKJ elimination; updates touching positions outside the pattern are
     skipped, which is the only approximation.
     """
-    _require_square_blocks(A)
+    A = _square_bsr(A)
     order = np.asarray(ordering.order, dtype=int)
     work = _permuted_copy(A, order)
-    pat = work.pattern
-    diag_pos, first_missing = _diagonal_positions(pat)
+    diag_pos, first_missing = _diagonal_positions(work)
+    diag_pos = diag_pos.tolist()
     diag_lu: list[BlockLuFactor] = []
-    row_ptr = pat.row_ptr.tolist()
-    col_idx = pat.col_idx.tolist()
+    row_ptr = work.indptr.tolist()
+    col_idx = work.indices.tolist()
+    blocks = list(work.data)
     # The pivots are checked once, after the elimination: what a singular
     # pivot does to the rows after it is discarded with the factors.
     with np.errstate(all="ignore"):
@@ -350,18 +332,19 @@ def bilu0_factor(A: BlockCsrMatrix, ordering: MdfOrdering) -> BiluPrec:
                 if k >= i:
                     break
                 # L_ik = A_ik U_kk^-1, computed via the transposed pivot solve.
-                lik = diag_lu[k].solve(work.blocks[t].T, trans="T").T
-                work.blocks[t] = lik
+                lik = diag_lu[k].solve(blocks[t].T, trans="T").T
+                blocks[t] = lik
                 for koff in range(row_ptr[k], row_ptr[k + 1]):
                     j = col_idx[koff]
                     if j > k and j in where:
-                        work.blocks[where[j]] = work.blocks[where[j]] - lik @ work.blocks[koff]
-            diag_lu.append(getrf(work.blocks[diag_pos[i]]))
-    bad = first_singular([work.blocks[t] for t in diag_pos], diag_lu)
+                        blocks[where[j]] = blocks[where[j]] - lik @ blocks[koff]
+            diag_lu.append(getrf(blocks[diag_pos[i]]))
+    work.data[:] = blocks
+    bad = first_singular(work.data[diag_pos], diag_lu)
     if bad:
         raise SingularPivotBlock(f"step {bad[0]}: {bad[1]}")
-    if first_missing < pat.n_block_rows:
+    if first_missing < len(order):
         raise SingularPivotBlock(f"step {first_missing}: diagonal block missing from permuted pattern")
-    offsets = A.pattern.row_offsets
-    point_perm = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in order])
-    return BiluPrec(order, work, _compile_block_lu(pat, work.blocks, diag_lu, point_perm))
+    s = A.blocksize[0]
+    point_perm = (order[:, None] * s + np.arange(s)).ravel()
+    return BiluPrec(order, work, _compile_block_lu(work, diag_lu, point_perm))

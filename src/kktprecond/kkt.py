@@ -15,7 +15,7 @@ distortion residual, plus an elasticity regularization of the mesh block:
 
 and the constraint Jacobian is J = [J_u, J_y] with J_y = drdx dPhidy.
 B_uu and B_uy act matrix-free through their factors; B_yy is assembled because
-it loses block structure. Ju and dRdu are block matrices, whose blocks the
+it loses block structure. Ju and dRdu are scipy BSR matrices, whose blocks the
 preconditioners use; every other factor, B_yy and J_y are scipy CSR.
 
 The operator is two sparse products. Products that share an operand are
@@ -42,7 +42,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .blocklinalg import BlockCsrMatrix, BlockPattern, block_to_scipy, canonical_csr, stacked_diagonal
+from .blocklinalg import canonical_bsr, canonical_csr, stacked_diagonal
 from .errors import DimensionMismatch, SingularSystem, SizeCapExceeded
 from .krylov import LinearOperator
 
@@ -93,11 +93,12 @@ class SystemDims:
 
 @dataclass
 class KktFactors:
-    """Factor matrices of the KKT blocks at one state: Ju and dRdu are block
-    matrices, the others are made canonical scipy CSR here."""
+    """Factor matrices of the KKT blocks at one state: Ju and dRdu must be
+    canonical scipy BSR (one block row per element), the others are made
+    canonical scipy CSR here."""
 
-    Ju: BlockCsrMatrix
-    dRdu: BlockCsrMatrix
+    Ju: scipy.sparse.bsr_matrix
+    dRdu: scipy.sparse.bsr_matrix
     dRdx: scipy.sparse.csr_matrix
     drdx: scipy.sparse.csr_matrix
     dRmshdx: scipy.sparse.csr_matrix
@@ -107,12 +108,14 @@ class KktFactors:
     gamma: float
 
     def __post_init__(self):
+        for name in ("Ju", "dRdu"):
+            setattr(self, name, canonical_bsr(getattr(self, name), name))
         for name in ("dRdx", "drdx", "dRmshdx", "dPhidy", "D"):
             setattr(self, name, canonical_csr(getattr(self, name), name))
         n_u = self.Ju.shape[1]
         n_x = self.dPhidy.shape[0]
-        if self.Ju.shape != (n_u, n_u):
-            raise DimensionMismatch("Ju must be square")
+        if self.Ju.shape != (n_u, n_u) or self.Ju.blocksize[0] != self.Ju.blocksize[1]:
+            raise DimensionMismatch("Ju must be square with square blocks")
         if self.dRdu.shape[1] != n_u:
             raise DimensionMismatch("dRdu column count must match Ju")
         if self.dRdx.shape[0] != self.dRdu.shape[0] or self.dRdx.shape[1] != n_x:
@@ -208,9 +211,9 @@ class KktSystem:
         """CSR factors for the operator, built on first use: SQP steps create a
         system per iteration and never apply it."""
         f = self.factors
-        dRdu = block_to_scipy(f.dRdu)
+        dRdu = f.dRdu.tocsr()
         G = (f.dRdx @ f.dPhidy).tocsr()
-        Ju = block_to_scipy(f.Ju)
+        Ju = f.Ju.tocsr()
         dRdu_T, G_T, Ju_T, Jy_T = (M.T.tocsr() for M in (dRdu, G, Ju, self.Jy))
         S1 = stacked_diagonal([[dRdu, Ju], [G, self.Byy, self.Jy], [Ju_T, Jy_T]])
         S2 = stacked_diagonal([[dRdu_T], [G_T]])
@@ -353,25 +356,15 @@ def assembled_kkt(sys: KktSystem) -> scipy.sparse.csc_matrix:
     return scipy.sparse.bmat(blocks, format="csr").tocsc()
 
 
-def ata_pattern(pattern: BlockPattern) -> BlockPattern:
-    """Symbolic block pattern of A^T A for a block matrix with pattern A."""
-    n = pattern.n_block_cols
-    cols_of_row = [
-        set(pattern.col_idx[pattern.row_ptr[i] : pattern.row_ptr[i + 1]].tolist())
-        for i in range(pattern.n_block_rows)
-    ]
-    neighbors: list[set[int]] = [set() for _ in range(n)]
-    for cols in cols_of_row:
-        for i in cols:
-            neighbors[i].update(cols)
-    row_ptr = [0]
-    col_idx: list[int] = []
-    for i in range(n):
-        js = sorted(neighbors[i])
-        col_idx.extend(js)
-        row_ptr.append(len(col_idx))
-    sizes = pattern.col_block_sizes
-    return BlockPattern(sizes, sizes, np.array(row_ptr), np.array(col_idx))
+def ata_pattern(A) -> scipy.sparse.csr_matrix:
+    """Symbolic block pattern of A^T A for a BSR matrix A: a 0/1 CSR matrix
+    with one row and column per block column of A, indices sorted."""
+    shape = (A.shape[0] // A.blocksize[0], A.shape[1] // A.blocksize[1])
+    S = scipy.sparse.csr_matrix((np.ones(len(A.indices)), A.indices, A.indptr), shape=shape)
+    P = (S.T @ S).tocsr()
+    P.data[:] = 1.0
+    P.sort_indices()
+    return P
 
 
 @dataclass(frozen=True)
@@ -384,14 +377,14 @@ class SparsityCounts:
         return self.m2 / self.m1
 
 
-def count_block_sparsity(Ju: BlockCsrMatrix, Buu_pattern: BlockPattern) -> SparsityCounts:
+def count_block_sparsity(Ju, Buu_pattern) -> SparsityCounts:
     """Nonzero blocks per interior row of Ju and of the symbolic B_uu pattern.
 
     Interior rows are those attaining the maximal block count of their
     pattern, which excludes boundary rows on any connected mesh.
     """
-    counts1 = np.diff(Ju.pattern.row_ptr)
-    counts2 = np.diff(Buu_pattern.row_ptr)
+    counts1 = np.diff(Ju.indptr)
+    counts2 = np.diff(Buu_pattern.indptr)
     m1 = counts1[counts1 == counts1.max()].mean()
     m2 = counts2[counts2 == counts2.max()].mean()
     return SparsityCounts(float(m1), float(m2))

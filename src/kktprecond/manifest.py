@@ -4,9 +4,11 @@ The manifest persists the factor matrices rather than any assembled Hessian
 block, so B_uu is never materialized on disk; Byy is re-assembled on import,
 which doubles as a consistency check of the stored factors.
 
-ju.mtx and dRdu.mtx carry a %%block-sizes line; the scalar factors do not. A
+ju.mtx and dRdu.mtx carry a %%block-sizes line and import as BSR matrices
+with (p+1) x (p+1) and (p+2) x (p+1) blocks; the scalar factors do not. A
 scalar factor written with one (dRdx.mtx and drdx.mtx of older manifests)
-imports as the scalar view of its blocks.
+imports as the CSR view of its blocks. Every matrix file is read with the
+shape the manifest's dimensions give it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from __future__ import annotations
 import json
 import os
 
-from .blocklinalg import BlockCsrMatrix, block_to_scipy
+import scipy.sparse
+
 from .errors import ManifestError
 from .kkt import KktFactors, KktSystem, SystemDims, assemble_Byy
 from .mmio import read_matrix, read_vector, write_matrix, write_vector
@@ -32,8 +35,6 @@ _MATRIX_FIELDS = (
     ("dPhidy", "dPhidy"),
     ("elasticity", "D"),
 )
-# The factors whose block structure the preconditioners use.
-_BLOCK_FIELDS = ("ju", "dRdu")
 
 
 def export_system(sys: KktSystem, outdir, prefix: str = "") -> str:
@@ -101,15 +102,6 @@ def import_system(path) -> KktSystem:
             raise ManifestError(f"{path}: referenced file missing: {fname}")
         return reader(full)
 
-    loaded = {key: load("matrices", key, read_matrix) for key, _ in _MATRIX_FIELDS}
-    for key, mat in loaded.items():
-        if key in _BLOCK_FIELDS and not isinstance(mat, BlockCsrMatrix):
-            raise ManifestError(f"{path}: matrix {key} has no %%block-sizes line")
-        if key not in _BLOCK_FIELDS and isinstance(mat, BlockCsrMatrix):
-            loaded[key] = block_to_scipy(mat)
-    g = load("vectors", "g", read_vector)
-    r = load("vectors", "r", read_vector)
-
     try:
         d = manifest["dimensions"]
         dims = SystemDims(int(d["n_elem"]), int(d["p"]), int(d["q"]))
@@ -135,10 +127,14 @@ def import_system(path) -> KktSystem:
         "dPhidy": (dims.n_x, dims.n_y),
         "elasticity": (dims.n_x, dims.n_x),
     }
-    for key, want in shapes.items():
-        got = loaded[key].shape
-        if tuple(got) != want:
-            raise ManifestError(f"{path}: matrix {key} has shape {got}, expected {want}")
+    loaded = {key: load("matrices", key, lambda full: read_matrix(full, shapes[key])) for key in shapes}
+    for key, want in (("ju", (dims.p + 1, dims.p + 1)), ("dRdu", (dims.p + 2, dims.p + 1))):
+        if not isinstance(loaded[key], scipy.sparse.bsr_matrix):
+            raise ManifestError(f"{path}: matrix {key} has no %%block-sizes line")
+        if loaded[key].blocksize != want:
+            raise ManifestError(f"{path}: matrix {key} has {loaded[key].blocksize} blocks, expected {want}")
+    g = load("vectors", "g", read_vector)
+    r = load("vectors", "r", read_vector)
     if g.shape != (dims.n_u + dims.n_y,) or r.shape != (dims.n_u,):
         raise ManifestError(f"{path}: vector lengths inconsistent with dimensions")
 

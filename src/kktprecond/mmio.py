@@ -1,13 +1,15 @@
-"""Matrix Market IO for scipy sparse and block CSR matrices.
+"""Matrix Market IO for scipy CSR and BSR matrices.
 
-Files use the standard coordinate format. Block matrices additionally carry a
+Files use the standard coordinate format. BSR matrices additionally carry a
 comment line
 
-    %%block-sizes rows=<s0,s1,...> cols=<s0,s1,...>
+    %%block-sizes rows=<r,r,...> cols=<c,c,...>
 
-immediately after the banner, so any Matrix Market reader still parses the file
-as a point matrix while this package recovers the block layout. Every stored
-entry is written, zeros included, so a block pattern survives the round trip.
+immediately after the banner, one size per block row and per block column, so
+any Matrix Market reader still parses the file as a point matrix while this
+package recovers the block layout. BSR holds one block shape per matrix, so a
+line listing unequal sizes is rejected. Every stored entry is written, zeros
+included, so a block pattern survives the round trip.
 Values are printed with 17 significant digits, which round-trips IEEE doubles
 exactly.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse
 
-from .blocklinalg import BlockCsrMatrix, BlockPattern, block_to_scipy, canonical_csr
+from .blocklinalg import canonical_csr
 from .errors import ManifestError
 
 __all__ = ["write_matrix", "read_matrix", "write_vector", "read_vector"]
@@ -30,17 +32,14 @@ _VALUE = np.dtype([("val", float)])
 
 
 def write_matrix(path, A) -> None:
-    """Write a scipy sparse matrix or a BlockCsrMatrix in coordinate format,
-    entries sorted by (row, col); repeated entries of a scipy matrix are summed."""
+    """Write a scipy sparse matrix in coordinate format, entries sorted by
+    (row, col) and repeated entries summed; a BSR matrix also gets its
+    block-sizes line."""
     lines = [_BANNER]
-    if isinstance(A, BlockCsrMatrix):
-        pat = A.pattern
-        row_sizes = ",".join(map(str, pat.row_block_sizes.tolist()))
-        col_sizes = ",".join(map(str, pat.col_block_sizes.tolist()))
-        lines.append(f"{_BLOCK_TAG} rows={row_sizes} cols={col_sizes}")
-        S = block_to_scipy(A)
-    else:
-        S = canonical_csr(A)
+    if getattr(A, "format", None) == "bsr":
+        (r, c), (m, n) = A.blocksize, A.shape
+        lines.append(f"{_BLOCK_TAG} rows={','.join([str(r)] * (m // r))} cols={','.join([str(c)] * (n // c))}")
+    S = canonical_csr(A)
     rows = np.repeat(np.arange(1, S.shape[0] + 1), np.diff(S.indptr))
     lines.append(f"{S.shape[0]} {S.shape[1]} {S.nnz}")
     lines.extend(map("{} {} {:.17g}".format, rows.tolist(), (S.indices + 1).tolist(), S.data.tolist()))
@@ -49,7 +48,8 @@ def write_matrix(path, A) -> None:
 
 
 def _parse_block_tag(path, line: str):
-    """Row and column block sizes: two nonempty lists of positive integers."""
+    """Row and column block sizes: two nonempty lists of positive integers,
+    each list one size repeated."""
     sizes = {}
     for field in line[len(_BLOCK_TAG) :].split():
         key, _, val = field.partition("=")
@@ -59,6 +59,8 @@ def _parse_block_tag(path, line: str):
         sizes[key] = np.array(list(map(int, words)))
         if not sizes[key].all():
             raise ManifestError(f"{path}: malformed block-sizes field {field!r}")
+        if np.any(sizes[key] != sizes[key][0]):
+            raise ManifestError(f"{path}: mixed block sizes in {key}=, one size per matrix is supported")
     if sizes.keys() != {"rows", "cols"}:
         raise ManifestError(f"{path}: malformed block-sizes line, rows= and cols= required: {line!r}")
     return sizes["rows"], sizes["cols"]
@@ -91,10 +93,12 @@ def _size_line(path, lines: list[str], k: int, n_fields: int) -> list[int]:
     return [int(w) for w in words]
 
 
-def read_matrix(path):
+def read_matrix(path, shape=None):
     """Read a coordinate real general file as a canonical scipy CSR matrix, or
-    as a BlockCsrMatrix if the file carries a block-sizes line. Of repeated
-    (row, col) entries the last in the file wins."""
+    as a canonical BSR matrix if the file carries a block-sizes line. Of
+    repeated (row, col) entries the last in the file wins. A size line other
+    than the expected shape, if one is given, is rejected before anything is
+    allocated for it."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     _check_banner(path, lines, _BANNER)
@@ -105,6 +109,8 @@ def read_matrix(path):
             block_sizes = _parse_block_tag(path, lines[k])
         k += 1
     n_rows, n_cols, nnz = _size_line(path, lines, k, 3)
+    if shape is not None and (n_rows, n_cols) != tuple(shape):
+        raise ManifestError(f"{path}: size line declares {n_rows} x {n_cols}, expected {shape[0]} x {shape[1]}")
     entries = _parse(path, lines[k + 1 : k + 1 + nnz], _ENTRY, "entry")
     if len(entries) != nnz:
         raise ManifestError(f"{path}: header declares {nnz} entries, file holds {len(entries)}")
@@ -127,31 +133,18 @@ def read_matrix(path):
 
 
 def _entries_to_block(path, n_rows, n_cols, rows, cols, vals, rbs, cbs):
-    """Block matrix from unique entries sorted by (row, col). The blocks of
-    each shape are filled as one (count, rows, cols) array."""
-    if rbs.sum() != n_rows or cbs.sum() != n_cols:
+    """BSR matrix from unique entries sorted by (row, col), its blocks filled
+    as one (count, r, c) array."""
+    r, c = int(rbs[0]), int(cbs[0])
+    if len(rbs) * r != n_rows or len(cbs) * c != n_cols:
         raise ManifestError(f"{path}: block sizes inconsistent with matrix dimensions")
-    roff = np.concatenate([[0], np.cumsum(rbs)])
-    coff = np.concatenate([[0], np.cumsum(cbs)])
-    brow = np.searchsorted(roff, rows, side="right") - 1
-    bcol = np.searchsorted(coff, cols, side="right") - 1
     # Stored blocks in block-CSR order, and the block of each entry.
-    keys, block_of = np.unique(brow * len(cbs) + bcol, return_inverse=True)
+    keys, block_of = np.unique(rows // r * len(cbs) + cols // c, return_inverse=True)
     bi, bj = np.divmod(keys, len(cbs))
-    n_r, n_c = rbs[bi], cbs[bj]
-    local_r, local_c = rows - roff[brow], cols - coff[bcol]
-    blocks = np.empty(len(keys), dtype=object)
-    for r, c in set(zip(n_r.tolist(), n_c.tolist())):
-        members = np.flatnonzero((n_r == r) & (n_c == c))
-        slot = np.zeros(len(keys), dtype=int)
-        slot[members] = np.arange(len(members))
-        mine = np.flatnonzero((n_r[block_of] == r) & (n_c[block_of] == c))
-        stack = np.zeros((len(members), r, c))
-        stack[slot[block_of[mine]], local_r[mine], local_c[mine]] = vals[mine]
-        blocks[members] = list(stack)
-    row_ptr = np.searchsorted(bi, np.arange(len(rbs) + 1))
-    pat = BlockPattern(rbs, cbs, row_ptr, bj)
-    return BlockCsrMatrix(pat, blocks.tolist())
+    blocks = np.zeros((len(keys), r, c))
+    blocks[block_of, rows % r, cols % c] = vals
+    indptr = np.searchsorted(bi, np.arange(len(rbs) + 1))
+    return scipy.sparse.bsr_matrix((blocks, bj, indptr), shape=(n_rows, n_cols))
 
 
 def write_vector(path, v: np.ndarray) -> None:

@@ -29,7 +29,6 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .blocklinalg import BlockCsrMatrix, BlockPattern, block_transpose_matvec
 from .errors import InvertedElement, LineSearchFailure
 from .kkt import KktFactors, KktOperator, KktSystem, SystemDims, assemble_Byy, materialize_dense
 
@@ -307,15 +306,15 @@ def dg_residual(problem: ShockTrackProblem1d, u, x, test_degree: int) -> np.ndar
     return (face - vol - src).ravel()
 
 
-def _tridiag_block_csr(n: int, row_size: int, col_size: int, diag, sub, sup) -> BlockCsrMatrix:
-    """Assemble a block tridiagonal matrix from per-element block stacks; the
-    sub block of the first row and the super block of the last are dropped."""
+def _tridiag_bsr(n: int, row_size: int, col_size: int, diag, sub, sup) -> scipy.sparse.bsr_matrix:
+    """Assemble a block tridiagonal BSR matrix from per-element block stacks;
+    the sub block of the first row and the super block of the last are
+    dropped."""
     cols = np.arange(n)[:, None] + np.arange(-1, 2)
     keep = (cols >= 0) & (cols < n)
     blocks = np.stack([sub, diag, sup], axis=1)[keep]
-    row_ptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    pat = BlockPattern(np.full(n, row_size), np.full(n, col_size), row_ptr, cols[keep])
-    return BlockCsrMatrix(pat, list(blocks))
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return scipy.sparse.bsr_matrix((blocks, cols[keep], indptr), shape=(n * row_size, n * col_size))
 
 
 def _mesh_column_csr(problem: ShockTrackProblem1d, vals: np.ndarray) -> scipy.sparse.csr_matrix:
@@ -364,11 +363,11 @@ def dg_jacobians(problem: ShockTrackProblem1d, u, x):
     n_t = problem.p + 2
 
     diag, sub, sup, dx = _jacobian_for_degree(problem, ue, gx, problem.p)
-    Ju = _tridiag_block_csr(n, n_p, n_p, diag, sub, sup)
+    Ju = _tridiag_bsr(n, n_p, n_p, diag, sub, sup)
     drdx = _mesh_column_csr(problem, dx)
 
     diag, sub, sup, dx = _jacobian_for_degree(problem, ue, gx, problem.p + 1)
-    dRdu = _tridiag_block_csr(n, n_t, n_p, diag, sub, sup)
+    dRdu = _tridiag_bsr(n, n_t, n_p, diag, sub, sup)
     dRdx = _mesh_column_csr(problem, dx)
     return Ju, dRdu, dRdx, drdx
 
@@ -389,7 +388,7 @@ def mesh_distortion(problem: ShockTrackProblem1d, x):
 
 def _gradient(problem: ShockTrackProblem1d, R, rmsh, dRdu, dRdx, dRmshdx, kappa: float) -> np.ndarray:
     """Gradient of f = 1/2 ||R||^2 + kappa^2/2 ||R_msh||^2 with respect to (u, y)."""
-    gu = block_transpose_matvec(dRdu, R)
+    gu = dRdu.T @ R
     gx_full = dRdx.T @ R + kappa**2 * (dRmshdx.T @ rmsh)
     return np.concatenate([gu, problem._dphidy.T @ gx_full])
 

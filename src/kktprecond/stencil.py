@@ -8,14 +8,14 @@ reasonable ordering, so incomplete-factorization behavior is exercised on a
 from __future__ import annotations
 
 import numpy as np
-
-from .blocklinalg import BlockCsrMatrix, BlockPattern
+import scipy.sparse
 
 __all__ = ["generate_stencil_system"]
 
 
-def generate_stencil_system(n: int, block: int, seed: int) -> BlockCsrMatrix:
-    """5-point block stencil on an n x n grid with reproducible random blocks.
+def generate_stencil_system(n: int, block: int, seed: int) -> scipy.sparse.bsr_matrix:
+    """5-point block stencil on an n x n grid with reproducible random blocks,
+    as a BSR matrix with block x block blocks.
 
     Diagonal blocks are drawn uniform in (-1, 1) and made strictly row
     dominant; neighbor blocks are scaled to Frobenius norm 0.25 so the
@@ -28,8 +28,8 @@ def generate_stencil_system(n: int, block: int, seed: int) -> BlockCsrMatrix:
         raise ValueError("block size must be at least 1")
     rng = np.random.default_rng(seed)
     nb = n * n
-    row_ptr = [0]
-    col_idx: list[int] = []
+    indptr = [0]
+    indices: list[int] = []
     blocks: list[np.ndarray] = []
     for i in range(n):
         for j in range(n):
@@ -53,9 +53,7 @@ def generate_stencil_system(n: int, block: int, seed: int) -> BlockCsrMatrix:
                     norm = np.linalg.norm(blk)
                     if norm > 0:
                         blk *= 0.25 / norm
-                col_idx.append(c)
+                indices.append(c)
                 blocks.append(blk)
-            row_ptr.append(len(col_idx))
-    sizes = np.full(nb, block)
-    pat = BlockPattern(sizes, sizes, np.array(row_ptr), np.array(col_idx))
-    return BlockCsrMatrix(pat, blocks)
+            indptr.append(len(indices))
+    return scipy.sparse.bsr_matrix((np.array(blocks), indices, indptr), shape=(nb * block, nb * block))

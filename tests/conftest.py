@@ -9,9 +9,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from kktprecond import ShockTrackProblem1d, build_kkt, run_sqp
-from kktprecond.blocklinalg import BlockCsrMatrix
 from kktprecond.conprec import build_at_preconditioner
 from kktprecond.kkt import KktOperator, KktSystem, assemble_Byy, reference_solution
 from kktprecond.krylov import EXACT_SOLUTION, GmresConfig, gmres_solve
@@ -51,9 +51,8 @@ def sys16_k1(prob16, states16):
 def zero_coupling_system(sys):
     """Copy of a system with dRdu zeroed, so B_uu = B_uy = 0 while Ju, Byy,
     and the right-hand side are unchanged."""
-    zero = BlockCsrMatrix(
-        sys.factors.dRdu.pattern, [np.zeros_like(b) for b in sys.factors.dRdu.blocks]
-    )
+    dRdu = sys.factors.dRdu
+    zero = scipy.sparse.bsr_matrix((np.zeros_like(dRdu.data), dRdu.indices, dRdu.indptr), shape=dRdu.shape)
     factors = dataclasses.replace(sys.factors, dRdu=zero)
     return KktSystem(factors, sys.g, sys.r, assemble_Byy(factors), dims=sys.dims)
 

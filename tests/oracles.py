@@ -24,7 +24,6 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from kktprecond.blocklinalg import BlockCsrMatrix, BlockPattern, block_to_scipy, densify
 from kktprecond.conprec import PointIlu0Factor, PointJacobiFactor
 from kktprecond.dgprecond import BiluPrec, BlockJacobiPrec
 from kktprecond.errors import ManifestError
@@ -32,18 +31,28 @@ from kktprecond.mmio import _BLOCK_TAG, _ENTRY, _VALUE, _parse, _parse_block_tag
 from kktprecond.pmultigrid import TransferOps, full_prolongation, full_restriction
 
 
+def block_index(A, i, j):
+    """Position of block (i, j) in the storage of a BSR matrix, or None if
+    not stored."""
+    lo, hi = A.indptr[i], A.indptr[i + 1]
+    k = lo + np.searchsorted(A.indices[lo:hi], j)
+    if k < hi and A.indices[k] == j:
+        return int(k)
+    return None
+
+
 def bilu_factors(P: BiluPrec):
     """Dense L and U of the block ILU0, in permuted order. The split is at the
     block level: U owns the full diagonal blocks, L's diagonal is the identity."""
-    pat = P.lu_blocks.pattern
-    roff = pat.row_offsets
-    L = np.eye(pat.n_rows)
-    U = np.zeros((pat.n_rows, pat.n_cols))
-    for i in range(pat.n_block_rows):
-        for k in range(pat.row_ptr[i], pat.row_ptr[i + 1]):
-            j = int(pat.col_idx[k])
+    F = P.lu_blocks
+    s = F.blocksize[0]
+    L = np.eye(F.shape[0])
+    U = np.zeros(F.shape)
+    for i in range(len(F.indptr) - 1):
+        for k in range(F.indptr[i], F.indptr[i + 1]):
+            j = int(F.indices[k])
             target = L if j < i else U
-            target[roff[i] : roff[i + 1], roff[j] : roff[j + 1]] = P.lu_blocks.blocks[k]
+            target[i * s : (i + 1) * s, j * s : (j + 1) * s] = F.data[k]
     return L, U
 
 
@@ -93,7 +102,7 @@ def byy_matrix(factor, Byy: np.ndarray) -> np.ndarray:
 
 def system_ju_byy(sys):
     """The true dense Ju and Byy of a KKT system."""
-    return densify(sys.factors.Ju), sys.Byy.toarray()
+    return sys.factors.Ju.toarray(), sys.Byy.toarray()
 
 
 def densify_at_matrix(P, Ju, Byy) -> np.ndarray:
@@ -218,30 +227,30 @@ def scipy_lu_solve(lu_piv, b, trans="N"):
     return scipy.linalg.lu_solve(lu_piv, b, trans=("N", "T").index(trans))
 
 
-def recomputing_mdf_order(A: BlockCsrMatrix):
-    """Greedy minimum-discarded-fill order with every weight recomputed from
-    the blocks on each call; returns (order, weights_at_selection)."""
-    pat = A.pattern
-    n = pat.n_block_rows
-    out_nbrs = [pat.col_idx[pat.row_ptr[i] : pat.row_ptr[i + 1]].tolist() for i in range(n)]
+def recomputing_mdf_order(A):
+    """Greedy minimum-discarded-fill order of a BSR matrix with every weight
+    recomputed from the blocks on each call; returns (order,
+    weights_at_selection)."""
+    n = len(A.indptr) - 1
+    out_nbrs = [A.indices[A.indptr[i] : A.indptr[i + 1]].tolist() for i in range(n)]
     in_nbrs = [[] for _ in range(n)]
     for i in range(n):
         for j in out_nbrs[i]:
             in_nbrs[j].append(i)
     has_edge = {(i, j) for i in range(n) for j in out_nbrs[i]}
-    diag_lu = [scipy_lu_factor(A.blocks[pat.block_index(k, k)]) for k in range(n)]
+    diag_lu = [scipy_lu_factor(A.data[block_index(A, k, k)]) for k in range(n)]
     alive = np.ones(n, dtype=bool)
 
     def weight(k):
         solved = {}
         for j in out_nbrs[k]:
             if j != k and alive[j]:
-                solved[j] = scipy_lu_solve(diag_lu[k], A.blocks[pat.block_index(k, j)])
+                solved[j] = scipy_lu_solve(diag_lu[k], A.data[block_index(A, k, j)])
         total = 0.0
         for i in in_nbrs[k]:
             if i == k or not alive[i]:
                 continue
-            ik = A.blocks[pat.block_index(i, k)]
+            ik = A.data[block_index(A, i, k)]
             for j, akj in solved.items():
                 if j != i and (i, j) not in has_edge:
                     fill = ik @ akj
@@ -264,40 +273,38 @@ def recomputing_mdf_order(A: BlockCsrMatrix):
     return order, selected
 
 
-def ikj_bilu_blocks(A: BlockCsrMatrix, order) -> list:
-    """Blocks of the block ILU0 of the permuted matrix by the block IKJ loop
-    with a pattern lookup per update and scipy's LU of the pivot blocks."""
-    pat = A.pattern
-    n = pat.n_block_rows
+def ikj_bilu_blocks(A, order) -> list:
+    """Blocks of the block ILU0 of the permuted BSR matrix by the block IKJ
+    loop with a pattern lookup per update and scipy's LU of the pivot blocks."""
+    n = len(A.indptr) - 1
     pos = np.empty(n, dtype=int)
     pos[order] = np.arange(n)
     row_ptr, col_idx, blocks = [0], [], []
     for i in order:
-        cols = pat.col_idx[pat.row_ptr[i] : pat.row_ptr[i + 1]]
-        for c, blk in sorted((int(pos[j]), A.blocks[pat.block_index(i, int(j))]) for j in cols):
+        cols = A.indices[A.indptr[i] : A.indptr[i + 1]]
+        for c, k in sorted((int(pos[j]), block_index(A, i, int(j))) for j in cols):
             col_idx.append(c)
-            blocks.append(blk.copy())
+            blocks.append(A.data[k].copy())
         row_ptr.append(len(col_idx))
-    sizes = pat.row_block_sizes[order]
-    wpat = BlockPattern(sizes, sizes, np.array(row_ptr), np.array(col_idx))
+    wpat = scipy.sparse.bsr_matrix((np.array(blocks), col_idx, row_ptr), shape=A.shape)
     diag_lu = {}
     for i in range(n):
-        lo, hi = wpat.row_ptr[i], wpat.row_ptr[i + 1]
-        for off, k in enumerate(wpat.col_idx[lo:hi]):
+        lo, hi = wpat.indptr[i], wpat.indptr[i + 1]
+        for off, k in enumerate(wpat.indices[lo:hi]):
             if k >= i:
                 break
             k = int(k)
             if k not in diag_lu:
-                diag_lu[k] = scipy_lu_factor(blocks[wpat.block_index(k, k)])
+                diag_lu[k] = scipy_lu_factor(blocks[block_index(wpat, k, k)])
             lik = scipy_lu_solve(diag_lu[k], blocks[lo + off].T, trans="T").T
             blocks[lo + off] = lik
-            for koff in range(wpat.row_ptr[k], wpat.row_ptr[k + 1]):
-                j = int(wpat.col_idx[koff])
-                target = wpat.block_index(i, j) if j > k else None
+            for koff in range(wpat.indptr[k], wpat.indptr[k + 1]):
+                j = int(wpat.indices[koff])
+                target = block_index(wpat, i, j) if j > k else None
                 if target is not None:
                     blocks[target] = blocks[target] - lik @ blocks[koff]
         if i not in diag_lu:
-            diag_lu[i] = scipy_lu_factor(blocks[wpat.block_index(i, i)])
+            diag_lu[i] = scipy_lu_factor(blocks[block_index(wpat, i, i)])
     return blocks
 
 
@@ -353,17 +360,19 @@ def per_block_pivot_check(blocks, factors):
     return None
 
 
-def sparse_block_lu_triangles(F: BlockCsrMatrix, diag_lu):
-    """(L^, U~, prow) of a block LU formed by scipy sparse fancy indexing,
-    products and COO round trips, with Ld^-1 applied by the nilpotent
-    iteration; L^ and U~ are CSR."""
-    pat = F.pattern
-    sizes = pat.row_block_sizes
+def sparse_block_lu_triangles(F, diag_lu):
+    """(L^, U~, prow) of a block LU of a BSR matrix formed by scipy sparse
+    fancy indexing, products and COO round trips, with Ld^-1 applied by the
+    nilpotent iteration; L^ and U~ are CSR."""
+    nb = len(F.indptr) - 1
+    sizes = np.full(nb, F.blocksize[0])
     n = int(sizes.sum())
-    blocks = list(F.blocks)
-    for m, k in enumerate(np.flatnonzero(pat.col_idx == pat.block_rows)):
+    row_offsets = np.concatenate([[0], np.cumsum(sizes)])
+    blocks = F.data.copy()
+    block_rows = np.repeat(np.arange(nb), np.diff(F.indptr))
+    for m, k in enumerate(np.flatnonzero(F.indices == block_rows)):
         blocks[k] = diag_lu[m].lu_entries
-    S = block_to_scipy(BlockCsrMatrix(pat, blocks)).tocoo()
+    S = scipy.sparse.bsr_matrix((blocks, F.indices, F.indptr), shape=F.shape).tocsr().tocoo()
     blk = np.repeat(np.arange(len(sizes)), sizes)
     same_block = blk[S.row] == blk[S.col]
     below = S.col < S.row
@@ -373,7 +382,7 @@ def sparse_block_lu_triangles(F: BlockCsrMatrix, diag_lu):
 
     strict_ld = part(same_block & below)
     ld = strict_ld + scipy.sparse.identity(n, format="csr")
-    starts = np.repeat(pat.row_offsets[:-1], sizes)
+    starts = np.repeat(row_offsets[:-1], sizes)
     local = np.arange(n) - starts
     piv = np.concatenate([lu.pivots for lu in diag_lu]) + starts
     prow = np.arange(n)
@@ -495,7 +504,8 @@ def two_pass_read_matrix(path):
     flat[starts[block_of] + (rows - roff[brow]) * cbs[bcol] + (cols - coff[bcol])] = vals
     blocks = [flat[s : s + n].reshape(rbs[i], cbs[j]) for s, n, i, j in zip(starts, sizes, bi, bj)]
     row_ptr = np.searchsorted(bi, np.arange(len(rbs) + 1))
-    return BlockCsrMatrix(BlockPattern(rbs, cbs, row_ptr, bj), blocks)
+    data = np.array(blocks).reshape(len(blocks), rbs[0], cbs[0])
+    return scipy.sparse.bsr_matrix((data, bj, row_ptr), shape=(n_rows, n_cols))
 
 
 def two_pass_read_vector(path):
@@ -512,21 +522,21 @@ def two_pass_read_vector(path):
     return vals
 
 
-def coo_block_to_scipy(A: BlockCsrMatrix):
-    """Scalar CSR view of a block matrix through a COO matrix and a sort."""
-    pat = A.pattern
-    shape = (pat.n_rows, pat.n_cols)
-    if not A.blocks:
+def coo_block_to_scipy(A):
+    """Scalar CSR view of a BSR matrix through a COO matrix and a sort."""
+    shape = A.shape
+    if not len(A.data):
         return scipy.sparse.csr_matrix(shape)
-    brow = pat.block_rows
-    bcols = pat.col_block_sizes[pat.col_idx]
-    sizes = pat.row_block_sizes[brow] * bcols
+    (r, c), nnzb = A.blocksize, len(A.data)
+    brow = np.repeat(np.arange(len(A.indptr) - 1), np.diff(A.indptr))
+    bcols = np.full(nnzb, c)
+    sizes = np.full(nnzb, r) * bcols
     starts = np.cumsum(sizes) - sizes
     k = np.repeat(np.arange(len(sizes)), sizes)
     a, b = np.divmod(np.arange(sizes.sum()) - starts[k], bcols[k])
-    rows = pat.row_offsets[brow][k] + a
-    cols = pat.col_offsets[pat.col_idx][k] + b
-    csr = scipy.sparse.coo_matrix((np.concatenate(A.blocks, axis=None), (rows, cols)), shape=shape).tocsr()
+    rows = (brow * r)[k] + a
+    cols = (A.indices * c)[k] + b
+    csr = scipy.sparse.coo_matrix((A.data.ravel(), (rows, cols)), shape=shape).tocsr()
     csr.sort_indices()
     return csr
 

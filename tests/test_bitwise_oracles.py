@@ -13,7 +13,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kktprecond.blocklinalg import BlockCsrMatrix, BlockPattern, block_to_scipy, dense_lu_factor, first_singular, getrf
+from kktprecond.blocklinalg import dense_lu_factor, first_singular, getrf
 from kktprecond.conprec import CATALOG, build_at_preconditioner, point_ilu0_factor
 from kktprecond.dgprecond import _block_lu_triangles, bilu0_factor, build_block_jacobi, mdf_order
 from kktprecond.errors import SingularBlock
@@ -72,7 +72,8 @@ def scaled_stencil(seed):
     their summation order shows in the last bits."""
     A = generate_stencil_system(6, 2, seed)
     rng = np.random.default_rng(seed)
-    return BlockCsrMatrix(A.pattern, [blk * 10.0 ** rng.uniform(-1.0, 1.0) for blk in A.blocks])
+    blocks = np.array([blk * 10.0 ** rng.uniform(-1.0, 1.0) for blk in A.data])
+    return scipy.sparse.bsr_matrix((blocks, A.indices, A.indptr), shape=A.shape)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -84,7 +85,7 @@ def test_mdf_order_matches_recomputed_weights_on_stencils(seed):
     order, weights = recomputing_mdf_order(A)
     assert np.array_equal(got.order, order)
     assert np.array_equal(got.weights_at_selection, weights)
-    blocks = bilu0_factor(A, got).lu_blocks.blocks
+    blocks = bilu0_factor(A, got).lu_blocks.data
     assert all(np.array_equal(g, w) for g, w in zip(blocks, ikj_bilu_blocks(A, order), strict=True))
 
 
@@ -95,10 +96,10 @@ def test_block_and_point_ilu0_match_ikj_loops(A):
     order, weights = recomputing_mdf_order(A)
     assert np.array_equal(ordering.order, order)
     assert np.array_equal(ordering.weights_at_selection, weights)
-    got = bilu0_factor(A, ordering).lu_blocks.blocks
+    got = bilu0_factor(A, ordering).lu_blocks.data
     want = ikj_bilu_blocks(A, order)
     assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
-    B = block_to_scipy(A)
+    B = A.tocsr()
     assert np.array_equal(point_ilu0_factor(B).values, ikj_point_ilu0_values(B))
 
 
@@ -142,7 +143,7 @@ def test_mdf_and_factor_builds_match_oracles_on_systems(name, request):
     order, weights = recomputing_mdf_order(Ju)
     assert np.array_equal(ordering.order, order)
     assert np.array_equal(ordering.weights_at_selection, weights)
-    got = bilu0_factor(Ju, ordering).lu_blocks.blocks
+    got = bilu0_factor(Ju, ordering).lu_blocks.data
     assert all(np.array_equal(g, w) for g, w in zip(got, ikj_bilu_blocks(Ju, order), strict=True))
     assert np.array_equal(point_ilu0_factor(sys.Byy).values, ikj_point_ilu0_values(sys.Byy))
 
@@ -178,15 +179,8 @@ def _same_arrays(X, Y) -> bool:
 
 def _same_matrix(A, B) -> bool:
     """Same type, layout and value bits of two read matrices."""
-    if isinstance(A, BlockCsrMatrix):
-        fields = ("row_block_sizes", "col_block_sizes", "row_ptr", "col_idx")
-        return (
-            isinstance(B, BlockCsrMatrix)
-            and all(np.array_equal(getattr(A.pattern, f), getattr(B.pattern, f)) for f in fields)
-            and all(
-                a.shape == b.shape and np.array_equal(_bits(a), _bits(b)) for a, b in zip(A.blocks, B.blocks, strict=True)
-            )
-        )
+    if isinstance(A, scipy.sparse.bsr_matrix) and A.blocksize != B.blocksize:
+        return False
     return type(A) is type(B) and _same_arrays(A, B)
 
 
@@ -204,12 +198,12 @@ def test_reader_matches_two_pass_reader_on_exported_systems(name, request, tmp_p
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(sparse_or_block_matrices(), st.integers(0, 2**32 - 1))
 def test_reader_matches_two_pass_reader_on_shuffled_repeated_entries(tmp_path_factory, A, seed):
-    # Mixed block sizes, entries in random order, and some entries repeated
-    # later in the file with other values (the last one wins).
+    # Block shapes drawn per matrix, entries in random order, and some entries
+    # repeated later in the file with other values (the last one wins).
     path = tmp_path_factory.mktemp("shuffled") / "a.mtx"
     write_matrix(path, A)
     lines = path.read_text().splitlines()
-    k = 2 if isinstance(A, BlockCsrMatrix) else 1
+    k = 2 if isinstance(A, scipy.sparse.bsr_matrix) else 1
     rng = np.random.default_rng(seed)
     entries = [lines[i] for i in rng.permutation(range(k + 1, len(lines)))]
     for i in rng.integers(0, len(entries), len(entries) // 2) if entries else []:
@@ -220,13 +214,17 @@ def test_reader_matches_two_pass_reader_on_shuffled_repeated_entries(tmp_path_fa
     assert _same_matrix(read_matrix(path), two_pass_read_matrix(path))
 
 
-def _diag_factors(F: BlockCsrMatrix):
-    pat = F.pattern
-    return [getrf(F.blocks[k]) for k in np.flatnonzero(pat.col_idx == pat.block_rows)]
+def _diagonal(F):
+    """Storage positions of the diagonal blocks of a BSR matrix."""
+    return np.flatnonzero(F.indices == np.repeat(np.arange(len(F.indptr) - 1), np.diff(F.indptr)))
 
 
-def _assert_triangles_match(F: BlockCsrMatrix, diag_lu):
-    lower, upper, prow = _block_lu_triangles(F.pattern, F.blocks, diag_lu)
+def _diag_factors(F):
+    return [getrf(F.data[k]) for k in _diagonal(F)]
+
+
+def _assert_triangles_match(F, diag_lu):
+    lower, upper, prow = _block_lu_triangles(F, diag_lu)
     want_lower, want_upper, want_prow = sparse_block_lu_triangles(F, diag_lu)
     assert np.array_equal(prow, want_prow)
     # permuted_lu hands SuperLU the CSC form of each factor.
@@ -234,19 +232,17 @@ def _assert_triangles_match(F: BlockCsrMatrix, diag_lu):
     assert _same_arrays(upper, scipy.sparse.csc_matrix(want_upper))
 
 
-def _block_jacobi_input(A: BlockCsrMatrix):
-    sizes = A.pattern.row_block_sizes
-    diag = np.flatnonzero(A.pattern.col_idx == A.pattern.block_rows)
-    pat = BlockPattern(sizes, sizes, np.arange(len(sizes) + 1), np.arange(len(sizes)))
-    F = BlockCsrMatrix(pat, [A.blocks[k] for k in diag])
+def _block_jacobi_input(A):
+    nb = len(A.indptr) - 1
+    F = scipy.sparse.bsr_matrix((A.data[_diagonal(A)], np.arange(nb), np.arange(nb + 1)), shape=A.shape)
     return F, _diag_factors(F)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(dominant_block_matrices())
 def test_block_lu_triangles_match_sparse_products(A):
-    # Mixed block sizes with row-swapping pivots: the block Jacobi and the
-    # block ILU0 factors, and the first block row taken as L blocks.
+    # Block sizes drawn per matrix, with row-swapping pivots: the block Jacobi
+    # and the block ILU0 factors, and the first block row taken as L blocks.
     _assert_triangles_match(*_block_jacobi_input(A))
     work = bilu0_factor(A, mdf_order(A)).lu_blocks
     _assert_triangles_match(work, _diag_factors(work))
@@ -267,28 +263,29 @@ def test_block_lu_triangles_match_sparse_products_on_systems(name, request):
 
 @st.composite
 def block_batches(draw):
-    """Square blocks of mixed orders (0 to 5) scaled over many decades, some
-    exactly singular, some nearly so, some all zero."""
+    """A (count, n, n) stack of square blocks of one order n (1 to 5, drawn
+    per batch) scaled over many decades, some exactly singular, some nearly
+    so, some all zero."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 5))
     blocks = []
     for _ in range(draw(st.integers(1, 8))):
-        n = int(rng.integers(0, 6))
         block = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-8.0, 8.0)
         kind = rng.integers(0, 5)
-        if n and kind == 0:
+        if kind == 0:
             block[:, -1] = block[:, 0]
-        elif n and kind == 1:
+        elif kind == 1:
             block[-1] = 1e-15 * block[0]
         elif kind == 2:
             block[:] = 0.0
         blocks.append(block)
-    return blocks
+    return np.array(blocks)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(block_batches())
 def test_vectorized_pivot_check_matches_per_block_check(blocks):
-    factors = [getrf(b) if b.size else dense_lu_factor(b) for b in blocks]
+    factors = [getrf(b) for b in blocks]
     want = per_block_pivot_check(blocks, factors)
     bad = first_singular(blocks, factors)
     if want is None:
@@ -332,9 +329,14 @@ def test_reference_assembly_matches_bmat(name, request):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(st.one_of(dominant_block_matrices(), sparse_or_block_matrices().filter(lambda A: isinstance(A, BlockCsrMatrix))))
+@given(
+    st.one_of(
+        dominant_block_matrices(), sparse_or_block_matrices().filter(lambda A: isinstance(A, scipy.sparse.bsr_matrix))
+    )
+)
 def test_block_to_scipy_matches_coo_construction(A):
-    # Rectangular and mixed block sizes, stored zero blocks, empty block rows.
-    got, want = block_to_scipy(A), coo_block_to_scipy(A)
+    # Rectangular block shapes drawn per matrix, stored zero blocks, empty
+    # block rows.
+    got, want = A.tocsr(), coo_block_to_scipy(A)
     assert _same_arrays(got, want)
     assert got.indices.dtype == want.indices.dtype and got.indptr.dtype == want.indptr.dtype

@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 
-from kktprecond.blocklinalg import BlockCsrMatrix, BlockPattern, densify
 from kktprecond.dgprecond import MdfOrdering, bilu0_factor, build_block_jacobi, mdf_order
 from kktprecond.errors import SingularBlock, SingularPivotBlock
 from kktprecond.krylov import GmresConfig, LinearOperator, Preconditioner, gmres_solve
@@ -11,11 +11,22 @@ from kktprecond.stencil import generate_stencil_system
 from oracles import bilu_factors
 
 
+def bsr(blocks, indices, indptr):
+    """Square BSR matrix of a (count, s, s) block stack in block-CSR layout."""
+    blocks = np.asarray(blocks, dtype=float)
+    n = (len(indptr) - 1) * blocks.shape[1]
+    return scipy.sparse.bsr_matrix((blocks, indices, indptr), shape=(n, n))
+
+
 def block_diag_matrix(blocks):
     n = len(blocks)
-    sizes = np.array([b.shape[0] for b in blocks])
-    pat = BlockPattern(sizes, sizes, np.arange(n + 1), np.arange(n))
-    return BlockCsrMatrix(pat, list(blocks))
+    return bsr(blocks, np.arange(n), np.arange(n + 1))
+
+
+def stored_blocks(A):
+    """{(i, j): block} of the stored blocks of a BSR matrix."""
+    rows = np.repeat(np.arange(len(A.indptr) - 1), np.diff(A.indptr))
+    return {(int(i), int(j)): blk for i, j, blk in zip(rows, A.indices, A.data)}
 
 
 def block_tridiagonal(n, size, rng, diag_boost=4.0):
@@ -31,8 +42,7 @@ def block_tridiagonal(n, size, rng, diag_boost=4.0):
                     blk += diag_boost * np.eye(size)
                 blocks.append(blk)
         row_ptr.append(len(col_idx))
-    pat = BlockPattern(np.full(n, size), np.full(n, size), np.array(row_ptr), np.array(col_idx))
-    return BlockCsrMatrix(pat, blocks)
+    return bsr(blocks, col_idx, row_ptr)
 
 
 def natural_order(n):
@@ -58,17 +68,16 @@ def test_block_jacobi_is_exact_inverse_of_block_diagonal():
     P = build_block_jacobi(A)
     v = rng.standard_normal(9)
     np.testing.assert_allclose(
-        P.solve(v), np.linalg.solve(densify(A), v), rtol=1e-12
+        P.solve(v), np.linalg.solve(A.toarray(), v), rtol=1e-12
     )
-    op = LinearOperator.from_matrix(densify(A))
+    op = LinearOperator.from_matrix(A.toarray())
     M = Preconditioner(9, P.solve)
     rep = gmres_solve(op, v, M, GmresConfig(tol=1e-8))
     assert rep.converged and rep.iterations == 1
 
 
 def test_block_jacobi_rejects_missing_diagonal():
-    pat = BlockPattern([1, 1], [1, 1], [0, 1, 2], [1, 0])
-    A = BlockCsrMatrix(pat, [np.array([[1.0]]), np.array([[1.0]])])
+    A = bsr([[[1.0]], [[1.0]]], [1, 0], [0, 1, 2])
     with pytest.raises(SingularBlock):
         build_block_jacobi(A)
 
@@ -76,17 +85,17 @@ def test_block_jacobi_rejects_missing_diagonal():
 def test_block_jacobi_identity_diagonals_is_identity_map():
     rng = np.random.default_rng(2)
     A = block_tridiagonal(3, 2, rng)
-    pat = A.pattern
-    for i in range(3):
-        A.blocks[pat.block_index(i, i)] = np.eye(2)
+    for (i, j), blk in stored_blocks(A).items():
+        if i == j:
+            blk[:] = np.eye(2)
     P = build_block_jacobi(A)
     v = rng.standard_normal(6)
     np.testing.assert_allclose(P.solve(v), v, rtol=1e-14)
 
 
 def test_block_jacobi_examples_and_transpose():
-    A = block_diag_matrix([np.eye(2), np.eye(3)])
-    v = np.arange(5.0)
+    A = block_diag_matrix([np.eye(3), np.eye(3)])
+    v = np.arange(6.0)
     np.testing.assert_array_equal(build_block_jacobi(A).solve(v), v)
 
     A2 = block_diag_matrix([np.array([[2.0]]), np.array([[2.0]])])
@@ -101,7 +110,7 @@ def test_block_jacobi_examples_and_transpose():
     w = rng.standard_normal(8)
     np.testing.assert_allclose(
         P3.solve(w, trans="T"),
-        np.linalg.solve(densify(A3).T, w),
+        np.linalg.solve(A3.toarray().T, w),
         rtol=1e-12,
     )
 
@@ -112,12 +121,8 @@ def test_block_jacobi_examples_and_transpose():
 def brute_force_mdf(A):
     """Independent greedy reference: recompute every weight from scratch with
     dense algebra at each step."""
-    dense_blocks = {}
-    pat = A.pattern
-    n = pat.n_block_rows
-    for i in range(n):
-        for k in range(pat.row_ptr[i], pat.row_ptr[i + 1]):
-            dense_blocks[(i, int(pat.col_idx[k]))] = A.blocks[k]
+    dense_blocks = stored_blocks(A)
+    n = len(A.indptr) - 1
 
     alive = set(range(n))
     order = []
@@ -167,8 +172,7 @@ def test_mdf_tridiagonal_is_natural_order():
                 col_idx.append(j)
                 blocks.append(blk.copy() if j == i else off.copy())
         row_ptr.append(len(col_idx))
-    pat = BlockPattern(np.full(n, 2), np.full(n, 2), np.array(row_ptr), np.array(col_idx))
-    A = BlockCsrMatrix(pat, blocks)
+    A = bsr(blocks, col_idx, row_ptr)
     ordering = mdf_order(A)
     np.testing.assert_array_equal(ordering.order, [0, 1, 2, 3])
     np.testing.assert_allclose(ordering.weights_at_selection, np.zeros(4), atol=1e-14)
@@ -186,12 +190,8 @@ def test_mdf_weights_at_selection_match_recomputation():
     # in the state the selection was made.
     A = generate_stencil_system(3, 1, seed=9)
     ordering = mdf_order(A)
-    pat = A.pattern
-    dense_blocks = {}
-    for i in range(pat.n_block_rows):
-        for k in range(pat.row_ptr[i], pat.row_ptr[i + 1]):
-            dense_blocks[(i, int(pat.col_idx[k]))] = A.blocks[k]
-    alive = set(range(pat.n_block_rows))
+    dense_blocks = stored_blocks(A)
+    alive = set(range(len(A.indptr) - 1))
     for step, k in enumerate(ordering.order):
         total = 0.0
         akk_inv = np.linalg.inv(dense_blocks[(k, k)])
@@ -215,11 +215,11 @@ def test_bilu_block_diagonal_factors_trivially():
     A = block_diag_matrix([rng.standard_normal((2, 2)) + 3.0 * np.eye(2) for _ in range(3)])
     P = bilu0_factor(A, natural_order(3))
     # No sub-diagonal positions exist, so the stored blocks are exactly A (U = A).
-    for got, want in zip(P.lu_blocks.blocks, A.blocks):
+    for got, want in zip(P.lu_blocks.data, A.data):
         np.testing.assert_array_equal(got, want)
     v = rng.standard_normal(6)
     np.testing.assert_allclose(
-        P.solve(v), np.linalg.solve(densify(A), v), rtol=1e-12
+        P.solve(v), np.linalg.solve(A.toarray(), v), rtol=1e-12
     )
     np.testing.assert_allclose(
         P.solve(v),
@@ -234,7 +234,7 @@ def test_bilu_exact_on_block_tridiagonal():
     rng = np.random.default_rng(7)
     A = block_tridiagonal(5, 3, rng)
     P = bilu0_factor(A, natural_order(5))
-    dense = densify(A)
+    dense = A.toarray()
     L, U = bilu_factors(P)
     defect = np.linalg.norm(L @ U - dense) / np.linalg.norm(dense)
     assert defect <= 1e-12
@@ -250,10 +250,10 @@ def test_bilu_discards_fill_on_stencil():
     A = generate_stencil_system(3, 2, seed=0)
     ordering = mdf_order(A)
     P = bilu0_factor(A, ordering)
-    sizes = A.pattern.row_block_sizes
+    sizes = np.full(len(A.indptr) - 1, A.blocksize[0])
     Pm = permutation_matrix(ordering.order, sizes)
     L, U = bilu_factors(P)
-    PA = Pm @ densify(A) @ Pm.T
+    PA = Pm @ A.toarray() @ Pm.T
     assert np.linalg.norm(L @ U - PA) > 1e-8
 
 
@@ -263,7 +263,7 @@ def test_bilu_inverse_consistent_with_permuted_factors():
     A = generate_stencil_system(3, 2, seed=1)
     ordering = mdf_order(A)
     P = bilu0_factor(A, ordering)
-    sizes = A.pattern.row_block_sizes
+    sizes = np.full(len(A.indptr) - 1, A.blocksize[0])
     Pm = permutation_matrix(ordering.order, sizes)
     L, U = bilu_factors(P)
     approx = Pm.T @ (L @ U) @ Pm
@@ -286,7 +286,6 @@ def test_bilu_identity_factor_returns_input():
 
 def test_bilu_singular_pivot_raises():
     # Eliminating the first row of [[I, I], [I, I]] zeroes the second pivot.
-    pat = BlockPattern([2, 2], [2, 2], [0, 2, 4], [0, 1, 0, 1])
-    A = BlockCsrMatrix(pat, [np.eye(2)] * 4)
+    A = bsr([np.eye(2)] * 4, [0, 1, 0, 1], [0, 2, 4])
     with pytest.raises(SingularPivotBlock):
         bilu0_factor(A, natural_order(2))

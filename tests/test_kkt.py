@@ -7,8 +7,7 @@ import pytest
 import scipy.sparse
 
 from conftest import singular_system
-from kktprecond.blocklinalg import BlockCsrMatrix, BlockPattern, densify
-from kktprecond.errors import DimensionMismatch, SingularSystem, SizeCapExceeded
+from kktprecond.errors import DimensionMismatch, PatternViolation, SingularSystem, SizeCapExceeded
 from kktprecond.kkt import (
     KktFactors,
     KktOperator,
@@ -27,8 +26,7 @@ from kktprecond.stencil import generate_stencil_system
 
 def single_block(arr):
     arr = np.asarray(arr, dtype=float)
-    pat = BlockPattern([arr.shape[0]], [arr.shape[1]], [0, 1], [0])
-    return BlockCsrMatrix(pat, [arr])
+    return scipy.sparse.bsr_matrix((arr[None], [0], [0, 1]), shape=arr.shape)
 
 
 def point(arr):
@@ -81,7 +79,7 @@ def test_byy_reduces_to_elasticity():
 def test_byy_matches_dense_triple_product():
     rng = np.random.default_rng(3)
     f = tiny_factors(rng, kappa=0.3, gamma=0.8)
-    Ax = densify(f.dRdx)
+    Ax = f.dRdx.toarray()
     Rm = f.dRmshdx.toarray()
     D = f.D.toarray()
     Phi = f.dPhidy.toarray()
@@ -237,20 +235,18 @@ def test_ata_pattern_matches_scipy_boolean_product():
     rng = np.random.default_rng(6)
     for seed in range(5):
         A = generate_stencil_system(3, 1, seed=seed)
-        pat = ata_pattern(A.pattern)
-        S = scipy.sparse.csr_matrix(
-            (np.ones(len(A.pattern.col_idx)), A.pattern.col_idx, A.pattern.row_ptr),
-            shape=(A.pattern.n_block_rows, A.pattern.n_block_cols),
-        )
+        pat = ata_pattern(A)
+        S = scipy.sparse.csr_matrix((np.ones(len(A.indices)), A.indices, A.indptr), shape=(9, 9))
         expect = ((S.T @ S) != 0).tocsr()
         expect.sort_indices()
-        np.testing.assert_array_equal(pat.row_ptr, expect.indptr)
-        np.testing.assert_array_equal(pat.col_idx, expect.indices)
+        np.testing.assert_array_equal(pat.indptr, expect.indptr)
+        np.testing.assert_array_equal(pat.indices, expect.indices)
+        np.testing.assert_array_equal(pat.data, 1.0)
 
 
 def test_interior_sparsity_ratio_is_five_thirds(sys8_k1):
     counts = count_block_sparsity(
-        sys8_k1.factors.Ju, ata_pattern(sys8_k1.factors.dRdu.pattern)
+        sys8_k1.factors.Ju, ata_pattern(sys8_k1.factors.dRdu)
     )
     assert counts.m1 == 3.0
     assert counts.m2 == 5.0
@@ -262,7 +258,7 @@ def test_single_element_mesh_ratio_one():
     x = prob.reference_nodes
     u = np.zeros(prob.n_u)
     Ju, dRdu, _, _ = dg_jacobians(prob, u, x)
-    counts = count_block_sparsity(Ju, ata_pattern(dRdu.pattern))
+    counts = count_block_sparsity(Ju, ata_pattern(dRdu))
     assert counts.m1 == 1.0
     assert counts.m2 == 1.0
     assert counts.ratio == 1.0
@@ -270,7 +266,7 @@ def test_single_element_mesh_ratio_one():
 
 def test_stencil_sparsity_five_to_thirteen():
     A = generate_stencil_system(5, 1, seed=0)
-    counts = count_block_sparsity(A, ata_pattern(A.pattern))
+    counts = count_block_sparsity(A, ata_pattern(A))
     assert counts.m1 == 5.0
     assert counts.m2 == 13.0
     np.testing.assert_allclose(counts.ratio, 2.6)
@@ -330,7 +326,23 @@ def test_scalar_factors_are_made_canonical_csr():
     sys = KktSystem(g, np.zeros(3), np.zeros(2), scipy.sparse.coo_matrix(assemble_Byy(g)))
     assert isinstance(sys.Byy, scipy.sparse.csr_matrix) and sys.Byy.has_canonical_format
     with pytest.raises(TypeError):
-        dataclasses.replace(f, dRdx=f.Ju)
+        dataclasses.replace(f, dRdx=f.Ju.toarray())
+
+
+def test_block_factors_must_be_canonical_bsr():
+    f = tiny_factors()
+    with pytest.raises(TypeError, match="Ju must be a scipy BSR matrix"):
+        dataclasses.replace(f, Ju=f.Ju.tocsr())
+    with pytest.raises(TypeError, match="dRdu must be a scipy BSR matrix"):
+        dataclasses.replace(f, dRdu=f.dRdu.toarray())
+    # Two block rows and columns of 1 x 1 blocks: unsorted, then repeated,
+    # block column indices in block row 0.
+    for indices in ([1, 0, 1], [0, 0, 1]):
+        Ju = scipy.sparse.bsr_matrix((np.ones((3, 1, 1)), indices, [0, 2, 3]), shape=(2, 2))
+        with pytest.raises(PatternViolation, match="Ju"):
+            dataclasses.replace(f, Ju=Ju)
+    with pytest.raises(DimensionMismatch, match="square blocks"):
+        dataclasses.replace(f, Ju=scipy.sparse.bsr_matrix(np.eye(2), blocksize=(1, 2)))
 
 
 def test_system_validation_rejects_wrong_vector_lengths():

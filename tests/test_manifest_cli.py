@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +21,6 @@ from hypothesis import strategies as st
 import kktprecond
 import kktprecond.cli
 from conftest import singular_system, zero_coupling_system
-from kktprecond.blocklinalg import BlockCsrMatrix
 from kktprecond.cli import CATALOG, CSV_COLUMNS, main
 from kktprecond.conprec import build_at_preconditioner
 from kktprecond.errors import ManifestError, SingularBlock
@@ -277,6 +277,43 @@ def test_cli_solve_block_factor_without_block_sizes_exits_2(sys8_k1, tmp_path, c
         assert "has no %%block-sizes line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fname", ["ju.mtx", "dRdu.mtx"])
+def test_cli_solve_mixed_block_sizes_exits_2(sys8_k1, tmp_path, capsys, fname):
+    # Line 1 lists one size per block row; the first row made one larger and
+    # the second one smaller keeps the total, so only the mixed sizes are wrong.
+    path = export_system(sys8_k1, tmp_path)
+    lines = (tmp_path / fname).read_text().splitlines()
+    tag, rows, cols = lines[1].split()
+    sizes = [int(w) for w in rows[len("rows=") :].split(",")]
+    sizes[0] += 1
+    sizes[1] -= 1
+    lines[1] = f"{tag} rows={','.join(map(str, sizes))} {cols}"
+    (tmp_path / fname).write_text("\n".join(lines) + "\n")
+    with pytest.raises(ManifestError, match="mixed block sizes"):
+        import_system(path)
+    assert main(["solve", path, "--precond", "BJ"]) == 2
+    assert "mixed block sizes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fname, want", [("ju.mtx", "expected 16 x 16"), ("dRdx.mtx", "expected 24 x 9")])
+def test_import_rejects_a_size_line_before_allocating(sys8_k1, tmp_path, fname, want):
+    # A damaged size line declaring ten million rows is checked against the
+    # manifest's dimensions before the reader sizes anything from it.
+    path = export_system(sys8_k1, tmp_path)
+    lines = (tmp_path / fname).read_text().splitlines()
+    k = 2 if lines[1].startswith("%%block-sizes") else 1
+    lines[k] = " ".join(["10000000"] + lines[k].split()[1:])
+    (tmp_path / fname).write_text("\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ManifestError, match=want):
+            import_system(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_cli_solves_block_tagged_mesh_jacobians_as_before(sys8_k1, tmp_path, capsys):
     # Older manifests wrote dRdx.mtx and drdx.mtx as block matrices, one block
     # row per element and one column per block; they import as their scalar
@@ -291,7 +328,7 @@ def test_cli_solves_block_tagged_mesh_jacobians_as_before(sys8_k1, tmp_path, cap
                 rows = ",".join([str(rows_per_elem)] * dims.n_elem)
                 lines.insert(1, f"%%block-sizes rows={rows} cols={','.join(['1'] * dims.n_x)}")
                 (tmp_path / fname).write_text("\n".join(lines) + "\n")
-            assert isinstance(read_matrix(tmp_path / "dRdx.mtx"), BlockCsrMatrix)
+            assert isinstance(read_matrix(tmp_path / "dRdx.mtx"), scipy.sparse.bsr_matrix)
         for precond in CATALOG:
             assert main(["solve", path, "--precond", precond]) == 0
             outputs.append(capsys.readouterr().out)
@@ -322,6 +359,13 @@ def test_cli_generate_bad_config(tmp_path, capsys):
     cfg = write_config(tmp_path, "order = 3\n")
     assert main(["generate", cfg, str(tmp_path / "out")]) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["n_elem = 0\n", "q = 3\n", "p = -1\n"], ids=["n_elem-0", "q-3", "p-negative"])
+def test_cli_generate_rejects_bad_problem_parameters(tmp_path, capsys, text):
+    cfg = write_config(tmp_path, text)
+    assert main(["generate", cfg, str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid problem parameters")
 
 
 def test_cli_generate_unavailable_state(tmp_path, capsys):
@@ -424,6 +468,39 @@ def test_cli_sweep_rejects_bad_specs(tmp_path, capsys):
     assert main(["sweep", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"axis": "gamma", "values": [0.1], "preconditioners": ["A0"], "fixed": {"n_elem": "8"}},
+        {"axis": "gamma", "values": ["abc"], "preconditioners": ["A0"], "fixed": {"n_elem": 4}},
+        {"axis": "mesh", "values": [0], "preconditioners": ["A0"]},
+        [{"axis": "gamma", "values": [0.1], "preconditioners": ["A0"]}],
+        {"axis": "gamma", "values": 0.1, "preconditioners": ["A0"]},
+        {"axis": "gamma", "values": [0.1], "preconditioners": 1},
+        {"axis": "gamma", "values": [0.1], "preconditioners": ["A0"], "fixed": [1]},
+        {"axis": "degree", "values": [[1]], "preconditioners": ["A0"], "fixed": {"n_elem": 4}},
+        {"axis": "state", "values": [-1], "preconditioners": ["A0"]},
+    ],
+    ids=[
+        "fixed-string",
+        "gamma-not-a-number",
+        "mesh-zero",
+        "spec-list",
+        "values-not-a-list",
+        "preconditioners-not-a-list",
+        "fixed-not-an-object",
+        "degree-pair-too-short",
+        "state-negative",
+    ],
+)
+def test_cli_sweep_bad_values_exit_2(tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["sweep", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+
+
 # CLI: stencil ---------------------------------------------------------------
 
 
@@ -437,17 +514,18 @@ def test_cli_stencil_deterministic_output(tmp_path, capsys):
 
     A = read_matrix(str(out1))
     B = generate_stencil_system(3, 2, 5)
-    for got, want in zip(A.blocks, B.blocks):
-        np.testing.assert_array_equal(got, want)
+    assert A.blocksize == B.blocksize == (2, 2)
+    np.testing.assert_array_equal(A.indices, B.indices)
+    np.testing.assert_array_equal(A.data, B.data)
 
 
 def test_stencil_edge_grids(tmp_path):
     single = generate_stencil_system(1, 3, 0)
-    assert single.pattern.n_block_rows == 1
-    assert single.blocks[0].shape == (3, 3)
+    assert single.shape == single.blocksize == (3, 3)
+    assert single.data.shape == (1, 3, 3)
 
     A = generate_stencil_system(3, 1, 0)
-    counts = np.diff(A.pattern.row_ptr)
+    counts = np.diff(A.indptr)
     np.testing.assert_array_equal(counts, [3, 4, 3, 4, 5, 4, 3, 4, 3])
 
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Matrix Market IO: exact round trips and the block-sizes sidecar."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.io
@@ -7,7 +9,6 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kktprecond.blocklinalg import BlockCsrMatrix, BlockPattern, densify
 from kktprecond.errors import ManifestError
 from kktprecond.mmio import read_matrix, read_vector, write_matrix, write_vector
 
@@ -36,47 +37,52 @@ def test_point_round_trip_is_exact(tmp_path):
     np.testing.assert_array_equal(B.data, A.data)
 
 
+def bsr(blocks, indices, indptr, n_block_cols):
+    """BSR matrix of a (count, r, c) block stack in block-CSR layout."""
+    blocks = np.asarray(blocks, dtype=float)
+    _, r, c = blocks.shape
+    return scipy.sparse.bsr_matrix((blocks, indices, indptr), shape=((len(indptr) - 1) * r, n_block_cols * c))
+
+
+def assert_same_bsr(B, A):
+    """Same blocksize, block pattern and value bits."""
+    assert isinstance(B, scipy.sparse.bsr_matrix)
+    assert B.shape == A.shape and B.blocksize == A.blocksize
+    np.testing.assert_array_equal(B.indptr, A.indptr)
+    np.testing.assert_array_equal(B.indices, A.indices)
+    assert np.array_equal(B.data, A.data) and np.array_equal(np.signbit(B.data), np.signbit(A.data))
+
+
 def test_block_round_trip_preserves_pattern_and_values(tmp_path):
     rng = np.random.default_rng(2)
-    pat = BlockPattern([2, 3], [2, 3], [0, 2, 3], [0, 1, 1])
-    blocks = [rng.standard_normal(s) for s in [(2, 2), (2, 3), (3, 3)]]
-    A = BlockCsrMatrix(pat, blocks)
+    A = bsr(rng.standard_normal((3, 2, 3)), [0, 1, 1], [0, 2, 3], 2)
     path = tmp_path / "b.mtx"
     write_matrix(path, A)
-    B = read_matrix(path)
-    assert isinstance(B, BlockCsrMatrix)
-    np.testing.assert_array_equal(B.pattern.row_block_sizes, pat.row_block_sizes)
-    np.testing.assert_array_equal(B.pattern.col_block_sizes, pat.col_block_sizes)
-    np.testing.assert_array_equal(B.pattern.row_ptr, pat.row_ptr)
-    np.testing.assert_array_equal(B.pattern.col_idx, pat.col_idx)
-    for got, want in zip(B.blocks, A.blocks):
-        np.testing.assert_array_equal(got, want)
+    assert_same_bsr(read_matrix(path), A)
 
 
 def test_stored_zero_blocks_survive_round_trip(tmp_path):
     # An all-zero stored block must stay in the pattern: every entry of a
     # stored block is written, zeros included.
-    pat = BlockPattern([2, 2], [2, 2], [0, 2, 3], [0, 1, 1])
-    A = BlockCsrMatrix(pat, [np.zeros((2, 2)), np.eye(2), np.eye(2)])
+    A = bsr([np.zeros((2, 2)), np.eye(2), np.eye(2)], [0, 1, 1], [0, 2, 3], 2)
     path = tmp_path / "z.mtx"
     write_matrix(path, A)
     B = read_matrix(path)
-    assert B.pattern.col_idx.tolist() == [0, 1, 1]
-    np.testing.assert_array_equal(B.blocks[0], np.zeros((2, 2)))
+    assert B.indices.tolist() == [0, 1, 1]
+    np.testing.assert_array_equal(B.data[0], np.zeros((2, 2)))
     header = path.read_text().splitlines()
     # 3 stored 2x2 blocks -> 12 coordinate entries regardless of value.
     assert header[2].split() == ["4", "4", "12"]
 
 
 def test_file_layout_banner_sidecar_one_based(tmp_path):
-    pat = BlockPattern([1, 2], [1, 2], [0, 1, 2], [0, 1])
-    A = BlockCsrMatrix(pat, [np.array([[2.0]]), np.arange(4.0).reshape(2, 2)])
+    A = bsr([[[2.0, 0.5]], [[1.0, 3.0]]], [0, 1], [0, 1, 2], 2)
     path = tmp_path / "layout.mtx"
     write_matrix(path, A)
     lines = path.read_text().splitlines()
     assert lines[0] == "%%MatrixMarket matrix coordinate real general"
-    assert lines[1] == "%%block-sizes rows=1,2 cols=1,2"
-    assert lines[2] == "3 3 5"
+    assert lines[1] == "%%block-sizes rows=1,1 cols=2,2"
+    assert lines[2] == "2 4 4"
     first = lines[3].split()
     assert first[:2] == ["1", "1"]
 
@@ -103,11 +109,10 @@ def test_vector_round_trip_is_exact(tmp_path):
 
 def test_dense_agreement_after_round_trip(tmp_path):
     rng = np.random.default_rng(4)
-    pat = BlockPattern([2, 2, 2], [2, 2, 2], [0, 2, 4, 6], [0, 1, 1, 2, 0, 2])
-    A = BlockCsrMatrix(pat, [rng.standard_normal((2, 2)) for _ in range(6)])
+    A = bsr(rng.standard_normal((6, 2, 2)), [0, 1, 1, 2, 0, 2], [0, 2, 4, 6], 3)
     path = tmp_path / "d.mtx"
     write_matrix(path, A)
-    np.testing.assert_array_equal(densify(read_matrix(path)), densify(A))
+    np.testing.assert_array_equal(read_matrix(path).toarray(), A.toarray())
 
 
 def test_read_rejects_missing_banner(tmp_path):
@@ -136,7 +141,7 @@ def test_unsupported_matrix_type_raises(tmp_path):
         write_matrix(tmp_path / "x.mtx", np.eye(2))
 
 
-def write_block_file(path, entries, shape=(3, 3), rows="1,2", cols="2,1"):
+def write_block_file(path, entries, shape=(4, 3), rows="2,2", cols="1,1,1"):
     lines = ["%%MatrixMarket matrix coordinate real general", f"%%block-sizes rows={rows} cols={cols}"]
     lines.append(f"{shape[0]} {shape[1]} {len(entries)}")
     lines.extend(f"{r} {c} {v!r}" for r, c, v in entries)
@@ -144,26 +149,29 @@ def write_block_file(path, entries, shape=(3, 3), rows="1,2", cols="2,1"):
 
 
 def test_block_reader_groups_unsorted_entries(tmp_path):
-    # Entries in no particular order; block (1, 0) is partly written, so its
-    # missing entries read as stored zeros.
+    # Entries in no particular order; blocks (0, 1) and (1, 0) are partly
+    # written, so their missing entries read as stored zeros.
     path = tmp_path / "u.mtx"
-    write_block_file(path, [(3, 3, 6.0), (1, 2, 2.0), (2, 1, 4.0), (1, 1, 1.0), (3, 1, 5.0), (2, 3, 3.0)])
+    write_block_file(
+        path, [(4, 4, 6.0), (1, 2, 2.0), (3, 1, 5.0), (1, 1, 1.0), (2, 1, 4.0), (3, 3, 3.0)], shape=(4, 4), cols="2,2"
+    )
     A = read_matrix(path)
-    assert A.pattern.row_ptr.tolist() == [0, 1, 3]
-    assert A.pattern.col_idx.tolist() == [0, 0, 1]
-    np.testing.assert_array_equal(A.blocks[0], [[1.0, 2.0]])
-    np.testing.assert_array_equal(A.blocks[1], [[4.0, 0.0], [5.0, 0.0]])
-    np.testing.assert_array_equal(A.blocks[2], [[3.0], [6.0]])
+    assert A.blocksize == (2, 2)
+    assert A.indptr.tolist() == [0, 1, 3]
+    assert A.indices.tolist() == [0, 0, 1]
+    np.testing.assert_array_equal(A.data[0], [[1.0, 2.0], [4.0, 0.0]])
+    np.testing.assert_array_equal(A.data[1], [[5.0, 0.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(A.data[2], [[3.0, 0.0], [0.0, 6.0]])
 
 
 def test_block_reader_last_repeated_entry_wins(tmp_path):
     path = tmp_path / "r.mtx"
     write_block_file(path, [(1, 1, 1.0), (2, 3, 7.0), (1, 1, 9.0), (2, 3, 8.0), (1, 1, -2.0)])
     A = read_matrix(path)
-    np.testing.assert_array_equal(densify(A), [[-2.0, 0.0, 0.0], [0.0, 0.0, 8.0], [0.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(A.toarray(), [[-2.0, 0.0, 0.0], [0.0, 0.0, 8.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
-@pytest.mark.parametrize("entry", [(4, 1, 1.0), (1, 4, 1.0), (0, 1, 1.0), (1, 0, 1.0)])
+@pytest.mark.parametrize("entry", [(5, 1, 1.0), (1, 4, 1.0), (0, 1, 1.0), (1, 0, 1.0)])
 def test_block_reader_rejects_entry_outside_shape(tmp_path, entry):
     path = tmp_path / "o.mtx"
     write_block_file(path, [(1, 1, 1.0), entry])
@@ -174,16 +182,41 @@ def test_block_reader_rejects_entry_outside_shape(tmp_path, entry):
 def test_reader_rejects_truncated_entry_list(tmp_path):
     path = tmp_path / "t.mtx"
     write_block_file(path, [(1, 1, 1.0), (2, 2, 2.0)])
-    path.write_text(path.read_text().replace("3 3 2", "3 3 3"))
+    path.write_text(path.read_text().replace("4 3 2", "4 3 3"))
     with pytest.raises(ManifestError):
         read_matrix(path)
 
 
 def test_block_reader_rejects_inconsistent_block_sizes(tmp_path):
     path = tmp_path / "s.mtx"
-    write_block_file(path, [(1, 1, 1.0)], rows="1,1")
-    with pytest.raises(ManifestError):
+    write_block_file(path, [(1, 1, 1.0)], rows="2")
+    with pytest.raises(ManifestError, match="inconsistent"):
         read_matrix(path)
+
+
+@pytest.mark.parametrize("rows, cols", [("1,3", "1,1,1"), ("2,2", "1,2")])
+def test_block_reader_rejects_mixed_block_sizes(tmp_path, rows, cols):
+    # BSR holds one block shape per matrix; a file listing unequal sizes is
+    # rejected however its entries are laid out.
+    path = tmp_path / "mixed.mtx"
+    write_block_file(path, [(1, 1, 1.0)], rows=rows, cols=cols)
+    with pytest.raises(ManifestError, match="mixed block sizes"):
+        read_matrix(path)
+
+
+def test_reader_checks_the_expected_shape_before_allocating(tmp_path):
+    # A damaged size line declaring ten million rows is rejected before any
+    # array is sized from it.
+    path = tmp_path / "big.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n10000000 2 1\n1 1 1.0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ManifestError, match="expected 2 x 2"):
+            read_matrix(path, (2, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("entry", ["2 1", "2 1 x", "2 x 1.0", "2 1 1.0 5"])
@@ -225,16 +258,14 @@ def test_point_reader_last_repeated_entry_wins(tmp_path):
 # The exact text the writer produced before it was vectorized.
 PINNED_BLOCK_TEXT = """\
 %%MatrixMarket matrix coordinate real general
-%%block-sizes rows=2,1 cols=1,2
-3 3 8
+%%block-sizes rows=2,2 cols=1,1
+4 2 6
 1 1 1.5
 1 2 0
-1 3 0
 2 1 -2
 2 2 0
-2 3 0
 3 2 0.10000000000000001
-3 3 3
+4 2 3
 """
 PINNED_POINT_TEXT = """\
 %%MatrixMarket matrix coordinate real general
@@ -246,10 +277,9 @@ PINNED_POINT_TEXT = """\
 
 
 def test_writer_bytes_are_pinned(tmp_path):
-    # Two block rows and columns with a stored all-zero block; a CSR matrix
-    # with an explicit zero and an empty row.
-    pat = BlockPattern([2, 1], [1, 2], [0, 2, 3], [0, 1, 1])
-    A = BlockCsrMatrix(pat, [np.array([[1.5], [-2.0]]), np.zeros((2, 2)), np.array([[0.1, 3.0]])])
+    # Two block rows and columns of 2 x 1 blocks with a stored all-zero
+    # block; a CSR matrix with an explicit zero and an empty row.
+    A = bsr([[[1.5], [-2.0]], [[0.0], [0.0]], [[0.1], [3.0]]], [0, 1, 1], [0, 2, 3], 2)
     P = scipy.sparse.csr_matrix(([0.0, 1.0 / 3.0, -4.0e-300], [0, 2, 1], [0, 2, 2, 3]), shape=(3, 3))
     for M, text in ((A, PINNED_BLOCK_TEXT), (P, PINNED_POINT_TEXT)):
         path = tmp_path / "pin.mtx"
@@ -259,18 +289,18 @@ def test_writer_bytes_are_pinned(tmp_path):
 
 @st.composite
 def sparse_or_block_matrices(draw):
-    """A random block matrix (stored blocks may be all zero), or a random CSR
-    matrix with explicit zeros, empty rows and awkward values."""
+    """A random BSR matrix with one block shape, drawn per example, rectangular
+    ones included (stored blocks may be all zero, block rows empty), or a
+    random CSR matrix with explicit zeros, empty rows and awkward values."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
-        rbs = rng.integers(1, 4, draw(st.integers(1, 4)))
-        cbs = rng.integers(1, 4, draw(st.integers(1, 4)))
-        stored = rng.random((len(rbs), len(cbs))) < 0.5
-        blocks = [awkward_values(rbs[i] * cbs[j], rng).reshape(rbs[i], cbs[j]) for i, j in zip(*np.nonzero(stored))]
-        if blocks and draw(st.booleans()):
-            blocks[0][:] = 0.0
-        row_ptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
-        return BlockCsrMatrix(BlockPattern(rbs, cbs, row_ptr, np.nonzero(stored)[1]), blocks)
+        r, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        stored = rng.random((draw(st.integers(1, 4)), draw(st.integers(1, 4)))) < 0.5
+        blocks = awkward_values(int(stored.sum()) * r * c, rng).reshape(-1, r, c)
+        if len(blocks) and draw(st.booleans()):
+            blocks[0] = 0.0
+        indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
+        return bsr(blocks, np.nonzero(stored)[1], indptr, stored.shape[1])
     shape = (draw(st.integers(0, 6)), draw(st.integers(1, 6)))
     rows, cols = np.nonzero(rng.random(shape) < 0.4)
     vals = awkward_values(len(rows), rng)
@@ -285,10 +315,8 @@ def test_write_read_round_trip_is_exact(tmp_path_factory, A):
     write_matrix(path, A)
     B = read_matrix(path)
     assert type(B) is type(A)
-    if isinstance(A, BlockCsrMatrix):
-        for field in ("row_block_sizes", "col_block_sizes", "row_ptr", "col_idx"):
-            np.testing.assert_array_equal(getattr(B.pattern, field), getattr(A.pattern, field))
-        assert all(np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)) for a, b in zip(A.blocks, B.blocks))
+    if isinstance(A, scipy.sparse.bsr_matrix):
+        assert_same_bsr(B, A)
     else:
         assert B.shape == A.shape and B.has_canonical_format
         np.testing.assert_array_equal(B.indptr, A.indptr)

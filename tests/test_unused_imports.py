@@ -1,8 +1,10 @@
-"""Every import in the package source is used.
+"""Every import in the package source is used, and every exported name exists.
 
 A name bound by an import counts as used if the module refers to it anywhere
 (annotations included) or lists it in its ``__all__``, which is how
 ``__init__`` re-exports the public API. A dotted ``import a.b`` binds ``a``.
+Every name in ``__all__`` must be bound at module level, or
+``from kktprecond.<module> import *`` fails.
 """
 
 import ast
@@ -32,6 +34,30 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def _exported(tree) -> list[str]:
+    """The names listed in a module's ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def unbound_exports(source: str) -> list[str]:
+    """Names listed in the ``__all__`` of source that no module-level import,
+    definition or assignment binds."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return sorted(set(_exported(tree)) - bound)
+
+
 def test_checker_finds_unused_and_accepts_reexports():
     assert unused_imports("import math\nimport os.path\nfrom a import b as c\n") == ["c", "math", "os"]
     assert unused_imports("import os.path\nos.path.join('a')\n") == []
@@ -42,3 +68,14 @@ def test_checker_finds_unused_and_accepts_reexports():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_package_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_export_checker_finds_unbound_names():
+    assert unbound_exports("__all__ = ['a', 'b', 'c', 'd']\nfrom m import a\ndef b(): pass\nc: int = 1\n") == ["d"]
+    assert unbound_exports("import os.path\nclass K: pass\nX, Y = 1, 2\n__all__ = ['os', 'K', 'X', 'Y']\n") == []
+    assert unbound_exports("def f():\n    g = 1\n__all__ = ['g']\n") == ["g"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_module_exports_only_bound_names(path):
+    assert unbound_exports(path.read_text()) == []
