@@ -6,7 +6,6 @@ from .conprec import (
     AtPreconditioner,
     apply_at_inverse,
     build_at_preconditioner,
-    generic_constrained_inverse,
     point_ilu0_factor,
     point_jacobi,
 )
@@ -29,7 +28,6 @@ from .krylov import (
     LinearOperator,
     Preconditioner,
     SolveReport,
-    evaluate_criterion,
     gmres_solve,
 )
 from .manifest import export_system, import_system
@@ -58,7 +56,6 @@ __all__ = [
     "AtPreconditioner",
     "apply_at_inverse",
     "build_at_preconditioner",
-    "generic_constrained_inverse",
     "point_ilu0_factor",
     "point_jacobi",
     "bilu0_factor",
@@ -79,7 +76,6 @@ __all__ = [
     "LinearOperator",
     "Preconditioner",
     "SolveReport",
-    "evaluate_criterion",
     "gmres_solve",
     "export_system",
     "import_system",

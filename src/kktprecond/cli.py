@@ -134,40 +134,42 @@ def _sweep_systems(spec: dict):
         raise UsageError(f"unknown fixed parameters: {sorted(unknown)}")
     base = GenerateConfig(**cfg_fields)
 
-    def generate(cfg: GenerateConfig, k: int):
-        problem = _problem(cfg)
+    def generate(cfg: GenerateConfig, problem, k: int):
         sqp = SqpConfig(max_iters=cfg.max_iters, kappa=cfg.kappa, gamma=cfg.gamma)
         states = run_sqp(problem, sqp)
         if not 0 <= k < len(states):
             raise UsageError(f"state {k} not available: run produced states 0..{len(states) - 1}")
-        return problem, states
+        return states
 
     if axis in ("kappa", "gamma"):
         scalars = [_cast(float, v, f"{axis} value") for v in values]
-        problem, states = generate(base, state_index)
-        state = states[state_index]
+        problem = _problem(base)
+        state = generate(base, problem, state_index)[state_index]
         for i, val in enumerate(scalars):
             yield i, build_kkt(problem, state, case=base.case_name, **{axis: val})
     elif axis == "state":
         ks = [_cast(int, v, "state") for v in values]
         if min(ks) < 0:
             raise UsageError(f"state {min(ks)} not available: states are numbered from 0")
-        problem, states = generate(base, max(ks))
+        problem = _problem(base)
+        states = generate(base, problem, max(ks))
         for i, k in enumerate(ks):
             yield i, build_kkt(problem, states[k], case=base.case_name)
-    elif axis == "degree":
-        for i, val in enumerate(values):
-            pair = val if isinstance(val, list) else [val, base.q]
-            if len(pair) != 2:
-                raise UsageError(f"invalid degree {val!r}: a degree p or a pair [p, q]")
-            p, q = (_cast(int, d, "degree") for d in pair)
-            cfg = GenerateConfig(**{**cfg_fields, "p": p, "q": q})
-            problem, states = generate(cfg, state_index)
-            yield i, build_kkt(problem, states[state_index], case=cfg.case_name)
     else:
-        for i, val in enumerate(values):
-            cfg = GenerateConfig(**{**cfg_fields, "n_elem": _cast(int, val, "mesh size")})
-            problem, states = generate(cfg, state_index)
+        # Every value is cast and its problem built before the first SQP run.
+        cfgs = []
+        for val in values:
+            if axis == "mesh":
+                change = {"n_elem": _cast(int, val, "mesh size")}
+            else:
+                pair = val if isinstance(val, list) else [val, base.q]
+                if len(pair) != 2:
+                    raise UsageError(f"invalid degree {val!r}: a degree p or a pair [p, q]")
+                change = dict(zip("pq", (_cast(int, d, "degree") for d in pair)))
+            cfgs.append(GenerateConfig(**{**cfg_fields, **change}))
+        problems = [_problem(cfg) for cfg in cfgs]
+        for i, (cfg, problem) in enumerate(zip(cfgs, problems)):
+            states = generate(cfg, problem, state_index)
             yield i, build_kkt(problem, states[state_index], case=cfg.case_name)
 
 

@@ -11,8 +11,10 @@ approximation keeps only the mesh-mesh block; Ju~ is the exact Jacobian, its
 block diagonal, or its block ILU0 factorization, and Byy~ is exact, diagonal,
 or a point ILU0. Every approximation is a factor object with scipy's
 SuperLU call, solve(rhs, trans="N"); trans="T" solves with the transpose.
-All but point Jacobi are compiled, when built, to a point row permutation
-and two natural-order SuperLU triangular factors (blocklinalg.PermutedLu).
+Block Jacobi is one product with the inverted diagonal blocks and point
+Jacobi one division; the others are compiled, when built, to a point row
+permutation and two natural-order SuperLU triangular factors
+(blocklinalg.PermutedLu).
 The *-p0 variants wrap the application in a two-level p-multigrid cycle with
 this preconditioner as the smoother.
 """
@@ -26,16 +28,9 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 
-from .blocklinalg import PermutedLu, check_trans, dense_lu_factor, permuted_lu, sparse_lu
+from .blocklinalg import PermutedLu, check_trans, permuted_lu, sparse_lu
 from .dgprecond import BiluPrec, BlockJacobiPrec, bilu0_factor, build_block_jacobi, mdf_order
-from .errors import (
-    DimensionMismatch,
-    PatternViolation,
-    SingularBlock,
-    SingularSchurComplement,
-    UnknownPreconditioner,
-    ZeroPivot,
-)
+from .errors import DimensionMismatch, PatternViolation, UnknownPreconditioner, ZeroPivot
 from .kkt import KktOperator, KktSystem
 from .krylov import Preconditioner
 from .pmultigrid import CoarseSystem, TransferOps, assemble_coarse, build_transfer, pmg_apply
@@ -49,7 +44,6 @@ __all__ = [
     "AtPreconditioner",
     "build_at_preconditioner",
     "apply_at_inverse",
-    "generic_constrained_inverse",
 ]
 
 CATALOG = ("A0", "BJ", "BILU", "BJ-ilu", "BILU-ilu", "A0-p0", "BJ-p0", "BILU-p0")
@@ -273,32 +267,3 @@ def build_at_preconditioner(sys: KktSystem, variant: str) -> AtPreconditioner:
         prec.multigrid = PmgWrapper(op, transfers, coarse)
     return prec
 
-
-def generic_constrained_inverse(G: np.ndarray, Jt: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Apply the inverse of the generic constrained preconditioner [[G, Jt^T],[Jt, 0]].
-
-    Three-factor product form: with S = Jt G^-1 Jt^T,
-
-        [[I, -G^-1 Jt^T], [0, I]] [[G^-1, 0], [0, -S^-1]] [[I, 0], [-Jt G^-1, I]] v.
-
-    Validation path only; a singular G raises SingularBlock.
-    """
-    G = np.asarray(G, dtype=float)
-    Jt = np.asarray(Jt, dtype=float)
-    v = np.asarray(v, dtype=float)
-    n = G.shape[0]
-    m = Jt.shape[0]
-    if Jt.shape[1] != n or v.shape != (n + m,):
-        raise DimensionMismatch("generic constrained inverse: shapes disagree")
-    v1, v2 = v[:n], v[n:]
-    g_lu = dense_lu_factor(G)
-    ginv_v1 = g_lu.solve(v1)
-    t = v2 - Jt @ ginv_v1
-    S = Jt @ g_lu.solve(Jt.T)
-    try:
-        s_lu = dense_lu_factor(S)
-    except SingularBlock as exc:
-        raise SingularSchurComplement("Schur complement singular to working precision") from exc
-    out2 = -s_lu.solve(t)
-    out1 = ginv_v1 - g_lu.solve(Jt.T @ out2)
-    return np.concatenate([out1, out2])

@@ -1,12 +1,13 @@
 """Block Jacobi and block ILU0 with minimum-discarded-fill ordering.
 
 Both preconditioners approximate a square block-sparse DG Jacobian. Block
-Jacobi keeps only the diagonal blocks. Block ILU0 runs a block IKJ elimination
-restricted to the original sparsity pattern (fill positions are skipped), after
-a greedy reordering of the block rows that at each step eliminates the row
-whose discarded fill has the smallest aggregate Frobenius norm. Both compile
-their factors to a point row permutation and two point triangular factors
-when built, so a solve is a pair of compiled sparse triangular sweeps.
+Jacobi keeps only the diagonal blocks, inverted when built, so a solve is one
+sparse product. Block ILU0 runs a block IKJ elimination restricted to the
+original sparsity pattern (fill positions are skipped), after a greedy
+reordering of the block rows that at each step eliminates the row whose
+discarded fill has the smallest aggregate Frobenius norm; it compiles its
+factors to a point row permutation and two point triangular factors when
+built, so a solve is a pair of compiled sparse triangular sweeps.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .blocklinalg import BlockLuFactor, PermutedLu, canonical_bsr, first_singular, getrf, permuted_lu
+from .blocklinalg import BlockLuFactor, PermutedLu, canonical_bsr, check_trans, first_singular, getrf, permuted_lu
 from .errors import DimensionMismatch, SingularBlock, SingularPivotBlock
 
 __all__ = [
@@ -31,14 +32,20 @@ __all__ = [
 
 @dataclass
 class BlockJacobiPrec:
-    """LU factors of the diagonal blocks, compiled to point triangular factors."""
+    """Inverses of the diagonal blocks as a block-diagonal CSR matrix, and
+    its transpose as a second CSR matrix."""
 
     block_sizes: np.ndarray
-    factors: PermutedLu
+    inverse: scipy.sparse.csr_matrix
+    inverse_T: scipy.sparse.csr_matrix
 
     def solve(self, v: np.ndarray, trans: str = "N") -> np.ndarray:
         """Solve with the block diagonal, or its transpose for trans="T"."""
-        return self.factors.solve(v, trans)
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.inverse.shape[0],):
+            raise DimensionMismatch(f"vector length {v.shape} incompatible with dimension {self.inverse.shape[0]}")
+        check_trans(trans)
+        return (self.inverse if trans == "N" else self.inverse_T) @ v
 
 
 @dataclass
@@ -158,13 +165,6 @@ def _block_lu_triangles(A, diag_lu: list[BlockLuFactor]):
     return _csc(n, lower), _csc(n, upper), prow
 
 
-def _compile_block_lu(A, diag_lu: list[BlockLuFactor], point_perm: np.ndarray) -> PermutedLu:
-    """Point triangular factors of a block LU in permuted order; see
-    _block_lu_triangles."""
-    lower, upper, prow = _block_lu_triangles(A, diag_lu)
-    return permuted_lu(lower, upper, point_perm[prow], point_perm)
-
-
 def _square_bsr(A) -> scipy.sparse.bsr_matrix:
     """A as a canonical BSR matrix, which must be square with square blocks."""
     A = canonical_bsr(A, "block matrix")
@@ -200,13 +200,19 @@ def _diag_lus(A) -> list[BlockLuFactor]:
 
 
 def build_block_jacobi(A) -> BlockJacobiPrec:
-    """LU-factor every diagonal block of the square BSR matrix A."""
+    """Invert every diagonal block of the square BSR matrix A, after the
+    pivot check of their LU factors."""
     A = _square_bsr(A)
-    factors = _diag_lus(A)
-    nb = len(factors)
-    lu_entries = np.array([lu.lu_entries for lu in factors]).reshape(nb, *A.blocksize)
-    diagonal = scipy.sparse.bsr_matrix((lu_entries, np.arange(nb), np.arange(nb + 1)), shape=A.shape)
-    return BlockJacobiPrec(np.full(nb, A.blocksize[0]), _compile_block_lu(diagonal, factors, np.arange(A.shape[0])))
+    nb, s = len(_diag_lus(A)), A.blocksize[0]
+    inv = np.linalg.inv(A.data[_diagonal_positions(A)[0]])
+    # Row a of block m holds inv[m, a, :] at the point columns of block m.
+    cols = np.broadcast_to(np.arange(nb * s).reshape(nb, 1, s), inv.shape).ravel()
+    indptr = np.arange(0, nb * s * s + 1, s)
+
+    def csr(blocks):
+        return scipy.sparse.csr_matrix((blocks.ravel(), cols, indptr), shape=A.shape)
+
+    return BlockJacobiPrec(np.full(nb, s), csr(inv), csr(inv.transpose(0, 2, 1)))
 
 
 def _adjacency(A):
@@ -347,4 +353,5 @@ def bilu0_factor(A, ordering: MdfOrdering) -> BiluPrec:
         raise SingularPivotBlock(f"step {first_missing}: diagonal block missing from permuted pattern")
     s = A.blocksize[0]
     point_perm = (order[:, None] * s + np.arange(s)).ravel()
-    return BiluPrec(order, work, _compile_block_lu(work, diag_lu, point_perm))
+    lower, upper, prow = _block_lu_triangles(work, diag_lu)
+    return BiluPrec(order, work, permuted_lu(lower, upper, point_perm[prow], point_perm))

@@ -44,7 +44,6 @@ __all__ = [
     "GmresConfig",
     "SolveReport",
     "gmres_solve",
-    "evaluate_criterion",
     "DEFAULT_TOL",
     "DEFAULT_MAX_ITERS",
 ]
@@ -139,25 +138,6 @@ class SolveReport:
     stop_reason: str
     criterion: float
     true_residual: float
-
-
-def evaluate_criterion(kind, A: LinearOperator, M: Preconditioner, b, s, s_ex=None) -> float:
-    """Normative convergence measure for a candidate solution s."""
-    b = np.asarray(b, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if kind == PRECONDITIONED_RESIDUAL:
-        ref = np.linalg.norm(M.apply_inverse(b))
-        if ref < 1e-300:
-            raise ZeroReference("preconditioned right-hand side has zero norm")
-        return float(np.linalg.norm(M.apply_inverse(A.apply(s) - b)) / ref)
-    if kind == EXACT_SOLUTION:
-        if s_ex is None:
-            raise ValueError("exact-solution criterion needs the reference vector")
-        ref = np.linalg.norm(s_ex)
-        if ref < 1e-300:
-            raise ZeroReference("reference solution has zero norm")
-        return float(np.linalg.norm(np.asarray(s_ex) - s) / ref)
-    raise ValueError(f"unknown criterion {kind!r}")
 
 
 def _true_residual(A: LinearOperator, b: np.ndarray, s: np.ndarray) -> float:

@@ -2,7 +2,8 @@
 
 Running the SQP driver is the expensive part of most tests, so the two
 standard discretizations (8 elements at p=1/q=1 and 16 elements at p=2/q=2)
-are generated once per session. Tests must not mutate these objects.
+and the benchmark's catalog discretization (64 elements at p=2/q=2, six SQP
+steps) are generated once per session. Tests must not mutate these objects.
 """
 
 import dataclasses
@@ -46,6 +47,16 @@ def states16(prob16):
 @pytest.fixture(scope="session")
 def sys16_k1(prob16, states16):
     return build_kkt(prob16, states16[1])
+
+
+@pytest.fixture(scope="session")
+def prob64():
+    return ShockTrackProblem1d(n_elem=64, p=2, q=2)
+
+
+@pytest.fixture(scope="session")
+def states64(prob64):
+    return run_sqp(prob64, SqpConfig(max_iters=6))
 
 
 def zero_coupling_system(sys):

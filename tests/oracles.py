@@ -16,6 +16,11 @@ the sliced sparse-block KKT product, the transfers built by a loop and
 block_diag, the KKT matrix assembled by bmat, the reader with a second
 loadtxt and a reshape per block) do the same float operations in the same
 order as their replacements, so tests compare the two with np.array_equal.
+
+Two references that no production path needs live here too: the normative
+convergence measure of a candidate GMRES solution, evaluated from scratch, and
+the generic constrained preconditioner [[G, Jt^T], [Jt, 0]] applied in dense
+product form.
 """
 
 import warnings
@@ -24,9 +29,11 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
+from kktprecond.blocklinalg import dense_lu_factor
 from kktprecond.conprec import PointIlu0Factor, PointJacobiFactor
 from kktprecond.dgprecond import BiluPrec, BlockJacobiPrec
-from kktprecond.errors import ManifestError
+from kktprecond.errors import DimensionMismatch, ManifestError, SingularBlock, SingularSchurComplement, ZeroReference
+from kktprecond.krylov import EXACT_SOLUTION, PRECONDITIONED_RESIDUAL
 from kktprecond.mmio import _BLOCK_TAG, _ENTRY, _VALUE, _parse, _parse_block_tag
 from kktprecond.pmultigrid import TransferOps, full_prolongation, full_restriction
 
@@ -540,3 +547,51 @@ def coo_block_to_scipy(A):
     csr.sort_indices()
     return csr
 
+
+def evaluate_criterion(kind, A, M, b, s, s_ex=None) -> float:
+    """Normative convergence measure for a candidate solution s."""
+    b = np.asarray(b, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if kind == PRECONDITIONED_RESIDUAL:
+        ref = np.linalg.norm(M.apply_inverse(b))
+        if ref < 1e-300:
+            raise ZeroReference("preconditioned right-hand side has zero norm")
+        return float(np.linalg.norm(M.apply_inverse(A.apply(s) - b)) / ref)
+    if kind == EXACT_SOLUTION:
+        if s_ex is None:
+            raise ValueError("exact-solution criterion needs the reference vector")
+        ref = np.linalg.norm(s_ex)
+        if ref < 1e-300:
+            raise ZeroReference("reference solution has zero norm")
+        return float(np.linalg.norm(np.asarray(s_ex) - s) / ref)
+    raise ValueError(f"unknown criterion {kind!r}")
+
+
+def generic_constrained_inverse(G: np.ndarray, Jt: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Apply the inverse of the generic constrained preconditioner [[G, Jt^T],[Jt, 0]].
+
+    Three-factor product form: with S = Jt G^-1 Jt^T,
+
+        [[I, -G^-1 Jt^T], [0, I]] [[G^-1, 0], [0, -S^-1]] [[I, 0], [-Jt G^-1, I]] v.
+
+    A singular G raises SingularBlock.
+    """
+    G = np.asarray(G, dtype=float)
+    Jt = np.asarray(Jt, dtype=float)
+    v = np.asarray(v, dtype=float)
+    n = G.shape[0]
+    m = Jt.shape[0]
+    if Jt.shape[1] != n or v.shape != (n + m,):
+        raise DimensionMismatch("generic constrained inverse: shapes disagree")
+    v1, v2 = v[:n], v[n:]
+    g_lu = dense_lu_factor(G)
+    ginv_v1 = g_lu.solve(v1)
+    t = v2 - Jt @ ginv_v1
+    S = Jt @ g_lu.solve(Jt.T)
+    try:
+        s_lu = dense_lu_factor(S)
+    except SingularBlock as exc:
+        raise SingularSchurComplement("Schur complement singular to working precision") from exc
+    out2 = -s_lu.solve(t)
+    out1 = ginv_v1 - g_lu.solve(Jt.T @ out2)
+    return np.concatenate([out1, out2])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 import kktprecond.conprec as conprec
 from conftest import count_iterations
@@ -12,7 +13,6 @@ from kktprecond.conprec import (
     AtPreconditioner,
     apply_at_inverse,
     build_at_preconditioner,
-    generic_constrained_inverse,
     point_ilu0_factor,
     point_jacobi,
 )
@@ -26,7 +26,9 @@ from kktprecond.errors import (
 )
 from kktprecond.kkt import KktFactors, KktSystem, assemble_Byy
 from kktprecond.krylov import GmresConfig, LinearOperator, Preconditioner, gmres_solve
-from oracles import byy_matrix, densify_at_matrix, ju_matrix, point_ilu0_matrix, system_ju_byy
+from kktprecond.dgprecond import bilu0_factor, mdf_order
+from kktprecond.shocktrack import ShockTrackProblem1d, SqpConfig, build_kkt, run_sqp
+from oracles import byy_matrix, densify_at_matrix, generic_constrained_inverse, ju_matrix, point_ilu0_matrix, system_ju_byy
 
 
 def single_block(arr):
@@ -261,6 +263,52 @@ def test_catalog_iteration_counts_are_pinned(name, request):
     results = [count_iterations(sys, variant) for variant in CATALOG]
     assert all(converged for _, converged in results)
     assert [iters for iters, _ in results] == PINNED_CATALOG_ITERATIONS[name]
+
+
+# The same counts on the catalog benchmark's systems: n_elem=64, p=q=2, SQP
+# states 1-6, one list per variant in state order.
+PINNED_CATALOG64_ITERATIONS = {
+    "A0": [3, 3, 3, 3, 3, 3],
+    "BJ": [208, 204, 192, 204, 212, 211],
+    "BILU": [99, 102, 97, 111, 114, 113],
+    "BJ-ilu": [99, 110, 116, 116, 117, 114],
+    "BILU-ilu": [3, 3, 3, 3, 3, 3],
+    "A0-p0": [4, 4, 4, 4, 4, 4],
+    "BJ-p0": [11, 13, 17, 19, 19, 19],
+    "BILU-p0": [13, 14, 15, 17, 17, 17],
+}
+
+
+@pytest.mark.parametrize("state", range(1, 7))
+def test_catalog64_iteration_counts_are_pinned(state, prob64, states64):
+    assert sorted(PINNED_CATALOG64_ITERATIONS) == sorted(CATALOG)
+    sys = build_kkt(prob64, states64[state])
+    results = {variant: count_iterations(sys, variant) for variant in CATALOG}
+    assert all(converged for _, converged in results.values())
+    assert {v: iters for v, (iters, _) in results.items()} == {
+        v: counts[state - 1] for v, counts in PINNED_CATALOG64_ITERATIONS.items()
+    }
+
+
+def _first_step_system(n_elem, p, q):
+    prob = ShockTrackProblem1d(n_elem=n_elem, p=p, q=q)
+    return build_kkt(prob, run_sqp(prob, SqpConfig(max_iters=1))[1])
+
+
+@pytest.mark.parametrize("name", ["sys8_k1", "sys16_k1", "n32_p0_q1", "n16_p3_q1"])
+def test_block_ilu0_is_exact_in_1d(name, request):
+    # A 1D DG Jacobian is block tridiagonal, so eliminating in MDF order
+    # discards no fill: block ILU0 is the exact LU of Ju, and BILU's Ju~ is Ju.
+    systems = {"n32_p0_q1": (32, 0, 1), "n16_p3_q1": (16, 3, 1)}
+    sys = _first_step_system(*systems[name]) if name in systems else request.getfixturevalue(name)
+    Ju = sys.factors.Ju
+    ordering = mdf_order(Ju)
+    assert np.all(ordering.weights_at_selection == 0.0)
+    P = bilu0_factor(Ju, ordering)
+    lu = scipy.sparse.linalg.splu(Ju.tocsc())
+    v = np.random.default_rng(9).standard_normal(Ju.shape[0])
+    for trans in ("N", "T"):
+        np.testing.assert_allclose(P.solve(v, trans=trans), lu.solve(v, trans=trans), rtol=1e-12)
 
 
 @pytest.mark.parametrize("variant", CATALOG)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from kktprecond.blocklinalg import getrf
 from kktprecond.dgprecond import MdfOrdering, bilu0_factor, build_block_jacobi, mdf_order
 from kktprecond.errors import SingularBlock, SingularPivotBlock
 from kktprecond.krylov import GmresConfig, LinearOperator, Preconditioner, gmres_solve
 from kktprecond.stencil import generate_stencil_system
 from oracles import bilu_factors
+from test_bitwise_oracles import _diagonal, scaled_stencil
 
 
 def bsr(blocks, indices, indptr):
@@ -80,6 +82,31 @@ def test_block_jacobi_rejects_missing_diagonal():
     A = bsr([[[1.0]], [[1.0]]], [1, 0], [0, 1, 2])
     with pytest.raises(SingularBlock):
         build_block_jacobi(A)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-15])
+def test_block_jacobi_rejects_singular_diagonal_block(scale):
+    # The stored diagonal block of row 1 has a pivot below 1e-14 of its
+    # largest entry: exactly singular, or singular to working precision.
+    rng = np.random.default_rng(4)
+    blocks = [rng.standard_normal((2, 2)) + 3.0 * np.eye(2) for _ in range(3)]
+    blocks[1][1] = scale * blocks[1][0]
+    with pytest.raises(SingularBlock, match="block row 1: pivot below 1e-14 relative threshold"):
+        build_block_jacobi(block_diag_matrix(blocks))
+
+
+@pytest.mark.parametrize("name", ["sys8_k1", "sys16_k1", "stencil"])
+def test_block_jacobi_matches_per_block_lu_solves(name, request):
+    # The inverted blocks against LAPACK getrs of each diagonal block's LU;
+    # the stencil's blocks are scaled over two decades and pivot.
+    A = scaled_stencil(0) if name == "stencil" else request.getfixturevalue(name).factors.Ju
+    s = A.blocksize[0]
+    diag = A.data[_diagonal(A)]
+    P = build_block_jacobi(A)
+    v = np.random.default_rng(6).standard_normal(A.shape[0])
+    for trans in ("N", "T"):
+        want = np.concatenate([getrf(D).solve(v[m * s : (m + 1) * s], trans) for m, D in enumerate(diag)])
+        np.testing.assert_allclose(P.solve(v, trans=trans), want, rtol=1e-12)
 
 
 def test_block_jacobi_identity_diagonals_is_identity_map():

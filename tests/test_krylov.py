@@ -18,10 +18,9 @@ from kktprecond.krylov import (
     LinearOperator,
     Preconditioner,
     SolveReport,
-    evaluate_criterion,
     gmres_solve,
 )
-from oracles import mgs_gmres
+from oracles import evaluate_criterion, mgs_gmres
 
 
 def run(A, b, M=None, **cfg_kwargs):

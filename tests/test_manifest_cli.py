@@ -501,6 +501,28 @@ def test_cli_sweep_bad_values_exit_2(tmp_path, capsys, spec):
     assert out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "axis, values",
+    [("mesh", [8, "abc"]), ("mesh", [8, 0]), ("degree", [1, "abc"]), ("degree", [[1, 1], [2]]), ("degree", [1, -1])],
+    ids=["mesh-not-a-number", "mesh-zero", "degree-not-a-number", "degree-pair-too-short", "degree-negative"],
+)
+def test_cli_sweep_checks_every_value_before_the_first_sqp_run(tmp_path, capsys, monkeypatch, axis, values):
+    calls = []
+    run_sqp = kktprecond.cli.run_sqp
+
+    def counting_run_sqp(*args, **kwargs):
+        calls.append(args)
+        return run_sqp(*args, **kwargs)
+
+    monkeypatch.setattr(kktprecond.cli, "run_sqp", counting_run_sqp)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"axis": axis, "values": values, "preconditioners": ["A0"]}))
+    assert main(["sweep", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+    assert calls == []
+
+
 # CLI: stencil ---------------------------------------------------------------
 
 
