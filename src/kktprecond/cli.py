@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 
 from .conprec import CATALOG, build_at_preconditioner
 from .errors import KktPrecondError, ManifestError, UnknownPreconditioner
@@ -86,6 +87,30 @@ def _cast(kind, value, what: str):
         raise UsageError(f"invalid {what} {value!r}")
 
 
+def _weight(value, name: str) -> float:
+    """A kappa or gamma value as a float; a negative or NaN one is a usage error."""
+    weight = _cast(float, value, f"{name} value")
+    if not weight >= 0:
+        raise UsageError(f"invalid {name} {value!r}: must be nonnegative")
+    return weight
+
+
+def _checked(cfg: GenerateConfig, states) -> GenerateConfig:
+    """cfg with kappa and gamma checked, and every state in states checked
+    against the states 0..max_iters that a run can produce, before any run."""
+    cfg = replace(
+        cfg,
+        kappa=_weight(cfg.kappa, "kappa"),
+        gamma=_weight(cfg.gamma, "gamma"),
+        max_iters=_cast(int, cfg.max_iters, "max_iters"),
+    )
+    n = cfg.max_iters
+    for k in states:
+        if not 0 <= k <= n:
+            raise UsageError(f"state {k} not available: a run of at most {n} iterations produces states 0..{n}")
+    return cfg
+
+
 def cmd_generate(args) -> int:
     try:
         cfg = load_problem_config(args.config)
@@ -93,6 +118,7 @@ def cmd_generate(args) -> int:
         raise UsageError(f"config file not found: {args.config}")
     except ValueError as exc:
         raise UsageError(str(exc))
+    cfg = _checked(cfg, cfg.states)
     problem = _problem(cfg)
     sqp = SqpConfig(max_iters=cfg.max_iters, kappa=cfg.kappa, gamma=cfg.gamma)
     states = run_sqp(problem, sqp)
@@ -133,6 +159,8 @@ def _sweep_systems(spec: dict):
     if unknown:
         raise UsageError(f"unknown fixed parameters: {sorted(unknown)}")
     base = GenerateConfig(**cfg_fields)
+    ks = [_cast(int, v, "state") for v in values] if axis == "state" else [state_index]
+    base = _checked(base, ks)
 
     def generate(cfg: GenerateConfig, problem, k: int):
         sqp = SqpConfig(max_iters=cfg.max_iters, kappa=cfg.kappa, gamma=cfg.gamma)
@@ -142,15 +170,12 @@ def _sweep_systems(spec: dict):
         return states
 
     if axis in ("kappa", "gamma"):
-        scalars = [_cast(float, v, f"{axis} value") for v in values]
+        scalars = [_weight(v, axis) for v in values]
         problem = _problem(base)
         state = generate(base, problem, state_index)[state_index]
         for i, val in enumerate(scalars):
             yield i, build_kkt(problem, state, case=base.case_name, **{axis: val})
     elif axis == "state":
-        ks = [_cast(int, v, "state") for v in values]
-        if min(ks) < 0:
-            raise UsageError(f"state {min(ks)} not available: states are numbered from 0")
         problem = _problem(base)
         states = generate(base, problem, max(ks))
         for i, k in enumerate(ks):
@@ -166,7 +191,7 @@ def _sweep_systems(spec: dict):
                 if len(pair) != 2:
                     raise UsageError(f"invalid degree {val!r}: a degree p or a pair [p, q]")
                 change = dict(zip("pq", (_cast(int, d, "degree") for d in pair)))
-            cfgs.append(GenerateConfig(**{**cfg_fields, **change}))
+            cfgs.append(replace(base, **change))
         problems = [_problem(cfg) for cfg in cfgs]
         for i, (cfg, problem) in enumerate(zip(cfgs, problems)):
             states = generate(cfg, problem, state_index)

@@ -1,4 +1,4 @@
-"""Saddle-point system data model and matrix-free operator algebra.
+"""Saddle-point system data model and its assembled matrix.
 
 The SQP step solves
 
@@ -9,40 +9,31 @@ with unknown ordering (u, y, lambda). B is the Gauss-Newton Hessian of the
 least-squares objective built from the enriched DG residual and the mesh
 distortion residual, plus an elasticity regularization of the mesh block:
 
-    B_uu = dRdu^T dRdu                       (assembled only for the reference solve)
+    B_uu = dRdu^T dRdu
     B_uy = dRdu^T dRdx dPhidy
     B_yy = dPhidy^T ( dRdx^T dRdx + kappa^2 dRmshdx^T dRmshdx + gamma D ) dPhidy
 
-and the constraint Jacobian is J = [J_u, J_y] with J_y = drdx dPhidy.
-B_uu and B_uy act matrix-free through their factors; B_yy is assembled because
-it loses block structure. Ju and dRdu are scipy BSR matrices, whose blocks the
-preconditioners use; every other factor, B_yy and J_y are scipy CSR.
+and the constraint Jacobian is J = [J_u, J_y] with J_y = drdx dPhidy. Ju and
+dRdu are scipy BSR matrices, whose blocks the preconditioners use; every
+other factor, B_yy and J_y are scipy CSR.
 
-The operator is two sparse products. Products that share an operand are
-stacked row-wise into block-diagonal CSR matrices, formed on the first product
-from the scalar CSR views of the factors and cached on the system:
-
-    S1 = diag([dRdu; Ju], [G; B_yy; J_y], [Ju^T; J_y^T])   applied to (v_u, v_y, v_lambda)
-    S2 = diag(dRdu^T, G^T)                                 applied to (a + b, a)
-
-with G = dRdx dPhidy, a = dRdu v_u and b = G v_y. Each stacked matrix keeps
-its parts' arrays in stored order, so every entry of the product is the same
-float as that of the separate factor product. The reference solution that
-GMRES is measured against is one sparse direct solve of the whole matrix,
-assembled from the same CSR factors.
+Each system assembles the whole matrix K once, as canonical CSR, on first
+use, and caches it. Every consumer reads that one matrix: the GMRES operator
+is the product K v, the p-multigrid coarse matrix is Q K P, and the
+reference solution that GMRES is measured against is one sparse direct
+solve of K.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .blocklinalg import canonical_bsr, canonical_csr, stacked_diagonal
+from .blocklinalg import canonical_bsr, canonical_csr
 from .errors import DimensionMismatch, SingularSystem, SizeCapExceeded
 from .krylov import LinearOperator
 
@@ -51,7 +42,6 @@ __all__ = [
     "KktFactors",
     "KktSystem",
     "KktOperator",
-    "CsrFactors",
     "assemble_Byy",
     "kkt_matvec",
     "materialize_dense",
@@ -126,7 +116,7 @@ class KktFactors:
             raise DimensionMismatch("dRmshdx column count must match mesh coefficients")
         if self.D.shape != (n_x, n_x):
             raise DimensionMismatch("D must be N_x x N_x")
-        if self.kappa < 0 or self.gamma < 0:
+        if not (self.kappa >= 0 and self.gamma >= 0):
             raise ValueError("kappa and gamma must be nonnegative")
 
     @property
@@ -148,29 +138,6 @@ def assemble_Byy(factors: KktFactors) -> scipy.sparse.csr_matrix:
     Bxx = (Ax.T @ Ax) + factors.kappa**2 * (Rm.T @ Rm) + factors.gamma * factors.D
     Byy = (Phi.T @ Bxx @ Phi).tocsr()
     return 0.5 * (Byy + Byy.T)
-
-
-@dataclass(frozen=True)
-class CsrFactors:
-    """Scalar CSR copies of the operator's factors, each with its transpose,
-    and the two stacked matrices the operator applies.
-
-    G = dRdx dPhidy maps mesh DOFs to the enriched residual, so that
-    B_uu = dRdu^T dRdu and B_uy = dRdu^T G are applied through their factors.
-    S1 = diag([dRdu; Ju], [G; Byy; Jy], [Ju^T; Jy^T]) acts on the whole
-    (v_u, v_y, v_lambda) and S2 = diag(dRdu^T, G^T) on (dRdu v_u + G v_y,
-    dRdu v_u).
-    """
-
-    dRdu: scipy.sparse.csr_matrix
-    dRdu_T: scipy.sparse.csr_matrix
-    G: scipy.sparse.csr_matrix
-    G_T: scipy.sparse.csr_matrix
-    Ju: scipy.sparse.csr_matrix
-    Ju_T: scipy.sparse.csr_matrix
-    Jy_T: scipy.sparse.csr_matrix
-    S1: scipy.sparse.csr_matrix
-    S2: scipy.sparse.csr_matrix
 
 
 @dataclass
@@ -207,17 +174,29 @@ class KktSystem:
         return 2 * n_u + n_y
 
     @cached_property
-    def csr(self) -> CsrFactors:
-        """CSR factors for the operator, built on first use: SQP steps create a
-        system per iteration and never apply it."""
+    def K(self) -> scipy.sparse.csr_matrix:
+        """The whole KKT matrix as canonical CSR, built on first use: SQP
+        steps create a system per iteration and never apply it.
+
+        Every stored entry of its blocks is kept, explicit zeros included.
+        All blocks are CSR, so scipy stacks their arrays directly, without a
+        COO copy; no two blocks overlap, so sorting the rows makes it
+        canonical.
+        """
         f = self.factors
         dRdu = f.dRdu.tocsr()
-        G = (f.dRdx @ f.dPhidy).tocsr()
         Ju = f.Ju.tocsr()
-        dRdu_T, G_T, Ju_T, Jy_T = (M.T.tocsr() for M in (dRdu, G, Ju, self.Jy))
-        S1 = stacked_diagonal([[dRdu, Ju], [G, self.Byy, self.Jy], [Ju_T, Jy_T]])
-        S2 = stacked_diagonal([[dRdu_T], [G_T]])
-        return CsrFactors(dRdu, dRdu_T, G, G_T, Ju, Ju_T, Jy_T, S1, S2)
+        dRdu_T = dRdu.T.tocsr()
+        buy = dRdu_T @ (f.dRdx @ f.dPhidy).tocsr()
+        zero = scipy.sparse.csr_matrix((f.n_u, f.n_u))
+        blocks = [
+            [dRdu_T @ dRdu, buy, Ju.T.tocsr()],
+            [buy.T.tocsr(), self.Byy, self.Jy.T.tocsr()],
+            [Ju, self.Jy, zero],
+        ]
+        K = scipy.sparse.bmat(blocks, format="csr")
+        K.sort_indices()
+        return K
 
     def rhs(self) -> np.ndarray:
         """Right-hand side -(g, r) of the SQP step system."""
@@ -244,57 +223,14 @@ class KktOperator:
 
 
 def kkt_matvec(op: KktOperator, v):
-    """Action of the saddle-point matrix on (v_u, v_y, v_lambda).
-
-    v is a 1-D vector or a sparse block of columns with one row per unknown.
-    B_uu is applied as dRdu^T (a + b) with a = dRdu v_u and b = G v_y, and
-    never formed. The factor products are two: S1 v gives a, Ju v_u, b,
-    Byy v_y, Jy v_y, Ju^T v_lambda and Jy^T v_lambda, and S2 (a + b, a) gives
-    dRdu^T (a + b) and G^T a; the sums that follow are those of the separate
-    products, in the same order. For a sparse block the slicing, the sums
-    and the stacking are themselves sparse products with 0/1 matrices whose
-    rows list the summed rows in that order (see _row_sums).
-    """
-    sys = op.system
-    n_u, n_y = sys.Jy.shape
+    """Product K v of the assembled saddle-point matrix with (v_u, v_y,
+    v_lambda): v is a 1-D vector, or a sparse block of columns with one row
+    per unknown, whose product is returned as CSR."""
     block = scipy.sparse.issparse(v)
     v = scipy.sparse.csr_matrix(v, dtype=float) if block else np.asarray(v, dtype=float)
     if v.shape[0] != op.dimension or (not block and v.ndim != 1):
         raise DimensionMismatch(f"operand shape {v.shape} incompatible with dimension {op.dimension}")
-
-    c = sys.csr
-    n_r = c.G.shape[0]
-    ends = list(accumulate([n_r, n_u, n_r, n_y, n_u, n_u, n_y], initial=0))
-    w = c.S1 @ v
-    if block:
-        o_a, o_ju, o_b, o_byy, o_jy, o_jut, o_jyt, n_w = ends
-        n_t = n_u + n_y
-        # w -> (a + b, a, w) -> (S2 (a + b, a), w) = (t, w) -> the three outputs.
-        select = _row_sums(n_w, [(n_r, [o_a, o_b]), (n_r, [o_a]), (n_w, [0])])
-        carry = stacked_diagonal([[c.S2], [scipy.sparse.identity(n_w, format="csr")]])
-        out = [(n_u, [0, n_t + o_jut]), (n_y, [n_u, n_t + o_byy, n_t + o_jyt]), (n_u, [n_t + o_ju, n_t + o_jy])]
-        return _row_sums(n_t + n_w, out) @ (carry @ (select @ w))
-    a, ju_vu, b, byy_vy, jy_vy, jut_vl, jyt_vl = (w[lo:hi] for lo, hi in zip(ends[:-1], ends[1:]))
-    t = c.S2 @ np.concatenate([a + b, a])
-    out_u = t[:n_u] + jut_vl
-    out_y = t[n_u:] + byy_vy + jyt_vl
-    out_l = ju_vu + jy_vy
-    return np.concatenate([out_u, out_y, out_l])
-
-
-def _row_sums(n_cols: int, pieces) -> scipy.sparse.csr_matrix:
-    """0/1 CSR matrix with `length` rows per piece (length, starts): row i
-    of a piece holds columns start + i for its starts in the listed order.
-
-    Its product with a sparse block X adds rows of X left to right starting
-    from 0, and each term is 1.0 times an entry, so every entry is the float
-    of the same sums taken with sparse additions; entries that come out zero
-    are dropped by both.
-    """
-    cols = np.concatenate([np.add.outer(np.arange(length), starts).ravel() for length, starts in pieces])
-    counts = np.concatenate([np.full(length, len(starts)) for length, starts in pieces])
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    return scipy.sparse.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(len(counts), n_cols))
+    return op.system.K @ v
 
 
 def materialize_dense(op: KktOperator, cap: int = DENSE_CAP) -> np.ndarray:
@@ -333,9 +269,9 @@ def materialize_dense(op: KktOperator, cap: int = DENSE_CAP) -> np.ndarray:
 def reference_solution(sys: KktSystem) -> np.ndarray:
     """Solution of the KKT system by one sparse direct solve.
 
-    The matrix is assembled from the cached CSR factors, B_uu = dRdu^T dRdu
-    included, for this solve only; the operator keeps B_uu unassembled.
-    Raises SingularSystem where SuperLU meets an exactly zero pivot.
+    SuperLU factors the CSC form of the system's cached matrix K, the one
+    the operator applies. Raises SingularSystem where SuperLU meets an
+    exactly zero pivot.
     """
     try:
         lu = scipy.sparse.linalg.splu(assembled_kkt(sys))
@@ -345,15 +281,9 @@ def reference_solution(sys: KktSystem) -> np.ndarray:
 
 
 def assembled_kkt(sys: KktSystem) -> scipy.sparse.csc_matrix:
-    """The whole KKT matrix as canonical CSC with every stored entry of its
-    blocks, explicit zeros included. All blocks are CSR, so scipy stacks
-    their arrays directly, without a COO copy, and one conversion sorts the
-    rows of each column."""
-    c = sys.csr
-    buy = c.dRdu_T @ c.G
-    zero = scipy.sparse.csr_matrix((sys.factors.n_u, sys.factors.n_u))
-    blocks = [[c.dRdu_T @ c.dRdu, buy, c.Ju_T], [buy.T.tocsr(), sys.Byy, c.Jy_T], [c.Ju, sys.Jy, zero]]
-    return scipy.sparse.bmat(blocks, format="csr").tocsc()
+    """The whole KKT matrix K as canonical CSC, every stored entry of its
+    blocks kept, explicit zeros included."""
+    return sys.K.tocsc()
 
 
 def ata_pattern(A) -> scipy.sparse.csr_matrix:

@@ -8,14 +8,19 @@ true dense Ju and Byy, so an oracle check compares each factor's solve against
 the matrices themselves. Only block ILU0 and point ILU0, whose factors discard
 fill, are recomposed from the factor entries as L U.
 
-The replaced kernels (nine separate KKT factor products, scipy's lu_factor /
-lu_solve wrappers, MDF weights recomputed from the blocks, the block and point
-IKJ loops with per-update lookups, the preconditioner apply through the
-transposed view of Jy, the block LU compiled through scipy sparse products,
-the sliced sparse-block KKT product, the transfers built by a loop and
-block_diag, the KKT matrix assembled by bmat, the reader with a second
-loadtxt and a reshape per block) do the same float operations in the same
-order as their replacements, so tests compare the two with np.array_equal.
+The replaced kernels (scipy's lu_factor / lu_solve wrappers, MDF weights
+recomputed from the blocks, the block and point IKJ loops with per-update
+lookups, the preconditioner apply through the transposed view of Jy, the
+block LU compiled through scipy sparse products, the transfers built by a
+loop and block_diag, the KKT matrix assembled by bmat's COO path, the reader
+with a second loadtxt and a reshape per block) do the same float operations
+in the same order as their replacements, so tests compare the two with
+np.array_equal.
+
+The KKT products of earlier operators, nine separate factor products and the
+two stacked products of the sliced sparse-block form, apply B_uu and B_uy
+through their factors. They round differently from the product with the
+assembled matrix, so tests compare them with it to a tolerance.
 
 Two references that no production path needs live here too: the normative
 convergence measure of a candidate GMRES solution, evaluated from scratch, and
@@ -24,12 +29,13 @@ product form.
 """
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from kktprecond.blocklinalg import dense_lu_factor
+from kktprecond.blocklinalg import dense_lu_factor, stacked_diagonal
 from kktprecond.conprec import PointIlu0Factor, PointJacobiFactor
 from kktprecond.dgprecond import BiluPrec, BlockJacobiPrec
 from kktprecond.errors import DimensionMismatch, ManifestError, SingularBlock, SingularSchurComplement, ZeroReference
@@ -203,6 +209,21 @@ def mgs_gmres(A, b, M, cfg):
 # Replaced kernels -----------------------------------------------------------
 
 
+def csr_factors(sys):
+    """Scalar CSR copies of a system's operator factors, each with its CSR
+    transpose, and the two stacked matrices of the two-product operator:
+    S1 = diag([dRdu; Ju], [G; Byy; Jy], [Ju^T; Jy^T]) and
+    S2 = diag(dRdu^T, G^T), with G = dRdx dPhidy."""
+    f = sys.factors
+    dRdu = f.dRdu.tocsr()
+    G = (f.dRdx @ f.dPhidy).tocsr()
+    Ju = f.Ju.tocsr()
+    dRdu_T, G_T, Ju_T, Jy_T = (M.T.tocsr() for M in (dRdu, G, Ju, sys.Jy))
+    S1 = stacked_diagonal([[dRdu, Ju], [G, sys.Byy, sys.Jy], [Ju_T, Jy_T]])
+    S2 = stacked_diagonal([[dRdu_T], [G_T]])
+    return SimpleNamespace(dRdu=dRdu, dRdu_T=dRdu_T, G=G, G_T=G_T, Ju=Ju, Ju_T=Ju_T, Jy_T=Jy_T, S1=S1, S2=S2)
+
+
 def nine_product_matvec(sys, v):
     """The KKT product as nine separate factor products; v is a 1-D vector or
     a sparse block of columns."""
@@ -212,7 +233,7 @@ def nine_product_matvec(sys, v):
     vu = v[:n_u]
     vy = v[n_u : n_u + n_y]
     vl = v[n_u + n_y :]
-    c = sys.csr
+    c = csr_factors(sys)
     dRdu_vu = c.dRdu @ vu
     out_u = c.dRdu_T @ (dRdu_vu + c.G @ vy) + c.Ju_T @ vl
     out_y = c.G_T @ dRdu_vu + sys.Byy @ vy + c.Jy_T @ vl
@@ -336,7 +357,7 @@ def ikj_point_ilu0_values(B) -> np.ndarray:
 def five_step_apply(P, sys, v):
     """A catalog preconditioner's apply with Jy^T taken as the transposed view
     of Jy on every call and, for the *-p0 variants, the coarse matrix
-    assembled from nine_product_matvec and factored by scipy; returns the
+    assembled from the bmat_kkt matrix and factored by scipy; returns the
     result and the coarse matrix (None without multigrid)."""
     n_u, n_y = P.n_u, P.n_y
 
@@ -348,11 +369,12 @@ def five_step_apply(P, sys, v):
 
     if P.multigrid is None:
         return bare(v), None
+    K = bmat_kkt(sys)
     prolong = full_prolongation(P.multigrid.transfers)
     restrict = full_restriction(P.multigrid.transfers)
-    A0 = (restrict @ nine_product_matvec(sys, prolong)).toarray()
+    A0 = (restrict @ (K @ prolong)).toarray()
     s = prolong @ scipy_lu_solve(scipy_lu_factor(A0), restrict @ v)
-    return s + bare(v - nine_product_matvec(sys, s)), A0
+    return s + bare(v - K @ s), A0
 
 
 def per_block_pivot_check(blocks, factors):
@@ -409,7 +431,7 @@ def sliced_block_matvec(sys, X):
     """The KKT product with a sparse block of columns by row slices, sparse
     sums and scipy vstack of the two stacked products."""
     n_u, n_y = sys.factors.n_u, sys.factors.n_y
-    c = sys.csr
+    c = csr_factors(sys)
     n_r = c.G.shape[0]
     ends = np.cumsum([0, n_r, n_u, n_r, n_y, n_u, n_u, n_y])
     w = c.S1 @ scipy.sparse.csr_matrix(X, dtype=float)
@@ -450,14 +472,14 @@ def looped_transfers(n_elem, p, q):
 
 def sliced_coarse_matrix(sys):
     """The p-multigrid coarse matrix Q A P from the looped transfers and the
-    sliced sparse-block product."""
+    bmat_kkt matrix."""
     _, P, Q = looped_transfers(sys.dims.n_elem, sys.dims.p, sys.dims.q)
-    return (Q @ sliced_block_matvec(sys, P)).toarray()
+    return (Q @ (bmat_kkt(sys) @ P)).toarray()
 
 
 def bmat_kkt(sys):
     """The assembled KKT matrix through bmat's COO path."""
-    c = sys.csr
+    c = csr_factors(sys)
     buy = c.dRdu_T @ c.G
     blocks = [[c.dRdu_T @ c.dRdu, buy, c.Ju_T], [buy.T, sys.Byy, c.Jy_T], [c.Ju, sys.Jy, None]]
     return scipy.sparse.bmat(blocks, format="csc")

@@ -50,20 +50,37 @@ def _sparse_equal(X, Y):
     return X.shape == Y.shape and X.nnz == Y.nnz and np.array_equal(X.toarray(), Y.toarray())
 
 
+def _dense(X):
+    return X.toarray() if scipy.sparse.issparse(X) else X
+
+
+def _within_rounding(K, X, got, want):
+    """|got - want| <= 1e-14 |K| |X| entrywise, for a vector or a block X."""
+    scale = abs(K) @ abs(X)
+    return np.all(np.abs(_dense(got) - _dense(want)) <= 1e-14 * _dense(scale))
+
+
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_kkt_product_matches_nine_products(name, request):
+    # Bit for bit the product with the assembled matrix, and the nine factor
+    # products up to rounding.
     sys = request.getfixturevalue(name)
     op = KktOperator(sys)
+    K = bmat_kkt(sys)
     rng = np.random.default_rng(0)
     v = rng.standard_normal(op.dimension)
     v[::3] = 0.0
     for x in (v, rng.standard_normal(op.dimension), np.zeros(op.dimension)):
-        assert np.array_equal(op.matvec(x), nine_product_matvec(sys, x))
+        got = op.matvec(x)
+        assert np.array_equal(got, K @ x)
+        assert _within_rounding(K, x, got, nine_product_matvec(sys, x))
 
     prolong = full_prolongation(build_transfer(sys.dims))
     block = scipy.sparse.random(op.dimension, 7, density=0.2, format="csr", random_state=1)
     for X in (prolong, block):
-        assert _sparse_equal(op.matmat(X), nine_product_matvec(sys, X))
+        got = op.matmat(X)
+        assert isinstance(got, scipy.sparse.csr_matrix) and _sparse_equal(got, K @ X)
+        assert _within_rounding(K, X, got, nine_product_matvec(sys, X))
 
 
 def scaled_stencil(seed):
@@ -294,13 +311,17 @@ def test_vectorized_pivot_check_matches_per_block_check(blocks):
 
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_sparse_block_product_and_coarse_matrix_match_sliced_oracle(name, request):
+    # Bit for bit the product with the assembled matrix, and the two-product
+    # sliced form up to rounding.
     sys = request.getfixturevalue(name)
     op = KktOperator(sys)
+    K = bmat_kkt(sys)
     prolong = full_prolongation(build_transfer(sys.dims))
     block = scipy.sparse.random(op.dimension, 7, density=0.2, format="csr", random_state=1)
     for X in (prolong, block):
-        got, want = op.matmat(X), sliced_block_matvec(sys, X)
+        got, want = op.matmat(X), K @ X
         assert got.nnz == want.nnz and np.array_equal(_bits(got.toarray()), _bits(want.toarray()))
+        assert _within_rounding(K, X, got, sliced_block_matvec(sys, X))
     A0 = assemble_coarse(op, build_transfer(sys.dims)).A0
     assert np.array_equal(_bits(A0), _bits(sliced_coarse_matrix(sys)))
 

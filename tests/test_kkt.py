@@ -176,18 +176,30 @@ def test_matvec_rejects_dense_matrix(sys8_k1):
         op.matvec(np.zeros((op.dimension, 2)))
 
 
-def test_csr_cache_is_built_on_first_product_only(prob8, states8):
+def test_kkt_matrix_is_built_on_first_product_only(prob8, states8):
     sys = build_kkt(prob8, states8[1])
-    assert "csr" not in vars(sys)
+    assert "K" not in vars(sys)
     op = KktOperator(sys)
     op.matvec(np.zeros(op.dimension))
-    cache = sys.csr
+    K = sys.K
     op.matvec(np.ones(op.dimension))
-    assert sys.csr is cache
-    for fwd, tr in [(cache.dRdu, cache.dRdu_T), (cache.G, cache.G_T), (cache.Ju, cache.Ju_T)]:
-        assert isinstance(fwd, scipy.sparse.csr_matrix) and isinstance(tr, scipy.sparse.csr_matrix)
-        assert (fwd.T != tr).nnz == 0
-    assert (sys.Jy.T != cache.Jy_T).nnz == 0
+    assert sys.K is K
+    assert isinstance(K, scipy.sparse.csr_matrix) and K.has_canonical_format
+    assert K.shape == (op.dimension, op.dimension)
+
+
+@pytest.mark.parametrize("n_elem", [8, 16, 64])
+def test_kkt_matrix_is_exactly_symmetric(n_elem, request):
+    prob, states = (request.getfixturevalue(f"{name}{n_elem}") for name in ("prob", "states"))
+    K = build_kkt(prob, states[1]).K
+    assert (K != K.T).nnz == 0
+
+
+@pytest.mark.parametrize("name", ["sys8_k1", "sys16_k1", "sys8_zero_coupling"])
+def test_kkt_matrix_matches_dense_materialization(name, request):
+    sys = request.getfixturevalue(name)
+    A = materialize_dense(KktOperator(sys))
+    np.testing.assert_allclose(sys.K.toarray(), A, rtol=0, atol=1e-14 * np.abs(A).max())
 
 
 # Dense materialization ------------------------------------------------------
@@ -312,6 +324,16 @@ def test_factor_validation_rejects_inconsistent_shapes():
             kappa=-1.0,
             gamma=0.0,
         )
+
+
+@pytest.mark.parametrize(
+    "kappa, gamma",
+    [(-1.0, 0.0), (0.0, -1.0), (np.nan, 0.0), (0.0, np.nan)],
+    ids=["kappa-negative", "gamma-negative", "kappa-nan", "gamma-nan"],
+)
+def test_factor_validation_rejects_negative_and_nan_weights(kappa, gamma):
+    with pytest.raises(ValueError, match="nonnegative"):
+        dataclasses.replace(tiny_factors(), kappa=kappa, gamma=gamma)
 
 
 def test_scalar_factors_are_made_canonical_csr():

@@ -108,6 +108,20 @@ def test_import_rejects_inconsistent_dimensions(sys8_k1, tmp_path):
 # CLI: generate and solve ----------------------------------------------------
 
 
+@pytest.fixture
+def sqp_calls(monkeypatch):
+    """The argument tuples of every run_sqp call the CLI makes in the test."""
+    calls = []
+    run_sqp = kktprecond.cli.run_sqp
+
+    def counting_run_sqp(*args, **kwargs):
+        calls.append(args)
+        return run_sqp(*args, **kwargs)
+
+    monkeypatch.setattr(kktprecond.cli, "run_sqp", counting_run_sqp)
+    return calls
+
+
 def write_config(tmp_path, text="n_elem = 8\np = 1\nq = 1\nstates = 1\n"):
     cfg = tmp_path / "case.cfg"
     cfg.write_text(text)
@@ -368,6 +382,26 @@ def test_cli_generate_rejects_bad_problem_parameters(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: invalid problem parameters")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "gamma = -1\n",
+        "kappa = -1\n",
+        "gamma = nan\n",
+        "kappa = nan\n",
+        "states = -1\n",
+        "states = 7\nmax_iters = 6\n",
+    ],
+    ids=["gamma-negative", "kappa-negative", "gamma-nan", "kappa-nan", "state-negative", "state-past-max-iters"],
+)
+def test_cli_generate_rejects_bad_weights_and_states_before_the_sqp_run(tmp_path, capsys, sqp_calls, text):
+    cfg = write_config(tmp_path, "n_elem = 8\n" + text)
+    assert main(["generate", cfg, str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+    assert sqp_calls == []
+
+
 def test_cli_generate_unavailable_state(tmp_path, capsys):
     cfg = write_config(tmp_path, "n_elem = 8\nstates = 99\n")
     assert main(["generate", cfg, str(tmp_path / "out")]) == 2
@@ -502,25 +536,43 @@ def test_cli_sweep_bad_values_exit_2(tmp_path, capsys, spec):
 
 
 @pytest.mark.parametrize(
-    "axis, values",
-    [("mesh", [8, "abc"]), ("mesh", [8, 0]), ("degree", [1, "abc"]), ("degree", [[1, 1], [2]]), ("degree", [1, -1])],
-    ids=["mesh-not-a-number", "mesh-zero", "degree-not-a-number", "degree-pair-too-short", "degree-negative"],
+    "axis, values, fixed",
+    [
+        ("mesh", [8, "abc"], {}),
+        ("mesh", [8, 0], {}),
+        ("degree", [1, "abc"], {}),
+        ("degree", [[1, 1], [2]], {}),
+        ("degree", [1, -1], {}),
+        ("gamma", [0.01, -1], {}),
+        ("gamma", [float("nan")], {}),
+        ("kappa", [-1], {}),
+        ("mesh", [8], {"gamma": -1}),
+        ("state", [1], {"kappa": -1}),
+        ("state", [1, 7], {"max_iters": 6}),
+        ("gamma", [0.01], {"state": 7, "max_iters": 6}),
+    ],
+    ids=[
+        "mesh-not-a-number",
+        "mesh-zero",
+        "degree-not-a-number",
+        "degree-pair-too-short",
+        "degree-negative",
+        "gamma-negative",
+        "gamma-nan",
+        "kappa-negative",
+        "fixed-gamma-negative",
+        "fixed-kappa-negative",
+        "state-past-max-iters",
+        "fixed-state-past-max-iters",
+    ],
 )
-def test_cli_sweep_checks_every_value_before_the_first_sqp_run(tmp_path, capsys, monkeypatch, axis, values):
-    calls = []
-    run_sqp = kktprecond.cli.run_sqp
-
-    def counting_run_sqp(*args, **kwargs):
-        calls.append(args)
-        return run_sqp(*args, **kwargs)
-
-    monkeypatch.setattr(kktprecond.cli, "run_sqp", counting_run_sqp)
+def test_cli_sweep_checks_every_value_before_the_first_sqp_run(tmp_path, capsys, sqp_calls, axis, values, fixed):
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps({"axis": axis, "values": values, "preconditioners": ["A0"]}))
+    path.write_text(json.dumps({"axis": axis, "values": values, "preconditioners": ["A0"], "fixed": fixed}))
     assert main(["sweep", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:")
-    assert calls == []
+    assert sqp_calls == []
 
 
 # CLI: stencil ---------------------------------------------------------------
