@@ -23,6 +23,7 @@ from .krylov import DEFAULT_MAX_ITERS, DEFAULT_TOL, EXACT_SOLUTION, GmresConfig,
 from .manifest import export_system, import_system
 from .mmio import write_matrix
 from .shocktrack import (
+    CONFIG_CASTS,
     GenerateConfig,
     SqpConfig,
     build_kkt,
@@ -95,15 +96,19 @@ def _weight(value, name: str) -> float:
     return weight
 
 
+def _fixed_value(key: str, value):
+    """A sweep's fixed value through the config file's cast for key; a
+    numeric key takes a JSON number, not a string such as "8"."""
+    cast = CONFIG_CASTS[key]
+    if cast in (int, float) and isinstance(value, str):
+        raise UsageError(f"invalid {key} {value!r}: must be a JSON number")
+    return _cast(cast, value, key)
+
+
 def _checked(cfg: GenerateConfig, states) -> GenerateConfig:
     """cfg with kappa and gamma checked, and every state in states checked
     against the states 0..max_iters that a run can produce, before any run."""
-    cfg = replace(
-        cfg,
-        kappa=_weight(cfg.kappa, "kappa"),
-        gamma=_weight(cfg.gamma, "gamma"),
-        max_iters=_cast(int, cfg.max_iters, "max_iters"),
-    )
+    cfg = replace(cfg, kappa=_weight(cfg.kappa, "kappa"), gamma=_weight(cfg.gamma, "gamma"))
     n = cfg.max_iters
     for k in states:
         if not 0 <= k <= n:
@@ -154,11 +159,10 @@ def _sweep_systems(spec: dict):
         raise UsageError("sweep fixed parameters must be a JSON object")
     fixed = dict(fixed)
     state_index = _cast(int, fixed.pop("state", 1), "state")
-    cfg_fields = {k: v for k, v in fixed.items() if k in GenerateConfig.__dataclass_fields__}
-    unknown = set(fixed) - set(cfg_fields)
+    unknown = set(fixed) - set(CONFIG_CASTS)
     if unknown:
         raise UsageError(f"unknown fixed parameters: {sorted(unknown)}")
-    base = GenerateConfig(**cfg_fields)
+    base = GenerateConfig(**{k: _fixed_value(k, v) for k, v in fixed.items()})
     ks = [_cast(int, v, "state") for v in values] if axis == "state" else [state_index]
     base = _checked(base, ks)
 

@@ -19,9 +19,11 @@ other factor, B_yy and J_y are scipy CSR.
 
 Each system assembles the whole matrix K once, as canonical CSR, on first
 use, and caches it. Every consumer reads that one matrix: the GMRES operator
-is the product K v, the p-multigrid coarse matrix is Q K P, and the
-reference solution that GMRES is measured against is one sparse direct
-solve of K.
+is the product K v, the p-multigrid coarse matrix is Q K P, the reference
+solution that GMRES is measured against is one sparse direct solve of K, and
+the SQP step solves the dense copy of K (materialize_dense) with LAPACK's
+symmetric-indefinite solver, which reads one triangle of the exactly
+symmetric K.
 """
 
 from __future__ import annotations
@@ -175,8 +177,9 @@ class KktSystem:
 
     @cached_property
     def K(self) -> scipy.sparse.csr_matrix:
-        """The whole KKT matrix as canonical CSR, built on first use: SQP
-        steps create a system per iteration and never apply it.
+        """The whole KKT matrix as canonical CSR, built on first use, not by
+        build_kkt: a system's first consumer pays for it, the operator, the
+        coarse product, the reference solve or the SQP step's densification.
 
         Every stored entry of its blocks is kept, explicit zeros included.
         All blocks are CSR, so scipy stacks their arrays directly, without a
@@ -234,36 +237,13 @@ def kkt_matvec(op: KktOperator, v):
 
 
 def materialize_dense(op: KktOperator, cap: int = DENSE_CAP) -> np.ndarray:
-    """Dense symmetric KKT matrix, mirrored block by block so that A == A.T exactly."""
-    sys = op.system
-    f = sys.factors
-    n_u, n_y = f.n_u, f.n_y
-    dim = 2 * n_u + n_y
+    """The system's assembled matrix K as a dense array, for the SQP step's
+    dense solve; a dimension above cap raises SizeCapExceeded before K is
+    built."""
+    dim = op.dimension
     if dim > cap:
         raise SizeCapExceeded(f"dense materialization of dimension {dim} exceeds cap {cap}")
-
-    dRdu = f.dRdu.toarray()
-    buu = dRdu.T @ dRdu
-    buu = np.triu(buu) + np.triu(buu, 1).T
-    buy = dRdu.T @ (f.dRdx.toarray() @ f.dPhidy.toarray())
-    byy = sys.Byy.toarray()
-    byy = np.triu(byy) + np.triu(byy, 1).T
-    ju = f.Ju.toarray()
-    jy = sys.Jy.toarray()
-
-    A = np.zeros((dim, dim))
-    su = slice(0, n_u)
-    sy = slice(n_u, n_u + n_y)
-    sl = slice(n_u + n_y, dim)
-    A[su, su] = buu
-    A[su, sy] = buy
-    A[sy, su] = buy.T
-    A[sy, sy] = byy
-    A[sl, su] = ju
-    A[su, sl] = ju.T
-    A[sl, sy] = jy
-    A[sy, sl] = jy.T
-    return A
+    return op.system.K.toarray()
 
 
 def reference_solution(sys: KktSystem) -> np.ndarray:

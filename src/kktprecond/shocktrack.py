@@ -17,8 +17,9 @@ weight g = dG/dX and the node positions themselves. The enriched residual
 
     f = 1/2 ||R||^2 + kappa^2/2 ||R_msh||^2,
 
-and the SQP driver solves the saddle-point step system by a dense direct
-factorization, recording every linearization state for the benchmark harness.
+and the SQP driver solves the saddle-point step system by a dense
+symmetric-indefinite (LDL^T) factorization, recording every linearization
+state for the benchmark harness.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ __all__ = [
     "sqp_step",
     "run_sqp",
     "load_problem_config",
+    "CONFIG_CASTS",
     "make_problem",
 ]
 
@@ -533,10 +535,13 @@ def initial_state(problem: ShockTrackProblem1d, kappa: float = 1e-7, gamma: floa
 
 
 def sqp_step(problem: ShockTrackProblem1d, state: DgState):
-    """Solve the KKT step system by a dense direct factorization."""
+    """Solve the KKT step system by LAPACK's symmetric-indefinite solver
+    (Bunch-Kaufman LDL^T) on the densified K, which is exactly symmetric.
+    scipy's structure probe would first try a Cholesky factorization, which
+    the saddle point's zero block always defeats."""
     sys = build_kkt(problem, state)
     A = materialize_dense(KktOperator(sys))
-    sol = scipy.linalg.solve(A, sys.rhs())
+    sol = scipy.linalg.solve(A, sys.rhs(), assume_a="sym", overwrite_a=True)
     nz = problem.n_u + problem.n_y
     return sol[:nz], sol[nz:]
 
@@ -634,6 +639,33 @@ _TRUE_WORDS = {"1", "true", "on", "yes"}
 _FALSE_WORDS = {"0", "false", "off", "no"}
 
 
+def _parse_bool(word) -> bool:
+    """A config word, or a JSON boolean or 0/1, as a bool."""
+    lw = str(word).lower()
+    if lw in _TRUE_WORDS:
+        return True
+    if lw in _FALSE_WORDS:
+        return False
+    raise ValueError(f"cannot parse boolean {word!r}")
+
+
+# The cast of each GenerateConfig field, shared by the config file reader and
+# the sweep's fixed parameters.
+CONFIG_CASTS = {
+    "n_elem": int,
+    "p": int,
+    "q": int,
+    "gamma": float,
+    "kappa": float,
+    "source": _parse_bool,
+    "bc_left": float,
+    "bc_right": float,
+    "states": lambda text: tuple(int(tok) for tok in str(text).replace(",", " ").split()),
+    "max_iters": int,
+    "case": str,
+}
+
+
 def load_problem_config(path) -> GenerateConfig:
     """Parse the key = value problem config file (hash comments allowed)."""
     raw: dict[str, str] = {}
@@ -648,36 +680,12 @@ def load_problem_config(path) -> GenerateConfig:
             key, _, val = text.partition(sep)
             raw[key.strip().lower()] = val.strip()
 
-    def parse_bool(word: str) -> bool:
-        lw = word.lower()
-        if lw in _TRUE_WORDS:
-            return True
-        if lw in _FALSE_WORDS:
-            return False
-        raise ValueError(f"cannot parse boolean {word!r}")
-
-    cfg = GenerateConfig()
     kwargs = {}
-    casts = {
-        "n_elem": int,
-        "p": int,
-        "q": int,
-        "gamma": float,
-        "kappa": float,
-        "source": parse_bool,
-        "bc_left": float,
-        "bc_right": float,
-        "max_iters": int,
-        "case": str,
-    }
     for key, val in raw.items():
-        if key == "states":
-            kwargs["states"] = tuple(int(tok) for tok in val.replace(",", " ").split())
-        elif key in casts:
-            kwargs[key] = casts[key](val)
-        else:
+        if key not in CONFIG_CASTS:
             raise ValueError(f"unknown config key {key!r}")
-    return replace(cfg, **kwargs)
+        kwargs[key] = CONFIG_CASTS[key](val)
+    return replace(GenerateConfig(), **kwargs)
 
 
 def make_problem(cfg: GenerateConfig) -> ShockTrackProblem1d:

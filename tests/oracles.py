@@ -19,7 +19,8 @@ np.array_equal.
 
 The KKT products of earlier operators, nine separate factor products and the
 two stacked products of the sliced sparse-block form, apply B_uu and B_uy
-through their factors. They round differently from the product with the
+through their factors, and the dense KKT matrix of the earlier SQP step is
+built from dense products of the factors. They round differently from the
 assembled matrix, so tests compare them with it to a tolerance.
 
 Two references that no production path needs live here too: the normative
@@ -241,6 +242,38 @@ def nine_product_matvec(sys, v):
     if block:
         return scipy.sparse.vstack([out_u, out_y, out_l], format="csr")
     return np.concatenate([out_u, out_y, out_l])
+
+
+def dense_kkt(sys) -> np.ndarray:
+    """The KKT matrix from dense products of the dense factors, mirrored block
+    by block so that it equals its transpose exactly: the dense assembly the
+    SQP step used before it densified the assembled matrix K."""
+    f = sys.factors
+    n_u, n_y = f.n_u, f.n_y
+    dim = 2 * n_u + n_y
+
+    dRdu = f.dRdu.toarray()
+    buu = dRdu.T @ dRdu
+    buu = np.triu(buu) + np.triu(buu, 1).T
+    buy = dRdu.T @ (f.dRdx.toarray() @ f.dPhidy.toarray())
+    byy = sys.Byy.toarray()
+    byy = np.triu(byy) + np.triu(byy, 1).T
+    ju = f.Ju.toarray()
+    jy = sys.Jy.toarray()
+
+    A = np.zeros((dim, dim))
+    su = slice(0, n_u)
+    sy = slice(n_u, n_u + n_y)
+    sl = slice(n_u + n_y, dim)
+    A[su, su] = buu
+    A[su, sy] = buy
+    A[sy, su] = buy.T
+    A[sy, sy] = byy
+    A[sl, su] = ju
+    A[su, sl] = ju.T
+    A[sl, sy] = jy
+    A[sy, sl] = jy.T
+    return A
 
 
 def scipy_lu_factor(block):

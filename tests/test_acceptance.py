@@ -22,7 +22,7 @@ from kktprecond.conprec import (
     apply_at_inverse,
     build_at_preconditioner,
 )
-from kktprecond.kkt import KktOperator, ata_pattern, count_block_sparsity, materialize_dense
+from kktprecond.kkt import KktOperator, ata_pattern, count_block_sparsity
 from kktprecond.krylov import DEFAULT_MAX_ITERS, DEFAULT_TOL, GmresConfig
 from kktprecond.pmultigrid import build_transfer, full_prolongation, full_restriction, transfer_ops
 from kktprecond.shocktrack import (
@@ -38,7 +38,7 @@ from kktprecond.shocktrack import (
     run_sqp,
     tracked_state,
 )
-from oracles import bilu_matrix, densify_at_matrix, system_ju_byy
+from oracles import bilu_matrix, dense_kkt, densify_at_matrix, system_ju_byy
 
 GAMMA_TREND_VARIANTS = ("BJ", "BILU", "BJ-ilu", "BILU-ilu")
 
@@ -69,7 +69,7 @@ def test_criterion_01_application_matches_dense_oracle(sys16_k1, announce):
     p=2, q=2 system, within 30 seconds."""
     t0 = time.perf_counter()
     op = KktOperator(sys16_k1)
-    A = materialize_dense(op)
+    A = dense_kkt(sys16_k1)
     T = build_transfer(sys16_k1.dims)
     Pm = full_prolongation(T).toarray()
     Qm = full_restriction(T).toarray()

@@ -20,8 +20,9 @@ from kktprecond.kkt import (
     reference_solution,
 )
 from kktprecond.pmultigrid import build_transfer, full_prolongation
-from kktprecond.shocktrack import ShockTrackProblem1d, build_kkt, dg_jacobians
+from kktprecond.shocktrack import ShockTrackProblem1d, SqpConfig, build_kkt, dg_jacobians, run_sqp
 from kktprecond.stencil import generate_stencil_system
+from oracles import dense_kkt
 
 
 def single_block(arr):
@@ -132,7 +133,7 @@ def test_matvec_zero_vector():
 
 def test_matvec_matches_dense_on_generated_system(sys8_k1):
     op = KktOperator(sys8_k1)
-    A = materialize_dense(op)
+    A = dense_kkt(sys8_k1)
     rng = np.random.default_rng(5)
     scale = np.linalg.norm(A)
     for _ in range(50):
@@ -150,7 +151,7 @@ def test_matmat_matches_dense_on_prolongation(name, request):
     sys = request.getfixturevalue(name)
     op = KktOperator(sys)
     X = full_prolongation(build_transfer(sys.dims))
-    A = materialize_dense(op)
+    A = dense_kkt(sys)
     got = op.matmat(X)
     assert scipy.sparse.issparse(got)
     np.testing.assert_allclose(got.toarray(), A @ X.toarray(), rtol=1e-12, atol=1e-12 * np.abs(A).max())
@@ -188,18 +189,32 @@ def test_kkt_matrix_is_built_on_first_product_only(prob8, states8):
     assert K.shape == (op.dimension, op.dimension)
 
 
-@pytest.mark.parametrize("n_elem", [8, 16, 64])
-def test_kkt_matrix_is_exactly_symmetric(n_elem, request):
-    prob, states = (request.getfixturevalue(f"{name}{n_elem}") for name in ("prob", "states"))
-    K = build_kkt(prob, states[1]).K
-    assert (K != K.T).nnz == 0
+@pytest.mark.parametrize(
+    "n_elem, p, q",
+    [(8, 1, 1), (16, 2, 2), (64, 2, 2), (20, 0, 1), (64, 1, 1), (100, 2, 2), (100, 3, 1)],
+    ids=["8", "16", "64", "20-p0-q1", "64-p1-q1", "100-p2-q2", "100-p3-q1"],
+)
+def test_kkt_matrix_is_exactly_symmetric(n_elem, p, q):
+    """K equals its transpose in stored pattern and values, explicit zeros
+    included, at the first SQP states: the SQP step's LDL^T solve reads one
+    triangle of K only. n_elem=100 puts the shock on an element boundary."""
+    prob = ShockTrackProblem1d(n_elem=n_elem, p=p, q=q)
+    states = run_sqp(prob, SqpConfig(max_iters=3))
+    assert len(states) == 4
+    for state in states:
+        K = build_kkt(prob, state).K
+        Kt = K.T.tocsr()
+        Kt.sort_indices()
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(K, name), getattr(Kt, name))
 
 
 @pytest.mark.parametrize("name", ["sys8_k1", "sys16_k1", "sys8_zero_coupling"])
 def test_kkt_matrix_matches_dense_materialization(name, request):
     sys = request.getfixturevalue(name)
-    A = materialize_dense(KktOperator(sys))
+    A = dense_kkt(sys)
     np.testing.assert_allclose(sys.K.toarray(), A, rtol=0, atol=1e-14 * np.abs(A).max())
+    np.testing.assert_array_equal(materialize_dense(KktOperator(sys)), sys.K.toarray())
 
 
 # Dense materialization ------------------------------------------------------
@@ -379,7 +394,7 @@ def test_system_validation_rejects_wrong_vector_lengths():
 @pytest.mark.parametrize("fixture", ["sys8_k1", "sys16_k1", "sys8_zero_coupling"])
 def test_reference_solution_matches_dense_solve(fixture, request):
     sys = request.getfixturevalue(fixture)
-    expect = np.linalg.solve(materialize_dense(KktOperator(sys)), sys.rhs())
+    expect = np.linalg.solve(dense_kkt(sys), sys.rhs())
     np.testing.assert_allclose(reference_solution(sys), expect, rtol=1e-10, atol=1e-10 * np.abs(expect).max())
 
 

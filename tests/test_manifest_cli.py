@@ -23,11 +23,11 @@ import kktprecond.cli
 from conftest import singular_system, zero_coupling_system
 from kktprecond.cli import CATALOG, CSV_COLUMNS, main
 from kktprecond.conprec import build_at_preconditioner
-from kktprecond.errors import ManifestError, SingularBlock
-from kktprecond.kkt import KktOperator, materialize_dense
+from kktprecond.errors import LineSearchFailure, ManifestError, SingularBlock
 from kktprecond.manifest import export_system, import_system
 from kktprecond.mmio import read_matrix
 from kktprecond.stencil import generate_stencil_system
+from oracles import dense_kkt
 
 PYPROJECT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "pyproject.toml")
 
@@ -53,9 +53,7 @@ def test_export_writes_factor_files_and_manifest(sys8_k1, tmp_path):
 def test_round_trip_reproduces_the_system_exactly(sys8_k1, tmp_path):
     path = export_system(sys8_k1, tmp_path)
     loaded = import_system(path)
-    np.testing.assert_array_equal(
-        materialize_dense(KktOperator(loaded)), materialize_dense(KktOperator(sys8_k1))
-    )
+    np.testing.assert_array_equal(dense_kkt(loaded), dense_kkt(sys8_k1))
     np.testing.assert_array_equal(loaded.g, sys8_k1.g)
     np.testing.assert_array_equal(loaded.r, sys8_k1.r)
     assert loaded.dims == sys8_k1.dims
@@ -550,6 +548,7 @@ def test_cli_sweep_bad_values_exit_2(tmp_path, capsys, spec):
         ("state", [1], {"kappa": -1}),
         ("state", [1, 7], {"max_iters": 6}),
         ("gamma", [0.01], {"state": 7, "max_iters": 6}),
+        ("gamma", [0.1], {"n_elem": 8, "bc_left": "abc"}),
     ],
     ids=[
         "mesh-not-a-number",
@@ -564,6 +563,7 @@ def test_cli_sweep_bad_values_exit_2(tmp_path, capsys, spec):
         "fixed-kappa-negative",
         "state-past-max-iters",
         "fixed-state-past-max-iters",
+        "fixed-bc-left-not-a-number",
     ],
 )
 def test_cli_sweep_checks_every_value_before_the_first_sqp_run(tmp_path, capsys, sqp_calls, axis, values, fixed):
@@ -573,6 +573,22 @@ def test_cli_sweep_checks_every_value_before_the_first_sqp_run(tmp_path, capsys,
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:")
     assert sqp_calls == []
+
+
+@pytest.mark.parametrize("source, on", [("no", False), (False, False), ("on", True)])
+def test_cli_sweep_casts_fixed_source_like_the_config_file(tmp_path, capsys, monkeypatch, source, on):
+    problems = []
+
+    def failing_run_sqp(problem, cfg):
+        problems.append(problem)
+        raise LineSearchFailure("not run")
+
+    monkeypatch.setattr(kktprecond.cli, "run_sqp", failing_run_sqp)
+    spec = {"axis": "gamma", "values": [0.1], "preconditioners": ["A0"], "fixed": {"n_elem": 8, "source": source}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["sweep", str(path)]) == 1
+    assert [problem.source_on for problem in problems] == [on]
 
 
 # CLI: stencil ---------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
+from kktprecond import shocktrack
 from kktprecond.errors import InvertedElement
 from kktprecond.shocktrack import (
     SHOCK_POSITION,
@@ -26,6 +28,7 @@ from kktprecond.shocktrack import (
     sqp_step,
     tracked_state,
 )
+from oracles import dense_kkt
 
 
 def fd_jacobian(func, z0):
@@ -330,6 +333,35 @@ def test_merit_function_decreases(prob8, states8):
 
     vals = [merit(st) for st in states8]
     assert all(later < earlier for earlier, later in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("n_elem, p, q", [(64, 2, 2), (100, 3, 1)])
+def test_sqp_step_matches_lu_solve_of_dense_products(n_elem, p, q):
+    """The LDL^T solve of the densified K agrees with a general LU solve of
+    the dense-product KKT matrix at the first SQP states."""
+    prob = ShockTrackProblem1d(n_elem=n_elem, p=p, q=q)
+    for state in run_sqp(prob, SqpConfig(max_iters=3)):
+        sys = build_kkt(prob, state)
+        expect = scipy.linalg.solve(dense_kkt(sys), sys.rhs(), assume_a="gen")
+        got = np.concatenate(sqp_step(prob, state))
+        assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
+
+
+@pytest.mark.parametrize("p, q, steps", [(1, 1, 7), (2, 2, 8)])
+def test_default_sqp_step_counts(monkeypatch, p, q, steps):
+    """Default-config runs at n_elem=64 take 7 and 8 steps, the last one
+    within step_tol: a step change that moves the trajectory shows here, not
+    only in the benchmark's sqp_iters."""
+    calls = []
+
+    def counting_step(*args):
+        calls.append(args)
+        return sqp_step(*args)
+
+    monkeypatch.setattr(shocktrack, "sqp_step", counting_step)
+    states = run_sqp(ShockTrackProblem1d(n_elem=64, p=p, q=q), SqpConfig())
+    assert len(calls) == steps
+    assert len(states) == steps
 
 
 # Configuration parsing ------------------------------------------------------
