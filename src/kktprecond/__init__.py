@@ -18,7 +18,6 @@ from .kkt import (
     assemble_Byy,
     count_block_sparsity,
     kkt_matvec,
-    materialize_dense,
     reference_solution,
 )
 from .krylov import (
@@ -68,7 +67,6 @@ __all__ = [
     "assemble_Byy",
     "count_block_sparsity",
     "kkt_matvec",
-    "materialize_dense",
     "reference_solution",
     "DEFAULT_MAX_ITERS",
     "DEFAULT_TOL",

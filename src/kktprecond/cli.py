@@ -88,6 +88,14 @@ def _cast(kind, value, what: str):
         raise UsageError(f"invalid {what} {value!r}")
 
 
+def _integer(value, what: str) -> int:
+    """A sweep spec's integer field: a JSON integer such as 8, not a bool, a
+    number with a fraction or exponent, or a string; else a usage error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(f"invalid {what} {value!r}: must be a JSON integer")
+    return value
+
+
 def _weight(value, name: str) -> float:
     """A kappa or gamma value as a float; a negative or NaN one is a usage error."""
     weight = _cast(float, value, f"{name} value")
@@ -100,7 +108,9 @@ def _fixed_value(key: str, value):
     """A sweep's fixed value through the config file's cast for key; a
     numeric key takes a JSON number, not a string such as "8"."""
     cast = CONFIG_CASTS[key]
-    if cast in (int, float) and isinstance(value, str):
+    if cast is int:
+        return _integer(value, key)
+    if cast is float and isinstance(value, str):
         raise UsageError(f"invalid {key} {value!r}: must be a JSON number")
     return _cast(cast, value, key)
 
@@ -158,12 +168,12 @@ def _sweep_systems(spec: dict):
     if not isinstance(fixed, dict):
         raise UsageError("sweep fixed parameters must be a JSON object")
     fixed = dict(fixed)
-    state_index = _cast(int, fixed.pop("state", 1), "state")
+    state_index = _integer(fixed.pop("state", 1), "state")
     unknown = set(fixed) - set(CONFIG_CASTS)
     if unknown:
         raise UsageError(f"unknown fixed parameters: {sorted(unknown)}")
     base = GenerateConfig(**{k: _fixed_value(k, v) for k, v in fixed.items()})
-    ks = [_cast(int, v, "state") for v in values] if axis == "state" else [state_index]
+    ks = [_integer(v, "state") for v in values] if axis == "state" else [state_index]
     base = _checked(base, ks)
 
     def generate(cfg: GenerateConfig, problem, k: int):
@@ -189,12 +199,12 @@ def _sweep_systems(spec: dict):
         cfgs = []
         for val in values:
             if axis == "mesh":
-                change = {"n_elem": _cast(int, val, "mesh size")}
+                change = {"n_elem": _integer(val, "mesh size")}
             else:
                 pair = val if isinstance(val, list) else [val, base.q]
                 if len(pair) != 2:
                     raise UsageError(f"invalid degree {val!r}: a degree p or a pair [p, q]")
-                change = dict(zip("pq", (_cast(int, d, "degree") for d in pair)))
+                change = dict(zip("pq", (_integer(d, "degree") for d in pair)))
             cfgs.append(replace(base, **change))
         problems = [_problem(cfg) for cfg in cfgs]
         for i, (cfg, problem) in enumerate(zip(cfgs, problems)):
@@ -220,7 +230,7 @@ def cmd_sweep(args) -> int:
         if name not in CATALOG:
             raise UsageError(f"unknown preconditioner {name!r}; catalog: {', '.join(CATALOG)}")
     tol = _cast(float, spec.get("tol", DEFAULT_TOL), "tol")
-    max_iters = _cast(int, spec.get("max_iters", DEFAULT_MAX_ITERS), "max_iters")
+    max_iters = _integer(spec.get("max_iters", DEFAULT_MAX_ITERS), "max_iters")
 
     rows = []
     for value_pos, sys_i in _sweep_systems(spec):

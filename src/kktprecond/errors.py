@@ -34,7 +34,7 @@ class SingularCoarseMatrix(KktPrecondError):
 
 
 class SizeCapExceeded(KktPrecondError):
-    """A dense materialization would exceed the configured size cap."""
+    """A problem or matrix dimension exceeds a configured size cap."""
 
 
 class PatternViolation(KktPrecondError):

@@ -19,11 +19,9 @@ other factor, B_yy and J_y are scipy CSR.
 
 Each system assembles the whole matrix K once, as canonical CSR, on first
 use, and caches it. Every consumer reads that one matrix: the GMRES operator
-is the product K v, the p-multigrid coarse matrix is Q K P, the reference
-solution that GMRES is measured against is one sparse direct solve of K, and
-the SQP step solves the dense copy of K (materialize_dense) with LAPACK's
-symmetric-indefinite solver, which reads one triangle of the exactly
-symmetric K.
+is the product K v, the p-multigrid coarse matrix is Q K P, and one sparse
+direct solve of K (reference_solution) is both the SQP step and the
+reference solution that GMRES is measured against.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .blocklinalg import canonical_bsr, canonical_csr
-from .errors import DimensionMismatch, SingularSystem, SizeCapExceeded
+from .errors import DimensionMismatch, SingularSystem
 from .krylov import LinearOperator
 
 __all__ = [
@@ -46,16 +44,12 @@ __all__ = [
     "KktOperator",
     "assemble_Byy",
     "kkt_matvec",
-    "materialize_dense",
     "reference_solution",
     "assembled_kkt",
     "ata_pattern",
     "count_block_sparsity",
     "SparsityCounts",
-    "DENSE_CAP",
 ]
-
-DENSE_CAP = 5000
 
 
 @dataclass(frozen=True)
@@ -179,7 +173,7 @@ class KktSystem:
     def K(self) -> scipy.sparse.csr_matrix:
         """The whole KKT matrix as canonical CSR, built on first use, not by
         build_kkt: a system's first consumer pays for it, the operator, the
-        coarse product, the reference solve or the SQP step's densification.
+        coarse product or the sparse direct solve.
 
         Every stored entry of its blocks is kept, explicit zeros included.
         All blocks are CSR, so scipy stacks their arrays directly, without a
@@ -234,16 +228,6 @@ def kkt_matvec(op: KktOperator, v):
     if v.shape[0] != op.dimension or (not block and v.ndim != 1):
         raise DimensionMismatch(f"operand shape {v.shape} incompatible with dimension {op.dimension}")
     return op.system.K @ v
-
-
-def materialize_dense(op: KktOperator, cap: int = DENSE_CAP) -> np.ndarray:
-    """The system's assembled matrix K as a dense array, for the SQP step's
-    dense solve; a dimension above cap raises SizeCapExceeded before K is
-    built."""
-    dim = op.dimension
-    if dim > cap:
-        raise SizeCapExceeded(f"dense materialization of dimension {dim} exceeds cap {cap}")
-    return op.system.K.toarray()
 
 
 def reference_solution(sys: KktSystem) -> np.ndarray:

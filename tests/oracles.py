@@ -246,8 +246,8 @@ def nine_product_matvec(sys, v):
 
 def dense_kkt(sys) -> np.ndarray:
     """The KKT matrix from dense products of the dense factors, mirrored block
-    by block so that it equals its transpose exactly: the dense assembly the
-    SQP step used before it densified the assembled matrix K."""
+    by block so that it equals its transpose exactly: an assembly
+    independent of the sparse K that the tests compare K with."""
     f = sys.factors
     n_u, n_y = f.n_u, f.n_y
     dim = 2 * n_u + n_y

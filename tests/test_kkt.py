@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse
 
 from conftest import singular_system
-from kktprecond.errors import DimensionMismatch, PatternViolation, SingularSystem, SizeCapExceeded
+from kktprecond.errors import DimensionMismatch, PatternViolation, SingularSystem
 from kktprecond.kkt import (
     KktFactors,
     KktOperator,
@@ -16,7 +16,6 @@ from kktprecond.kkt import (
     assemble_Byy,
     ata_pattern,
     count_block_sparsity,
-    materialize_dense,
     reference_solution,
 )
 from kktprecond.pmultigrid import build_transfer, full_prolongation
@@ -196,8 +195,8 @@ def test_kkt_matrix_is_built_on_first_product_only(prob8, states8):
 )
 def test_kkt_matrix_is_exactly_symmetric(n_elem, p, q):
     """K equals its transpose in stored pattern and values, explicit zeros
-    included, at the first SQP states: the SQP step's LDL^T solve reads one
-    triangle of K only. n_elem=100 puts the shock on an element boundary."""
+    included, at the first SQP states. n_elem=100 puts the shock on an
+    element boundary."""
     prob = ShockTrackProblem1d(n_elem=n_elem, p=p, q=q)
     states = run_sqp(prob, SqpConfig(max_iters=3))
     assert len(states) == 4
@@ -214,10 +213,9 @@ def test_kkt_matrix_matches_dense_materialization(name, request):
     sys = request.getfixturevalue(name)
     A = dense_kkt(sys)
     np.testing.assert_allclose(sys.K.toarray(), A, rtol=0, atol=1e-14 * np.abs(A).max())
-    np.testing.assert_array_equal(materialize_dense(KktOperator(sys)), sys.K.toarray())
 
 
-# Dense materialization ------------------------------------------------------
+# Dense copy of K ------------------------------------------------------------
 
 
 def test_dense_zero_factors_give_zero_matrix():
@@ -233,18 +231,13 @@ def test_dense_zero_factors_give_zero_matrix():
         gamma=0.0,
     )
     sys = KktSystem(f, np.zeros(3), np.zeros(2), assemble_Byy(f))
-    np.testing.assert_array_equal(materialize_dense(KktOperator(sys)), np.zeros((5, 5)))
+    np.testing.assert_array_equal(sys.K.toarray(), np.zeros((5, 5)))
 
 
 def test_dense_is_exactly_symmetric(sys8_k1, sys16_k1):
     for sys in (sys8_k1, sys16_k1):
-        A = materialize_dense(KktOperator(sys))
+        A = sys.K.toarray()
         assert np.linalg.norm(A - A.T) == 0.0
-
-
-def test_dense_cap_enforced(sys8_k1):
-    with pytest.raises(SizeCapExceeded):
-        materialize_dense(KktOperator(sys8_k1), cap=10)
 
 
 def test_rhs_sign_convention():

@@ -400,6 +400,18 @@ def test_cli_generate_rejects_bad_weights_and_states_before_the_sqp_run(tmp_path
     assert sqp_calls == []
 
 
+def test_cli_generate_singular_step_exits_1(tmp_path, capsys):
+    """Without the source term the first step matrix is exactly singular: one
+    error line and exit 1, no ill-conditioning warning from a solve."""
+    cfg = write_config(tmp_path, "n_elem = 8\nsource = no\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["generate", cfg, str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: KKT matrix of dimension 39: Factor is exactly singular\n"
+
+
 def test_cli_generate_unavailable_state(tmp_path, capsys):
     cfg = write_config(tmp_path, "n_elem = 8\nstates = 99\n")
     assert main(["generate", cfg, str(tmp_path / "out")]) == 2
@@ -512,6 +524,7 @@ def test_cli_sweep_rejects_bad_specs(tmp_path, capsys):
         {"axis": "gamma", "values": [0.1], "preconditioners": ["A0"], "fixed": [1]},
         {"axis": "degree", "values": [[1]], "preconditioners": ["A0"], "fixed": {"n_elem": 4}},
         {"axis": "state", "values": [-1], "preconditioners": ["A0"]},
+        {"axis": "gamma", "values": [0.1], "preconditioners": ["A0"], "max_iters": 2.5},
     ],
     ids=[
         "fixed-string",
@@ -523,6 +536,7 @@ def test_cli_sweep_rejects_bad_specs(tmp_path, capsys):
         "fixed-not-an-object",
         "degree-pair-too-short",
         "state-negative",
+        "max-iters-fractional",
     ],
 )
 def test_cli_sweep_bad_values_exit_2(tmp_path, capsys, spec):
@@ -549,6 +563,12 @@ def test_cli_sweep_bad_values_exit_2(tmp_path, capsys, spec):
         ("state", [1, 7], {"max_iters": 6}),
         ("gamma", [0.01], {"state": 7, "max_iters": 6}),
         ("gamma", [0.1], {"n_elem": 8, "bc_left": "abc"}),
+        ("mesh", [8.7], {}),
+        ("gamma", [0.1], {"n_elem": 8.7}),
+        ("degree", [[1.5, True]], {}),
+        ("degree", [[1, True]], {}),
+        ("state", [1.5], {}),
+        ("mesh", [8.0], {}),
     ],
     ids=[
         "mesh-not-a-number",
@@ -564,6 +584,12 @@ def test_cli_sweep_bad_values_exit_2(tmp_path, capsys, spec):
         "state-past-max-iters",
         "fixed-state-past-max-iters",
         "fixed-bc-left-not-a-number",
+        "mesh-fractional",
+        "fixed-n-elem-fractional",
+        "degree-fractional",
+        "degree-bool",
+        "state-fractional",
+        "mesh-float",
     ],
 )
 def test_cli_sweep_checks_every_value_before_the_first_sqp_run(tmp_path, capsys, sqp_calls, axis, values, fixed):

@@ -6,7 +6,7 @@ import scipy.linalg
 import scipy.sparse
 
 from kktprecond import shocktrack
-from kktprecond.errors import InvertedElement
+from kktprecond.errors import InvertedElement, SingularSystem, SizeCapExceeded
 from kktprecond.shocktrack import (
     SHOCK_POSITION,
     GenerateConfig,
@@ -337,8 +337,8 @@ def test_merit_function_decreases(prob8, states8):
 
 @pytest.mark.parametrize("n_elem, p, q", [(64, 2, 2), (100, 3, 1)])
 def test_sqp_step_matches_lu_solve_of_dense_products(n_elem, p, q):
-    """The LDL^T solve of the densified K agrees with a general LU solve of
-    the dense-product KKT matrix at the first SQP states."""
+    """The sparse step (SuperLU on the assembled K) agrees with a general LU
+    solve of the dense-product oracle matrix at the first SQP states."""
     prob = ShockTrackProblem1d(n_elem=n_elem, p=p, q=q)
     for state in run_sqp(prob, SqpConfig(max_iters=3)):
         sys = build_kkt(prob, state)
@@ -347,11 +347,16 @@ def test_sqp_step_matches_lu_solve_of_dense_products(n_elem, p, q):
         assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
 
 
-@pytest.mark.parametrize("p, q, steps", [(1, 1, 7), (2, 2, 8)])
-def test_default_sqp_step_counts(monkeypatch, p, q, steps):
-    """Default-config runs at n_elem=64 take 7 and 8 steps, the last one
-    within step_tol: a step change that moves the trajectory shows here, not
-    only in the benchmark's sqp_iters."""
+@pytest.mark.parametrize(
+    "n_elem, p, q, steps",
+    [(64, 1, 1, 7), (64, 2, 2, 8), (256, 1, 1, 9), (256, 2, 2, 9)],
+    ids=["1-1-7", "2-2-8", "256-1-1-9", "256-2-2-9"],
+)
+def test_default_sqp_step_counts(monkeypatch, n_elem, p, q, steps):
+    """Default-config runs at n_elem=64 and 256, the benchmark's largest
+    succeeding size, take 7, 8, 9 and 9 steps, the last one within step_tol:
+    a step change that moves the trajectory shows here, not only in the
+    benchmark's sqp_iters."""
     calls = []
 
     def counting_step(*args):
@@ -359,9 +364,30 @@ def test_default_sqp_step_counts(monkeypatch, p, q, steps):
         return sqp_step(*args)
 
     monkeypatch.setattr(shocktrack, "sqp_step", counting_step)
-    states = run_sqp(ShockTrackProblem1d(n_elem=64, p=p, q=q), SqpConfig())
+    states = run_sqp(ShockTrackProblem1d(n_elem=n_elem, p=p, q=q), SqpConfig())
     assert len(calls) == steps
     assert len(states) == steps
+
+
+def test_step_cap_raises_before_build_kkt(monkeypatch):
+    """n_elem=1024, p=q=1 gives a step system of dimension 5119, above
+    STEP_CAP: sqp_step refuses it before assembling anything."""
+    prob = ShockTrackProblem1d(n_elem=1024, p=1, q=1)
+    assert 2 * prob.n_u + prob.n_y == 5119 > shocktrack.STEP_CAP
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_kkt called above the step cap")
+
+    monkeypatch.setattr(shocktrack, "build_kkt", no_build)
+    with pytest.raises(SizeCapExceeded, match="5119"):
+        sqp_step(prob, initial_state(prob))
+
+
+def test_singular_step_raises_singular_system():
+    """Without the source term the n_elem=8 step matrix is exactly singular:
+    the first step raises the typed error instead of solving it."""
+    with pytest.raises(SingularSystem, match="dimension 39"):
+        run_sqp(ShockTrackProblem1d(n_elem=8, source_on=False))
 
 
 # Configuration parsing ------------------------------------------------------
