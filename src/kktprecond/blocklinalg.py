@@ -159,15 +159,20 @@ def sparse_lu(A) -> PermutedLu:
     """Exact sparse LU of a square matrix (SuperLU with its default column
     ordering and partial pivoting), compiled to a PermutedLu.
 
-    Raises SingularBlock where SuperLU meets an exactly zero pivot.
+    Raises SingularBlock where a pivot of U is below 1e-14 times the largest
+    entry magnitude of A, the relative test of dense_lu_factor.
     """
+    A = scipy.sparse.csc_matrix(A)
     try:
-        lu = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(A))
+        lu = scipy.sparse.linalg.splu(A)
     except RuntimeError as exc:
         raise SingularBlock(f"sparse LU: {exc}") from exc
+    scale = np.abs(A.data).max(initial=0.0)
+    if np.any(np.abs(lu.U.diagonal()) < 1e-14 * scale):
+        raise SingularBlock(f"sparse LU: pivot below 1e-14 relative threshold (scale {scale:g})")
     # SuperLU factors Pr A Pc = L U with (Pr A)[perm_r[i]] = A[i] and
-    # (A Pc)[:, j] = A[:, perm_c[j]].
-    return permuted_lu(lu.L, lu.U, np.argsort(lu.perm_r), lu.perm_c)
+    # (A Pc)[:, perm_c[j]] = A[:, j], so rows and cols are their inverses.
+    return permuted_lu(lu.L, lu.U, np.argsort(lu.perm_r), np.argsort(lu.perm_c))
 
 
 def canonical_bsr(M, name: str = "matrix") -> scipy.sparse.bsr_matrix:

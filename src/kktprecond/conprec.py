@@ -33,7 +33,7 @@ from .dgprecond import BiluPrec, BlockJacobiPrec, bilu0_factor, build_block_jaco
 from .errors import DimensionMismatch, PatternViolation, UnknownPreconditioner, ZeroPivot
 from .kkt import KktOperator, KktSystem
 from .krylov import Preconditioner
-from .pmultigrid import CoarseSystem, TransferOps, assemble_coarse, build_transfer, pmg_apply
+from .pmultigrid import CoarseSystem, assemble_coarse, build_transfer, pmg_apply
 
 __all__ = [
     "CATALOG",
@@ -149,7 +149,6 @@ def point_ilu0_factor(B: scipy.sparse.csr_matrix) -> PointIlu0Factor:
 @dataclass
 class PmgWrapper:
     op: KktOperator
-    transfers: TransferOps
     coarse: CoarseSystem
 
 
@@ -202,7 +201,7 @@ def apply_at_inverse(P: AtPreconditioner, v: np.ndarray, bare: bool = False) -> 
         raise DimensionMismatch(f"vector length {v.shape} incompatible with dimension {P.dimension}")
     if P.multigrid is not None and not bare:
         mg = P.multigrid
-        return pmg_apply(mg.op, mg.coarse, mg.transfers, Preconditioner(P.dimension, P._apply_bare), v)
+        return pmg_apply(mg.op, mg.coarse, Preconditioner(P.dimension, P._apply_bare), v)
     n_u, n_y = P.n_u, P.n_y
     v1 = v[:n_u]
     v2 = v[n_u : n_u + n_y]
@@ -262,8 +261,6 @@ def build_at_preconditioner(sys: KktSystem, variant: str) -> AtPreconditioner:
         if sys.dims is None:
             raise UnknownPreconditioner(f"{variant}: p-multigrid needs discretization metadata on the system")
         op = KktOperator(sys)
-        transfers = build_transfer(sys.dims)
-        coarse = assemble_coarse(op, transfers)
-        prec.multigrid = PmgWrapper(op, transfers, coarse)
+        prec.multigrid = PmgWrapper(op, assemble_coarse(op, build_transfer(sys.dims)))
     return prec
 

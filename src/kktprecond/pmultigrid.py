@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .blocklinalg import BlockLuFactor, dense_lu_factor, stacked_diagonal
-from .errors import SingularBlock, SingularCoarseMatrix, SizeCapExceeded
+from .blocklinalg import PermutedLu, sparse_lu, stacked_diagonal
+from .errors import SingularBlock, SingularCoarseMatrix
 from .krylov import Preconditioner
 
 __all__ = [
@@ -29,10 +29,7 @@ __all__ = [
     "full_restriction",
     "assemble_coarse",
     "pmg_apply",
-    "COARSE_CAP",
 ]
-
-COARSE_CAP = 2000
 
 
 @dataclass(frozen=True)
@@ -82,28 +79,25 @@ def full_restriction(T: TransferOps) -> scipy.sparse.csr_matrix:
 
 @dataclass
 class CoarseSystem:
-    A0: np.ndarray
-    lu: BlockLuFactor
+    A0: scipy.sparse.csr_matrix
+    lu: PermutedLu
     P: scipy.sparse.csr_matrix
     Q: scipy.sparse.csr_matrix
 
 
-def assemble_coarse(opA, T: TransferOps, cap: int = COARSE_CAP) -> CoarseSystem:
-    """Galerkin coarse matrix A0 = Q A P, formed as one sparse product and factored."""
+def assemble_coarse(opA, T: TransferOps) -> CoarseSystem:
+    """Galerkin coarse matrix A0 = Q A P, formed as one sparse product, and its sparse LU."""
     P = full_prolongation(T)
     Q = full_restriction(T)
-    nc = P.shape[1]
-    if nc > cap:
-        raise SizeCapExceeded(f"coarse dimension {nc} exceeds cap {cap}")
-    A0 = (Q @ opA.matmat(P)).toarray()
+    A0 = Q @ opA.matmat(P)
     try:
-        lu = dense_lu_factor(A0)
+        lu = sparse_lu(A0)
     except SingularBlock as exc:
         raise SingularCoarseMatrix("coarse matrix is singular to working precision") from exc
     return CoarseSystem(A0, lu, P, Q)
 
 
-def pmg_apply(opA, coarse: CoarseSystem, T: TransferOps, smoother: Preconditioner, b: np.ndarray) -> np.ndarray:
+def pmg_apply(opA, coarse: CoarseSystem, smoother: Preconditioner, b: np.ndarray) -> np.ndarray:
     """One two-level cycle: coarse correction followed by one smoothing step."""
     b = np.asarray(b, dtype=float)
     s = coarse.P @ coarse.lu.solve(coarse.Q @ b)

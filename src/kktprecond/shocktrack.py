@@ -66,6 +66,12 @@ SMOOTH_WIDTH = 0.05
 # outcomes, two n_elem=1024 failures among them, until its counts are normalized.
 STEP_CAP = 5000
 
+# SQP line search factor, smallest step and Armijo constant; stop at |dz| <= STEP_TOL.
+BACKTRACK = 0.5
+MIN_STEP = 2.0**-20
+ARMIJO = 1e-4
+STEP_TOL = 1e-8
+
 
 def exact_solution(x):
     """Tracked profile u* = x + 0.4 left of the shock, x - 1.6 right of it.
@@ -427,17 +433,8 @@ class DgState:
 @dataclass(frozen=True)
 class SqpConfig:
     max_iters: int = 100
-    mu: float | None = None
-    backtrack: float = 0.5
-    min_step: float = 2.0**-20
     kappa: float = 1e-7
     gamma: float = 1e-2
-    step_tol: float = 1e-8
-    armijo: float = 1e-4
-
-    def __post_init__(self):
-        if self.mu is not None and not self.mu > 0:
-            raise ValueError("merit penalty must be positive")
 
 
 def build_kkt(
@@ -542,14 +539,15 @@ def initial_state(problem: ShockTrackProblem1d, kappa: float = 1e-7, gamma: floa
 
 def sqp_step(problem: ShockTrackProblem1d, state: DgState):
     """(dz, eta) from one SuperLU solve of the step system's assembled K
-    (kkt.reference_solution); SingularSystem if K is singular, and
-    SizeCapExceeded before K is built if its dimension exceeds STEP_CAP."""
+    (kkt.reference_solution), and the system's gradient g; SingularSystem if K
+    is singular, SizeCapExceeded before K is built if it exceeds STEP_CAP."""
     dim = 2 * problem.n_u + problem.n_y
     if dim > STEP_CAP:
         raise SizeCapExceeded(f"SQP step system of dimension {dim} exceeds cap {STEP_CAP}")
-    sol = reference_solution(build_kkt(problem, state))
+    sys = build_kkt(problem, state)
+    sol = reference_solution(sys)
     nz = problem.n_u + problem.n_y
-    return sol[:nz], sol[nz:]
+    return sol[:nz], sol[nz:], sys.g
 
 
 def _merit_components(problem: ShockTrackProblem1d, u, y, kappa: float):
@@ -570,19 +568,19 @@ def run_sqp(
     """SQP iteration with an l1 merit line search; returns every state visited."""
     state = initial_state(problem, cfg.kappa, cfg.gamma) if initial is None else initial
     states = [state]
-    mu = cfg.mu
-    n_u, n_y = problem.n_u, problem.n_y
+    mu = None
+    n_u = problem.n_u
 
     for _ in range(cfg.max_iters):
-        dz, eta = sqp_step(problem, state)
-        if np.linalg.norm(dz, np.inf) <= cfg.step_tol:
+        # g0 is the merit objective's gradient while state.kappa is cfg.kappa.
+        dz, eta, g0 = sqp_step(problem, state)
+        if np.linalg.norm(dz, np.inf) <= STEP_TOL:
             states[-1] = replace(state, lam=-eta)
             break
         if mu is None:
             mu = 10.0 * max(np.linalg.norm(eta, np.inf), 1e-12)
 
         f0, r0 = _merit_components(problem, state.u, state.y, cfg.kappa)
-        _, g0 = objective_and_gradient(problem, state.u, state.y, cfg.kappa)
         merit0 = f0 + mu * np.abs(r0).sum()
         descent = g0 @ dz - mu * np.abs(r0).sum()
 
@@ -590,20 +588,20 @@ def run_sqp(
         dy = dz[n_u:]
         alpha = 1.0
         while True:
-            if alpha < cfg.min_step:
+            if alpha < MIN_STEP:
                 raise LineSearchFailure(
-                    f"iteration {state.k + 1}: no acceptable step above {cfg.min_step:g}"
+                    f"iteration {state.k + 1}: no acceptable step above {MIN_STEP:g}"
                 )
             try:
                 f_t, r_t = _merit_components(
                     problem, state.u + alpha * du, state.y + alpha * dy, cfg.kappa
                 )
             except InvertedElement:
-                alpha *= cfg.backtrack
+                alpha *= BACKTRACK
                 continue
-            if f_t + mu * np.abs(r_t).sum() <= merit0 + cfg.armijo * alpha * descent:
+            if f_t + mu * np.abs(r_t).sum() <= merit0 + ARMIJO * alpha * descent:
                 break
-            alpha *= cfg.backtrack
+            alpha *= BACKTRACK
 
         state = DgState(
             u=state.u + alpha * du,

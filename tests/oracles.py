@@ -36,13 +36,13 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from kktprecond.blocklinalg import dense_lu_factor, stacked_diagonal
+from kktprecond.blocklinalg import dense_lu_factor, sparse_lu, stacked_diagonal
 from kktprecond.conprec import PointIlu0Factor, PointJacobiFactor
 from kktprecond.dgprecond import BiluPrec, BlockJacobiPrec
 from kktprecond.errors import DimensionMismatch, ManifestError, SingularBlock, SingularSchurComplement, ZeroReference
 from kktprecond.krylov import EXACT_SOLUTION, PRECONDITIONED_RESIDUAL
 from kktprecond.mmio import _BLOCK_TAG, _ENTRY, _VALUE, _parse, _parse_block_tag
-from kktprecond.pmultigrid import TransferOps, full_prolongation, full_restriction
+from kktprecond.pmultigrid import TransferOps, build_transfer, full_prolongation, full_restriction
 
 
 def block_index(A, i, j):
@@ -390,7 +390,7 @@ def ikj_point_ilu0_values(B) -> np.ndarray:
 def five_step_apply(P, sys, v):
     """A catalog preconditioner's apply with Jy^T taken as the transposed view
     of Jy on every call and, for the *-p0 variants, the coarse matrix
-    assembled from the bmat_kkt matrix and factored by scipy; returns the
+    assembled from the bmat_kkt matrix and factored by sparse_lu; returns the
     result and the coarse matrix (None without multigrid)."""
     n_u, n_y = P.n_u, P.n_y
 
@@ -403,10 +403,11 @@ def five_step_apply(P, sys, v):
     if P.multigrid is None:
         return bare(v), None
     K = bmat_kkt(sys)
-    prolong = full_prolongation(P.multigrid.transfers)
-    restrict = full_restriction(P.multigrid.transfers)
-    A0 = (restrict @ (K @ prolong)).toarray()
-    s = prolong @ scipy_lu_solve(scipy_lu_factor(A0), restrict @ v)
+    transfers = build_transfer(sys.dims)
+    prolong = full_prolongation(transfers)
+    restrict = full_restriction(transfers)
+    A0 = restrict @ (K @ prolong)
+    s = prolong @ sparse_lu(A0).solve(restrict @ v)
     return s + bare(v - K @ s), A0
 
 

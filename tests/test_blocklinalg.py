@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
 from kktprecond.blocklinalg import canonical_bsr, dense_lu_factor, sparse_lu
 from kktprecond.errors import DimensionMismatch, PatternViolation, SingularBlock
+from kktprecond.kkt import KktOperator
+from kktprecond.pmultigrid import build_transfer, full_prolongation, full_restriction
+from kktprecond.stencil import generate_stencil_system
 
 
 def bsr(blocks, indices, indptr, n_block_cols):
@@ -70,6 +74,39 @@ def test_sparse_lu_rejects_exactly_singular_matrix():
     # SuperLU's "Factor is exactly singular" is a typed error, not a RuntimeError.
     with pytest.raises(SingularBlock, match="singular"):
         sparse_lu(scipy.sparse.csr_matrix(np.array([[1.0, 0.0], [2.0, 0.0]])))
+
+
+def test_sparse_lu_rejects_pivot_below_relative_threshold():
+    # U's second pivot is about 1e-15, nonzero for SuperLU but below
+    # 1e-14 times the largest entry, as dense_lu_factor rejects it.
+    with pytest.raises(SingularBlock, match="relative threshold"):
+        sparse_lu(scipy.sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])))
+    assert sparse_lu(scipy.sparse.csr_matrix((0, 0))).solve(np.zeros(0)).shape == (0,)
+
+
+def _coarse_matrix(sys):
+    T = build_transfer(sys.dims)
+    return full_restriction(T) @ KktOperator(sys).matmat(full_prolongation(T))
+
+
+@pytest.mark.parametrize("name", ["random", "stencil_6_2", "stencil_10_3", "coarse_16_2_2"])
+def test_sparse_lu_matches_splu_when_column_order_is_no_involution(name, request):
+    # SuperLU's column order of these matrices is not its own inverse, so a
+    # solve that confused perm_c with its inverse would be wrong here.
+    if name == "random":
+        A = scipy.sparse.random(50, 50, density=0.1, random_state=1, format="csr") + 10.0 * scipy.sparse.eye(50)
+    elif name == "coarse_16_2_2":
+        A = _coarse_matrix(request.getfixturevalue("sys16_k1"))
+    else:
+        A = generate_stencil_system(*map(int, name.split("_")[1:]), 0).tocsr()
+    ref = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(A))
+    n = A.shape[0]
+    assert not np.array_equal(ref.perm_c[ref.perm_c], np.arange(n))
+    lu = sparse_lu(A)
+    b = np.random.default_rng(5).standard_normal(n)
+    for trans in ("N", "T"):
+        want = ref.solve(b, trans=trans)
+        np.testing.assert_allclose(lu.solve(b, trans=trans), want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 # Canonical form --------------------------------------------------------------

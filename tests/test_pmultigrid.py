@@ -5,7 +5,8 @@ import types
 import numpy as np
 import pytest
 
-from kktprecond.errors import SingularCoarseMatrix, SizeCapExceeded
+from conftest import count_iterations
+from kktprecond.errors import SingularCoarseMatrix
 from kktprecond.kkt import KktOperator
 from kktprecond.krylov import Preconditioner
 from kktprecond.pmultigrid import (
@@ -16,7 +17,7 @@ from kktprecond.pmultigrid import (
     pmg_apply,
     transfer_ops,
 )
-from kktprecond.shocktrack import ShockTrackProblem1d, build_kkt, tracked_state
+from kktprecond.shocktrack import ShockTrackProblem1d, SqpConfig, build_kkt, run_sqp, tracked_state
 from oracles import dense_kkt
 
 
@@ -71,7 +72,7 @@ def test_coarse_of_lowest_order_system_is_the_system(p0_sys):
     op = KktOperator(p0_sys)
     coarse = assemble_coarse(op, build_transfer(p0_sys.dims))
     A = dense_kkt(p0_sys)
-    np.testing.assert_allclose(coarse.A0, A, rtol=1e-12, atol=1e-12 * np.abs(A).max())
+    np.testing.assert_allclose(coarse.A0.toarray(), A, rtol=1e-12, atol=1e-12 * np.abs(A).max())
 
 
 def test_coarse_matches_dense_triple_product(sys16_k1):
@@ -80,7 +81,7 @@ def test_coarse_matches_dense_triple_product(sys16_k1):
     coarse = assemble_coarse(op, T)
     A = dense_kkt(sys16_k1)
     expect = full_restriction(T).toarray() @ A @ full_prolongation(T).toarray()
-    np.testing.assert_allclose(coarse.A0, expect, rtol=1e-12, atol=1e-12 * np.abs(A).max())
+    np.testing.assert_allclose(coarse.A0.toarray(), expect, rtol=1e-12, atol=1e-12 * np.abs(A).max())
 
 
 def test_zero_operator_gives_singular_coarse_matrix():
@@ -89,10 +90,15 @@ def test_zero_operator_gives_singular_coarse_matrix():
         assemble_coarse(op, transfer_ops(4, 1, 1))
 
 
-def test_coarse_cap_enforced(sys16_k1):
-    op = KktOperator(sys16_k1)
-    with pytest.raises(SizeCapExceeded):
-        assemble_coarse(op, build_transfer(sys16_k1.dims), cap=5)
+def test_p0_variants_converge_above_the_old_dense_coarse_cap():
+    # Coarse dimension 3 n_elem - 1 = 2102; the dense coarse LU refused any
+    # above 2000.
+    prob = ShockTrackProblem1d(n_elem=701, p=1, q=1)
+    sys = build_kkt(prob, run_sqp(prob, SqpConfig(max_iters=1))[1])
+    assert assemble_coarse(KktOperator(sys), build_transfer(sys.dims)).A0.shape == (2102, 2102)
+    for variant in ("A0-p0", "BJ-p0", "BILU-p0"):
+        iters, converged = count_iterations(sys, variant)
+        assert converged and iters <= 10, (variant, iters)
 
 
 # Two-level cycle ------------------------------------------------------------
@@ -104,7 +110,7 @@ def test_cycle_is_exact_when_coarse_space_is_full(p0_sys):
     coarse = assemble_coarse(op, T)
     rng = np.random.default_rng(30)
     b = rng.standard_normal(op.dimension)
-    s = pmg_apply(op, coarse, T, Preconditioner.identity(op.dimension), b)
+    s = pmg_apply(op, coarse, Preconditioner.identity(op.dimension), b)
     expect = np.linalg.solve(dense_kkt(p0_sys), b)
     np.testing.assert_allclose(s, expect, rtol=1e-8)
 
@@ -113,7 +119,7 @@ def test_cycle_maps_zero_to_zero(sys16_k1):
     op = KktOperator(sys16_k1)
     T = build_transfer(sys16_k1.dims)
     coarse = assemble_coarse(op, T)
-    out = pmg_apply(op, coarse, T, Preconditioner.identity(op.dimension), np.zeros(op.dimension))
+    out = pmg_apply(op, coarse, Preconditioner.identity(op.dimension), np.zeros(op.dimension))
     np.testing.assert_array_equal(out, np.zeros(op.dimension))
 
 
@@ -130,6 +136,6 @@ def test_cycle_composition_matches_hand_built_steps(sys8_k1):
     rng = np.random.default_rng(31)
     for _ in range(3):
         b = rng.standard_normal(op.dimension)
-        s0 = P @ np.linalg.solve(coarse.A0, Q @ b)
+        s0 = P @ np.linalg.solve(coarse.A0.toarray(), Q @ b)
         expect = s0 + np.linalg.solve(M, b - A @ s0)
-        np.testing.assert_allclose(pmg_apply(op, coarse, T, smoother, b), expect, rtol=1e-10)
+        np.testing.assert_allclose(pmg_apply(op, coarse, smoother, b), expect, rtol=1e-10)

@@ -311,7 +311,7 @@ def test_line_search_activates_then_relaxes(prob8, states8):
 
 
 def test_full_newton_step_would_invert_an_element(prob8, states8):
-    dz, _ = sqp_step(prob8, states8[0])
+    dz, _, _ = sqp_step(prob8, states8[0])
     y_full = states8[0].y + dz[prob8.n_u :]
     assert np.any(np.diff(phi_map(prob8, y_full)) <= 0.0)
     assert states8[1].alpha < 1.0
@@ -323,7 +323,7 @@ def test_accepted_iterates_keep_monotone_meshes(prob8, states8):
 
 
 def test_merit_function_decreases(prob8, states8):
-    _, eta = sqp_step(prob8, states8[0])
+    _, eta, _ = sqp_step(prob8, states8[0])
     mu = 10.0 * max(np.linalg.norm(eta, np.inf), 1e-12)
 
     def merit(st):
@@ -343,8 +343,22 @@ def test_sqp_step_matches_lu_solve_of_dense_products(n_elem, p, q):
     for state in run_sqp(prob, SqpConfig(max_iters=3)):
         sys = build_kkt(prob, state)
         expect = scipy.linalg.solve(dense_kkt(sys), sys.rhs(), assume_a="gen")
-        got = np.concatenate(sqp_step(prob, state))
+        got = np.concatenate(sqp_step(prob, state)[:2])
         assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
+
+
+def test_step_gradient_is_the_merit_objective_gradient(prob8, states8, monkeypatch):
+    """The line search takes its slope from the step system's gradient, bit
+    for bit the objective's gradient, without evaluating it again."""
+    for state in states8:
+        _, _, g = sqp_step(prob8, state)
+        assert np.array_equal(g, objective_and_gradient(prob8, state.u, state.y, state.kappa)[1])
+
+    def no_gradient(*args):
+        raise AssertionError("run_sqp re-evaluated the gradient")
+
+    monkeypatch.setattr(shocktrack, "objective_and_gradient", no_gradient)
+    assert len(run_sqp(prob8, SqpConfig(max_iters=2))) == 3
 
 
 @pytest.mark.parametrize(
