@@ -8,7 +8,7 @@ import scipy.sparse.linalg
 from kktprecond.blocklinalg import canonical_bsr, dense_lu_factor, sparse_lu
 from kktprecond.errors import DimensionMismatch, PatternViolation, SingularBlock
 from kktprecond.kkt import KktOperator
-from kktprecond.pmultigrid import build_transfer, full_prolongation, full_restriction
+from kktprecond.pmultigrid import assemble_coarse, build_transfer
 from kktprecond.stencil import generate_stencil_system
 
 
@@ -84,11 +84,6 @@ def test_sparse_lu_rejects_pivot_below_relative_threshold():
     assert sparse_lu(scipy.sparse.csr_matrix((0, 0))).solve(np.zeros(0)).shape == (0,)
 
 
-def _coarse_matrix(sys):
-    T = build_transfer(sys.dims)
-    return full_restriction(T) @ KktOperator(sys).matmat(full_prolongation(T))
-
-
 @pytest.mark.parametrize("name", ["random", "stencil_6_2", "stencil_10_3", "coarse_16_2_2"])
 def test_sparse_lu_matches_splu_when_column_order_is_no_involution(name, request):
     # SuperLU's column order of these matrices is not its own inverse, so a
@@ -96,7 +91,8 @@ def test_sparse_lu_matches_splu_when_column_order_is_no_involution(name, request
     if name == "random":
         A = scipy.sparse.random(50, 50, density=0.1, random_state=1, format="csr") + 10.0 * scipy.sparse.eye(50)
     elif name == "coarse_16_2_2":
-        A = _coarse_matrix(request.getfixturevalue("sys16_k1"))
+        sys = request.getfixturevalue("sys16_k1")
+        A = assemble_coarse(KktOperator(sys), build_transfer(sys.dims)).A0
     else:
         A = generate_stencil_system(*map(int, name.split("_")[1:]), 0).tocsr()
     ref = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(A))
