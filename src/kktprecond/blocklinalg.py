@@ -20,7 +20,7 @@ from .errors import DimensionMismatch, PatternViolation, SingularBlock
 __all__ = [
     "BlockLuFactor",
     "check_trans",
-    "dense_lu_factor",
+    "checked_splu",
     "first_singular",
     "getrf",
     "PermutedLu",
@@ -88,21 +88,6 @@ def first_singular(blocks: np.ndarray, factors: list[BlockLuFactor]) -> tuple[in
     return int(bad[0]), f"pivot below 1e-14 relative threshold (scale {scale[bad[0]]:g})"
 
 
-def dense_lu_factor(block: np.ndarray) -> BlockLuFactor:
-    """Factor one dense block as PA = LU by LAPACK getrf, rejecting
-    near-singular blocks as first_singular does."""
-    block = np.asarray(block, dtype=float)
-    if block.ndim != 2 or block.shape[0] != block.shape[1]:
-        raise DimensionMismatch(f"LU needs a square block, got {block.shape}")
-    if not block.size:
-        return BlockLuFactor(np.empty_like(block), np.arange(0, dtype=np.int32))
-    lu = getrf(block)
-    bad = first_singular(block[None], [lu])
-    if bad:
-        raise SingularBlock(bad[1])
-    return lu
-
-
 @dataclass
 class PermutedLu:
     """Factors of a square A with A[rows][:, cols] = L U, L unit lower and U
@@ -155,21 +140,29 @@ def permuted_lu(L, U, rows: np.ndarray, cols: np.ndarray) -> PermutedLu:
     return PermutedLu(np.asarray(rows), np.asarray(cols), sweep(L), sweep(U))
 
 
-def sparse_lu(A) -> PermutedLu:
-    """Exact sparse LU of a square matrix (SuperLU with its default column
-    ordering and partial pivoting), compiled to a PermutedLu.
+def checked_splu(A, error: type[Exception], context: str) -> scipy.sparse.linalg.SuperLU:
+    """SuperLU factors of a square sparse matrix, with its default column
+    ordering and partial pivoting.
 
-    Raises SingularBlock where a pivot of U is below 1e-14 times the largest
-    entry magnitude of A, the relative test of dense_lu_factor.
+    Raises error, its message prefixed by context, where SuperLU meets an
+    exactly zero pivot or a pivot of U is below 1e-14 times the largest entry
+    magnitude of A, the relative test of first_singular.
     """
     A = scipy.sparse.csc_matrix(A)
     try:
         lu = scipy.sparse.linalg.splu(A)
     except RuntimeError as exc:
-        raise SingularBlock(f"sparse LU: {exc}") from exc
+        raise error(f"{context}: {exc}") from exc
     scale = np.abs(A.data).max(initial=0.0)
     if np.any(np.abs(lu.U.diagonal()) < 1e-14 * scale):
-        raise SingularBlock(f"sparse LU: pivot below 1e-14 relative threshold (scale {scale:g})")
+        raise error(f"{context}: pivot below 1e-14 relative threshold (scale {scale:g})")
+    return lu
+
+
+def sparse_lu(A) -> PermutedLu:
+    """Exact sparse LU of a square matrix (checked_splu), compiled to a
+    PermutedLu; a singular A raises SingularBlock."""
+    lu = checked_splu(A, SingularBlock, "sparse LU")
     # SuperLU factors Pr A Pc = L U with (Pr A)[perm_r[i]] = A[i] and
     # (A Pc)[:, perm_c[j]] = A[:, j], so rows and cols are their inverses.
     return permuted_lu(lu.L, lu.U, np.argsort(lu.perm_r), np.argsort(lu.perm_c))

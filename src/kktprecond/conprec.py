@@ -54,8 +54,6 @@ class PointJacobiFactor:
     """Reciprocal diagonal with a safeguard against (near-)zero entries."""
 
     inv_diag: np.ndarray
-    diag: np.ndarray
-    safeguarded: bool
 
     def solve(self, v: np.ndarray, trans: str = "N") -> np.ndarray:
         """Divide by the diagonal, which is its own transpose."""
@@ -72,11 +70,10 @@ def point_jacobi(B: scipy.sparse.csr_matrix) -> PointJacobiFactor:
         raise DimensionMismatch("point Jacobi needs a square matrix")
     diag = B.diagonal()
     tiny = np.abs(diag) < 1e-300
-    safeguarded = bool(tiny.any())
-    if safeguarded:
+    if tiny.any():
         warnings.warn("point Jacobi: zero diagonal entries safeguarded to 1", RuntimeWarning)
         diag[tiny] = 1.0
-    return PointJacobiFactor(1.0 / diag, diag, safeguarded)
+    return PointJacobiFactor(1.0 / diag)
 
 
 @dataclass
@@ -85,9 +82,6 @@ class PointIlu0Factor:
     (strict lower part of L, unit diagonal implied, and U), and compiled to
     point triangular factors."""
 
-    n: int
-    row_ptr: np.ndarray
-    col_idx: np.ndarray
     values: np.ndarray
     factors: PermutedLu
 
@@ -143,7 +137,7 @@ def point_ilu0_factor(B: scipy.sparse.csr_matrix) -> PointIlu0Factor:
     natural = np.arange(n)
     L = scipy.sparse.tril(S, -1) + scipy.sparse.identity(n)
     factors = permuted_lu(L, scipy.sparse.triu(S), natural, natural)
-    return PointIlu0Factor(n, row_ptr, col_idx, values, factors)
+    return PointIlu0Factor(values, factors)
 
 
 @dataclass

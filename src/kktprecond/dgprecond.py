@@ -35,7 +35,6 @@ class BlockJacobiPrec:
     """Inverses of the diagonal blocks as a block-diagonal CSR matrix, and
     its transpose as a second CSR matrix."""
 
-    block_sizes: np.ndarray
     inverse: scipy.sparse.csr_matrix
     inverse_T: scipy.sparse.csr_matrix
 
@@ -212,7 +211,7 @@ def build_block_jacobi(A) -> BlockJacobiPrec:
     def csr(blocks):
         return scipy.sparse.csr_matrix((blocks.ravel(), cols, indptr), shape=A.shape)
 
-    return BlockJacobiPrec(np.full(nb, s), csr(inv), csr(inv.transpose(0, 2, 1)))
+    return BlockJacobiPrec(csr(inv), csr(inv.transpose(0, 2, 1)))
 
 
 def _adjacency(A):

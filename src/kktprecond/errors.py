@@ -25,10 +25,6 @@ class ZeroPivot(KktPrecondError):
     """A scalar pivot vanished during point incomplete factorization."""
 
 
-class SingularSchurComplement(KktPrecondError):
-    """The dense Schur complement in the generic constrained inverse is singular."""
-
-
 class SingularCoarseMatrix(KktPrecondError):
     """The Galerkin coarse operator is singular."""
 

@@ -31,9 +31,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 
-from .blocklinalg import canonical_bsr, canonical_csr
+from .blocklinalg import canonical_bsr, canonical_csr, checked_splu
 from .errors import DimensionMismatch, SingularSystem
 from .krylov import LinearOperator
 
@@ -45,10 +44,6 @@ __all__ = [
     "assemble_Byy",
     "kkt_matvec",
     "reference_solution",
-    "assembled_kkt",
-    "ata_pattern",
-    "count_block_sparsity",
-    "SparsityCounts",
 ]
 
 
@@ -234,51 +229,8 @@ def reference_solution(sys: KktSystem) -> np.ndarray:
     """Solution of the KKT system by one sparse direct solve.
 
     SuperLU factors the CSC form of the system's cached matrix K, the one
-    the operator applies. Raises SingularSystem where SuperLU meets an
-    exactly zero pivot.
+    the operator applies, through blocklinalg.checked_splu. Raises
+    SingularSystem where a pivot is zero or below its relative threshold.
     """
-    try:
-        lu = scipy.sparse.linalg.splu(assembled_kkt(sys))
-    except RuntimeError as exc:
-        raise SingularSystem(f"KKT matrix of dimension {sys.dimension}: {exc}") from exc
+    lu = checked_splu(sys.K.tocsc(), SingularSystem, f"KKT matrix of dimension {sys.dimension}")
     return lu.solve(sys.rhs())
-
-
-def assembled_kkt(sys: KktSystem) -> scipy.sparse.csc_matrix:
-    """The whole KKT matrix K as canonical CSC, every stored entry of its
-    blocks kept, explicit zeros included."""
-    return sys.K.tocsc()
-
-
-def ata_pattern(A) -> scipy.sparse.csr_matrix:
-    """Symbolic block pattern of A^T A for a BSR matrix A: a 0/1 CSR matrix
-    with one row and column per block column of A, indices sorted."""
-    shape = (A.shape[0] // A.blocksize[0], A.shape[1] // A.blocksize[1])
-    S = scipy.sparse.csr_matrix((np.ones(len(A.indices)), A.indices, A.indptr), shape=shape)
-    P = (S.T @ S).tocsr()
-    P.data[:] = 1.0
-    P.sort_indices()
-    return P
-
-
-@dataclass(frozen=True)
-class SparsityCounts:
-    m1: float
-    m2: float
-
-    @property
-    def ratio(self) -> float:
-        return self.m2 / self.m1
-
-
-def count_block_sparsity(Ju, Buu_pattern) -> SparsityCounts:
-    """Nonzero blocks per interior row of Ju and of the symbolic B_uu pattern.
-
-    Interior rows are those attaining the maximal block count of their
-    pattern, which excludes boundary rows on any connected mesh.
-    """
-    counts1 = np.diff(Ju.indptr)
-    counts2 = np.diff(Buu_pattern.indptr)
-    m1 = counts1[counts1 == counts1.max()].mean()
-    m2 = counts2[counts2 == counts2.max()].mean()
-    return SparsityCounts(float(m1), float(m2))

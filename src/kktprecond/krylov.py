@@ -35,7 +35,6 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.blas import dtpsv
 
-from .blocklinalg import dense_lu_factor
 from .errors import DimensionMismatch, NonFinite, ZeroReference
 
 __all__ = [
@@ -73,13 +72,6 @@ class LinearOperator:
     dimension: int
     apply: Callable[[np.ndarray], np.ndarray]
 
-    @classmethod
-    def from_matrix(cls, A) -> "LinearOperator":
-        if hasattr(A, "matvec") and not isinstance(A, np.ndarray):
-            return cls(A.shape[0], lambda v: np.asarray(A.matvec(v)).ravel())
-        A = np.asarray(A, dtype=float)
-        return cls(A.shape[0], lambda v: A @ v)
-
 
 @dataclass(frozen=True)
 class Preconditioner:
@@ -87,17 +79,6 @@ class Preconditioner:
 
     dimension: int
     apply_inverse: Callable[[np.ndarray], np.ndarray]
-
-    @classmethod
-    def identity(cls, n: int) -> "Preconditioner":
-        return cls(n, lambda v: np.array(v, dtype=float))
-
-    @classmethod
-    def from_matrix(cls, M) -> "Preconditioner":
-        """Exact inverse of a dense matrix via blocklinalg's dense LU, mostly
-        for tests; a near-singular M raises SingularBlock."""
-        lu = dense_lu_factor(M)
-        return cls(lu.lu_entries.shape[0], lu.solve)
 
 
 @dataclass(frozen=True)

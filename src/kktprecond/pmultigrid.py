@@ -23,7 +23,6 @@ from .krylov import Preconditioner
 __all__ = [
     "TransferOps",
     "CoarseSystem",
-    "transfer_ops",
     "build_transfer",
     "full_prolongation",
     "full_restriction",
@@ -41,8 +40,10 @@ class TransferOps:
     Qy: scipy.sparse.csr_matrix
 
 
-def transfer_ops(n_elem: int, p: int, q: int) -> TransferOps:
-    """Transfers for an n_elem mesh with solution degree p and mesh degree q."""
+def build_transfer(dims) -> TransferOps:
+    """Transfers for the discretization record dims (kkt.SystemDims): an
+    n_elem mesh with solution degree p and mesh degree q."""
+    n_elem, p, q = dims.n_elem, dims.p, dims.q
     n_u = n_elem * (p + 1)
     element = np.repeat(np.arange(n_elem), p + 1)
     Pu = scipy.sparse.csr_matrix((np.ones(n_u), element, np.arange(n_u + 1)), shape=(n_u, n_elem))
@@ -61,11 +62,6 @@ def transfer_ops(n_elem: int, p: int, q: int) -> TransferOps:
     Py = scipy.sparse.csr_matrix((weight[keep], vertex[keep] - 1, indptr), shape=(n_y, n_yc))
     Qy = scipy.sparse.csr_matrix((np.ones(n_yc), q * np.arange(1, n_elem) - 1, np.arange(n_elem)), shape=(n_yc, n_y))
     return TransferOps(Pu, Py, Qy)
-
-
-def build_transfer(problem) -> TransferOps:
-    """Transfers for anything carrying n_elem, p, q (problem or dims record)."""
-    return transfer_ops(problem.n_elem, problem.p, problem.q)
 
 
 def full_prolongation(T: TransferOps) -> scipy.sparse.csr_matrix:

@@ -41,11 +41,9 @@ __all__ = [
     "GenerateConfig",
     "exact_solution",
     "phi_map",
-    "dphi_dy",
     "dg_residual",
     "dg_jacobians",
     "mesh_distortion",
-    "elasticity_D",
     "objective_and_gradient",
     "build_kkt",
     "tracked_state",
@@ -115,7 +113,6 @@ class ShockTrackProblem1d:
         n_elem: int = 8,
         p: int = 1,
         q: int = 1,
-        flux: str = "burgers",
         source_on: bool = True,
         bc_left: float = 0.4,
         bc_right: float = -0.6,
@@ -126,12 +123,9 @@ class ShockTrackProblem1d:
             raise ValueError("p must be nonnegative")
         if q not in (1, 2):
             raise ValueError("q must be 1 or 2")
-        if flux not in ("burgers", "linear"):
-            raise ValueError("flux must be 'burgers' or 'linear'")
         self.n_elem = n_elem
         self.p = p
         self.q = q
-        self.flux = flux
         self.source_on = source_on
         self.bc_left = bc_left
         self.bc_right = bc_right
@@ -162,12 +156,10 @@ class ShockTrackProblem1d:
         pb = self._basis[p]
         self._mass_p = pb.V.T @ (self.quad_wts[:, None] * pb.V)
 
-        self._dphidy = _selection_matrix(self.n_x)
-        self._elasticity = _assemble_elasticity(self)
-
-    @property
-    def p_enriched(self) -> int:
-        return self.p + 1
+        # dphi/dy and the elasticity stiffness, the factors dPhidy and D of
+        # every KKT system of this problem.
+        self.dPhidy = _selection_matrix(self.n_x)
+        self.D = _assemble_elasticity(self)
 
     @property
     def n_u(self) -> int:
@@ -195,21 +187,15 @@ class ShockTrackProblem1d:
     # Flux model -----------------------------------------------------------
 
     def flux_value(self, u):
-        if self.flux == "burgers":
-            return 0.5 * u * u
-        return np.asarray(u, dtype=float)
+        return 0.5 * u * u
 
     def flux_deriv(self, u):
-        if self.flux == "burgers":
-            return np.asarray(u, dtype=float)
-        return np.ones_like(np.asarray(u, dtype=float))
+        return np.asarray(u, dtype=float)
 
     def riemann(self, a, b):
         """Godunov flux between left state a and right state b."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        if self.flux == "linear":
-            return a.copy()
         fa = 0.5 * np.maximum(a, 0.0) ** 2
         fb = 0.5 * np.minimum(b, 0.0) ** 2
         return np.maximum(fa, fb)
@@ -218,8 +204,6 @@ class ShockTrackProblem1d:
         """Derivatives of the Godunov flux; the left branch wins ties."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        if self.flux == "linear":
-            return np.ones_like(a), np.zeros_like(b)
         fa = 0.5 * np.maximum(a, 0.0) ** 2
         fb = 0.5 * np.minimum(b, 0.0) ** 2
         take_a = fa >= fb
@@ -266,18 +250,10 @@ def _assemble_elasticity(problem: ShockTrackProblem1d) -> scipy.sparse.csr_matri
     return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(problem.n_x, problem.n_x)).tocsr()
 
 
-def elasticity_D(problem: ShockTrackProblem1d) -> scipy.sparse.csr_matrix:
-    return problem._elasticity
-
-
 def phi_map(problem: ShockTrackProblem1d, y: np.ndarray) -> np.ndarray:
     """Full mesh coefficients with the domain endpoints pinned at 0 and 1."""
     y = np.asarray(y, dtype=float)
     return np.concatenate([[0.0], y, [1.0]])
-
-
-def dphi_dy(problem: ShockTrackProblem1d) -> scipy.sparse.csr_matrix:
-    return problem._dphidy
 
 
 def _element_geometry(problem: ShockTrackProblem1d, x: np.ndarray):
@@ -404,7 +380,7 @@ def _gradient(problem: ShockTrackProblem1d, R, rmsh, dRdu, dRdx, dRmshdx, kappa:
     """Gradient of f = 1/2 ||R||^2 + kappa^2/2 ||R_msh||^2 with respect to (u, y)."""
     gu = dRdu.T @ R
     gx_full = dRdx.T @ R + kappa**2 * (dRmshdx.T @ rmsh)
-    return np.concatenate([gu, problem._dphidy.T @ gx_full])
+    return np.concatenate([gu, problem.dPhidy.T @ gx_full])
 
 
 def objective_and_gradient(problem: ShockTrackProblem1d, u, y, kappa: float):
@@ -462,8 +438,8 @@ def build_kkt(
         dRdx=dRdx,
         drdx=drdx,
         dRmshdx=dRmshdx,
-        dPhidy=problem._dphidy,
-        D=problem._elasticity,
+        dPhidy=problem.dPhidy,
+        D=problem.D,
         kappa=kappa,
         gamma=gamma,
     )

@@ -4,9 +4,11 @@ plain kernels that the operator, the dense LU, the factor builds, the Matrix
 Market reader and the reference assembly replaced.
 
 The exact, block Jacobi and point Jacobi approximations are rebuilt from the
-true dense Ju and Byy, so an oracle check compares each factor's solve against
-the matrices themselves. Only block ILU0 and point ILU0, whose factors discard
-fill, are recomposed from the factor entries as L U.
+true Ju and Byy (block Jacobi keeps the diagonal blocks of Ju's block size),
+so an oracle check compares each factor's solve against the matrices
+themselves. Only block ILU0 and point ILU0, whose factors discard fill, are
+recomposed from the factor entries as L U; point ILU0's values are read in
+the pattern of the Byy it factored.
 
 The replaced kernels (scipy's lu_factor / lu_solve wrappers, MDF weights
 recomputed from the blocks, the block and point IKJ loops with per-update
@@ -23,24 +25,28 @@ through their factors, and the dense KKT matrix of the earlier SQP step is
 built from dense products of the factors. They round differently from the
 assembled matrix, so tests compare them with it to a tolerance.
 
-Two references that no production path needs live here too: the normative
-convergence measure of a candidate GMRES solution, evaluated from scratch, and
+References that no production path needs live here too: the normative
+convergence measure of a candidate GMRES solution, evaluated from scratch;
 the generic constrained preconditioner [[G, Jt^T], [Jt, 0]] applied in dense
-product form.
+product form, with the SingularSchurComplement it raises; the checked dense
+LU of one block (dense_lu_factor) and the exact dense-inverse preconditioner
+built on it (lu_preconditioner); and the symbolic block sparsity accounting
+of acceptance criterion 7 (ata_pattern, count_block_sparsity).
 """
 
 import warnings
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from kktprecond.blocklinalg import dense_lu_factor, sparse_lu, stacked_diagonal
+from kktprecond.blocklinalg import BlockLuFactor, first_singular, getrf, sparse_lu, stacked_diagonal
 from kktprecond.conprec import PointIlu0Factor, PointJacobiFactor
 from kktprecond.dgprecond import BiluPrec, BlockJacobiPrec
-from kktprecond.errors import DimensionMismatch, ManifestError, SingularBlock, SingularSchurComplement, ZeroReference
-from kktprecond.krylov import EXACT_SOLUTION, PRECONDITIONED_RESIDUAL
+from kktprecond.errors import DimensionMismatch, KktPrecondError, ManifestError, SingularBlock, ZeroReference
+from kktprecond.krylov import EXACT_SOLUTION, PRECONDITIONED_RESIDUAL, Preconditioner
 from kktprecond.mmio import _BLOCK_TAG, _ENTRY, _VALUE, _parse, _parse_block_tag
 from kktprecond.pmultigrid import TransferOps, build_transfer, full_prolongation, full_restriction
 
@@ -78,54 +84,62 @@ def bilu_matrix(P: BiluPrec) -> np.ndarray:
     return out
 
 
-def point_ilu0_matrix(F: PointIlu0Factor) -> np.ndarray:
-    """The point ILU0 approximation L U."""
-    L = np.eye(F.n)
-    U = np.zeros((F.n, F.n))
-    for i in range(F.n):
-        for k in range(F.row_ptr[i], F.row_ptr[i + 1]):
-            j = F.col_idx[k]
+def point_ilu0_matrix(B, values: np.ndarray) -> np.ndarray:
+    """The point ILU0 approximation L U, given the canonical CSR matrix B that
+    was factored and the factor's values, stored in B's pattern."""
+    n = B.shape[0]
+    L = np.eye(n)
+    U = np.zeros((n, n))
+    for i in range(n):
+        for k in range(B.indptr[i], B.indptr[i + 1]):
+            j = B.indices[k]
             if j < i:
-                L[i, j] = F.values[k]
+                L[i, j] = values[k]
             else:
-                U[i, j] = F.values[k]
+                U[i, j] = values[k]
     return L @ U
 
 
-def ju_matrix(factor, Ju: np.ndarray) -> np.ndarray:
-    """Dense Ju~ of a factor, given the true dense Ju."""
+def _dense(M) -> np.ndarray:
+    return M.toarray() if scipy.sparse.issparse(M) else np.asarray(M, dtype=float)
+
+
+def ju_matrix(factor, Ju) -> np.ndarray:
+    """Dense Ju~ of a factor, given the true Ju: a BSR matrix, or a dense
+    one for factors other than block Jacobi."""
     if isinstance(factor, BiluPrec):
         return bilu_matrix(factor)
+    dense = _dense(Ju)
     if isinstance(factor, BlockJacobiPrec):
-        out = np.zeros_like(Ju)
-        off = np.concatenate([[0], np.cumsum(factor.block_sizes)])
-        for lo, hi in zip(off[:-1], off[1:]):
-            out[lo:hi, lo:hi] = Ju[lo:hi, lo:hi]
-        return out
-    return Ju
+        s = Ju.blocksize[0]
+        block = np.arange(dense.shape[0]) // s
+        return np.where(block[:, None] == block[None, :], dense, 0.0)
+    return dense
 
 
-def byy_matrix(factor, Byy: np.ndarray) -> np.ndarray:
-    """Dense Byy~ of a factor, given the true dense Byy."""
+def byy_matrix(factor, Byy) -> np.ndarray:
+    """Dense Byy~ of a factor, given the true Byy: the CSR matrix that was
+    factored, or a dense one for factors other than point ILU0."""
     if isinstance(factor, PointIlu0Factor):
-        return point_ilu0_matrix(factor)
+        return point_ilu0_matrix(Byy, factor.values)
+    dense = _dense(Byy)
     if isinstance(factor, PointJacobiFactor):
-        return np.diag(np.diag(Byy))
-    return Byy
+        return np.diag(np.diag(dense))
+    return dense
 
 
 def system_ju_byy(sys):
-    """The true dense Ju and Byy of a KKT system."""
-    return sys.factors.Ju.toarray(), sys.Byy.toarray()
+    """The true Ju (BSR) and Byy (CSR) of a KKT system."""
+    return sys.factors.Ju, sys.Byy
 
 
 def densify_at_matrix(P, Ju, Byy) -> np.ndarray:
     """Assembled dense anti-triangular matrix At (without any multigrid wrap),
-    given the true dense Ju and Byy."""
+    given the true Ju and Byy as ju_matrix and byy_matrix take them."""
     n_u, n_y = P.n_u, P.n_y
     dim = 2 * n_u + n_y
-    ju = ju_matrix(P.ju, np.asarray(Ju, dtype=float))
-    byy = byy_matrix(P.byy, np.asarray(Byy, dtype=float))
+    ju = ju_matrix(P.ju, Ju)
+    byy = byy_matrix(P.byy, Byy)
     jy = P.Jy.toarray()
     A = np.zeros((dim, dim))
     su = slice(0, n_u)
@@ -412,7 +426,7 @@ def five_step_apply(P, sys, v):
 
 
 def per_block_pivot_check(blocks, factors):
-    """Position of the first block that dense_lu_factor's per-block test
+    """Position of the first block that first_singular's per-block test
     rejects, or None."""
     for m, (block, lu) in enumerate(zip(blocks, factors)):
         if not block.size:
@@ -623,6 +637,10 @@ def evaluate_criterion(kind, A, M, b, s, s_ex=None) -> float:
     raise ValueError(f"unknown criterion {kind!r}")
 
 
+class SingularSchurComplement(KktPrecondError):
+    """The dense Schur complement in the generic constrained inverse is singular."""
+
+
 def generic_constrained_inverse(G: np.ndarray, Jt: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Apply the inverse of the generic constrained preconditioner [[G, Jt^T],[Jt, 0]].
 
@@ -651,3 +669,62 @@ def generic_constrained_inverse(G: np.ndarray, Jt: np.ndarray, v: np.ndarray) ->
     out2 = -s_lu.solve(t)
     out1 = ginv_v1 - g_lu.solve(Jt.T @ out2)
     return np.concatenate([out1, out2])
+
+
+# Dense LU and sparsity accounting -------------------------------------------
+
+
+def dense_lu_factor(block: np.ndarray) -> BlockLuFactor:
+    """Factor one dense block as PA = LU by LAPACK getrf, rejecting
+    near-singular blocks as first_singular does."""
+    block = np.asarray(block, dtype=float)
+    if block.ndim != 2 or block.shape[0] != block.shape[1]:
+        raise DimensionMismatch(f"LU needs a square block, got {block.shape}")
+    if not block.size:
+        return BlockLuFactor(np.empty_like(block), np.arange(0, dtype=np.int32))
+    lu = getrf(block)
+    bad = first_singular(block[None], [lu])
+    if bad:
+        raise SingularBlock(bad[1])
+    return lu
+
+
+def lu_preconditioner(M) -> Preconditioner:
+    """Exact inverse of a dense matrix via dense_lu_factor; a near-singular M
+    raises SingularBlock."""
+    lu = dense_lu_factor(M)
+    return Preconditioner(lu.lu_entries.shape[0], lu.solve)
+
+
+def ata_pattern(A) -> scipy.sparse.csr_matrix:
+    """Symbolic block pattern of A^T A for a BSR matrix A: a 0/1 CSR matrix
+    with one row and column per block column of A, indices sorted."""
+    shape = (A.shape[0] // A.blocksize[0], A.shape[1] // A.blocksize[1])
+    S = scipy.sparse.csr_matrix((np.ones(len(A.indices)), A.indices, A.indptr), shape=shape)
+    P = (S.T @ S).tocsr()
+    P.data[:] = 1.0
+    P.sort_indices()
+    return P
+
+
+@dataclass(frozen=True)
+class SparsityCounts:
+    m1: float
+    m2: float
+
+    @property
+    def ratio(self) -> float:
+        return self.m2 / self.m1
+
+
+def count_block_sparsity(Ju, Buu_pattern) -> SparsityCounts:
+    """Nonzero blocks per interior row of Ju and of the symbolic B_uu pattern.
+
+    Interior rows are those attaining the maximal block count of their
+    pattern, which excludes boundary rows on any connected mesh.
+    """
+    counts1 = np.diff(Ju.indptr)
+    counts2 = np.diff(Buu_pattern.indptr)
+    m1 = counts1[counts1 == counts1.max()].mean()
+    m2 = counts2[counts2 == counts2.max()].mean()
+    return SparsityCounts(float(m1), float(m2))

@@ -22,9 +22,9 @@ from kktprecond.conprec import (
     apply_at_inverse,
     build_at_preconditioner,
 )
-from kktprecond.kkt import KktOperator, ata_pattern, count_block_sparsity
+from kktprecond.kkt import KktOperator, SystemDims
 from kktprecond.krylov import DEFAULT_MAX_ITERS, DEFAULT_TOL, GmresConfig
-from kktprecond.pmultigrid import build_transfer, full_prolongation, full_restriction, transfer_ops
+from kktprecond.pmultigrid import build_transfer, full_prolongation, full_restriction
 from kktprecond.shocktrack import (
     ShockTrackProblem1d,
     SqpConfig,
@@ -38,7 +38,7 @@ from kktprecond.shocktrack import (
     run_sqp,
     tracked_state,
 )
-from oracles import bilu_matrix, dense_kkt, densify_at_matrix, system_ju_byy
+from oracles import ata_pattern, bilu_matrix, count_block_sparsity, dense_kkt, densify_at_matrix, system_ju_byy
 
 GAMMA_TREND_VARIANTS = ("BJ", "BILU", "BJ-ilu", "BILU-ilu")
 
@@ -296,7 +296,7 @@ def test_criterion_10_multigrid_contract(announce):
 
     exact_inverse = True
     for n_elem, p, q in [(8, 1, 1), (16, 2, 2), (8, 0, 1), (2, 1, 1), (5, 3, 2), (12, 2, 1)]:
-        T = transfer_ops(n_elem, p, q)
+        T = build_transfer(SystemDims(n_elem, p, q))
         if not np.array_equal((T.Qy @ T.Py).toarray(), np.eye(n_elem - 1)):
             exact_inverse = False
     table = "; ".join(f"{name}:{iters}" for name, (iters, _) in results.items())

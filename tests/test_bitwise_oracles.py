@@ -13,18 +13,19 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kktprecond.blocklinalg import dense_lu_factor, first_singular, getrf
+from kktprecond.blocklinalg import first_singular, getrf
 from kktprecond.conprec import CATALOG, build_at_preconditioner, point_ilu0_factor
 from kktprecond.dgprecond import _block_lu_triangles, bilu0_factor, mdf_order
 from kktprecond.errors import SingularBlock
-from kktprecond.kkt import KktOperator, assembled_kkt, reference_solution
+from kktprecond.kkt import KktOperator, SystemDims, reference_solution
 from kktprecond.manifest import export_system
 from kktprecond.mmio import read_matrix, read_vector, write_matrix
-from kktprecond.pmultigrid import assemble_coarse, build_transfer, full_prolongation, full_restriction, transfer_ops
+from kktprecond.pmultigrid import assemble_coarse, build_transfer, full_prolongation, full_restriction
 from kktprecond.stencil import generate_stencil_system
 from oracles import (
     bmat_kkt,
     coo_block_to_scipy,
+    dense_lu_factor,
     five_step_apply,
     ikj_bilu_blocks,
     ikj_point_ilu0_values,
@@ -329,7 +330,7 @@ def test_sparse_block_product_and_coarse_matrix_match_sliced_oracle(name, reques
 @pytest.mark.parametrize("n_elem", [1, 2, 3, 8, 64])
 @pytest.mark.parametrize("p, q", [(0, 1), (1, 1), (2, 2), (3, 1), (1, 3), (2, 4)])
 def test_transfers_match_looped_construction(n_elem, p, q):
-    T = transfer_ops(n_elem, p, q)
+    T = build_transfer(SystemDims(n_elem, p, q))
     want, P, Q = looped_transfers(n_elem, p, q)
     pairs = [(T.Pu, want.Pu), (T.Py, want.Py), (T.Qy, want.Qy), (full_prolongation(T), P), (full_restriction(T), Q)]
     assert all(_same_arrays(got, exp) for got, exp in pairs)
@@ -338,7 +339,7 @@ def test_transfers_match_looped_construction(n_elem, p, q):
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_reference_assembly_matches_bmat(name, request):
     sys = request.getfixturevalue(name)
-    A = assembled_kkt(sys)
+    A = sys.K.tocsc()
     assert isinstance(A, scipy.sparse.csc_matrix) and _same_arrays(A, bmat_kkt(sys))
     want = scipy.sparse.linalg.splu(bmat_kkt(sys)).solve(sys.rhs())
     assert np.array_equal(_bits(reference_solution(sys)), _bits(want))

@@ -5,11 +5,12 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from kktprecond.blocklinalg import canonical_bsr, dense_lu_factor, sparse_lu
+from kktprecond.blocklinalg import canonical_bsr, sparse_lu
 from kktprecond.errors import DimensionMismatch, PatternViolation, SingularBlock
 from kktprecond.kkt import KktOperator
 from kktprecond.pmultigrid import assemble_coarse, build_transfer
 from kktprecond.stencil import generate_stencil_system
+from oracles import dense_lu_factor
 
 
 def bsr(blocks, indices, indptr, n_block_cols):

@@ -7,11 +7,11 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kktprecond.blocklinalg import dense_lu_factor, permuted_lu
+from kktprecond.blocklinalg import permuted_lu
 from kktprecond.conprec import CATALOG, build_at_preconditioner, point_ilu0_factor
 from kktprecond.dgprecond import bilu0_factor, build_block_jacobi, mdf_order
 from kktprecond.errors import DimensionMismatch
-from oracles import bilu_matrix, ju_matrix, point_ilu0_matrix
+from oracles import bilu_matrix, dense_lu_factor, ju_matrix, point_ilu0_matrix
 
 
 @st.composite
@@ -43,11 +43,11 @@ def test_compiled_solves_match_dense_oracles(A, trans):
     dense = A.toarray()
     n = dense.shape[0]
     v = np.random.default_rng(n).standard_normal(n)
-    ilu = point_ilu0_factor(A.tocsr())
+    B = A.tocsr()
     factors = (
-        (build_block_jacobi(A), lambda F: ju_matrix(F, dense)),
+        (build_block_jacobi(A), lambda F: ju_matrix(F, A)),
         (bilu0_factor(A, mdf_order(A)), bilu_matrix),
-        (ilu, point_ilu0_matrix),
+        (point_ilu0_factor(B), lambda F: point_ilu0_matrix(B, F.values)),
     )
     for factor, oracle in factors:
         M = oracle(factor)

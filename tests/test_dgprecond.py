@@ -72,7 +72,8 @@ def test_block_jacobi_is_exact_inverse_of_block_diagonal():
     np.testing.assert_allclose(
         P.solve(v), np.linalg.solve(A.toarray(), v), rtol=1e-12
     )
-    op = LinearOperator.from_matrix(A.toarray())
+    dense = A.toarray()
+    op = LinearOperator(9, lambda w: dense @ w)
     M = Preconditioner(9, P.solve)
     rep = gmres_solve(op, v, M, GmresConfig(tol=1e-8))
     assert rep.converged and rep.iterations == 1

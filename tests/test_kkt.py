@@ -14,14 +14,12 @@ from kktprecond.kkt import (
     KktSystem,
     SystemDims,
     assemble_Byy,
-    ata_pattern,
-    count_block_sparsity,
     reference_solution,
 )
 from kktprecond.pmultigrid import build_transfer, full_prolongation
 from kktprecond.shocktrack import ShockTrackProblem1d, SqpConfig, build_kkt, dg_jacobians, run_sqp
 from kktprecond.stencil import generate_stencil_system
-from oracles import dense_kkt
+from oracles import ata_pattern, count_block_sparsity, dense_kkt
 
 
 def single_block(arr):

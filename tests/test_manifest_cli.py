@@ -401,15 +401,32 @@ def test_cli_generate_rejects_bad_weights_and_states_before_the_sqp_run(tmp_path
 
 
 def test_cli_generate_singular_step_exits_1(tmp_path, capsys):
-    """Without the source term the first step matrix is exactly singular: one
-    error line and exit 1, no ill-conditioning warning from a solve."""
+    """Without the source term the first step matrix is numerically singular
+    (its smallest pivot is about 1e-17 against max |K| = 1.28, and the third
+    step meets an exactly zero one): one error line and exit 1, no
+    ill-conditioning warning from a solve."""
     cfg = write_config(tmp_path, "n_elem = 8\nsource = no\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["generate", cfg, str(tmp_path / "out")]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: KKT matrix of dimension 39: Factor is exactly singular\n"
+    assert err == "error: KKT matrix of dimension 39: pivot below 1e-14 relative threshold (scale 1.28)\n"
+
+
+def test_cli_generate_near_singular_step_exits_1(tmp_path, capsys):
+    """With boundary values 0.5 / -0.5 and no source term, no step matrix has
+    an exactly zero pivot, so SuperLU alone runs every step silently; the
+    first has condition number about 6e16, and the relative pivot test stops
+    the run there."""
+    cfg = write_config(tmp_path, "n_elem = 8\nsource = no\nbc_left = 0.5\nbc_right = -0.5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["generate", cfg, str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: KKT matrix of dimension 39: pivot below 1e-14 relative threshold (scale 1.28)\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_generate_unavailable_state(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import count_iterations
 from kktprecond.errors import SingularCoarseMatrix
-from kktprecond.kkt import KktOperator
+from kktprecond.kkt import KktOperator, SystemDims
 from kktprecond.krylov import Preconditioner
 from kktprecond.pmultigrid import (
     assemble_coarse,
@@ -15,10 +15,9 @@ from kktprecond.pmultigrid import (
     full_prolongation,
     full_restriction,
     pmg_apply,
-    transfer_ops,
 )
 from kktprecond.shocktrack import ShockTrackProblem1d, SqpConfig, build_kkt, run_sqp, tracked_state
-from oracles import dense_kkt
+from oracles import dense_kkt, lu_preconditioner
 
 
 @pytest.fixture(scope="module")
@@ -31,38 +30,30 @@ def p0_sys():
 
 
 def test_pu_embeds_element_constants():
-    Pu = transfer_ops(2, 1, 1).Pu.toarray()
+    Pu = build_transfer(SystemDims(2, 1, 1)).Pu.toarray()
     np.testing.assert_array_equal(Pu, [[1, 0], [1, 0], [0, 1], [0, 1]])
 
 
 def test_py_linear_interpolation_single_interior_vertex():
-    Py = transfer_ops(2, 1, 2).Py.toarray()
+    Py = build_transfer(SystemDims(2, 1, 2)).Py.toarray()
     np.testing.assert_array_equal(Py, [[0.5], [1.0], [0.5]])
 
 
 def test_restriction_is_left_inverse_of_prolongation():
     for n_elem, p, q in [(2, 1, 1), (3, 1, 2), (4, 2, 2), (5, 3, 1), (8, 2, 3)]:
-        T = transfer_ops(n_elem, p, q)
+        T = build_transfer(SystemDims(n_elem, p, q))
         np.testing.assert_array_equal((T.Qy @ T.Py).toarray(), np.eye(n_elem - 1))
 
 
 def test_lowest_order_transfers_are_identities():
     for n_elem in (2, 5, 8):
-        T = transfer_ops(n_elem, 0, 1)
+        T = build_transfer(SystemDims(n_elem, 0, 1))
         np.testing.assert_array_equal(T.Pu.toarray(), np.eye(n_elem))
         np.testing.assert_array_equal(T.Py.toarray(), np.eye(n_elem - 1))
         np.testing.assert_array_equal(T.Qy.toarray(), np.eye(n_elem - 1))
         dim = 3 * n_elem - 1
         np.testing.assert_array_equal(full_prolongation(T).toarray(), np.eye(dim))
         np.testing.assert_array_equal(full_restriction(T).toarray(), np.eye(dim))
-
-
-def test_build_transfer_reads_discretization_record(sys16_k1):
-    T1 = build_transfer(sys16_k1.dims)
-    T2 = transfer_ops(16, 2, 2)
-    np.testing.assert_array_equal(T1.Pu.toarray(), T2.Pu.toarray())
-    np.testing.assert_array_equal(T1.Py.toarray(), T2.Py.toarray())
-    np.testing.assert_array_equal(T1.Qy.toarray(), T2.Qy.toarray())
 
 
 # Galerkin coarse matrix -----------------------------------------------------
@@ -87,7 +78,7 @@ def test_coarse_matches_dense_triple_product(sys16_k1):
 def test_zero_operator_gives_singular_coarse_matrix():
     op = types.SimpleNamespace(matvec=lambda v: np.zeros_like(v), matmat=lambda X: 0 * X)
     with pytest.raises(SingularCoarseMatrix):
-        assemble_coarse(op, transfer_ops(4, 1, 1))
+        assemble_coarse(op, build_transfer(SystemDims(4, 1, 1)))
 
 
 def test_p0_variants_converge_above_the_old_dense_coarse_cap():
@@ -110,7 +101,7 @@ def test_cycle_is_exact_when_coarse_space_is_full(p0_sys):
     coarse = assemble_coarse(op, T)
     rng = np.random.default_rng(30)
     b = rng.standard_normal(op.dimension)
-    s = pmg_apply(op, coarse, Preconditioner.identity(op.dimension), b)
+    s = pmg_apply(op, coarse, Preconditioner(op.dimension, np.copy), b)
     expect = np.linalg.solve(dense_kkt(p0_sys), b)
     np.testing.assert_allclose(s, expect, rtol=1e-8)
 
@@ -119,7 +110,7 @@ def test_cycle_maps_zero_to_zero(sys16_k1):
     op = KktOperator(sys16_k1)
     T = build_transfer(sys16_k1.dims)
     coarse = assemble_coarse(op, T)
-    out = pmg_apply(op, coarse, Preconditioner.identity(op.dimension), np.zeros(op.dimension))
+    out = pmg_apply(op, coarse, Preconditioner(op.dimension, np.copy), np.zeros(op.dimension))
     np.testing.assert_array_equal(out, np.zeros(op.dimension))
 
 
@@ -129,7 +120,7 @@ def test_cycle_composition_matches_hand_built_steps(sys8_k1):
     coarse = assemble_coarse(op, T)
     A = dense_kkt(sys8_k1)
     M = A + 3.0 * np.eye(op.dimension)
-    smoother = Preconditioner.from_matrix(M)
+    smoother = lu_preconditioner(M)
     P = full_prolongation(T).toarray()
     Q = full_restriction(T).toarray()
 
