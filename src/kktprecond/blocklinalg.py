@@ -1,4 +1,6 @@
-"""Dense-block kernels and the canonical forms of the sparse matrices.
+"""Dense-block kernels, the Factor type that every Ju~ / Byy~ approximation
+is (an exact sparse LU or a compiled permuted_lu), and the canonical forms of
+the sparse matrices.
 
 Matrices whose block structure the preconditioners use (the DG Jacobians Ju
 and dRdu) are scipy BSR matrices with one block row per element, kept
@@ -8,6 +10,7 @@ canonical by canonical_csr.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,11 +22,11 @@ from .errors import DimensionMismatch, PatternViolation, SingularBlock
 
 __all__ = [
     "BlockLuFactor",
+    "Factor",
     "check_trans",
     "checked_splu",
     "first_singular",
     "getrf",
-    "PermutedLu",
     "permuted_lu",
     "sparse_lu",
     "canonical_bsr",
@@ -88,41 +91,33 @@ def first_singular(blocks: np.ndarray, factors: list[BlockLuFactor]) -> tuple[in
     return int(bad[0]), f"pivot below 1e-14 relative threshold (scale {scale[bad[0]]:g})"
 
 
-@dataclass
-class PermutedLu:
-    """Factors of a square A with A[rows][:, cols] = L U, L unit lower and U
-    upper triangular in point order.
+@dataclass(frozen=True)
+class Factor:
+    """Solves with an approximation M of a square matrix of order n: apply(b)
+    returns M^-1 b and apply_T(b) returns M^-T b for a vector b of length n."""
 
-    L and U are each held as a SuperLU object of a natural-order
-    factorization that neither reorders nor pivots, so its solve is exactly
-    the triangular sweep: a solve is one gather, two compiled sweeps and one
-    scatter, and trans="T" is SuperLU's own transposed solve.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-    lower: scipy.sparse.linalg.SuperLU
-    upper: scipy.sparse.linalg.SuperLU
+    n: int
+    apply: Callable[[np.ndarray], np.ndarray]
+    apply_T: Callable[[np.ndarray], np.ndarray]
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
-        """Solve A x = b, or A^T x = b for trans="T" (SuperLU's convention)."""
-        b = np.asarray(b, dtype=float)
-        if b.shape != self.rows.shape:
-            raise DimensionMismatch(f"vector length {b.shape} incompatible with dimension {len(self.rows)}")
+        """Solve M x = b, or M^T x = b for trans="T" (SuperLU's convention)."""
         check_trans(trans)
-        x = np.empty_like(b)
-        if trans == "N":
-            x[self.cols] = self.upper.solve(self.lower.solve(b[self.rows]))
-        else:
-            x[self.rows] = self.lower.solve(self.upper.solve(b[self.cols], trans="T"), trans="T")
-        return x
+        b = np.asarray(b, dtype=float)
+        if b.shape != (self.n,):
+            raise DimensionMismatch(f"vector length {b.shape} incompatible with dimension {self.n}")
+        return (self.apply if trans == "N" else self.apply_T)(b)
 
 
-def permuted_lu(L, U, rows: np.ndarray, cols: np.ndarray) -> PermutedLu:
-    """Compile sparse triangular factors L (unit lower) and U (upper) of
-    A[rows][:, cols].
+def permuted_lu(L, U, rows: np.ndarray, cols: np.ndarray) -> Factor:
+    """Factor of a square A with A[rows][:, cols] = L U, given sparse L (unit
+    lower) and U (upper triangular) in point order.
 
-    Raises SingularBlock where SuperLU meets a zero on the diagonal, and
+    L and U are each compiled to a SuperLU object of a natural-order
+    factorization that neither reorders nor pivots, so its solve is exactly
+    the triangular sweep: a solve is one gather, two compiled sweeps and one
+    scatter, and trans="T" is SuperLU's own transposed solve. Raises
+    SingularBlock where SuperLU meets a zero on the diagonal, and
     RuntimeError if it reorders a column or picks an off-diagonal pivot,
     since its solve would then not be the sweep.
     """
@@ -137,7 +132,19 @@ def permuted_lu(L, U, rows: np.ndarray, cols: np.ndarray) -> PermutedLu:
             raise RuntimeError("SuperLU permuted a triangular factor")
         return lu
 
-    return PermutedLu(np.asarray(rows), np.asarray(cols), sweep(L), sweep(U))
+    lower, upper = sweep(L), sweep(U)
+
+    def apply(b: np.ndarray) -> np.ndarray:
+        x = np.empty_like(b)
+        x[cols] = upper.solve(lower.solve(b[rows]))
+        return x
+
+    def apply_T(b: np.ndarray) -> np.ndarray:
+        x = np.empty_like(b)
+        x[rows] = lower.solve(upper.solve(b[cols], trans="T"), trans="T")
+        return x
+
+    return Factor(len(rows), apply, apply_T)
 
 
 def checked_splu(A, error: type[Exception], context: str) -> scipy.sparse.linalg.SuperLU:
@@ -159,13 +166,11 @@ def checked_splu(A, error: type[Exception], context: str) -> scipy.sparse.linalg
     return lu
 
 
-def sparse_lu(A) -> PermutedLu:
-    """Exact sparse LU of a square matrix (checked_splu), compiled to a
-    PermutedLu; a singular A raises SingularBlock."""
+def sparse_lu(A) -> Factor:
+    """Exact sparse LU of a square matrix (checked_splu) as a Factor that
+    calls SuperLU's own solve; a singular A raises SingularBlock."""
     lu = checked_splu(A, SingularBlock, "sparse LU")
-    # SuperLU factors Pr A Pc = L U with (Pr A)[perm_r[i]] = A[i] and
-    # (A Pc)[:, perm_c[j]] = A[:, j], so rows and cols are their inverses.
-    return permuted_lu(lu.L, lu.U, np.argsort(lu.perm_r), np.argsort(lu.perm_c))
+    return Factor(lu.shape[0], lu.solve, lambda b: lu.solve(b, trans="T"))
 
 
 def canonical_bsr(M, name: str = "matrix") -> scipy.sparse.bsr_matrix:

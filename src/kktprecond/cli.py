@@ -44,12 +44,20 @@ def _csv_header(tol: float, max_iters: int) -> str:
     return f"# tol={tol:g} max_iters={max_iters}\n{CSV_COLUMNS}"
 
 
-def _solve_one(sys, precond_name: str, tol: float, max_iters: int):
+def _gmres_config(tol, max_iters) -> GmresConfig:
+    """The GMRES settings of a run; values GmresConfig rejects are a usage error."""
+    try:
+        return GmresConfig(tol=tol, max_iters=max_iters)
+    except ValueError as exc:
+        raise UsageError(f"invalid GMRES settings: {exc}")
+
+
+def _solve_one(sys, precond_name: str, gmres: GmresConfig):
     """Run one preconditioned solve; returns (iters, converged)."""
     prec = build_at_preconditioner(sys, precond_name)
     op = KktOperator(sys)
     rhs = sys.rhs()
-    cfg = GmresConfig(tol=tol, max_iters=max_iters, criterion=EXACT_SOLUTION, reference=reference_solution(sys))
+    cfg = replace(gmres, criterion=EXACT_SOLUTION, reference=reference_solution(sys))
     report = gmres_solve(op.as_linear_operator(), rhs, prec.as_preconditioner(), cfg)
     return report.iterations, report.converged
 
@@ -126,6 +134,16 @@ def _checked(cfg: GenerateConfig, states) -> GenerateConfig:
     return cfg
 
 
+def _sqp_states(cfg: GenerateConfig, problem, ks) -> list:
+    """The states of one SQP run of problem under cfg; a state in ks that the
+    run did not reach is a usage error."""
+    states = run_sqp(problem, SqpConfig(max_iters=cfg.max_iters, kappa=cfg.kappa, gamma=cfg.gamma))
+    for k in ks:
+        if not 0 <= k < len(states):
+            raise UsageError(f"state {k} not available: run produced states 0..{len(states) - 1}")
+    return states
+
+
 def cmd_generate(args) -> int:
     try:
         cfg = load_problem_config(args.config)
@@ -135,13 +153,8 @@ def cmd_generate(args) -> int:
         raise UsageError(str(exc))
     cfg = _checked(cfg, cfg.states)
     problem = _problem(cfg)
-    sqp = SqpConfig(max_iters=cfg.max_iters, kappa=cfg.kappa, gamma=cfg.gamma)
-    states = run_sqp(problem, sqp)
+    states = _sqp_states(cfg, problem, cfg.states)
     for k in cfg.states:
-        if not 0 <= k < len(states):
-            raise UsageError(
-                f"state {k} not available: run produced states 0..{len(states) - 1}"
-            )
         sys_k = build_kkt(problem, states[k], case=cfg.case_name)
         path = export_system(sys_k, args.outdir, prefix=f"state{k}_")
         print(path)
@@ -149,9 +162,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    gmres = _gmres_config(args.tol, args.max_iters)
     sys_loaded = import_system(args.manifest)
-    iters, converged = _solve_one(sys_loaded, args.precond, args.tol, args.max_iters)
-    print(_csv_header(args.tol, args.max_iters))
+    iters, converged = _solve_one(sys_loaded, args.precond, gmres)
+    print(_csv_header(gmres.tol, gmres.max_iters))
     print(_csv_row(sys_loaded, args.precond, iters, converged))
     return 0
 
@@ -176,22 +190,15 @@ def _sweep_systems(spec: dict):
     ks = [_integer(v, "state") for v in values] if axis == "state" else [state_index]
     base = _checked(base, ks)
 
-    def generate(cfg: GenerateConfig, problem, k: int):
-        sqp = SqpConfig(max_iters=cfg.max_iters, kappa=cfg.kappa, gamma=cfg.gamma)
-        states = run_sqp(problem, sqp)
-        if not 0 <= k < len(states):
-            raise UsageError(f"state {k} not available: run produced states 0..{len(states) - 1}")
-        return states
-
     if axis in ("kappa", "gamma"):
         scalars = [_weight(v, axis) for v in values]
         problem = _problem(base)
-        state = generate(base, problem, state_index)[state_index]
+        state = _sqp_states(base, problem, ks)[state_index]
         for i, val in enumerate(scalars):
             yield i, build_kkt(problem, state, case=base.case_name, **{axis: val})
     elif axis == "state":
         problem = _problem(base)
-        states = generate(base, problem, max(ks))
+        states = _sqp_states(base, problem, ks)
         for i, k in enumerate(ks):
             yield i, build_kkt(problem, states[k], case=base.case_name)
     else:
@@ -208,7 +215,7 @@ def _sweep_systems(spec: dict):
             cfgs.append(replace(base, **change))
         problems = [_problem(cfg) for cfg in cfgs]
         for i, (cfg, problem) in enumerate(zip(cfgs, problems)):
-            states = generate(cfg, problem, state_index)
+            states = _sqp_states(cfg, problem, ks)
             yield i, build_kkt(problem, states[state_index], case=cfg.case_name)
 
 
@@ -230,19 +237,19 @@ def cmd_sweep(args) -> int:
         if name not in CATALOG:
             raise UsageError(f"unknown preconditioner {name!r}; catalog: {', '.join(CATALOG)}")
     tol = _cast(float, spec.get("tol", DEFAULT_TOL), "tol")
-    max_iters = _integer(spec.get("max_iters", DEFAULT_MAX_ITERS), "max_iters")
+    gmres = _gmres_config(tol, _integer(spec.get("max_iters", DEFAULT_MAX_ITERS), "max_iters"))
 
     rows = []
     for value_pos, sys_i in _sweep_systems(spec):
         for precond_pos, name in enumerate(preconds):
             try:
-                iters, converged = _solve_one(sys_i, name, tol, max_iters)
+                iters, converged = _solve_one(sys_i, name, gmres)
             except KktPrecondError as exc:
                 print(f"error: {sys_i.case} {name}: {type(exc).__name__}: {exc}", file=sys.stderr)
-                iters, converged = max_iters, False
+                iters, converged = gmres.max_iters, False
             rows.append(((value_pos, precond_pos), _csv_row(sys_i, name, iters, converged)))
     rows.sort(key=lambda item: item[0])
-    print(_csv_header(tol, max_iters))
+    print(_csv_header(gmres.tol, gmres.max_iters))
     for _, row in rows:
         print(row)
     return 0

@@ -9,12 +9,12 @@ All eight catalog variants share the block anti-triangular layout
 whose inverse applies in five steps (three solves, two products). The Hessian
 approximation keeps only the mesh-mesh block; Ju~ is the exact Jacobian, its
 block diagonal, or its block ILU0 factorization, and Byy~ is exact, diagonal,
-or a point ILU0. Every approximation is a factor object with scipy's
+or a point ILU0. Every approximation is a blocklinalg.Factor, with scipy's
 SuperLU call, solve(rhs, trans="N"); trans="T" solves with the transpose.
-Block Jacobi is one product with the inverted diagonal blocks and point
-Jacobi one division; the others are compiled, when built, to a point row
-permutation and two natural-order SuperLU triangular factors
-(blocklinalg.PermutedLu).
+The exact LU is SuperLU's own solve, block Jacobi one product with the
+inverted diagonal blocks and point Jacobi one product with the reciprocal
+diagonal; the two ILU0s are compiled, when built, to a point row permutation
+and two natural-order SuperLU triangular factors (blocklinalg.permuted_lu).
 The *-p0 variants wrap the application in a two-level p-multigrid cycle with
 this preconditioner as the smoother.
 """
@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse
 
-from .blocklinalg import PermutedLu, check_trans, permuted_lu, sparse_lu
-from .dgprecond import BiluPrec, BlockJacobiPrec, bilu0_factor, build_block_jacobi, mdf_order
+from .blocklinalg import Factor, permuted_lu, sparse_lu
+from .dgprecond import bilu0_factor, build_block_jacobi, mdf_order
 from .errors import DimensionMismatch, PatternViolation, UnknownPreconditioner, ZeroPivot
 from .kkt import KktOperator, KktSystem
 from .krylov import Preconditioner
@@ -37,9 +37,8 @@ from .pmultigrid import CoarseSystem, assemble_coarse, build_transfer, pmg_apply
 
 __all__ = [
     "CATALOG",
-    "PointJacobiFactor",
-    "PointIlu0Factor",
     "point_jacobi",
+    "point_ilu0_values",
     "point_ilu0_factor",
     "AtPreconditioner",
     "build_at_preconditioner",
@@ -49,23 +48,8 @@ __all__ = [
 CATALOG = ("A0", "BJ", "BILU", "BJ-ilu", "BILU-ilu", "A0-p0", "BJ-p0", "BILU-p0")
 
 
-@dataclass
-class PointJacobiFactor:
-    """Reciprocal diagonal with a safeguard against (near-)zero entries."""
-
-    inv_diag: np.ndarray
-
-    def solve(self, v: np.ndarray, trans: str = "N") -> np.ndarray:
-        """Divide by the diagonal, which is its own transpose."""
-        check_trans(trans)
-        v = np.asarray(v, dtype=float)
-        if v.shape != self.inv_diag.shape:
-            raise DimensionMismatch(f"vector length {v.shape} incompatible with {len(self.inv_diag)}")
-        return self.inv_diag * v
-
-
-def point_jacobi(B: scipy.sparse.csr_matrix) -> PointJacobiFactor:
-    """diag(B) with entries below 1e-300 in magnitude replaced by 1."""
+def point_jacobi(B: scipy.sparse.csr_matrix) -> Factor:
+    """Division by diag(B), its entries below 1e-300 in magnitude replaced by 1."""
     if B.shape[0] != B.shape[1]:
         raise DimensionMismatch("point Jacobi needs a square matrix")
     diag = B.diagonal()
@@ -73,26 +57,15 @@ def point_jacobi(B: scipy.sparse.csr_matrix) -> PointJacobiFactor:
     if tiny.any():
         warnings.warn("point Jacobi: zero diagonal entries safeguarded to 1", RuntimeWarning)
         diag[tiny] = 1.0
-    return PointJacobiFactor(1.0 / diag)
+    scale = partial(np.multiply, 1.0 / diag)
+    return Factor(len(diag), scale, scale)
 
 
-@dataclass
-class PointIlu0Factor:
-    """Zero-fill scalar ILU in natural ordering, stored in one CSR array
-    (strict lower part of L, unit diagonal implied, and U), and compiled to
-    point triangular factors."""
-
-    values: np.ndarray
-    factors: PermutedLu
-
-    def solve(self, v: np.ndarray, trans: str = "N") -> np.ndarray:
-        """Forward then backward sweep, or the transposed sweeps for trans="T"."""
-        return self.factors.solve(v, trans)
-
-
-def point_ilu0_factor(B: scipy.sparse.csr_matrix) -> PointIlu0Factor:
-    """Scalar IKJ elimination restricted to the pattern of B (natural order);
-    B must be canonical CSR (sorted column indices, no repeated entries)."""
+def point_ilu0_values(B: scipy.sparse.csr_matrix) -> np.ndarray:
+    """Zero-fill scalar ILU of B in natural ordering, by IKJ elimination
+    restricted to its pattern: the strict lower part of L (unit diagonal
+    implied) and U, stored in B's pattern. B must be canonical CSR (sorted
+    column indices, no repeated entries)."""
     n = B.shape[0]
     if B.shape[1] != n:
         raise DimensionMismatch("point ILU0 needs a square matrix")
@@ -132,12 +105,16 @@ def point_ilu0_factor(B: scipy.sparse.csr_matrix) -> PointIlu0Factor:
             where[cols[t]] = -1
         if abs(vals[diag[i]]) < 1e-300:
             raise ZeroPivot(f"row {i}: zero pivot after elimination")
-    values = np.array(vals)
-    S = scipy.sparse.csr_matrix((values, col_idx, row_ptr), shape=(n, n))
-    natural = np.arange(n)
-    L = scipy.sparse.tril(S, -1) + scipy.sparse.identity(n)
-    factors = permuted_lu(L, scipy.sparse.triu(S), natural, natural)
-    return PointIlu0Factor(values, factors)
+    return np.array(vals)
+
+
+def point_ilu0_factor(B: scipy.sparse.csr_matrix) -> Factor:
+    """point_ilu0_values of B compiled to point triangular factors: a solve
+    is a forward then a backward sweep, or the transposed sweeps for trans="T"."""
+    S = scipy.sparse.csr_matrix((point_ilu0_values(B), B.indices, B.indptr), shape=B.shape)
+    natural = np.arange(B.shape[0])
+    L = scipy.sparse.tril(S, -1) + scipy.sparse.identity(B.shape[0])
+    return permuted_lu(L, scipy.sparse.triu(S), natural, natural)
 
 
 @dataclass
@@ -151,8 +128,8 @@ class AtPreconditioner:
     """Block anti-triangular constrained preconditioner (optionally p-multigrid wrapped)."""
 
     variant: str
-    ju: PermutedLu | BlockJacobiPrec | BiluPrec
-    byy: PermutedLu | PointJacobiFactor | PointIlu0Factor
+    ju: Factor
+    byy: Factor
     Jy: scipy.sparse.csr_matrix
     n_u: int
     n_y: int

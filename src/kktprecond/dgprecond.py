@@ -1,13 +1,13 @@
 """Block Jacobi and block ILU0 with minimum-discarded-fill ordering.
 
-Both preconditioners approximate a square block-sparse DG Jacobian. Block
-Jacobi keeps only the diagonal blocks, inverted when built, so a solve is one
-sparse product. Block ILU0 runs a block IKJ elimination restricted to the
-original sparsity pattern (fill positions are skipped), after a greedy
+Both approximate a square block-sparse DG Jacobian as a blocklinalg.Factor.
+Block Jacobi keeps only the diagonal blocks, inverted when built, so a solve
+is one sparse product. Block ILU0 runs a block IKJ elimination restricted to
+the original sparsity pattern (fill positions are skipped), after a greedy
 reordering of the block rows that at each step eliminates the row whose
-discarded fill has the smallest aggregate Frobenius norm; it compiles its
-factors to a point row permutation and two point triangular factors when
-built, so a solve is a pair of compiled sparse triangular sweeps.
+discarded fill has the smallest aggregate Frobenius norm (bilu0_blocks);
+bilu0_factor compiles those blocks to a point row permutation and two point
+triangular factors, so a solve is a pair of compiled triangular sweeps.
 """
 
 from __future__ import annotations
@@ -17,63 +17,22 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .blocklinalg import BlockLuFactor, PermutedLu, canonical_bsr, check_trans, first_singular, getrf, permuted_lu
+from .blocklinalg import BlockLuFactor, Factor, canonical_bsr, first_singular, getrf, permuted_lu
 from .errors import DimensionMismatch, SingularBlock, SingularPivotBlock
 
 __all__ = [
-    "BlockJacobiPrec",
     "MdfOrdering",
-    "BiluPrec",
     "build_block_jacobi",
     "mdf_order",
+    "bilu0_blocks",
     "bilu0_factor",
 ]
-
-
-@dataclass
-class BlockJacobiPrec:
-    """Inverses of the diagonal blocks as a block-diagonal CSR matrix, and
-    its transpose as a second CSR matrix."""
-
-    inverse: scipy.sparse.csr_matrix
-    inverse_T: scipy.sparse.csr_matrix
-
-    def solve(self, v: np.ndarray, trans: str = "N") -> np.ndarray:
-        """Solve with the block diagonal, or its transpose for trans="T"."""
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.inverse.shape[0],):
-            raise DimensionMismatch(f"vector length {v.shape} incompatible with dimension {self.inverse.shape[0]}")
-        check_trans(trans)
-        return (self.inverse if trans == "N" else self.inverse_T) @ v
 
 
 @dataclass
 class MdfOrdering:
     order: np.ndarray
     weights_at_selection: np.ndarray
-
-
-@dataclass
-class BiluPrec:
-    """Block ILU0 of the permuted matrix.
-
-    lu_blocks holds the block IKJ factors on the original pattern: strict
-    lower blocks of L (unit block diagonal implied) and upper blocks of U,
-    diagonal blocks included. factors is the same L U compiled to point
-    triangular factors."""
-
-    permutation: np.ndarray
-    lu_blocks: scipy.sparse.bsr_matrix
-    factors: PermutedLu
-
-    @property
-    def point_perm(self) -> np.ndarray:
-        """point_perm[r] is the original point index of row r of the permuted matrix."""
-        return self.factors.cols
-
-    def solve(self, w: np.ndarray, trans: str = "N") -> np.ndarray:
-        """Solve the factored approximation against w, or its transpose for trans="T"."""
-        return self.factors.solve(w, trans)
 
 
 def _nonzeros(vals: np.ndarray, I: np.ndarray, J: np.ndarray):
@@ -198,9 +157,9 @@ def _diag_lus(A) -> list[BlockLuFactor]:
     return factors
 
 
-def build_block_jacobi(A) -> BlockJacobiPrec:
+def build_block_jacobi(A) -> Factor:
     """Invert every diagonal block of the square BSR matrix A, after the
-    pivot check of their LU factors."""
+    pivot check of their LU factors; a solve is one sparse product."""
     A = _square_bsr(A)
     nb, s = len(_diag_lus(A)), A.blocksize[0]
     inv = np.linalg.inv(A.data[_diagonal_positions(A)[0]])
@@ -211,7 +170,7 @@ def build_block_jacobi(A) -> BlockJacobiPrec:
     def csr(blocks):
         return scipy.sparse.csr_matrix((blocks.ravel(), cols, indptr), shape=A.shape)
 
-    return BlockJacobiPrec(csr(inv), csr(inv.transpose(0, 2, 1)))
+    return Factor(A.shape[0], csr(inv).dot, csr(inv.transpose(0, 2, 1)).dot)
 
 
 def _adjacency(A):
@@ -311,14 +270,17 @@ def _permuted_copy(A, order: np.ndarray) -> scipy.sparse.bsr_matrix:
     return scipy.sparse.bsr_matrix((A.data[stored], new_cols[stored], indptr), shape=A.shape)
 
 
-def bilu0_factor(A, ordering: MdfOrdering) -> BiluPrec:
-    """Zero-fill block LU of the symmetrically permuted square BSR matrix.
+def bilu0_blocks(A, order: np.ndarray) -> tuple[scipy.sparse.bsr_matrix, list[BlockLuFactor]]:
+    """Zero-fill block LU of the square BSR matrix A with its block rows and
+    columns permuted by order: the factors on the permuted pattern (strict
+    lower blocks of L, whose diagonal blocks are identities, and the blocks
+    of U, diagonal included) and the LAPACK factors of U's diagonal blocks.
 
     Block IKJ elimination; updates touching positions outside the pattern are
     skipped, which is the only approximation.
     """
     A = _square_bsr(A)
-    order = np.asarray(ordering.order, dtype=int)
+    order = np.asarray(order, dtype=int)
     work = _permuted_copy(A, order)
     diag_pos, first_missing = _diagonal_positions(work)
     diag_pos = diag_pos.tolist()
@@ -350,7 +312,16 @@ def bilu0_factor(A, ordering: MdfOrdering) -> BiluPrec:
         raise SingularPivotBlock(f"step {bad[0]}: {bad[1]}")
     if first_missing < len(order):
         raise SingularPivotBlock(f"step {first_missing}: diagonal block missing from permuted pattern")
-    s = A.blocksize[0]
+    return work, diag_lu
+
+
+def bilu0_factor(A, ordering: MdfOrdering) -> Factor:
+    """bilu0_blocks of A in the ordering, compiled to a point row permutation
+    and two point triangular factors."""
+    order = np.asarray(ordering.order, dtype=int)
+    work, diag_lu = bilu0_blocks(A, order)
+    s = work.blocksize[0]
+    # point_perm[r] is the original point index of row r of the permuted matrix.
     point_perm = (order[:, None] * s + np.arange(s)).ravel()
     lower, upper, prow = _block_lu_triangles(work, diag_lu)
-    return BiluPrec(order, work, permuted_lu(lower, upper, point_perm[prow], point_perm))
+    return permuted_lu(lower, upper, point_perm[prow], point_perm)

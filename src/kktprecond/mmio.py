@@ -77,6 +77,12 @@ def _parse(path, lines: list[str], dtype: np.dtype, what: str) -> np.ndarray:
         raise ManifestError(f"{path}: malformed {what} ({exc})") from exc
 
 
+def _check_end(path, lines: list[str]) -> None:
+    """The lines after the declared records must all be blank."""
+    if any(line.strip() for line in lines):
+        raise ManifestError(f"{path}: a non-blank line follows the declared records")
+
+
 def _check_banner(path, lines: list[str], banner: str) -> None:
     """The first line must be banner (its words compared case-insensitively)."""
     if not lines or not lines[0].startswith("%%MatrixMarket"):
@@ -98,7 +104,8 @@ def read_matrix(path, shape=None):
     as a canonical BSR matrix if the file carries a block-sizes line. Of
     repeated (row, col) entries the last in the file wins. A size line other
     than the expected shape, if one is given, is rejected before anything is
-    allocated for it."""
+    allocated for it. A non-blank line after the declared entries is an
+    error."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     _check_banner(path, lines, _BANNER)
@@ -114,6 +121,7 @@ def read_matrix(path, shape=None):
     entries = _parse(path, lines[k + 1 : k + 1 + nnz], _ENTRY, "entry")
     if len(entries) != nnz:
         raise ManifestError(f"{path}: header declares {nnz} entries, file holds {len(entries)}")
+    _check_end(path, lines[k + 1 + nnz :])
     rows, cols, vals = entries["row"] - 1, entries["col"] - 1, entries["val"]
     if nnz and (rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols):
         raise ManifestError(f"{path}: entry outside the declared {n_rows} x {n_cols} shape")
@@ -157,7 +165,7 @@ def write_vector(path, v: np.ndarray) -> None:
 
 
 def read_vector(path) -> np.ndarray:
-    """Read an array real general file with one column."""
+    """Read an array real general file with one column, only blank lines after its values."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     _check_banner(path, lines, _BANNER_ARRAY)
@@ -168,4 +176,5 @@ def read_vector(path) -> np.ndarray:
     vals = _parse(path, lines[1 : 1 + n], _VALUE, "value")["val"]
     if len(vals) != n:
         raise ManifestError(f"{path}: expected {n} entries, found {len(vals)}")
+    _check_end(path, lines[1 + n :])
     return vals

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .blocklinalg import PermutedLu, sparse_lu, stacked_diagonal
+from .blocklinalg import Factor, sparse_lu, stacked_diagonal
 from .errors import SingularBlock, SingularCoarseMatrix
 from .krylov import Preconditioner
 
@@ -76,7 +76,7 @@ def full_restriction(T: TransferOps) -> scipy.sparse.csr_matrix:
 @dataclass
 class CoarseSystem:
     A0: scipy.sparse.csr_matrix
-    lu: PermutedLu
+    lu: Factor
     P: scipy.sparse.csr_matrix
     Q: scipy.sparse.csr_matrix
 

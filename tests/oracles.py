@@ -3,12 +3,16 @@ modified Gram-Schmidt GMRES loop that `krylov.gmres_solve` replaced, and the
 plain kernels that the operator, the dense LU, the factor builds, the Matrix
 Market reader and the reference assembly replaced.
 
-The exact, block Jacobi and point Jacobi approximations are rebuilt from the
-true Ju and Byy (block Jacobi keeps the diagonal blocks of Ju's block size),
-so an oracle check compares each factor's solve against the matrices
-themselves. Only block ILU0 and point ILU0, whose factors discard fill, are
-recomposed from the factor entries as L U; point ILU0's values are read in
-the pattern of the Byy it factored.
+Every factor is one blocklinalg.Factor, so the dense oracles dispatch on
+the Ju~ and Byy~ kinds that conprec._VARIANT_TABLE names for a variant, not
+on the factor. The exact, block Jacobi and point Jacobi approximations are
+rebuilt from the true Ju and Byy (block Jacobi keeps the diagonal blocks of
+Ju's block size), so an oracle check compares each factor's solve against
+the matrices themselves. Only block ILU0 and point ILU0, whose factors
+discard fill, are recomposed as L U from the entries the production
+functions compute: the blocks of dgprecond.bilu0_blocks in MDF order, and
+the values of conprec.point_ilu0_values, read in the pattern of the Byy
+they factor.
 
 The replaced kernels (scipy's lu_factor / lu_solve wrappers, MDF weights
 recomputed from the blocks, the block and point IKJ loops with per-update
@@ -43,8 +47,8 @@ import scipy.linalg
 import scipy.sparse
 
 from kktprecond.blocklinalg import BlockLuFactor, first_singular, getrf, sparse_lu, stacked_diagonal
-from kktprecond.conprec import PointIlu0Factor, PointJacobiFactor
-from kktprecond.dgprecond import BiluPrec, BlockJacobiPrec
+from kktprecond.conprec import _VARIANT_TABLE, point_ilu0_values
+from kktprecond.dgprecond import bilu0_blocks, mdf_order
 from kktprecond.errors import DimensionMismatch, KktPrecondError, ManifestError, SingularBlock, ZeroReference
 from kktprecond.krylov import EXACT_SOLUTION, PRECONDITIONED_RESIDUAL, Preconditioner
 from kktprecond.mmio import _BLOCK_TAG, _ENTRY, _VALUE, _parse, _parse_block_tag
@@ -61,10 +65,10 @@ def block_index(A, i, j):
     return None
 
 
-def bilu_factors(P: BiluPrec):
-    """Dense L and U of the block ILU0, in permuted order. The split is at the
-    block level: U owns the full diagonal blocks, L's diagonal is the identity."""
-    F = P.lu_blocks
+def bilu_factors(F):
+    """Dense L and U of the block ILU0 blocks F (bilu0_blocks), in permuted
+    order. The split is at the block level: U owns the full diagonal blocks,
+    L's diagonal is the identity."""
     s = F.blocksize[0]
     L = np.eye(F.shape[0])
     U = np.zeros(F.shape)
@@ -76,11 +80,15 @@ def bilu_factors(P: BiluPrec):
     return L, U
 
 
-def bilu_matrix(P: BiluPrec) -> np.ndarray:
-    """The block ILU0 approximation L U mapped back to the original ordering."""
-    L, U = bilu_factors(P)
+def bilu_matrix(A) -> np.ndarray:
+    """The block ILU0 approximation L U of the BSR matrix A in MDF order, as
+    the BILU variants build it, mapped back to the original ordering."""
+    order = mdf_order(A).order
+    L, U = bilu_factors(bilu0_blocks(A, order)[0])
+    s = A.blocksize[0]
+    point_perm = (order[:, None] * s + np.arange(s)).ravel()
     out = np.zeros_like(L)
-    out[np.ix_(P.point_perm, P.point_perm)] = L @ U
+    out[np.ix_(point_perm, point_perm)] = L @ U
     return out
 
 
@@ -104,26 +112,26 @@ def _dense(M) -> np.ndarray:
     return M.toarray() if scipy.sparse.issparse(M) else np.asarray(M, dtype=float)
 
 
-def ju_matrix(factor, Ju) -> np.ndarray:
-    """Dense Ju~ of a factor, given the true Ju: a BSR matrix, or a dense
-    one for factors other than block Jacobi."""
-    if isinstance(factor, BiluPrec):
-        return bilu_matrix(factor)
+def ju_matrix(kind, Ju) -> np.ndarray:
+    """Dense Ju~ of a Ju kind of conprec._VARIANT_TABLE, given the true Ju: a
+    BSR matrix, or a dense one for the exact kind."""
+    if kind == "bilu":
+        return bilu_matrix(Ju)
     dense = _dense(Ju)
-    if isinstance(factor, BlockJacobiPrec):
+    if kind == "block_jacobi":
         s = Ju.blocksize[0]
         block = np.arange(dense.shape[0]) // s
         return np.where(block[:, None] == block[None, :], dense, 0.0)
     return dense
 
 
-def byy_matrix(factor, Byy) -> np.ndarray:
-    """Dense Byy~ of a factor, given the true Byy: the CSR matrix that was
-    factored, or a dense one for factors other than point ILU0."""
-    if isinstance(factor, PointIlu0Factor):
-        return point_ilu0_matrix(Byy, factor.values)
+def byy_matrix(kind, Byy) -> np.ndarray:
+    """Dense Byy~ of a Byy kind of conprec._VARIANT_TABLE, given the true Byy:
+    the canonical CSR matrix for point ILU0, or a dense one for the others."""
+    if kind == "point_ilu0":
+        return point_ilu0_matrix(Byy, point_ilu0_values(Byy))
     dense = _dense(Byy)
-    if isinstance(factor, PointJacobiFactor):
+    if kind == "point_jacobi":
         return np.diag(np.diag(dense))
     return dense
 
@@ -134,12 +142,14 @@ def system_ju_byy(sys):
 
 
 def densify_at_matrix(P, Ju, Byy) -> np.ndarray:
-    """Assembled dense anti-triangular matrix At (without any multigrid wrap),
-    given the true Ju and Byy as ju_matrix and byy_matrix take them."""
+    """Assembled dense anti-triangular matrix At (without any multigrid wrap)
+    of the kinds of P.variant, given the true Ju and Byy as ju_matrix and
+    byy_matrix take them."""
     n_u, n_y = P.n_u, P.n_y
     dim = 2 * n_u + n_y
-    ju = ju_matrix(P.ju, Ju)
-    byy = byy_matrix(P.byy, Byy)
+    ju_kind, byy_kind, _ = _VARIANT_TABLE[P.variant]
+    ju = ju_matrix(ju_kind, Ju)
+    byy = byy_matrix(byy_kind, Byy)
     jy = P.Jy.toarray()
     A = np.zeros((dim, dim))
     su = slice(0, n_u)

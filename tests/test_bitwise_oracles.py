@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kktprecond.blocklinalg import first_singular, getrf
-from kktprecond.conprec import CATALOG, build_at_preconditioner, point_ilu0_factor
-from kktprecond.dgprecond import _block_lu_triangles, bilu0_factor, mdf_order
+from kktprecond.conprec import CATALOG, build_at_preconditioner, point_ilu0_values
+from kktprecond.dgprecond import _block_lu_triangles, bilu0_blocks, mdf_order
 from kktprecond.errors import SingularBlock
 from kktprecond.kkt import KktOperator, SystemDims, reference_solution
 from kktprecond.manifest import export_system
@@ -103,7 +103,7 @@ def test_mdf_order_matches_recomputed_weights_on_stencils(seed):
     order, weights = recomputing_mdf_order(A)
     assert np.array_equal(got.order, order)
     assert np.array_equal(got.weights_at_selection, weights)
-    blocks = bilu0_factor(A, got).lu_blocks.data
+    blocks = bilu0_blocks(A, got.order)[0].data
     assert all(np.array_equal(g, w) for g, w in zip(blocks, ikj_bilu_blocks(A, order), strict=True))
 
 
@@ -114,11 +114,11 @@ def test_block_and_point_ilu0_match_ikj_loops(A):
     order, weights = recomputing_mdf_order(A)
     assert np.array_equal(ordering.order, order)
     assert np.array_equal(ordering.weights_at_selection, weights)
-    got = bilu0_factor(A, ordering).lu_blocks.data
+    got = bilu0_blocks(A, ordering.order)[0].data
     want = ikj_bilu_blocks(A, order)
     assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
     B = A.tocsr()
-    assert np.array_equal(point_ilu0_factor(B).values, ikj_point_ilu0_values(B))
+    assert np.array_equal(point_ilu0_values(B), ikj_point_ilu0_values(B))
 
 
 @st.composite
@@ -161,9 +161,9 @@ def test_mdf_and_factor_builds_match_oracles_on_systems(name, request):
     order, weights = recomputing_mdf_order(Ju)
     assert np.array_equal(ordering.order, order)
     assert np.array_equal(ordering.weights_at_selection, weights)
-    got = bilu0_factor(Ju, ordering).lu_blocks.data
+    got = bilu0_blocks(Ju, ordering.order)[0].data
     assert all(np.array_equal(g, w) for g, w in zip(got, ikj_bilu_blocks(Ju, order), strict=True))
-    assert np.array_equal(point_ilu0_factor(sys.Byy).values, ikj_point_ilu0_values(sys.Byy))
+    assert np.array_equal(point_ilu0_values(sys.Byy), ikj_point_ilu0_values(sys.Byy))
 
 
 @pytest.mark.parametrize("name", ["sys8_k1", "sys16_k1"])
@@ -262,7 +262,7 @@ def test_block_lu_triangles_match_sparse_products(A):
     # Block sizes drawn per matrix, with row-swapping pivots: the block Jacobi
     # and the block ILU0 factors, and the first block row taken as L blocks.
     _assert_triangles_match(*_block_jacobi_input(A))
-    work = bilu0_factor(A, mdf_order(A)).lu_blocks
+    work, _ = bilu0_blocks(A, mdf_order(A).order)
     _assert_triangles_match(work, _diag_factors(work))
 
 
@@ -270,8 +270,8 @@ def test_block_lu_triangles_match_sparse_products(A):
 def test_block_lu_triangles_match_sparse_products_on_systems(name, request):
     Ju = request.getfixturevalue(name).factors.Ju
     _assert_triangles_match(*_block_jacobi_input(Ju))
-    P = bilu0_factor(Ju, mdf_order(Ju))
-    _assert_triangles_match(P.lu_blocks, _diag_factors(P.lu_blocks))
+    work, _ = bilu0_blocks(Ju, mdf_order(Ju).order)
+    _assert_triangles_match(work, _diag_factors(work))
 
 
 @st.composite

@@ -7,8 +7,8 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kktprecond.blocklinalg import permuted_lu
-from kktprecond.conprec import CATALOG, build_at_preconditioner, point_ilu0_factor
+from kktprecond.blocklinalg import Factor, permuted_lu
+from kktprecond.conprec import CATALOG, build_at_preconditioner, point_ilu0_factor, point_ilu0_values
 from kktprecond.dgprecond import bilu0_factor, build_block_jacobi, mdf_order
 from kktprecond.errors import DimensionMismatch
 from oracles import bilu_matrix, dense_lu_factor, ju_matrix, point_ilu0_matrix
@@ -45,12 +45,11 @@ def test_compiled_solves_match_dense_oracles(A, trans):
     v = np.random.default_rng(n).standard_normal(n)
     B = A.tocsr()
     factors = (
-        (build_block_jacobi(A), lambda F: ju_matrix(F, A)),
-        (bilu0_factor(A, mdf_order(A)), bilu_matrix),
-        (point_ilu0_factor(B), lambda F: point_ilu0_matrix(B, F.values)),
+        (build_block_jacobi(A), ju_matrix("block_jacobi", A)),
+        (bilu0_factor(A, mdf_order(A)), bilu_matrix(A)),
+        (point_ilu0_factor(B), point_ilu0_matrix(B, point_ilu0_values(B))),
     )
-    for factor, oracle in factors:
-        M = oracle(factor)
+    for factor, M in factors:
         expect = np.linalg.solve(M if trans == "N" else M.T, v)
         np.testing.assert_allclose(factor.solve(v, trans=trans), expect, rtol=1e-10)
 
@@ -86,28 +85,52 @@ def test_permuted_lu_rejects_a_factor_superlu_would_pivot():
         permuted_lu(swap, identity, np.arange(2), np.arange(2))
 
 
-FACTOR_TYPES = ("PermutedLu", "BlockJacobiPrec", "BiluPrec", "PointJacobiFactor", "PointIlu0Factor", "BlockLuFactor")
+# The solve-protocol factors: the dense block LU, and the Ju~ and Byy~ of
+# every catalog variant.
+FACTOR_CASES = [("BlockLuFactor", None, None)] + [
+    ("Factor", variant, part) for variant in CATALOG for part in ("ju", "byy")
+]
 
 
-def _factor_of_type(kind, sys):
+def _factor_of(kind, variant, part, sys):
     """A factor of one solve-protocol type built on sys, with its order."""
-    n_u, n_y = sys.factors.n_u, sys.factors.n_y
     if kind == "BlockLuFactor":
         return dense_lu_factor(np.array([[2.0, 1.0], [1.0, 3.0]])), 2
-    variant, part, n = {
-        "PermutedLu": ("A0", "ju", n_u),
-        "BlockJacobiPrec": ("BJ", "ju", n_u),
-        "BiluPrec": ("BILU", "ju", n_u),
-        "PointJacobiFactor": ("BJ", "byy", n_y),
-        "PointIlu0Factor": ("BJ-ilu", "byy", n_y),
-    }[kind]
-    return getattr(build_at_preconditioner(sys, variant), part), n
+    P = build_at_preconditioner(sys, variant)
+    return getattr(P, part), P.n_u if part == "ju" else P.n_y
 
 
-@pytest.mark.parametrize("kind", FACTOR_TYPES)
-def test_factor_solves_reject_unknown_trans(kind, sys8_k1):
-    factor, n = _factor_of_type(kind, sys8_k1)
+@pytest.mark.parametrize(
+    "kind, variant, part", FACTOR_CASES, ids=["-".join(filter(None, case)) for case in FACTOR_CASES]
+)
+def test_factor_solves_reject_unknown_trans(kind, variant, part, sys8_k1):
+    factor, n = _factor_of(kind, variant, part, sys8_k1)
     assert type(factor).__name__ == kind
     for bad in ("X", "t", "C", 1):
         with pytest.raises(ValueError, match=f"trans must be 'N' or 'T', got {bad!r}"):
             factor.solve(np.ones(n), trans=bad)
+
+
+# SuperLU factorizations per build: the exact LU is factored once and solved
+# with SuperLU's own solve, each ILU0 compiles two triangular factors, and
+# p-multigrid adds the coarse LU.
+SPLU_CALLS = {"A0": 2, "BJ": 0, "BILU": 2, "BJ-ilu": 2, "BILU-ilu": 4, "A0-p0": 3, "BJ-p0": 1, "BILU-p0": 3}
+
+
+def test_each_build_factors_as_often_as_its_parts_need(sys8_k1, monkeypatch):
+    calls = []
+    splu = scipy.sparse.linalg.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(args)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    counts = {}
+    for variant in CATALOG:
+        calls.clear()
+        P = build_at_preconditioner(sys8_k1, variant)
+        counts[variant] = len(calls)
+        coarse = [P.multigrid.coarse.lu] if P.multigrid else []
+        assert all(type(factor) is Factor for factor in [P.ju, P.byy, *coarse])
+    assert counts == SPLU_CALLS

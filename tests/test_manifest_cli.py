@@ -362,6 +362,16 @@ def test_cli_solve_singular_system_exits_1(sys8_k1, tmp_path, capsys, precond):
     assert "singular" in err
 
 
+@pytest.mark.parametrize("option, value", [("--tol", "0"), ("--tol", "nan"), ("--max-iters", "0")])
+def test_cli_solve_rejects_bad_gmres_settings_before_loading(exported8, capsys, monkeypatch, option, value):
+    loads = []
+    monkeypatch.setattr(kktprecond.cli, "import_system", loads.append)
+    assert main(["solve", exported8, "--precond", "A0", option, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: invalid GMRES settings") and err.count("\n") == 1
+    assert loads == []
+
+
 def test_cli_solve_missing_manifest(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "gone.json"), "--precond", "A0"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -542,6 +552,8 @@ def test_cli_sweep_rejects_bad_specs(tmp_path, capsys):
         {"axis": "degree", "values": [[1]], "preconditioners": ["A0"], "fixed": {"n_elem": 4}},
         {"axis": "state", "values": [-1], "preconditioners": ["A0"]},
         {"axis": "gamma", "values": [0.1], "preconditioners": ["A0"], "max_iters": 2.5},
+        {"axis": "gamma", "values": [0.1], "preconditioners": ["A0"], "fixed": {"n_elem": 4}, "tol": 0},
+        {"axis": "gamma", "values": [0.1], "preconditioners": ["A0"], "fixed": {"n_elem": 4}, "max_iters": 0},
     ],
     ids=[
         "fixed-string",
@@ -554,14 +566,17 @@ def test_cli_sweep_rejects_bad_specs(tmp_path, capsys):
         "degree-pair-too-short",
         "state-negative",
         "max-iters-fractional",
+        "tol-zero",
+        "max-iters-zero",
     ],
 )
-def test_cli_sweep_bad_values_exit_2(tmp_path, capsys, spec):
+def test_cli_sweep_bad_values_exit_2(tmp_path, capsys, sqp_calls, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert main(["sweep", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:")
+    assert sqp_calls == []
 
 
 @pytest.mark.parametrize(

@@ -187,6 +187,25 @@ def test_reader_rejects_truncated_entry_list(tmp_path):
         read_matrix(path)
 
 
+@pytest.mark.parametrize(
+    "reader, head, extra",
+    [
+        (read_matrix, "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n", "2 2 5.0\n"),
+        (read_vector, "%%MatrixMarket matrix array real general\n2 1\n1.0\n2.0\n", "3.0\n"),
+    ],
+    ids=["matrix", "vector"],
+)
+def test_reader_rejects_lines_past_the_declared_count(tmp_path, reader, head, extra):
+    # A size line that undercounts would otherwise load a different matrix;
+    # blank lines after the declared records are still accepted.
+    path = tmp_path / "x.mtx"
+    path.write_text(head + "\n  \n")
+    reader(path)
+    path.write_text(head + extra)
+    with pytest.raises(ManifestError, match="non-blank line follows"):
+        reader(path)
+
+
 def test_block_reader_rejects_inconsistent_block_sizes(tmp_path):
     path = tmp_path / "s.mtx"
     write_block_file(path, [(1, 1, 1.0)], rows="2")
