@@ -1,6 +1,6 @@
 """Dense-block kernels, the Factor type that every Ju~ / Byy~ approximation
-is (an exact sparse LU or a compiled permuted_lu), and the canonical forms of
-the sparse matrices.
+is (an exact sparse LU, or triangular sweeps compiled by triangular_sweep
+and permuted_lu), and the canonical forms of the sparse matrices.
 
 Matrices whose block structure the preconditioners use (the DG Jacobians Ju
 and dRdu) are scipy BSR matrices with one block row per element, kept
@@ -29,6 +29,7 @@ __all__ = [
     "getrf",
     "permuted_lu",
     "sparse_lu",
+    "triangular_sweep",
     "canonical_bsr",
     "canonical_csr",
     "stacked_diagonal",
@@ -109,30 +110,34 @@ class Factor:
         return (self.apply if trans == "N" else self.apply_T)(b)
 
 
+def triangular_sweep(T) -> scipy.sparse.linalg.SuperLU:
+    """A square triangular sparse T compiled to a SuperLU object of a
+    natural-order factorization that neither reorders nor pivots, so its
+    solve is exactly the triangular sweep, and trans="T" the transposed one.
+
+    Raises SingularBlock where SuperLU meets a zero on the diagonal, and
+    RuntimeError if it reorders a column or picks an off-diagonal pivot,
+    since its solve would then not be the sweep.
+    """
+    try:
+        lu = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(T), permc_spec="NATURAL", diag_pivot_thresh=0.0)
+    except RuntimeError as exc:
+        raise SingularBlock(f"triangular factor: {exc}") from exc
+    identity = np.arange(T.shape[0])
+    if not (np.array_equal(lu.perm_r, identity) and np.array_equal(lu.perm_c, identity)):
+        raise RuntimeError("SuperLU permuted a triangular factor")
+    return lu
+
+
 def permuted_lu(L, U, rows: np.ndarray, cols: np.ndarray) -> Factor:
     """Factor of a square A with A[rows][:, cols] = L U, given sparse L (unit
     lower) and U (upper triangular) in point order.
 
-    L and U are each compiled to a SuperLU object of a natural-order
-    factorization that neither reorders nor pivots, so its solve is exactly
-    the triangular sweep: a solve is one gather, two compiled sweeps and one
-    scatter, and trans="T" is SuperLU's own transposed solve. Raises
-    SingularBlock where SuperLU meets a zero on the diagonal, and
-    RuntimeError if it reorders a column or picks an off-diagonal pivot,
-    since its solve would then not be the sweep.
+    L and U are each compiled by triangular_sweep: a solve is one gather,
+    two compiled sweeps and one scatter, and trans="T" is SuperLU's own
+    transposed solve.
     """
-    identity = np.arange(len(rows))
-
-    def sweep(T) -> scipy.sparse.linalg.SuperLU:
-        try:
-            lu = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(T), permc_spec="NATURAL", diag_pivot_thresh=0.0)
-        except RuntimeError as exc:
-            raise SingularBlock(f"triangular factor: {exc}") from exc
-        if not (np.array_equal(lu.perm_r, identity) and np.array_equal(lu.perm_c, identity)):
-            raise RuntimeError("SuperLU permuted a triangular factor")
-        return lu
-
-    lower, upper = sweep(L), sweep(U)
+    lower, upper = triangular_sweep(L), triangular_sweep(U)
 
     def apply(b: np.ndarray) -> np.ndarray:
         x = np.empty_like(b)

@@ -13,8 +13,10 @@ or a point ILU0. Every approximation is a blocklinalg.Factor, with scipy's
 SuperLU call, solve(rhs, trans="N"); trans="T" solves with the transpose.
 The exact LU is SuperLU's own solve, block Jacobi one product with the
 inverted diagonal blocks and point Jacobi one product with the reciprocal
-diagonal; the two ILU0s are compiled, when built, to a point row permutation
-and two natural-order SuperLU triangular factors (blocklinalg.permuted_lu).
+diagonal. Block ILU0 is compiled, when built, to a point row permutation
+and two natural-order SuperLU triangular factors (blocklinalg.permuted_lu),
+point ILU0 to its two natural-order sweeps alone
+(blocklinalg.triangular_sweep).
 The *-p0 variants wrap the application in a two-level p-multigrid cycle with
 this preconditioner as the smoother.
 """
@@ -28,7 +30,7 @@ from functools import cached_property, partial
 import numpy as np
 import scipy.sparse
 
-from .blocklinalg import Factor, permuted_lu, sparse_lu
+from .blocklinalg import Factor, sparse_lu, triangular_sweep
 from .dgprecond import bilu0_factor, build_block_jacobi, mdf_order
 from .errors import DimensionMismatch, PatternViolation, UnknownPreconditioner, ZeroPivot
 from .kkt import KktOperator, KktSystem
@@ -109,12 +111,17 @@ def point_ilu0_values(B: scipy.sparse.csr_matrix) -> np.ndarray:
 
 
 def point_ilu0_factor(B: scipy.sparse.csr_matrix) -> Factor:
-    """point_ilu0_values of B compiled to point triangular factors: a solve
-    is a forward then a backward sweep, or the transposed sweeps for trans="T"."""
+    """point_ilu0_values of B compiled to its two natural-order triangular
+    sweeps (blocklinalg.triangular_sweep): a solve is a forward then a
+    backward sweep, or the transposed sweeps for trans="T"."""
     S = scipy.sparse.csr_matrix((point_ilu0_values(B), B.indices, B.indptr), shape=B.shape)
-    natural = np.arange(B.shape[0])
-    L = scipy.sparse.tril(S, -1) + scipy.sparse.identity(B.shape[0])
-    return permuted_lu(L, scipy.sparse.triu(S), natural, natural)
+    lower = triangular_sweep(scipy.sparse.tril(S, -1) + scipy.sparse.identity(B.shape[0]))
+    upper = triangular_sweep(scipy.sparse.triu(S))
+    return Factor(
+        B.shape[0],
+        lambda b: upper.solve(lower.solve(b)),
+        lambda b: lower.solve(upper.solve(b, trans="T"), trans="T"),
+    )
 
 
 @dataclass

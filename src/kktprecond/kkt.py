@@ -20,8 +20,9 @@ other factor, B_yy and J_y are scipy CSR.
 Each system assembles the whole matrix K once, as canonical CSR, on first
 use, and caches it. Every consumer reads that one matrix: the GMRES operator
 is the product K v, the p-multigrid coarse matrix is Q K P, and one sparse
-direct solve of K (reference_solution) is both the SQP step and the
-reference solution that GMRES is measured against.
+direct solve of K (reference_solution) is the reference solution that GMRES
+is measured against. The SQP step (shocktrack.assemble_step) sums the same
+K, bit for bit, from the element blocks, without a system.
 """
 
 from __future__ import annotations

@@ -19,19 +19,24 @@ weight g = dG/dX and the node positions themselves. The enriched residual
 
 and the SQP driver solves the saddle-point step system by one sparse direct
 (SuperLU) factorization, recording every linearization state for the
-benchmark harness.
+benchmark harness. Each step sums its matrix K and gradient g from the
+element blocks into a pattern built once per problem (assemble_step), bit
+for bit the K and g of build_kkt, which systems for export still use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .errors import InvertedElement, LineSearchFailure, SizeCapExceeded
-from .kkt import KktFactors, KktSystem, SystemDims, assemble_Byy, reference_solution
+from .blocklinalg import checked_splu
+from .errors import InvertedElement, LineSearchFailure, SingularSystem, SizeCapExceeded
+from .kkt import KktFactors, KktSystem, SystemDims, assemble_Byy
 
 __all__ = [
     "SHOCK_POSITION",
@@ -49,6 +54,9 @@ __all__ = [
     "tracked_state",
     "initial_state",
     "STEP_CAP",
+    "StepSystem",
+    "assemble_step",
+    "SqpStep",
     "sqp_step",
     "run_sqp",
     "load_problem_config",
@@ -183,6 +191,12 @@ class ShockTrackProblem1d:
 
     def basis(self, degree: int) -> _Basis:
         return self._basis[degree]
+
+    @cached_property
+    def step_pattern(self) -> _StepPattern:
+        """The pattern and term tables of every SQP step system, built on the
+        first step."""
+        return _StepPattern(self)
 
     # Flux model -----------------------------------------------------------
 
@@ -362,18 +376,26 @@ def dg_jacobians(problem: ShockTrackProblem1d, u, x):
     return Ju, dRdu, dRdx, drdx
 
 
+def _distortion(problem: ShockTrackProblem1d, gx: np.ndarray):
+    """Per-element distortion h/h0 + h0/h - 2 and the element sizes h."""
+    h = (problem.quad_wts * np.abs(gx)).sum(axis=1)
+    h0 = problem.h0
+    return h / h0 + h0 / h - 2.0, h
+
+
+def _distortion_derivs(problem: ShockTrackProblem1d, gx: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """d rmsh_e / d x at the element's mesh nodes elem_x[e], shape (n_elem, q+1)."""
+    h0 = problem.h0
+    drmsh_dh = 1.0 / h0 - h0 / h**2
+    dh_dx = np.einsum("g,eg,gl->el", problem.quad_wts, np.sign(gx), problem.basis(problem.q).D)
+    return drmsh_dh[:, None] * dh_dx
+
+
 def mesh_distortion(problem: ShockTrackProblem1d, x):
     """Per-element distortion h/h0 + h0/h - 2 and its mesh Jacobian."""
-    x = np.asarray(x, dtype=float)
-    xe, gx = _element_geometry(problem, x)
-    w = problem.quad_wts
-    qb = problem.basis(problem.q)
-    h = (w * np.abs(gx)).sum(axis=1)
-    h0 = problem.h0
-    rmsh = h / h0 + h0 / h - 2.0
-    drmsh_dh = 1.0 / h0 - h0 / h**2
-    dh_dx = np.einsum("g,eg,gl->el", w, np.sign(gx), qb.D)
-    return rmsh, _mesh_column_csr(problem, (drmsh_dh[:, None] * dh_dx)[:, None, :])
+    _, gx = _element_geometry(problem, np.asarray(x, dtype=float))
+    rmsh, h = _distortion(problem, gx)
+    return rmsh, _mesh_column_csr(problem, _distortion_derivs(problem, gx, h)[:, None, :])
 
 
 def _gradient(problem: ShockTrackProblem1d, R, rmsh, dRdu, dRdx, dRmshdx, kappa: float) -> np.ndarray:
@@ -383,14 +405,18 @@ def _gradient(problem: ShockTrackProblem1d, R, rmsh, dRdu, dRdx, dRmshdx, kappa:
     return np.concatenate([gu, problem.dPhidy.T @ gx_full])
 
 
+def _objective(R: np.ndarray, rmsh: np.ndarray, kappa: float) -> float:
+    """f = 1/2 ||R||^2 + kappa^2/2 ||R_msh||^2."""
+    return 0.5 * (R @ R) + kappa**2 * 0.5 * (rmsh @ rmsh)
+
+
 def objective_and_gradient(problem: ShockTrackProblem1d, u, y, kappa: float):
     """Tracking objective and its gradient with respect to (u, y)."""
     x = phi_map(problem, y)
     R = dg_residual(problem, u, x, problem.p + 1)
     rmsh, dRmshdx = mesh_distortion(problem, x)
     _, dRdu, dRdx, _ = dg_jacobians(problem, u, x)
-    f = 0.5 * (R @ R) + kappa**2 * 0.5 * (rmsh @ rmsh)
-    return f, _gradient(problem, R, rmsh, dRdu, dRdx, dRmshdx, kappa)
+    return _objective(R, rmsh, kappa), _gradient(problem, R, rmsh, dRdu, dRdx, dRmshdx, kappa)
 
 
 @dataclass(frozen=True)
@@ -513,27 +539,185 @@ def initial_state(problem: ShockTrackProblem1d, kappa: float = 1e-7, gamma: floa
     )
 
 
-def sqp_step(problem: ShockTrackProblem1d, state: DgState):
-    """(dz, eta) from one SuperLU solve of the step system's assembled K
-    (kkt.reference_solution), and the system's gradient g; SingularSystem if K
-    is singular, SizeCapExceeded before K is built if it exceeds STEP_CAP."""
+def _row_sum_terms(cols: np.ndarray, n_rows: int, nz: int):
+    """Pairs (I, J) and the term positions of the sums S_IJ = sum_r A[r, I] A[r, J].
+
+    A's rows come in groups of n_rows, one per element; cols[e, c] is the
+    global column of local column c in group e, or -1 for none. The pairs
+    are every I <= J < nz, and every (I, nz), that share a group, sorted by
+    (I, J). terms[t, k] is the position of term t of pair k in the flat
+    outer-product array of _row_sums: shared groups in ascending order, then
+    the rows of each, so ascending global row r; a pair with fewer shared
+    groups is padded by the zero group that _row_sums appends.
+    """
+    n_groups, width = cols.shape
+    ok = (cols[:, :, None] >= 0) & (cols[:, :, None] <= cols[:, None, :]) & (cols[:, :, None] < nz)
+    g, c1, c2 = np.nonzero(ok)
+    I, J = cols[g, c1], cols[g, c2]
+    order = np.lexsort((g, J, I))
+    I, J, g, c1, c2 = I[order], J[order], g[order], c1[order], c2[order]
+    new = np.ones(len(I), dtype=bool)
+    new[1:] = (I[1:] != I[:-1]) | (J[1:] != J[:-1])
+    first = np.flatnonzero(new)
+    pair = np.cumsum(new) - 1
+    slot = np.arange(len(I)) - first[pair]
+    n_slots = int(slot.max(initial=-1)) + 1
+    base = np.full((n_slots, len(first)), n_groups * n_rows * width * width)
+    base[slot, pair] = (g * n_rows * width + c1) * width + c2
+    terms = base[:, None, :] + (np.arange(n_rows) * width * width)[:, None]
+    return I[first], J[first], terms.reshape(n_slots * n_rows, len(first))
+
+
+def _row_sums(A: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Each sum of products that a column of terms (_row_sum_terms) names,
+    over A of shape (groups, rows, width): one multiply and one add per
+    term, from 0.0 in term order, as scipy's sparse products sum them."""
+    A = np.concatenate([A, np.zeros((1,) + A.shape[1:])])
+    outer = (A[:, :, :, None] * A[:, :, None, :]).ravel()
+    acc = np.zeros(terms.shape[1])
+    for t in outer.take(terms):
+        acc += t
+    return acc
+
+
+class _StepPattern:
+    """What every step system of one problem shares: the term tables of its
+    products and K's candidate entries, sorted by (row, column).
+
+    Unknowns are numbered as in K: u, then the interior mesh nodes y, then
+    lambda from nz = N_u + N_y. A row of the enriched residual R in element
+    e holds the unknowns of elements e-1, e and e+1, the element's interior
+    mesh nodes and, as column nz, R itself; a row of the mesh distortion
+    holds the mesh nodes and rmsh. So one table gives B_uu, B_uy, the
+    dRdx^T dRdx part of Byy and the gradient sums, and the other the
+    dRmshdx^T dRmshdx part of Byy and of the gradient.
+    """
+
+    def __init__(self, problem: ShockTrackProblem1d):
+        n, n_p, q = problem.n_elem, problem.p + 1, problem.q
+        n_u, n_y = problem.n_u, problem.n_y
+        nz = n_u + n_y
+        self.dim = nz + n_u
+
+        nbr = np.arange(n)[:, None] + np.arange(-1, 2)
+        u_cols = np.where(((nbr >= 0) & (nbr < n))[:, :, None], nbr[:, :, None] * n_p + np.arange(n_p), -1)
+        nodes = problem.elem_x
+        interior = (nodes > 0) & (nodes < problem.n_x - 1)
+        y_cols = np.where(interior, n_u + nodes - 1, -1)
+        r_col = np.full((n, 1), nz)
+        I, J, self.r_terms = _row_sum_terms(np.hstack([u_cols.reshape(n, -1), y_cols, r_col]), n_p + 1, nz)
+        I_m, J_m, self.m_terms = _row_sum_terms(np.hstack([y_cols, r_col]), 1, nz)
+        # The mesh pairs are the R pairs with I in y, in the same order.
+        self.mesh_pairs = np.searchsorted(I * (nz + 1) + J, I_m * (nz + 1) + J_m)
+        self.yy = yy = J_m < nz
+        self.byy_pairs = self.mesh_pairs[yy]
+        self.D_yy = np.asarray(problem.D[I_m[yy] - n_u + 1, J_m[yy] - n_u + 1]).ravel()
+        self.gu_pairs = np.flatnonzero((J == nz) & (I < n_u))
+
+        # Candidate entries: each (u, y) pair and its mirror, then Ju, Ju^T,
+        # Jy and Jy^T from the element blocks of the p residual.
+        n_r = len(I)
+        sym = np.flatnonzero(J < nz)
+        mirror = sym[I[sym] != J[sym]]
+        b, k, i, a = np.indices((n, 3, n_p, n_p)).reshape(4, -1)
+        ju = np.flatnonzero((b - 1 + k >= 0) & (b - 1 + k < n))
+        lam_ju, u_ju = nz + b[ju] * n_p + i[ju], (b[ju] - 1 + k[ju]) * n_p + a[ju]
+        b, i, l = np.indices((n, n_p, q + 1)).reshape(3, -1)
+        jy = np.flatnonzero(interior[b, l])
+        lam_jy, y_jy = nz + b[jy] * n_p + i[jy], n_u + q * b[jy] + l[jy] - 1
+        n_ju = n * 3 * n_p * n_p
+        rows = np.concatenate([I[sym], J[mirror], lam_ju, u_ju, lam_jy, y_jy])
+        cols = np.concatenate([J[sym], I[mirror], u_ju, lam_ju, y_jy, lam_jy])
+        src = np.concatenate([sym, mirror, n_r + ju, n_r + ju, n_r + n_ju + jy, n_r + n_ju + jy])
+        always = np.repeat([False, True, False], [len(sym) + len(mirror), 2 * len(ju), 2 * len(jy)])
+        order = np.argsort(rows * self.dim + cols)
+        self.cols = cols[order].astype(np.int32)
+        self.src = src[order]
+        self.always = always[order]
+        self.indptr = np.searchsorted(rows[order], np.arange(self.dim + 1))
+
+
+@dataclass(frozen=True)
+class StepSystem:
+    """The SQP step system at one state, K as CSC arrays (K is exactly
+    symmetric, so they are also its CSR arrays), and the residuals the line
+    search reads."""
+
+    K: scipy.sparse.csc_matrix
+    g: np.ndarray
+    r: np.ndarray
+    R: np.ndarray
+    rmsh: np.ndarray
+
+
+def assemble_step(problem: ShockTrackProblem1d, state: DgState) -> StepSystem:
+    """build_kkt(problem, state)'s K, g and r, bit for bit, from the element
+    blocks of both residuals and of the mesh distortion.
+
+    Every product entry is summed as scipy sums it (_row_sums), Byy is
+    (dRdx terms + kappa^2 dRmshdx terms) + gamma D, exact zeros are
+    dropped from every product and sum block, and Ju and Ju^T keep their
+    stored zeros.
+    """
+    pat = problem.step_pattern
+    n, n_t = problem.n_elem, problem.p + 2
+    x = phi_map(problem, state.y)
+    r = dg_residual(problem, state.u, x, problem.p)
+    R = dg_residual(problem, state.u, x, problem.p + 1)
+    _, gx = _element_geometry(problem, x)
+    ue = state.u[problem.elem_u]
+    diag, sub, sup, dx = _jacobian_for_degree(problem, ue, gx, problem.p)
+    diag_t, sub_t, sup_t, dx_t = _jacobian_for_degree(problem, ue, gx, problem.p + 1)
+    rmsh, h = _distortion(problem, gx)
+    drmsh = _distortion_derivs(problem, gx, h)
+
+    sums = _row_sums(np.concatenate([sub_t, diag_t, sup_t, dx_t, R.reshape(n, n_t, 1)], axis=2), pat.r_terms)
+    mesh = _row_sums(np.concatenate([drmsh, rmsh[:, None]], axis=1)[:, None, :], pat.m_terms)
+    mesh = sums[pat.mesh_pairs] + state.kappa**2 * mesh
+    sums[pat.byy_pairs] = mesh[pat.yy] + state.gamma * pat.D_yy
+    g = np.concatenate([sums[pat.gu_pairs], 0.0 + mesh[~pat.yy]])
+
+    vals = np.concatenate([sums, np.stack([sub, diag, sup], axis=1).ravel(), dx.ravel()])[pat.src]
+    kept = np.flatnonzero(pat.always | (vals != 0.0))
+    indptr = np.searchsorted(kept, pat.indptr).astype(np.int32)
+    K = scipy.sparse.csc_matrix((vals[kept], pat.cols[kept], indptr), shape=(pat.dim, pat.dim))
+    return StepSystem(K, g, r, R, rmsh)
+
+
+class SqpStep(NamedTuple):
+    """One SQP step (dz, eta) and the state's gradient g and residuals R,
+    rmsh and r, from which run_sqp takes the line search's start."""
+
+    dz: np.ndarray
+    eta: np.ndarray
+    g: np.ndarray
+    R: np.ndarray
+    rmsh: np.ndarray
+    r: np.ndarray
+
+
+def sqp_step(problem: ShockTrackProblem1d, state: DgState) -> SqpStep:
+    """(dz, eta) from one SuperLU solve of the step system (assemble_step),
+    with its gradient and residuals; SingularSystem if K is singular,
+    SizeCapExceeded before any assembly if it exceeds STEP_CAP."""
     dim = 2 * problem.n_u + problem.n_y
     if dim > STEP_CAP:
         raise SizeCapExceeded(f"SQP step system of dimension {dim} exceeds cap {STEP_CAP}")
-    sys = build_kkt(problem, state)
-    sol = reference_solution(sys)
+    sys = assemble_step(problem, state)
+    lu = checked_splu(sys.K, SingularSystem, f"KKT matrix of dimension {dim}")
+    sol = lu.solve(-np.concatenate([sys.g, sys.r]))
     nz = problem.n_u + problem.n_y
-    return sol[:nz], sol[nz:], sys.g
+    return SqpStep(sol[:nz], sol[nz:], sys.g, sys.R, sys.rmsh, sys.r)
 
 
 def _merit_components(problem: ShockTrackProblem1d, u, y, kappa: float):
     """Objective value and constraint residual without any Jacobian work."""
     x = phi_map(problem, y)
     R = dg_residual(problem, u, x, problem.p + 1)
-    rmsh, _ = mesh_distortion(problem, x)
-    f = 0.5 * (R @ R) + kappa**2 * 0.5 * (rmsh @ rmsh)
+    _, gx = _element_geometry(problem, x)
+    rmsh, _ = _distortion(problem, gx)
     r = dg_residual(problem, u, x, problem.p)
-    return f, r
+    return _objective(R, rmsh, kappa), r
 
 
 def run_sqp(
@@ -549,14 +733,15 @@ def run_sqp(
 
     for _ in range(cfg.max_iters):
         # g0 is the merit objective's gradient while state.kappa is cfg.kappa.
-        dz, eta, g0 = sqp_step(problem, state)
+        step = sqp_step(problem, state)
+        dz, eta, g0 = step.dz, step.eta, step.g
         if np.linalg.norm(dz, np.inf) <= STEP_TOL:
             states[-1] = replace(state, lam=-eta)
             break
         if mu is None:
             mu = 10.0 * max(np.linalg.norm(eta, np.inf), 1e-12)
 
-        f0, r0 = _merit_components(problem, state.u, state.y, cfg.kappa)
+        f0, r0 = _objective(step.R, step.rmsh, cfg.kappa), step.r
         merit0 = f0 + mu * np.abs(r0).sum()
         descent = g0 @ dz - mu * np.abs(r0).sum()
 

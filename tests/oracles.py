@@ -19,7 +19,8 @@ recomputed from the blocks, the block and point IKJ loops with per-update
 lookups, the preconditioner apply through the transposed view of Jy, the
 block LU compiled through scipy sparse products, the transfers built by a
 loop and block_diag, the KKT matrix assembled by bmat's COO path, the reader
-with a second loadtxt and a reshape per block) do the same float operations
+with a second loadtxt and a reshape per block, the SQP step solved on
+build_kkt's K, the point ILU0 solve through identity permutations) do the same float operations
 in the same order as their replacements, so tests compare the two with
 np.array_equal.
 
@@ -46,13 +47,15 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from kktprecond.blocklinalg import BlockLuFactor, first_singular, getrf, sparse_lu, stacked_diagonal
+from kktprecond.blocklinalg import BlockLuFactor, first_singular, getrf, permuted_lu, sparse_lu, stacked_diagonal
 from kktprecond.conprec import _VARIANT_TABLE, point_ilu0_values
 from kktprecond.dgprecond import bilu0_blocks, mdf_order
 from kktprecond.errors import DimensionMismatch, KktPrecondError, ManifestError, SingularBlock, ZeroReference
+from kktprecond.kkt import reference_solution
 from kktprecond.krylov import EXACT_SOLUTION, PRECONDITIONED_RESIDUAL, Preconditioner
 from kktprecond.mmio import _BLOCK_TAG, _ENTRY, _VALUE, _parse, _parse_block_tag
 from kktprecond.pmultigrid import TransferOps, build_transfer, full_prolongation, full_restriction
+from kktprecond.shocktrack import SqpStep, build_kkt, dg_residual, mesh_distortion, phi_map
 
 
 def block_index(A, i, j):
@@ -411,6 +414,15 @@ def ikj_point_ilu0_values(B) -> np.ndarray:
     return values
 
 
+def permuted_point_ilu0_factor(B):
+    """The point ILU0 factor of B compiled through permuted_lu with identity
+    permutations, which gathers and scatters each solve."""
+    S = scipy.sparse.csr_matrix((point_ilu0_values(B), B.indices, B.indptr), shape=B.shape)
+    natural = np.arange(B.shape[0])
+    L = scipy.sparse.tril(S, -1) + scipy.sparse.identity(B.shape[0])
+    return permuted_lu(L, scipy.sparse.triu(S), natural, natural)
+
+
 def five_step_apply(P, sys, v):
     """A catalog preconditioner's apply with Jy^T taken as the transposed view
     of Jy on every call and, for the *-p0 variants, the coarse matrix
@@ -541,6 +553,19 @@ def bmat_kkt(sys):
     buy = c.dRdu_T @ c.G
     blocks = [[c.dRdu_T @ c.dRdu, buy, c.Ju_T], [buy.T, sys.Byy, c.Jy_T], [c.Ju, sys.Jy, None]]
     return scipy.sparse.bmat(blocks, format="csc")
+
+
+def kkt_sqp_step(problem, state) -> SqpStep:
+    """The SQP step as build_kkt and kkt.reference_solution give it, the
+    step that shocktrack.sqp_step assembled before it summed K and g from
+    the element blocks, with the residuals it returns."""
+    sys = build_kkt(problem, state)
+    sol = reference_solution(sys)
+    x = phi_map(problem, state.y)
+    R = dg_residual(problem, state.u, x, problem.p + 1)
+    rmsh, _ = mesh_distortion(problem, x)
+    nz = problem.n_u + problem.n_y
+    return SqpStep(sol[:nz], sol[nz:], sys.g, R, rmsh, sys.r)
 
 
 def two_pass_read_matrix(path):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kktprecond.blocklinalg import first_singular, getrf
-from kktprecond.conprec import CATALOG, build_at_preconditioner, point_ilu0_values
+from kktprecond.conprec import CATALOG, build_at_preconditioner, point_ilu0_factor, point_ilu0_values
 from kktprecond.dgprecond import _block_lu_triangles, bilu0_blocks, mdf_order
 from kktprecond.errors import SingularBlock
 from kktprecond.kkt import KktOperator, SystemDims, reference_solution
@@ -32,6 +32,7 @@ from oracles import (
     looped_transfers,
     nine_product_matvec,
     per_block_pivot_check,
+    permuted_point_ilu0_factor,
     recomputing_mdf_order,
     scipy_lu_factor,
     scipy_lu_solve,
@@ -164,6 +165,18 @@ def test_mdf_and_factor_builds_match_oracles_on_systems(name, request):
     got = bilu0_blocks(Ju, ordering.order)[0].data
     assert all(np.array_equal(g, w) for g, w in zip(got, ikj_bilu_blocks(Ju, order), strict=True))
     assert np.array_equal(point_ilu0_values(sys.Byy), ikj_point_ilu0_values(sys.Byy))
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_point_ilu0_solve_matches_permuted_lu(name, request):
+    """point_ilu0_factor solves with its two natural-order sweeps alone, for
+    the bits of the identity gather and scatter of permuted_lu."""
+    Byy = request.getfixturevalue(name).Byy
+    F, want = point_ilu0_factor(Byy), permuted_point_ilu0_factor(Byy)
+    rng = np.random.default_rng(3)
+    for trans in ("N", "T"):
+        v = rng.standard_normal(Byy.shape[0])
+        assert np.array_equal(F.solve(v, trans=trans), want.solve(v, trans=trans))
 
 
 @pytest.mark.parametrize("name", ["sys8_k1", "sys16_k1"])

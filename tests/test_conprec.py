@@ -324,6 +324,23 @@ def test_block_ilu0_is_exact_in_1d(name, request):
         np.testing.assert_allclose(P.solve(v, trans=trans), lu.solve(v, trans=trans), rtol=1e-12)
 
 
+@pytest.mark.parametrize("n_elem, p, q", [(64, 2, 2), (256, 1, 1), (100, 3, 1), (16, 2, 2)])
+def test_point_ilu0_is_exact_in_1d(n_elem, p, q):
+    # Byy couples the interior nodes that share an element, and natural order
+    # eliminates them along the mesh: every update falls inside Byy's
+    # pattern, so point ILU0 discards no fill and Byy~ is Byy's exact LU.
+    Byy = _first_step_system(n_elem, p, q).Byy
+    ones = scipy.sparse.csr_matrix((np.ones(Byy.nnz), Byy.indices, Byy.indptr), shape=Byy.shape)
+    updates = scipy.sparse.tril(ones, -1) @ scipy.sparse.triu(ones)
+    assert not np.any((updates.toarray() != 0.0) & (ones.toarray() == 0.0))
+    F = point_ilu0_factor(Byy)
+    lu = scipy.sparse.linalg.splu(Byy.tocsc())
+    v = np.random.default_rng(11).standard_normal(Byy.shape[0])
+    for trans in ("N", "T"):
+        expect = lu.solve(v, trans=trans)
+        assert np.linalg.norm(F.solve(v, trans=trans) - expect) <= 1e-10 * np.linalg.norm(expect)
+
+
 @pytest.mark.parametrize("variant", CATALOG)
 def test_factor_solves_match_dense_oracle(variant, sys16_k1):
     P = build_at_preconditioner(sys16_k1, variant)

@@ -300,7 +300,7 @@ def test_line_search_activates_then_relaxes(prob8, states8):
 
 
 def test_full_newton_step_would_invert_an_element(prob8, states8):
-    dz, _, _ = sqp_step(prob8, states8[0])
+    dz = sqp_step(prob8, states8[0]).dz
     y_full = states8[0].y + dz[prob8.n_u :]
     assert np.any(np.diff(phi_map(prob8, y_full)) <= 0.0)
     assert states8[1].alpha < 1.0
@@ -312,7 +312,7 @@ def test_accepted_iterates_keep_monotone_meshes(prob8, states8):
 
 
 def test_merit_function_decreases(prob8, states8):
-    _, eta, _ = sqp_step(prob8, states8[0])
+    eta = sqp_step(prob8, states8[0]).eta
     mu = 10.0 * max(np.linalg.norm(eta, np.inf), 1e-12)
 
     def merit(st):
@@ -340,7 +340,7 @@ def test_step_gradient_is_the_merit_objective_gradient(prob8, states8, monkeypat
     """The line search takes its slope from the step system's gradient, bit
     for bit the objective's gradient, without evaluating it again."""
     for state in states8:
-        _, _, g = sqp_step(prob8, state)
+        g = sqp_step(prob8, state).g
         assert np.array_equal(g, objective_and_gradient(prob8, state.u, state.y, state.kappa)[1])
 
     def no_gradient(*args):
@@ -379,11 +379,13 @@ def test_step_cap_raises_before_build_kkt(monkeypatch):
     assert 2 * prob.n_u + prob.n_y == 5119 > shocktrack.STEP_CAP
 
     def no_build(*args, **kwargs):
-        raise AssertionError("build_kkt called above the step cap")
+        raise AssertionError("a step system assembled above the step cap")
 
     monkeypatch.setattr(shocktrack, "build_kkt", no_build)
+    monkeypatch.setattr(shocktrack, "assemble_step", no_build)
     with pytest.raises(SizeCapExceeded, match="5119"):
         sqp_step(prob, initial_state(prob))
+    assert "step_pattern" not in vars(prob)
 
 
 def test_singular_step_raises_singular_system():
