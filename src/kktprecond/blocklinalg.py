@@ -1,6 +1,6 @@
 """Dense-block kernels, the Factor type that every Ju~ / Byy~ approximation
-is (an exact sparse LU, or triangular sweeps compiled by triangular_sweep
-and permuted_lu), and the canonical forms of the sparse matrices.
+is (SuperLU's solve of a sparse LU, or triangular sweeps compiled by
+triangular_sweep), and the canonical forms of the sparse matrices.
 
 Matrices whose block structure the preconditioners use (the DG Jacobians Ju
 and dRdu) are scipy BSR matrices with one block row per element, kept
@@ -27,7 +27,6 @@ __all__ = [
     "checked_splu",
     "first_singular",
     "getrf",
-    "permuted_lu",
     "sparse_lu",
     "triangular_sweep",
     "canonical_bsr",
@@ -127,29 +126,6 @@ def triangular_sweep(T) -> scipy.sparse.linalg.SuperLU:
     if not (np.array_equal(lu.perm_r, identity) and np.array_equal(lu.perm_c, identity)):
         raise RuntimeError("SuperLU permuted a triangular factor")
     return lu
-
-
-def permuted_lu(L, U, rows: np.ndarray, cols: np.ndarray) -> Factor:
-    """Factor of a square A with A[rows][:, cols] = L U, given sparse L (unit
-    lower) and U (upper triangular) in point order.
-
-    L and U are each compiled by triangular_sweep: a solve is one gather,
-    two compiled sweeps and one scatter, and trans="T" is SuperLU's own
-    transposed solve.
-    """
-    lower, upper = triangular_sweep(L), triangular_sweep(U)
-
-    def apply(b: np.ndarray) -> np.ndarray:
-        x = np.empty_like(b)
-        x[cols] = upper.solve(lower.solve(b[rows]))
-        return x
-
-    def apply_T(b: np.ndarray) -> np.ndarray:
-        x = np.empty_like(b)
-        x[rows] = lower.solve(upper.solve(b[cols], trans="T"), trans="T")
-        return x
-
-    return Factor(len(rows), apply, apply_T)
 
 
 def checked_splu(A, error: type[Exception], context: str) -> scipy.sparse.linalg.SuperLU:

@@ -13,10 +13,9 @@ or a point ILU0. Every approximation is a blocklinalg.Factor, with scipy's
 SuperLU call, solve(rhs, trans="N"); trans="T" solves with the transpose.
 The exact LU is SuperLU's own solve, block Jacobi one product with the
 inverted diagonal blocks and point Jacobi one product with the reciprocal
-diagonal. Block ILU0 is compiled, when built, to a point row permutation
-and two natural-order SuperLU triangular factors (blocklinalg.permuted_lu),
-point ILU0 to its two natural-order sweeps alone
-(blocklinalg.triangular_sweep).
+diagonal. Block ILU0 is, when built, a natural-order sweep with its block
+lower factor (blocklinalg.triangular_sweep) and SuperLU's LU of its block
+upper factor, in the MDF order; point ILU0 is its two natural-order sweeps.
 The *-p0 variants wrap the application in a two-level p-multigrid cycle with
 this preconditioner as the smoother.
 """

@@ -5,9 +5,10 @@ Block Jacobi keeps only the diagonal blocks, inverted when built, so a solve
 is one sparse product. Block ILU0 runs a block IKJ elimination restricted to
 the original sparsity pattern (fill positions are skipped), after a greedy
 reordering of the block rows that at each step eliminates the row whose
-discarded fill has the smallest aggregate Frobenius norm (bilu0_blocks);
-bilu0_factor compiles those blocks to a point row permutation and two point
-triangular factors, so a solve is a pair of compiled triangular sweeps.
+discarded fill has the smallest aggregate Frobenius norm (bilu0_blocks).
+bilu0_factor splits those blocks into L_blk and U_blk at the block level:
+a solve is a gather into the permuted order, a compiled sweep with L_blk,
+SuperLU's solve with its LU of U_blk and a scatter back.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.linalg
 
-from .blocklinalg import BlockLuFactor, Factor, canonical_bsr, first_singular, getrf, permuted_lu
+from .blocklinalg import BlockLuFactor, Factor, canonical_bsr, first_singular, getrf, triangular_sweep
 from .errors import DimensionMismatch, SingularBlock, SingularPivotBlock
 
 __all__ = [
@@ -35,92 +37,9 @@ class MdfOrdering:
     weights_at_selection: np.ndarray
 
 
-def _nonzeros(vals: np.ndarray, I: np.ndarray, J: np.ndarray):
-    """Point (rows, cols, values) of the nonzero entries of the s x s blocks
-    vals[x] at block position (I[x], J[x])."""
-    s = vals.shape[1]
-    x, a, b = np.nonzero(vals)
-    return I[x] * s + a, J[x] * s + b, vals[x, a, b]
-
-
-def _csc(n: int, parts) -> scipy.sparse.csc_matrix:
-    """Canonical n x n CSC matrix of (rows, cols, values) parts with no
-    position repeated."""
-    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
-    order = np.argsort(cols * n + rows)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
-    return scipy.sparse.csc_matrix((vals[order], rows[order], indptr), shape=(n, n))
-
-
 def _block_rows(A) -> np.ndarray:
     """Block row of each stored block of a BSR matrix."""
     return np.repeat(np.arange(len(A.indptr) - 1), np.diff(A.indptr))
-
-
-def _block_lu_triangles(A, diag_lu: list[BlockLuFactor]):
-    """Point factors L^, U~ and the row order prow of a block LU = L_blk U_blk.
-
-    The strict lower blocks of the BSR matrix A are those of L_blk, whose
-    diagonal blocks are identities; its strict upper blocks are those of
-    U_blk, whose diagonal blocks D_m = P_m L_m U_m are given by their LAPACK
-    factors (the diagonal blocks of A are not read). With Pd, Ld, Ud the
-    block diagonals of the P_m, L_m, U_m and Pd^T x = x[prow],
-
-        L_blk U_blk = Pd L^ U~,   L^ = Pd^T L_blk Pd Ld,   U~ = Ud + Ld^-1 Pd^T U_strict,
-
-    and L^ (unit lower) and U~ (upper) are point triangular. Every block is
-    formed in a (count, s, s) stack: a block of L^ below the diagonal is
-    sum_c B[p_I][:, c] (Ld_J[p_J^-1])[c, :] over c in ascending order, and a
-    block of U~ is a forward substitution with Ld_I; each entry adds the same
-    nonzero products in the same order as the scipy sparse products of the
-    plain formulas, and entries that come out zero are not stored.
-    """
-    n, s = A.shape[0], A.blocksize[0]
-    nb = n // s
-    block_rows, block_cols = _block_rows(A), A.indices
-
-    # LAPACK swaps row t of each block with its pivot row, for t = 0, 1, ...
-    # in turn; blocks do not interact.
-    local = np.arange(n) % s
-    starts = np.arange(n) - local
-    piv = np.concatenate([lu.pivots for lu in diag_lu]) + starts
-    prow = np.arange(n)
-    for t in range(s):
-        i = np.flatnonzero(local == t)
-        prow[i], prow[piv[i]] = prow[piv[i]], prow[i]
-    # perm[I] is the row order p_I within block I and inv[I] its inverse.
-    perm = (prow - starts).reshape(nb, s)
-    inv = np.empty_like(perm)
-    inv[np.arange(nb)[:, None], perm] = np.arange(s)
-
-    LU = np.array([lu.lu_entries for lu in diag_lu]).reshape(nb, s, s)
-    strict_ld = np.tril(LU, -1)
-    ld = strict_ld + np.eye(s)
-    diag = np.arange(nb)
-    lower = [_nonzeros(ld, diag, diag)]
-    upper = [_nonzeros(np.triu(LU), diag, diag)]
-
-    k = np.flatnonzero(block_cols < block_rows)
-    I, J, x = block_rows[k], block_cols[k], np.arange(len(k))[:, None]
-    B = A.data[k][x, perm[I]]
-    M = ld[J][x, inv[J]]
-    R = B[:, :, 0, None] * M[:, None, 0, :]
-    for c in range(1, s):
-        R = R + B[:, :, c, None] * M[:, None, c, :]
-    lower.append(_nonzeros(R, I, J))
-
-    k = np.flatnonzero(block_cols > block_rows)
-    I, J, x = block_rows[k], block_cols[k], np.arange(len(k))[:, None]
-    rhs = A.data[k][x, perm[I]]
-    L = strict_ld[I]
-    y = rhs.copy()
-    for a in range(1, s):
-        acc = L[:, a, 0, None] * y[:, 0, :]
-        for b in range(1, a):
-            acc = acc + L[:, a, b, None] * y[:, b, :]
-        y[:, a, :] = rhs[:, a, :] - acc
-    upper.append(_nonzeros(y, I, J))
-    return _csc(n, lower), _csc(n, upper), prow
 
 
 def _square_bsr(A) -> scipy.sparse.bsr_matrix:
@@ -270,14 +189,15 @@ def _permuted_copy(A, order: np.ndarray) -> scipy.sparse.bsr_matrix:
     return scipy.sparse.bsr_matrix((A.data[stored], new_cols[stored], indptr), shape=A.shape)
 
 
-def bilu0_blocks(A, order: np.ndarray) -> tuple[scipy.sparse.bsr_matrix, list[BlockLuFactor]]:
+def bilu0_blocks(A, order: np.ndarray) -> scipy.sparse.bsr_matrix:
     """Zero-fill block LU of the square BSR matrix A with its block rows and
-    columns permuted by order: the factors on the permuted pattern (strict
-    lower blocks of L, whose diagonal blocks are identities, and the blocks
-    of U, diagonal included) and the LAPACK factors of U's diagonal blocks.
+    columns permuted by order: the factors on the permuted pattern, the
+    strict lower blocks of L, whose diagonal blocks are identities, and the
+    blocks of U, diagonal included.
 
     Block IKJ elimination; updates touching positions outside the pattern are
-    skipped, which is the only approximation.
+    skipped, which is the only approximation. Raises SingularPivotBlock for
+    the first step whose pivot block is missing or near-singular.
     """
     A = _square_bsr(A)
     order = np.asarray(order, dtype=int)
@@ -312,16 +232,39 @@ def bilu0_blocks(A, order: np.ndarray) -> tuple[scipy.sparse.bsr_matrix, list[Bl
         raise SingularPivotBlock(f"step {bad[0]}: {bad[1]}")
     if first_missing < len(order):
         raise SingularPivotBlock(f"step {first_missing}: diagonal block missing from permuted pattern")
-    return work, diag_lu
+    return work
 
 
 def bilu0_factor(A, ordering: MdfOrdering) -> Factor:
-    """bilu0_blocks of A in the ordering, compiled to a point row permutation
-    and two point triangular factors."""
+    """bilu0_blocks of A in the ordering, split at the block level: L_blk,
+    its strict lower blocks plus the identity, is compiled by
+    triangular_sweep, and U_blk, its blocks on and above the diagonal, is
+    factored by SuperLU in natural column order with partial pivoting.
+    U_blk is block upper triangular, so every pivot stays in its diagonal
+    block and SuperLU's solve is U_blk^-1; trans="T" is its own transposed
+    solve."""
     order = np.asarray(ordering.order, dtype=int)
-    work, diag_lu = bilu0_blocks(A, order)
+    work = bilu0_blocks(A, order)
     s = work.blocksize[0]
-    # point_perm[r] is the original point index of row r of the permuted matrix.
-    point_perm = (order[:, None] * s + np.arange(s)).ravel()
-    lower, upper, prow = _block_lu_triangles(work, diag_lu)
-    return permuted_lu(lower, upper, point_perm[prow], point_perm)
+    # perm[r] is the original point index of row r of the permuted matrix.
+    perm = (order[:, None] * s + np.arange(s)).ravel()
+    C = work.tocoo()
+    below = C.row // s > C.col // s
+
+    def part(mask):
+        return scipy.sparse.csc_matrix((C.data[mask], (C.row[mask], C.col[mask])), shape=C.shape)
+
+    lower = triangular_sweep(part(below) + scipy.sparse.identity(C.shape[0]))
+    upper = scipy.sparse.linalg.splu(part(~below), permc_spec="NATURAL")
+
+    def apply(b: np.ndarray) -> np.ndarray:
+        x = np.empty_like(b)
+        x[perm] = upper.solve(lower.solve(b[perm]))
+        return x
+
+    def apply_T(b: np.ndarray) -> np.ndarray:
+        x = np.empty_like(b)
+        x[perm] = lower.solve(upper.solve(b[perm], trans="T"), trans="T")
+        return x
+
+    return Factor(len(perm), apply, apply_T)

@@ -17,12 +17,11 @@ they factor.
 The replaced kernels (scipy's lu_factor / lu_solve wrappers, MDF weights
 recomputed from the blocks, the block and point IKJ loops with per-update
 lookups, the preconditioner apply through the transposed view of Jy, the
-block LU compiled through scipy sparse products, the transfers built by a
-loop and block_diag, the KKT matrix assembled by bmat's COO path, the reader
-with a second loadtxt and a reshape per block, the SQP step solved on
-build_kkt's K, the point ILU0 solve through identity permutations) do the same float operations
-in the same order as their replacements, so tests compare the two with
-np.array_equal.
+transfers built by a loop and block_diag, the KKT matrix assembled by bmat's
+COO path, the reader with a second loadtxt and a reshape per block, the SQP
+step solved on build_kkt's K, the point ILU0 solve through identity
+permutations) do the same float operations in the same order as their
+replacements, so tests compare the two with np.array_equal.
 
 The KKT products of earlier operators, nine separate factor products and the
 two stacked products of the sliced sparse-block form, apply B_uu and B_uy
@@ -47,7 +46,15 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from kktprecond.blocklinalg import BlockLuFactor, first_singular, getrf, permuted_lu, sparse_lu, stacked_diagonal
+from kktprecond.blocklinalg import (
+    BlockLuFactor,
+    Factor,
+    first_singular,
+    getrf,
+    sparse_lu,
+    stacked_diagonal,
+    triangular_sweep,
+)
 from kktprecond.conprec import _VARIANT_TABLE, point_ilu0_values
 from kktprecond.dgprecond import bilu0_blocks, mdf_order
 from kktprecond.errors import DimensionMismatch, KktPrecondError, ManifestError, SingularBlock, ZeroReference
@@ -87,7 +94,7 @@ def bilu_matrix(A) -> np.ndarray:
     """The block ILU0 approximation L U of the BSR matrix A in MDF order, as
     the BILU variants build it, mapped back to the original ordering."""
     order = mdf_order(A).order
-    L, U = bilu_factors(bilu0_blocks(A, order)[0])
+    L, U = bilu_factors(bilu0_blocks(A, order))
     s = A.blocksize[0]
     point_perm = (order[:, None] * s + np.arange(s)).ravel()
     out = np.zeros_like(L)
@@ -415,12 +422,24 @@ def ikj_point_ilu0_values(B) -> np.ndarray:
 
 
 def permuted_point_ilu0_factor(B):
-    """The point ILU0 factor of B compiled through permuted_lu with identity
-    permutations, which gathers and scatters each solve."""
+    """The point ILU0 factor of B compiled to its two natural-order sweeps
+    behind an identity gather and scatter on each solve."""
     S = scipy.sparse.csr_matrix((point_ilu0_values(B), B.indices, B.indptr), shape=B.shape)
     natural = np.arange(B.shape[0])
-    L = scipy.sparse.tril(S, -1) + scipy.sparse.identity(B.shape[0])
-    return permuted_lu(L, scipy.sparse.triu(S), natural, natural)
+    lower = triangular_sweep(scipy.sparse.tril(S, -1) + scipy.sparse.identity(B.shape[0]))
+    upper = triangular_sweep(scipy.sparse.triu(S))
+
+    def apply(b):
+        x = np.empty_like(b)
+        x[natural] = upper.solve(lower.solve(b[natural]))
+        return x
+
+    def apply_T(b):
+        x = np.empty_like(b)
+        x[natural] = lower.solve(upper.solve(b[natural], trans="T"), trans="T")
+        return x
+
+    return Factor(B.shape[0], apply, apply_T)
 
 
 def five_step_apply(P, sys, v):
@@ -457,44 +476,6 @@ def per_block_pivot_check(blocks, factors):
         if scale == 0.0 or np.any(np.abs(np.diag(lu.lu_entries)) < 1e-14 * scale):
             return m
     return None
-
-
-def sparse_block_lu_triangles(F, diag_lu):
-    """(L^, U~, prow) of a block LU of a BSR matrix formed by scipy sparse
-    fancy indexing, products and COO round trips, with Ld^-1 applied by the
-    nilpotent iteration; L^ and U~ are CSR."""
-    nb = len(F.indptr) - 1
-    sizes = np.full(nb, F.blocksize[0])
-    n = int(sizes.sum())
-    row_offsets = np.concatenate([[0], np.cumsum(sizes)])
-    blocks = F.data.copy()
-    block_rows = np.repeat(np.arange(nb), np.diff(F.indptr))
-    for m, k in enumerate(np.flatnonzero(F.indices == block_rows)):
-        blocks[k] = diag_lu[m].lu_entries
-    S = scipy.sparse.bsr_matrix((blocks, F.indices, F.indptr), shape=F.shape).tocsr().tocoo()
-    blk = np.repeat(np.arange(len(sizes)), sizes)
-    same_block = blk[S.row] == blk[S.col]
-    below = S.col < S.row
-
-    def part(mask):
-        return scipy.sparse.csr_matrix((S.data[mask], (S.row[mask], S.col[mask])), shape=(n, n))
-
-    strict_ld = part(same_block & below)
-    ld = strict_ld + scipy.sparse.identity(n, format="csr")
-    starts = np.repeat(row_offsets[:-1], sizes)
-    local = np.arange(n) - starts
-    piv = np.concatenate([lu.pivots for lu in diag_lu]) + starts
-    prow = np.arange(n)
-    for t in range(int(sizes.max())):
-        i = np.flatnonzero(local == t)
-        prow[i], prow[piv[i]] = prow[piv[i]], prow[i]
-    lower = ld + part(~same_block & below)[prow][:, prow] @ ld
-    rhs = part(~same_block & ~below)[prow]
-    y = rhs
-    for _ in range(int(sizes.max()) - 1):
-        y = rhs - strict_ld @ y
-    upper = part(same_block & ~below) + y
-    return lower, upper, prow
 
 
 def sliced_block_matvec(sys, X):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from kktprecond.blocklinalg import first_singular, getrf
 from kktprecond.conprec import CATALOG, build_at_preconditioner, point_ilu0_factor, point_ilu0_values
-from kktprecond.dgprecond import _block_lu_triangles, bilu0_blocks, mdf_order
+from kktprecond.dgprecond import bilu0_blocks, mdf_order
 from kktprecond.errors import SingularBlock
 from kktprecond.kkt import KktOperator, SystemDims, reference_solution
 from kktprecond.manifest import export_system
@@ -38,7 +38,6 @@ from oracles import (
     scipy_lu_solve,
     sliced_block_matvec,
     sliced_coarse_matrix,
-    sparse_block_lu_triangles,
     two_pass_read_matrix,
     two_pass_read_vector,
 )
@@ -104,7 +103,7 @@ def test_mdf_order_matches_recomputed_weights_on_stencils(seed):
     order, weights = recomputing_mdf_order(A)
     assert np.array_equal(got.order, order)
     assert np.array_equal(got.weights_at_selection, weights)
-    blocks = bilu0_blocks(A, got.order)[0].data
+    blocks = bilu0_blocks(A, got.order).data
     assert all(np.array_equal(g, w) for g, w in zip(blocks, ikj_bilu_blocks(A, order), strict=True))
 
 
@@ -115,7 +114,7 @@ def test_block_and_point_ilu0_match_ikj_loops(A):
     order, weights = recomputing_mdf_order(A)
     assert np.array_equal(ordering.order, order)
     assert np.array_equal(ordering.weights_at_selection, weights)
-    got = bilu0_blocks(A, ordering.order)[0].data
+    got = bilu0_blocks(A, ordering.order).data
     want = ikj_bilu_blocks(A, order)
     assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
     B = A.tocsr()
@@ -162,7 +161,7 @@ def test_mdf_and_factor_builds_match_oracles_on_systems(name, request):
     order, weights = recomputing_mdf_order(Ju)
     assert np.array_equal(ordering.order, order)
     assert np.array_equal(ordering.weights_at_selection, weights)
-    got = bilu0_blocks(Ju, ordering.order)[0].data
+    got = bilu0_blocks(Ju, ordering.order).data
     assert all(np.array_equal(g, w) for g, w in zip(got, ikj_bilu_blocks(Ju, order), strict=True))
     assert np.array_equal(point_ilu0_values(sys.Byy), ikj_point_ilu0_values(sys.Byy))
 
@@ -170,7 +169,7 @@ def test_mdf_and_factor_builds_match_oracles_on_systems(name, request):
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_point_ilu0_solve_matches_permuted_lu(name, request):
     """point_ilu0_factor solves with its two natural-order sweeps alone, for
-    the bits of the identity gather and scatter of permuted_lu."""
+    the bits of the same sweeps behind an identity gather and scatter."""
     Byy = request.getfixturevalue(name).Byy
     F, want = point_ilu0_factor(Byy), permuted_point_ilu0_factor(Byy)
     rng = np.random.default_rng(3)
@@ -248,43 +247,6 @@ def test_reader_matches_two_pass_reader_on_shuffled_repeated_entries(tmp_path_fa
 def _diagonal(F):
     """Storage positions of the diagonal blocks of a BSR matrix."""
     return np.flatnonzero(F.indices == np.repeat(np.arange(len(F.indptr) - 1), np.diff(F.indptr)))
-
-
-def _diag_factors(F):
-    return [getrf(F.data[k]) for k in _diagonal(F)]
-
-
-def _assert_triangles_match(F, diag_lu):
-    lower, upper, prow = _block_lu_triangles(F, diag_lu)
-    want_lower, want_upper, want_prow = sparse_block_lu_triangles(F, diag_lu)
-    assert np.array_equal(prow, want_prow)
-    # permuted_lu hands SuperLU the CSC form of each factor.
-    assert _same_arrays(lower, scipy.sparse.csc_matrix(want_lower))
-    assert _same_arrays(upper, scipy.sparse.csc_matrix(want_upper))
-
-
-def _block_jacobi_input(A):
-    nb = len(A.indptr) - 1
-    F = scipy.sparse.bsr_matrix((A.data[_diagonal(A)], np.arange(nb), np.arange(nb + 1)), shape=A.shape)
-    return F, _diag_factors(F)
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(dominant_block_matrices())
-def test_block_lu_triangles_match_sparse_products(A):
-    # Block sizes drawn per matrix, with row-swapping pivots: the block Jacobi
-    # and the block ILU0 factors, and the first block row taken as L blocks.
-    _assert_triangles_match(*_block_jacobi_input(A))
-    work, _ = bilu0_blocks(A, mdf_order(A).order)
-    _assert_triangles_match(work, _diag_factors(work))
-
-
-@pytest.mark.parametrize("name", ["sys8_k1", "sys16_k1"])
-def test_block_lu_triangles_match_sparse_products_on_systems(name, request):
-    Ju = request.getfixturevalue(name).factors.Ju
-    _assert_triangles_match(*_block_jacobi_input(Ju))
-    work, _ = bilu0_blocks(Ju, mdf_order(Ju).order)
-    _assert_triangles_match(work, _diag_factors(work))
 
 
 @st.composite

@@ -7,7 +7,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kktprecond.blocklinalg import Factor, permuted_lu
+from kktprecond.blocklinalg import Factor, triangular_sweep
 from kktprecond.conprec import CATALOG, build_at_preconditioner, point_ilu0_factor, point_ilu0_values
 from kktprecond.dgprecond import bilu0_factor, build_block_jacobi, mdf_order
 from kktprecond.errors import DimensionMismatch
@@ -78,11 +78,10 @@ def test_factor_solves_reject_wrong_length(variant, sys8_k1):
                     factor.solve(bad, trans=trans)
 
 
-def test_permuted_lu_rejects_a_factor_superlu_would_pivot():
+def test_triangular_sweep_rejects_a_factor_superlu_would_pivot():
     swap = scipy.sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    identity = scipy.sparse.identity(2, format="csr")
     with pytest.raises(RuntimeError, match="permuted"):
-        permuted_lu(swap, identity, np.arange(2), np.arange(2))
+        triangular_sweep(swap)
 
 
 # The solve-protocol factors: the dense block LU, and the Ju~ and Byy~ of
@@ -112,8 +111,9 @@ def test_factor_solves_reject_unknown_trans(kind, variant, part, sys8_k1):
 
 
 # SuperLU factorizations per build: the exact LU is factored once and solved
-# with SuperLU's own solve, each ILU0 compiles two triangular factors, and
-# p-multigrid adds the coarse LU.
+# with SuperLU's own solve, point ILU0 compiles its two triangular factors,
+# block ILU0 compiles its block lower factor and factors its block upper one,
+# and p-multigrid adds the coarse LU.
 SPLU_CALLS = {"A0": 2, "BJ": 0, "BILU": 2, "BJ-ilu": 2, "BILU-ilu": 4, "A0-p0": 3, "BJ-p0": 1, "BILU-p0": 3}
 
 

@@ -243,7 +243,7 @@ def test_bilu_block_diagonal_factors_trivially():
     A = block_diag_matrix([rng.standard_normal((2, 2)) + 3.0 * np.eye(2) for _ in range(3)])
     P = bilu0_factor(A, natural_order(3))
     # No sub-diagonal positions exist, so the stored blocks are exactly A (U = A).
-    for got, want in zip(bilu0_blocks(A, np.arange(3))[0].data, A.data):
+    for got, want in zip(bilu0_blocks(A, np.arange(3)).data, A.data):
         np.testing.assert_array_equal(got, want)
     v = rng.standard_normal(6)
     np.testing.assert_allclose(
@@ -263,7 +263,7 @@ def test_bilu_exact_on_block_tridiagonal():
     A = block_tridiagonal(5, 3, rng)
     P = bilu0_factor(A, natural_order(5))
     dense = A.toarray()
-    L, U = bilu_factors(bilu0_blocks(A, np.arange(5))[0])
+    L, U = bilu_factors(bilu0_blocks(A, np.arange(5)))
     defect = np.linalg.norm(L @ U - dense) / np.linalg.norm(dense)
     assert defect <= 1e-12
 
@@ -279,20 +279,31 @@ def test_bilu_discards_fill_on_stencil():
     ordering = mdf_order(A)
     sizes = np.full(len(A.indptr) - 1, A.blocksize[0])
     Pm = permutation_matrix(ordering.order, sizes)
-    L, U = bilu_factors(bilu0_blocks(A, ordering.order)[0])
+    L, U = bilu_factors(bilu0_blocks(A, ordering.order))
     PA = Pm @ A.toarray() @ Pm.T
     assert np.linalg.norm(L @ U - PA) > 1e-8
 
 
-def test_bilu_inverse_consistent_with_permuted_factors():
+BILU_INPUTS = {
+    "stencil": lambda request: generate_stencil_system(3, 2, seed=1),
+    # Discarded fill, with blocks scaled over two decades.
+    "scaled_stencil0": lambda request: scaled_stencil(0),
+    # DG Jacobians, where partial pivoting swaps rows in every diagonal block.
+    "sys8_k1": lambda request: request.getfixturevalue("sys8_k1").factors.Ju,
+    "sys16_k1": lambda request: request.getfixturevalue("sys16_k1").factors.Ju,
+}
+
+
+@pytest.mark.parametrize("name", BILU_INPUTS)
+def test_bilu_inverse_consistent_with_permuted_factors(name, request):
     # The block ILU0 solve must equal a dense solve with the recomposed
     # approximation mapped back to the original ordering.
-    A = generate_stencil_system(3, 2, seed=1)
+    A = BILU_INPUTS[name](request)
     ordering = mdf_order(A)
     P = bilu0_factor(A, ordering)
     sizes = np.full(len(A.indptr) - 1, A.blocksize[0])
     Pm = permutation_matrix(ordering.order, sizes)
-    L, U = bilu_factors(bilu0_blocks(A, ordering.order)[0])
+    L, U = bilu_factors(bilu0_blocks(A, ordering.order))
     approx = Pm.T @ (L @ U) @ Pm
     n = Pm.shape[0]
     np.testing.assert_array_equal(bilu_matrix(A), approx)
