@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -105,10 +106,11 @@ def _integer(value, what: str) -> int:
 
 
 def _weight(value, name: str) -> float:
-    """A kappa or gamma value as a float; a negative or NaN one is a usage error."""
+    """A kappa or gamma value as a float; a negative, infinite or NaN one is
+    a usage error."""
     weight = _cast(float, value, f"{name} value")
-    if not weight >= 0:
-        raise UsageError(f"invalid {name} {value!r}: must be nonnegative")
+    if not (weight >= 0 and math.isfinite(weight)):
+        raise UsageError(f"invalid {name} {value!r}: must be finite and nonnegative")
     return weight
 
 
@@ -124,10 +126,13 @@ def _fixed_value(key: str, value):
 
 
 def _checked(cfg: GenerateConfig, states) -> GenerateConfig:
-    """cfg with kappa and gamma checked, and every state in states checked
-    against the states 0..max_iters that a run can produce, before any run."""
+    """cfg with kappa, gamma and max_iters checked, and every state in states
+    checked against the states 0..max_iters that a run can produce, before
+    any run."""
     cfg = replace(cfg, kappa=_weight(cfg.kappa, "kappa"), gamma=_weight(cfg.gamma, "gamma"))
     n = cfg.max_iters
+    if n < 0:
+        raise UsageError(f"invalid max_iters {n}: must be nonnegative")
     for k in states:
         if not 0 <= k <= n:
             raise UsageError(f"state {k} not available: a run of at most {n} iterations produces states 0..{n}")
@@ -256,7 +261,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_stencil(args) -> int:
-    A = generate_stencil_system(args.n, args.block, args.seed)
+    try:
+        A = generate_stencil_system(args.n, args.block, args.seed)
+    except ValueError as exc:
+        raise UsageError(f"invalid stencil parameters: {exc}")
     write_matrix(args.out, A)
     print(args.out)
     return 0

@@ -131,6 +131,8 @@ class ShockTrackProblem1d:
             raise ValueError("p must be nonnegative")
         if q not in (1, 2):
             raise ValueError("q must be 1 or 2")
+        if not (np.isfinite(bc_left) and np.isfinite(bc_right)):
+            raise ValueError(f"bc_left {bc_left!r} and bc_right {bc_right!r} must be finite")
         self.n_elem = n_elem
         self.p = p
         self.q = q
@@ -272,12 +274,11 @@ def phi_map(problem: ShockTrackProblem1d, y: np.ndarray) -> np.ndarray:
 
 def _element_geometry(problem: ShockTrackProblem1d, x: np.ndarray):
     """Mapping derivative dG/dxi at the quadrature points, per element."""
-    xe = x[problem.elem_x]
-    gx = xe @ problem.basis(problem.q).D.T
+    gx = x[problem.elem_x] @ problem.basis(problem.q).D.T
     if np.any(gx <= 0.0):
         bad = int(np.argwhere(np.any(gx <= 0.0, axis=1))[0][0])
         raise InvertedElement(f"element {bad}: nonpositive mapping Jacobian")
-    return xe, gx
+    return gx
 
 
 def _face_states(problem: ShockTrackProblem1d, ue: np.ndarray):
@@ -290,24 +291,37 @@ def _face_states(problem: ShockTrackProblem1d, ue: np.ndarray):
     return left, right
 
 
-def dg_residual(problem: ShockTrackProblem1d, u, x, test_degree: int) -> np.ndarray:
-    """Weighted DG residual tested against degree test_degree functions."""
+def _residuals(problem: ShockTrackProblem1d, u, x, degrees):
+    """gx and the weighted DG residual tested at each degree in degrees.
+
+    The geometry (and its InvertedElement check, first), U, the face fluxes
+    H and the weighted volume and source terms w f(U) and w gx s(U) are
+    computed once; each degree only projects them onto its test functions.
+    """
     u = np.asarray(u, dtype=float)
     x = np.asarray(x, dtype=float)
-    xe, gx = _element_geometry(problem, x)
+    gx = _element_geometry(problem, x)
     pb = problem.basis(problem.p)
-    tb = problem.basis(test_degree)
     w = problem.quad_wts
 
     ue = u[problem.elem_u]
     U = ue @ pb.V.T
     left, right = _face_states(problem, ue)
     H = problem.riemann(left, right)
+    flux = w * problem.flux_value(U)
+    source = w * gx * problem.source_value(U)
 
-    face = np.outer(H[1:], tb.t1) - np.outer(H[:-1], tb.t0)
-    vol = (w * problem.flux_value(U)) @ tb.D
-    src = (w * gx * problem.source_value(U)) @ tb.V
-    return (face - vol - src).ravel()
+    residuals = []
+    for degree in degrees:
+        tb = problem.basis(degree)
+        face = np.outer(H[1:], tb.t1) - np.outer(H[:-1], tb.t0)
+        residuals.append((face - flux @ tb.D - source @ tb.V).ravel())
+    return gx, residuals
+
+
+def dg_residual(problem: ShockTrackProblem1d, u, x, test_degree: int) -> np.ndarray:
+    """Weighted DG residual tested against degree test_degree functions."""
+    return _residuals(problem, u, x, (test_degree,))[1][0]
 
 
 def _tridiag_bsr(n: int, row_size: int, col_size: int, diag, sub, sup) -> scipy.sparse.bsr_matrix:
@@ -330,50 +344,55 @@ def _mesh_column_csr(problem: ShockTrackProblem1d, vals: np.ndarray) -> scipy.sp
     return scipy.sparse.csr_matrix((vals.ravel(), cols, row_ptr), shape=(n * rows_per_elem, problem.n_x))
 
 
-def _jacobian_for_degree(problem: ShockTrackProblem1d, ue, gx, test_degree: int):
-    """Per-element Jacobian blocks of the residual tested at one degree."""
+def _jacobians(problem: ShockTrackProblem1d, ue, gx, degrees):
+    """Per-element Jacobian blocks (diag, sub, sup, dx) of the residual tested
+    at each degree in degrees; U, the Riemann flux derivatives and the
+    weighted flux and source derivatives are computed once."""
     pb = problem.basis(problem.p)
-    tb = problem.basis(test_degree)
+    qb = problem.basis(problem.q)
     w = problem.quad_wts
     n = problem.n_elem
 
     U = ue @ pb.V.T
     left, right = _face_states(problem, ue)
     dHa, dHb = problem.riemann_derivs(left, right)
+    dflux = w * problem.flux_deriv(U)
+    dsource = (w * problem.source_deriv(U)) * gx
+    source = w * problem.source_value(U)
 
-    diag = -np.einsum("gi,eg,gj->eij", tb.D, w * problem.flux_deriv(U), pb.V)
-    diag -= np.einsum("gi,eg,gj->eij", tb.V, (w * problem.source_deriv(U)) * gx, pb.V)
-    diag += dHa[1:, None, None] * np.einsum("i,j->ij", tb.t1, pb.t1)[None, :, :]
-    diag -= dHb[:-1, None, None] * np.einsum("i,j->ij", tb.t0, pb.t0)[None, :, :]
+    blocks = []
+    for degree in degrees:
+        tb = problem.basis(degree)
+        diag = -np.einsum("gi,eg,gj->eij", tb.D, dflux, pb.V)
+        diag -= np.einsum("gi,eg,gj->eij", tb.V, dsource, pb.V)
+        diag += dHa[1:, None, None] * np.einsum("i,j->ij", tb.t1, pb.t1)[None, :, :]
+        diag -= dHb[:-1, None, None] * np.einsum("i,j->ij", tb.t0, pb.t0)[None, :, :]
 
-    sub = np.zeros((n, len(tb.t0), problem.p + 1))
-    sup = np.zeros_like(sub)
-    sub[1:] = -dHa[1:-1, None, None] * np.einsum("i,j->ij", tb.t0, pb.t1)[None, :, :]
-    sup[:-1] = dHb[1:-1, None, None] * np.einsum("i,j->ij", tb.t1, pb.t0)[None, :, :]
+        sub = np.zeros((n, len(tb.t0), problem.p + 1))
+        sup = np.zeros_like(sub)
+        sub[1:] = -dHa[1:-1, None, None] * np.einsum("i,j->ij", tb.t0, pb.t1)[None, :, :]
+        sup[:-1] = dHb[1:-1, None, None] * np.einsum("i,j->ij", tb.t1, pb.t0)[None, :, :]
 
-    qb = problem.basis(problem.q)
-    dx = -np.einsum("gi,eg,gj->eij", tb.V, w * problem.source_value(U), qb.D)
-    return diag, sub, sup, dx
+        dx = -np.einsum("gi,eg,gj->eij", tb.V, source, qb.D)
+        blocks.append((diag, sub, sup, dx))
+    return blocks
 
 
 def dg_jacobians(problem: ShockTrackProblem1d, u, x):
     """Analytic derivatives (Ju, dRdu, dRdx, drdx) of both residual test spaces."""
     u = np.asarray(u, dtype=float)
     x = np.asarray(x, dtype=float)
-    xe, gx = _element_geometry(problem, x)
-    ue = u[problem.elem_u]
+    gx = _element_geometry(problem, x)
     n = problem.n_elem
     n_p = problem.p + 1
     n_t = problem.p + 2
 
-    diag, sub, sup, dx = _jacobian_for_degree(problem, ue, gx, problem.p)
+    (diag, sub, sup, dx), (diag_t, sub_t, sup_t, dx_t) = _jacobians(
+        problem, u[problem.elem_u], gx, (problem.p, problem.p + 1)
+    )
     Ju = _tridiag_bsr(n, n_p, n_p, diag, sub, sup)
-    drdx = _mesh_column_csr(problem, dx)
-
-    diag, sub, sup, dx = _jacobian_for_degree(problem, ue, gx, problem.p + 1)
-    dRdu = _tridiag_bsr(n, n_t, n_p, diag, sub, sup)
-    dRdx = _mesh_column_csr(problem, dx)
-    return Ju, dRdu, dRdx, drdx
+    dRdu = _tridiag_bsr(n, n_t, n_p, diag_t, sub_t, sup_t)
+    return Ju, dRdu, _mesh_column_csr(problem, dx_t), _mesh_column_csr(problem, dx)
 
 
 def _distortion(problem: ShockTrackProblem1d, gx: np.ndarray):
@@ -393,7 +412,7 @@ def _distortion_derivs(problem: ShockTrackProblem1d, gx: np.ndarray, h: np.ndarr
 
 def mesh_distortion(problem: ShockTrackProblem1d, x):
     """Per-element distortion h/h0 + h0/h - 2 and its mesh Jacobian."""
-    _, gx = _element_geometry(problem, np.asarray(x, dtype=float))
+    gx = _element_geometry(problem, np.asarray(x, dtype=float))
     rmsh, h = _distortion(problem, gx)
     return rmsh, _mesh_column_csr(problem, _distortion_derivs(problem, gx, h)[:, None, :])
 
@@ -451,8 +470,7 @@ def build_kkt(
     kappa = state.kappa if kappa is None else kappa
     gamma = state.gamma if gamma is None else gamma
     x = phi_map(problem, state.y)
-    r = dg_residual(problem, state.u, x, problem.p)
-    R = dg_residual(problem, state.u, x, problem.p + 1)
+    _, (r, R) = _residuals(problem, state.u, x, (problem.p, problem.p + 1))
     Ju, dRdu, dRdx, drdx = dg_jacobians(problem, state.u, x)
     rmsh, dRmshdx = mesh_distortion(problem, x)
 
@@ -540,15 +558,17 @@ def initial_state(problem: ShockTrackProblem1d, kappa: float = 1e-7, gamma: floa
 
 
 def _row_sum_terms(cols: np.ndarray, n_rows: int, nz: int):
-    """Pairs (I, J) and the term positions of the sums S_IJ = sum_r A[r, I] A[r, J].
+    """Pairs (I, J) and the factor positions of the sums S_IJ = sum_r A[r, I] A[r, J].
 
     A's rows come in groups of n_rows, one per element; cols[e, c] is the
     global column of local column c in group e, or -1 for none. The pairs
     are every I <= J < nz, and every (I, nz), that share a group, sorted by
-    (I, J). terms[t, k] is the position of term t of pair k in the flat
-    outer-product array of _row_sums: shared groups in ascending order, then
-    the rows of each, so ascending global row r; a pair with fewer shared
-    groups is padded by the zero group that _row_sums appends.
+    (I, J). Term t of pair k is A.flat[left[t, k]] * A.flat[right[t, k]],
+    with A of shape (groups, n_rows, width) padded by the zero group that
+    _row_sums appends: shared groups in ascending order, then the rows of
+    each, so ascending global row r; a pair with fewer shared groups is
+    padded by terms in the zero group. Both int32 tables have shape
+    (slots * n_rows, pairs).
     """
     n_groups, width = cols.shape
     ok = (cols[:, :, None] >= 0) & (cols[:, :, None] <= cols[:, None, :]) & (cols[:, :, None] < nz)
@@ -562,27 +582,33 @@ def _row_sum_terms(cols: np.ndarray, n_rows: int, nz: int):
     pair = np.cumsum(new) - 1
     slot = np.arange(len(I)) - first[pair]
     n_slots = int(slot.max(initial=-1)) + 1
-    base = np.full((n_slots, len(first)), n_groups * n_rows * width * width)
-    base[slot, pair] = (g * n_rows * width + c1) * width + c2
-    terms = base[:, None, :] + (np.arange(n_rows) * width * width)[:, None]
-    return I[first], J[first], terms.reshape(n_slots * n_rows, len(first))
+    rows = (np.arange(n_rows) * width)[:, None]
+    tables = []
+    for c in (c1, c2):
+        base = np.full((n_slots, len(first)), n_groups * n_rows * width)
+        base[slot, pair] = g * n_rows * width + c
+        tables.append((base[:, None, :] + rows).reshape(n_slots * n_rows, len(first)).astype(np.int32))
+    return I[first], J[first], tables[0], tables[1]
 
 
-def _row_sums(A: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """Each sum of products that a column of terms (_row_sum_terms) names,
-    over A of shape (groups, rows, width): one multiply and one add per
-    term, from 0.0 in term order, as scipy's sparse products sum them."""
-    A = np.concatenate([A, np.zeros((1,) + A.shape[1:])])
-    outer = (A[:, :, :, None] * A[:, :, None, :]).ravel()
-    acc = np.zeros(terms.shape[1])
-    for t in outer.take(terms):
-        acc += t
+def _row_sums(A: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Each sum of products that a column of left and right (_row_sum_terms)
+    names, over A of shape (groups, rows, width): one multiply and one add
+    per term, from 0.0 in term order, as scipy's sparse products sum them.
+    One row of the tables, term t of every pair, is summed at a time."""
+    A = np.concatenate([A, np.zeros((1,) + A.shape[1:])]).ravel()
+    acc = np.zeros(left.shape[1])
+    for l, r in zip(left, right):
+        acc += A.take(l) * A.take(r)
     return acc
 
 
 class _StepPattern:
     """What every step system of one problem shares: the term tables of its
     products and K's candidate entries, sorted by (row, column).
+
+    r_terms and m_terms are each the (left, right) int32 factor-position
+    tables of _row_sum_terms, which _row_sums sums one term row at a time.
 
     Unknowns are numbered as in K: u, then the interior mesh nodes y, then
     lambda from nz = N_u + N_y. A row of the enriched residual R in element
@@ -605,8 +631,8 @@ class _StepPattern:
         interior = (nodes > 0) & (nodes < problem.n_x - 1)
         y_cols = np.where(interior, n_u + nodes - 1, -1)
         r_col = np.full((n, 1), nz)
-        I, J, self.r_terms = _row_sum_terms(np.hstack([u_cols.reshape(n, -1), y_cols, r_col]), n_p + 1, nz)
-        I_m, J_m, self.m_terms = _row_sum_terms(np.hstack([y_cols, r_col]), 1, nz)
+        I, J, *self.r_terms = _row_sum_terms(np.hstack([u_cols.reshape(n, -1), y_cols, r_col]), n_p + 1, nz)
+        I_m, J_m, *self.m_terms = _row_sum_terms(np.hstack([y_cols, r_col]), 1, nz)
         # The mesh pairs are the R pairs with I in y, in the same order.
         self.mesh_pairs = np.searchsorted(I * (nz + 1) + J, I_m * (nz + 1) + J_m)
         self.yy = yy = J_m < nz
@@ -662,17 +688,14 @@ def assemble_step(problem: ShockTrackProblem1d, state: DgState) -> StepSystem:
     pat = problem.step_pattern
     n, n_t = problem.n_elem, problem.p + 2
     x = phi_map(problem, state.y)
-    r = dg_residual(problem, state.u, x, problem.p)
-    R = dg_residual(problem, state.u, x, problem.p + 1)
-    _, gx = _element_geometry(problem, x)
-    ue = state.u[problem.elem_u]
-    diag, sub, sup, dx = _jacobian_for_degree(problem, ue, gx, problem.p)
-    diag_t, sub_t, sup_t, dx_t = _jacobian_for_degree(problem, ue, gx, problem.p + 1)
+    degrees = (problem.p, problem.p + 1)
+    gx, (r, R) = _residuals(problem, state.u, x, degrees)
+    (diag, sub, sup, dx), (diag_t, sub_t, sup_t, dx_t) = _jacobians(problem, state.u[problem.elem_u], gx, degrees)
     rmsh, h = _distortion(problem, gx)
     drmsh = _distortion_derivs(problem, gx, h)
 
-    sums = _row_sums(np.concatenate([sub_t, diag_t, sup_t, dx_t, R.reshape(n, n_t, 1)], axis=2), pat.r_terms)
-    mesh = _row_sums(np.concatenate([drmsh, rmsh[:, None]], axis=1)[:, None, :], pat.m_terms)
+    sums = _row_sums(np.concatenate([sub_t, diag_t, sup_t, dx_t, R.reshape(n, n_t, 1)], axis=2), *pat.r_terms)
+    mesh = _row_sums(np.concatenate([drmsh, rmsh[:, None]], axis=1)[:, None, :], *pat.m_terms)
     mesh = sums[pat.mesh_pairs] + state.kappa**2 * mesh
     sums[pat.byy_pairs] = mesh[pat.yy] + state.gamma * pat.D_yy
     g = np.concatenate([sums[pat.gu_pairs], 0.0 + mesh[~pat.yy]])
@@ -712,11 +735,8 @@ def sqp_step(problem: ShockTrackProblem1d, state: DgState) -> SqpStep:
 
 def _merit_components(problem: ShockTrackProblem1d, u, y, kappa: float):
     """Objective value and constraint residual without any Jacobian work."""
-    x = phi_map(problem, y)
-    R = dg_residual(problem, u, x, problem.p + 1)
-    _, gx = _element_geometry(problem, x)
+    gx, (R, r) = _residuals(problem, u, phi_map(problem, y), (problem.p + 1, problem.p))
     rmsh, _ = _distortion(problem, gx)
-    r = dg_residual(problem, u, x, problem.p)
     return _objective(R, rmsh, kappa), r
 
 

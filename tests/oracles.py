@@ -20,7 +20,9 @@ lookups, the preconditioner apply through the transposed view of Jy, the
 transfers built by a loop and block_diag, the KKT matrix assembled by bmat's
 COO path, the reader with a second loadtxt and a reshape per block, the SQP
 step solved on build_kkt's K, the point ILU0 solve through identity
-permutations) do the same float operations in the same order as their
+permutations, the step's product sums gathered from every row's full outer
+product, the residual and the Jacobian blocks of one test degree at a time)
+do the same float operations in the same order as their
 replacements, so tests compare the two with np.array_equal.
 
 The KKT products of earlier operators, nine separate factor products and the
@@ -46,6 +48,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
+from kktprecond import shocktrack
 from kktprecond.blocklinalg import (
     BlockLuFactor,
     Factor,
@@ -547,6 +550,71 @@ def kkt_sqp_step(problem, state) -> SqpStep:
     rmsh, _ = mesh_distortion(problem, x)
     nz = problem.n_u + problem.n_y
     return SqpStep(sol[:nz], sol[nz:], sys.g, R, rmsh, sys.r)
+
+
+def single_degree_residual(problem, u, x, test_degree: int) -> np.ndarray:
+    """shocktrack.dg_residual as it was, with the geometry, U, the face
+    fluxes and the weighted terms computed again for every test degree."""
+    u = np.asarray(u, dtype=float)
+    x = np.asarray(x, dtype=float)
+    gx = shocktrack._element_geometry(problem, x)
+    pb = problem.basis(problem.p)
+    tb = problem.basis(test_degree)
+    w = problem.quad_wts
+
+    ue = u[problem.elem_u]
+    U = ue @ pb.V.T
+    left, right = shocktrack._face_states(problem, ue)
+    H = problem.riemann(left, right)
+
+    face = np.outer(H[1:], tb.t1) - np.outer(H[:-1], tb.t0)
+    vol = (w * problem.flux_value(U)) @ tb.D
+    src = (w * gx * problem.source_value(U)) @ tb.V
+    return (face - vol - src).ravel()
+
+
+def single_degree_jacobian(problem, ue, gx, test_degree: int):
+    """The element Jacobian blocks (diag, sub, sup, dx) of one test degree as
+    shocktrack computed them before it shared U, the Riemann derivatives and
+    the weighted derivatives between the two degrees."""
+    pb = problem.basis(problem.p)
+    tb = problem.basis(test_degree)
+    w = problem.quad_wts
+    n = problem.n_elem
+
+    U = ue @ pb.V.T
+    left, right = shocktrack._face_states(problem, ue)
+    dHa, dHb = problem.riemann_derivs(left, right)
+
+    diag = -np.einsum("gi,eg,gj->eij", tb.D, w * problem.flux_deriv(U), pb.V)
+    diag -= np.einsum("gi,eg,gj->eij", tb.V, (w * problem.source_deriv(U)) * gx, pb.V)
+    diag += dHa[1:, None, None] * np.einsum("i,j->ij", tb.t1, pb.t1)[None, :, :]
+    diag -= dHb[:-1, None, None] * np.einsum("i,j->ij", tb.t0, pb.t0)[None, :, :]
+
+    sub = np.zeros((n, len(tb.t0), problem.p + 1))
+    sup = np.zeros_like(sub)
+    sub[1:] = -dHa[1:-1, None, None] * np.einsum("i,j->ij", tb.t0, pb.t1)[None, :, :]
+    sup[:-1] = dHb[1:-1, None, None] * np.einsum("i,j->ij", tb.t1, pb.t0)[None, :, :]
+
+    qb = problem.basis(problem.q)
+    dx = -np.einsum("gi,eg,gj->eij", tb.V, w * problem.source_value(U), qb.D)
+    return diag, sub, sup, dx
+
+
+def outer_product_row_sums(A, left, right) -> np.ndarray:
+    """shocktrack._row_sums as it was: every row's full outer product over A
+    of shape (groups, rows, width), padded by a zero group, gathered at the
+    flat outer-product position of each term, and summed from 0.0 term by
+    term. Term (left, right) is the outer-product entry (left, right % width)
+    of left's row."""
+    width = A.shape[-1]
+    A = np.concatenate([A, np.zeros((1,) + A.shape[1:])])
+    outer = (A[:, :, :, None] * A[:, :, None, :]).ravel()
+    terms = left.astype(np.int64) * width + right % width
+    acc = np.zeros(terms.shape[1])
+    for t in outer.take(terms):
+        acc += t
+    return acc
 
 
 def two_pass_read_matrix(path):

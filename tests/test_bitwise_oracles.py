@@ -13,6 +13,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kktprecond import shocktrack
 from kktprecond.blocklinalg import first_singular, getrf
 from kktprecond.conprec import CATALOG, build_at_preconditioner, point_ilu0_factor, point_ilu0_values
 from kktprecond.dgprecond import bilu0_blocks, mdf_order
@@ -21,6 +22,7 @@ from kktprecond.kkt import KktOperator, SystemDims, reference_solution
 from kktprecond.manifest import export_system
 from kktprecond.mmio import read_matrix, read_vector, write_matrix
 from kktprecond.pmultigrid import assemble_coarse, build_transfer, full_prolongation, full_restriction
+from kktprecond.shocktrack import ShockTrackProblem1d, dg_residual, initial_state, phi_map
 from kktprecond.stencil import generate_stencil_system
 from oracles import (
     bmat_kkt,
@@ -31,6 +33,7 @@ from oracles import (
     ikj_point_ilu0_values,
     looped_transfers,
     nine_product_matvec,
+    outer_product_row_sums,
     per_block_pivot_check,
     permuted_point_ilu0_factor,
     recomputing_mdf_order,
@@ -38,6 +41,8 @@ from oracles import (
     scipy_lu_solve,
     sliced_block_matvec,
     sliced_coarse_matrix,
+    single_degree_jacobian,
+    single_degree_residual,
     two_pass_read_matrix,
     two_pass_read_vector,
 )
@@ -332,3 +337,62 @@ def test_block_to_scipy_matches_coo_construction(A):
     got, want = A.tocsr(), coo_block_to_scipy(A)
     assert _same_arrays(got, want)
     assert got.indices.dtype == want.indices.dtype and got.indptr.dtype == want.indptr.dtype
+
+
+@pytest.mark.parametrize("n_groups, n_rows, width, nz", [(1, 1, 3, 2), (6, 3, 5, 9), (12, 4, 7, 10), (30, 1, 4, 12)])
+def test_row_sums_match_the_outer_product_sums(n_groups, n_rows, width, nz):
+    """The chunked sums equal the full outer-product gather bit for bit, and
+    both equal each pair's terms summed from 0.0 over its shared groups and
+    their rows in ascending order, on A with signed zeros and pairs that
+    share fewer groups than the tables have slots."""
+    rng = np.random.default_rng(n_groups * 100 + width)
+    cols = np.array([rng.choice(nz, width - 1, replace=False) for _ in range(n_groups)])
+    cols[rng.random(cols.shape) < 0.2] = -1
+    cols = np.hstack([cols, np.full((n_groups, 1), nz)])
+    A = rng.standard_normal((n_groups, n_rows, width))
+    A[rng.random(A.shape) < 0.3] = 0.0
+    A[rng.random(A.shape) < 0.2] = -0.0
+
+    I, J, left, right = shocktrack._row_sum_terms(cols, n_rows, nz)
+    assert left.dtype == right.dtype == np.int32 and left.shape == right.shape == (left.shape[0], len(I))
+    got = shocktrack._row_sums(A, left, right)
+    assert np.array_equal(_bits(got), _bits(outer_product_row_sums(A, left, right)))
+
+    want, shared = [], []
+    for i, j in zip(I, J):
+        acc, n_shared = 0.0, 0
+        for g in range(n_groups):
+            c1, c2 = np.flatnonzero(cols[g] == i), np.flatnonzero(cols[g] == j)
+            if c1.size and c2.size:
+                n_shared += 1
+                for row in range(n_rows):
+                    acc += A[g, row, c1[0]] * A[g, row, c2[0]]
+        want.append(acc)
+        shared.append(n_shared)
+    pairs = {(int(c1), int(c2)) for g in cols for c1 in g for c2 in g if 0 <= c1 <= c2 and c1 < nz}
+    assert sorted(pairs) == list(zip(I.tolist(), J.tolist()))
+    assert np.array_equal(_bits(got), _bits(want))
+    assert left.shape[0] == max(shared) * n_rows
+    if n_groups > 1:
+        assert min(shared) < max(shared)
+
+
+@pytest.mark.parametrize("source_on", [True, False])
+@pytest.mark.parametrize("p, q", [(0, 1), (1, 2), (2, 2), (3, 1)])
+def test_shared_residual_pass_matches_one_degree_at_a_time(p, q, source_on):
+    """The residuals and Jacobian blocks of both test degrees from one
+    shared pass equal dg_residual's and the one-degree oracles', bit for bit."""
+    prob = ShockTrackProblem1d(n_elem=7, p=p, q=q, source_on=source_on)
+    rng = np.random.default_rng(10 * p + q)
+    st = initial_state(prob)
+    u = st.u + 0.1 * rng.standard_normal(prob.n_u)
+    x = phi_map(prob, st.y + (0.01 / prob.n_elem) * rng.standard_normal(prob.n_y))
+    degrees = (p, p + 1)
+    gx, residuals = shocktrack._residuals(prob, u, x, degrees)
+    assert np.array_equal(_bits(gx), _bits(shocktrack._element_geometry(prob, x)))
+    blocks = shocktrack._jacobians(prob, u[prob.elem_u], gx, degrees)
+    for degree, R, block in zip(degrees, residuals, blocks):
+        assert np.array_equal(_bits(R), _bits(dg_residual(prob, u, x, degree)))
+        assert np.array_equal(_bits(R), _bits(single_degree_residual(prob, u, x, degree)))
+        want = single_degree_jacobian(prob, u[prob.elem_u], gx, degree)
+        assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(block, want))

@@ -399,15 +399,38 @@ def test_cli_generate_rejects_bad_problem_parameters(tmp_path, capsys, text):
         "kappa = nan\n",
         "states = -1\n",
         "states = 7\nmax_iters = 6\n",
+        "kappa = inf\n",
+        "gamma = inf\n",
+        "bc_left = nan\n",
+        "bc_right = -inf\n",
     ],
-    ids=["gamma-negative", "kappa-negative", "gamma-nan", "kappa-nan", "state-negative", "state-past-max-iters"],
+    ids=[
+        "gamma-negative",
+        "kappa-negative",
+        "gamma-nan",
+        "kappa-nan",
+        "state-negative",
+        "state-past-max-iters",
+        "kappa-inf",
+        "gamma-inf",
+        "bc-left-nan",
+        "bc-right-minus-inf",
+    ],
 )
 def test_cli_generate_rejects_bad_weights_and_states_before_the_sqp_run(tmp_path, capsys, sqp_calls, text):
     cfg = write_config(tmp_path, "n_elem = 8\n" + text)
     assert main(["generate", cfg, str(tmp_path / "out")]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:")
-    assert sqp_calls == []
+    assert sqp_calls == [] and not (tmp_path / "out").exists()
+
+
+def test_cli_generate_rejects_negative_max_iters_with_its_own_message(tmp_path, capsys, sqp_calls):
+    cfg = write_config(tmp_path, "n_elem = 8\nmax_iters = -1\n")
+    assert main(["generate", cfg, str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: invalid max_iters -1: must be nonnegative\n"
+    assert sqp_calls == [] and not (tmp_path / "out").exists()
 
 
 def test_cli_generate_singular_step_exits_1(tmp_path, capsys):
@@ -601,6 +624,11 @@ def test_cli_sweep_bad_values_exit_2(tmp_path, capsys, sqp_calls, spec):
         ("degree", [[1, True]], {}),
         ("state", [1.5], {}),
         ("mesh", [8.0], {}),
+        ("gamma", [float("inf")], {}),
+        ("kappa", [0.1], {"gamma": float("inf")}),
+        ("gamma", [0.1], {"n_elem": 8, "bc_left": float("nan")}),
+        ("state", [1], {"n_elem": 8, "bc_right": float("-inf")}),
+        ("mesh", [8], {"max_iters": -1, "state": 0}),
     ],
     ids=[
         "mesh-not-a-number",
@@ -622,6 +650,11 @@ def test_cli_sweep_bad_values_exit_2(tmp_path, capsys, sqp_calls, spec):
         "degree-bool",
         "state-fractional",
         "mesh-float",
+        "gamma-inf",
+        "fixed-gamma-inf",
+        "fixed-bc-left-nan",
+        "fixed-bc-right-minus-inf",
+        "fixed-max-iters-negative",
     ],
 )
 def test_cli_sweep_checks_every_value_before_the_first_sqp_run(tmp_path, capsys, sqp_calls, axis, values, fixed):
@@ -665,6 +698,15 @@ def test_cli_stencil_deterministic_output(tmp_path, capsys):
     assert A.blocksize == B.blocksize == (2, 2)
     np.testing.assert_array_equal(A.indices, B.indices)
     np.testing.assert_array_equal(A.data, B.data)
+
+
+@pytest.mark.parametrize("n, block", [(0, 2), (2, 0)], ids=["n-0", "block-0"])
+def test_cli_stencil_bad_size_exits_2(tmp_path, capsys, n, block):
+    out = tmp_path / "a.mtx"
+    assert main(["stencil", str(out), "--n", str(n), "--block", str(block)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error: invalid stencil parameters") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_stencil_edge_grids(tmp_path):

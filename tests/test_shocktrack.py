@@ -128,6 +128,24 @@ def test_tracked_state_solves_both_test_spaces(p, q):
     assert np.linalg.norm(R, np.inf) <= 1e-12
 
 
+def test_residual_pass_computes_the_geometry_once(prob8, states8, monkeypatch):
+    """One line-search trial and one step assembly each compute the element
+    geometry once for both test degrees and the mesh distortion."""
+    calls = []
+    geometry = shocktrack._element_geometry
+
+    def counting(*args):
+        calls.append(args)
+        return geometry(*args)
+
+    monkeypatch.setattr(shocktrack, "_element_geometry", counting)
+    st = states8[1]
+    shocktrack._merit_components(prob8, st.u, st.y, st.kappa)
+    assert len(calls) == 1
+    shocktrack.assemble_step(prob8, st)
+    assert len(calls) == 2
+
+
 def test_inverted_mesh_rejected():
     prob = ShockTrackProblem1d(3, 1, 1)
     with pytest.raises(InvertedElement):
