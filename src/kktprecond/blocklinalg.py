@@ -28,6 +28,7 @@ __all__ = [
     "first_singular",
     "getrf",
     "sparse_lu",
+    "triangular_split",
     "triangular_sweep",
     "canonical_bsr",
     "canonical_csr",
@@ -107,6 +108,62 @@ class Factor:
         if b.shape != (self.n,):
             raise DimensionMismatch(f"vector length {b.shape} incompatible with dimension {self.n}")
         return (self.apply if trans == "N" else self.apply_T)(b)
+
+
+def _column_major(blocks: np.ndarray, block_rows: np.ndarray, block_cols: np.ndarray, picked: np.ndarray, nb: int):
+    """data, indices and indptr of the CSC matrix of order nb * s holding
+    the blocks at the storage positions picked, which list each block
+    column's blocks in ascending block row: each block's s x s layout is
+    spread over its s point columns."""
+    s = blocks.shape[1]
+    cols = block_cols[picked]
+    per_col = np.bincount(cols, minlength=nb)
+    col_start = np.cumsum(per_col) - per_col
+    # Column c of the m-th block of block column C, picked[col_start[C] + m],
+    # is the s entries of segment s * col_start[C] + c * per_col[C] + m.
+    segment = (np.arange(len(cols)) + (s - 1) * col_start[cols])[:, None] + np.arange(s) * per_col[cols][:, None]
+    code = np.empty(s * len(cols), dtype=np.intp)
+    code[segment.ravel()] = (picked[:, None] * s + np.arange(s)).ravel()
+    block_of, col_of = np.divmod(code, s)
+    data = blocks[block_of, :, col_of].ravel()
+    indices = (block_rows[block_of, None] * s + np.arange(s)).ravel()
+    indptr = np.append(s * (s * col_start[:, None] + np.arange(s) * per_col[:, None]).ravel(), s * len(code))
+    return data, indices, indptr
+
+
+def triangular_split(blocks, indices, indptr) -> tuple[scipy.sparse.csc_matrix, scipy.sparse.csc_matrix]:
+    """The CSC factors L and U of the square block-CSR matrix with the
+    (count, s, s) block stack blocks, sorted block column indices and
+    indptr, split at the block level: L is its strict lower blocks plus the
+    identity, their exact zeros dropped, and U its diagonal and upper
+    blocks, stored zeros kept. For s = 1 these are tril(S, -1) + I and
+    triu(S).
+
+    The blocks are sorted by block column once, then each block's s x s
+    layout is expanded. The arrays, dtypes included, are those scipy builds
+    through COO or tril / triu and a sparse sum with the identity, so
+    SuperLU factors them alike."""
+    blocks = np.asarray(blocks, dtype=float)
+    nb, s = len(indptr) - 1, blocks.shape[1]
+    n = nb * s
+    block_rows = np.repeat(np.arange(nb), np.diff(indptr))
+    # A stable sort keeps each block column's blocks in block row order.
+    by_col = np.argsort(indices, kind="stable")
+    below = block_rows[by_col] > indices[by_col]
+    U = scipy.sparse.csc_matrix(_column_major(blocks, block_rows, indices, by_col[~below], nb), shape=(n, n))
+    data, rows, ptr = _column_major(blocks, block_rows, indices, by_col[below], nb)
+    # As the sum with the identity: exact zeros dropped, and a unit entry
+    # first in every column, above the strict lower blocks.
+    kept = data != 0.0
+    kept_before = np.append(0, np.cumsum(kept))
+    l_ptr = np.append(0, np.cumsum(kept_before[ptr[1:]] - kept_before[ptr[:-1]] + 1))
+    on_diag = np.zeros(l_ptr[-1], dtype=bool)
+    on_diag[l_ptr[:-1]] = True
+    l_data = np.ones(l_ptr[-1])
+    l_data[~on_diag] = data[kept]
+    l_rows = np.repeat(np.arange(n), np.diff(l_ptr))
+    l_rows[~on_diag] = rows[kept]
+    return scipy.sparse.csc_matrix((l_data, l_rows, l_ptr), shape=(n, n)), U
 
 
 def triangular_sweep(T) -> scipy.sparse.linalg.SuperLU:

@@ -29,7 +29,7 @@ from functools import cached_property, partial
 import numpy as np
 import scipy.sparse
 
-from .blocklinalg import Factor, sparse_lu, triangular_sweep
+from .blocklinalg import Factor, sparse_lu, triangular_split, triangular_sweep
 from .dgprecond import bilu0_factor, build_block_jacobi, mdf_order
 from .errors import DimensionMismatch, PatternViolation, UnknownPreconditioner, ZeroPivot
 from .kkt import KktOperator, KktSystem
@@ -110,12 +110,12 @@ def point_ilu0_values(B: scipy.sparse.csr_matrix) -> np.ndarray:
 
 
 def point_ilu0_factor(B: scipy.sparse.csr_matrix) -> Factor:
-    """point_ilu0_values of B compiled to its two natural-order triangular
-    sweeps (blocklinalg.triangular_sweep): a solve is a forward then a
-    backward sweep, or the transposed sweeps for trans="T"."""
-    S = scipy.sparse.csr_matrix((point_ilu0_values(B), B.indices, B.indptr), shape=B.shape)
-    lower = triangular_sweep(scipy.sparse.tril(S, -1) + scipy.sparse.identity(B.shape[0]))
-    upper = triangular_sweep(scipy.sparse.triu(S))
+    """point_ilu0_values of B, split into L and U by
+    blocklinalg.triangular_split with blocks of size 1, compiled to its two
+    natural-order triangular sweeps (blocklinalg.triangular_sweep): a solve
+    is a forward then a backward sweep, or the transposed sweeps for
+    trans="T"."""
+    lower, upper = map(triangular_sweep, triangular_split(point_ilu0_values(B).reshape(-1, 1, 1), B.indices, B.indptr))
     return Factor(
         B.shape[0],
         lambda b: upper.solve(lower.solve(b)),

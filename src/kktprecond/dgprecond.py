@@ -13,13 +13,22 @@ SuperLU's solve with its LU of U_blk and a scatter back.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .blocklinalg import BlockLuFactor, Factor, canonical_bsr, first_singular, getrf, triangular_sweep
+from .blocklinalg import (
+    BlockLuFactor,
+    Factor,
+    canonical_bsr,
+    first_singular,
+    getrf,
+    triangular_split,
+    triangular_sweep,
+)
 from .errors import DimensionMismatch, SingularBlock, SingularPivotBlock
 
 __all__ = [
@@ -92,46 +101,50 @@ def build_block_jacobi(A) -> Factor:
     return Factor(A.shape[0], csr(inv).dot, csr(inv.transpose(0, 2, 1)).dot)
 
 
-def _adjacency(A):
-    """Static out-neighbors (stored columns) and in-neighbors per block row."""
-    ptr = A.indptr.tolist()
-    cols = A.indices.tolist()
-    out_nbrs = [cols[lo:hi] for lo, hi in zip(ptr[:-1], ptr[1:])]
-    in_nbrs: list[list[int]] = [[] for _ in out_nbrs]
-    for i, nbrs in enumerate(out_nbrs):
-        for j in nbrs:
-            in_nbrs[j].append(i)
-    return out_nbrs, in_nbrs
+def _fill_terms(A) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The discarded fill terms (k, i, j, ||A_ik A_kk^-1 A_kj||_F^2) of A as
+    index arrays, over stored A_ik and A_kj with i, j, k distinct and A_ij
+    not stored, listed by k, then i ascending, then j in column order.
 
-
-def _fill_table(A, out_nbrs, in_nbrs) -> list[list[tuple[int, int, float]]]:
-    """Per block row k, the discarded fill triples (i, j, ||A_ik A_kk^-1 A_kj||_F^2)
-    over stored A_ik and A_kj with i, j, k distinct and A_ij not stored.
-
-    The pattern is never augmented, so the table is static; triples are
-    listed with i in in-neighbor order and j in column order.
+    The pattern is never augmented, so the table is static. Each A_kk^-1 A_kj
+    is its own getrs call, the products are one batched matmul and each
+    squared norm is the pairwise np.sum over the flattened fill block, the
+    floats of one product and one np.sum per term.
     """
-    n = len(out_nbrs)
-    ptr = A.indptr.tolist()
-    blocks = list(A.data)
-    has_edge = {(i, j) for i in range(n) for j in out_nbrs[i]}
-    # Position of the stored block (i, j), found once per block row.
-    where = [dict(zip(out_nbrs[i], range(ptr[i], ptr[i + 1]))) for i in range(n)]
     diag_lus = _diag_lus(A)
-    table = []
-    for k in range(n):
-        solved = {j: diag_lus[k].solve(blocks[where[k][j]]) for j in out_nbrs[k] if j != k}
-        triples = []
-        for i in in_nbrs[k]:
-            if i == k:
-                continue
-            ik = blocks[where[i][k]]
-            for j, akj in solved.items():
-                if j != i and (i, j) not in has_edge:
-                    fill = ik @ akj
-                    triples.append((i, j, float(np.sum(fill * fill))))
-        table.append(triples)
-    return table
+    n, s = len(A.indptr) - 1, A.blocksize[0]
+    rows, cols = _block_rows(A), A.indices.astype(np.int64)
+    outs = np.flatnonzero(rows != cols)
+    # The A_ik of each k, i ascending (storage order is row order), and
+    # every A_kj of the row k in storage order for each of them.
+    ins = outs[np.argsort(cols[outs], kind="stable")]
+    n_out = np.bincount(rows[outs], minlength=n)
+    out_start = np.cumsum(n_out) - n_out
+    reps = n_out[cols[ins]]
+    first = np.repeat(np.cumsum(reps) - reps, reps)
+    ik = np.repeat(ins, reps)
+    kj = outs[np.repeat(out_start[cols[ins]], reps) + np.arange(len(ik)) - first]
+    i, j = rows[ik], cols[kj]
+    # Canonical storage sorts the keys row * n + col of the stored blocks.
+    stored_keys = rows * n + cols
+    key = i * n + j
+    at = np.minimum(np.searchsorted(stored_keys, key), len(stored_keys) - 1)
+    keep = (i != j) & (stored_keys[at] != key)
+    ik, kj, i, j = ik[keep], kj[keep], i[keep], j[keep]
+    solved_at, which = np.unique(kj, return_inverse=True)
+    # getrs returns Fortran-ordered blocks; the stack keeps that layout, so
+    # each product is the same gemm call as ik @ akj on one block.
+    solved = [diag_lus[k].solve(A.data[t]).T for k, t in zip(rows[solved_at].tolist(), solved_at.tolist())]
+    solved = np.array(solved).reshape(len(solved_at), s, s).transpose(0, 2, 1)
+    fill = np.matmul(A.data[ik], solved[which])
+    norms = np.sum((fill * fill).reshape(len(fill), s * s), axis=1)
+    return rows[kj], i, j, norms
+
+
+def _heap_key(weight: float, k: int) -> tuple:
+    """Heap key of row k that orders as np.argmin over the rows does: a NaN
+    weight first, then the lowest weight, ties to the lowest index."""
+    return (0, 0.0, k) if weight != weight else (1, weight, k)
 
 
 def mdf_order(A) -> MdfOrdering:
@@ -143,37 +156,60 @@ def mdf_order(A) -> MdfOrdering:
         w_k = sqrt( sum_{(i,j)} || A_ik A_kk^-1 A_kj ||_F^2 ),
 
     over pairs of uneliminated neighbors i != j with A_ik and A_kj stored but
-    A_ij absent from the pattern. Ties select the lowest original index. The
-    pattern itself is never augmented with fill, so every term is computed
-    once; after eliminating a row, only its neighbors' weights are summed
-    again over their remaining terms.
+    A_ij absent from the pattern, summed one term after another in the order
+    of _fill_terms. Ties select the lowest original index and a NaN weight is
+    selected first, as np.argmin over the alive rows would. The pattern
+    itself is never augmented with fill, so every term is computed once;
+    after eliminating a row, only the rows with a term that names it are
+    summed again over their remaining terms, and a heap with lazy deletion
+    picks the next row.
     """
     A = _square_bsr(A)
-    out_nbrs, in_nbrs = _adjacency(A)
-    n = len(out_nbrs)
-    table = _fill_table(A, out_nbrs, in_nbrs)
-    alive = np.ones(n, dtype=bool)
+    n = len(A.indptr) - 1
+    k_of, i_of, j_of, norms = _fill_terms(A)
+    count = np.bincount(k_of, minlength=n)
+    start = np.cumsum(count) - count
+    # Every row's first weight, its terms added in table order across rows.
+    totals = np.zeros(n)
+    for t in range(count.max(initial=0)):
+        has = np.flatnonzero(count > t)
+        totals[has] += norms[start[has] + t]
+    weights = np.sqrt(totals).tolist()
+    # The rows whose weight drops a term when row r is eliminated.
+    pairs = np.unique(np.concatenate([i_of, j_of]) * n + np.concatenate([k_of, k_of]))
+    dep_ptr = np.searchsorted(pairs // n, np.arange(n + 1)).tolist()
+    dependents = (pairs % n).tolist()
+    bounds = np.append(start, len(norms)).tolist()
+    ti, tj, f = i_of.tolist(), j_of.tolist(), norms.tolist()
+    alive = [True] * n
 
     def weight(k: int) -> float:
         total = 0.0
-        for i, j, f in table[k]:
-            if alive[i] and alive[j]:
-                total += f
+        for t in range(bounds[k], bounds[k + 1]):
+            if alive[ti[t]] and alive[tj[t]]:
+                total += f[t]
         return float(np.sqrt(total))
 
-    weights = np.array([weight(k) for k in range(n)])
+    keys = [_heap_key(w, k) for k, w in enumerate(weights)]
+    heap = keys.copy()
+    heapq.heapify(heap)
     order = np.empty(n, dtype=int)
     selected = np.empty(n)
     for step in range(n):
-        candidates = np.flatnonzero(alive)
-        k = int(candidates[np.argmin(weights[candidates])])
+        entry = heapq.heappop(heap)
+        while entry != keys[entry[2]] or not alive[entry[2]]:
+            entry = heapq.heappop(heap)
+        k = entry[2]
         order[step] = k
         selected[step] = weights[k]
         alive[k] = False
-        touched = {m for m in out_nbrs[k] if alive[m]}
-        touched.update(m for m in in_nbrs[k] if alive[m])
-        for m in touched:
-            weights[m] = weight(m)
+        for m in dependents[dep_ptr[k] : dep_ptr[k + 1]]:
+            if alive[m]:
+                weights[m] = weight(m)
+                key = _heap_key(weights[m], m)
+                if key != keys[m]:
+                    keys[m] = key
+                    heapq.heappush(heap, key)
     return MdfOrdering(order, selected)
 
 
@@ -196,11 +232,18 @@ def bilu0_blocks(A, order: np.ndarray) -> scipy.sparse.bsr_matrix:
     blocks of U, diagonal included.
 
     Block IKJ elimination; updates touching positions outside the pattern are
-    skipped, which is the only approximation. Raises SingularPivotBlock for
-    the first step whose pivot block is missing or near-singular.
+    skipped, which is the only approximation. Raises ValueError, before
+    any elimination, for an order that is not an integer permutation of the
+    block rows, and SingularPivotBlock for the first step whose pivot block
+    is missing or near-singular.
     """
     A = _square_bsr(A)
-    order = np.asarray(order, dtype=int)
+    order = np.asarray(order)
+    n = len(A.indptr) - 1
+    if not (
+        order.shape == (n,) and np.issubdtype(order.dtype, np.integer) and np.array_equal(np.sort(order), np.arange(n))
+    ):
+        raise ValueError(f"order must be an integer permutation of the block rows 0..{n - 1}")
     work = _permuted_copy(A, order)
     diag_pos, first_missing = _diagonal_positions(work)
     diag_pos = diag_pos.tolist()
@@ -243,19 +286,13 @@ def bilu0_factor(A, ordering: MdfOrdering) -> Factor:
     U_blk is block upper triangular, so every pivot stays in its diagonal
     block and SuperLU's solve is U_blk^-1; trans="T" is its own transposed
     solve."""
-    order = np.asarray(ordering.order, dtype=int)
-    work = bilu0_blocks(A, order)
+    work = bilu0_blocks(A, ordering.order)
     s = work.blocksize[0]
     # perm[r] is the original point index of row r of the permuted matrix.
-    perm = (order[:, None] * s + np.arange(s)).ravel()
-    C = work.tocoo()
-    below = C.row // s > C.col // s
-
-    def part(mask):
-        return scipy.sparse.csc_matrix((C.data[mask], (C.row[mask], C.col[mask])), shape=C.shape)
-
-    lower = triangular_sweep(part(below) + scipy.sparse.identity(C.shape[0]))
-    upper = scipy.sparse.linalg.splu(part(~below), permc_spec="NATURAL")
+    perm = (np.asarray(ordering.order)[:, None] * s + np.arange(s)).ravel()
+    lower, upper = triangular_split(work.data, work.indices, work.indptr)
+    lower = triangular_sweep(lower)
+    upper = scipy.sparse.linalg.splu(upper, permc_spec="NATURAL")
 
     def apply(b: np.ndarray) -> np.ndarray:
         x = np.empty_like(b)

@@ -11,7 +11,8 @@ package recovers the block layout. BSR holds one block shape per matrix, so a
 line listing unequal sizes is rejected. Every stored entry is written, zeros
 included, so a block pattern survives the round trip.
 Values are printed with 17 significant digits, which round-trips IEEE doubles
-exactly.
+exactly. The readers reject nan and infinite values with a ManifestError
+that names the file.
 """
 
 from __future__ import annotations
@@ -83,6 +84,13 @@ def _check_end(path, lines: list[str]) -> None:
         raise ManifestError(f"{path}: a non-blank line follows the declared records")
 
 
+def _check_finite(path, vals: np.ndarray, what: str) -> None:
+    """Every value must be finite: nan and inf are not data."""
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if len(bad):
+        raise ManifestError(f"{path}: {what} {bad[0] + 1} is {vals[bad[0]]}, not a finite number")
+
+
 def _check_banner(path, lines: list[str], banner: str) -> None:
     """The first line must be banner (its words compared case-insensitively)."""
     if not lines or not lines[0].startswith("%%MatrixMarket"):
@@ -104,8 +112,8 @@ def read_matrix(path, shape=None):
     as a canonical BSR matrix if the file carries a block-sizes line. Of
     repeated (row, col) entries the last in the file wins. A size line other
     than the expected shape, if one is given, is rejected before anything is
-    allocated for it. A non-blank line after the declared entries is an
-    error."""
+    allocated for it. A non-blank line after the declared entries and a
+    value that is nan or infinite are errors."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     _check_banner(path, lines, _BANNER)
@@ -122,6 +130,7 @@ def read_matrix(path, shape=None):
     if len(entries) != nnz:
         raise ManifestError(f"{path}: header declares {nnz} entries, file holds {len(entries)}")
     _check_end(path, lines[k + 1 + nnz :])
+    _check_finite(path, entries["val"], "entry")
     rows, cols, vals = entries["row"] - 1, entries["col"] - 1, entries["val"]
     if nnz and (rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols):
         raise ManifestError(f"{path}: entry outside the declared {n_rows} x {n_cols} shape")
@@ -165,7 +174,8 @@ def write_vector(path, v: np.ndarray) -> None:
 
 
 def read_vector(path) -> np.ndarray:
-    """Read an array real general file with one column, only blank lines after its values."""
+    """Read an array real general file with one column of finite values,
+    only blank lines after them."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     _check_banner(path, lines, _BANNER_ARRAY)
@@ -177,4 +187,5 @@ def read_vector(path) -> np.ndarray:
     if len(vals) != n:
         raise ManifestError(f"{path}: expected {n} entries, found {len(vals)}")
     _check_end(path, lines[1 + n :])
+    _check_finite(path, vals, "value")
     return vals

@@ -15,9 +15,12 @@ the values of conprec.point_ilu0_values, read in the pattern of the Byy
 they factor.
 
 The replaced kernels (scipy's lu_factor / lu_solve wrappers, MDF weights
-recomputed from the blocks, the block and point IKJ loops with per-update
-lookups, the preconditioner apply through the transposed view of Jy, the
-transfers built by a loop and block_diag, the KKT matrix assembled by bmat's
+recomputed from the blocks, the MDF order from a per-row fill table with an
+argmin scan per step, the block and point ILU0 factors split into L and U
+through COO, tril and triu and a sum with the identity, the block and point
+IKJ loops with per-update lookups, the preconditioner apply through the
+transposed view of Jy, the transfers built by a loop and block_diag, the
+KKT matrix assembled by bmat's
 COO path, the reader with a second loadtxt and a reshape per block, the SQP
 step solved on build_kkt's K, the point ILU0 solve through identity
 permutations, the step's product sums gathered from every row's full outer
@@ -369,6 +372,80 @@ def recomputing_mdf_order(A):
         for m in touched:
             weights[m] = weight(m)
     return order, selected
+
+
+def fill_table_mdf_order(A):
+    """Greedy minimum-discarded-fill order of a BSR matrix from a per-row
+    table of its fill terms, built by dict and set loops with one getrs and
+    one np.sum per term, and an argmin over the alive rows at every step;
+    returns (order, weights_at_selection)."""
+    n = len(A.indptr) - 1
+    out_nbrs = [A.indices[A.indptr[i] : A.indptr[i + 1]].tolist() for i in range(n)]
+    in_nbrs = [[] for _ in range(n)]
+    for i in range(n):
+        for j in out_nbrs[i]:
+            in_nbrs[j].append(i)
+    has_edge = {(i, j) for i in range(n) for j in out_nbrs[i]}
+    diag_lus = [getrf(A.data[block_index(A, k, k)]) for k in range(n)]
+    table = []
+    for k in range(n):
+        solved = {j: diag_lus[k].solve(A.data[block_index(A, k, j)]) for j in out_nbrs[k] if j != k}
+        triples = []
+        for i in in_nbrs[k]:
+            if i == k:
+                continue
+            ik = A.data[block_index(A, i, k)]
+            for j, akj in solved.items():
+                if j != i and (i, j) not in has_edge:
+                    fill = ik @ akj
+                    triples.append((i, j, float(np.sum(fill * fill))))
+        table.append(triples)
+    alive = np.ones(n, dtype=bool)
+
+    def weight(k):
+        total = 0.0
+        for i, j, f in table[k]:
+            if alive[i] and alive[j]:
+                total += f
+        return float(np.sqrt(total))
+
+    weights = np.array([weight(k) for k in range(n)])
+    order = np.empty(n, dtype=int)
+    selected = np.empty(n)
+    for step in range(n):
+        candidates = np.flatnonzero(alive)
+        k = int(candidates[np.argmin(weights[candidates])])
+        order[step] = k
+        selected[step] = weights[k]
+        alive[k] = False
+        touched = {m for m in out_nbrs[k] if alive[m]}
+        touched.update(m for m in in_nbrs[k] if alive[m])
+        for m in touched:
+            weights[m] = weight(m)
+    return order, selected
+
+
+def coo_block_split(F):
+    """CSC L_blk (strict lower blocks plus the identity) and U_blk (blocks on
+    and above the diagonal) of the block ILU0 blocks F, through F's COO
+    form, a masked COO-to-CSC build of each part and a sparse sum with the
+    identity."""
+    s = F.blocksize[0]
+    C = F.tocoo()
+    below = C.row // s > C.col // s
+
+    def part(mask):
+        return scipy.sparse.csc_matrix((C.data[mask], (C.row[mask], C.col[mask])), shape=C.shape)
+
+    return part(below) + scipy.sparse.identity(C.shape[0]), part(~below)
+
+
+def tril_point_split(B, values):
+    """CSC L = tril(S, -1) + I and U = triu(S) of S, the values in the
+    pattern of the canonical CSR matrix B, as SuperLU receives them."""
+    S = scipy.sparse.csr_matrix((values, B.indices, B.indptr), shape=B.shape)
+    L = scipy.sparse.tril(S, -1) + scipy.sparse.identity(B.shape[0])
+    return scipy.sparse.csc_matrix(L), scipy.sparse.csc_matrix(scipy.sparse.triu(S))
 
 
 def ikj_bilu_blocks(A, order) -> list:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kktprecond import shocktrack
-from kktprecond.blocklinalg import first_singular, getrf
+from kktprecond.blocklinalg import first_singular, getrf, triangular_split
 from kktprecond.conprec import CATALOG, build_at_preconditioner, point_ilu0_factor, point_ilu0_values
 from kktprecond.dgprecond import bilu0_blocks, mdf_order
 from kktprecond.errors import SingularBlock
@@ -22,12 +22,14 @@ from kktprecond.kkt import KktOperator, SystemDims, reference_solution
 from kktprecond.manifest import export_system
 from kktprecond.mmio import read_matrix, read_vector, write_matrix
 from kktprecond.pmultigrid import assemble_coarse, build_transfer, full_prolongation, full_restriction
-from kktprecond.shocktrack import ShockTrackProblem1d, dg_residual, initial_state, phi_map
+from kktprecond.shocktrack import ShockTrackProblem1d, build_kkt, dg_residual, initial_state, phi_map
 from kktprecond.stencil import generate_stencil_system
 from oracles import (
     bmat_kkt,
+    coo_block_split,
     coo_block_to_scipy,
     dense_lu_factor,
+    fill_table_mdf_order,
     five_step_apply,
     ikj_bilu_blocks,
     ikj_point_ilu0_values,
@@ -43,6 +45,7 @@ from oracles import (
     sliced_coarse_matrix,
     single_degree_jacobian,
     single_degree_residual,
+    tril_point_split,
     two_pass_read_matrix,
     two_pass_read_vector,
 )
@@ -89,14 +92,42 @@ def test_kkt_product_matches_nine_products(name, request):
         assert _within_rounding(K, X, got, nine_product_matvec(sys, X))
 
 
-def scaled_stencil(seed):
-    """A 6 x 6 grid 5-point stencil with 2 x 2 blocks, each block scaled by a
-    random power of ten, so the fill terms of a weight differ in size and
-    their summation order shows in the last bits."""
-    A = generate_stencil_system(6, 2, seed)
+def scaled_stencil(seed, n=6, block=2):
+    """An n x n grid 5-point stencil with block x block blocks, each block
+    scaled by a random power of ten, so the fill terms of a weight differ in
+    size and their summation order shows in the last bits."""
+    A = generate_stencil_system(n, block, seed)
     rng = np.random.default_rng(seed)
     blocks = np.array([blk * 10.0 ** rng.uniform(-1.0, 1.0) for blk in A.data])
     return scipy.sparse.bsr_matrix((blocks, A.indices, A.indptr), shape=A.shape)
+
+
+def _same_mdf(A):
+    """mdf_order(A) against the fill-table oracle, bit for bit, NaN weights
+    included."""
+    got = mdf_order(A)
+    order, weights = fill_table_mdf_order(A)
+    assert np.array_equal(got.order, order)
+    assert np.array_equal(got.weights_at_selection, weights, equal_nan=True)
+    return got
+
+
+def _same_csc(got, want):
+    """Identical CSC arrays and dtypes, as SuperLU receives them."""
+    assert got.format == want.format == "csc" and got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and np.array_equal(g, w, equal_nan=name == "data")
+
+
+def _same_splits(F, B, values):
+    """triangular_split of the block ILU0 blocks F and of the point ILU0
+    values of B against the COO and tril/triu oracles."""
+    for got, want in zip(triangular_split(F.data, F.indices, F.indptr), coo_block_split(F), strict=True):
+        _same_csc(got, want)
+    got = triangular_split(values.reshape(-1, 1, 1), B.indices, B.indptr)
+    for g, w in zip(got, tril_point_split(B, values), strict=True):
+        _same_csc(g, w)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -104,26 +135,111 @@ def test_mdf_order_matches_recomputed_weights_on_stencils(seed):
     # A 2D stencil has up to twelve discarded fill terms per row, so the
     # order of the terms in each weight's sum is exercised.
     A = scaled_stencil(seed)
-    got = mdf_order(A)
+    got = _same_mdf(A)
     order, weights = recomputing_mdf_order(A)
     assert np.array_equal(got.order, order)
     assert np.array_equal(got.weights_at_selection, weights)
-    blocks = bilu0_blocks(A, got.order).data
-    assert all(np.array_equal(g, w) for g, w in zip(blocks, ikj_bilu_blocks(A, order), strict=True))
+    blocks = bilu0_blocks(A, got.order)
+    assert all(np.array_equal(g, w) for g, w in zip(blocks.data, ikj_bilu_blocks(A, order), strict=True))
+    B = A.tocsr()
+    _same_splits(blocks, B, point_ilu0_values(B))
+
+
+@pytest.mark.parametrize("seed, n, block", [(3, 10, 3), (4, 20, 2)])
+def test_mdf_order_and_splits_match_oracles_on_larger_stencils(seed, n, block):
+    A = scaled_stencil(seed, n, block)
+    got = _same_mdf(A)
+    B = A.tocsr()
+    _same_splits(bilu0_blocks(A, got.order), B, point_ilu0_values(B))
+
+
+def perturbed_stencil(seed, kind):
+    """The 6 x 6 scaled stencil with a third of its off-diagonal blocks made
+    NaN, +inf, -inf or zero in one entry or whole; or, for "ties", every
+    diagonal block 4 I and every neighbor block one fixed block, so equal
+    weights abound."""
+    A = scaled_stencil(seed)
+    blocks = A.data.copy()
+    off = np.flatnonzero(A.indices != np.repeat(np.arange(len(A.indptr) - 1), np.diff(A.indptr)))
+    rng = np.random.default_rng(seed)
+    if kind == "ties":
+        blocks[:] = blocks[off[0]]
+        blocks[_diagonal(A)] = 4.0 * np.eye(2)
+    else:
+        value = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "zero": 0.0}[kind]
+        for t in rng.choice(off, len(off) // 3, replace=False):
+            if rng.integers(2):
+                blocks[t] = value
+            else:
+                blocks[t][tuple(rng.integers(0, 2, 2))] = value
+    return scipy.sparse.bsr_matrix((blocks, A.indices, A.indptr), shape=A.shape)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["nan", "inf", "-inf", "zero", "ties"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mdf_order_matches_fill_table_oracle_on_perturbed_stencils(seed, kind):
+    # NaN weights rank first and equal weights go to the lowest index, as
+    # the oracle's argmin over the alive rows does.
+    A = perturbed_stencil(seed, kind)
+    got = _same_mdf(A)
+    if kind == "ties":
+        assert len(np.unique(got.weights_at_selection)) < len(got.order) // 2
+    if kind in ("nan", "inf", "-inf"):
+        assert np.isnan(got.weights_at_selection).any() or np.isinf(got.weights_at_selection).any()
+
+
+@st.composite
+def split_inputs(draw):
+    """A block-CSR stack with every diagonal block stored, of one block size
+    drawn per example, with whole zero blocks, zero, negative zero and NaN
+    entries mixed in."""
+    nb = draw(st.integers(1, 6))
+    s = draw(st.integers(1, 3))
+    stored = np.array(draw(st.lists(st.booleans(), min_size=nb * nb, max_size=nb * nb))).reshape(nb, nb)
+    stored |= np.eye(nb, dtype=bool)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    I, J = np.nonzero(stored)
+    blocks = rng.standard_normal((len(I), s, s))
+    specials = np.array([0.0, -0.0, np.nan])
+    pick = rng.random(blocks.shape) < 0.3
+    blocks[pick] = rng.choice(specials, pick.sum())
+    blocks[rng.random(len(I)) < 0.2] = 0.0
+    indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
+    return blocks, J.astype(np.int32), indptr.astype(np.int32)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(split_inputs())
+def test_triangular_split_matches_coo_and_tril_oracles(case):
+    # Stored zeros stay in U; exact zeros of the strict lower blocks leave L.
+    blocks, indices, indptr = case
+    nb, s = len(indptr) - 1, blocks.shape[1]
+    F = scipy.sparse.bsr_matrix((blocks, indices, indptr), shape=(nb * s, nb * s))
+    for got, want in zip(triangular_split(blocks, indices, indptr), coo_block_split(F), strict=True):
+        _same_csc(got, want)
+    B = F.tocsr()
+    values = B.data.copy()
+    for got, want in zip(
+        triangular_split(values.reshape(-1, 1, 1), B.indices, B.indptr), tril_point_split(B, values), strict=True
+    ):
+        _same_csc(got, want)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(dominant_block_matrices())
 def test_block_and_point_ilu0_match_ikj_loops(A):
-    ordering = mdf_order(A)
+    ordering = _same_mdf(A)
     order, weights = recomputing_mdf_order(A)
     assert np.array_equal(ordering.order, order)
     assert np.array_equal(ordering.weights_at_selection, weights)
-    got = bilu0_blocks(A, ordering.order).data
+    F = bilu0_blocks(A, ordering.order)
     want = ikj_bilu_blocks(A, order)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+    assert all(np.array_equal(g, w) for g, w in zip(F.data, want, strict=True))
     B = A.tocsr()
-    assert np.array_equal(point_ilu0_values(B), ikj_point_ilu0_values(B))
+    values = point_ilu0_values(B)
+    assert np.array_equal(values, ikj_point_ilu0_values(B))
+    _same_splits(F, B, values)
 
 
 @st.composite
@@ -158,17 +274,26 @@ def test_block_lu_of_empty_block():
     assert factor.solve(np.zeros((0, 2)), trans="T").shape == (0, 2)
 
 
-@pytest.mark.parametrize("name", ["sys8_k1", "sys16_k1"])
+@pytest.fixture(scope="module")
+def sys1024_initial():
+    """The system at the initial state of (n_elem=1024, p=2, q=2)."""
+    prob = ShockTrackProblem1d(n_elem=1024, p=2, q=2)
+    return build_kkt(prob, initial_state(prob))
+
+
+@pytest.mark.parametrize("name", ["sys8_k1", "sys16_k1", "sys1024_initial"])
 def test_mdf_and_factor_builds_match_oracles_on_systems(name, request):
     sys = request.getfixturevalue(name)
     Ju = sys.factors.Ju
-    ordering = mdf_order(Ju)
+    ordering = _same_mdf(Ju)
     order, weights = recomputing_mdf_order(Ju)
     assert np.array_equal(ordering.order, order)
     assert np.array_equal(ordering.weights_at_selection, weights)
-    got = bilu0_blocks(Ju, ordering.order).data
-    assert all(np.array_equal(g, w) for g, w in zip(got, ikj_bilu_blocks(Ju, order), strict=True))
-    assert np.array_equal(point_ilu0_values(sys.Byy), ikj_point_ilu0_values(sys.Byy))
+    F = bilu0_blocks(Ju, ordering.order)
+    assert all(np.array_equal(g, w) for g, w in zip(F.data, ikj_bilu_blocks(Ju, order), strict=True))
+    values = point_ilu0_values(sys.Byy)
+    assert np.array_equal(values, ikj_point_ilu0_values(sys.Byy))
+    _same_splits(F, sys.Byy, values)
 
 
 @pytest.mark.parametrize("name", SYSTEMS)

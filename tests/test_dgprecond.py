@@ -327,3 +327,24 @@ def test_bilu_singular_pivot_raises():
     A = bsr([np.eye(2)] * 4, [0, 1, 0, 1], [0, 2, 4])
     with pytest.raises(SingularPivotBlock):
         bilu0_factor(A, natural_order(2))
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        [0, 0, 1, 2, 3, 4, 5, 6, 7],
+        [0, 1, 2, 3, 4, 5, 6, 7],
+        [0, 1, 2, 3, 4, 5, 6, 7, 8, 8],
+        [0, 1, 2, 3, 4, 5, 6, 7, 9],
+        [-1, 1, 2, 3, 4, 5, 6, 7, 8],
+        np.arange(9.0),
+        [[0, 1, 2], [3, 4, 5], [6, 7, 8]],
+    ],
+    ids=["duplicate", "missing", "long", "out-of-range", "negative", "float", "two-dimensional"],
+)
+def test_bilu_rejects_an_order_that_is_not_a_permutation(order):
+    # One ValueError before any elimination, from both entry points.
+    A = generate_stencil_system(3, 2, seed=0)
+    for build in (lambda: bilu0_blocks(A, order), lambda: bilu0_factor(A, MdfOrdering(np.asarray(order), None))):
+        with pytest.raises(ValueError, match="integer permutation of the block rows 0..8"):
+            build()

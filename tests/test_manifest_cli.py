@@ -237,12 +237,11 @@ def test_cli_solve_survives_one_damaged_line(exported8, data):
             fh.write(original)
 
 
-@pytest.mark.parametrize(
-    "fname, line, value, precond", [("ju.mtx", 30, "1e308", "BILU-ilu"), ("elasticity.mtx", 18, "-inf", "BJ-ilu")]
-)
+@pytest.mark.parametrize("fname, line, value, precond", [("ju.mtx", 30, "1e308", "BILU-ilu")])
 def test_cli_solve_overflowing_factor_exits_1(sys8_k1, tmp_path, capsys, fname, line, value, precond):
-    # A huge or infinite entry leaves a zero on the diagonal of a compiled
-    # triangular factor; SuperLU's RuntimeError becomes a typed error.
+    # A huge entry leaves a zero on the diagonal of a compiled triangular
+    # factor; SuperLU's RuntimeError becomes a typed error. An infinite one
+    # is rejected by the reader (test_non_finite_entry_is_a_manifest_error).
     path = export_system(sys8_k1, tmp_path)
     lines = (tmp_path / fname).read_text().splitlines()
     row, col, _ = lines[line].split()
@@ -252,6 +251,23 @@ def test_cli_solve_overflowing_factor_exits_1(sys8_k1, tmp_path, capsys, fname, 
         warnings.simplefilter("ignore", RuntimeWarning)
         assert main(["solve", path, "--precond", precond]) == 1
     assert "triangular factor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fname, line, value", [("ju.mtx", 30, "nan"), ("g.mtx", 5, "inf"), ("elasticity.mtx", 18, "-inf")])
+def test_non_finite_entry_is_a_manifest_error(sys8_k1, tmp_path, capsys, fname, line, value):
+    # nan and inf are rejected when the file is read, so no factor sees them:
+    # solve exits 2 with one error line naming the file, whatever the
+    # preconditioner.
+    path = export_system(sys8_k1, tmp_path)
+    lines = (tmp_path / fname).read_text().splitlines()
+    lines[line] = " ".join(lines[line].split()[:-1] + [value])
+    (tmp_path / fname).write_text("\n".join(lines) + "\n")
+    with pytest.raises(ManifestError, match=re.escape(str(tmp_path / fname))):
+        import_system(path)
+    for precond in CATALOG:
+        assert main(["solve", path, "--precond", precond]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.startswith("error: ") and fname in err and "not a finite number" in err
 
 
 @pytest.mark.parametrize(

@@ -129,6 +129,19 @@ def test_read_rejects_array_format_as_matrix(tmp_path):
         read_matrix(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_readers_reject_non_finite_values(tmp_path, value):
+    # The writer prints nan and inf as tokens loadtxt parses; both readers
+    # refuse them, naming the file and the entry.
+    matrix, vector = tmp_path / "m.mtx", tmp_path / "v.mtx"
+    write_matrix(matrix, scipy.sparse.csr_matrix(np.array([[1.0, 0.0], [value, 2.0]])))
+    write_vector(vector, np.array([1.0, 2.0, value]))
+    with pytest.raises(ManifestError, match=f"{matrix}: entry 2 is {value}"):
+        read_matrix(matrix)
+    with pytest.raises(ManifestError, match=f"{vector}: value 3 is {value}"):
+        read_vector(vector)
+
+
 def test_vector_reader_rejects_multicolumn(tmp_path):
     path = tmp_path / "m.mtx"
     path.write_text("%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n")
