@@ -5,14 +5,12 @@ public name is imported from its own module.
 """
 
 from .conprec import CATALOG, build_at_preconditioner
-from .kkt import KktOperator
 from .krylov import GmresConfig, gmres_solve
 from .shocktrack import ShockTrackProblem1d, SqpConfig, build_kkt, run_sqp
 
 __all__ = [
     "CATALOG",
     "GmresConfig",
-    "KktOperator",
     "ShockTrackProblem1d",
     "SqpConfig",
     "build_at_preconditioner",

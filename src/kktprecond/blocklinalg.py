@@ -23,6 +23,7 @@ from .errors import DimensionMismatch, PatternViolation, SingularBlock
 __all__ = [
     "BlockLuFactor",
     "Factor",
+    "block_rows",
     "check_trans",
     "checked_splu",
     "first_singular",
@@ -32,7 +33,6 @@ __all__ = [
     "triangular_sweep",
     "canonical_bsr",
     "canonical_csr",
-    "stacked_diagonal",
 ]
 
 
@@ -110,7 +110,13 @@ class Factor:
         return (self.apply if trans == "N" else self.apply_T)(b)
 
 
-def _column_major(blocks: np.ndarray, block_rows: np.ndarray, block_cols: np.ndarray, picked: np.ndarray, nb: int):
+def block_rows(indptr) -> np.ndarray:
+    """Block row of each stored block of a BSR matrix with index pointer
+    indptr; of a CSR matrix, the row of each stored entry."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
+def _column_major(blocks: np.ndarray, row_of: np.ndarray, block_cols: np.ndarray, picked: np.ndarray, nb: int):
     """data, indices and indptr of the CSC matrix of order nb * s holding
     the blocks at the storage positions picked, which list each block
     column's blocks in ascending block row: each block's s x s layout is
@@ -126,7 +132,7 @@ def _column_major(blocks: np.ndarray, block_rows: np.ndarray, block_cols: np.nda
     code[segment.ravel()] = (picked[:, None] * s + np.arange(s)).ravel()
     block_of, col_of = np.divmod(code, s)
     data = blocks[block_of, :, col_of].ravel()
-    indices = (block_rows[block_of, None] * s + np.arange(s)).ravel()
+    indices = (row_of[block_of, None] * s + np.arange(s)).ravel()
     indptr = np.append(s * (s * col_start[:, None] + np.arange(s) * per_col[:, None]).ravel(), s * len(code))
     return data, indices, indptr
 
@@ -146,12 +152,12 @@ def triangular_split(blocks, indices, indptr) -> tuple[scipy.sparse.csc_matrix, 
     blocks = np.asarray(blocks, dtype=float)
     nb, s = len(indptr) - 1, blocks.shape[1]
     n = nb * s
-    block_rows = np.repeat(np.arange(nb), np.diff(indptr))
+    row_of = block_rows(indptr)
     # A stable sort keeps each block column's blocks in block row order.
     by_col = np.argsort(indices, kind="stable")
-    below = block_rows[by_col] > indices[by_col]
-    U = scipy.sparse.csc_matrix(_column_major(blocks, block_rows, indices, by_col[~below], nb), shape=(n, n))
-    data, rows, ptr = _column_major(blocks, block_rows, indices, by_col[below], nb)
+    below = row_of[by_col] > indices[by_col]
+    U = scipy.sparse.csc_matrix(_column_major(blocks, row_of, indices, by_col[~below], nb), shape=(n, n))
+    data, rows, ptr = _column_major(blocks, row_of, indices, by_col[below], nb)
     # As the sum with the identity: exact zeros dropped, and a unit entry
     # first in every column, above the strict lower blocks.
     kept = data != 0.0
@@ -240,25 +246,3 @@ def canonical_csr(M, name: str = "matrix") -> scipy.sparse.csr_matrix:
         M.sum_duplicates()
     return M
 
-
-def stacked_diagonal(groups) -> scipy.sparse.csr_matrix:
-    """CSR matrix block_diag(vstack(g) for g in groups) of CSR matrices.
-
-    The arrays of each matrix are concatenated as stored, never re-sorted:
-    every row of the result holds the entries of one row of one matrix in
-    their stored order, so its product with a vector or a sparse block
-    accumulates the same float sequence as that matrix's own product.
-    """
-    indptr, indices, data = [np.zeros(1, dtype=np.int64)], [], []
-    n_rows = n_cols = nnz = 0
-    for group in groups:
-        for M in group:
-            indptr.append(M.indptr[1:] + nnz)
-            indices.append(M.indices[: M.nnz] + n_cols)
-            data.append(M.data[: M.nnz])
-            n_rows += M.shape[0]
-            nnz += M.nnz
-        n_cols += group[0].shape[1]
-    return scipy.sparse.csr_matrix(
-        (np.concatenate(data), np.concatenate(indices), np.concatenate(indptr)), shape=(n_rows, n_cols)
-    )

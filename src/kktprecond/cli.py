@@ -19,7 +19,7 @@ from dataclasses import replace
 
 from .conprec import CATALOG, build_at_preconditioner
 from .errors import KktPrecondError, ManifestError, UnknownPreconditioner
-from .kkt import KktOperator, reference_solution
+from .kkt import reference_solution
 from .krylov import DEFAULT_MAX_ITERS, DEFAULT_TOL, EXACT_SOLUTION, GmresConfig, gmres_solve
 from .manifest import export_system, import_system
 from .mmio import write_matrix
@@ -56,10 +56,9 @@ def _gmres_config(tol, max_iters) -> GmresConfig:
 def _solve_one(sys, precond_name: str, gmres: GmresConfig):
     """Run one preconditioned solve; returns (iters, converged)."""
     prec = build_at_preconditioner(sys, precond_name)
-    op = KktOperator(sys)
     rhs = sys.rhs()
     cfg = replace(gmres, criterion=EXACT_SOLUTION, reference=reference_solution(sys))
-    report = gmres_solve(op.as_linear_operator(), rhs, prec.as_preconditioner(), cfg)
+    report = gmres_solve(sys.operator(), rhs, prec.as_preconditioner(), cfg)
     return report.iterations, report.converged
 
 

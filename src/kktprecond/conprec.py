@@ -29,11 +29,11 @@ from functools import cached_property, partial
 import numpy as np
 import scipy.sparse
 
-from .blocklinalg import Factor, sparse_lu, triangular_split, triangular_sweep
+from .blocklinalg import Factor, block_rows, sparse_lu, triangular_split, triangular_sweep
 from .dgprecond import bilu0_factor, build_block_jacobi, mdf_order
 from .errors import DimensionMismatch, PatternViolation, UnknownPreconditioner, ZeroPivot
-from .kkt import KktOperator, KktSystem
-from .krylov import Preconditioner
+from .kkt import KktSystem
+from .krylov import LinearOperator, Preconditioner
 from .pmultigrid import CoarseSystem, assemble_coarse, build_transfer, pmg_apply
 
 __all__ = [
@@ -75,7 +75,7 @@ def point_ilu0_values(B: scipy.sparse.csr_matrix) -> np.ndarray:
     row_ptr = B.indptr.astype(np.int64)
     col_idx = B.indices.astype(np.int64)
     values = B.data.astype(float)
-    rows = np.repeat(np.arange(n), np.diff(row_ptr))
+    rows = block_rows(row_ptr)
     diag_pos = np.full(n, -1, dtype=int)
     on_diag = np.flatnonzero(col_idx == rows)
     diag_pos[rows[on_diag]] = on_diag
@@ -124,26 +124,20 @@ def point_ilu0_factor(B: scipy.sparse.csr_matrix) -> Factor:
 
 
 @dataclass
-class PmgWrapper:
-    op: KktOperator
-    coarse: CoarseSystem
-
-
-@dataclass
 class AtPreconditioner:
-    """Block anti-triangular constrained preconditioner (optionally p-multigrid wrapped)."""
+    """Block anti-triangular constrained preconditioner. A *-p0 variant also
+    holds multigrid, the system's operator A and its coarse system, and is
+    the smoother of a two-level p-multigrid cycle."""
 
     variant: str
     ju: Factor
     byy: Factor
     Jy: scipy.sparse.csr_matrix
-    n_u: int
-    n_y: int
-    multigrid: PmgWrapper | None = None
+    multigrid: tuple[LinearOperator, CoarseSystem] | None = None
 
     @property
     def dimension(self) -> int:
-        return 2 * self.n_u + self.n_y
+        return 2 * self.ju.n + self.byy.n
 
     @cached_property
     def Jy_T(self) -> scipy.sparse.csr_matrix:
@@ -151,35 +145,32 @@ class AtPreconditioner:
         in ascending column order, as the transposed view of Jy would."""
         return self.Jy.T.tocsr()
 
-    def _apply_bare(self, v: np.ndarray) -> np.ndarray:
-        return apply_at_inverse(self, v, bare=True)
-
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
-        return apply_at_inverse(self, v)
+        """apply_at_inverse of v, or with multigrid the whole cycle: coarse
+        correction plus one smoothing with apply_at_inverse."""
+        if self.multigrid is None:
+            return apply_at_inverse(self, v)
+        A, coarse = self.multigrid
+        return pmg_apply(A, coarse, partial(apply_at_inverse, self), v)
 
     def as_preconditioner(self) -> Preconditioner:
         return Preconditioner(self.dimension, self.apply_inverse)
 
 
-def apply_at_inverse(P: AtPreconditioner, v: np.ndarray, bare: bool = False) -> np.ndarray:
-    """Apply the preconditioner inverse to v = (v1, v2, v3).
-
-    The bare anti-triangular inverse is the five-step sequence
+def apply_at_inverse(P: AtPreconditioner, v: np.ndarray) -> np.ndarray:
+    """Apply the anti-triangular inverse to v = (v1, v2, v3), the five-step
+    sequence
       1. solve Ju~^T w1 = v1
       2. t2 = Jy^T w1
       3. solve Byy~ w2 = v2 - t2
       4. t3 = Jy w2
       5. solve Ju~ w3 = v3 - t3
-    returning (w3, w2, w1). With a multigrid wrapper the whole cycle
-    (coarse correction plus one smoothing with the bare inverse) is applied.
+    returning (w3, w2, w1).
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (P.dimension,):
         raise DimensionMismatch(f"vector length {v.shape} incompatible with dimension {P.dimension}")
-    if P.multigrid is not None and not bare:
-        mg = P.multigrid
-        return pmg_apply(mg.op, mg.coarse, Preconditioner(P.dimension, P._apply_bare), v)
-    n_u, n_y = P.n_u, P.n_y
+    n_u, n_y = P.ju.n, P.byy.n
     v1 = v[:n_u]
     v2 = v[n_u : n_u + n_y]
     v3 = v[n_u + n_y :]
@@ -231,13 +222,11 @@ def build_at_preconditioner(sys: KktSystem, variant: str) -> AtPreconditioner:
         ju=_build_ju_approx(sys, ju_kind),
         byy=_build_byy_approx(sys, byy_kind),
         Jy=sys.Jy,
-        n_u=sys.factors.n_u,
-        n_y=sys.factors.n_y,
     )
     if with_pmg:
         if sys.dims is None:
             raise UnknownPreconditioner(f"{variant}: p-multigrid needs discretization metadata on the system")
-        op = KktOperator(sys)
-        prec.multigrid = PmgWrapper(op, assemble_coarse(op, build_transfer(sys.dims)))
+        A = sys.operator()
+        prec.multigrid = (A, assemble_coarse(A, *build_transfer(sys.dims)))
     return prec
 

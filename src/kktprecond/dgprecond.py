@@ -23,6 +23,7 @@ import scipy.sparse.linalg
 from .blocklinalg import (
     BlockLuFactor,
     Factor,
+    block_rows,
     canonical_bsr,
     first_singular,
     getrf,
@@ -46,11 +47,6 @@ class MdfOrdering:
     weights_at_selection: np.ndarray
 
 
-def _block_rows(A) -> np.ndarray:
-    """Block row of each stored block of a BSR matrix."""
-    return np.repeat(np.arange(len(A.indptr) - 1), np.diff(A.indptr))
-
-
 def _square_bsr(A) -> scipy.sparse.bsr_matrix:
     """A as a canonical BSR matrix, which must be square with square blocks."""
     A = canonical_bsr(A, "block matrix")
@@ -63,9 +59,9 @@ def _diagonal_positions(A) -> tuple[np.ndarray, int]:
     """Storage positions of the diagonal blocks of the block rows before the
     first one without a stored diagonal block, and that row (or the number
     of block rows)."""
-    block_rows = _block_rows(A)
-    stored = np.flatnonzero(A.indices == block_rows)
-    missing = np.flatnonzero(block_rows[stored] != np.arange(len(stored)))
+    rows = block_rows(A.indptr)
+    stored = np.flatnonzero(A.indices == rows)
+    missing = np.flatnonzero(rows[stored] != np.arange(len(stored)))
     first_missing = int(missing[0]) if len(missing) else len(stored)
     return stored[:first_missing], first_missing
 
@@ -113,7 +109,7 @@ def _fill_terms(A) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """
     diag_lus = _diag_lus(A)
     n, s = len(A.indptr) - 1, A.blocksize[0]
-    rows, cols = _block_rows(A), A.indices.astype(np.int64)
+    rows, cols = block_rows(A.indptr), A.indices.astype(np.int64)
     outs = np.flatnonzero(rows != cols)
     # The A_ik of each k, i ascending (storage order is row order), and
     # every A_kj of the row k in storage order for each of them.
@@ -220,7 +216,7 @@ def _permuted_copy(A, order: np.ndarray) -> scipy.sparse.bsr_matrix:
     pos = np.empty(n, dtype=int)
     pos[order] = np.arange(n)
     new_cols = pos[A.indices]
-    stored = np.lexsort((new_cols, pos[_block_rows(A)]))
+    stored = np.lexsort((new_cols, pos[block_rows(A.indptr)]))
     indptr = np.concatenate([[0], np.cumsum(np.diff(A.indptr)[order])])
     return scipy.sparse.bsr_matrix((A.data[stored], new_cols[stored], indptr), shape=A.shape)
 
@@ -269,7 +265,8 @@ def bilu0_blocks(A, order: np.ndarray) -> scipy.sparse.bsr_matrix:
                     if j > k and j in where:
                         blocks[where[j]] = blocks[where[j]] - lik @ blocks[koff]
             diag_lu.append(getrf(blocks[diag_pos[i]]))
-    work.data[:] = blocks
+    # The reshape gives an empty list the (0, s, s) shape of no blocks.
+    work.data[:] = np.reshape(blocks, work.data.shape)
     bad = first_singular(work.data[diag_pos], diag_lu)
     if bad:
         raise SingularPivotBlock(f"step {bad[0]}: {bad[1]}")

@@ -17,17 +17,18 @@ and the constraint Jacobian is J = [J_u, J_y] with J_y = drdx dPhidy. Ju and
 dRdu are scipy BSR matrices, whose blocks the preconditioners use; every
 other factor, B_yy and J_y are scipy CSR.
 
-Each system assembles the whole matrix K once, as canonical CSR, on first
-use, and caches it. Every consumer reads that one matrix: the GMRES operator
-is the product K v, the p-multigrid coarse matrix is Q K P, and one sparse
-direct solve of K (reference_solution) is the reference solution that GMRES
-is measured against. The SQP step (shocktrack.assemble_step) sums the same
-K, bit for bit, from the element blocks, without a system.
+A system assembles B_yy from its factors when it is built, and the whole
+matrix K, as canonical CSR, on first use, and caches it. kkt_matvec is the
+one product with K: GMRES applies it through the system's operator, and
+the p-multigrid coarse matrix is Q (K P). One sparse direct solve of K
+(reference_solution) is the reference solution that GMRES is measured
+against. The SQP step (shocktrack.assemble_step) sums the same K, bit for
+bit, from the element blocks, without a system.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -41,7 +42,6 @@ __all__ = [
     "SystemDims",
     "KktFactors",
     "KktSystem",
-    "KktOperator",
     "assemble_Byy",
     "kkt_matvec",
     "reference_solution",
@@ -134,13 +134,13 @@ def assemble_Byy(factors: KktFactors) -> scipy.sparse.csr_matrix:
 
 @dataclass
 class KktSystem:
-    """Factors plus the right-hand-side data and the assembled Byy, made
-    canonical CSR like the scalar factors."""
+    """Factors plus the right-hand-side data; Byy is assemble_Byy of the
+    factors, made canonical CSR like the scalar factors."""
 
     factors: KktFactors
     g: np.ndarray
     r: np.ndarray
-    Byy: scipy.sparse.csr_matrix
+    Byy: scipy.sparse.csr_matrix = field(init=False)
     dims: SystemDims | None = None
     state_index: int = 0
     case: str = "case"
@@ -153,9 +153,7 @@ class KktSystem:
             raise DimensionMismatch("gradient length must be N_u + N_y")
         if self.r.shape != (f.n_u,):
             raise DimensionMismatch("residual length must be N_u")
-        self.Byy = canonical_csr(self.Byy, "Byy")
-        if self.Byy.shape != (f.n_y, f.n_y):
-            raise DimensionMismatch("Byy must be N_y x N_y")
+        self.Byy = canonical_csr(assemble_Byy(f), "Byy")
         # J_y is needed in transposed form by the preconditioners, so it is
         # stored as the explicit sparse product.
         self.Jy = (f.drdx @ f.dPhidy).tocsr()
@@ -168,8 +166,8 @@ class KktSystem:
     @cached_property
     def K(self) -> scipy.sparse.csr_matrix:
         """The whole KKT matrix as canonical CSR, built on first use, not by
-        build_kkt: a system's first consumer pays for it, the operator, the
-        coarse product or the sparse direct solve.
+        build_kkt: a system's first consumer pays for it, GMRES, the coarse
+        product or the sparse direct solve.
 
         Every stored entry of its blocks is kept, explicit zeros included.
         All blocks are CSR, so scipy stacks their arrays directly, without a
@@ -195,42 +193,28 @@ class KktSystem:
         """Right-hand side -(g, r) of the SQP step system."""
         return -np.concatenate([self.g, self.r])
 
-
-@dataclass
-class KktOperator:
-    system: KktSystem
-
-    @property
-    def dimension(self) -> int:
-        return self.system.dimension
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return kkt_matvec(self, v)
-
-    def matmat(self, X):
-        """Product with a sparse block of columns, returned as sparse CSR."""
-        return kkt_matvec(self, X)
-
-    def as_linear_operator(self) -> LinearOperator:
-        return LinearOperator(self.dimension, self.matvec)
+    def operator(self) -> LinearOperator:
+        """The product with K as the LinearOperator that GMRES and the
+        p-multigrid cycle apply; it looks kkt_matvec up on every product."""
+        return LinearOperator(self.dimension, lambda v: kkt_matvec(self, v))
 
 
-def kkt_matvec(op: KktOperator, v):
-    """Product K v of the assembled saddle-point matrix with (v_u, v_y,
-    v_lambda): v is a 1-D vector, or a sparse block of columns with one row
-    per unknown, whose product is returned as CSR."""
+def kkt_matvec(sys: KktSystem, v):
+    """Product K v of the system's assembled saddle-point matrix with (v_u,
+    v_y, v_lambda): v is a 1-D vector, or a sparse block of columns with one
+    row per unknown, whose product is returned as CSR."""
     block = scipy.sparse.issparse(v)
     v = scipy.sparse.csr_matrix(v, dtype=float) if block else np.asarray(v, dtype=float)
-    if v.shape[0] != op.dimension or (not block and v.ndim != 1):
-        raise DimensionMismatch(f"operand shape {v.shape} incompatible with dimension {op.dimension}")
-    return op.system.K @ v
+    if v.shape[0] != sys.dimension or (not block and v.ndim != 1):
+        raise DimensionMismatch(f"operand shape {v.shape} incompatible with dimension {sys.dimension}")
+    return sys.K @ v
 
 
 def reference_solution(sys: KktSystem) -> np.ndarray:
     """Solution of the KKT system by one sparse direct solve.
 
     SuperLU factors the CSC form of the system's cached matrix K, the one
-    the operator applies, through blocklinalg.checked_splu. Raises
+    kkt_matvec multiplies by, through blocklinalg.checked_splu. Raises
     SingularSystem where a pivot is zero or below its relative threshold.
     """
     lu = checked_splu(sys.K.tocsc(), SingularSystem, f"KKT matrix of dimension {sys.dimension}")

@@ -19,7 +19,7 @@ import os
 import scipy.sparse
 
 from .errors import ManifestError
-from .kkt import KktFactors, KktSystem, SystemDims, assemble_Byy
+from .kkt import KktFactors, KktSystem, SystemDims
 from .mmio import read_matrix, read_vector, write_matrix, write_vector
 
 __all__ = ["MANIFEST_VERSION", "export_system", "import_system"]
@@ -153,7 +153,6 @@ def import_system(path) -> KktSystem:
         factors,
         g,
         r,
-        assemble_Byy(factors),
         dims=dims,
         state_index=state_index,
         case=str(manifest.get("case", "case")),

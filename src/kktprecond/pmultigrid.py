@@ -11,37 +11,27 @@ directly, prolongate, then apply the smoother once as a correction.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 
-from .blocklinalg import Factor, sparse_lu, stacked_diagonal
-from .errors import SingularBlock, SingularCoarseMatrix
-from .krylov import Preconditioner
+from .blocklinalg import Factor, sparse_lu
+from .errors import DimensionMismatch, SingularBlock, SingularCoarseMatrix
+from .krylov import LinearOperator
 
 __all__ = [
-    "TransferOps",
     "CoarseSystem",
     "build_transfer",
-    "full_prolongation",
-    "full_restriction",
     "assemble_coarse",
     "pmg_apply",
 ]
 
 
-@dataclass(frozen=True)
-class TransferOps:
-    """Per-field transfer matrices between the fine and coarse spaces."""
-
-    Pu: scipy.sparse.csr_matrix
-    Py: scipy.sparse.csr_matrix
-    Qy: scipy.sparse.csr_matrix
-
-
-def build_transfer(dims) -> TransferOps:
-    """Transfers for the discretization record dims (kkt.SystemDims): an
+def build_transfer(dims) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
+    """Prolongation P = diag(Pu, Py, Pu) and restriction Q = diag(Pu^T, Qy,
+    Pu^T), as CSR, for the discretization record dims (kkt.SystemDims): an
     n_elem mesh with solution degree p and mesh degree q."""
     n_elem, p, q = dims.n_elem, dims.p, dims.q
     n_u = n_elem * (p + 1)
@@ -61,16 +51,9 @@ def build_transfer(dims) -> TransferOps:
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_y))])
     Py = scipy.sparse.csr_matrix((weight[keep], vertex[keep] - 1, indptr), shape=(n_y, n_yc))
     Qy = scipy.sparse.csr_matrix((np.ones(n_yc), q * np.arange(1, n_elem) - 1, np.arange(n_elem)), shape=(n_yc, n_y))
-    return TransferOps(Pu, Py, Qy)
-
-
-def full_prolongation(T: TransferOps) -> scipy.sparse.csr_matrix:
-    return stacked_diagonal([[T.Pu], [T.Py], [T.Pu]])
-
-
-def full_restriction(T: TransferOps) -> scipy.sparse.csr_matrix:
-    Pu_T = T.Pu.T.tocsr()
-    return stacked_diagonal([[Pu_T], [T.Qy], [Pu_T]])
+    P = scipy.sparse.block_diag([Pu, Py, Pu], format="csr")
+    Q = scipy.sparse.block_diag([Pu.T, Qy, Pu.T], format="csr")
+    return P, Q
 
 
 @dataclass
@@ -81,11 +64,10 @@ class CoarseSystem:
     Q: scipy.sparse.csr_matrix
 
 
-def assemble_coarse(opA, T: TransferOps) -> CoarseSystem:
-    """Galerkin coarse matrix A0 = Q A P, formed as one sparse product, and its sparse LU."""
-    P = full_prolongation(T)
-    Q = full_restriction(T)
-    A0 = Q @ opA.matmat(P)
+def assemble_coarse(A: LinearOperator, P, Q) -> CoarseSystem:
+    """Galerkin coarse matrix A0 = Q (A P), with A P one application of A to
+    the sparse block P, and its sparse LU."""
+    A0 = Q @ A.apply(P)
     try:
         lu = sparse_lu(A0)
     except SingularBlock as exc:
@@ -93,9 +75,13 @@ def assemble_coarse(opA, T: TransferOps) -> CoarseSystem:
     return CoarseSystem(A0, lu, P, Q)
 
 
-def pmg_apply(opA, coarse: CoarseSystem, smoother: Preconditioner, b: np.ndarray) -> np.ndarray:
+def pmg_apply(
+    A: LinearOperator, coarse: CoarseSystem, smoother: Callable[[np.ndarray], np.ndarray], b: np.ndarray
+) -> np.ndarray:
     """One two-level cycle: coarse correction followed by one smoothing step."""
     b = np.asarray(b, dtype=float)
+    if b.shape != (A.dimension,):
+        raise DimensionMismatch(f"vector length {b.shape} incompatible with dimension {A.dimension}")
     s = coarse.P @ coarse.lu.solve(coarse.Q @ b)
-    s = s + smoother.apply_inverse(b - opA.matvec(s))
+    s = s + smoother(b - A.apply(s))
     return s

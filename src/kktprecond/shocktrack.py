@@ -36,7 +36,7 @@ import scipy.sparse
 
 from .blocklinalg import checked_splu
 from .errors import InvertedElement, LineSearchFailure, SingularSystem, SizeCapExceeded
-from .kkt import KktFactors, KktSystem, SystemDims, assemble_Byy
+from .kkt import KktFactors, KktSystem, SystemDims
 
 __all__ = [
     "SHOCK_POSITION",
@@ -491,7 +491,6 @@ def build_kkt(
         factors,
         g,
         r,
-        assemble_Byy(factors),
         dims=problem.dims,
         state_index=state.k,
         case=case,

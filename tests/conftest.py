@@ -14,7 +14,7 @@ import scipy.sparse
 
 from kktprecond import ShockTrackProblem1d, build_kkt, run_sqp
 from kktprecond.conprec import build_at_preconditioner
-from kktprecond.kkt import KktOperator, KktSystem, assemble_Byy, reference_solution
+from kktprecond.kkt import KktSystem, reference_solution
 from kktprecond.krylov import EXACT_SOLUTION, GmresConfig, gmres_solve
 from kktprecond.shocktrack import SqpConfig
 
@@ -65,7 +65,7 @@ def zero_coupling_system(sys):
     dRdu = sys.factors.dRdu
     zero = scipy.sparse.bsr_matrix((np.zeros_like(dRdu.data), dRdu.indices, dRdu.indptr), shape=dRdu.shape)
     factors = dataclasses.replace(sys.factors, dRdu=zero)
-    return KktSystem(factors, sys.g, sys.r, assemble_Byy(factors), dims=sys.dims)
+    return KktSystem(factors, sys.g, sys.r, dims=sys.dims)
 
 
 def singular_system(sys):
@@ -75,7 +75,7 @@ def singular_system(sys):
     phi = sys.factors.dPhidy.tolil()
     phi[:, 0] = 0.0
     factors = dataclasses.replace(zero_coupling_system(sys).factors, dPhidy=phi.tocsr())
-    return KktSystem(factors, sys.g, sys.r, assemble_Byy(factors), dims=sys.dims)
+    return KktSystem(factors, sys.g, sys.r, dims=sys.dims)
 
 
 @pytest.fixture(scope="session")
@@ -89,8 +89,7 @@ def count_iterations(sys, precond, tol=1e-3, max_iters=1000):
     already-built preconditioner object."""
     if isinstance(precond, str):
         precond = build_at_preconditioner(sys, precond)
-    op = KktOperator(sys)
     rhs = sys.rhs()
     cfg = GmresConfig(tol=tol, max_iters=max_iters, criterion=EXACT_SOLUTION, reference=reference_solution(sys))
-    report = gmres_solve(op.as_linear_operator(), rhs, precond.as_preconditioner(), cfg)
+    report = gmres_solve(sys.operator(), rhs, precond.as_preconditioner(), cfg)
     return report.iterations, report.converged

@@ -19,7 +19,7 @@ recomputed from the blocks, the MDF order from a per-row fill table with an
 argmin scan per step, the block and point ILU0 factors split into L and U
 through COO, tril and triu and a sum with the identity, the block and point
 IKJ loops with per-update lookups, the preconditioner apply through the
-transposed view of Jy, the transfers built by a loop and block_diag, the
+transposed view of Jy, the mesh transfer Py built by a loop, the
 KKT matrix assembled by bmat's
 COO path, the reader with a second loadtxt and a reshape per block, the SQP
 step solved on build_kkt's K, the point ILU0 solve through identity
@@ -58,7 +58,6 @@ from kktprecond.blocklinalg import (
     first_singular,
     getrf,
     sparse_lu,
-    stacked_diagonal,
     triangular_sweep,
 )
 from kktprecond.conprec import _VARIANT_TABLE, point_ilu0_values
@@ -67,7 +66,7 @@ from kktprecond.errors import DimensionMismatch, KktPrecondError, ManifestError,
 from kktprecond.kkt import reference_solution
 from kktprecond.krylov import EXACT_SOLUTION, PRECONDITIONED_RESIDUAL, Preconditioner
 from kktprecond.mmio import _BLOCK_TAG, _ENTRY, _VALUE, _parse, _parse_block_tag
-from kktprecond.pmultigrid import TransferOps, build_transfer, full_prolongation, full_restriction
+from kktprecond.pmultigrid import build_transfer
 from kktprecond.shocktrack import SqpStep, build_kkt, dg_residual, mesh_distortion, phi_map
 
 
@@ -161,7 +160,7 @@ def densify_at_matrix(P, Ju, Byy) -> np.ndarray:
     """Assembled dense anti-triangular matrix At (without any multigrid wrap)
     of the kinds of P.variant, given the true Ju and Byy as ju_matrix and
     byy_matrix take them."""
-    n_u, n_y = P.n_u, P.n_y
+    n_u, n_y = P.ju.n, P.byy.n
     dim = 2 * n_u + n_y
     ju_kind, byy_kind, _ = _VARIANT_TABLE[P.variant]
     ju = ju_matrix(ju_kind, Ju)
@@ -248,6 +247,29 @@ def mgs_gmres(A, b, M, cfg):
 
 
 # Replaced kernels -----------------------------------------------------------
+
+
+def stacked_diagonal(groups) -> scipy.sparse.csr_matrix:
+    """CSR matrix block_diag(vstack(g) for g in groups) of CSR matrices.
+
+    The arrays of each matrix are concatenated as stored, never re-sorted:
+    every row of the result holds the entries of one row of one matrix in
+    their stored order, so its product with a vector or a sparse block
+    accumulates the same float sequence as that matrix's own product.
+    """
+    indptr, indices, data = [np.zeros(1, dtype=np.int64)], [], []
+    n_rows = n_cols = nnz = 0
+    for group in groups:
+        for M in group:
+            indptr.append(M.indptr[1:] + nnz)
+            indices.append(M.indices[: M.nnz] + n_cols)
+            data.append(M.data[: M.nnz])
+            n_rows += M.shape[0]
+            nnz += M.nnz
+        n_cols += group[0].shape[1]
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(data), np.concatenate(indices), np.concatenate(indptr)), shape=(n_rows, n_cols)
+    )
 
 
 def csr_factors(sys):
@@ -527,7 +549,7 @@ def five_step_apply(P, sys, v):
     of Jy on every call and, for the *-p0 variants, the coarse matrix
     assembled from the bmat_kkt matrix and factored by sparse_lu; returns the
     result and the coarse matrix (None without multigrid)."""
-    n_u, n_y = P.n_u, P.n_y
+    n_u, n_y = P.ju.n, P.byy.n
 
     def bare(b):
         w1 = P.ju.solve(b[:n_u], trans="T")
@@ -538,9 +560,7 @@ def five_step_apply(P, sys, v):
     if P.multigrid is None:
         return bare(v), None
     K = bmat_kkt(sys)
-    transfers = build_transfer(sys.dims)
-    prolong = full_prolongation(transfers)
-    restrict = full_restriction(transfers)
+    prolong, restrict = build_transfer(sys.dims)
     A0 = restrict @ (K @ prolong)
     s = prolong @ sparse_lu(A0).solve(restrict @ v)
     return s + bare(v - K @ s), A0
@@ -575,7 +595,7 @@ def sliced_block_matvec(sys, X):
 
 
 def looped_transfers(n_elem, p, q):
-    """(TransferOps, P, Q) with Py built node by node and P, Q by block_diag."""
+    """The prolongation P and restriction Q, with Py built node by node."""
     n_u = n_elem * (p + 1)
     Pu = scipy.sparse.csr_matrix(
         (np.ones(n_u), (np.arange(n_u), np.repeat(np.arange(n_elem), p + 1))), shape=(n_u, n_elem)
@@ -598,13 +618,13 @@ def looped_transfers(n_elem, p, q):
     Qy = scipy.sparse.csr_matrix((np.ones(n_yc), (np.arange(n_yc), q * np.arange(1, n_elem) - 1)), shape=(n_yc, n_y))
     P = scipy.sparse.block_diag([Pu, Py, Pu], format="csr")
     Q = scipy.sparse.block_diag([Pu.T, Qy, Pu.T], format="csr")
-    return TransferOps(Pu, Py, Qy), P, Q
+    return P, Q
 
 
 def sliced_coarse_matrix(sys):
     """The p-multigrid coarse matrix Q A P from the looped transfers and the
     bmat_kkt matrix."""
-    _, P, Q = looped_transfers(sys.dims.n_elem, sys.dims.p, sys.dims.q)
+    P, Q = looped_transfers(sys.dims.n_elem, sys.dims.p, sys.dims.q)
     return (Q @ (bmat_kkt(sys) @ P)).toarray()
 
 

@@ -9,6 +9,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 import kktprecond.conprec as conprec
+import kktprecond.kkt as kkt
 from conftest import count_iterations
 from kktprecond.conprec import (
     CATALOG,
@@ -26,7 +27,7 @@ from kktprecond.errors import (
     UnknownPreconditioner,
     ZeroPivot,
 )
-from kktprecond.kkt import KktFactors, KktSystem, assemble_Byy
+from kktprecond.kkt import KktFactors, KktSystem
 from kktprecond.krylov import GmresConfig, LinearOperator, Preconditioner, gmres_solve
 from kktprecond.dgprecond import bilu0_factor, mdf_order
 from kktprecond.shocktrack import ShockTrackProblem1d, SqpConfig, build_kkt, run_sqp
@@ -55,6 +56,7 @@ class DenseLu:
 
     def __init__(self, A):
         self._lu = scipy.linalg.lu_factor(np.asarray(A, dtype=float))
+        self.n = len(A)
 
     def solve(self, v, trans="N"):
         return scipy.linalg.lu_solve(self._lu, v, trans=1 if trans == "T" else 0)
@@ -69,8 +71,6 @@ def manual_at(Ju, Byy, Jy):
         ju=DenseLu(Ju),
         byy=DenseLu(Byy),
         Jy=scipy.sparse.csr_matrix(np.asarray(Jy, dtype=float)),
-        n_u=Ju.shape[0],
-        n_y=Byy.shape[0],
     )
 
 
@@ -87,7 +87,7 @@ def tiny_system(rng):
         kappa=0.5,
         gamma=0.5,
     )
-    return KktSystem(f, rng.standard_normal(3), rng.standard_normal(2), assemble_Byy(f))
+    return KktSystem(f, rng.standard_normal(3), rng.standard_normal(2))
 
 
 # Five-step inverse ----------------------------------------------------------
@@ -137,17 +137,20 @@ def test_zero_state_block_gives_zero_multiplier():
 def test_constraint_rows_reproduced_for_exact_jacobian(sys8_k1):
     P = build_at_preconditioner(sys8_k1, "A0")
     rng = np.random.default_rng(13)
-    n_u, n_y = P.n_u, P.n_y
+    n_u, n_y = P.ju.n, P.byy.n
     v = rng.standard_normal(P.dimension)
     w = apply_at_inverse(P, v)
     lhs = sys8_k1.factors.Ju @ w[:n_u] + sys8_k1.Jy @ w[n_u : n_u + n_y]
     np.testing.assert_allclose(lhs, v[n_u + n_y :], rtol=1e-10, atol=1e-12)
 
 
-def test_apply_rejects_wrong_length():
+def test_apply_rejects_wrong_length(sys8_k1):
     P = manual_at([[2.0]], [[5.0]], [[3.0]])
     with pytest.raises(DimensionMismatch):
         apply_at_inverse(P, np.zeros(4))
+    # A *-p0 variant checks the length in its cycle.
+    with pytest.raises(DimensionMismatch):
+        build_at_preconditioner(sys8_k1, "A0-p0").apply_inverse(np.zeros(4))
 
 
 # Scalar point factors -------------------------------------------------------
@@ -349,10 +352,10 @@ def test_factor_solves_match_dense_oracle(variant, sys16_k1):
     ju = ju_matrix(ju_kind, Ju)
     byy = byy_matrix(byy_kind, Byy)
     rng = np.random.default_rng(23)
-    v = rng.standard_normal(P.n_u)
+    v = rng.standard_normal(P.ju.n)
     np.testing.assert_allclose(P.ju.solve(v), np.linalg.solve(ju, v), rtol=1e-10)
     np.testing.assert_allclose(P.ju.solve(v, trans="T"), np.linalg.solve(ju.T, v), rtol=1e-10)
-    v = rng.standard_normal(P.n_y)
+    v = rng.standard_normal(P.byy.n)
     np.testing.assert_allclose(P.byy.solve(v), np.linalg.solve(byy, v), rtol=1e-10)
 
 
@@ -384,6 +387,39 @@ def test_build_and_apply_call_through_module_globals(sys8_k1, monkeypatch):
     for variant in ("BILU-ilu", "A0-p0"):
         build_at_preconditioner(sys8_k1, variant).apply_inverse(v)
     assert all(calls.values()), calls
+
+
+def test_traced_layers_nest_once_per_coarse_assembly_and_cycle(sys8_k1, monkeypatch):
+    # The benchmark counts these calls in their span tree: one coarse
+    # assembly is one product K P, and one A0-p0 application one cycle, one
+    # product for its residual and one bare five-step inverse.
+    calls, stack = [], []
+
+    def tracing(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, stack[-1] if stack else None))
+            stack.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stack.pop()
+
+        return wrapper
+
+    # An operator made before the replacement must call the replacement.
+    op = sys8_k1.operator()
+    monkeypatch.setattr(kkt, "kkt_matvec", tracing("kkt_matvec", kkt.kkt_matvec))
+    for name in ("assemble_coarse", "pmg_apply", "apply_at_inverse"):
+        monkeypatch.setattr(conprec, name, tracing(name, getattr(conprec, name)))
+    P = build_at_preconditioner(sys8_k1, "A0-p0")
+    assert calls == [("assemble_coarse", None), ("kkt_matvec", "assemble_coarse")]
+    calls.clear()
+    P.apply_inverse(np.ones(P.dimension))
+    assert calls == [("pmg_apply", None), ("kkt_matvec", "pmg_apply"), ("apply_at_inverse", "pmg_apply")]
+    calls.clear()
+    v = np.ones(op.dimension)
+    assert np.array_equal(op.apply(v), sys8_k1.K @ v)
+    assert calls == [("kkt_matvec", None)]
 
 
 def test_unknown_variant_rejected(sys8_k1):

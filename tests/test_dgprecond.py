@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from kktprecond.blocklinalg import getrf
+from kktprecond.blocklinalg import block_rows, getrf
 from kktprecond.dgprecond import MdfOrdering, bilu0_blocks, bilu0_factor, build_block_jacobi, mdf_order
 from kktprecond.errors import SingularBlock, SingularPivotBlock
 from kktprecond.krylov import GmresConfig, LinearOperator, Preconditioner, gmres_solve
@@ -27,7 +27,7 @@ def block_diag_matrix(blocks):
 
 def stored_blocks(A):
     """{(i, j): block} of the stored blocks of a BSR matrix."""
-    rows = np.repeat(np.arange(len(A.indptr) - 1), np.diff(A.indptr))
+    rows = block_rows(A.indptr)
     return {(int(i), int(j)): blk for i, j, blk in zip(rows, A.indices, A.data)}
 
 
@@ -239,21 +239,22 @@ def test_mdf_weights_at_selection_match_recomputation():
 
 
 def test_bilu_block_diagonal_factors_trivially():
+    # Three blocks, then none: a 0 x 0 matrix factors to empty factors.
     rng = np.random.default_rng(6)
-    A = block_diag_matrix([rng.standard_normal((2, 2)) + 3.0 * np.eye(2) for _ in range(3)])
-    P = bilu0_factor(A, natural_order(3))
-    # No sub-diagonal positions exist, so the stored blocks are exactly A (U = A).
-    for got, want in zip(bilu0_blocks(A, np.arange(3)).data, A.data):
-        np.testing.assert_array_equal(got, want)
-    v = rng.standard_normal(6)
-    np.testing.assert_allclose(
-        P.solve(v), np.linalg.solve(A.toarray(), v), rtol=1e-12
-    )
-    np.testing.assert_allclose(
-        P.solve(v),
-        build_block_jacobi(A).solve(v),
-        rtol=1e-12,
-    )
+    for n in (3, 0):
+        A = block_diag_matrix(np.reshape([rng.standard_normal((2, 2)) + 3.0 * np.eye(2) for _ in range(n)], (n, 2, 2)))
+        ordering = mdf_order(A)
+        assert np.array_equal(ordering.order, np.arange(n))
+        P = bilu0_factor(A, ordering)
+        # No sub-diagonal positions exist, so the stored blocks are exactly A (U = A).
+        F = bilu0_blocks(A, np.arange(n))
+        assert F.data.shape == A.data.shape == (n, 2, 2)
+        for got, want in zip(F.data, A.data, strict=True):
+            np.testing.assert_array_equal(got, want)
+        v = rng.standard_normal(2 * n)
+        np.testing.assert_allclose(P.solve(v), np.linalg.solve(A.toarray(), v), rtol=1e-12)
+        np.testing.assert_allclose(P.solve(v, trans="T"), np.linalg.solve(A.toarray().T, v), rtol=1e-12)
+        np.testing.assert_allclose(P.solve(v), build_block_jacobi(A).solve(v), rtol=1e-12)
 
 
 def test_bilu_exact_on_block_tridiagonal():

@@ -10,13 +10,13 @@ from conftest import singular_system
 from kktprecond.errors import DimensionMismatch, PatternViolation, SingularSystem
 from kktprecond.kkt import (
     KktFactors,
-    KktOperator,
     KktSystem,
     SystemDims,
     assemble_Byy,
+    kkt_matvec,
     reference_solution,
 )
-from kktprecond.pmultigrid import build_transfer, full_prolongation
+from kktprecond.pmultigrid import build_transfer
 from kktprecond.shocktrack import ShockTrackProblem1d, SqpConfig, build_kkt, dg_jacobians, run_sqp
 from kktprecond.stencil import generate_stencil_system
 from oracles import ata_pattern, count_block_sparsity, dense_kkt
@@ -105,6 +105,7 @@ def test_byy_rayleigh_quotient_monotone_in_gamma(prob8, states8):
 
 
 def test_matvec_byy_only_identity():
+    # Byy = dPhidy^T (gamma D) dPhidy = [[1]] is the only nonzero block.
     f = KktFactors(
         Ju=single_block(np.zeros((2, 2))),
         dRdu=single_block(np.zeros((3, 2))),
@@ -112,75 +113,70 @@ def test_matvec_byy_only_identity():
         drdx=point(np.zeros((2, 3))),
         dRmshdx=point(np.zeros((1, 3))),
         dPhidy=point(np.array([[0.0], [1.0], [0.0]])),
-        D=point(np.zeros((3, 3))),
+        D=point(np.eye(3)),
         kappa=0.0,
-        gamma=0.0,
+        gamma=1.0,
     )
-    sys = KktSystem(f, np.zeros(3), np.zeros(2), point(np.eye(1)))
-    op = KktOperator(sys)
+    sys = KktSystem(f, np.zeros(3), np.zeros(2))
+    np.testing.assert_array_equal(sys.Byy.toarray(), [[1.0]])
     v = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
-    np.testing.assert_array_equal(op.matvec(v), v)
+    np.testing.assert_array_equal(kkt_matvec(sys, v), v)
 
 
 def test_matvec_zero_vector():
-    f = tiny_factors()
-    sys = KktSystem(f, np.zeros(3), np.zeros(2), assemble_Byy(f))
-    np.testing.assert_array_equal(KktOperator(sys).matvec(np.zeros(5)), np.zeros(5))
+    sys = KktSystem(tiny_factors(), np.zeros(3), np.zeros(2))
+    np.testing.assert_array_equal(kkt_matvec(sys, np.zeros(5)), np.zeros(5))
 
 
 def test_matvec_matches_dense_on_generated_system(sys8_k1):
-    op = KktOperator(sys8_k1)
     A = dense_kkt(sys8_k1)
     rng = np.random.default_rng(5)
     scale = np.linalg.norm(A)
     for _ in range(50):
-        v = rng.standard_normal(op.dimension)
-        np.testing.assert_allclose(op.matvec(v), A @ v, rtol=1e-12, atol=1e-12 * scale)
+        v = rng.standard_normal(sys8_k1.dimension)
+        np.testing.assert_allclose(kkt_matvec(sys8_k1, v), A @ v, rtol=1e-12, atol=1e-12 * scale)
 
 
 def test_matvec_rejects_wrong_length(sys8_k1):
     with pytest.raises(DimensionMismatch):
-        KktOperator(sys8_k1).matvec(np.zeros(3))
+        kkt_matvec(sys8_k1, np.zeros(3))
 
 
 @pytest.mark.parametrize("name", ["sys8_k1", "sys16_k1"])
 def test_matmat_matches_dense_on_prolongation(name, request):
     sys = request.getfixturevalue(name)
-    op = KktOperator(sys)
-    X = full_prolongation(build_transfer(sys.dims))
+    X, _ = build_transfer(sys.dims)
     A = dense_kkt(sys)
-    got = op.matmat(X)
+    got = kkt_matvec(sys, X)
     assert scipy.sparse.issparse(got)
     np.testing.assert_allclose(got.toarray(), A @ X.toarray(), rtol=1e-12, atol=1e-12 * np.abs(A).max())
 
 
 def test_matmat_columns_match_matvec(sys8_k1):
-    op = KktOperator(sys8_k1)
-    X = scipy.sparse.random(op.dimension, 4, density=0.3, format="csr", random_state=7)
-    got = op.matmat(X).toarray()
+    X = scipy.sparse.random(sys8_k1.dimension, 4, density=0.3, format="csr", random_state=7)
+    got = kkt_matvec(sys8_k1, X).toarray()
     for k in range(4):
-        np.testing.assert_allclose(got[:, k], op.matvec(X[:, [k]].toarray().ravel()), rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(got[:, k], kkt_matvec(sys8_k1, X[:, [k]].toarray().ravel()), rtol=1e-13, atol=1e-13)
 
 
 def test_matmat_rejects_wrong_row_count(sys8_k1):
-    op = KktOperator(sys8_k1)
     with pytest.raises(DimensionMismatch):
-        op.matmat(scipy.sparse.identity(op.dimension - 1, format="csr"))
+        kkt_matvec(sys8_k1, scipy.sparse.identity(sys8_k1.dimension - 1, format="csr"))
 
 
 def test_matvec_rejects_dense_matrix(sys8_k1):
-    op = KktOperator(sys8_k1)
     with pytest.raises(DimensionMismatch):
-        op.matvec(np.zeros((op.dimension, 2)))
+        kkt_matvec(sys8_k1, np.zeros((sys8_k1.dimension, 2)))
 
 
 def test_kkt_matrix_is_built_on_first_product_only(prob8, states8):
     sys = build_kkt(prob8, states8[1])
     assert "K" not in vars(sys)
-    op = KktOperator(sys)
-    op.matvec(np.zeros(op.dimension))
+    op = sys.operator()
+    assert op.dimension == sys.dimension
+    op.apply(np.zeros(op.dimension))
     K = sys.K
-    op.matvec(np.ones(op.dimension))
+    op.apply(np.ones(op.dimension))
     assert sys.K is K
     assert isinstance(K, scipy.sparse.csr_matrix) and K.has_canonical_format
     assert K.shape == (op.dimension, op.dimension)
@@ -228,7 +224,7 @@ def test_dense_zero_factors_give_zero_matrix():
         kappa=0.0,
         gamma=0.0,
     )
-    sys = KktSystem(f, np.zeros(3), np.zeros(2), assemble_Byy(f))
+    sys = KktSystem(f, np.zeros(3), np.zeros(2))
     np.testing.assert_array_equal(sys.K.toarray(), np.zeros((5, 5)))
 
 
@@ -242,7 +238,7 @@ def test_rhs_sign_convention():
     f = tiny_factors()
     g = np.array([1.0, -2.0, 3.0])
     r = np.array([4.0, -5.0])
-    sys = KktSystem(f, g, r, assemble_Byy(f))
+    sys = KktSystem(f, g, r)
     np.testing.assert_array_equal(sys.rhs(), [-1.0, 2.0, -3.0, -4.0, 5.0])
 
 
@@ -351,7 +347,7 @@ def test_scalar_factors_are_made_canonical_csr():
     assert isinstance(g.D, scipy.sparse.csr_matrix) and g.D.has_canonical_format
     np.testing.assert_array_equal(g.D.toarray(), [[2.0, 0.0, 1.5], [0.0, 0.0, 0.0], [0.0, 4.0, 0.0]])
     assert D.indices.tolist() == [2, 0, 2, 1]  # the caller's matrix is left alone
-    sys = KktSystem(g, np.zeros(3), np.zeros(2), scipy.sparse.coo_matrix(assemble_Byy(g)))
+    sys = KktSystem(g, np.zeros(3), np.zeros(2))
     assert isinstance(sys.Byy, scipy.sparse.csr_matrix) and sys.Byy.has_canonical_format
     with pytest.raises(TypeError):
         dataclasses.replace(f, dRdx=f.Ju.toarray())
@@ -376,7 +372,7 @@ def test_block_factors_must_be_canonical_bsr():
 def test_system_validation_rejects_wrong_vector_lengths():
     f = tiny_factors()
     with pytest.raises(DimensionMismatch):
-        KktSystem(f, np.zeros(2), np.zeros(2), assemble_Byy(f))
+        KktSystem(f, np.zeros(2), np.zeros(2))
 
 
 # Sparse direct reference ----------------------------------------------------

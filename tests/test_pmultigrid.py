@@ -1,21 +1,13 @@
 """Two-level p-multigrid transfers, Galerkin coarse matrix, and cycle."""
 
-import types
-
 import numpy as np
 import pytest
 
 from conftest import count_iterations
 from kktprecond.errors import SingularCoarseMatrix
-from kktprecond.kkt import KktOperator, SystemDims
-from kktprecond.krylov import Preconditioner
-from kktprecond.pmultigrid import (
-    assemble_coarse,
-    build_transfer,
-    full_prolongation,
-    full_restriction,
-    pmg_apply,
-)
+from kktprecond.kkt import SystemDims
+from kktprecond.krylov import LinearOperator
+from kktprecond.pmultigrid import assemble_coarse, build_transfer, pmg_apply
 from kktprecond.shocktrack import ShockTrackProblem1d, SqpConfig, build_kkt, run_sqp, tracked_state
 from oracles import dense_kkt, lu_preconditioner
 
@@ -29,56 +21,72 @@ def p0_sys():
 # Transfer operators ---------------------------------------------------------
 
 
+def field_transfers(dims):
+    """Pu, Py and Qy, the diagonal blocks of P = diag(Pu, Py, Pu) and
+    Q = diag(Pu^T, Qy, Pu^T), as dense arrays."""
+    P, Q = (M.toarray() for M in build_transfer(dims))
+    n_u, n_y, n_c = dims.n_u, dims.n_y, dims.n_elem
+    Pu, Py = P[:n_u, :n_c], P[n_u : n_u + n_y, n_c : 2 * n_c - 1]
+    Qy = Q[n_c : 2 * n_c - 1, n_u : n_u + n_y]
+    np.testing.assert_array_equal(P[n_u + n_y :, 2 * n_c - 1 :], Pu)
+    np.testing.assert_array_equal(Q[:n_c, :n_u], Pu.T)
+    np.testing.assert_array_equal(Q[2 * n_c - 1 :, n_u + n_y :], Pu.T)
+    assert np.count_nonzero(P) == 2 * np.count_nonzero(Pu) + np.count_nonzero(Py)
+    assert np.count_nonzero(Q) == 2 * np.count_nonzero(Pu) + np.count_nonzero(Qy)
+    return Pu, Py, Qy
+
+
 def test_pu_embeds_element_constants():
-    Pu = build_transfer(SystemDims(2, 1, 1)).Pu.toarray()
+    Pu, _, _ = field_transfers(SystemDims(2, 1, 1))
     np.testing.assert_array_equal(Pu, [[1, 0], [1, 0], [0, 1], [0, 1]])
 
 
 def test_py_linear_interpolation_single_interior_vertex():
-    Py = build_transfer(SystemDims(2, 1, 2)).Py.toarray()
+    _, Py, _ = field_transfers(SystemDims(2, 1, 2))
     np.testing.assert_array_equal(Py, [[0.5], [1.0], [0.5]])
 
 
 def test_restriction_is_left_inverse_of_prolongation():
     for n_elem, p, q in [(2, 1, 1), (3, 1, 2), (4, 2, 2), (5, 3, 1), (8, 2, 3)]:
-        T = build_transfer(SystemDims(n_elem, p, q))
-        np.testing.assert_array_equal((T.Qy @ T.Py).toarray(), np.eye(n_elem - 1))
+        _, Py, Qy = field_transfers(SystemDims(n_elem, p, q))
+        np.testing.assert_array_equal(Qy @ Py, np.eye(n_elem - 1))
 
 
 def test_lowest_order_transfers_are_identities():
     for n_elem in (2, 5, 8):
-        T = build_transfer(SystemDims(n_elem, 0, 1))
-        np.testing.assert_array_equal(T.Pu.toarray(), np.eye(n_elem))
-        np.testing.assert_array_equal(T.Py.toarray(), np.eye(n_elem - 1))
-        np.testing.assert_array_equal(T.Qy.toarray(), np.eye(n_elem - 1))
+        dims = SystemDims(n_elem, 0, 1)
+        Pu, Py, Qy = field_transfers(dims)
+        np.testing.assert_array_equal(Pu, np.eye(n_elem))
+        np.testing.assert_array_equal(Py, np.eye(n_elem - 1))
+        np.testing.assert_array_equal(Qy, np.eye(n_elem - 1))
         dim = 3 * n_elem - 1
-        np.testing.assert_array_equal(full_prolongation(T).toarray(), np.eye(dim))
-        np.testing.assert_array_equal(full_restriction(T).toarray(), np.eye(dim))
+        P, Q = build_transfer(dims)
+        np.testing.assert_array_equal(P.toarray(), np.eye(dim))
+        np.testing.assert_array_equal(Q.toarray(), np.eye(dim))
 
 
 # Galerkin coarse matrix -----------------------------------------------------
 
 
 def test_coarse_of_lowest_order_system_is_the_system(p0_sys):
-    op = KktOperator(p0_sys)
-    coarse = assemble_coarse(op, build_transfer(p0_sys.dims))
+    coarse = assemble_coarse(p0_sys.operator(), *build_transfer(p0_sys.dims))
     A = dense_kkt(p0_sys)
     np.testing.assert_allclose(coarse.A0.toarray(), A, rtol=1e-12, atol=1e-12 * np.abs(A).max())
 
 
 def test_coarse_matches_dense_triple_product(sys16_k1):
-    op = KktOperator(sys16_k1)
-    T = build_transfer(sys16_k1.dims)
-    coarse = assemble_coarse(op, T)
+    P, Q = build_transfer(sys16_k1.dims)
+    coarse = assemble_coarse(sys16_k1.operator(), P, Q)
     A = dense_kkt(sys16_k1)
-    expect = full_restriction(T).toarray() @ A @ full_prolongation(T).toarray()
+    expect = Q.toarray() @ A @ P.toarray()
     np.testing.assert_allclose(coarse.A0.toarray(), expect, rtol=1e-12, atol=1e-12 * np.abs(A).max())
 
 
 def test_zero_operator_gives_singular_coarse_matrix():
-    op = types.SimpleNamespace(matvec=lambda v: np.zeros_like(v), matmat=lambda X: 0 * X)
+    dims = SystemDims(4, 1, 1)
+    zero = LinearOperator(2 * dims.n_u + dims.n_y, lambda X: 0 * X)
     with pytest.raises(SingularCoarseMatrix):
-        assemble_coarse(op, build_transfer(SystemDims(4, 1, 1)))
+        assemble_coarse(zero, *build_transfer(dims))
 
 
 def test_p0_variants_converge_above_the_old_dense_coarse_cap():
@@ -86,7 +94,7 @@ def test_p0_variants_converge_above_the_old_dense_coarse_cap():
     # above 2000.
     prob = ShockTrackProblem1d(n_elem=701, p=1, q=1)
     sys = build_kkt(prob, run_sqp(prob, SqpConfig(max_iters=1))[1])
-    assert assemble_coarse(KktOperator(sys), build_transfer(sys.dims)).A0.shape == (2102, 2102)
+    assert assemble_coarse(sys.operator(), *build_transfer(sys.dims)).A0.shape == (2102, 2102)
     for variant in ("A0-p0", "BJ-p0", "BILU-p0"):
         iters, converged = count_iterations(sys, variant)
         assert converged and iters <= 10, (variant, iters)
@@ -96,33 +104,31 @@ def test_p0_variants_converge_above_the_old_dense_coarse_cap():
 
 
 def test_cycle_is_exact_when_coarse_space_is_full(p0_sys):
-    op = KktOperator(p0_sys)
-    T = build_transfer(p0_sys.dims)
-    coarse = assemble_coarse(op, T)
+    op = p0_sys.operator()
+    coarse = assemble_coarse(op, *build_transfer(p0_sys.dims))
     rng = np.random.default_rng(30)
     b = rng.standard_normal(op.dimension)
-    s = pmg_apply(op, coarse, Preconditioner(op.dimension, np.copy), b)
+    s = pmg_apply(op, coarse, np.copy, b)
     expect = np.linalg.solve(dense_kkt(p0_sys), b)
     np.testing.assert_allclose(s, expect, rtol=1e-8)
 
 
 def test_cycle_maps_zero_to_zero(sys16_k1):
-    op = KktOperator(sys16_k1)
-    T = build_transfer(sys16_k1.dims)
-    coarse = assemble_coarse(op, T)
-    out = pmg_apply(op, coarse, Preconditioner(op.dimension, np.copy), np.zeros(op.dimension))
+    op = sys16_k1.operator()
+    coarse = assemble_coarse(op, *build_transfer(sys16_k1.dims))
+    out = pmg_apply(op, coarse, np.copy, np.zeros(op.dimension))
     np.testing.assert_array_equal(out, np.zeros(op.dimension))
 
 
+
 def test_cycle_composition_matches_hand_built_steps(sys8_k1):
-    op = KktOperator(sys8_k1)
-    T = build_transfer(sys8_k1.dims)
-    coarse = assemble_coarse(op, T)
+    op = sys8_k1.operator()
+    coarse = assemble_coarse(op, *build_transfer(sys8_k1.dims))
     A = dense_kkt(sys8_k1)
     M = A + 3.0 * np.eye(op.dimension)
-    smoother = lu_preconditioner(M)
-    P = full_prolongation(T).toarray()
-    Q = full_restriction(T).toarray()
+    smoother = lu_preconditioner(M).apply_inverse
+    P = coarse.P.toarray()
+    Q = coarse.Q.toarray()
 
     rng = np.random.default_rng(31)
     for _ in range(3):
