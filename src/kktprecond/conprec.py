@@ -33,7 +33,7 @@ from .blocklinalg import Factor, block_rows, sparse_lu, triangular_split, triang
 from .dgprecond import bilu0_factor, build_block_jacobi, mdf_order
 from .errors import DimensionMismatch, PatternViolation, UnknownPreconditioner, ZeroPivot
 from .kkt import KktSystem
-from .krylov import LinearOperator, Preconditioner
+from .krylov import LinearOperator
 from .pmultigrid import CoarseSystem, assemble_coarse, build_transfer, pmg_apply
 
 __all__ = [
@@ -153,8 +153,8 @@ class AtPreconditioner:
         A, coarse = self.multigrid
         return pmg_apply(A, coarse, partial(apply_at_inverse, self), v)
 
-    def as_preconditioner(self) -> Preconditioner:
-        return Preconditioner(self.dimension, self.apply_inverse)
+    def as_preconditioner(self) -> LinearOperator:
+        return LinearOperator(self.dimension, self.apply_inverse)
 
 
 def apply_at_inverse(P: AtPreconditioner, v: np.ndarray) -> np.ndarray:

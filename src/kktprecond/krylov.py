@@ -39,7 +39,6 @@ from .errors import DimensionMismatch, NonFinite, ZeroReference
 
 __all__ = [
     "LinearOperator",
-    "Preconditioner",
     "GmresConfig",
     "SolveReport",
     "gmres_solve",
@@ -67,18 +66,11 @@ _ESTIMATE_FLOOR = 1e-5
 
 @dataclass(frozen=True)
 class LinearOperator:
-    """Matrix action v -> A v on vectors of a fixed dimension."""
+    """Action v -> A v on vectors of a fixed dimension; as GMRES's M, the
+    action v -> M^-1 v of an approximate inverse."""
 
     dimension: int
     apply: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class Preconditioner:
-    """Action v -> M^-1 v of an approximate inverse."""
-
-    dimension: int
-    apply_inverse: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -141,7 +133,7 @@ def _coefficients(R: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
     return dtpsv(k, R, g[:k])
 
 
-def gmres_solve(A: LinearOperator, b: np.ndarray, M: Preconditioner, cfg: GmresConfig | None = None) -> SolveReport:
+def gmres_solve(A: LinearOperator, b: np.ndarray, M: LinearOperator, cfg: GmresConfig | None = None) -> SolveReport:
     """Solve A s = b with left-preconditioned GMRES (no restart).
 
     Raises NonFinite if an Arnoldi vector or the returned iterate is not
@@ -156,7 +148,7 @@ def gmres_solve(A: LinearOperator, b: np.ndarray, M: Preconditioner, cfg: GmresC
     if not np.all(np.isfinite(b)):
         raise NonFinite("right-hand side contains NaN or Inf")
 
-    b_prec = M.apply_inverse(b)
+    b_prec = M.apply(b)
     beta = np.linalg.norm(b_prec)
     if beta < 1e-300:
         zero = np.zeros(n)
@@ -188,7 +180,7 @@ def gmres_solve(A: LinearOperator, b: np.ndarray, M: Preconditioner, cfg: GmresC
             rows = min(2 * rows, max_it + 1)
             V, R, g, c = _grow(V, (rows, n)), _grow(R, rows * (rows + 1) // 2), _grow(g, rows), _grow(c, rows)
 
-        w = M.apply_inverse(A.apply(V[j]))
+        w = M.apply(A.apply(V[j]))
         if not np.all(np.isfinite(w)):
             raise NonFinite(f"Arnoldi vector at iteration {j + 1} contains NaN or Inf")
         norm_w0 = np.linalg.norm(w)

@@ -14,6 +14,7 @@ shape the manifest's dimensions give it.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import scipy.sparse
@@ -35,6 +36,14 @@ _MATRIX_FIELDS = (
     ("dPhidy", "dPhidy"),
     ("elasticity", "D"),
 )
+
+
+def _json_value(value, kind, what: str):
+    """value if json.load made it a kind: int for a JSON integer such as 8
+    (not 8.0, 8.7 or "8"), (int, float) for a number; never a bool."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{what} {value!r} must be a JSON {'integer' if kind is int else 'number'}")
+    return value
 
 
 def export_system(sys: KktSystem, outdir, prefix: str = "") -> str:
@@ -104,16 +113,17 @@ def import_system(path) -> KktSystem:
 
     try:
         d = manifest["dimensions"]
-        dims = SystemDims(int(d["n_elem"]), int(d["p"]), int(d["q"]))
-        scalars = manifest["scalars"]
-        kappa, gamma = float(scalars["kappa"]), float(scalars["gamma"])
-        state_index = int(manifest.get("state_index", 0))
+        dims = SystemDims(*(_json_value(d[key], int, key) for key in ("n_elem", "p", "q")))
+        kappa, gamma = (float(_json_value(manifest["scalars"][key], (int, float), key)) for key in ("kappa", "gamma"))
+        state_index = _json_value(manifest.get("state_index", 0), int, "state_index")
         expected = {"n_u": dims.n_u, "n_u_enriched": dims.n_u_enriched, "n_y": dims.n_y, "n_x": dims.n_x}
-        stated = {key: int(d.get(key, want)) for key, want in expected.items()}
+        stated = {key: _json_value(d.get(key, want), int, key) for key, want in expected.items()}
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ManifestError(f"{path}: malformed dimensions or scalars ({exc})")
-    if not kappa >= 0 or not gamma >= 0:
-        raise ManifestError(f"{path}: kappa and gamma must be nonnegative, got {kappa!r} and {gamma!r}")
+    if not all(math.isfinite(w) and w >= 0 for w in (kappa, gamma)):
+        raise ManifestError(f"{path}: kappa and gamma must be finite and nonnegative, got {kappa!r} and {gamma!r}")
+    if state_index < 0:
+        raise ManifestError(f"{path}: state_index {state_index} must be nonnegative")
     for key, want in expected.items():
         if stated[key] != want:
             raise ManifestError(f"{path}: dimension {key}={stated[key]} inconsistent with n_elem/p/q")

@@ -44,14 +44,9 @@ __all__ = [
     "DgState",
     "SqpConfig",
     "GenerateConfig",
-    "exact_solution",
     "phi_map",
     "dg_residual",
-    "dg_jacobians",
-    "mesh_distortion",
-    "objective_and_gradient",
     "build_kkt",
-    "tracked_state",
     "initial_state",
     "STEP_CAP",
     "StepSystem",
@@ -77,17 +72,6 @@ BACKTRACK = 0.5
 MIN_STEP = 2.0**-20
 ARMIJO = 1e-4
 STEP_TOL = 1e-8
-
-
-def exact_solution(x):
-    """Tracked profile u* = x + 0.4 left of the shock, x - 1.6 right of it.
-
-    Both branches satisfy (u^2/2)' = u; the shock at 0.6 is stationary because
-    f(1) = f(-1) = 1/2 (Rankine-Hugoniot) and entropy-admissible since the
-    left state exceeds the right. At exactly 0.6 the left value is returned.
-    """
-    x = np.asarray(x, dtype=float)
-    return np.where(x <= SHOCK_POSITION, x + 0.4, x - 1.6)
 
 
 def _lagrange_tables(degree: int, pts: np.ndarray):
@@ -157,11 +141,6 @@ class ShockTrackProblem1d:
         self.h0 = 1.0 / n_elem
         self.elem_u = np.arange(n_elem * (p + 1)).reshape(n_elem, p + 1)
         self.elem_x = (q * np.arange(n_elem))[:, None] + np.arange(q + 1)[None, :]
-
-        # Mesh basis evaluated at the solution node master coordinates, used to
-        # interpolate functions of position at the DG nodes.
-        sol_nodes = np.linspace(0.0, 1.0, p + 1) if p > 0 else np.array([0.5])
-        self._mesh_at_sol, _ = _lagrange_tables(q, sol_nodes)
 
         pb = self._basis[p]
         self._mass_p = pb.V.T @ (self.quad_wts[:, None] * pb.V)
@@ -378,23 +357,6 @@ def _jacobians(problem: ShockTrackProblem1d, ue, gx, degrees):
     return blocks
 
 
-def dg_jacobians(problem: ShockTrackProblem1d, u, x):
-    """Analytic derivatives (Ju, dRdu, dRdx, drdx) of both residual test spaces."""
-    u = np.asarray(u, dtype=float)
-    x = np.asarray(x, dtype=float)
-    gx = _element_geometry(problem, x)
-    n = problem.n_elem
-    n_p = problem.p + 1
-    n_t = problem.p + 2
-
-    (diag, sub, sup, dx), (diag_t, sub_t, sup_t, dx_t) = _jacobians(
-        problem, u[problem.elem_u], gx, (problem.p, problem.p + 1)
-    )
-    Ju = _tridiag_bsr(n, n_p, n_p, diag, sub, sup)
-    dRdu = _tridiag_bsr(n, n_t, n_p, diag_t, sub_t, sup_t)
-    return Ju, dRdu, _mesh_column_csr(problem, dx_t), _mesh_column_csr(problem, dx)
-
-
 def _distortion(problem: ShockTrackProblem1d, gx: np.ndarray):
     """Per-element distortion h/h0 + h0/h - 2 and the element sizes h."""
     h = (problem.quad_wts * np.abs(gx)).sum(axis=1)
@@ -410,11 +372,15 @@ def _distortion_derivs(problem: ShockTrackProblem1d, gx: np.ndarray, h: np.ndarr
     return drmsh_dh[:, None] * dh_dx
 
 
-def mesh_distortion(problem: ShockTrackProblem1d, x):
-    """Per-element distortion h/h0 + h0/h - 2 and its mesh Jacobian."""
-    gx = _element_geometry(problem, np.asarray(x, dtype=float))
+def _linearize(problem: ShockTrackProblem1d, state):
+    """r, R, the element Jacobian blocks (diag, sub, sup, dx) of the p and
+    the p+1 residual, rmsh and its derivatives (_distortion_derivs) at a
+    state, from one geometry and one residual pass."""
+    degrees = (problem.p, problem.p + 1)
+    gx, (r, R) = _residuals(problem, state.u, phi_map(problem, state.y), degrees)
+    jac, jac_t = _jacobians(problem, np.asarray(state.u, dtype=float)[problem.elem_u], gx, degrees)
     rmsh, h = _distortion(problem, gx)
-    return rmsh, _mesh_column_csr(problem, _distortion_derivs(problem, gx, h)[:, None, :])
+    return r, R, jac, jac_t, rmsh, _distortion_derivs(problem, gx, h)
 
 
 def _gradient(problem: ShockTrackProblem1d, R, rmsh, dRdu, dRdx, dRmshdx, kappa: float) -> np.ndarray:
@@ -427,15 +393,6 @@ def _gradient(problem: ShockTrackProblem1d, R, rmsh, dRdu, dRdx, dRmshdx, kappa:
 def _objective(R: np.ndarray, rmsh: np.ndarray, kappa: float) -> float:
     """f = 1/2 ||R||^2 + kappa^2/2 ||R_msh||^2."""
     return 0.5 * (R @ R) + kappa**2 * 0.5 * (rmsh @ rmsh)
-
-
-def objective_and_gradient(problem: ShockTrackProblem1d, u, y, kappa: float):
-    """Tracking objective and its gradient with respect to (u, y)."""
-    x = phi_map(problem, y)
-    R = dg_residual(problem, u, x, problem.p + 1)
-    rmsh, dRmshdx = mesh_distortion(problem, x)
-    _, dRdu, dRdx, _ = dg_jacobians(problem, u, x)
-    return _objective(R, rmsh, kappa), _gradient(problem, R, rmsh, dRdu, dRdx, dRmshdx, kappa)
 
 
 @dataclass(frozen=True)
@@ -466,21 +423,23 @@ def build_kkt(
     case: str = "case",
 ) -> KktSystem:
     """Assemble the saddle-point system at one state, optionally overriding the
-    weights kappa and gamma (used by the parameter sweeps)."""
+    weights kappa and gamma (used by the parameter sweeps), from the element
+    blocks of one _linearize call, as assemble_step sums its K."""
     kappa = state.kappa if kappa is None else kappa
     gamma = state.gamma if gamma is None else gamma
-    x = phi_map(problem, state.y)
-    _, (r, R) = _residuals(problem, state.u, x, (problem.p, problem.p + 1))
-    Ju, dRdu, dRdx, drdx = dg_jacobians(problem, state.u, x)
-    rmsh, dRmshdx = mesh_distortion(problem, x)
+    n, n_p, n_t = problem.n_elem, problem.p + 1, problem.p + 2
+    r, R, (diag, sub, sup, dx), (diag_t, sub_t, sup_t, dx_t), rmsh, drmsh = _linearize(problem, state)
 
+    dRdu = _tridiag_bsr(n, n_t, n_p, diag_t, sub_t, sup_t)
+    dRdx = _mesh_column_csr(problem, dx_t)
+    dRmshdx = _mesh_column_csr(problem, drmsh[:, None, :])
     g = _gradient(problem, R, rmsh, dRdu, dRdx, dRmshdx, kappa)
 
     factors = KktFactors(
-        Ju=Ju,
+        Ju=_tridiag_bsr(n, n_p, n_p, diag, sub, sup),
         dRdu=dRdu,
         dRdx=dRdx,
-        drdx=drdx,
+        drdx=_mesh_column_csr(problem, dx),
         dRmshdx=dRmshdx,
         dPhidy=problem.dPhidy,
         D=problem.D,
@@ -497,41 +456,9 @@ def build_kkt(
     )
 
 
-def tracked_state(problem: ShockTrackProblem1d, kappa: float = 1e-7, gamma: float = 1e-2) -> DgState:
-    """Exact tracked optimum: the nearest interior vertex moved to the shock.
-
-    Interior mesh nodes (q=2) sit at element midpoints so the mapping stays
-    affine and the piecewise-linear exact profile is representable for p >= 1.
-    """
-    n = problem.n_elem
-    x = problem.reference_nodes.copy()
-    vertices = problem.q * np.arange(n + 1)
-    interior = vertices[1:-1]
-    if interior.size == 0:
-        raise ValueError("tracked state needs at least 2 elements")
-    j = int(interior[np.argmin(np.abs(x[interior] - SHOCK_POSITION))])
-    x[j] = SHOCK_POSITION
-    if problem.q == 2:
-        x[1::2] = 0.5 * (x[:-1:2] + x[2::2])
-
-    xe = x[problem.elem_x]
-    sol_pos = xe @ problem._mesh_at_sol.T
-    mid = 0.5 * (xe[:, 0] + xe[:, -1])
-    u_elem = np.where(
-        (mid < SHOCK_POSITION)[:, None], sol_pos + 0.4, sol_pos - 1.6
-    )
-    return DgState(
-        u=u_elem.ravel(),
-        y=x[1:-1].copy(),
-        lam=np.zeros(problem.n_u),
-        k=0,
-        alpha=0.0,
-        kappa=kappa,
-        gamma=gamma,
-    )
-
-
-def initial_state(problem: ShockTrackProblem1d, kappa: float = 1e-7, gamma: float = 1e-2) -> DgState:
+def initial_state(
+    problem: ShockTrackProblem1d, kappa: float = SqpConfig.kappa, gamma: float = SqpConfig.gamma
+) -> DgState:
     """Smoothed-profile initial guess on the uniform reference mesh.
 
     u0 is the elementwise L2 projection of the exact profile with the jump
@@ -686,12 +613,7 @@ def assemble_step(problem: ShockTrackProblem1d, state: DgState) -> StepSystem:
     """
     pat = problem.step_pattern
     n, n_t = problem.n_elem, problem.p + 2
-    x = phi_map(problem, state.y)
-    degrees = (problem.p, problem.p + 1)
-    gx, (r, R) = _residuals(problem, state.u, x, degrees)
-    (diag, sub, sup, dx), (diag_t, sub_t, sup_t, dx_t) = _jacobians(problem, state.u[problem.elem_u], gx, degrees)
-    rmsh, h = _distortion(problem, gx)
-    drmsh = _distortion_derivs(problem, gx, h)
+    r, R, (diag, sub, sup, dx), (diag_t, sub_t, sup_t, dx_t), rmsh, drmsh = _linearize(problem, state)
 
     sums = _row_sums(np.concatenate([sub_t, diag_t, sup_t, dx_t, R.reshape(n, n_t, 1)], axis=2), *pat.r_terms)
     mesh = _row_sums(np.concatenate([drmsh, rmsh[:, None]], axis=1)[:, None, :], *pat.m_terms)
@@ -803,13 +725,13 @@ class GenerateConfig:
     n_elem: int = 8
     p: int = 1
     q: int = 1
-    gamma: float = 1e-2
-    kappa: float = 1e-7
+    gamma: float = SqpConfig.gamma
+    kappa: float = SqpConfig.kappa
     source: bool = True
     bc_left: float = 0.4
     bc_right: float = -0.6
     states: tuple[int, ...] = (1,)
-    max_iters: int = 100
+    max_iters: int = SqpConfig.max_iters
     case: str | None = None
 
     @property

@@ -39,8 +39,12 @@ convergence measure of a candidate GMRES solution, evaluated from scratch;
 the generic constrained preconditioner [[G, Jt^T], [Jt, 0]] applied in dense
 product form, with the SingularSchurComplement it raises; the checked dense
 LU of one block (dense_lu_factor) and the exact dense-inverse preconditioner
-built on it (lu_preconditioner); and the symbolic block sparsity accounting
-of acceptance criterion 7 (ata_pattern, count_block_sparsity).
+built on it (lu_preconditioner); the symbolic block sparsity accounting
+of acceptance criterion 7 (ata_pattern, count_block_sparsity); and the
+shock-tracking problem oracles: the exact profile, the tracked optimum,
+the objective with its gradient (build_kkt's g), the mesh distortion as a
+function of the mesh for finite differences, and the state build_kkt
+linearizes at a point (u, y).
 """
 
 import warnings
@@ -64,10 +68,10 @@ from kktprecond.conprec import _VARIANT_TABLE, point_ilu0_values
 from kktprecond.dgprecond import bilu0_blocks, mdf_order
 from kktprecond.errors import DimensionMismatch, KktPrecondError, ManifestError, SingularBlock, ZeroReference
 from kktprecond.kkt import reference_solution
-from kktprecond.krylov import EXACT_SOLUTION, PRECONDITIONED_RESIDUAL, Preconditioner
+from kktprecond.krylov import EXACT_SOLUTION, PRECONDITIONED_RESIDUAL, LinearOperator
 from kktprecond.mmio import _BLOCK_TAG, _ENTRY, _VALUE, _parse, _parse_block_tag
 from kktprecond.pmultigrid import build_transfer
-from kktprecond.shocktrack import SqpStep, build_kkt, dg_residual, mesh_distortion, phi_map
+from kktprecond.shocktrack import SHOCK_POSITION, DgState, SqpConfig, SqpStep, build_kkt, phi_map
 
 
 def block_index(A, i, j):
@@ -184,7 +188,7 @@ def mgs_gmres(A, b, M, cfg):
     iteration. Returns (solution, iterations, converged, history)."""
     b = np.asarray(b, dtype=float)
     n = A.dimension
-    b_prec = M.apply_inverse(b)
+    b_prec = M.apply(b)
     beta = np.linalg.norm(b_prec)
     if beta < 1e-300:
         return np.zeros(n), 0, True, np.zeros(0)
@@ -204,7 +208,7 @@ def mgs_gmres(A, b, M, cfg):
     breakdown = False
 
     for j in range(max_it):
-        w = M.apply_inverse(A.apply(V[j]))
+        w = M.apply(A.apply(V[j]))
         norm_w0 = np.linalg.norm(w)
         for i in range(j + 1):
             H[i, j] = V[i] @ w
@@ -642,9 +646,8 @@ def kkt_sqp_step(problem, state) -> SqpStep:
     the element blocks, with the residuals it returns."""
     sys = build_kkt(problem, state)
     sol = reference_solution(sys)
-    x = phi_map(problem, state.y)
-    R = dg_residual(problem, state.u, x, problem.p + 1)
-    rmsh, _ = mesh_distortion(problem, x)
+    gx, (R,) = shocktrack._residuals(problem, state.u, phi_map(problem, state.y), (problem.p + 1,))
+    rmsh, _ = shocktrack._distortion(problem, gx)
     nz = problem.n_u + problem.n_y
     return SqpStep(sol[:nz], sol[nz:], sys.g, R, rmsh, sys.r)
 
@@ -804,10 +807,10 @@ def evaluate_criterion(kind, A, M, b, s, s_ex=None) -> float:
     b = np.asarray(b, dtype=float)
     s = np.asarray(s, dtype=float)
     if kind == PRECONDITIONED_RESIDUAL:
-        ref = np.linalg.norm(M.apply_inverse(b))
+        ref = np.linalg.norm(M.apply(b))
         if ref < 1e-300:
             raise ZeroReference("preconditioned right-hand side has zero norm")
-        return float(np.linalg.norm(M.apply_inverse(A.apply(s) - b)) / ref)
+        return float(np.linalg.norm(M.apply(A.apply(s) - b)) / ref)
     if kind == EXACT_SOLUTION:
         if s_ex is None:
             raise ValueError("exact-solution criterion needs the reference vector")
@@ -870,11 +873,11 @@ def dense_lu_factor(block: np.ndarray) -> BlockLuFactor:
     return lu
 
 
-def lu_preconditioner(M) -> Preconditioner:
+def lu_preconditioner(M) -> LinearOperator:
     """Exact inverse of a dense matrix via dense_lu_factor; a near-singular M
     raises SingularBlock."""
     lu = dense_lu_factor(M)
-    return Preconditioner(lu.lu_entries.shape[0], lu.solve)
+    return LinearOperator(lu.lu_entries.shape[0], lu.solve)
 
 
 def ata_pattern(A) -> scipy.sparse.csr_matrix:
@@ -909,3 +912,63 @@ def count_block_sparsity(Ju, Buu_pattern) -> SparsityCounts:
     m1 = counts1[counts1 == counts1.max()].mean()
     m2 = counts2[counts2 == counts2.max()].mean()
     return SparsityCounts(float(m1), float(m2))
+
+
+# Problem oracles ------------------------------------------------------------
+
+
+def exact_solution(x):
+    """Tracked profile u* = x + 0.4 left of the shock, x - 1.6 right of it.
+
+    Both branches satisfy (u^2/2)' = u; the shock at 0.6 is stationary because
+    f(1) = f(-1) = 1/2 (Rankine-Hugoniot) and entropy-admissible since the
+    left state exceeds the right. At exactly 0.6 the left value is returned.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.where(x <= SHOCK_POSITION, x + 0.4, x - 1.6)
+
+
+def tracked_state(problem, kappa: float = SqpConfig.kappa, gamma: float = SqpConfig.gamma) -> DgState:
+    """Exact tracked optimum: the nearest interior vertex moved to the shock.
+
+    Interior mesh nodes (q=2) sit at element midpoints so the mapping stays
+    affine and the piecewise-linear exact profile is representable for p >= 1.
+    """
+    n = problem.n_elem
+    x = problem.reference_nodes.copy()
+    vertices = problem.q * np.arange(n + 1)
+    interior = vertices[1:-1]
+    if interior.size == 0:
+        raise ValueError("tracked state needs at least 2 elements")
+    j = int(interior[np.argmin(np.abs(x[interior] - SHOCK_POSITION))])
+    x[j] = SHOCK_POSITION
+    if problem.q == 2:
+        x[1::2] = 0.5 * (x[:-1:2] + x[2::2])
+
+    # The mesh basis at the solution nodes interpolates positions there.
+    p = problem.p
+    sol_nodes = np.linspace(0.0, 1.0, p + 1) if p > 0 else np.array([0.5])
+    mesh_at_sol, _ = shocktrack._lagrange_tables(problem.q, sol_nodes)
+    xe = x[problem.elem_x]
+    sol_pos = xe @ mesh_at_sol.T
+    mid = 0.5 * (xe[:, 0] + xe[:, -1])
+    u_elem = np.where((mid < SHOCK_POSITION)[:, None], sol_pos + 0.4, sol_pos - 1.6)
+    return state_at(problem, u_elem.ravel(), x[1:-1].copy(), kappa, gamma)
+
+
+def state_at(problem, u, y, kappa: float = SqpConfig.kappa, gamma: float = SqpConfig.gamma) -> DgState:
+    """State 0 at (u, y) with zero multipliers, for build_kkt."""
+    u, y = np.asarray(u, dtype=float), np.asarray(y, dtype=float)
+    return DgState(u=u, y=y, lam=np.zeros(problem.n_u), k=0, alpha=0.0, kappa=kappa, gamma=gamma)
+
+
+def distortion(problem, x) -> np.ndarray:
+    """The per-element mesh distortion h/h0 + h0/h - 2 on the mesh x."""
+    return shocktrack._distortion(problem, shocktrack._element_geometry(problem, np.asarray(x, dtype=float)))[0]
+
+
+def objective_and_gradient(problem, u, y, kappa: float):
+    """Tracking objective f = 1/2 ||R||^2 + kappa^2/2 ||R_msh||^2 and its
+    gradient with respect to (u, y), the g of build_kkt."""
+    f, _ = shocktrack._merit_components(problem, u, y, kappa)
+    return f, build_kkt(problem, state_at(problem, u, y, kappa)).g

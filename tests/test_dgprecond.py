@@ -7,7 +7,7 @@ import scipy.sparse
 from kktprecond.blocklinalg import block_rows, getrf
 from kktprecond.dgprecond import MdfOrdering, bilu0_blocks, bilu0_factor, build_block_jacobi, mdf_order
 from kktprecond.errors import SingularBlock, SingularPivotBlock
-from kktprecond.krylov import GmresConfig, LinearOperator, Preconditioner, gmres_solve
+from kktprecond.krylov import GmresConfig, LinearOperator, gmres_solve
 from kktprecond.stencil import generate_stencil_system
 from oracles import bilu_factors, bilu_matrix
 from test_bitwise_oracles import _diagonal, scaled_stencil
@@ -74,7 +74,7 @@ def test_block_jacobi_is_exact_inverse_of_block_diagonal():
     )
     dense = A.toarray()
     op = LinearOperator(9, lambda w: dense @ w)
-    M = Preconditioner(9, P.solve)
+    M = LinearOperator(9, P.solve)
     rep = gmres_solve(op, v, M, GmresConfig(tol=1e-8))
     assert rep.converged and rep.iterations == 1
 

@@ -17,9 +17,9 @@ from kktprecond.kkt import (
     reference_solution,
 )
 from kktprecond.pmultigrid import build_transfer
-from kktprecond.shocktrack import ShockTrackProblem1d, SqpConfig, build_kkt, dg_jacobians, run_sqp
+from kktprecond.shocktrack import ShockTrackProblem1d, SqpConfig, build_kkt, run_sqp
 from kktprecond.stencil import generate_stencil_system
-from oracles import ata_pattern, count_block_sparsity, dense_kkt
+from oracles import ata_pattern, count_block_sparsity, dense_kkt, state_at
 
 
 def single_block(arr):
@@ -269,10 +269,8 @@ def test_interior_sparsity_ratio_is_five_thirds(sys8_k1):
 
 def test_single_element_mesh_ratio_one():
     prob = ShockTrackProblem1d(n_elem=1, p=1, q=1)
-    x = prob.reference_nodes
-    u = np.zeros(prob.n_u)
-    Ju, dRdu, _, _ = dg_jacobians(prob, u, x)
-    counts = count_block_sparsity(Ju, ata_pattern(dRdu))
+    f = build_kkt(prob, state_at(prob, np.zeros(prob.n_u), prob.reference_nodes[1:-1])).factors
+    counts = count_block_sparsity(f.Ju, ata_pattern(f.dRdu))
     assert counts.m1 == 1.0
     assert counts.m2 == 1.0
     assert counts.ratio == 1.0

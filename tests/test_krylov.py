@@ -16,7 +16,6 @@ from kktprecond.krylov import (
     TOLERANCE,
     GmresConfig,
     LinearOperator,
-    Preconditioner,
     SolveReport,
     gmres_solve,
 )
@@ -27,7 +26,7 @@ def run(A, b, M=None, **cfg_kwargs):
     A = np.asarray(A, dtype=float)
     op = LinearOperator(A.shape[0], lambda v: A @ v)
     if M is None:
-        M = Preconditioner(A.shape[0], np.copy)
+        M = LinearOperator(A.shape[0], np.copy)
     return gmres_solve(op, np.asarray(b, dtype=float), M, GmresConfig(**cfg_kwargs))
 
 
@@ -64,7 +63,7 @@ def test_2x2_exact_solution_criterion():
     np.testing.assert_allclose(s_ex, [1 / 11, 7 / 11], rtol=1e-14)
     op = LinearOperator(2, lambda v: A @ v)
     cfg = GmresConfig(tol=1e-3, criterion=EXACT_SOLUTION, reference=s_ex)
-    rep = gmres_solve(op, b, Preconditioner(2, np.copy), cfg)
+    rep = gmres_solve(op, b, LinearOperator(2, np.copy), cfg)
     assert rep.converged
     assert rep.iterations <= 2
     assert np.linalg.norm(rep.solution - s_ex) / np.linalg.norm(s_ex) < 1e-3
@@ -143,7 +142,7 @@ def test_nonfinite_rhs_rejected():
 def test_dimension_mismatch_rejected():
     op = LinearOperator(3, np.copy)
     with pytest.raises(DimensionMismatch):
-        gmres_solve(op, np.zeros(2), Preconditioner(3, np.copy), GmresConfig())
+        gmres_solve(op, np.zeros(2), LinearOperator(3, np.copy), GmresConfig())
 
 
 def test_config_validation():
@@ -164,14 +163,14 @@ def test_config_validation():
 
 def test_criterion_zero_at_exact_solution():
     A = LinearOperator(2, np.copy)
-    M = Preconditioner(2, np.copy)
+    M = LinearOperator(2, np.copy)
     s_ex = np.array([1.0, 2.0])
     assert evaluate_criterion(EXACT_SOLUTION, A, M, np.zeros(2), s_ex, s_ex=s_ex) == 0.0
 
 
 def test_criterion_one_at_zero_iterate():
     A = LinearOperator(2, np.copy)
-    M = Preconditioner(2, np.copy)
+    M = LinearOperator(2, np.copy)
     s_ex = np.array([3.0, -4.0])
     val = evaluate_criterion(EXACT_SOLUTION, A, M, np.zeros(2), np.zeros(2), s_ex=s_ex)
     assert val == 1.0
@@ -180,7 +179,7 @@ def test_criterion_one_at_zero_iterate():
 def test_residual_criterion_hand_value():
     # A = I, M = I, b = (3,4), s = (3,0): ||(0,-4)|| / ||(3,4)|| = 0.8.
     A = LinearOperator(2, np.copy)
-    M = Preconditioner(2, np.copy)
+    M = LinearOperator(2, np.copy)
     val = evaluate_criterion(
         PRECONDITIONED_RESIDUAL, A, M, np.array([3.0, 4.0]), np.array([3.0, 0.0])
     )
@@ -189,7 +188,7 @@ def test_residual_criterion_hand_value():
 
 def test_criterion_zero_reference_raises():
     A = LinearOperator(2, np.copy)
-    M = Preconditioner(2, np.copy)
+    M = LinearOperator(2, np.copy)
     with pytest.raises(ZeroReference):
         evaluate_criterion(PRECONDITIONED_RESIDUAL, A, M, np.zeros(2), np.ones(2))
     with pytest.raises(ZeroReference):
@@ -242,7 +241,7 @@ def assert_matches_oracle(A, b, M, cfg):
 )
 def test_gmres_matches_mgs_oracle(seed, n, shift, exact, tol, max_iters, preconditioned):
     A, b = shifted_system(seed, n, shift)
-    M = Preconditioner(n, np.copy)
+    M = LinearOperator(n, np.copy)
     if preconditioned:
         M = lu_preconditioner(shifted_system(seed + 1, n, shift)[0])
     if exact:
@@ -259,7 +258,7 @@ def test_solve_over_several_storage_chunks_matches_oracle(exact):
     cfg = GmresConfig(tol=1e-10)
     if exact:
         cfg = GmresConfig(tol=1e-10, criterion=EXACT_SOLUTION, reference=np.linalg.solve(A, b))
-    rep = assert_matches_oracle(A, b, Preconditioner(300, np.copy), cfg)
+    rep = assert_matches_oracle(A, b, LinearOperator(300, np.copy), cfg)
     assert rep.converged
     assert rep.iterations > 128
 

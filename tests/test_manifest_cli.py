@@ -280,18 +280,54 @@ def test_non_finite_entry_is_a_manifest_error(sys8_k1, tmp_path, capsys, fname, 
         lambda m: m["dimensions"].update(n_u=None),
         lambda m: m["scalars"].update(gamma=-1.0),
         lambda m: m["scalars"].update(kappa=float("nan")),
+        # json writes an infinite value as the token Infinity, which json.load accepts.
+        lambda m: m["scalars"].update(kappa=float("inf")),
+        lambda m: m["scalars"].update(gamma=float("-inf")),
+        lambda m: m["scalars"].update(kappa="1e-7"),
+        lambda m: m["scalars"].update(gamma=True),
+        lambda m: m["dimensions"].update(n_elem=8.7),
+        lambda m: m["dimensions"].update(n_elem=8.0),
+        lambda m: m["dimensions"].update(p="1"),
+        lambda m: m["dimensions"].update(n_u=16.0),
+        lambda m: m.update(state_index=2.9),
+        lambda m: m.update(state_index=True),
+        lambda m: m.update(state_index=-4),
     ],
-    ids=["file-number", "file-list", "section-string", "state-null", "dimension-null", "gamma-negative", "kappa-nan"],
+    ids=[
+        "file-number",
+        "file-list",
+        "section-string",
+        "state-null",
+        "dimension-null",
+        "gamma-negative",
+        "kappa-nan",
+        "kappa-inf",
+        "gamma-minus-inf",
+        "kappa-string",
+        "gamma-bool",
+        "n-elem-fraction",
+        "n-elem-float",
+        "p-string",
+        "n-u-float",
+        "state-fraction",
+        "state-bool",
+        "state-negative",
+    ],
 )
 def test_cli_solve_malformed_manifest_values_exit_2(sys8_k1, tmp_path, capsys, edit):
+    """Each damaged value is a ManifestError: exit 2 with one error line, not
+    a value cast to an integer or float and solved."""
     path = export_system(sys8_k1, tmp_path)
     with open(path) as fh:
         manifest = json.load(fh)
     edit(manifest)
     with open(path, "w") as fh:
         json.dump(manifest, fh)
+    with pytest.raises(ManifestError):
+        import_system(path)
     assert main(["solve", path, "--precond", "A0"]) == 2
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1 and captured.err.startswith("error: ") and not captured.out
 
 
 @pytest.mark.parametrize("fname", ["ju.mtx", "dRdu.mtx"])

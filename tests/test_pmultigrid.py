@@ -8,8 +8,8 @@ from kktprecond.errors import SingularCoarseMatrix
 from kktprecond.kkt import SystemDims
 from kktprecond.krylov import LinearOperator
 from kktprecond.pmultigrid import assemble_coarse, build_transfer, pmg_apply
-from kktprecond.shocktrack import ShockTrackProblem1d, SqpConfig, build_kkt, run_sqp, tracked_state
-from oracles import dense_kkt, lu_preconditioner
+from kktprecond.shocktrack import ShockTrackProblem1d, SqpConfig, build_kkt, run_sqp
+from oracles import dense_kkt, lu_preconditioner, tracked_state
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +126,7 @@ def test_cycle_composition_matches_hand_built_steps(sys8_k1):
     coarse = assemble_coarse(op, *build_transfer(sys8_k1.dims))
     A = dense_kkt(sys8_k1)
     M = A + 3.0 * np.eye(op.dimension)
-    smoother = lu_preconditioner(M).apply_inverse
+    smoother = lu_preconditioner(M).apply
     P = coarse.P.toarray()
     Q = coarse.Q.toarray()
 

@@ -13,20 +13,15 @@ from kktprecond.shocktrack import (
     ShockTrackProblem1d,
     SqpConfig,
     build_kkt,
-    dg_jacobians,
     dg_residual,
-    exact_solution,
     initial_state,
     load_problem_config,
     make_problem,
-    mesh_distortion,
-    objective_and_gradient,
     phi_map,
     run_sqp,
     sqp_step,
-    tracked_state,
 )
-from oracles import dense_kkt
+from oracles import dense_kkt, distortion, exact_solution, objective_and_gradient, state_at, tracked_state
 
 
 def fd_jacobian(func, z0):
@@ -183,23 +178,20 @@ def test_jacobians_match_finite_differences():
         u0, y0 = random_nearby_state(prob, rng)
         x0 = phi_map(prob, y0)
 
-        Ju, dRdu, dRdx, drdx = dg_jacobians(prob, u0, x0)
+        f = build_kkt(prob, state_at(prob, u0, y0)).factors
         assert_rel_close(
-            fd_jacobian(lambda u: dg_residual(prob, u, x0, prob.p), u0), Ju.toarray()
+            fd_jacobian(lambda u: dg_residual(prob, u, x0, prob.p), u0), f.Ju.toarray()
         )
         assert_rel_close(
-            fd_jacobian(lambda u: dg_residual(prob, u, x0, prob.p + 1), u0), dRdu.toarray()
+            fd_jacobian(lambda u: dg_residual(prob, u, x0, prob.p + 1), u0), f.dRdu.toarray()
         )
         assert_rel_close(
-            fd_jacobian(lambda x: dg_residual(prob, u0, x, prob.p + 1), x0), dRdx.toarray()
+            fd_jacobian(lambda x: dg_residual(prob, u0, x, prob.p + 1), x0), f.dRdx.toarray()
         )
         assert_rel_close(
-            fd_jacobian(lambda x: dg_residual(prob, u0, x, prob.p), x0), drdx.toarray()
+            fd_jacobian(lambda x: dg_residual(prob, u0, x, prob.p), x0), f.drdx.toarray()
         )
-        assert_rel_close(
-            fd_jacobian(lambda x: mesh_distortion(prob, x)[0], x0),
-            mesh_distortion(prob, x0)[1].toarray(),
-        )
+        assert_rel_close(fd_jacobian(lambda x: distortion(prob, x), x0), f.dRmshdx.toarray())
 
 
 def test_objective_gradient_matches_finite_differences():
@@ -222,14 +214,14 @@ def test_objective_gradient_matches_finite_differences():
 
 def test_distortion_zero_on_reference_mesh():
     prob = ShockTrackProblem1d(5, 1, 1)
-    rmsh, _ = mesh_distortion(prob, prob.reference_nodes)
+    rmsh = distortion(prob, prob.reference_nodes)
     np.testing.assert_allclose(rmsh, np.zeros(5), atol=1e-14)
 
 
 def test_distortion_values_on_stretched_mesh():
     prob = ShockTrackProblem1d(4, 1, 1)
     x = np.array([0.0, 0.5, 0.65, 0.8, 1.0])
-    rmsh, _ = mesh_distortion(prob, x)
+    rmsh = distortion(prob, x)
     h = np.diff(x)
     expect = h / 0.25 + 0.25 / h - 2.0
     np.testing.assert_allclose(rmsh, expect, rtol=1e-13)
@@ -364,7 +356,7 @@ def test_step_gradient_is_the_merit_objective_gradient(prob8, states8, monkeypat
     def no_gradient(*args):
         raise AssertionError("run_sqp re-evaluated the gradient")
 
-    monkeypatch.setattr(shocktrack, "objective_and_gradient", no_gradient)
+    monkeypatch.setattr(shocktrack, "_gradient", no_gradient)
     assert len(run_sqp(prob8, SqpConfig(max_iters=2))) == 3
 
 

@@ -122,7 +122,7 @@ def test_sqp_iteration_builds_no_kkt_factors(prob8, states8, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("KKT factor assembly in an SQP iteration")
 
-    for name in ("build_kkt", "KktFactors", "KktSystem", "dg_jacobians", "mesh_distortion", "_mesh_column_csr"):
+    for name in ("build_kkt", "KktFactors", "KktSystem", "_tridiag_bsr", "_mesh_column_csr"):
         monkeypatch.setattr(shocktrack, name, forbidden)
     monkeypatch.setattr(scipy.sparse, "bmat", forbidden)
     monkeypatch.setattr(scipy.sparse.csr_matrix, "__matmul__", forbidden)

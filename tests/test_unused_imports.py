@@ -1,16 +1,22 @@
-"""Every import in the package source is used, and every exported name exists.
+"""Every import in the package source is used, and every exported name exists
+and is used.
 
 A name bound by an import counts as used if the module refers to it anywhere
 (annotations included) or lists it in its ``__all__``, which is how
 ``__init__`` re-exports the public API. A dotted ``import a.b`` binds ``a``.
 Every name in ``__all__`` must be bound at module level, or
-``from kktprecond.<module> import *`` fails.
+``from kktprecond.<module> import *`` fails. Every name in ``__all__`` must
+also be referenced somewhere in the package source, or be a module
+attribute that the benchmark tracer wraps: an exported name that nothing in
+the package runs belongs in the tests.
 """
 
 import ast
 import pathlib
 
 import pytest
+
+from test_bench_hooks import hooked_attributes
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "kktprecond"
 
@@ -79,3 +85,39 @@ def test_export_checker_finds_unbound_names():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_package_module_exports_only_bound_names(path):
     assert unbound_exports(path.read_text()) == []
+
+
+def unreferenced_exports(sources: dict[str, str], hooks) -> list[str]:
+    """``module.name`` for each name in the ``__all__`` of sources[module]
+    that no source loads, as a name or as an attribute, and that is not a
+    (module, name) pair of hooks."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.attr)
+    return sorted(
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _exported(tree)
+        if name not in referenced and (module, name) not in hooks
+    )
+
+
+def test_reference_checker_finds_unused_exports():
+    sources = {
+        "m": "__all__ = ['a', 'b', 'c', 'd']\ndef a(): pass\ndef b(): a()\nc = 1\nd = 2\n",
+        "n": "import m\n__all__ = []\nm.d\n",
+    }
+    assert unreferenced_exports(sources, {("m", "c")}) == ["m.b"]
+
+
+def test_every_exported_name_is_referenced_or_hooked():
+    sources = {
+        "kktprecond" if path.stem == "__init__" else f"kktprecond.{path.stem}": path.read_text()
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert unreferenced_exports(sources, hooked_attributes()) == []
