@@ -68,8 +68,8 @@ def _csv_row(sys, precond_name: str, iters: int, converged: bool) -> str:
         [
             sys.case,
             precond_name,
-            f"{sys.factors.kappa:.10g}",
-            f"{sys.factors.gamma:.10g}",
+            f"{sys.kappa:.10g}",
+            f"{sys.gamma:.10g}",
             str(sys.state_index),
             str(dims.p),
             str(dims.q),
@@ -125,13 +125,15 @@ def _fixed_value(key: str, value):
 
 
 def _checked(cfg: GenerateConfig, states) -> GenerateConfig:
-    """cfg with kappa, gamma and max_iters checked, and every state in states
-    checked against the states 0..max_iters that a run can produce, before
-    any run."""
+    """cfg with kappa, gamma and max_iters checked, and states checked to be
+    nonempty and within the states 0..max_iters that a run can produce,
+    before any run."""
     cfg = replace(cfg, kappa=_weight(cfg.kappa, "kappa"), gamma=_weight(cfg.gamma, "gamma"))
     n = cfg.max_iters
     if n < 0:
         raise UsageError(f"invalid max_iters {n}: must be nonnegative")
+    if not states:
+        raise UsageError("invalid states: name at least one state to export")
     for k in states:
         if not 0 <= k <= n:
             raise UsageError(f"state {k} not available: a run of at most {n} iterations produces states 0..{n}")

@@ -183,7 +183,7 @@ def apply_at_inverse(P: AtPreconditioner, v: np.ndarray) -> np.ndarray:
 
 
 def _build_ju_approx(sys: KktSystem, kind: str):
-    Ju = sys.factors.Ju
+    Ju = sys.Ju
     if kind == "exact":
         return sparse_lu(Ju.tocsr())
     if kind == "block_jacobi":

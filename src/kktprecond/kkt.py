@@ -17,8 +17,13 @@ and the constraint Jacobian is J = [J_u, J_y] with J_y = drdx dPhidy. Ju and
 dRdu are scipy BSR matrices, whose blocks the preconditioners use; every
 other factor, B_yy and J_y are scipy CSR.
 
-A system assembles B_yy from its factors when it is built, and the whole
-matrix K, as canonical CSR, on first use, and caches it. kkt_matvec is the
+KktSystem is the one record of the system at a state: the seven factor
+matrices, kappa and gamma, g and r, and, optionally, its discretization
+record SystemDims (n_elem, p, q), which the p-multigrid transfers and the
+manifest read. SystemDims alone computes the sizes N_u, N_y and N_x from
+n_elem, p and q, and checks their ranges. A system assembles B_yy and J_y
+from its factors when it is built, and the whole matrix K, as canonical
+CSR, on first use, and caches it. kkt_matvec is the
 one product with K: GMRES applies it through the system's operator, and
 the p-multigrid coarse matrix is Q (K P). One sparse direct solve of K
 (reference_solution) is the reference solution that GMRES is measured
@@ -40,7 +45,6 @@ from .krylov import LinearOperator
 
 __all__ = [
     "SystemDims",
-    "KktFactors",
     "KktSystem",
     "assemble_Byy",
     "kkt_matvec",
@@ -50,11 +54,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SystemDims:
-    """Discretization metadata carried alongside a generated system."""
+    """Discretization record of a system: an n_elem mesh with solution degree
+    p and mesh degree q, and the sizes that follow from them."""
 
     n_elem: int
     p: int
     q: int
+
+    def __post_init__(self):
+        if self.n_elem < 1:
+            raise ValueError("n_elem must be at least 1")
+        if self.p < 0:
+            raise ValueError("p must be nonnegative")
+        if self.q < 1:
+            raise ValueError("q must be at least 1")
 
     @property
     def n_u(self) -> int:
@@ -73,11 +86,21 @@ class SystemDims:
         return self.n_x - 2
 
 
-@dataclass
-class KktFactors:
-    """Factor matrices of the KKT blocks at one state: Ju and dRdu must be
-    canonical scipy BSR (one block row per element), the others are made
-    canonical scipy CSR here."""
+def assemble_Byy(sys: KktSystem) -> scipy.sparse.csr_matrix:
+    """Explicit sparse assembly of the mesh-mesh Hessian block."""
+    Ax, Rm, Phi = sys.dRdx, sys.dRmshdx, sys.dPhidy
+    Bxx = (Ax.T @ Ax) + sys.kappa**2 * (Rm.T @ Rm) + sys.gamma * sys.D
+    Byy = (Phi.T @ Bxx @ Phi).tocsr()
+    return 0.5 * (Byy + Byy.T)
+
+
+@dataclass(kw_only=True)
+class KktSystem:
+    """The saddle-point system at one state: the factor matrices of its
+    blocks, the weights kappa and gamma, and the right-hand-side data g and
+    r. Ju and dRdu must be canonical scipy BSR (one block row per element);
+    the other factors are made canonical scipy CSR here, and Byy is
+    assemble_Byy of them, made canonical CSR alike."""
 
     Ju: scipy.sparse.bsr_matrix
     dRdu: scipy.sparse.bsr_matrix
@@ -88,13 +111,19 @@ class KktFactors:
     D: scipy.sparse.csr_matrix
     kappa: float
     gamma: float
+    g: np.ndarray
+    r: np.ndarray
+    Byy: scipy.sparse.csr_matrix = field(init=False)
+    dims: SystemDims | None = None
+    state_index: int = 0
+    case: str = "case"
 
     def __post_init__(self):
         for name in ("Ju", "dRdu"):
             setattr(self, name, canonical_bsr(getattr(self, name), name))
         for name in ("dRdx", "drdx", "dRmshdx", "dPhidy", "D"):
             setattr(self, name, canonical_csr(getattr(self, name), name))
-        n_u = self.Ju.shape[1]
+        n_u, n_y = self.n_u, self.n_y
         n_x = self.dPhidy.shape[0]
         if self.Ju.shape != (n_u, n_u) or self.Ju.blocksize[0] != self.Ju.blocksize[1]:
             raise DimensionMismatch("Ju must be square with square blocks")
@@ -111,6 +140,17 @@ class KktFactors:
         if not (self.kappa >= 0 and self.gamma >= 0):
             raise ValueError("kappa and gamma must be nonnegative")
 
+        self.g = np.asarray(self.g, dtype=float)
+        self.r = np.asarray(self.r, dtype=float)
+        if self.g.shape != (n_u + n_y,):
+            raise DimensionMismatch("gradient length must be N_u + N_y")
+        if self.r.shape != (n_u,):
+            raise DimensionMismatch("residual length must be N_u")
+        self.Byy = canonical_csr(assemble_Byy(self), "Byy")
+        # J_y is needed in transposed form by the preconditioners, so it is
+        # stored as the explicit sparse product.
+        self.Jy = (self.drdx @ self.dPhidy).tocsr()
+
     @property
     def n_u(self) -> int:
         return self.Ju.shape[1]
@@ -120,48 +160,8 @@ class KktFactors:
         return self.dPhidy.shape[1]
 
     @property
-    def n_x(self) -> int:
-        return self.dPhidy.shape[0]
-
-
-def assemble_Byy(factors: KktFactors) -> scipy.sparse.csr_matrix:
-    """Explicit sparse assembly of the mesh-mesh Hessian block."""
-    Ax, Rm, Phi = factors.dRdx, factors.dRmshdx, factors.dPhidy
-    Bxx = (Ax.T @ Ax) + factors.kappa**2 * (Rm.T @ Rm) + factors.gamma * factors.D
-    Byy = (Phi.T @ Bxx @ Phi).tocsr()
-    return 0.5 * (Byy + Byy.T)
-
-
-@dataclass
-class KktSystem:
-    """Factors plus the right-hand-side data; Byy is assemble_Byy of the
-    factors, made canonical CSR like the scalar factors."""
-
-    factors: KktFactors
-    g: np.ndarray
-    r: np.ndarray
-    Byy: scipy.sparse.csr_matrix = field(init=False)
-    dims: SystemDims | None = None
-    state_index: int = 0
-    case: str = "case"
-
-    def __post_init__(self):
-        self.g = np.asarray(self.g, dtype=float)
-        self.r = np.asarray(self.r, dtype=float)
-        f = self.factors
-        if self.g.shape != (f.n_u + f.n_y,):
-            raise DimensionMismatch("gradient length must be N_u + N_y")
-        if self.r.shape != (f.n_u,):
-            raise DimensionMismatch("residual length must be N_u")
-        self.Byy = canonical_csr(assemble_Byy(f), "Byy")
-        # J_y is needed in transposed form by the preconditioners, so it is
-        # stored as the explicit sparse product.
-        self.Jy = (f.drdx @ f.dPhidy).tocsr()
-
-    @property
     def dimension(self) -> int:
-        n_u, n_y = self.Jy.shape
-        return 2 * n_u + n_y
+        return 2 * self.n_u + self.n_y
 
     @cached_property
     def K(self) -> scipy.sparse.csr_matrix:
@@ -174,12 +174,11 @@ class KktSystem:
         COO copy; no two blocks overlap, so sorting the rows makes it
         canonical.
         """
-        f = self.factors
-        dRdu = f.dRdu.tocsr()
-        Ju = f.Ju.tocsr()
+        dRdu = self.dRdu.tocsr()
+        Ju = self.Ju.tocsr()
         dRdu_T = dRdu.T.tocsr()
-        buy = dRdu_T @ (f.dRdx @ f.dPhidy).tocsr()
-        zero = scipy.sparse.csr_matrix((f.n_u, f.n_u))
+        buy = dRdu_T @ (self.dRdx @ self.dPhidy).tocsr()
+        zero = scipy.sparse.csr_matrix((self.n_u, self.n_u))
         blocks = [
             [dRdu_T @ dRdu, buy, Ju.T.tocsr()],
             [buy.T.tocsr(), self.Byy, self.Jy.T.tocsr()],

@@ -7,8 +7,10 @@ which doubles as a consistency check of the stored factors.
 ju.mtx and dRdu.mtx carry a %%block-sizes line and import as BSR matrices
 with (p+1) x (p+1) and (p+2) x (p+1) blocks; the scalar factors do not. A
 scalar factor written with one (dRdx.mtx and drdx.mtx of older manifests)
-imports as the CSR view of its blocks. Every matrix file is read with the
-shape the manifest's dimensions give it.
+imports as the CSR view of its blocks. The manifest's n_elem, p and q
+make its SystemDims, whose range rule (n_elem >= 1, p >= 0, q >= 1) is
+checked before any matrix file is read; every matrix file is read with the
+shape those dimensions give it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import os
 import scipy.sparse
 
 from .errors import ManifestError
-from .kkt import KktFactors, KktSystem, SystemDims
+from .kkt import KktSystem, SystemDims
 from .mmio import read_matrix, read_vector, write_matrix, write_vector
 
 __all__ = ["MANIFEST_VERSION", "export_system", "import_system"]
@@ -55,7 +57,7 @@ def export_system(sys: KktSystem, outdir, prefix: str = "") -> str:
     matrices = {}
     for key, attr in _MATRIX_FIELDS:
         fname = f"{prefix}{key}.mtx"
-        write_matrix(os.path.join(outdir, fname), getattr(sys.factors, attr))
+        write_matrix(os.path.join(outdir, fname), getattr(sys, attr))
         matrices[key] = fname
     vectors = {}
     for key, vec in (("g", sys.g), ("r", sys.r)):
@@ -75,7 +77,7 @@ def export_system(sys: KktSystem, outdir, prefix: str = "") -> str:
             "p": dims.p,
             "q": dims.q,
         },
-        "scalars": {"kappa": sys.factors.kappa, "gamma": sys.factors.gamma},
+        "scalars": {"kappa": sys.kappa, "gamma": sys.gamma},
         "matrices": matrices,
         "vectors": vectors,
     }
@@ -148,21 +150,12 @@ def import_system(path) -> KktSystem:
     if g.shape != (dims.n_u + dims.n_y,) or r.shape != (dims.n_u,):
         raise ManifestError(f"{path}: vector lengths inconsistent with dimensions")
 
-    factors = KktFactors(
-        Ju=loaded["ju"],
-        dRdu=loaded["dRdu"],
-        dRdx=loaded["dRdx"],
-        drdx=loaded["drdx"],
-        dRmshdx=loaded["dRmshdx"],
-        dPhidy=loaded["dPhidy"],
-        D=loaded["elasticity"],
+    return KktSystem(
+        **{attr: loaded[key] for key, attr in _MATRIX_FIELDS},
         kappa=kappa,
         gamma=gamma,
-    )
-    return KktSystem(
-        factors,
-        g,
-        r,
+        g=g,
+        r=r,
         dims=dims,
         state_index=state_index,
         case=str(manifest.get("case", "case")),

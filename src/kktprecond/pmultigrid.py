@@ -33,17 +33,15 @@ def build_transfer(dims) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matr
     """Prolongation P = diag(Pu, Py, Pu) and restriction Q = diag(Pu^T, Qy,
     Pu^T), as CSR, for the discretization record dims (kkt.SystemDims): an
     n_elem mesh with solution degree p and mesh degree q."""
-    n_elem, p, q = dims.n_elem, dims.p, dims.q
-    n_u = n_elem * (p + 1)
+    n_elem, p, q, n_u, n_y = dims.n_elem, dims.p, dims.q, dims.n_u, dims.n_y
     element = np.repeat(np.arange(n_elem), p + 1)
     Pu = scipy.sparse.csr_matrix((np.ones(n_u), element, np.arange(n_u + 1)), shape=(n_u, n_elem))
 
     # Mesh node g at local fraction l/q of element e is the linear blend of
     # the element endpoints e and e + 1 with weights 1 - l/q and l/q; pinned
     # domain endpoints and zero weights contribute nothing.
-    n_y = q * n_elem - 1
     n_yc = n_elem - 1
-    e, l = np.divmod(np.arange(1, q * n_elem), q)
+    e, l = np.divmod(np.arange(1, n_y + 1), q)
     vertex = np.stack([e, e + 1], axis=1).ravel()
     weight = np.stack([1.0 - l / q, l / q], axis=1).ravel()
     keep = (0 < vertex) & (vertex < n_elem) & (weight != 0.0)

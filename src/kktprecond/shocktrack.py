@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -36,7 +35,7 @@ import scipy.sparse
 
 from .blocklinalg import checked_splu
 from .errors import InvertedElement, LineSearchFailure, SingularSystem, SizeCapExceeded
-from .kkt import KktFactors, KktSystem, SystemDims
+from .kkt import KktSystem, SystemDims
 
 __all__ = [
     "SHOCK_POSITION",
@@ -51,7 +50,6 @@ __all__ = [
     "STEP_CAP",
     "StepSystem",
     "assemble_step",
-    "SqpStep",
     "sqp_step",
     "run_sqp",
     "load_problem_config",
@@ -98,7 +96,11 @@ class _Basis:
 
 
 class ShockTrackProblem1d:
-    """Problem description plus precomputed quadrature and basis tables."""
+    """Problem description plus precomputed quadrature and basis tables.
+
+    Its sizes are those of its discretization record dims (kkt.SystemDims),
+    which checks n_elem and p; the problem allows only q in {1, 2}.
+    """
 
     def __init__(
         self,
@@ -109,12 +111,9 @@ class ShockTrackProblem1d:
         bc_left: float = 0.4,
         bc_right: float = -0.6,
     ):
-        if n_elem < 1:
-            raise ValueError("n_elem must be at least 1")
-        if p < 0:
-            raise ValueError("p must be nonnegative")
         if q not in (1, 2):
             raise ValueError("q must be 1 or 2")
+        self.dims = SystemDims(n_elem, p, q)
         if not (np.isfinite(bc_left) and np.isfinite(bc_right)):
             raise ValueError(f"bc_left {bc_left!r} and bc_right {bc_right!r} must be finite")
         self.n_elem = n_elem
@@ -137,38 +136,19 @@ class ShockTrackProblem1d:
             e1, _ = _lagrange_tables(deg, np.array([1.0]))
             self._basis[deg] = _Basis(V, D, e0[0], e1[0])
 
-        self.reference_nodes = np.linspace(0.0, 1.0, q * n_elem + 1)
+        self.reference_nodes = np.linspace(0.0, 1.0, self.dims.n_x)
         self.h0 = 1.0 / n_elem
-        self.elem_u = np.arange(n_elem * (p + 1)).reshape(n_elem, p + 1)
+        self.elem_u = np.arange(self.dims.n_u).reshape(n_elem, p + 1)
         self.elem_x = (q * np.arange(n_elem))[:, None] + np.arange(q + 1)[None, :]
 
         pb = self._basis[p]
         self._mass_p = pb.V.T @ (self.quad_wts[:, None] * pb.V)
 
-        # dphi/dy and the elasticity stiffness, the factors dPhidy and D of
-        # every KKT system of this problem.
-        self.dPhidy = _selection_matrix(self.n_x)
+        # dphi/dy, which inserts the pinned endpoints and passes interior
+        # nodes through, and the elasticity stiffness: the factors dPhidy
+        # and D of every KKT system of this problem.
+        self.dPhidy = scipy.sparse.eye(self.dims.n_x, self.dims.n_y, k=-1, format="csr")
         self.D = _assemble_elasticity(self)
-
-    @property
-    def n_u(self) -> int:
-        return self.n_elem * (self.p + 1)
-
-    @property
-    def n_u_enriched(self) -> int:
-        return self.n_elem * (self.p + 2)
-
-    @property
-    def n_x(self) -> int:
-        return self.q * self.n_elem + 1
-
-    @property
-    def n_y(self) -> int:
-        return self.n_x - 2
-
-    @property
-    def dims(self) -> SystemDims:
-        return SystemDims(self.n_elem, self.p, self.q)
 
     def basis(self, degree: int) -> _Basis:
         return self._basis[degree]
@@ -215,11 +195,6 @@ class ShockTrackProblem1d:
         return np.ones_like(u) if self.source_on else np.zeros_like(u)
 
 
-def _selection_matrix(n_x: int) -> scipy.sparse.csr_matrix:
-    """dphi/dy: inserts the pinned endpoints, passes interior nodes through."""
-    return scipy.sparse.eye(n_x, n_x - 2, k=-1, format="csr")
-
-
 def _assemble_elasticity(problem: ShockTrackProblem1d) -> scipy.sparse.csr_matrix:
     """Linear elasticity stiffness on the full mesh coefficient space.
 
@@ -242,7 +217,7 @@ def _assemble_elasticity(problem: ShockTrackProblem1d) -> scipy.sparse.csr_matri
     cols = np.broadcast_to(idx[:, None, :], shape).ravel()
     vals = np.broadcast_to(k_loc, shape).ravel()
     # tocsr sums the entries of nodes shared by two elements.
-    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(problem.n_x, problem.n_x)).tocsr()
+    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(problem.dims.n_x, problem.dims.n_x)).tocsr()
 
 
 def phi_map(problem: ShockTrackProblem1d, y: np.ndarray) -> np.ndarray:
@@ -320,7 +295,7 @@ def _mesh_column_csr(problem: ShockTrackProblem1d, vals: np.ndarray) -> scipy.sp
     n, rows_per_elem, width = vals.shape
     cols = np.broadcast_to(problem.elem_x[:, None, :], vals.shape).ravel()
     row_ptr = np.arange(0, vals.size + 1, width)
-    return scipy.sparse.csr_matrix((vals.ravel(), cols, row_ptr), shape=(n * rows_per_elem, problem.n_x))
+    return scipy.sparse.csr_matrix((vals.ravel(), cols, row_ptr), shape=(n * rows_per_elem, problem.dims.n_x))
 
 
 def _jacobians(problem: ShockTrackProblem1d, ue, gx, degrees):
@@ -435,7 +410,7 @@ def build_kkt(
     dRmshdx = _mesh_column_csr(problem, drmsh[:, None, :])
     g = _gradient(problem, R, rmsh, dRdu, dRdx, dRmshdx, kappa)
 
-    factors = KktFactors(
+    return KktSystem(
         Ju=_tridiag_bsr(n, n_p, n_p, diag, sub, sup),
         dRdu=dRdu,
         dRdx=dRdx,
@@ -445,11 +420,8 @@ def build_kkt(
         D=problem.D,
         kappa=kappa,
         gamma=gamma,
-    )
-    return KktSystem(
-        factors,
-        g,
-        r,
+        g=g,
+        r=r,
         dims=problem.dims,
         state_index=state.k,
         case=case,
@@ -475,7 +447,7 @@ def initial_state(
     return DgState(
         u=coeff.ravel(),
         y=x[1:-1].copy(),
-        lam=np.zeros(problem.n_u),
+        lam=np.zeros(problem.dims.n_u),
         k=0,
         alpha=0.0,
         kappa=kappa,
@@ -547,14 +519,14 @@ class _StepPattern:
 
     def __init__(self, problem: ShockTrackProblem1d):
         n, n_p, q = problem.n_elem, problem.p + 1, problem.q
-        n_u, n_y = problem.n_u, problem.n_y
+        n_u, n_y = problem.dims.n_u, problem.dims.n_y
         nz = n_u + n_y
         self.dim = nz + n_u
 
         nbr = np.arange(n)[:, None] + np.arange(-1, 2)
         u_cols = np.where(((nbr >= 0) & (nbr < n))[:, :, None], nbr[:, :, None] * n_p + np.arange(n_p), -1)
         nodes = problem.elem_x
-        interior = (nodes > 0) & (nodes < problem.n_x - 1)
+        interior = (nodes > 0) & (nodes < problem.dims.n_x - 1)
         y_cols = np.where(interior, n_u + nodes - 1, -1)
         r_col = np.full((n, 1), nz)
         I, J, *self.r_terms = _row_sum_terms(np.hstack([u_cols.reshape(n, -1), y_cols, r_col]), n_p + 1, nz)
@@ -628,30 +600,19 @@ def assemble_step(problem: ShockTrackProblem1d, state: DgState) -> StepSystem:
     return StepSystem(K, g, r, R, rmsh)
 
 
-class SqpStep(NamedTuple):
-    """One SQP step (dz, eta) and the state's gradient g and residuals R,
-    rmsh and r, from which run_sqp takes the line search's start."""
-
-    dz: np.ndarray
-    eta: np.ndarray
-    g: np.ndarray
-    R: np.ndarray
-    rmsh: np.ndarray
-    r: np.ndarray
-
-
-def sqp_step(problem: ShockTrackProblem1d, state: DgState) -> SqpStep:
+def sqp_step(problem: ShockTrackProblem1d, state: DgState) -> tuple[np.ndarray, np.ndarray, StepSystem]:
     """(dz, eta) from one SuperLU solve of the step system (assemble_step),
-    with its gradient and residuals; SingularSystem if K is singular,
-    SizeCapExceeded before any assembly if it exceeds STEP_CAP."""
-    dim = 2 * problem.n_u + problem.n_y
+    and that system, whose gradient and residuals start the line search;
+    SingularSystem if K is singular, SizeCapExceeded before any assembly if
+    it exceeds STEP_CAP."""
+    nz = problem.dims.n_u + problem.dims.n_y
+    dim = nz + problem.dims.n_u
     if dim > STEP_CAP:
         raise SizeCapExceeded(f"SQP step system of dimension {dim} exceeds cap {STEP_CAP}")
     sys = assemble_step(problem, state)
     lu = checked_splu(sys.K, SingularSystem, f"KKT matrix of dimension {dim}")
     sol = lu.solve(-np.concatenate([sys.g, sys.r]))
-    nz = problem.n_u + problem.n_y
-    return SqpStep(sol[:nz], sol[nz:], sys.g, sys.R, sys.rmsh, sys.r)
+    return sol[:nz], sol[nz:], sys
 
 
 def _merit_components(problem: ShockTrackProblem1d, u, y, kappa: float):
@@ -670,12 +631,11 @@ def run_sqp(
     state = initial_state(problem, cfg.kappa, cfg.gamma) if initial is None else initial
     states = [state]
     mu = None
-    n_u = problem.n_u
+    n_u = problem.dims.n_u
 
     for _ in range(cfg.max_iters):
-        # g0 is the merit objective's gradient while state.kappa is cfg.kappa.
-        step = sqp_step(problem, state)
-        dz, eta, g0 = step.dz, step.eta, step.g
+        # step.g is the merit objective's gradient while state.kappa is cfg.kappa.
+        dz, eta, step = sqp_step(problem, state)
         if np.linalg.norm(dz, np.inf) <= STEP_TOL:
             states[-1] = replace(state, lam=-eta)
             break
@@ -684,7 +644,7 @@ def run_sqp(
 
         f0, r0 = _objective(step.R, step.rmsh, cfg.kappa), step.r
         merit0 = f0 + mu * np.abs(r0).sum()
-        descent = g0 @ dz - mu * np.abs(r0).sum()
+        descent = step.g @ dz - mu * np.abs(r0).sum()
 
         du = dz[:n_u]
         dy = dz[n_u:]
@@ -784,7 +744,10 @@ def load_problem_config(path) -> GenerateConfig:
             if sep is None:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, _, val = text.partition(sep)
-            raw[key.strip().lower()] = val.strip()
+            key = key.strip().lower()
+            if key in raw:
+                raise ValueError(f"{path}:{lineno}: repeated config key {key!r}")
+            raw[key] = val.strip()
 
     kwargs = {}
     for key, val in raw.items():

@@ -14,7 +14,7 @@ import scipy.sparse
 
 from kktprecond import ShockTrackProblem1d, build_kkt, run_sqp
 from kktprecond.conprec import build_at_preconditioner
-from kktprecond.kkt import KktSystem, reference_solution
+from kktprecond.kkt import reference_solution
 from kktprecond.krylov import EXACT_SOLUTION, GmresConfig, gmres_solve
 from kktprecond.shocktrack import SqpConfig
 
@@ -62,20 +62,18 @@ def states64(prob64):
 def zero_coupling_system(sys):
     """Copy of a system with dRdu zeroed, so B_uu = B_uy = 0 while Ju, Byy,
     and the right-hand side are unchanged."""
-    dRdu = sys.factors.dRdu
+    dRdu = sys.dRdu
     zero = scipy.sparse.bsr_matrix((np.zeros_like(dRdu.data), dRdu.indices, dRdu.indptr), shape=dRdu.shape)
-    factors = dataclasses.replace(sys.factors, dRdu=zero)
-    return KktSystem(factors, sys.g, sys.r, dims=sys.dims)
+    return dataclasses.replace(sys, dRdu=zero)
 
 
 def singular_system(sys):
     """Copy of the zero-coupling system with column 0 of dPhidy zeroed: Byy
     row and column 0 and Jy column 0 vanish, so the KKT matrix and the exact
     Byy are exactly singular."""
-    phi = sys.factors.dPhidy.tolil()
+    phi = sys.dPhidy.tolil()
     phi[:, 0] = 0.0
-    factors = dataclasses.replace(zero_coupling_system(sys).factors, dPhidy=phi.tocsr())
-    return KktSystem(factors, sys.g, sys.r, dims=sys.dims)
+    return dataclasses.replace(zero_coupling_system(sys), dPhidy=phi.tocsr())
 
 
 @pytest.fixture(scope="session")

@@ -71,7 +71,7 @@ from kktprecond.kkt import reference_solution
 from kktprecond.krylov import EXACT_SOLUTION, PRECONDITIONED_RESIDUAL, LinearOperator
 from kktprecond.mmio import _BLOCK_TAG, _ENTRY, _VALUE, _parse, _parse_block_tag
 from kktprecond.pmultigrid import build_transfer
-from kktprecond.shocktrack import SHOCK_POSITION, DgState, SqpConfig, SqpStep, build_kkt, phi_map
+from kktprecond.shocktrack import SHOCK_POSITION, DgState, SqpConfig, StepSystem, build_kkt, phi_map
 
 
 def block_index(A, i, j):
@@ -157,7 +157,7 @@ def byy_matrix(kind, Byy) -> np.ndarray:
 
 def system_ju_byy(sys):
     """The true Ju (BSR) and Byy (CSR) of a KKT system."""
-    return sys.factors.Ju, sys.Byy
+    return sys.Ju, sys.Byy
 
 
 def densify_at_matrix(P, Ju, Byy) -> np.ndarray:
@@ -281,10 +281,9 @@ def csr_factors(sys):
     transpose, and the two stacked matrices of the two-product operator:
     S1 = diag([dRdu; Ju], [G; Byy; Jy], [Ju^T; Jy^T]) and
     S2 = diag(dRdu^T, G^T), with G = dRdx dPhidy."""
-    f = sys.factors
-    dRdu = f.dRdu.tocsr()
-    G = (f.dRdx @ f.dPhidy).tocsr()
-    Ju = f.Ju.tocsr()
+    dRdu = sys.dRdu.tocsr()
+    G = (sys.dRdx @ sys.dPhidy).tocsr()
+    Ju = sys.Ju.tocsr()
     dRdu_T, G_T, Ju_T, Jy_T = (M.T.tocsr() for M in (dRdu, G, Ju, sys.Jy))
     S1 = stacked_diagonal([[dRdu, Ju], [G, sys.Byy, sys.Jy], [Ju_T, Jy_T]])
     S2 = stacked_diagonal([[dRdu_T], [G_T]])
@@ -294,7 +293,7 @@ def csr_factors(sys):
 def nine_product_matvec(sys, v):
     """The KKT product as nine separate factor products; v is a 1-D vector or
     a sparse block of columns."""
-    n_u, n_y = sys.factors.n_u, sys.factors.n_y
+    n_u, n_y = sys.n_u, sys.n_y
     block = scipy.sparse.issparse(v)
     v = scipy.sparse.csr_matrix(v, dtype=float) if block else np.asarray(v, dtype=float)
     vu = v[:n_u]
@@ -314,17 +313,16 @@ def dense_kkt(sys) -> np.ndarray:
     """The KKT matrix from dense products of the dense factors, mirrored block
     by block so that it equals its transpose exactly: an assembly
     independent of the sparse K that the tests compare K with."""
-    f = sys.factors
-    n_u, n_y = f.n_u, f.n_y
+    n_u, n_y = sys.n_u, sys.n_y
     dim = 2 * n_u + n_y
 
-    dRdu = f.dRdu.toarray()
+    dRdu = sys.dRdu.toarray()
     buu = dRdu.T @ dRdu
     buu = np.triu(buu) + np.triu(buu, 1).T
-    buy = dRdu.T @ (f.dRdx.toarray() @ f.dPhidy.toarray())
+    buy = dRdu.T @ (sys.dRdx.toarray() @ sys.dPhidy.toarray())
     byy = sys.Byy.toarray()
     byy = np.triu(byy) + np.triu(byy, 1).T
-    ju = f.Ju.toarray()
+    ju = sys.Ju.toarray()
     jy = sys.Jy.toarray()
 
     A = np.zeros((dim, dim))
@@ -585,7 +583,7 @@ def per_block_pivot_check(blocks, factors):
 def sliced_block_matvec(sys, X):
     """The KKT product with a sparse block of columns by row slices, sparse
     sums and scipy vstack of the two stacked products."""
-    n_u, n_y = sys.factors.n_u, sys.factors.n_y
+    n_u, n_y = sys.n_u, sys.n_y
     c = csr_factors(sys)
     n_r = c.G.shape[0]
     ends = np.cumsum([0, n_r, n_u, n_r, n_y, n_u, n_u, n_y])
@@ -640,16 +638,17 @@ def bmat_kkt(sys):
     return scipy.sparse.bmat(blocks, format="csc")
 
 
-def kkt_sqp_step(problem, state) -> SqpStep:
+def kkt_sqp_step(problem, state):
     """The SQP step as build_kkt and kkt.reference_solution give it, the
     step that shocktrack.sqp_step assembled before it summed K and g from
-    the element blocks, with the residuals it returns."""
+    the element blocks: (dz, eta) and the StepSystem of the system's K, g
+    and r and the residuals R and rmsh."""
     sys = build_kkt(problem, state)
     sol = reference_solution(sys)
     gx, (R,) = shocktrack._residuals(problem, state.u, phi_map(problem, state.y), (problem.p + 1,))
     rmsh, _ = shocktrack._distortion(problem, gx)
-    nz = problem.n_u + problem.n_y
-    return SqpStep(sol[:nz], sol[nz:], sys.g, R, rmsh, sys.r)
+    nz = problem.dims.n_u + problem.dims.n_y
+    return sol[:nz], sol[nz:], StepSystem(sys.K.tocsc(), sys.g, sys.r, R, rmsh)
 
 
 def single_degree_residual(problem, u, x, test_degree: int) -> np.ndarray:
@@ -959,7 +958,7 @@ def tracked_state(problem, kappa: float = SqpConfig.kappa, gamma: float = SqpCon
 def state_at(problem, u, y, kappa: float = SqpConfig.kappa, gamma: float = SqpConfig.gamma) -> DgState:
     """State 0 at (u, y) with zero multipliers, for build_kkt."""
     u, y = np.asarray(u, dtype=float), np.asarray(y, dtype=float)
-    return DgState(u=u, y=y, lam=np.zeros(problem.n_u), k=0, alpha=0.0, kappa=kappa, gamma=gamma)
+    return DgState(u=u, y=y, lam=np.zeros(problem.dims.n_u), k=0, alpha=0.0, kappa=kappa, gamma=gamma)
 
 
 def distortion(problem, x) -> np.ndarray:

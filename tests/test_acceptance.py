@@ -131,7 +131,7 @@ def test_criterion_04_bilu_exact_on_block_tridiagonal(sys8_k1, sys8_zero_couplin
     combined with the exact mesh block it solves the decoupled saddle-point
     system in at most 2 iterations, within 5 seconds."""
     t0 = time.perf_counter()
-    Ju = sys8_k1.factors.Ju
+    Ju = sys8_k1.Ju
     defect = np.linalg.norm(bilu_matrix(Ju) - Ju.toarray()) / np.linalg.norm(Ju.toarray())
 
     sysz = sys8_zero_coupling
@@ -174,10 +174,10 @@ def test_criterion_05_derivatives_match_finite_differences(announce):
     worst = 0.0
     for _ in range(5):
         st = initial_state(prob)
-        u0 = st.u + 0.1 * rng.standard_normal(prob.n_u)
-        y0 = st.y + 0.02 * rng.standard_normal(prob.n_y)
+        u0 = st.u + 0.1 * rng.standard_normal(prob.dims.n_u)
+        y0 = st.y + 0.02 * rng.standard_normal(prob.dims.n_y)
         x0 = phi_map(prob, y0)
-        f = build_kkt(prob, state_at(prob, u0, y0)).factors
+        f = build_kkt(prob, state_at(prob, u0, y0))
         checks = [
             (fd(lambda u: dg_residual(prob, u, x0, prob.p), u0), f.Ju.toarray()),
             (fd(lambda u: dg_residual(prob, u, x0, prob.p + 1), u0), f.dRdu.toarray()),
@@ -190,7 +190,7 @@ def test_criterion_05_derivatives_match_finite_differences(announce):
         checks.append(
             (
                 fd(
-                    lambda z: objective_and_gradient(prob, z[: prob.n_u], z[prob.n_u :], kappa)[0],
+                    lambda z: objective_and_gradient(prob, z[: prob.dims.n_u], z[prob.dims.n_u :], kappa)[0],
                     z0,
                 ).ravel(),
                 objective_and_gradient(prob, u0, y0, kappa)[1],
@@ -232,7 +232,7 @@ def test_criterion_06_sqp_tracks_the_shock(announce):
 def test_criterion_07_interior_sparsity_ratio(sys8_k1, announce):
     """On interior rows the symbolic state-state Hessian pattern holds 5 blocks
     against 3 in the constraint Jacobian, a ratio of exactly 5/3 in 1D."""
-    counts = count_block_sparsity(sys8_k1.factors.Ju, ata_pattern(sys8_k1.factors.dRdu))
+    counts = count_block_sparsity(sys8_k1.Ju, ata_pattern(sys8_k1.dRdu))
     ok = counts.m1 == 3.0 and counts.m2 == 5.0 and counts.ratio == 5.0 / 3.0
     announce(7, ok, f"m1={counts.m1:g}, m2={counts.m2:g}, ratio={counts.ratio:.6f}")
 

@@ -283,7 +283,7 @@ def sys1024_initial():
 @pytest.mark.parametrize("name", ["sys8_k1", "sys16_k1", "sys1024_initial"])
 def test_mdf_and_factor_builds_match_oracles_on_systems(name, request):
     sys = request.getfixturevalue(name)
-    Ju = sys.factors.Ju
+    Ju = sys.Ju
     ordering = _same_mdf(Ju)
     order, weights = recomputing_mdf_order(Ju)
     assert np.array_equal(ordering.order, order)
@@ -508,8 +508,8 @@ def test_shared_residual_pass_matches_one_degree_at_a_time(p, q, source_on):
     prob = ShockTrackProblem1d(n_elem=7, p=p, q=q, source_on=source_on)
     rng = np.random.default_rng(10 * p + q)
     st = initial_state(prob)
-    u = st.u + 0.1 * rng.standard_normal(prob.n_u)
-    x = phi_map(prob, st.y + (0.01 / prob.n_elem) * rng.standard_normal(prob.n_y))
+    u = st.u + 0.1 * rng.standard_normal(prob.dims.n_u)
+    x = phi_map(prob, st.y + (0.01 / prob.n_elem) * rng.standard_normal(prob.dims.n_y))
     degrees = (p, p + 1)
     gx, residuals = shocktrack._residuals(prob, u, x, degrees)
     assert np.array_equal(_bits(gx), _bits(shocktrack._element_geometry(prob, x)))

@@ -71,7 +71,7 @@ def test_catalog_never_calls_spsolve_triangular(sys8_k1, monkeypatch):
 @pytest.mark.parametrize("variant", CATALOG)
 def test_factor_solves_reject_wrong_length(variant, sys8_k1):
     P = build_at_preconditioner(sys8_k1, variant)
-    for factor, n in ((P.ju, sys8_k1.factors.n_u), (P.byy, sys8_k1.factors.n_y)):
+    for factor, n in ((P.ju, sys8_k1.n_u), (P.byy, sys8_k1.n_y)):
         for bad in (np.array([8.0]), np.ones(n + 1), np.ones((n, 1))):
             for trans in ("N", "T"):
                 with pytest.raises(DimensionMismatch):
@@ -96,7 +96,7 @@ def _factor_of(kind, variant, part, sys):
     if kind == "BlockLuFactor":
         return dense_lu_factor(np.array([[2.0, 1.0], [1.0, 3.0]])), 2
     P = build_at_preconditioner(sys, variant)
-    return getattr(P, part), sys.factors.n_u if part == "ju" else sys.factors.n_y
+    return getattr(P, part), sys.n_u if part == "ju" else sys.n_y
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from kktprecond.errors import (
     UnknownPreconditioner,
     ZeroPivot,
 )
-from kktprecond.kkt import KktFactors, KktSystem
+from kktprecond.kkt import KktSystem
 from kktprecond.krylov import GmresConfig, LinearOperator, gmres_solve
 from kktprecond.dgprecond import bilu0_factor, mdf_order
 from kktprecond.shocktrack import ShockTrackProblem1d, SqpConfig, build_kkt, run_sqp
@@ -76,7 +76,7 @@ def manual_at(Ju, Byy, Jy):
 
 def tiny_system(rng):
     """Single-element system: every Ju approximation is exact on one block."""
-    f = KktFactors(
+    return KktSystem(
         Ju=single_block(rng.standard_normal((2, 2)) + 3.0 * np.eye(2)),
         dRdu=single_block(rng.standard_normal((3, 2))),
         dRdx=point(rng.standard_normal((3, 3))),
@@ -86,8 +86,9 @@ def tiny_system(rng):
         D=point(np.eye(3)),
         kappa=0.5,
         gamma=0.5,
+        g=rng.standard_normal(3),
+        r=rng.standard_normal(2),
     )
-    return KktSystem(f, rng.standard_normal(3), rng.standard_normal(2))
 
 
 # Five-step inverse ----------------------------------------------------------
@@ -140,7 +141,7 @@ def test_constraint_rows_reproduced_for_exact_jacobian(sys8_k1):
     n_u, n_y = P.ju.n, P.byy.n
     v = rng.standard_normal(P.dimension)
     w = apply_at_inverse(P, v)
-    lhs = sys8_k1.factors.Ju @ w[:n_u] + sys8_k1.Jy @ w[n_u : n_u + n_y]
+    lhs = sys8_k1.Ju @ w[:n_u] + sys8_k1.Jy @ w[n_u : n_u + n_y]
     np.testing.assert_allclose(lhs, v[n_u + n_y :], rtol=1e-10, atol=1e-12)
 
 
@@ -253,7 +254,7 @@ def test_point_ilu0_zero_stored_pivot_raises():
 
 def test_all_catalog_variants_build_and_apply(sys8_k1):
     rng = np.random.default_rng(16)
-    v = rng.standard_normal(2 * sys8_k1.factors.n_u + sys8_k1.factors.n_y)
+    v = rng.standard_normal(2 * sys8_k1.n_u + sys8_k1.n_y)
     for name in CATALOG:
         P = build_at_preconditioner(sys8_k1, name)
         assert P.variant == name
@@ -317,7 +318,7 @@ def test_block_ilu0_is_exact_in_1d(name, request):
     # discards no fill: block ILU0 is the exact LU of Ju, and BILU's Ju~ is Ju.
     systems = {"n32_p0_q1": (32, 0, 1), "n16_p3_q1": (16, 3, 1)}
     sys = _first_step_system(*systems[name]) if name in systems else request.getfixturevalue(name)
-    Ju = sys.factors.Ju
+    Ju = sys.Ju
     ordering = mdf_order(Ju)
     assert np.all(ordering.weights_at_selection == 0.0)
     P = bilu0_factor(Ju, ordering)
@@ -383,7 +384,7 @@ def test_build_and_apply_call_through_module_globals(sys8_k1, monkeypatch):
 
     for name in HOOKED_NAMES:
         monkeypatch.setattr(conprec, name, counting(name, getattr(conprec, name)))
-    v = np.ones(2 * sys8_k1.factors.n_u + sys8_k1.factors.n_y)
+    v = np.ones(2 * sys8_k1.n_u + sys8_k1.n_y)
     for variant in ("BILU-ilu", "A0-p0"):
         build_at_preconditioner(sys8_k1, variant).apply_inverse(v)
     assert all(calls.values()), calls
@@ -440,7 +441,7 @@ def test_approximations_coincide_on_single_element_system():
 
 def test_approximations_differ_on_coupled_system(sys8_k1):
     rng = np.random.default_rng(18)
-    v = rng.standard_normal(2 * sys8_k1.factors.n_u + sys8_k1.factors.n_y)
+    v = rng.standard_normal(2 * sys8_k1.n_u + sys8_k1.n_y)
     a0 = build_at_preconditioner(sys8_k1, "A0").apply_inverse(v)
     bj = build_at_preconditioner(sys8_k1, "BJ").apply_inverse(v)
     assert np.linalg.norm(a0 - bj) > 1e-8 * np.linalg.norm(a0)

@@ -100,7 +100,7 @@ def test_block_jacobi_rejects_singular_diagonal_block(scale):
 def test_block_jacobi_matches_per_block_lu_solves(name, request):
     # The inverted blocks against LAPACK getrs of each diagonal block's LU;
     # the stencil's blocks are scaled over two decades and pivot.
-    A = scaled_stencil(0) if name == "stencil" else request.getfixturevalue(name).factors.Ju
+    A = scaled_stencil(0) if name == "stencil" else request.getfixturevalue(name).Ju
     s = A.blocksize[0]
     diag = A.data[_diagonal(A)]
     P = build_block_jacobi(A)
@@ -290,8 +290,8 @@ BILU_INPUTS = {
     # Discarded fill, with blocks scaled over two decades.
     "scaled_stencil0": lambda request: scaled_stencil(0),
     # DG Jacobians, where partial pivoting swaps rows in every diagonal block.
-    "sys8_k1": lambda request: request.getfixturevalue("sys8_k1").factors.Ju,
-    "sys16_k1": lambda request: request.getfixturevalue("sys16_k1").factors.Ju,
+    "sys8_k1": lambda request: request.getfixturevalue("sys8_k1").Ju,
+    "sys16_k1": lambda request: request.getfixturevalue("sys16_k1").Ju,
 }
 
 

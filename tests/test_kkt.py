@@ -9,7 +9,6 @@ import scipy.sparse
 from conftest import singular_system
 from kktprecond.errors import DimensionMismatch, PatternViolation, SingularSystem
 from kktprecond.kkt import (
-    KktFactors,
     KktSystem,
     SystemDims,
     assemble_Byy,
@@ -31,10 +30,11 @@ def point(arr):
     return scipy.sparse.csr_matrix(np.asarray(arr, dtype=float))
 
 
-def tiny_factors(rng=None, kappa=0.5, gamma=0.25):
-    """Dense random desk-scale factors: n_u=2, enriched 3, n_x=3, n_y=1."""
+def tiny_system(rng=None, kappa=0.5, gamma=0.25):
+    """Dense random desk-scale factors, zero g and r: n_u=2, enriched 3,
+    n_x=3, n_y=1."""
     rng = np.random.default_rng(0) if rng is None else rng
-    return KktFactors(
+    return KktSystem(
         Ju=single_block(rng.standard_normal((2, 2)) + 2.0 * np.eye(2)),
         dRdu=single_block(rng.standard_normal((3, 2))),
         dRdx=point(rng.standard_normal((3, 3))),
@@ -44,6 +44,8 @@ def tiny_factors(rng=None, kappa=0.5, gamma=0.25):
         D=point(np.eye(3) + 0.1),
         kappa=kappa,
         gamma=gamma,
+        g=np.zeros(3),
+        r=np.zeros(2),
     )
 
 
@@ -52,7 +54,7 @@ def tiny_factors(rng=None, kappa=0.5, gamma=0.25):
 
 def test_byy_zero_when_all_terms_vanish():
     rng = np.random.default_rng(1)
-    f = tiny_factors(rng, kappa=0.0, gamma=0.0)
+    f = tiny_system(rng, kappa=0.0, gamma=0.0)
     f.dRdx = point(np.zeros((3, 3)))
     np.testing.assert_array_equal(assemble_Byy(f).toarray(), np.zeros((1, 1)))
 
@@ -60,7 +62,7 @@ def test_byy_zero_when_all_terms_vanish():
 def test_byy_reduces_to_elasticity():
     rng = np.random.default_rng(2)
     D = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
-    f = KktFactors(
+    f = KktSystem(
         Ju=single_block(np.eye(2)),
         dRdu=single_block(rng.standard_normal((3, 2))),
         dRdx=point(np.zeros((3, 3))),
@@ -70,13 +72,15 @@ def test_byy_reduces_to_elasticity():
         D=point(D),
         kappa=0.7,
         gamma=1.0,
+        g=np.zeros(5),
+        r=np.zeros(2),
     )
     np.testing.assert_allclose(assemble_Byy(f).toarray(), D, rtol=1e-14)
 
 
 def test_byy_matches_dense_triple_product():
     rng = np.random.default_rng(3)
-    f = tiny_factors(rng, kappa=0.3, gamma=0.8)
+    f = tiny_system(rng, kappa=0.3, gamma=0.8)
     Ax = f.dRdx.toarray()
     Rm = f.dRmshdx.toarray()
     D = f.D.toarray()
@@ -106,7 +110,7 @@ def test_byy_rayleigh_quotient_monotone_in_gamma(prob8, states8):
 
 def test_matvec_byy_only_identity():
     # Byy = dPhidy^T (gamma D) dPhidy = [[1]] is the only nonzero block.
-    f = KktFactors(
+    sys = KktSystem(
         Ju=single_block(np.zeros((2, 2))),
         dRdu=single_block(np.zeros((3, 2))),
         dRdx=point(np.zeros((3, 3))),
@@ -116,15 +120,16 @@ def test_matvec_byy_only_identity():
         D=point(np.eye(3)),
         kappa=0.0,
         gamma=1.0,
+        g=np.zeros(3),
+        r=np.zeros(2),
     )
-    sys = KktSystem(f, np.zeros(3), np.zeros(2))
     np.testing.assert_array_equal(sys.Byy.toarray(), [[1.0]])
     v = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
     np.testing.assert_array_equal(kkt_matvec(sys, v), v)
 
 
 def test_matvec_zero_vector():
-    sys = KktSystem(tiny_factors(), np.zeros(3), np.zeros(2))
+    sys = tiny_system()
     np.testing.assert_array_equal(kkt_matvec(sys, np.zeros(5)), np.zeros(5))
 
 
@@ -213,7 +218,7 @@ def test_kkt_matrix_matches_dense_materialization(name, request):
 
 
 def test_dense_zero_factors_give_zero_matrix():
-    f = KktFactors(
+    sys = KktSystem(
         Ju=single_block(np.zeros((2, 2))),
         dRdu=single_block(np.zeros((3, 2))),
         dRdx=point(np.zeros((3, 3))),
@@ -223,8 +228,9 @@ def test_dense_zero_factors_give_zero_matrix():
         D=point(np.zeros((3, 3))),
         kappa=0.0,
         gamma=0.0,
+        g=np.zeros(3),
+        r=np.zeros(2),
     )
-    sys = KktSystem(f, np.zeros(3), np.zeros(2))
     np.testing.assert_array_equal(sys.K.toarray(), np.zeros((5, 5)))
 
 
@@ -235,10 +241,9 @@ def test_dense_is_exactly_symmetric(sys8_k1, sys16_k1):
 
 
 def test_rhs_sign_convention():
-    f = tiny_factors()
     g = np.array([1.0, -2.0, 3.0])
     r = np.array([4.0, -5.0])
-    sys = KktSystem(f, g, r)
+    sys = dataclasses.replace(tiny_system(), g=g, r=r)
     np.testing.assert_array_equal(sys.rhs(), [-1.0, 2.0, -3.0, -4.0, 5.0])
 
 
@@ -260,7 +265,7 @@ def test_ata_pattern_matches_scipy_boolean_product():
 
 def test_interior_sparsity_ratio_is_five_thirds(sys8_k1):
     counts = count_block_sparsity(
-        sys8_k1.factors.Ju, ata_pattern(sys8_k1.factors.dRdu)
+        sys8_k1.Ju, ata_pattern(sys8_k1.dRdu)
     )
     assert counts.m1 == 3.0
     assert counts.m2 == 5.0
@@ -269,7 +274,7 @@ def test_interior_sparsity_ratio_is_five_thirds(sys8_k1):
 
 def test_single_element_mesh_ratio_one():
     prob = ShockTrackProblem1d(n_elem=1, p=1, q=1)
-    f = build_kkt(prob, state_at(prob, np.zeros(prob.n_u), prob.reference_nodes[1:-1])).factors
+    f = build_kkt(prob, state_at(prob, np.zeros(prob.dims.n_u), prob.reference_nodes[1:-1]))
     counts = count_block_sparsity(f.Ju, ata_pattern(f.dRdu))
     assert counts.m1 == 1.0
     assert counts.m2 == 1.0
@@ -298,10 +303,24 @@ def test_system_dims_properties():
     assert dims2.n_y == 31
 
 
+@pytest.mark.parametrize(
+    "n_elem, p, q, rule",
+    [
+        (0, 1, 1, "n_elem must be at least 1"),
+        (-3, 1, 1, "n_elem must be at least 1"),
+        (8, -1, 1, "p must be nonnegative"),
+        (8, 1, 0, "q must be at least 1"),
+    ],
+)
+def test_system_dims_range_rule(n_elem, p, q, rule):
+    with pytest.raises(ValueError, match=rule):
+        SystemDims(n_elem, p, q)
+
+
 def test_factor_validation_rejects_inconsistent_shapes():
-    f = tiny_factors()
+    f = tiny_system()
     with pytest.raises(DimensionMismatch):
-        KktFactors(
+        KktSystem(
             Ju=f.Ju,
             dRdu=single_block(np.zeros((3, 1))),
             dRdx=f.dRdx,
@@ -311,9 +330,11 @@ def test_factor_validation_rejects_inconsistent_shapes():
             D=f.D,
             kappa=0.0,
             gamma=0.0,
+            g=f.g,
+            r=f.r,
         )
     with pytest.raises(ValueError):
-        KktFactors(
+        KktSystem(
             Ju=f.Ju,
             dRdu=f.dRdu,
             dRdx=f.dRdx,
@@ -323,6 +344,8 @@ def test_factor_validation_rejects_inconsistent_shapes():
             D=f.D,
             kappa=-1.0,
             gamma=0.0,
+            g=f.g,
+            r=f.r,
         )
 
 
@@ -333,26 +356,25 @@ def test_factor_validation_rejects_inconsistent_shapes():
 )
 def test_factor_validation_rejects_negative_and_nan_weights(kappa, gamma):
     with pytest.raises(ValueError, match="nonnegative"):
-        dataclasses.replace(tiny_factors(), kappa=kappa, gamma=gamma)
+        dataclasses.replace(tiny_system(), kappa=kappa, gamma=gamma)
 
 
 def test_scalar_factors_are_made_canonical_csr():
-    f = tiny_factors()
+    f = tiny_system()
     # Unsorted columns and a repeated entry in row 0.
     D = scipy.sparse.csr_matrix(([1.0, 2.0, 0.5, 4.0], [2, 0, 2, 1], [0, 3, 3, 4]), shape=(3, 3))
     assert not D.has_canonical_format
-    g = dataclasses.replace(f, D=D)
-    assert isinstance(g.D, scipy.sparse.csr_matrix) and g.D.has_canonical_format
-    np.testing.assert_array_equal(g.D.toarray(), [[2.0, 0.0, 1.5], [0.0, 0.0, 0.0], [0.0, 4.0, 0.0]])
+    sys = dataclasses.replace(f, D=D)
+    assert isinstance(sys.D, scipy.sparse.csr_matrix) and sys.D.has_canonical_format
+    np.testing.assert_array_equal(sys.D.toarray(), [[2.0, 0.0, 1.5], [0.0, 0.0, 0.0], [0.0, 4.0, 0.0]])
     assert D.indices.tolist() == [2, 0, 2, 1]  # the caller's matrix is left alone
-    sys = KktSystem(g, np.zeros(3), np.zeros(2))
     assert isinstance(sys.Byy, scipy.sparse.csr_matrix) and sys.Byy.has_canonical_format
     with pytest.raises(TypeError):
         dataclasses.replace(f, dRdx=f.Ju.toarray())
 
 
 def test_block_factors_must_be_canonical_bsr():
-    f = tiny_factors()
+    f = tiny_system()
     with pytest.raises(TypeError, match="Ju must be a scipy BSR matrix"):
         dataclasses.replace(f, Ju=f.Ju.tocsr())
     with pytest.raises(TypeError, match="dRdu must be a scipy BSR matrix"):
@@ -368,9 +390,8 @@ def test_block_factors_must_be_canonical_bsr():
 
 
 def test_system_validation_rejects_wrong_vector_lengths():
-    f = tiny_factors()
     with pytest.raises(DimensionMismatch):
-        KktSystem(f, np.zeros(2), np.zeros(2))
+        dataclasses.replace(tiny_system(), g=np.zeros(2))
 
 
 # Sparse direct reference ----------------------------------------------------

@@ -59,8 +59,8 @@ def test_round_trip_reproduces_the_system_exactly(sys8_k1, tmp_path):
     assert loaded.dims == sys8_k1.dims
     assert loaded.state_index == sys8_k1.state_index
     assert loaded.case == sys8_k1.case
-    assert loaded.factors.kappa == sys8_k1.factors.kappa
-    assert loaded.factors.gamma == sys8_k1.factors.gamma
+    assert loaded.kappa == sys8_k1.kappa
+    assert loaded.gamma == sys8_k1.gamma
 
 
 def test_export_creates_missing_directories(sys8_k1, tmp_path):
@@ -101,6 +101,40 @@ def test_import_rejects_inconsistent_dimensions(sys8_k1, tmp_path):
         json.dump(manifest, fh)
     with pytest.raises(ManifestError, match="inconsistent"):
         import_system(path)
+
+
+@pytest.mark.parametrize(
+    "key, value, rule",
+    [
+        ("n_elem", 0, "n_elem must be at least 1"),
+        ("n_elem", -3, "n_elem must be at least 1"),
+        ("p", -1, "p must be nonnegative"),
+        ("q", 0, "q must be at least 1"),
+    ],
+    ids=["n-elem-0", "n-elem-negative", "p-negative", "q-0"],
+)
+def test_dimensions_outside_their_ranges_exit_2(sys8_k1, tmp_path, capsys, monkeypatch, key, value, rule):
+    """n_elem, p or q outside its range, with the stated sizes removed, is a
+    ManifestError naming the rule before any matrix file is read, not a
+    size-line mismatch of the first one: exit 2 with one error line."""
+    path = export_system(sys8_k1, tmp_path)
+    with open(path) as fh:
+        manifest = json.load(fh)
+    for stated in ("n_u", "n_u_enriched", "n_y", "n_x"):
+        del manifest["dimensions"][stated]
+    manifest["dimensions"][key] = value
+    with open(path, "w") as fh:
+        json.dump(manifest, fh)
+
+    def unread(*args, **kwargs):
+        raise AssertionError("a matrix file was read")
+
+    monkeypatch.setattr("kktprecond.manifest.read_matrix", unread)
+    with pytest.raises(ManifestError, match=rule):
+        import_system(path)
+    assert main(["solve", path, "--precond", "A0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1 and rule in captured.err and not captured.out
 
 
 # CLI: generate and solve ----------------------------------------------------
@@ -399,7 +433,7 @@ def test_cli_solves_block_tagged_mesh_jacobians_as_before(sys8_k1, tmp_path, cap
     assert outputs[len(CATALOG) :] == outputs[: len(CATALOG)]
     loaded = import_system(path)
     for name in ("dRdx", "drdx"):
-        got, want = getattr(loaded.factors, name), getattr(sys8_k1.factors, name)
+        got, want = getattr(loaded, name), getattr(sys8_k1, name)
         assert isinstance(got, scipy.sparse.csr_matrix)
         assert (got != want).nnz == 0 and got.nnz == want.nnz
 
@@ -455,6 +489,8 @@ def test_cli_generate_rejects_bad_problem_parameters(tmp_path, capsys, text):
         "gamma = inf\n",
         "bc_left = nan\n",
         "bc_right = -inf\n",
+        "states =\n",
+        "n_elem = 16\n",
     ],
     ids=[
         "gamma-negative",
@@ -467,6 +503,8 @@ def test_cli_generate_rejects_bad_problem_parameters(tmp_path, capsys, text):
         "gamma-inf",
         "bc-left-nan",
         "bc-right-minus-inf",
+        "states-empty",
+        "n-elem-repeated",
     ],
 )
 def test_cli_generate_rejects_bad_weights_and_states_before_the_sqp_run(tmp_path, capsys, sqp_calls, text):

@@ -47,8 +47,8 @@ def assert_rel_close(actual, expect, tol=1e-6):
 def random_nearby_state(prob, rng):
     """Perturbed smooth initial state with a still-monotone mesh."""
     st = initial_state(prob)
-    u = st.u + 0.1 * rng.standard_normal(prob.n_u)
-    y = st.y + 0.02 * rng.standard_normal(prob.n_y)
+    u = st.u + 0.1 * rng.standard_normal(prob.dims.n_u)
+    y = st.y + 0.02 * rng.standard_normal(prob.dims.n_y)
     assert np.all(np.diff(phi_map(prob, y)) > 0)
     return u, y
 
@@ -107,8 +107,8 @@ def test_dphi_dy_is_interior_selection():
 def test_residual_vanishes_without_forcing():
     prob = ShockTrackProblem1d(4, 1, 1, source_on=False, bc_left=0.0, bc_right=0.0)
     x = prob.reference_nodes
-    r = dg_residual(prob, np.zeros(prob.n_u), x, prob.p)
-    np.testing.assert_array_equal(r, np.zeros(prob.n_u))
+    r = dg_residual(prob, np.zeros(prob.dims.n_u), x, prob.p)
+    np.testing.assert_array_equal(r, np.zeros(prob.dims.n_u))
 
 
 @pytest.mark.parametrize("p,q", [(1, 1), (2, 2)])
@@ -144,25 +144,24 @@ def test_residual_pass_computes_the_geometry_once(prob8, states8, monkeypatch):
 def test_inverted_mesh_rejected():
     prob = ShockTrackProblem1d(3, 1, 1)
     with pytest.raises(InvertedElement):
-        dg_residual(prob, np.zeros(prob.n_u), np.array([0.0, 0.5, 0.2, 1.0]), prob.p)
+        dg_residual(prob, np.zeros(prob.dims.n_u), np.array([0.0, 0.5, 0.2, 1.0]), prob.p)
 
 
 @pytest.mark.parametrize("p, q", [(1, 1), (2, 2)])
 def test_scalar_factors_are_canonical_csr_with_every_element_entry(p, q):
     prob = ShockTrackProblem1d(6, p, q, source_on=False)
-    sys = build_kkt(prob, tracked_state(prob))
-    f = sys.factors
-    for M in (f.dRdx, f.drdx, f.dRmshdx, f.dPhidy, f.D, sys.Byy):
+    f = build_kkt(prob, tracked_state(prob))
+    for M in (f.dRdx, f.drdx, f.dRmshdx, f.dPhidy, f.D, f.Byy):
         assert isinstance(M, scipy.sparse.csr_matrix) and M.has_canonical_format
     # Without the source term the mesh-column Jacobians vanish, yet every
     # entry of every element stays stored, as in the block layout they had.
-    assert f.dRdx.nnz == prob.n_u_enriched * (q + 1) and not f.dRdx.data.any()
-    assert f.drdx.nnz == prob.n_u * (q + 1) and not f.drdx.data.any()
+    assert f.dRdx.nnz == prob.dims.n_u_enriched * (q + 1) and not f.dRdx.data.any()
+    assert f.drdx.nnz == prob.dims.n_u * (q + 1) and not f.drdx.data.any()
     assert f.dRmshdx.nnz == prob.n_elem * (q + 1)
 
 
 def test_jacobian_rows_are_block_tridiagonal(sys8_k1):
-    Ju = sys8_k1.factors.Ju
+    Ju = sys8_k1.Ju
     assert Ju.blocksize == (2, 2)
     counts = np.diff(Ju.indptr)
     np.testing.assert_array_equal(counts, [2, 3, 3, 3, 3, 3, 3, 2])
@@ -178,7 +177,7 @@ def test_jacobians_match_finite_differences():
         u0, y0 = random_nearby_state(prob, rng)
         x0 = phi_map(prob, y0)
 
-        f = build_kkt(prob, state_at(prob, u0, y0)).factors
+        f = build_kkt(prob, state_at(prob, u0, y0))
         assert_rel_close(
             fd_jacobian(lambda u: dg_residual(prob, u, x0, prob.p), u0), f.Ju.toarray()
         )
@@ -203,7 +202,7 @@ def test_objective_gradient_matches_finite_differences():
         z0 = np.concatenate([u0, y0])
 
         def f_of(z):
-            return objective_and_gradient(prob, z[: prob.n_u], z[prob.n_u :], kappa)[0]
+            return objective_and_gradient(prob, z[: prob.dims.n_u], z[prob.dims.n_u :], kappa)[0]
 
         grad = objective_and_gradient(prob, u0, y0, kappa)[1]
         assert_rel_close(fd_jacobian(f_of, z0).ravel(), grad)
@@ -239,7 +238,7 @@ def test_elasticity_annihilates_constants_and_is_symmetric():
         prob = ShockTrackProblem1d(5, 1, q)
         D = prob.D.toarray()
         np.testing.assert_array_equal(D, D.T)
-        np.testing.assert_allclose(D @ np.ones(prob.n_x), np.zeros(prob.n_x), atol=1e-12)
+        np.testing.assert_allclose(D @ np.ones(prob.dims.n_x), np.zeros(prob.dims.n_x), atol=1e-12)
 
 
 # Objective at the optimum ---------------------------------------------------
@@ -296,7 +295,7 @@ def test_sqp_converges_to_shock_aligned_solution(prob8, states8):
 def test_sqp_final_state_satisfies_stationarity(prob8, states8):
     final = states8[-1]
     sys = build_kkt(prob8, final)
-    lhs_u = sys.factors.Ju.T @ final.lam
+    lhs_u = sys.Ju.T @ final.lam
     lhs_y = sys.Jy.T @ final.lam
     resid = sys.g - np.concatenate([lhs_u, lhs_y])
     assert np.linalg.norm(resid, np.inf) <= 1e-8
@@ -310,8 +309,8 @@ def test_line_search_activates_then_relaxes(prob8, states8):
 
 
 def test_full_newton_step_would_invert_an_element(prob8, states8):
-    dz = sqp_step(prob8, states8[0]).dz
-    y_full = states8[0].y + dz[prob8.n_u :]
+    dz = sqp_step(prob8, states8[0])[0]
+    y_full = states8[0].y + dz[prob8.dims.n_u :]
     assert np.any(np.diff(phi_map(prob8, y_full)) <= 0.0)
     assert states8[1].alpha < 1.0
 
@@ -322,7 +321,7 @@ def test_accepted_iterates_keep_monotone_meshes(prob8, states8):
 
 
 def test_merit_function_decreases(prob8, states8):
-    eta = sqp_step(prob8, states8[0]).eta
+    eta = sqp_step(prob8, states8[0])[1]
     mu = 10.0 * max(np.linalg.norm(eta, np.inf), 1e-12)
 
     def merit(st):
@@ -350,7 +349,7 @@ def test_step_gradient_is_the_merit_objective_gradient(prob8, states8, monkeypat
     """The line search takes its slope from the step system's gradient, bit
     for bit the objective's gradient, without evaluating it again."""
     for state in states8:
-        g = sqp_step(prob8, state).g
+        g = sqp_step(prob8, state)[2].g
         assert np.array_equal(g, objective_and_gradient(prob8, state.u, state.y, state.kappa)[1])
 
     def no_gradient(*args):
@@ -386,7 +385,7 @@ def test_step_cap_raises_before_build_kkt(monkeypatch):
     """n_elem=1024, p=q=1 gives a step system of dimension 5119, above
     STEP_CAP: sqp_step refuses it before assembling anything."""
     prob = ShockTrackProblem1d(n_elem=1024, p=1, q=1)
-    assert 2 * prob.n_u + prob.n_y == 5119 > shocktrack.STEP_CAP
+    assert 2 * prob.dims.n_u + prob.dims.n_y == 5119 > shocktrack.STEP_CAP
 
     def no_build(*args, **kwargs):
         raise AssertionError("a step system assembled above the step cap")
@@ -457,6 +456,22 @@ def test_config_rejects_missing_separator(tmp_path):
     bad.write_text("n_elem 12\n")
     with pytest.raises(ValueError, match="key = value"):
         load_problem_config(bad)
+
+
+def test_config_rejects_a_repeated_key(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("n_elem = 8\np = 1\nN_ELEM: 16\n")
+    with pytest.raises(ValueError, match=r"bad\.cfg:3: repeated config key 'n_elem'"):
+        load_problem_config(bad)
+
+
+def test_problem_allows_only_mesh_degrees_one_and_two():
+    for q in (0, 3):
+        with pytest.raises(ValueError, match="q must be 1 or 2"):
+            ShockTrackProblem1d(n_elem=8, p=1, q=q)
+    for n_elem, p, rule in ((0, 1, "n_elem must be at least 1"), (8, -1, "p must be nonnegative")):
+        with pytest.raises(ValueError, match=rule):
+            ShockTrackProblem1d(n_elem=n_elem, p=p, q=1)
 
 
 def test_make_problem_maps_config_fields():

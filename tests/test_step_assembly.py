@@ -93,8 +93,8 @@ def test_step_system_is_build_kkts_at_random_states(n_elem):
                 prob = ShockTrackProblem1d(n_elem=n_elem, p=p, q=q, source_on=source_on)
                 for kappa, gamma in ((1e-7, 1e-2), (0.3, 0.0), (2.0, 1.5), (0.0, 1e-3)):
                     st0 = initial_state(prob)
-                    u = st0.u + 0.1 * rng.standard_normal(prob.n_u)
-                    y = st0.y + (0.01 / n_elem) * rng.standard_normal(prob.n_y)
+                    u = st0.u + 0.1 * rng.standard_normal(prob.dims.n_u)
+                    y = st0.y + (0.01 / n_elem) * rng.standard_normal(prob.dims.n_y)
                     assert np.all(np.diff(phi_map(prob, y)) > 0.0)
                     assert_step_system_is_build_kkts(prob, DgState(u, y, st0.lam, 0, 0.0, kappa, gamma))
 
@@ -116,13 +116,13 @@ def test_sqp_run_is_the_oracle_steps_run(case, monkeypatch):
 
 
 def test_sqp_iteration_builds_no_kkt_factors(prob8, states8, monkeypatch):
-    """No KktFactors, KktSystem, factor Jacobian, sparse product or bmat: the
+    """No KktSystem, factor Jacobian, sparse product or bmat: the
     run reaches the same states without any of them."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("KKT factor assembly in an SQP iteration")
 
-    for name in ("build_kkt", "KktFactors", "KktSystem", "_tridiag_bsr", "_mesh_column_csr"):
+    for name in ("build_kkt", "KktSystem", "_tridiag_bsr", "_mesh_column_csr"):
         monkeypatch.setattr(shocktrack, name, forbidden)
     monkeypatch.setattr(scipy.sparse, "bmat", forbidden)
     monkeypatch.setattr(scipy.sparse.csr_matrix, "__matmul__", forbidden)
