@@ -5,15 +5,18 @@ preconditioned GMRES on an exported system), sweep (batch runs along one study
 axis), stencil (synthetic 2D block stencil matrix). Output is CSV on stdout
 with a leading comment line carrying the GMRES settings.
 
-Exit codes: 0 success, 2 usage error, 1 numerical failure.
+Exit codes: 0 success, 2 usage error, 1 numerical failure. Each rule on an
+outside value has one home, whose TypeError or ValueError _usage makes a
+usage error before any SQP run: manifest.json_value (JSON types),
+kkt.check_weights (kappa, gamma), SqpConfig and GenerateConfig (max_iters, states).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
-import math
 import sys
 from dataclasses import replace
 
@@ -21,12 +24,11 @@ from .conprec import CATALOG, build_at_preconditioner
 from .errors import KktPrecondError, ManifestError, UnknownPreconditioner
 from .kkt import reference_solution
 from .krylov import DEFAULT_MAX_ITERS, DEFAULT_TOL, EXACT_SOLUTION, GmresConfig, gmres_solve
-from .manifest import export_system, import_system
+from .manifest import export_system, import_system, json_value
 from .mmio import write_matrix
 from .shocktrack import (
     CONFIG_CASTS,
     GenerateConfig,
-    SqpConfig,
     build_kkt,
     load_problem_config,
     make_problem,
@@ -45,12 +47,20 @@ def _csv_header(tol: float, max_iters: int) -> str:
     return f"# tol={tol:g} max_iters={max_iters}\n{CSV_COLUMNS}"
 
 
+@contextlib.contextmanager
+def _usage(prefix: str = ""):
+    """A TypeError or ValueError raised inside, the rule an outside value
+    breaks, as a usage error (exit 2) with prefix before its message."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{prefix}{exc}")
+
+
 def _gmres_config(tol, max_iters) -> GmresConfig:
     """The GMRES settings of a run; values GmresConfig rejects are a usage error."""
-    try:
+    with _usage("invalid GMRES settings: "):
         return GmresConfig(tol=tol, max_iters=max_iters)
-    except ValueError as exc:
-        raise UsageError(f"invalid GMRES settings: {exc}")
 
 
 def _solve_one(sys, precond_name: str, gmres: GmresConfig):
@@ -82,69 +92,15 @@ def _csv_row(sys, precond_name: str, iters: int, converged: bool) -> str:
 
 def _problem(cfg: GenerateConfig):
     """The problem of a config; parameters it rejects are a usage error."""
-    try:
+    with _usage("invalid problem parameters: "):
         return make_problem(cfg)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"invalid problem parameters: {exc}")
 
 
-def _cast(kind, value, what: str):
-    """kind(value), or a usage error naming what the value is."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"invalid {what} {value!r}")
-
-
-def _integer(value, what: str) -> int:
-    """A sweep spec's integer field: a JSON integer such as 8, not a bool, a
-    number with a fraction or exponent, or a string; else a usage error."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise UsageError(f"invalid {what} {value!r}: must be a JSON integer")
-    return value
-
-
-def _weight(value, name: str) -> float:
-    """A kappa or gamma value as a float; a negative, infinite or NaN one is
-    a usage error."""
-    weight = _cast(float, value, f"{name} value")
-    if not (weight >= 0 and math.isfinite(weight)):
-        raise UsageError(f"invalid {name} {value!r}: must be finite and nonnegative")
-    return weight
-
-
-def _fixed_value(key: str, value):
-    """A sweep's fixed value through the config file's cast for key; a
-    numeric key takes a JSON number, not a string such as "8"."""
-    cast = CONFIG_CASTS[key]
-    if cast is int:
-        return _integer(value, key)
-    if cast is float and isinstance(value, str):
-        raise UsageError(f"invalid {key} {value!r}: must be a JSON number")
-    return _cast(cast, value, key)
-
-
-def _checked(cfg: GenerateConfig, states) -> GenerateConfig:
-    """cfg with kappa, gamma and max_iters checked, and states checked to be
-    nonempty and within the states 0..max_iters that a run can produce,
-    before any run."""
-    cfg = replace(cfg, kappa=_weight(cfg.kappa, "kappa"), gamma=_weight(cfg.gamma, "gamma"))
-    n = cfg.max_iters
-    if n < 0:
-        raise UsageError(f"invalid max_iters {n}: must be nonnegative")
-    if not states:
-        raise UsageError("invalid states: name at least one state to export")
-    for k in states:
-        if not 0 <= k <= n:
-            raise UsageError(f"state {k} not available: a run of at most {n} iterations produces states 0..{n}")
-    return cfg
-
-
-def _sqp_states(cfg: GenerateConfig, problem, ks) -> list:
-    """The states of one SQP run of problem under cfg; a state in ks that the
-    run did not reach is a usage error."""
-    states = run_sqp(problem, SqpConfig(max_iters=cfg.max_iters, kappa=cfg.kappa, gamma=cfg.gamma))
-    for k in ks:
+def _sqp_states(cfg: GenerateConfig, problem) -> list:
+    """The states of one SQP run of problem under cfg; a state of cfg.states
+    that the run did not reach is a usage error."""
+    states = run_sqp(problem, cfg.sqp)
+    for k in cfg.states:
         if not 0 <= k < len(states):
             raise UsageError(f"state {k} not available: run produced states 0..{len(states) - 1}")
     return states
@@ -152,14 +108,12 @@ def _sqp_states(cfg: GenerateConfig, problem, ks) -> list:
 
 def cmd_generate(args) -> int:
     try:
-        cfg = load_problem_config(args.config)
+        with _usage():
+            cfg = load_problem_config(args.config)
     except FileNotFoundError:
         raise UsageError(f"config file not found: {args.config}")
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    cfg = _checked(cfg, cfg.states)
     problem = _problem(cfg)
-    states = _sqp_states(cfg, problem, cfg.states)
+    states = _sqp_states(cfg, problem)
     for k in cfg.states:
         sys_k = build_kkt(problem, states[k], case=cfg.case_name)
         path = export_system(sys_k, args.outdir, prefix=f"state{k}_")
@@ -176,8 +130,21 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _degrees(val, q: int) -> dict:
+    """A degree axis value, p or [p, q], as the config fields p and q."""
+    pair = val if isinstance(val, list) else [val, q]
+    if len(pair) != 2:
+        raise UsageError(f"invalid degree {val!r}: a degree p or a pair [p, q]")
+    return dict(zip("pq", (json_value(d, int, "degree") for d in pair)))
+
+
 def _sweep_systems(spec: dict):
-    """Yield (sort_key, KktSystem) pairs along the requested study axis."""
+    """Yield (sort_key, KktSystem) pairs along the requested study axis.
+
+    Every value is checked, and every problem built, before the first SQP
+    run: each number by json_value, and each setting by the GenerateConfig
+    it makes, whose states are the states the sweep solves.
+    """
     axis = spec.get("axis")
     values = spec.get("values")
     if axis not in ("kappa", "gamma", "state", "degree", "mesh"):
@@ -187,42 +154,40 @@ def _sweep_systems(spec: dict):
     fixed = spec.get("fixed", {})
     if not isinstance(fixed, dict):
         raise UsageError("sweep fixed parameters must be a JSON object")
-    fixed = dict(fixed)
-    state_index = _integer(fixed.pop("state", 1), "state")
-    unknown = set(fixed) - set(CONFIG_CASTS)
+    # fixed takes the config file's keys, but state (the one SQP state solved) for states.
+    unknown = set(fixed) - (CONFIG_CASTS.keys() - {"states"}) - {"state"}
     if unknown:
         raise UsageError(f"unknown fixed parameters: {sorted(unknown)}")
-    base = GenerateConfig(**{k: _fixed_value(k, v) for k, v in fixed.items()})
-    ks = [_integer(v, "state") for v in values] if axis == "state" else [state_index]
-    base = _checked(base, ks)
+    fixed = dict(fixed)
+    with _usage():
+        state_index = json_value(fixed.pop("state", 1), int, "state")
+        ks = [json_value(v, int, "state") for v in values] if axis == "state" else [state_index]
+        # source takes a JSON boolean or one of the config file's words.
+        settings = {
+            k: CONFIG_CASTS[k](v) if k == "source" else json_value(v, CONFIG_CASTS[k], k) for k, v in fixed.items()
+        }
+        base = GenerateConfig(**settings, states=tuple(ks))
+        if axis in ("kappa", "gamma"):
+            cfgs = [replace(base, **{axis: json_value(v, float, f"{axis} value")}) for v in values]
+        elif axis == "mesh":
+            cfgs = [replace(base, n_elem=json_value(v, int, "mesh size")) for v in values]
+        elif axis == "degree":
+            cfgs = [replace(base, **_degrees(v, base.q)) for v in values]
 
-    if axis in ("kappa", "gamma"):
-        scalars = [_weight(v, axis) for v in values]
+    if axis == "state":
         problem = _problem(base)
-        state = _sqp_states(base, problem, ks)[state_index]
-        for i, val in enumerate(scalars):
-            yield i, build_kkt(problem, state, case=base.case_name, **{axis: val})
-    elif axis == "state":
-        problem = _problem(base)
-        states = _sqp_states(base, problem, ks)
+        states = _sqp_states(base, problem)
         for i, k in enumerate(ks):
             yield i, build_kkt(problem, states[k], case=base.case_name)
+    elif axis in ("kappa", "gamma"):
+        problem = _problem(base)
+        state = _sqp_states(base, problem)[state_index]
+        for i, cfg in enumerate(cfgs):
+            yield i, build_kkt(problem, state, kappa=cfg.kappa, gamma=cfg.gamma, case=base.case_name)
     else:
-        # Every value is cast and its problem built before the first SQP run.
-        cfgs = []
-        for val in values:
-            if axis == "mesh":
-                change = {"n_elem": _integer(val, "mesh size")}
-            else:
-                pair = val if isinstance(val, list) else [val, base.q]
-                if len(pair) != 2:
-                    raise UsageError(f"invalid degree {val!r}: a degree p or a pair [p, q]")
-                change = dict(zip("pq", (_integer(d, "degree") for d in pair)))
-            cfgs.append(replace(base, **change))
         problems = [_problem(cfg) for cfg in cfgs]
         for i, (cfg, problem) in enumerate(zip(cfgs, problems)):
-            states = _sqp_states(cfg, problem, ks)
-            yield i, build_kkt(problem, states[state_index], case=cfg.case_name)
+            yield i, build_kkt(problem, _sqp_states(cfg, problem)[state_index], case=cfg.case_name)
 
 
 def cmd_sweep(args) -> int:
@@ -231,7 +196,7 @@ def cmd_sweep(args) -> int:
             spec = json.load(fh)
     except FileNotFoundError:
         raise UsageError(f"sweep spec not found: {args.spec}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, not UTF-8, or an integer past int's digit limit
         raise UsageError(f"{args.spec}: invalid JSON ({exc})")
     if not isinstance(spec, dict):
         raise UsageError(f"{args.spec}: a sweep spec must be a JSON object")
@@ -242,8 +207,10 @@ def cmd_sweep(args) -> int:
     for name in preconds:
         if name not in CATALOG:
             raise UsageError(f"unknown preconditioner {name!r}; catalog: {', '.join(CATALOG)}")
-    tol = _cast(float, spec.get("tol", DEFAULT_TOL), "tol")
-    gmres = _gmres_config(tol, _integer(spec.get("max_iters", DEFAULT_MAX_ITERS), "max_iters"))
+    with _usage():
+        tol = json_value(spec.get("tol", DEFAULT_TOL), float, "tol")
+        max_iters = json_value(spec.get("max_iters", DEFAULT_MAX_ITERS), int, "max_iters")
+    gmres = _gmres_config(tol, max_iters)
 
     rows = []
     for value_pos, sys_i in _sweep_systems(spec):
@@ -262,10 +229,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_stencil(args) -> int:
-    try:
+    with _usage("invalid stencil parameters: "):
         A = generate_stencil_system(args.n, args.block, args.seed)
-    except ValueError as exc:
-        raise UsageError(f"invalid stencil parameters: {exc}")
     write_matrix(args.out, A)
     print(args.out)
     return 0
@@ -309,16 +274,10 @@ def main(argv=None) -> int:
     try:
         # Looked up at call time, so a replaced module attribute is the one run.
         return globals()[f"cmd_{args.command}"](args)
-    except (UsageError, UnknownPreconditioner, ManifestError) as exc:
+    except (UsageError, UnknownPreconditioner, ManifestError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KktPrecondError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (KktPrecondError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,11 +21,12 @@ KktSystem is the one record of the system at a state: the seven factor
 matrices, kappa and gamma, g and r, and, optionally, its discretization
 record SystemDims (n_elem, p, q), which the p-multigrid transfers and the
 manifest read. SystemDims alone computes the sizes N_u, N_y and N_x from
-n_elem, p and q, and checks their ranges. A system assembles B_yy and J_y
-from its factors when it is built, and the whole matrix K, as canonical
-CSR, on first use, and caches it. kkt_matvec is the
-one product with K: GMRES applies it through the system's operator, and
-the p-multigrid coarse matrix is Q (K P). One sparse direct solve of K
+n_elem, p and q, and checks their ranges. check_weights is the one rule on
+kappa and gamma (finite and nonnegative), which KktSystem, SqpConfig and
+the manifest apply. A system assembles B_yy and J_y from its factors when
+it is built, and the whole matrix K, as canonical CSR, on first use, and
+caches it. kkt_matvec is the one product with K: GMRES applies it through
+the system's operator, and the p-multigrid coarse matrix is Q (K P). One sparse direct solve of K
 (reference_solution) is the reference solution that GMRES is measured
 against. The SQP step (shocktrack.assemble_step) sums the same K, bit for
 bit, from the element blocks, without a system.
@@ -33,6 +34,7 @@ bit, from the element blocks, without a system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -46,6 +48,7 @@ from .krylov import LinearOperator
 __all__ = [
     "SystemDims",
     "KktSystem",
+    "check_weights",
     "assemble_Byy",
     "kkt_matvec",
     "reference_solution",
@@ -84,6 +87,14 @@ class SystemDims:
     @property
     def n_y(self) -> int:
         return self.n_x - 2
+
+
+def check_weights(kappa, gamma) -> None:
+    """The weight rule: kappa and gamma must be finite and nonnegative, else
+    ValueError."""
+    for name, weight in (("kappa", kappa), ("gamma", gamma)):
+        if not (weight >= 0 and math.isfinite(weight)):
+            raise ValueError(f"invalid {name} {weight!r}: must be finite and nonnegative")
 
 
 def assemble_Byy(sys: KktSystem) -> scipy.sparse.csr_matrix:
@@ -137,8 +148,7 @@ class KktSystem:
             raise DimensionMismatch("dRmshdx column count must match mesh coefficients")
         if self.D.shape != (n_x, n_x):
             raise DimensionMismatch("D must be N_x x N_x")
-        if not (self.kappa >= 0 and self.gamma >= 0):
-            raise ValueError("kappa and gamma must be nonnegative")
+        check_weights(self.kappa, self.gamma)
 
         self.g = np.asarray(self.g, dtype=float)
         self.r = np.asarray(self.r, dtype=float)

@@ -7,25 +7,26 @@ which doubles as a consistency check of the stored factors.
 ju.mtx and dRdu.mtx carry a %%block-sizes line and import as BSR matrices
 with (p+1) x (p+1) and (p+2) x (p+1) blocks; the scalar factors do not. A
 scalar factor written with one (dRdx.mtx and drdx.mtx of older manifests)
-imports as the CSR view of its blocks. The manifest's n_elem, p and q
-make its SystemDims, whose range rule (n_elem >= 1, p >= 0, q >= 1) is
-checked before any matrix file is read; every matrix file is read with the
-shape those dimensions give it.
+imports as the CSR view of its blocks. Every manifest number is read by
+json_value, the JSON type rule that the sweep spec shares. The manifest's
+n_elem, p and q make its SystemDims, whose range rule (n_elem >= 1,
+p >= 0, q >= 1) is checked, with kkt.check_weights on kappa and gamma,
+before any matrix file is read; every matrix file is read with the shape
+those dimensions give it.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 
 import scipy.sparse
 
 from .errors import ManifestError
-from .kkt import KktSystem, SystemDims
+from .kkt import KktSystem, SystemDims, check_weights
 from .mmio import read_matrix, read_vector, write_matrix, write_vector
 
-__all__ = ["MANIFEST_VERSION", "export_system", "import_system"]
+__all__ = ["MANIFEST_VERSION", "export_system", "import_system", "json_value"]
 
 MANIFEST_VERSION = 1
 
@@ -40,12 +41,23 @@ _MATRIX_FIELDS = (
 )
 
 
-def _json_value(value, kind, what: str):
-    """value if json.load made it a kind: int for a JSON integer such as 8
-    (not 8.0, 8.7 or "8"), (int, float) for a number; never a bool."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise TypeError(f"{what} {value!r} must be a JSON {'integer' if kind is int else 'number'}")
-    return value
+# The sizes a manifest states besides n_elem, p and q, each a SystemDims property.
+_STATED_SIZES = ("n_u", "n_u_enriched", "n_y", "n_x")
+_JSON_KINDS = {int: (int, "integer"), float: ((int, float), "number"), str: (str, "string")}
+
+
+def json_value(value, kind, what: str):
+    """The JSON type rule: kind(value) if json.load made value a JSON integer
+    (kind int: 8, not 8.0, 8.7 or "8"), a JSON number that a float holds
+    (kind float) or a JSON string (kind str), never a bool; else TypeError
+    naming what."""
+    types, name = _JSON_KINDS[kind]
+    try:
+        if isinstance(value, types) and not isinstance(value, bool):
+            return kind(value)
+    except OverflowError:
+        pass
+    raise TypeError(f"invalid {what} {value!r}: must be a JSON {name}")
 
 
 def export_system(sys: KktSystem, outdir, prefix: str = "") -> str:
@@ -68,15 +80,7 @@ def export_system(sys: KktSystem, outdir, prefix: str = "") -> str:
         "version": MANIFEST_VERSION,
         "case": sys.case,
         "state_index": sys.state_index,
-        "dimensions": {
-            "n_u": dims.n_u,
-            "n_u_enriched": dims.n_u_enriched,
-            "n_y": dims.n_y,
-            "n_x": dims.n_x,
-            "n_elem": dims.n_elem,
-            "p": dims.p,
-            "q": dims.q,
-        },
+        "dimensions": {key: getattr(dims, key) for key in (*_STATED_SIZES, "n_elem", "p", "q")},
         "scalars": {"kappa": sys.kappa, "gamma": sys.gamma},
         "matrices": matrices,
         "vectors": vectors,
@@ -95,12 +99,8 @@ def import_system(path) -> KktSystem:
             manifest = json.load(fh)
     except FileNotFoundError:
         raise ManifestError(f"manifest not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, not UTF-8, or an integer past int's digit limit
         raise ManifestError(f"{path}: invalid JSON ({exc})")
-    version = manifest.get("version") if isinstance(manifest, dict) else None
-    if version != MANIFEST_VERSION:
-        raise ManifestError(f"{path}: unsupported manifest version {version!r}")
-
     base = os.path.dirname(os.path.abspath(path))
 
     def load(section, key, reader):
@@ -114,21 +114,27 @@ def import_system(path) -> KktSystem:
         return reader(full)
 
     try:
+        version = json_value(manifest["version"], int, "version")
+        if version != MANIFEST_VERSION:
+            raise ManifestError(f"{path}: unsupported manifest version {version}")
         d = manifest["dimensions"]
-        dims = SystemDims(*(_json_value(d[key], int, key) for key in ("n_elem", "p", "q")))
-        kappa, gamma = (float(_json_value(manifest["scalars"][key], (int, float), key)) for key in ("kappa", "gamma"))
-        state_index = _json_value(manifest.get("state_index", 0), int, "state_index")
-        expected = {"n_u": dims.n_u, "n_u_enriched": dims.n_u_enriched, "n_y": dims.n_y, "n_x": dims.n_x}
-        stated = {key: _json_value(d.get(key, want), int, key) for key, want in expected.items()}
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise ManifestError(f"{path}: malformed dimensions or scalars ({exc})")
-    if not all(math.isfinite(w) and w >= 0 for w in (kappa, gamma)):
-        raise ManifestError(f"{path}: kappa and gamma must be finite and nonnegative, got {kappa!r} and {gamma!r}")
+        n_elem, p, q = (json_value(d[key], int, key) for key in ("n_elem", "p", "q"))
+        kappa, gamma = (json_value(manifest["scalars"][key], float, key) for key in ("kappa", "gamma"))
+        state_index = json_value(manifest.get("state_index", 0), int, "state_index")
+        case = json_value(manifest.get("case", "case"), str, "case")
+        stated = {key: json_value(d[key], int, key) for key in _STATED_SIZES if key in d}
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ManifestError(f"{path}: missing or malformed value ({exc})")
+    try:
+        dims = SystemDims(n_elem, p, q)
+        check_weights(kappa, gamma)
+    except ValueError as exc:
+        raise ManifestError(f"{path}: {exc}")
     if state_index < 0:
         raise ManifestError(f"{path}: state_index {state_index} must be nonnegative")
-    for key, want in expected.items():
-        if stated[key] != want:
-            raise ManifestError(f"{path}: dimension {key}={stated[key]} inconsistent with n_elem/p/q")
+    for key, value in stated.items():
+        if value != getattr(dims, key):
+            raise ManifestError(f"{path}: dimension {key}={value} inconsistent with n_elem/p/q")
 
     shapes = {
         "ju": (dims.n_u, dims.n_u),
@@ -158,5 +164,5 @@ def import_system(path) -> KktSystem:
         r=r,
         dims=dims,
         state_index=state_index,
-        case=str(manifest.get("case", "case")),
+        case=case,
     )

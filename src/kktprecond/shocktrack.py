@@ -35,7 +35,7 @@ import scipy.sparse
 
 from .blocklinalg import checked_splu
 from .errors import InvertedElement, LineSearchFailure, SingularSystem, SizeCapExceeded
-from .kkt import KktSystem, SystemDims
+from .kkt import KktSystem, SystemDims, check_weights
 
 __all__ = [
     "SHOCK_POSITION",
@@ -385,9 +385,16 @@ class DgState:
 
 @dataclass(frozen=True)
 class SqpConfig:
+    """SQP settings; weights break kkt.check_weights or max_iters < 0: ValueError."""
+
     max_iters: int = 100
     kappa: float = 1e-7
     gamma: float = 1e-2
+
+    def __post_init__(self):
+        check_weights(self.kappa, self.gamma)
+        if self.max_iters < 0:
+            raise ValueError(f"invalid max_iters {self.max_iters}: must be nonnegative")
 
 
 def build_kkt(
@@ -402,6 +409,7 @@ def build_kkt(
     blocks of one _linearize call, as assemble_step sums its K."""
     kappa = state.kappa if kappa is None else kappa
     gamma = state.gamma if gamma is None else gamma
+    check_weights(kappa, gamma)
     n, n_p, n_t = problem.n_elem, problem.p + 1, problem.p + 2
     r, R, (diag, sub, sup, dx), (diag_t, sub_t, sup_t, dx_t), rmsh, drmsh = _linearize(problem, state)
 
@@ -680,7 +688,9 @@ def run_sqp(
 
 @dataclass(frozen=True)
 class GenerateConfig:
-    """Problem generator settings read from a key-value config file."""
+    """Problem generator settings read from a key-value config file. Its sqp
+    checks kappa, gamma and max_iters; states must name at least one of the
+    states 0..max_iters a run produces, else ValueError."""
 
     n_elem: int = 8
     p: int = 1
@@ -693,6 +703,18 @@ class GenerateConfig:
     states: tuple[int, ...] = (1,)
     max_iters: int = SqpConfig.max_iters
     case: str | None = None
+
+    def __post_init__(self):
+        n = self.sqp.max_iters
+        if not self.states:
+            raise ValueError("invalid states: name at least one state to export")
+        for k in self.states:
+            if not 0 <= k <= n:
+                raise ValueError(f"state {k} not available: a run of at most {n} iterations produces states 0..{n}")
+
+    @property
+    def sqp(self) -> SqpConfig:
+        return SqpConfig(max_iters=self.max_iters, kappa=self.kappa, gamma=self.gamma)
 
     @property
     def case_name(self) -> str:
@@ -754,7 +776,7 @@ def load_problem_config(path) -> GenerateConfig:
         if key not in CONFIG_CASTS:
             raise ValueError(f"unknown config key {key!r}")
         kwargs[key] = CONFIG_CASTS[key](val)
-    return replace(GenerateConfig(), **kwargs)
+    return GenerateConfig(**kwargs)
 
 
 def make_problem(cfg: GenerateConfig) -> ShockTrackProblem1d:

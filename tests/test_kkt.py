@@ -1,6 +1,7 @@
 """KKT system assembly, matrix-free action, and sparsity accounting."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -357,6 +358,21 @@ def test_factor_validation_rejects_inconsistent_shapes():
 def test_factor_validation_rejects_negative_and_nan_weights(kappa, gamma):
     with pytest.raises(ValueError, match="nonnegative"):
         dataclasses.replace(tiny_system(), kappa=kappa, gamma=gamma)
+
+
+@pytest.mark.parametrize("name", ["kappa", "gamma"])
+def test_system_rejects_an_infinite_weight_with_the_cli_wording(name):
+    with pytest.raises(ValueError, match=f"^invalid {name} inf: must be finite and nonnegative$"):
+        dataclasses.replace(tiny_system(), **{name: float("inf")})
+
+
+@pytest.mark.parametrize("name", ["kappa", "gamma"])
+def test_build_kkt_rejects_an_infinite_weight_before_any_gradient(prob8, states8, name):
+    """No NaN gradient and no RuntimeWarning: the weight rule runs first."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^invalid {name} inf: must be finite and nonnegative$"):
+            build_kkt(prob8, states8[1], **{name: float("inf")})
 
 
 def test_scalar_factors_are_made_canonical_csr():

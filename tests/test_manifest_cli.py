@@ -130,11 +130,13 @@ def test_dimensions_outside_their_ranges_exit_2(sys8_k1, tmp_path, capsys, monke
         raise AssertionError("a matrix file was read")
 
     monkeypatch.setattr("kktprecond.manifest.read_matrix", unread)
-    with pytest.raises(ManifestError, match=rule):
+    with pytest.raises(ManifestError, match=rule) as raised:
         import_system(path)
+    assert "malformed" not in str(raised.value)
     assert main(["solve", path, "--precond", "A0"]) == 2
     captured = capsys.readouterr()
     assert captured.err.count("error:") == 1 and rule in captured.err and not captured.out
+    assert "malformed" not in captured.err
 
 
 # CLI: generate and solve ----------------------------------------------------
@@ -326,6 +328,10 @@ def test_non_finite_entry_is_a_manifest_error(sys8_k1, tmp_path, capsys, fname, 
         lambda m: m.update(state_index=2.9),
         lambda m: m.update(state_index=True),
         lambda m: m.update(state_index=-4),
+        lambda m: m.update(case=7),
+        lambda m: m.update(version=True),
+        lambda m: m.update(version=1.0),
+        lambda m: m.pop("version"),
     ],
     ids=[
         "file-number",
@@ -346,6 +352,10 @@ def test_non_finite_entry_is_a_manifest_error(sys8_k1, tmp_path, capsys, fname, 
         "state-fraction",
         "state-bool",
         "state-negative",
+        "case-number",
+        "version-bool",
+        "version-float",
+        "version-missing",
     ],
 )
 def test_cli_solve_malformed_manifest_values_exit_2(sys8_k1, tmp_path, capsys, edit):
@@ -362,6 +372,25 @@ def test_cli_solve_malformed_manifest_values_exit_2(sys8_k1, tmp_path, capsys, e
     assert main(["solve", path, "--precond", "A0"]) == 2
     captured = capsys.readouterr()
     assert captured.err.count("error:") == 1 and captured.err.startswith("error: ") and not captured.out
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit before Python 3.10.7")
+def test_json_integer_past_the_digit_limit_exits_2(sys8_k1, tmp_path, capsys):
+    """json.load raises a plain ValueError, not JSONDecodeError, for an
+    integer of more than 4300 digits: in a manifest or a sweep spec it is
+    invalid JSON, exit 2 with one error line."""
+    huge = "1" * 5000
+    path = export_system(sys8_k1, tmp_path)
+    text = (tmp_path / "manifest.json").read_text()
+    (tmp_path / "manifest.json").write_text(re.sub(r'"kappa": [^,\n]*', f'"kappa": {huge}', text))
+    with pytest.raises(ManifestError, match="invalid JSON"):
+        import_system(path)
+    spec = tmp_path / "spec.json"
+    spec.write_text(f'{{"axis": "gamma", "values": [{huge}], "preconditioners": ["A0"]}}')
+    for argv in (["solve", path, "--precond", "A0"], ["sweep", str(spec)]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("error:") == 1 and "invalid JSON" in err
 
 
 @pytest.mark.parametrize("fname", ["ju.mtx", "dRdu.mtx"])
@@ -667,6 +696,9 @@ def test_cli_sweep_rejects_bad_specs(tmp_path, capsys):
         {"axis": "gamma", "values": [0.1], "preconditioners": ["A0"], "max_iters": 2.5},
         {"axis": "gamma", "values": [0.1], "preconditioners": ["A0"], "fixed": {"n_elem": 4}, "tol": 0},
         {"axis": "gamma", "values": [0.1], "preconditioners": ["A0"], "fixed": {"n_elem": 4}, "max_iters": 0},
+        {"axis": "gamma", "values": [0.1], "preconditioners": ["A0"], "fixed": {"n_elem": 8}, "tol": True},
+        {"axis": "gamma", "values": [0.1], "preconditioners": ["A0"], "fixed": {"n_elem": 8}, "tol": "0.1"},
+        {"axis": "gamma", "values": [0.1], "preconditioners": ["A0"], "fixed": {"n_elem": 8}, "tol": 10**400},
     ],
     ids=[
         "fixed-string",
@@ -681,6 +713,9 @@ def test_cli_sweep_rejects_bad_specs(tmp_path, capsys):
         "max-iters-fractional",
         "tol-zero",
         "max-iters-zero",
+        "tol-bool",
+        "tol-string",
+        "tol-beyond-a-float",
     ],
 )
 def test_cli_sweep_bad_values_exit_2(tmp_path, capsys, sqp_calls, spec):
@@ -688,7 +723,7 @@ def test_cli_sweep_bad_values_exit_2(tmp_path, capsys, sqp_calls, spec):
     path.write_text(json.dumps(spec))
     assert main(["sweep", str(path)]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error:")
+    assert out == "" and err.startswith("error:") and err.count("error:") == 1
     assert sqp_calls == []
 
 
@@ -719,6 +754,16 @@ def test_cli_sweep_bad_values_exit_2(tmp_path, capsys, sqp_calls, spec):
         ("gamma", [0.1], {"n_elem": 8, "bc_left": float("nan")}),
         ("state", [1], {"n_elem": 8, "bc_right": float("-inf")}),
         ("mesh", [8], {"max_iters": -1, "state": 0}),
+        ("gamma", [0.1], {"n_elem": 8, "states": "5, 7"}),
+        ("gamma", [0.1], {"n_elem": 8, "states": ""}),
+        ("gamma", ["0.1"], {"n_elem": 8}),
+        ("kappa", [True], {"n_elem": 8}),
+        ("gamma", [0.1], {"n_elem": 8, "kappa": True}),
+        ("kappa", [0.1], {"n_elem": 8, "gamma": False}),
+        ("gamma", [0.1], {"n_elem": 8, "bc_left": True}),
+        ("gamma", [0.1], {"n_elem": 8, "bc_right": False}),
+        ("gamma", [0.1], {"n_elem": 8, "case": 7}),
+        ("kappa", [10**400], {"n_elem": 8}),
     ],
     ids=[
         "mesh-not-a-number",
@@ -745,6 +790,16 @@ def test_cli_sweep_bad_values_exit_2(tmp_path, capsys, sqp_calls, spec):
         "fixed-bc-left-nan",
         "fixed-bc-right-minus-inf",
         "fixed-max-iters-negative",
+        "fixed-states",
+        "fixed-states-empty",
+        "gamma-string",
+        "kappa-bool",
+        "fixed-kappa-bool",
+        "fixed-gamma-bool",
+        "fixed-bc-left-bool",
+        "fixed-bc-right-bool",
+        "fixed-case-number",
+        "kappa-beyond-a-float",
     ],
 )
 def test_cli_sweep_checks_every_value_before_the_first_sqp_run(tmp_path, capsys, sqp_calls, axis, values, fixed):
@@ -752,7 +807,7 @@ def test_cli_sweep_checks_every_value_before_the_first_sqp_run(tmp_path, capsys,
     path.write_text(json.dumps({"axis": axis, "values": values, "preconditioners": ["A0"], "fixed": fixed}))
     assert main(["sweep", str(path)]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error:")
+    assert out == "" and err.startswith("error:") and err.count("error:") == 1
     assert sqp_calls == []
 
 

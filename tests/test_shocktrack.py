@@ -436,6 +436,31 @@ def test_config_defaults_and_case_name():
     assert cfg.states == (1,)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"kappa": float("inf")}, "invalid kappa inf: must be finite and nonnegative"),
+        ({"gamma": -1.0}, "invalid gamma -1.0: must be finite and nonnegative"),
+        ({"max_iters": -3}, "invalid max_iters -3: must be nonnegative"),
+    ],
+    ids=["kappa-inf", "gamma-negative", "max-iters-negative"],
+)
+def test_sqp_and_generate_configs_enforce_the_cli_rules(kwargs, message):
+    for config in (SqpConfig, GenerateConfig):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            config(**kwargs)
+
+
+def test_generate_config_states_rule():
+    with pytest.raises(ValueError, match="^invalid states: name at least one state to export$"):
+        GenerateConfig(states=())
+    with pytest.raises(ValueError, match=r"^state 7 not available: a run of at most 6 iterations produces states 0\.\.6$"):
+        GenerateConfig(states=(7,), max_iters=6)
+    with pytest.raises(ValueError, match="^state -1 not available"):
+        GenerateConfig(states=(-1,))
+    assert GenerateConfig(states=(0, 6), max_iters=6).sqp == SqpConfig(max_iters=6)
+
+
 def test_config_rejects_unknown_key(tmp_path):
     bad = tmp_path / "bad.cfg"
     for text in ("order = 3\n", "seed = 3\n"):
