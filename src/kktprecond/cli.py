@@ -68,7 +68,7 @@ def _solve_one(sys, precond_name: str, gmres: GmresConfig):
     prec = build_at_preconditioner(sys, precond_name)
     rhs = sys.rhs()
     cfg = replace(gmres, criterion=EXACT_SOLUTION, reference=reference_solution(sys))
-    report = gmres_solve(sys.operator(), rhs, prec.as_preconditioner(), cfg)
+    report = gmres_solve(sys, rhs, prec, cfg)
     return report.iterations, report.converged
 
 
@@ -183,7 +183,7 @@ def _sweep_systems(spec: dict):
         problem = _problem(base)
         state = _sqp_states(base, problem)[state_index]
         for i, cfg in enumerate(cfgs):
-            yield i, build_kkt(problem, state, kappa=cfg.kappa, gamma=cfg.gamma, case=base.case_name)
+            yield i, build_kkt(problem, replace(state, kappa=cfg.kappa, gamma=cfg.gamma), case=base.case_name)
     else:
         problems = [_problem(cfg) for cfg in cfgs]
         for i, (cfg, problem) in enumerate(zip(cfgs, problems)):

@@ -17,7 +17,8 @@ diagonal. Block ILU0 is, when built, a natural-order sweep with its block
 lower factor (blocklinalg.triangular_sweep) and SuperLU's LU of its block
 upper factor, in the MDF order; point ILU0 is its two natural-order sweeps.
 The *-p0 variants wrap the application in a two-level p-multigrid cycle with
-this preconditioner as the smoother.
+this preconditioner as the smoother, on the system's transfers. A
+preconditioner is GMRES's M: its apply(v) is M^-1 v.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from .blocklinalg import Factor, block_rows, sparse_lu, triangular_split, triang
 from .dgprecond import bilu0_factor, build_block_jacobi, mdf_order
 from .errors import DimensionMismatch, PatternViolation, UnknownPreconditioner, ZeroPivot
 from .kkt import KktSystem
-from .krylov import LinearOperator
-from .pmultigrid import CoarseSystem, assemble_coarse, build_transfer, pmg_apply
+from .pmultigrid import CoarseSystem, assemble_coarse, pmg_apply
 
 __all__ = [
     "CATALOG",
@@ -125,15 +125,15 @@ def point_ilu0_factor(B: scipy.sparse.csr_matrix) -> Factor:
 
 @dataclass
 class AtPreconditioner:
-    """Block anti-triangular constrained preconditioner. A *-p0 variant also
-    holds multigrid, the system's operator A and its coarse system, and is
-    the smoother of a two-level p-multigrid cycle."""
+    """Block anti-triangular constrained preconditioner, GMRES's M. A *-p0
+    variant also holds multigrid, the system (the operator A) and its coarse
+    system, and is the smoother of a two-level p-multigrid cycle."""
 
     variant: str
     ju: Factor
     byy: Factor
     Jy: scipy.sparse.csr_matrix
-    multigrid: tuple[LinearOperator, CoarseSystem] | None = None
+    multigrid: tuple[KktSystem, CoarseSystem] | None = None
 
     @property
     def dimension(self) -> int:
@@ -145,16 +145,13 @@ class AtPreconditioner:
         in ascending column order, as the transposed view of Jy would."""
         return self.Jy.T.tocsr()
 
-    def apply_inverse(self, v: np.ndarray) -> np.ndarray:
-        """apply_at_inverse of v, or with multigrid the whole cycle: coarse
-        correction plus one smoothing with apply_at_inverse."""
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """M^-1 v: apply_at_inverse of v, or with multigrid the whole cycle:
+        coarse correction plus one smoothing with apply_at_inverse."""
         if self.multigrid is None:
             return apply_at_inverse(self, v)
-        A, coarse = self.multigrid
-        return pmg_apply(A, coarse, partial(apply_at_inverse, self), v)
-
-    def as_preconditioner(self) -> LinearOperator:
-        return LinearOperator(self.dimension, self.apply_inverse)
+        sys, coarse = self.multigrid
+        return pmg_apply(sys, coarse, partial(apply_at_inverse, self), v)
 
 
 def apply_at_inverse(P: AtPreconditioner, v: np.ndarray) -> np.ndarray:
@@ -224,9 +221,9 @@ def build_at_preconditioner(sys: KktSystem, variant: str) -> AtPreconditioner:
         Jy=sys.Jy,
     )
     if with_pmg:
-        if sys.dims is None:
-            raise UnknownPreconditioner(f"{variant}: p-multigrid needs discretization metadata on the system")
-        A = sys.operator()
-        prec.multigrid = (A, assemble_coarse(A, *build_transfer(sys.dims)))
+        transfers = sys.transfers
+        if transfers is None:
+            raise UnknownPreconditioner(f"{variant}: p-multigrid needs transfers on the system")
+        prec.multigrid = (sys, assemble_coarse(sys, *transfers))
     return prec
 

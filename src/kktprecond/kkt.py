@@ -19,17 +19,18 @@ other factor, B_yy and J_y are scipy CSR.
 
 KktSystem is the one record of the system at a state: the seven factor
 matrices, kappa and gamma, g and r, and, optionally, its discretization
-record SystemDims (n_elem, p, q), which the p-multigrid transfers and the
-manifest read. SystemDims alone computes the sizes N_u, N_y and N_x from
-n_elem, p and q, and checks their ranges. check_weights is the one rule on
-kappa and gamma (finite and nonnegative), which KktSystem, SqpConfig and
+record SystemDims (n_elem, p, q). SystemDims alone computes the sizes N_u,
+N_y and N_x from n_elem, p and q, checks their ranges, and builds the
+p-multigrid transfers (KktSystem.transfers). check_weights is the one rule
+on kappa and gamma (finite and nonnegative), which KktSystem, SqpConfig and
 the manifest apply. A system assembles B_yy and J_y from its factors when
 it is built, and the whole matrix K, as canonical CSR, on first use, and
-caches it. kkt_matvec is the one product with K: GMRES applies it through
-the system's operator, and the p-multigrid coarse matrix is Q (K P). One sparse direct solve of K
-(reference_solution) is the reference solution that GMRES is measured
-against. The SQP step (shocktrack.assemble_step) sums the same K, bit for
-bit, from the element blocks, without a system.
+caches it. kkt_matvec is the one product with K: a system is the operator
+A that GMRES and the p-multigrid cycle apply, and the coarse matrix is
+Q (K P). One sparse direct solve of K (reference_solution) is the reference
+solution that GMRES is measured against. The SQP step
+(shocktrack.assemble_step) sums the same K, bit for bit, from the element
+blocks, without a system.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ import scipy.sparse
 
 from .blocklinalg import canonical_bsr, canonical_csr, checked_splu
 from .errors import DimensionMismatch, SingularSystem
-from .krylov import LinearOperator
 
 __all__ = [
     "SystemDims",
@@ -87,6 +87,32 @@ class SystemDims:
     @property
     def n_y(self) -> int:
         return self.n_x - 2
+
+    def transfers(self) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
+        """The p-multigrid prolongation P = diag(Pu, Py, Pu) and restriction
+        Q = diag(Pu^T, Qy, Pu^T), as CSR, onto element constants (p = 0) on
+        the straight-sided mesh (q = 1); Qy selects the endpoint nodes."""
+        n_elem, p, q, n_u, n_y = self.n_elem, self.p, self.q, self.n_u, self.n_y
+        element = np.repeat(np.arange(n_elem), p + 1)
+        Pu = scipy.sparse.csr_matrix((np.ones(n_u), element, np.arange(n_u + 1)), shape=(n_u, n_elem))
+
+        # Mesh node g at local fraction l/q of element e is the linear blend of
+        # the element endpoints e and e + 1 with weights 1 - l/q and l/q; pinned
+        # domain endpoints and zero weights contribute nothing.
+        n_yc = n_elem - 1
+        e, l = np.divmod(np.arange(1, n_y + 1), q)
+        vertex = np.stack([e, e + 1], axis=1).ravel()
+        weight = np.stack([1.0 - l / q, l / q], axis=1).ravel()
+        keep = (0 < vertex) & (vertex < n_elem) & (weight != 0.0)
+        rows = np.repeat(np.arange(n_y), 2)[keep]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_y))])
+        Py = scipy.sparse.csr_matrix((weight[keep], vertex[keep] - 1, indptr), shape=(n_y, n_yc))
+        Qy = scipy.sparse.csr_matrix(
+            (np.ones(n_yc), q * np.arange(1, n_elem) - 1, np.arange(n_elem)), shape=(n_yc, n_y)
+        )
+        P = scipy.sparse.block_diag([Pu, Py, Pu], format="csr")
+        Q = scipy.sparse.block_diag([Pu.T, Qy, Pu.T], format="csr")
+        return P, Q
 
 
 def check_weights(kappa, gamma) -> None:
@@ -202,10 +228,15 @@ class KktSystem:
         """Right-hand side -(g, r) of the SQP step system."""
         return -np.concatenate([self.g, self.r])
 
-    def operator(self) -> LinearOperator:
-        """The product with K as the LinearOperator that GMRES and the
-        p-multigrid cycle apply; it looks kkt_matvec up on every product."""
-        return LinearOperator(self.dimension, lambda v: kkt_matvec(self, v))
+    @property
+    def transfers(self) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix] | None:
+        """dims.transfers(), built on every read, or None without dims."""
+        return None if self.dims is None else self.dims.transfers()
+
+    def apply(self, v):
+        """K v: the system as the operator A that GMRES and the p-multigrid
+        cycle apply; it looks kkt_matvec up on every product."""
+        return kkt_matvec(self, v)
 
 
 def kkt_matvec(sys: KktSystem, v):

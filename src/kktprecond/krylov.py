@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.linalg.blas import dtpsv
@@ -38,7 +37,6 @@ from scipy.linalg.blas import dtpsv
 from .errors import DimensionMismatch, NonFinite, ZeroReference
 
 __all__ = [
-    "LinearOperator",
     "GmresConfig",
     "SolveReport",
     "gmres_solve",
@@ -62,15 +60,6 @@ _CHUNK = 64
 # small errors it can be rounding noise; below this value the explicit error
 # is formed whatever the tolerance.
 _ESTIMATE_FLOOR = 1e-5
-
-
-@dataclass(frozen=True)
-class LinearOperator:
-    """Action v -> A v on vectors of a fixed dimension; as GMRES's M, the
-    action v -> M^-1 v of an approximate inverse."""
-
-    dimension: int
-    apply: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -113,7 +102,7 @@ class SolveReport:
     true_residual: float
 
 
-def _true_residual(A: LinearOperator, b: np.ndarray, s: np.ndarray) -> float:
+def _true_residual(A, b: np.ndarray, s: np.ndarray) -> float:
     """||A s - b|| / ||b||, or the absolute residual when b = 0."""
     r = float(np.linalg.norm(A.apply(s) - b))
     b_norm = float(np.linalg.norm(b))
@@ -133,8 +122,9 @@ def _coefficients(R: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
     return dtpsv(k, R, g[:k])
 
 
-def gmres_solve(A: LinearOperator, b: np.ndarray, M: LinearOperator, cfg: GmresConfig | None = None) -> SolveReport:
-    """Solve A s = b with left-preconditioned GMRES (no restart).
+def gmres_solve(A, b: np.ndarray, M, cfg: GmresConfig | None = None) -> SolveReport:
+    """Solve A s = b with left-preconditioned GMRES (no restart). A and M are
+    read through dimension and apply(v), as a KktSystem and a preconditioner.
 
     Raises NonFinite if an Arnoldi vector or the returned iterate is not
     finite, which a breakdown on a singular operator can give.

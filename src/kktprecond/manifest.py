@@ -44,20 +44,24 @@ _MATRIX_FIELDS = (
 # The sizes a manifest states besides n_elem, p and q, each a SystemDims property.
 _STATED_SIZES = ("n_u", "n_u_enriched", "n_y", "n_x")
 _JSON_KINDS = {int: (int, "integer"), float: ((int, float), "number"), str: (str, "string")}
+_SHOWN = 20
 
 
 def json_value(value, kind, what: str):
     """The JSON type rule: kind(value) if json.load made value a JSON integer
     (kind int: 8, not 8.0, 8.7 or "8"), a JSON number that a float holds
     (kind float) or a JSON string (kind str), never a bool; else TypeError
-    naming what."""
+    naming what and showing at most _SHOWN characters of the value."""
     types, name = _JSON_KINDS[kind]
     try:
         if isinstance(value, types) and not isinstance(value, bool):
             return kind(value)
     except OverflowError:
         pass
-    raise TypeError(f"invalid {what} {value!r}: must be a JSON {name}")
+    shown = repr(value)
+    if len(shown) > _SHOWN:
+        shown = shown[:_SHOWN] + "..."
+    raise TypeError(f"invalid {what} {shown}: must be a JSON {name}")
 
 
 def export_system(sys: KktSystem, outdir, prefix: str = "") -> str:

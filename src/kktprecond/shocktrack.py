@@ -397,18 +397,11 @@ class SqpConfig:
             raise ValueError(f"invalid max_iters {self.max_iters}: must be nonnegative")
 
 
-def build_kkt(
-    problem: ShockTrackProblem1d,
-    state: DgState,
-    kappa: float | None = None,
-    gamma: float | None = None,
-    case: str = "case",
-) -> KktSystem:
-    """Assemble the saddle-point system at one state, optionally overriding the
-    weights kappa and gamma (used by the parameter sweeps), from the element
-    blocks of one _linearize call, as assemble_step sums its K."""
-    kappa = state.kappa if kappa is None else kappa
-    gamma = state.gamma if gamma is None else gamma
+def build_kkt(problem: ShockTrackProblem1d, state: DgState, case: str = "case") -> KktSystem:
+    """Assemble the saddle-point system at one state, with the state's
+    weights kappa and gamma (a sweep replaces them in the state), from the
+    element blocks of one _linearize call, as assemble_step sums its K."""
+    kappa, gamma = state.kappa, state.gamma
     check_weights(kappa, gamma)
     n, n_p, n_t = problem.n_elem, problem.p + 1, problem.p + 2
     r, R, (diag, sub, sup, dx), (diag_t, sub_t, sup_t, dx_t), rmsh, drmsh = _linearize(problem, state)
@@ -755,8 +748,9 @@ CONFIG_CASTS = {
 
 
 def load_problem_config(path) -> GenerateConfig:
-    """Parse the key = value problem config file (hash comments allowed)."""
-    raw: dict[str, str] = {}
+    """Parse the key = value problem config file (hash comments allowed); a
+    repeated key, or a value that its cast rejects, is named with its line."""
+    raw: dict[str, tuple[int, str]] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             text = line.split("#", 1)[0].strip()
@@ -769,13 +763,16 @@ def load_problem_config(path) -> GenerateConfig:
             key = key.strip().lower()
             if key in raw:
                 raise ValueError(f"{path}:{lineno}: repeated config key {key!r}")
-            raw[key] = val.strip()
+            raw[key] = lineno, val.strip()
 
     kwargs = {}
-    for key, val in raw.items():
+    for key, (lineno, val) in raw.items():
         if key not in CONFIG_CASTS:
             raise ValueError(f"unknown config key {key!r}")
-        kwargs[key] = CONFIG_CASTS[key](val)
+        try:
+            kwargs[key] = CONFIG_CASTS[key](val)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: invalid {key}: {exc}") from exc
     return GenerateConfig(**kwargs)
 
 

@@ -89,5 +89,5 @@ def count_iterations(sys, precond, tol=1e-3, max_iters=1000):
         precond = build_at_preconditioner(sys, precond)
     rhs = sys.rhs()
     cfg = GmresConfig(tol=tol, max_iters=max_iters, criterion=EXACT_SOLUTION, reference=reference_solution(sys))
-    report = gmres_solve(sys.operator(), rhs, precond.as_preconditioner(), cfg)
+    report = gmres_solve(sys, rhs, precond, cfg)
     return report.iterations, report.converged

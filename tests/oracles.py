@@ -39,8 +39,9 @@ convergence measure of a candidate GMRES solution, evaluated from scratch;
 the generic constrained preconditioner [[G, Jt^T], [Jt, 0]] applied in dense
 product form, with the SingularSchurComplement it raises; the checked dense
 LU of one block (dense_lu_factor) and the exact dense-inverse preconditioner
-built on it (lu_preconditioner); the symbolic block sparsity accounting
-of acceptance criterion 7 (ata_pattern, count_block_sparsity); and the
+built on it (lu_preconditioner), a LinearOperator, the tests' record of an
+ad-hoc operator; the symbolic block sparsity accounting of acceptance
+criterion 7 (ata_pattern, count_block_sparsity); and the
 shock-tracking problem oracles: the exact profile, the tracked optimum,
 the objective with its gradient (build_kkt's g), the mesh distortion as a
 function of the mesh for finite differences, and the state build_kkt
@@ -48,6 +49,7 @@ linearizes at a point (u, y).
 """
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -68,9 +70,8 @@ from kktprecond.conprec import _VARIANT_TABLE, point_ilu0_values
 from kktprecond.dgprecond import bilu0_blocks, mdf_order
 from kktprecond.errors import DimensionMismatch, KktPrecondError, ManifestError, SingularBlock, ZeroReference
 from kktprecond.kkt import reference_solution
-from kktprecond.krylov import EXACT_SOLUTION, PRECONDITIONED_RESIDUAL, LinearOperator
+from kktprecond.krylov import EXACT_SOLUTION, PRECONDITIONED_RESIDUAL
 from kktprecond.mmio import _BLOCK_TAG, _ENTRY, _VALUE, _parse, _parse_block_tag
-from kktprecond.pmultigrid import build_transfer
 from kktprecond.shocktrack import SHOCK_POSITION, DgState, SqpConfig, StepSystem, build_kkt, phi_map
 
 
@@ -562,7 +563,7 @@ def five_step_apply(P, sys, v):
     if P.multigrid is None:
         return bare(v), None
     K = bmat_kkt(sys)
-    prolong, restrict = build_transfer(sys.dims)
+    prolong, restrict = sys.dims.transfers()
     A0 = restrict @ (K @ prolong)
     s = prolong @ sparse_lu(A0).solve(restrict @ v)
     return s + bare(v - K @ s), A0
@@ -870,6 +871,17 @@ def dense_lu_factor(block: np.ndarray) -> BlockLuFactor:
     if bad:
         raise SingularBlock(bad[1])
     return lu
+
+
+@dataclass(frozen=True)
+class LinearOperator:
+    """An ad-hoc operator: the action v -> A v on vectors of a fixed
+    dimension, or as GMRES's M the action v -> M^-1 v. These are the two
+    members that gmres_solve and the p-multigrid functions read, which a
+    KktSystem and a catalog preconditioner have themselves."""
+
+    dimension: int
+    apply: Callable[[np.ndarray], np.ndarray]
 
 
 def lu_preconditioner(M) -> LinearOperator:

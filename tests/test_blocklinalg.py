@@ -7,7 +7,7 @@ import scipy.sparse.linalg
 
 from kktprecond.blocklinalg import canonical_bsr, sparse_lu
 from kktprecond.errors import DimensionMismatch, PatternViolation, SingularBlock
-from kktprecond.pmultigrid import assemble_coarse, build_transfer
+from kktprecond.pmultigrid import assemble_coarse
 from kktprecond.stencil import generate_stencil_system
 from oracles import dense_lu_factor
 
@@ -92,7 +92,7 @@ def test_sparse_lu_matches_splu_when_column_order_is_no_involution(name, request
         A = scipy.sparse.random(50, 50, density=0.1, random_state=1, format="csr") + 10.0 * scipy.sparse.eye(50)
     elif name == "coarse_16_2_2":
         sys = request.getfixturevalue("sys16_k1")
-        A = assemble_coarse(sys.operator(), *build_transfer(sys.dims)).A0
+        A = assemble_coarse(sys, *sys.dims.transfers()).A0
     else:
         A = generate_stencil_system(*map(int, name.split("_")[1:]), 0).tocsr()
     ref = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(A))

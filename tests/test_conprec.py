@@ -1,5 +1,7 @@
 """Anti-triangular constrained preconditioner and its scalar building blocks."""
 
+import ast
+import pathlib
 import warnings
 
 import numpy as np
@@ -10,6 +12,7 @@ import scipy.sparse.linalg
 
 import kktprecond.conprec as conprec
 import kktprecond.kkt as kkt
+import kktprecond.pmultigrid as pmultigrid
 from conftest import count_iterations
 from kktprecond.conprec import (
     CATALOG,
@@ -28,10 +31,11 @@ from kktprecond.errors import (
     ZeroPivot,
 )
 from kktprecond.kkt import KktSystem
-from kktprecond.krylov import GmresConfig, LinearOperator, gmres_solve
+from kktprecond.krylov import GmresConfig, gmres_solve
 from kktprecond.dgprecond import bilu0_factor, mdf_order
 from kktprecond.shocktrack import ShockTrackProblem1d, SqpConfig, build_kkt, run_sqp
 from oracles import (
+    LinearOperator,
     SingularSchurComplement,
     byy_matrix,
     densify_at_matrix,
@@ -151,7 +155,7 @@ def test_apply_rejects_wrong_length(sys8_k1):
         apply_at_inverse(P, np.zeros(4))
     # A *-p0 variant checks the length in its cycle.
     with pytest.raises(DimensionMismatch):
-        build_at_preconditioner(sys8_k1, "A0-p0").apply_inverse(np.zeros(4))
+        build_at_preconditioner(sys8_k1, "A0-p0").apply(np.zeros(4))
 
 
 # Scalar point factors -------------------------------------------------------
@@ -259,7 +263,7 @@ def test_all_catalog_variants_build_and_apply(sys8_k1):
         P = build_at_preconditioner(sys8_k1, name)
         assert P.variant == name
         assert P.dimension == v.size
-        w = P.apply_inverse(v)
+        w = P.apply(v)
         assert np.all(np.isfinite(w))
         assert np.linalg.norm(w) > 0
 
@@ -386,7 +390,7 @@ def test_build_and_apply_call_through_module_globals(sys8_k1, monkeypatch):
         monkeypatch.setattr(conprec, name, counting(name, getattr(conprec, name)))
     v = np.ones(2 * sys8_k1.n_u + sys8_k1.n_y)
     for variant in ("BILU-ilu", "A0-p0"):
-        build_at_preconditioner(sys8_k1, variant).apply_inverse(v)
+        build_at_preconditioner(sys8_k1, variant).apply(v)
     assert all(calls.values()), calls
 
 
@@ -407,19 +411,19 @@ def test_traced_layers_nest_once_per_coarse_assembly_and_cycle(sys8_k1, monkeypa
 
         return wrapper
 
-    # An operator made before the replacement must call the replacement.
-    op = sys8_k1.operator()
+    # A product bound before the replacement must call the replacement.
+    apply = sys8_k1.apply
     monkeypatch.setattr(kkt, "kkt_matvec", tracing("kkt_matvec", kkt.kkt_matvec))
     for name in ("assemble_coarse", "pmg_apply", "apply_at_inverse"):
         monkeypatch.setattr(conprec, name, tracing(name, getattr(conprec, name)))
     P = build_at_preconditioner(sys8_k1, "A0-p0")
     assert calls == [("assemble_coarse", None), ("kkt_matvec", "assemble_coarse")]
     calls.clear()
-    P.apply_inverse(np.ones(P.dimension))
+    P.apply(np.ones(P.dimension))
     assert calls == [("pmg_apply", None), ("kkt_matvec", "pmg_apply"), ("apply_at_inverse", "pmg_apply")]
     calls.clear()
-    v = np.ones(op.dimension)
-    assert np.array_equal(op.apply(v), sys8_k1.K @ v)
+    v = np.ones(sys8_k1.dimension)
+    assert np.array_equal(apply(v), sys8_k1.K @ v)
     assert calls == [("kkt_matvec", None)]
 
 
@@ -434,32 +438,58 @@ def test_approximations_coincide_on_single_element_system():
     precs = [build_at_preconditioner(sys, name) for name in ("A0", "BJ", "BILU")]
     for _ in range(5):
         v = rng.standard_normal(5)
-        ref = precs[0].apply_inverse(v)
+        ref = precs[0].apply(v)
         for P in precs[1:]:
-            np.testing.assert_allclose(P.apply_inverse(v), ref, rtol=1e-12, atol=1e-13)
+            np.testing.assert_allclose(P.apply(v), ref, rtol=1e-12, atol=1e-13)
 
 
 def test_approximations_differ_on_coupled_system(sys8_k1):
     rng = np.random.default_rng(18)
     v = rng.standard_normal(2 * sys8_k1.n_u + sys8_k1.n_y)
-    a0 = build_at_preconditioner(sys8_k1, "A0").apply_inverse(v)
-    bj = build_at_preconditioner(sys8_k1, "BJ").apply_inverse(v)
+    a0 = build_at_preconditioner(sys8_k1, "A0").apply(v)
+    bj = build_at_preconditioner(sys8_k1, "BJ").apply(v)
     assert np.linalg.norm(a0 - bj) > 1e-8 * np.linalg.norm(a0)
 
 
 def test_multigrid_variant_needs_dimensions():
     sys = tiny_system(np.random.default_rng(19))
-    assert sys.dims is None
+    assert sys.dims is None and sys.transfers is None
     with pytest.raises(UnknownPreconditioner):
         build_at_preconditioner(sys, "A0-p0")
 
 
-def test_as_preconditioner_wraps_apply(sys8_k1):
-    P = build_at_preconditioner(sys8_k1, "BJ")
-    M = P.as_preconditioner()
-    assert M.dimension == P.dimension
-    v = np.arange(float(P.dimension))
-    np.testing.assert_array_equal(M.apply(v), P.apply_inverse(v))
+# Names of the 1D discretization; the catalog reads a system's blocks, the
+# system as the operator and its transfers, and none of these.
+DISCRETIZATION_NAMES = {"dims", "n_elem", "SystemDims", "build_transfer"}
+
+
+def discretization_names(source: str) -> set[str]:
+    """The DISCRETIZATION_NAMES that source uses as a name, an attribute, an
+    imported or defined name, or an argument."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+    return names & DISCRETIZATION_NAMES
+
+
+def test_discretization_name_checker_finds_each_kind_of_use():
+    source = "from .kkt import SystemDims\ndef build_transfer(dims): pass\nsys.shape.n_elem\n"
+    assert discretization_names(source) == DISCRETIZATION_NAMES
+    assert discretization_names("sys.transfers\nP, Q = transfers\n# dims\n") == set()
+
+
+@pytest.mark.parametrize("module", [conprec, pmultigrid], ids=lambda m: m.__name__)
+def test_catalog_reads_no_discretization_name(module):
+    assert discretization_names(pathlib.Path(module.__file__).read_text()) == set()
 
 
 # Generic constrained inverse ------------------------------------------------

@@ -7,9 +7,9 @@ import scipy.sparse
 from kktprecond.blocklinalg import block_rows, getrf
 from kktprecond.dgprecond import MdfOrdering, bilu0_blocks, bilu0_factor, build_block_jacobi, mdf_order
 from kktprecond.errors import SingularBlock, SingularPivotBlock
-from kktprecond.krylov import GmresConfig, LinearOperator, gmres_solve
+from kktprecond.krylov import GmresConfig, gmres_solve
 from kktprecond.stencil import generate_stencil_system
-from oracles import bilu_factors, bilu_matrix
+from oracles import LinearOperator, bilu_factors, bilu_matrix
 from test_bitwise_oracles import _diagonal, scaled_stencil
 
 

@@ -16,7 +16,6 @@ from kktprecond.kkt import (
     kkt_matvec,
     reference_solution,
 )
-from kktprecond.pmultigrid import build_transfer
 from kktprecond.shocktrack import ShockTrackProblem1d, SqpConfig, build_kkt, run_sqp
 from kktprecond.stencil import generate_stencil_system
 from oracles import ata_pattern, count_block_sparsity, dense_kkt, state_at
@@ -99,8 +98,8 @@ def test_byy_positive_semidefinite_on_generated_system(sys8_k1):
 
 def test_byy_rayleigh_quotient_monotone_in_gamma(prob8, states8):
     rng = np.random.default_rng(4)
-    lo = build_kkt(prob8, states8[1], gamma=1e-5).Byy.toarray()
-    hi = build_kkt(prob8, states8[1], gamma=1e-1).Byy.toarray()
+    lo = build_kkt(prob8, dataclasses.replace(states8[1], gamma=1e-5)).Byy.toarray()
+    hi = build_kkt(prob8, dataclasses.replace(states8[1], gamma=1e-1)).Byy.toarray()
     for _ in range(10):
         v = rng.standard_normal(lo.shape[0])
         assert v @ hi @ v >= v @ lo @ v - 1e-12
@@ -151,7 +150,7 @@ def test_matvec_rejects_wrong_length(sys8_k1):
 @pytest.mark.parametrize("name", ["sys8_k1", "sys16_k1"])
 def test_matmat_matches_dense_on_prolongation(name, request):
     sys = request.getfixturevalue(name)
-    X, _ = build_transfer(sys.dims)
+    X, _ = sys.transfers
     A = dense_kkt(sys)
     got = kkt_matvec(sys, X)
     assert scipy.sparse.issparse(got)
@@ -178,14 +177,12 @@ def test_matvec_rejects_dense_matrix(sys8_k1):
 def test_kkt_matrix_is_built_on_first_product_only(prob8, states8):
     sys = build_kkt(prob8, states8[1])
     assert "K" not in vars(sys)
-    op = sys.operator()
-    assert op.dimension == sys.dimension
-    op.apply(np.zeros(op.dimension))
+    sys.apply(np.zeros(sys.dimension))
     K = sys.K
-    op.apply(np.ones(op.dimension))
+    sys.apply(np.ones(sys.dimension))
     assert sys.K is K
     assert isinstance(K, scipy.sparse.csr_matrix) and K.has_canonical_format
-    assert K.shape == (op.dimension, op.dimension)
+    assert K.shape == (sys.dimension, sys.dimension)
 
 
 @pytest.mark.parametrize(
@@ -372,7 +369,7 @@ def test_build_kkt_rejects_an_infinite_weight_before_any_gradient(prob8, states8
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^invalid {name} inf: must be finite and nonnegative$"):
-            build_kkt(prob8, states8[1], **{name: float("inf")})
+            build_kkt(prob8, dataclasses.replace(states8[1], **{name: float("inf")}))
 
 
 def test_scalar_factors_are_made_canonical_csr():

@@ -15,11 +15,10 @@ from kktprecond.krylov import (
     PRECONDITIONED_RESIDUAL,
     TOLERANCE,
     GmresConfig,
-    LinearOperator,
     SolveReport,
     gmres_solve,
 )
-from oracles import evaluate_criterion, lu_preconditioner, mgs_gmres
+from oracles import LinearOperator, evaluate_criterion, lu_preconditioner, mgs_gmres
 
 
 def run(A, b, M=None, **cfg_kwargs):

@@ -498,6 +498,45 @@ def test_cli_generate_bad_config(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, line, key, cause",
+    [
+        ("n_elem = 8\nkappa = abc\n", 2, "kappa", "could not convert string to float: 'abc'"),
+        ("states = 1.5\n", 1, "states", "invalid literal for int() with base 10: '1.5'"),
+        ("# comment\n\nn_elem = x\n", 3, "n_elem", "invalid literal for int() with base 10: 'x'"),
+        ("n_elem = 8\nsource = maybe\n", 2, "source", "cannot parse boolean 'maybe'"),
+    ],
+    ids=["kappa-word", "states-fraction", "n-elem-word", "source-word"],
+)
+def test_cli_generate_names_the_line_and_key_of_a_rejected_value(tmp_path, capsys, sqp_calls, text, line, key, cause):
+    cfg = write_config(tmp_path, text)
+    assert main(["generate", cfg, str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {cfg}:{line}: invalid {key}: {cause}\n"
+    assert sqp_calls == [] and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["sweep", "manifest"])
+def test_a_value_no_float_holds_gives_one_short_error_line(sys8_k1, tmp_path, capsys, monkeypatch, where):
+    """The JSON type rule shows a bounded prefix of the value it rejects, not
+    its 401 digits."""
+    monkeypatch.chdir(tmp_path)
+    if where == "sweep":
+        spec = {"axis": "kappa", "values": [10**400], "preconditioners": ["A0"], "fixed": {"n_elem": 8}}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        argv = ["sweep", "spec.json"]
+    else:
+        export_system(sys8_k1, tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["scalars"]["kappa"] = 10**400
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        argv = ["solve", "manifest.json", "--precond", "A0"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("error:") == 1 and err.count("\n") == 1
+    assert len(err) < 120 and "invalid kappa" in err and "10000" in err
+
+
 @pytest.mark.parametrize("text", ["n_elem = 0\n", "q = 3\n", "p = -1\n"], ids=["n_elem-0", "q-3", "p-negative"])
 def test_cli_generate_rejects_bad_problem_parameters(tmp_path, capsys, text):
     cfg = write_config(tmp_path, text)

@@ -1,5 +1,7 @@
 """Burgers shock-tracking discretization, derivatives, and SQP driver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -260,7 +262,7 @@ def test_objective_without_mesh_penalty_is_enriched_residual_energy(prob8, state
 
 def test_large_gamma_dominates_mesh_block(prob8, states8):
     gamma = 1e6
-    sys = build_kkt(prob8, states8[1], gamma=gamma)
+    sys = build_kkt(prob8, dataclasses.replace(states8[1], gamma=gamma))
     Phi = prob8.dPhidy.toarray()
     expect = gamma * Phi.T @ prob8.D.toarray() @ Phi
     rel = np.linalg.norm(sys.Byy.toarray() - expect) / np.linalg.norm(expect)
