@@ -1,4 +1,15 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and shown, the bounded form in
+which their messages repeat a value."""
+
+# Characters of a value's repr that a message shows before an ellipsis.
+_SHOWN = 20
+
+
+def shown(value) -> str:
+    """repr(value), cut after _SHOWN characters with an ellipsis, so a message
+    about a 400-digit number stays one short line."""
+    text = repr(value)
+    return text if len(text) <= _SHOWN else text[:_SHOWN] + "..."
 
 
 class KktPrecondError(Exception):

@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 
-from .blocklinalg import canonical_bsr, canonical_csr, checked_splu
+from .blocklinalg import block_rows, canonical_bsr, canonical_csr, checked_splu
 from .errors import DimensionMismatch, SingularSystem
 
 __all__ = [
@@ -90,29 +90,40 @@ class SystemDims:
 
     def transfers(self) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
         """The p-multigrid prolongation P = diag(Pu, Py, Pu) and restriction
-        Q = diag(Pu^T, Qy, Pu^T), as CSR, onto element constants (p = 0) on
-        the straight-sided mesh (q = 1); Qy selects the endpoint nodes."""
+        Q = diag(Pu^T, Qy, Pu^T), as canonical CSR with int32 indices, onto
+        element constants (p = 0) on the straight-sided mesh (q = 1); Qy
+        selects the endpoint nodes.
+
+        Both are built straight from their index arithmetic, the same arrays
+        that scipy.sparse.block_diag of the three blocks gives."""
         n_elem, p, q, n_u, n_y = self.n_elem, self.p, self.q, self.n_u, self.n_y
+        n_yc = n_elem - 1
         element = np.repeat(np.arange(n_elem), p + 1)
-        Pu = scipy.sparse.csr_matrix((np.ones(n_u), element, np.arange(n_u + 1)), shape=(n_u, n_elem))
 
         # Mesh node g at local fraction l/q of element e is the linear blend of
         # the element endpoints e and e + 1 with weights 1 - l/q and l/q; pinned
         # domain endpoints and zero weights contribute nothing.
-        n_yc = n_elem - 1
         e, l = np.divmod(np.arange(1, n_y + 1), q)
         vertex = np.stack([e, e + 1], axis=1).ravel()
         weight = np.stack([1.0 - l / q, l / q], axis=1).ravel()
         keep = (0 < vertex) & (vertex < n_elem) & (weight != 0.0)
-        rows = np.repeat(np.arange(n_y), 2)[keep]
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_y))])
-        Py = scipy.sparse.csr_matrix((weight[keep], vertex[keep] - 1, indptr), shape=(n_y, n_yc))
-        Qy = scipy.sparse.csr_matrix(
-            (np.ones(n_yc), q * np.arange(1, n_elem) - 1, np.arange(n_elem)), shape=(n_yc, n_y)
-        )
-        P = scipy.sparse.block_diag([Pu, Py, Pu], format="csr")
-        Q = scipy.sparse.block_diag([Pu.T, Qy, Pu.T], format="csr")
-        return P, Q
+        py_counts = np.count_nonzero(keep.reshape(n_y, 2), axis=1)
+
+        # The rows of the three diagonal blocks in turn, each block's columns
+        # offset by the widths of the blocks before it.
+        P_counts = np.concatenate([np.ones(n_u, int), py_counts, np.ones(n_u, int)])
+        P_indices = np.concatenate([element, vertex[keep] - 1 + n_elem, element + n_elem + n_yc])
+        P_data = np.concatenate([np.ones(n_u), weight[keep], np.ones(n_u)])
+        Q_counts = np.concatenate([np.full(n_elem, p + 1), np.ones(n_yc, int), np.full(n_elem, p + 1)])
+        Q_indices = np.concatenate([np.arange(n_u), q * np.arange(1, n_elem) - 1 + n_u, np.arange(n_u) + n_u + n_y])
+        Q_data = np.ones(len(Q_indices))
+        shape = (2 * n_u + n_y, 2 * n_elem + n_yc)
+
+        def csr(data, indices, counts, shape):
+            indptr = np.concatenate([[0], np.cumsum(counts)])
+            return scipy.sparse.csr_matrix((data, indices, indptr), shape=shape)
+
+        return csr(P_data, P_indices, P_counts, shape), csr(Q_data, Q_indices, Q_counts, shape[::-1])
 
 
 def check_weights(kappa, gamma) -> None:
@@ -124,11 +135,26 @@ def check_weights(kappa, gamma) -> None:
 
 
 def assemble_Byy(sys: KktSystem) -> scipy.sparse.csr_matrix:
-    """Explicit sparse assembly of the mesh-mesh Hessian block."""
+    """Explicit sparse assembly of the mesh-mesh Hessian block, symmetrized:
+    Byy = 0.5 (B + B^T) with B = Phi^T (Ax^T Ax + kappa^2 Rm^T Rm + gamma D) Phi.
+
+    The products and sums are those of the CSC form on transposed views,
+    run on CSR operands that are already transposed: a CSC product is the
+    CSR product of the transposes, so every intermediate holds the same
+    arrays as its CSC counterpart, here as the CSR of its transpose, and the
+    result is bit for bit the same. Scalings act on the data in place."""
     Ax, Rm, Phi = sys.dRdx, sys.dRmshdx, sys.dPhidy
-    Bxx = (Ax.T @ Ax) + sys.kappa**2 * (Rm.T @ Rm) + sys.gamma * sys.D
-    Byy = (Phi.T @ Bxx @ Phi).tocsr()
-    return 0.5 * (Byy + Byy.T)
+    mesh = Rm.T.tocsr() @ Rm
+    mesh.data *= sys.kappa**2
+    elastic = sys.D.T.tocsr()
+    elastic.data *= sys.gamma
+    Bxx_T = Ax.T.tocsr() @ Ax + mesh + elastic
+    B_T = Phi.T.tocsr() @ (Bxx_T @ Phi)
+    B = B_T.T.tocsr()
+    B_T.sort_indices()
+    Byy = B + B_T
+    Byy.data *= 0.5
+    return Byy
 
 
 @dataclass(kw_only=True)
@@ -206,23 +232,30 @@ class KktSystem:
         product or the sparse direct solve.
 
         Every stored entry of its blocks is kept, explicit zeros included.
-        All blocks are CSR, so scipy stacks their arrays directly, without a
-        COO copy; no two blocks overlap, so sorting the rows makes it
-        canonical.
+        B_uu = dRdu^T dRdu and B_uy = dRdu^T (dRdx dPhidy) are scipy CSR
+        products; Byy, Ju and Jy are read from their stored arrays, and the
+        transposed blocks B_uy^T, Ju^T and Jy^T are the entries of B_uy, Ju
+        and Jy with row and column swapped, so scipy converts and transposes
+        only dRdu. No two blocks overlap, so one sort of all entries by
+        (row, column) gives the canonical arrays that stacking the blocks
+        with bmat and sorting its rows gives.
         """
+        n_u, n_y, dim = self.n_u, self.n_y, self.dimension
         dRdu = self.dRdu.tocsr()
-        Ju = self.Ju.tocsr()
         dRdu_T = dRdu.T.tocsr()
-        buy = dRdu_T @ (self.dRdx @ self.dPhidy).tocsr()
-        zero = scipy.sparse.csr_matrix((self.n_u, self.n_u))
-        blocks = [
-            [dRdu_T @ dRdu, buy, Ju.T.tocsr()],
-            [buy.T.tocsr(), self.Byy, self.Jy.T.tocsr()],
-            [Ju, self.Jy, zero],
+        parts = [
+            _entries(dRdu_T @ dRdu, 0, 0),
+            _entries(dRdu_T @ (self.dRdx @ self.dPhidy), 0, n_u),
+            _entries(self.Ju, n_u + n_y, 0),
+            _entries(self.Jy, n_u + n_y, n_u),
         ]
-        K = scipy.sparse.bmat(blocks, format="csr")
-        K.sort_indices()
-        return K
+        parts += [(cols, rows, vals) for rows, cols, vals in parts[1:]]
+        parts.append(_entries(self.Byy, n_u, n_u))
+        rows, cols, vals = (np.concatenate(arrays) for arrays in zip(*parts))
+        # The keys are distinct; a stable sort finds the sorted runs of the blocks.
+        order = np.argsort(rows * dim + cols, kind="stable")
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=dim))])
+        return scipy.sparse.csr_matrix((vals[order], cols[order], indptr), shape=(dim, dim))
 
     def rhs(self) -> np.ndarray:
         """Right-hand side -(g, r) of the SQP step system."""
@@ -237,6 +270,17 @@ class KktSystem:
         """K v: the system as the operator A that GMRES and the p-multigrid
         cycle apply; it looks kkt_matvec up on every product."""
         return kkt_matvec(self, v)
+
+
+def _entries(A, row0: int, col0: int):
+    """Row, column and value of every stored entry of a CSR or BSR matrix
+    whose top left corner sits at (row0, col0), in storage order."""
+    if A.format != "bsr":
+        return block_rows(A.indptr) + row0, A.indices + col0, A.data
+    (r, c), nb = A.blocksize, len(A.indices)
+    rows = (block_rows(A.indptr)[:, None] * r + np.arange(row0, row0 + r)).repeat(c)
+    cols = A.indices[:, None].astype(np.int64) * c + np.arange(col0, col0 + c)
+    return rows, np.broadcast_to(cols[:, None, :], (nb, r, c)).ravel(), A.data.ravel()
 
 
 def kkt_matvec(sys: KktSystem, v):

@@ -22,7 +22,7 @@ import os
 
 import scipy.sparse
 
-from .errors import ManifestError
+from .errors import ManifestError, shown
 from .kkt import KktSystem, SystemDims, check_weights
 from .mmio import read_matrix, read_vector, write_matrix, write_vector
 
@@ -44,24 +44,21 @@ _MATRIX_FIELDS = (
 # The sizes a manifest states besides n_elem, p and q, each a SystemDims property.
 _STATED_SIZES = ("n_u", "n_u_enriched", "n_y", "n_x")
 _JSON_KINDS = {int: (int, "integer"), float: ((int, float), "number"), str: (str, "string")}
-_SHOWN = 20
 
 
 def json_value(value, kind, what: str):
     """The JSON type rule: kind(value) if json.load made value a JSON integer
     (kind int: 8, not 8.0, 8.7 or "8"), a JSON number that a float holds
     (kind float) or a JSON string (kind str), never a bool; else TypeError
-    naming what and showing at most _SHOWN characters of the value."""
+    naming what and showing the value as errors.shown bounds it, as every
+    manifest message that repeats a number does."""
     types, name = _JSON_KINDS[kind]
     try:
         if isinstance(value, types) and not isinstance(value, bool):
             return kind(value)
     except OverflowError:
         pass
-    shown = repr(value)
-    if len(shown) > _SHOWN:
-        shown = shown[:_SHOWN] + "..."
-    raise TypeError(f"invalid {what} {shown}: must be a JSON {name}")
+    raise TypeError(f"invalid {what} {shown(value)}: must be a JSON {name}")
 
 
 def export_system(sys: KktSystem, outdir, prefix: str = "") -> str:
@@ -120,7 +117,7 @@ def import_system(path) -> KktSystem:
     try:
         version = json_value(manifest["version"], int, "version")
         if version != MANIFEST_VERSION:
-            raise ManifestError(f"{path}: unsupported manifest version {version}")
+            raise ManifestError(f"{path}: unsupported manifest version {shown(version)}")
         d = manifest["dimensions"]
         n_elem, p, q = (json_value(d[key], int, key) for key in ("n_elem", "p", "q"))
         kappa, gamma = (json_value(manifest["scalars"][key], float, key) for key in ("kappa", "gamma"))
@@ -135,10 +132,10 @@ def import_system(path) -> KktSystem:
     except ValueError as exc:
         raise ManifestError(f"{path}: {exc}")
     if state_index < 0:
-        raise ManifestError(f"{path}: state_index {state_index} must be nonnegative")
+        raise ManifestError(f"{path}: state_index {shown(state_index)} must be nonnegative")
     for key, value in stated.items():
         if value != getattr(dims, key):
-            raise ManifestError(f"{path}: dimension {key}={value} inconsistent with n_elem/p/q")
+            raise ManifestError(f"{path}: dimension {key}={shown(value)} inconsistent with n_elem/p/q")
 
     shapes = {
         "ju": (dims.n_u, dims.n_u),

@@ -13,6 +13,11 @@ included, so a block pattern survives the round trip.
 Values are printed with 17 significant digits, which round-trips IEEE doubles
 exactly. The readers reject nan and infinite values with a ManifestError
 that names the file.
+
+read_matrix parses the entry lines with one np.loadtxt call. Entries that
+are sorted by (row, col) with no repeats, as write_matrix leaves them, are
+used in file order; any other file takes the general path, one stable sort
+that also keeps the last of repeated entries. Both give the same arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 import scipy.sparse
 
 from .blocklinalg import canonical_csr
-from .errors import ManifestError
+from .errors import ManifestError, shown
 
 __all__ = ["write_matrix", "read_matrix", "write_vector", "read_vector"]
 
@@ -50,18 +55,17 @@ def write_matrix(path, A) -> None:
 
 def _parse_block_tag(path, line: str):
     """Row and column block sizes: two nonempty lists of positive integers,
-    each list one size repeated."""
+    each list one size repeated. Each distinct word is checked once."""
     sizes = {}
     for field in line[len(_BLOCK_TAG) :].split():
         key, _, val = field.partition("=")
         words = val.split(",")
-        if key not in ("rows", "cols") or not all(map(str.isdecimal, words)):
+        distinct = set(words)
+        if key not in ("rows", "cols") or not all(map(str.isdecimal, distinct)) or not all(map(int, distinct)):
             raise ManifestError(f"{path}: malformed block-sizes field {field!r}")
-        sizes[key] = np.array(list(map(int, words)))
-        if not sizes[key].all():
-            raise ManifestError(f"{path}: malformed block-sizes field {field!r}")
-        if np.any(sizes[key] != sizes[key][0]):
+        if len(set(map(int, distinct))) > 1:
             raise ManifestError(f"{path}: mixed block sizes in {key}=, one size per matrix is supported")
+        sizes[key] = np.full(len(words), int(words[0]))
     if sizes.keys() != {"rows", "cols"}:
         raise ManifestError(f"{path}: malformed block-sizes line, rows= and cols= required: {line!r}")
     return sizes["rows"], sizes["cols"]
@@ -125,7 +129,8 @@ def read_matrix(path, shape=None):
         k += 1
     n_rows, n_cols, nnz = _size_line(path, lines, k, 3)
     if shape is not None and (n_rows, n_cols) != tuple(shape):
-        raise ManifestError(f"{path}: size line declares {n_rows} x {n_cols}, expected {shape[0]} x {shape[1]}")
+        want = " x ".join(shown(int(n)) for n in shape)
+        raise ManifestError(f"{path}: size line declares {n_rows} x {n_cols}, expected {want}")
     entries = _parse(path, lines[k + 1 : k + 1 + nnz], _ENTRY, "entry")
     if len(entries) != nnz:
         raise ManifestError(f"{path}: header declares {nnz} entries, file holds {len(entries)}")
@@ -134,34 +139,44 @@ def read_matrix(path, shape=None):
     rows, cols, vals = entries["row"] - 1, entries["col"] - 1, entries["val"]
     if nnz and (rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols):
         raise ManifestError(f"{path}: entry outside the declared {n_rows} x {n_cols} shape")
-    # Sort by (row, col); the sort is stable, so the last of repeated entries
-    # is the last in file order, and it is the one kept.
+    # Entries sorted by (row, col) with no repeats, as write_matrix leaves
+    # them, are taken as they are. Others are sorted; the sort is stable, so
+    # the last of repeated entries is the last in file order, and it is the
+    # one kept.
     key = rows * n_cols + cols
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    last = np.ones(len(key), dtype=bool)
-    last[:-1] = key[1:] != key[:-1]
-    order = order[last]
-    rows, cols, vals = rows[order], cols[order], vals[order]
+    if not np.all(key[1:] > key[:-1]):
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        last = np.ones(len(key), dtype=bool)
+        last[:-1] = key[1:] != key[:-1]
+        order = order[last]
+        rows, cols, vals = rows[order], cols[order], vals[order]
+    # scipy keeps int32 index arrays as given and scans int64 ones to
+    # narrow them; sizes that need int64 keep it.
+    index = np.int32 if max(n_rows, n_cols, nnz) < 2**31 else np.int64
     if block_sizes is None:
         row_ptr = np.searchsorted(rows, np.arange(n_rows + 1))
-        return scipy.sparse.csr_matrix((vals, cols, row_ptr), shape=(n_rows, n_cols))
-    return _entries_to_block(path, n_rows, n_cols, rows, cols, vals, *block_sizes)
+        return scipy.sparse.csr_matrix((vals, cols.astype(index), row_ptr.astype(index)), shape=(n_rows, n_cols))
+    return _entries_to_block(path, n_rows, n_cols, rows, cols, vals, *block_sizes, index)
 
 
-def _entries_to_block(path, n_rows, n_cols, rows, cols, vals, rbs, cbs):
+def _entries_to_block(path, n_rows, n_cols, rows, cols, vals, rbs, cbs, index):
     """BSR matrix from unique entries sorted by (row, col), its blocks filled
-    as one (count, r, c) array."""
+    as one (count, r, c) array. One stable sort by block orders the entries
+    block by block; the stored blocks are where the block changes."""
     r, c = int(rbs[0]), int(cbs[0])
     if len(rbs) * r != n_rows or len(cbs) * c != n_cols:
         raise ManifestError(f"{path}: block sizes inconsistent with matrix dimensions")
-    # Stored blocks in block-CSR order, and the block of each entry.
-    keys, block_of = np.unique(rows // r * len(cbs) + cols // c, return_inverse=True)
-    bi, bj = np.divmod(keys, len(cbs))
-    blocks = np.zeros((len(keys), r, c))
-    blocks[block_of, rows % r, cols % c] = vals
+    block = rows // r * len(cbs) + cols // c
+    order = np.argsort(block, kind="stable")
+    block = block[order]
+    first = np.ones(len(block), dtype=bool)
+    first[1:] = block[1:] != block[:-1]
+    bi, bj = np.divmod(block[first], len(cbs))
+    blocks = np.zeros((len(bi), r, c))
+    blocks.reshape(-1)[(np.cumsum(first) - 1) * (r * c) + (rows % r * c + cols % c)[order]] = vals[order]
     indptr = np.searchsorted(bi, np.arange(len(rbs) + 1))
-    return scipy.sparse.bsr_matrix((blocks, bj, indptr), shape=(n_rows, n_cols))
+    return scipy.sparse.bsr_matrix((blocks, bj.astype(index), indptr.astype(index)), shape=(n_rows, n_cols))
 
 
 def write_vector(path, v: np.ndarray) -> None:

@@ -129,12 +129,13 @@ class ShockTrackProblem1d:
         self.quad_pts = 0.5 * (t + 1.0)
         self.quad_wts = 0.5 * w
 
+        # One table per degree, at the quadrature points and the two element
+        # ends; Horner's rule is elementwise, so each point's values are those
+        # of a table of that point alone.
         self._basis: dict[int, _Basis] = {}
         for deg in {p, p + 1, q}:
-            V, D = _lagrange_tables(deg, self.quad_pts)
-            e0, _ = _lagrange_tables(deg, np.array([0.0]))
-            e1, _ = _lagrange_tables(deg, np.array([1.0]))
-            self._basis[deg] = _Basis(V, D, e0[0], e1[0])
+            V, D = _lagrange_tables(deg, np.concatenate([self.quad_pts, [0.0, 1.0]]))
+            self._basis[deg] = _Basis(V[:-2], D[:-2], V[-2], V[-1])
 
         self.reference_nodes = np.linspace(0.0, 1.0, self.dims.n_x)
         self.h0 = 1.0 / n_elem
@@ -749,7 +750,8 @@ CONFIG_CASTS = {
 
 def load_problem_config(path) -> GenerateConfig:
     """Parse the key = value problem config file (hash comments allowed); a
-    repeated key, or a value that its cast rejects, is named with its line."""
+    repeated key, an unknown key, or a value that its cast rejects, is named
+    with its file and line."""
     raw: dict[str, tuple[int, str]] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -768,7 +770,7 @@ def load_problem_config(path) -> GenerateConfig:
     kwargs = {}
     for key, (lineno, val) in raw.items():
         if key not in CONFIG_CASTS:
-            raise ValueError(f"unknown config key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
             kwargs[key] = CONFIG_CASTS[key](val)
         except ValueError as exc:

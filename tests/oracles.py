@@ -19,12 +19,16 @@ recomputed from the blocks, the MDF order from a per-row fill table with an
 argmin scan per step, the block and point ILU0 factors split into L and U
 through COO, tril and triu and a sum with the identity, the block and point
 IKJ loops with per-update lookups, the preconditioner apply through the
-transposed view of Jy, the mesh transfer Py built by a loop, the
-KKT matrix assembled by bmat's
-COO path, the reader with a second loadtxt and a reshape per block, the SQP
+transposed view of Jy, the mesh transfer Py built by a loop and the
+transfers stacked by block_diag, the
+KKT matrix assembled by bmat's COO path and by bmat of blocks each
+converted and transposed by scipy, Byy summed on CSC views, the reader
+with a second loadtxt and a reshape per block and the reader that sorted
+every file and found its blocks by np.unique, the SQP
 step solved on build_kkt's K, the point ILU0 solve through identity
 permutations, the step's product sums gathered from every row's full outer
-product, the residual and the Jacobian blocks of one test degree at a time)
+product, the residual and the Jacobian blocks of one test degree at a time,
+the basis tables of a degree built in three calls)
 do the same float operations in the same order as their
 replacements, so tests compare the two with np.array_equal.
 
@@ -71,7 +75,18 @@ from kktprecond.dgprecond import bilu0_blocks, mdf_order
 from kktprecond.errors import DimensionMismatch, KktPrecondError, ManifestError, SingularBlock, ZeroReference
 from kktprecond.kkt import reference_solution
 from kktprecond.krylov import EXACT_SOLUTION, PRECONDITIONED_RESIDUAL
-from kktprecond.mmio import _BLOCK_TAG, _ENTRY, _VALUE, _parse, _parse_block_tag
+from kktprecond.mmio import (
+    _BANNER,
+    _BLOCK_TAG,
+    _ENTRY,
+    _VALUE,
+    _check_banner,
+    _check_end,
+    _check_finite,
+    _parse,
+    _parse_block_tag,
+    _size_line,
+)
 from kktprecond.shocktrack import SHOCK_POSITION, DgState, SqpConfig, StepSystem, build_kkt, phi_map
 
 
@@ -639,6 +654,33 @@ def bmat_kkt(sys):
     return scipy.sparse.bmat(blocks, format="csc")
 
 
+def transposing_kkt(sys):
+    """KktSystem.K as it was: each block converted to CSR and transposed on
+    its own, stacked by bmat with an empty CSR zero block, rows sorted."""
+    dRdu = sys.dRdu.tocsr()
+    Ju = sys.Ju.tocsr()
+    dRdu_T = dRdu.T.tocsr()
+    buy = dRdu_T @ (sys.dRdx @ sys.dPhidy).tocsr()
+    zero = scipy.sparse.csr_matrix((sys.n_u, sys.n_u))
+    blocks = [
+        [dRdu_T @ dRdu, buy, Ju.T.tocsr()],
+        [buy.T.tocsr(), sys.Byy, sys.Jy.T.tocsr()],
+        [Ju, sys.Jy, zero],
+    ]
+    K = scipy.sparse.bmat(blocks, format="csr")
+    K.sort_indices()
+    return K
+
+
+def csc_view_assemble_Byy(sys):
+    """kkt.assemble_Byy as it was: the products and sums on CSC views of the
+    transposed factors."""
+    Ax, Rm, Phi = sys.dRdx, sys.dRmshdx, sys.dPhidy
+    Bxx = (Ax.T @ Ax) + sys.kappa**2 * (Rm.T @ Rm) + sys.gamma * sys.D
+    Byy = (Phi.T @ Bxx @ Phi).tocsr()
+    return 0.5 * (Byy + Byy.T)
+
+
 def kkt_sqp_step(problem, state):
     """The SQP step as build_kkt and kkt.reference_solution give it, the
     step that shocktrack.sqp_step assembled before it summed K and g from
@@ -650,6 +692,16 @@ def kkt_sqp_step(problem, state):
     rmsh, _ = shocktrack._distortion(problem, gx)
     nz = problem.dims.n_u + problem.dims.n_y
     return sol[:nz], sol[nz:], StepSystem(sys.K.tocsc(), sys.g, sys.r, R, rmsh)
+
+
+def three_table_basis(problem, degree: int):
+    """The basis tables (V, D, t0, t1) of one degree as the problem built
+    them before: one Lagrange table at the quadrature points and one more
+    at each element end, every polynomial built again for each."""
+    V, D = shocktrack._lagrange_tables(degree, problem.quad_pts)
+    e0, _ = shocktrack._lagrange_tables(degree, np.array([0.0]))
+    e1, _ = shocktrack._lagrange_tables(degree, np.array([1.0]))
+    return V, D, e0[0], e1[0]
 
 
 def single_degree_residual(problem, u, x, test_degree: int) -> np.ndarray:
@@ -767,6 +819,71 @@ def two_pass_read_matrix(path):
     row_ptr = np.searchsorted(bi, np.arange(len(rbs) + 1))
     data = np.array(blocks).reshape(len(blocks), rbs[0], cbs[0])
     return scipy.sparse.bsr_matrix((data, bj, row_ptr), shape=(n_rows, n_cols))
+
+
+def argsort_read_matrix(path, shape=None):
+    """mmio.read_matrix as it was: every file sorted by (row, col) with one
+    stable argsort, its block-sizes line parsed word by word, and its BSR
+    blocks found by np.unique and filled through three index arrays."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    _check_banner(path, lines, _BANNER)
+    block_sizes = None
+    k = 1
+    while k < len(lines) and lines[k].startswith("%"):
+        if lines[k].startswith(_BLOCK_TAG):
+            block_sizes = word_by_word_block_tag(path, lines[k])
+        k += 1
+    n_rows, n_cols, nnz = _size_line(path, lines, k, 3)
+    if shape is not None and (n_rows, n_cols) != tuple(shape):
+        raise ManifestError(f"{path}: size line declares {n_rows} x {n_cols}, expected {shape[0]} x {shape[1]}")
+    entries = _parse(path, lines[k + 1 : k + 1 + nnz], _ENTRY, "entry")
+    if len(entries) != nnz:
+        raise ManifestError(f"{path}: header declares {nnz} entries, file holds {len(entries)}")
+    _check_end(path, lines[k + 1 + nnz :])
+    _check_finite(path, entries["val"], "entry")
+    rows, cols, vals = entries["row"] - 1, entries["col"] - 1, entries["val"]
+    if nnz and (rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols):
+        raise ManifestError(f"{path}: entry outside the declared {n_rows} x {n_cols} shape")
+    key = rows * n_cols + cols
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    last = np.ones(len(key), dtype=bool)
+    last[:-1] = key[1:] != key[:-1]
+    order = order[last]
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    if block_sizes is None:
+        row_ptr = np.searchsorted(rows, np.arange(n_rows + 1))
+        return scipy.sparse.csr_matrix((vals, cols, row_ptr), shape=(n_rows, n_cols))
+    rbs, cbs = block_sizes
+    r, c = int(rbs[0]), int(cbs[0])
+    if len(rbs) * r != n_rows or len(cbs) * c != n_cols:
+        raise ManifestError(f"{path}: block sizes inconsistent with matrix dimensions")
+    keys, block_of = np.unique(rows // r * len(cbs) + cols // c, return_inverse=True)
+    bi, bj = np.divmod(keys, len(cbs))
+    blocks = np.zeros((len(keys), r, c))
+    blocks[block_of, rows % r, cols % c] = vals
+    indptr = np.searchsorted(bi, np.arange(len(rbs) + 1))
+    return scipy.sparse.bsr_matrix((blocks, bj, indptr), shape=(n_rows, n_cols))
+
+
+def word_by_word_block_tag(path, line: str):
+    """mmio._parse_block_tag as it was: every size word checked and
+    converted."""
+    sizes = {}
+    for field in line[len(_BLOCK_TAG) :].split():
+        key, _, val = field.partition("=")
+        words = val.split(",")
+        if key not in ("rows", "cols") or not all(map(str.isdecimal, words)):
+            raise ManifestError(f"{path}: malformed block-sizes field {field!r}")
+        sizes[key] = np.array(list(map(int, words)))
+        if not sizes[key].all():
+            raise ManifestError(f"{path}: malformed block-sizes field {field!r}")
+        if np.any(sizes[key] != sizes[key][0]):
+            raise ManifestError(f"{path}: mixed block sizes in {key}=, one size per matrix is supported")
+    if sizes.keys() != {"rows", "cols"}:
+        raise ManifestError(f"{path}: malformed block-sizes line, rows= and cols= required: {line!r}")
+    return sizes["rows"], sizes["cols"]
 
 
 def two_pass_read_vector(path):

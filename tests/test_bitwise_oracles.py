@@ -4,6 +4,7 @@ Each kernel keeps the float operations of its oracle in `oracles.py` and
 their order, so every comparison here is np.array_equal, never a tolerance.
 """
 
+import dataclasses
 import os
 
 import numpy as np
@@ -17,17 +18,19 @@ from kktprecond import shocktrack
 from kktprecond.blocklinalg import first_singular, getrf, triangular_split
 from kktprecond.conprec import CATALOG, build_at_preconditioner, point_ilu0_factor, point_ilu0_values
 from kktprecond.dgprecond import bilu0_blocks, mdf_order
-from kktprecond.errors import SingularBlock
-from kktprecond.kkt import SystemDims, kkt_matvec, reference_solution
+from kktprecond.errors import ManifestError, SingularBlock
+from kktprecond.kkt import SystemDims, assemble_Byy, kkt_matvec, reference_solution
 from kktprecond.manifest import export_system
-from kktprecond.mmio import read_matrix, read_vector, write_matrix
+from kktprecond.mmio import _parse_block_tag, read_matrix, read_vector, write_matrix
 from kktprecond.pmultigrid import assemble_coarse
 from kktprecond.shocktrack import ShockTrackProblem1d, build_kkt, dg_residual, initial_state, phi_map
 from kktprecond.stencil import generate_stencil_system
 from oracles import (
+    argsort_read_matrix,
     bmat_kkt,
     coo_block_split,
     coo_block_to_scipy,
+    csc_view_assemble_Byy,
     dense_lu_factor,
     fill_table_mdf_order,
     five_step_apply,
@@ -45,9 +48,12 @@ from oracles import (
     sliced_coarse_matrix,
     single_degree_jacobian,
     single_degree_residual,
+    three_table_basis,
+    transposing_kkt,
     tril_point_split,
     two_pass_read_matrix,
     two_pass_read_vector,
+    word_by_word_block_tag,
 )
 from test_compiled_factors import dominant_block_matrices
 from test_mmio import sparse_or_block_matrices
@@ -519,3 +525,165 @@ def test_shared_residual_pass_matches_one_degree_at_a_time(p, q, source_on):
         assert np.array_equal(_bits(R), _bits(single_degree_residual(prob, u, x, degree)))
         want = single_degree_jacobian(prob, u[prob.elem_u], gx, degree)
         assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(block, want))
+
+
+def _same_layout(X, Y) -> bool:
+    """Same type, block shape, index dtypes, index arrays and data bits."""
+    return (
+        _same_matrix(X, Y)
+        and X.indptr.dtype == Y.indptr.dtype
+        and X.indices.dtype == Y.indices.dtype
+        and X.data.dtype == Y.data.dtype
+    )
+
+
+@pytest.mark.parametrize("n_elem", [1, 2, 3, 8, 64])
+@pytest.mark.parametrize("p, q", [(0, 1), (1, 1), (2, 2), (3, 1), (1, 3), (2, 4)])
+def test_transfers_keep_the_block_diag_layout(n_elem, p, q):
+    # The arrays, their index dtypes and the sorted flag of the block_diag
+    # construction in the looped oracle.
+    for got, want in zip(SystemDims(n_elem, p, q).transfers(), looped_transfers(n_elem, p, q)):
+        assert _same_layout(got, want) and got.has_sorted_indices == want.has_sorted_indices
+
+
+@pytest.fixture(scope="module")
+def catalog64_systems(prob64, states64):
+    return [build_kkt(prob64, states64[k]) for k in (1, 3, 5)]
+
+
+def _variants(sys):
+    """The system with its own weights, with kappa, gamma or both zero, and
+    with a dPhidy of random values and extra entries, whose products round
+    (the mesh map's own dPhidy only selects nodes, so products with it are
+    exact)."""
+    weights = ((0.0, sys.gamma), (sys.kappa, 0.0), (0.0, 0.0))
+    extra = scipy.sparse.random(*sys.dPhidy.shape, density=0.3, format="csr", random_state=7)
+    rng = np.random.default_rng(7)
+    phi = (sys.dPhidy.multiply(rng.uniform(0.5, 2.0, sys.dPhidy.shape)) + extra).tocsr()
+    return [sys, dataclasses.replace(sys, dPhidy=phi)] + [
+        dataclasses.replace(sys, kappa=kappa, gamma=gamma) for kappa, gamma in weights
+    ]
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_byy_matches_csc_view_assembly(name, request):
+    for sys in _variants(request.getfixturevalue(name)):
+        got, want = assemble_Byy(sys), csc_view_assemble_Byy(sys)
+        assert _same_layout(got, want) and got.has_canonical_format == want.has_canonical_format
+        assert _same_arrays(sys.Byy, want)
+
+
+def test_byy_matches_csc_view_assembly_on_catalog_states(catalog64_systems):
+    for sys in catalog64_systems:
+        assert _same_layout(assemble_Byy(sys), csc_view_assemble_Byy(sys))
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_kkt_matrix_matches_transposing_assembly(name, request):
+    for sys in _variants(request.getfixturevalue(name)):
+        K = sys.K
+        assert _same_layout(K, transposing_kkt(sys)) and K.has_canonical_format
+        assert _same_arrays(K.tocsc(), bmat_kkt(sys))
+
+
+def test_kkt_matrix_matches_transposing_assembly_on_catalog_states(catalog64_systems):
+    for sys in catalog64_systems:
+        assert _same_layout(sys.K, transposing_kkt(sys))
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_reader_matches_argsort_reader_on_exported_systems(name, request, tmp_path):
+    # sys8_zero_coupling stores all-zero dRdu blocks.
+    export_system(request.getfixturevalue(name), tmp_path)
+    for fname in sorted(os.listdir(tmp_path)):
+        if fname.endswith(".mtx") and fname not in ("g.mtx", "r.mtx"):
+            path = tmp_path / fname
+            assert _same_layout(read_matrix(path), argsort_read_matrix(path))
+
+
+def test_reader_matches_argsort_reader_on_signed_zeros_out_of_order(sys8_k1, tmp_path):
+    # Every third value of each exported factor is made -0 and every fifth
+    # 0, and the entry lines are reversed, so the general path sorts them.
+    export_system(sys8_k1, tmp_path)
+    for fname in sorted(os.listdir(tmp_path)):
+        if not fname.endswith(".mtx") or fname in ("g.mtx", "r.mtx"):
+            continue
+        path = tmp_path / fname
+        lines = path.read_text().splitlines()
+        k = 2 if lines[1].startswith("%%block-sizes") else 1
+        entries = [line.split() for line in lines[k + 1 :]]
+        for i, words in enumerate(entries):
+            words[2] = "-0" if i % 3 == 0 else "0" if i % 5 == 0 else words[2]
+        path.write_text("\n".join(lines[: k + 1] + [" ".join(words) for words in reversed(entries)]) + "\n")
+        got, want = read_matrix(path), argsort_read_matrix(path)
+        assert _same_layout(got, want) and np.signbit(got.data).any()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sparse_or_block_matrices(), st.integers(0, 2**32 - 1), st.booleans())
+def test_reader_matches_argsort_reader_on_shuffled_repeated_entries(tmp_path_factory, A, seed, shuffle):
+    # Block shapes drawn per matrix, entries in file order or shuffled, and
+    # then some entries repeated later in the file with other values (the
+    # last one wins).
+    path = tmp_path_factory.mktemp("shuffled") / "a.mtx"
+    write_matrix(path, A)
+    lines = path.read_text().splitlines()
+    k = 2 if isinstance(A, scipy.sparse.bsr_matrix) else 1
+    rng = np.random.default_rng(seed)
+    entries = lines[k + 1 :]
+    if shuffle:
+        entries = [entries[i] for i in rng.permutation(len(entries))]
+        for i in rng.integers(0, len(entries), len(entries) // 2) if entries else []:
+            row, col, _ = entries[i].split()
+            entries.append(f"{row} {col} {rng.standard_normal()!r}")
+    n_rows, n_cols, _ = lines[k].split()
+    path.write_text("\n".join(lines[:k] + [f"{n_rows} {n_cols} {len(entries)}"] + entries) + "\n")
+    assert _same_layout(read_matrix(path), argsort_read_matrix(path))
+
+
+def _same_block_tag_parse(line):
+    """Same sizes, or the same error text, as the parse that checked and
+    converted every word."""
+    try:
+        want = word_by_word_block_tag("a.mtx", line)
+    except ManifestError as exc:
+        with pytest.raises(ManifestError) as got:
+            _parse_block_tag("a.mtx", line)
+        assert str(got.value) == str(exc)
+        return
+    got = _parse_block_tag("a.mtx", line)
+    assert all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    ["rows=3,03 cols=2", "rows=3,3 cols=\u0663", "rows=3,0 cols=2", "rows=3,4 cols=2", "rows=x cols=2", "rows= cols=2"]
+    + ["rows=2", "row=2 cols=2", "rows=2,2 cols=1 rows=1,2"],
+)
+def test_block_tag_parse_matches_word_by_word_parse_on_edge_lines(sizes):
+    _same_block_tag_parse(f"%%block-sizes {sizes}")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["rows", "cols", "row", ""]),
+            st.lists(
+                st.sampled_from(["1", "2", "3", "0", "00", "03", "x", "", "-1", "\u0663"]), min_size=1, max_size=5
+            ),
+        ),
+        max_size=3,
+    )
+)
+def test_block_tag_parse_matches_word_by_word_parse(fields):
+    _same_block_tag_parse("%%block-sizes " + " ".join(f"{key}={','.join(words)}" for key, words in fields))
+
+
+@pytest.mark.parametrize("p, q", [(0, 1), (1, 1), (1, 2), (2, 2), (3, 1), (3, 2)])
+def test_basis_tables_match_three_table_oracle(p, q):
+    problem = ShockTrackProblem1d(n_elem=4, p=p, q=q)
+    for degree in {p, p + 1, q}:
+        basis = problem.basis(degree)
+        for got, want in zip((basis.V, basis.D, basis.t0, basis.t1), three_table_basis(problem, degree)):
+            assert got.shape == want.shape and np.array_equal(_bits(got), _bits(want))

@@ -516,6 +516,14 @@ def test_cli_generate_names_the_line_and_key_of_a_rejected_value(tmp_path, capsy
     assert sqp_calls == [] and not (tmp_path / "out").exists()
 
 
+def test_cli_generate_names_the_file_and_line_of_an_unknown_key(tmp_path, capsys, sqp_calls):
+    cfg = write_config(tmp_path, "n_elem = 8\n# the degree key is p\norder = 3\n")
+    assert main(["generate", cfg, str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {cfg}:3: unknown config key 'order'\n"
+    assert sqp_calls == [] and not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("where", ["sweep", "manifest"])
 def test_a_value_no_float_holds_gives_one_short_error_line(sys8_k1, tmp_path, capsys, monkeypatch, where):
     """The JSON type rule shows a bounded prefix of the value it rejects, not
@@ -535,6 +543,39 @@ def test_a_value_no_float_holds_gives_one_short_error_line(sys8_k1, tmp_path, ca
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("error:") == 1 and err.count("\n") == 1
     assert len(err) < 120 and "invalid kappa" in err and "10000" in err
+
+
+def _drop_stated_sizes(manifest):
+    for key in ("n_u", "n_u_enriched", "n_x", "n_y"):
+        del manifest["dimensions"][key]
+
+
+@pytest.mark.parametrize(
+    "edit, shown",
+    [
+        (lambda m: m.update(version=10**400), "unsupported manifest version 10000000000000000000..."),
+        (lambda m: m.update(state_index=-(10**400)), "state_index -1000000000000000000... must be nonnegative"),
+        (lambda m: m["dimensions"].update(n_y=10**400), "dimension n_y=10000000000000000000... inconsistent"),
+        (
+            lambda m: (_drop_stated_sizes(m), m["dimensions"].update(n_elem=10**400)),
+            "expected 20000000000000000000... x 20000000000000000000...",
+        ),
+    ],
+    ids=["version", "state_index", "stated-dimension", "n_elem"],
+)
+def test_a_huge_manifest_integer_gives_one_short_error_line(sys8_k1, tmp_path, capsys, monkeypatch, edit, shown):
+    """A manifest integer that json_value accepts is shown as a bounded
+    prefix in the message that rejects it, not with its 401 digits (the
+    matrix file's path aside)."""
+    monkeypatch.chdir(tmp_path)
+    export_system(sys8_k1, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    edit(manifest)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["solve", "manifest.json", "--precond", "A0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("error:") == 1 and err.count("\n") == 1
+    assert len(err.replace(str(tmp_path), "")) < 120 and shown in err
 
 
 @pytest.mark.parametrize("text", ["n_elem = 0\n", "q = 3\n", "p = -1\n"], ids=["n_elem-0", "q-3", "p-negative"])
