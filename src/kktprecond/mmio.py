@@ -14,10 +14,9 @@ Values are printed with 17 significant digits, which round-trips IEEE doubles
 exactly. The readers reject nan and infinite values with a ManifestError
 that names the file.
 
-read_matrix parses the entry lines with one np.loadtxt call. Entries that
-are sorted by (row, col) with no repeats, as write_matrix leaves them, are
-used in file order; any other file takes the general path, one stable sort
-that also keeps the last of repeated entries. Both give the same arrays.
+read_matrix parses the entry lines with one np.loadtxt call and orders them
+with one stable sort by (row, col), which also keeps the last of repeated
+entries.
 """
 
 from __future__ import annotations
@@ -130,27 +129,24 @@ def read_matrix(path, shape=None):
     n_rows, n_cols, nnz = _size_line(path, lines, k, 3)
     if shape is not None and (n_rows, n_cols) != tuple(shape):
         want = " x ".join(shown(int(n)) for n in shape)
-        raise ManifestError(f"{path}: size line declares {n_rows} x {n_cols}, expected {want}")
+        raise ManifestError(f"{path}: size line declares {shown(n_rows)} x {shown(n_cols)}, expected {want}")
     entries = _parse(path, lines[k + 1 : k + 1 + nnz], _ENTRY, "entry")
     if len(entries) != nnz:
-        raise ManifestError(f"{path}: header declares {nnz} entries, file holds {len(entries)}")
+        raise ManifestError(f"{path}: header declares {shown(nnz)} entries, file holds {len(entries)}")
     _check_end(path, lines[k + 1 + nnz :])
     _check_finite(path, entries["val"], "entry")
     rows, cols, vals = entries["row"] - 1, entries["col"] - 1, entries["val"]
     if nnz and (rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols):
-        raise ManifestError(f"{path}: entry outside the declared {n_rows} x {n_cols} shape")
-    # Entries sorted by (row, col) with no repeats, as write_matrix leaves
-    # them, are taken as they are. Others are sorted; the sort is stable, so
-    # the last of repeated entries is the last in file order, and it is the
-    # one kept.
+        raise ManifestError(f"{path}: entry outside the declared {shown(n_rows)} x {shown(n_cols)} shape")
+    # Sort by (row, col); the sort is stable, so the last of repeated entries
+    # is the last in file order, and it is the one kept.
     key = rows * n_cols + cols
-    if not np.all(key[1:] > key[:-1]):
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        last = np.ones(len(key), dtype=bool)
-        last[:-1] = key[1:] != key[:-1]
-        order = order[last]
-        rows, cols, vals = rows[order], cols[order], vals[order]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    last = np.ones(len(key), dtype=bool)
+    last[:-1] = key[1:] != key[:-1]
+    order = order[last]
+    rows, cols, vals = rows[order], cols[order], vals[order]
     # scipy keeps int32 index arrays as given and scans int64 ones to
     # narrow them; sizes that need int64 keep it.
     index = np.int32 if max(n_rows, n_cols, nnz) < 2**31 else np.int64

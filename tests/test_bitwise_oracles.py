@@ -603,7 +603,7 @@ def test_reader_matches_argsort_reader_on_exported_systems(name, request, tmp_pa
 
 def test_reader_matches_argsort_reader_on_signed_zeros_out_of_order(sys8_k1, tmp_path):
     # Every third value of each exported factor is made -0 and every fifth
-    # 0, and the entry lines are reversed, so the general path sorts them.
+    # 0, and the entry lines are reversed, so the sort reorders them.
     export_system(sys8_k1, tmp_path)
     for fname in sorted(os.listdir(tmp_path)):
         if not fname.endswith(".mtx") or fname in ("g.mtx", "r.mtx"):

@@ -550,27 +550,39 @@ def _drop_stated_sizes(manifest):
         del manifest["dimensions"][key]
 
 
+def _set_size_field(path, field, value):
+    """Replace one field of a matrix file's size line."""
+    lines = path.read_text().splitlines()
+    k = next(i for i, line in enumerate(lines) if not line.startswith("%"))
+    words = lines[k].split()
+    words[field] = str(value)
+    lines[k] = " ".join(words)
+    path.write_text("\n".join(lines) + "\n")
+
+
 @pytest.mark.parametrize(
     "edit, shown",
     [
-        (lambda m: m.update(version=10**400), "unsupported manifest version 10000000000000000000..."),
-        (lambda m: m.update(state_index=-(10**400)), "state_index -1000000000000000000... must be nonnegative"),
-        (lambda m: m["dimensions"].update(n_y=10**400), "dimension n_y=10000000000000000000... inconsistent"),
+        (lambda m, d: m.update(version=10**400), "unsupported manifest version 10000000000000000000..."),
+        (lambda m, d: m.update(state_index=-(10**400)), "state_index -1000000000000000000... must be nonnegative"),
+        (lambda m, d: m["dimensions"].update(n_y=10**400), "dimension n_y=10000000000000000000... inconsistent"),
         (
-            lambda m: (_drop_stated_sizes(m), m["dimensions"].update(n_elem=10**400)),
+            lambda m, d: (_drop_stated_sizes(m), m["dimensions"].update(n_elem=10**400)),
             "expected 20000000000000000000... x 20000000000000000000...",
         ),
+        (lambda m, d: _set_size_field(d / "ju.mtx", 0, 10**400), "size line declares 10000000000000000000... x "),
+        (lambda m, d: _set_size_field(d / "dRdu.mtx", 2, 10**400), "header declares 10000000000000000000... entries"),
     ],
-    ids=["version", "state_index", "stated-dimension", "n_elem"],
+    ids=["version", "state_index", "stated-dimension", "n_elem", "size-line-rows", "size-line-entries"],
 )
 def test_a_huge_manifest_integer_gives_one_short_error_line(sys8_k1, tmp_path, capsys, monkeypatch, edit, shown):
-    """A manifest integer that json_value accepts is shown as a bounded
-    prefix in the message that rejects it, not with its 401 digits (the
-    matrix file's path aside)."""
+    """An integer of the manifest or of a matrix file's size line is shown as
+    a bounded prefix in the message that rejects it, not with its 401 digits
+    (the matrix file's path aside)."""
     monkeypatch.chdir(tmp_path)
     export_system(sys8_k1, tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    edit(manifest)
+    edit(manifest, tmp_path)
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     assert main(["solve", "manifest.json", "--precond", "A0"]) == 2
     out, err = capsys.readouterr()

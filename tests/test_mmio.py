@@ -192,6 +192,16 @@ def test_block_reader_rejects_entry_outside_shape(tmp_path, entry):
         read_matrix(path)
 
 
+def test_reader_bounds_a_huge_declared_size_in_its_message(tmp_path):
+    # The size line is outside input; a 401-digit row count is shown as a
+    # prefix in the message that rejects an entry, not in full.
+    path = tmp_path / "o.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate real general\n{10**400} 2 1\n0 1 1.0\n")
+    with pytest.raises(ManifestError) as exc:
+        read_matrix(path)
+    assert str(exc.value) == f"{path}: entry outside the declared 10000000000000000000... x 2 shape"
+
+
 def test_reader_rejects_truncated_entry_list(tmp_path):
     path = tmp_path / "t.mtx"
     write_block_file(path, [(1, 1, 1.0), (2, 2, 2.0)])
