@@ -1,6 +1,7 @@
-"""Dense-block kernels, the Factor type that every Ju~ / Byy~ approximation
-is (SuperLU's solve of a sparse LU, or triangular sweeps compiled by
-triangular_sweep), and the canonical forms of the sparse matrices.
+"""The pivot test of dense block LUs, the Factor type that every Ju~ / Byy~
+approximation is (SuperLU's solve of a sparse LU, or triangular sweeps
+compiled by triangular_sweep), and the canonical forms of the sparse
+matrices.
 
 Matrices whose block structure the preconditioners use (the DG Jacobians Ju
 and dRdu) are scipy BSR matrices with one block row per element, kept
@@ -14,20 +15,17 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import DimensionMismatch, PatternViolation, SingularBlock
 
 __all__ = [
-    "BlockLuFactor",
     "Factor",
     "block_rows",
     "check_trans",
     "checked_splu",
     "first_singular",
-    "getrf",
     "sparse_lu",
     "triangular_split",
     "triangular_sweep",
@@ -42,50 +40,20 @@ def check_trans(trans: str) -> None:
         raise ValueError(f"trans must be 'N' or 'T', got {trans!r}")
 
 
-@dataclass
-class BlockLuFactor:
-    """In-place LU with partial pivoting of one square dense block, as LAPACK
-    getrf leaves it (0-based pivots)."""
-
-    lu_entries: np.ndarray
-    pivots: np.ndarray
-
-    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
-        """Solve A x = b, or A^T x = b for trans="T", for a vector or a matrix
-        of right-hand sides, by LAPACK getrs."""
-        check_trans(trans)
-        b = np.asarray(b, dtype=float)
-        if b.ndim not in (1, 2) or b.shape[0] != len(self.pivots):
-            raise DimensionMismatch(f"right-hand side {b.shape} incompatible with block of order {len(self.pivots)}")
-        if b.size == 0:
-            return np.empty_like(b)
-        x, info = scipy.linalg.lapack.dgetrs(self.lu_entries, self.pivots, b, trans=int(trans == "T"))
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of getrs")
-        return x
-
-
-def getrf(block: np.ndarray) -> BlockLuFactor:
-    """LAPACK getrf of one square dense block, with no pivot test (see
-    first_singular)."""
-    lu, piv, info = scipy.linalg.lapack.dgetrf(block)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of getrf")
-    return BlockLuFactor(lu, piv)
-
-
-def first_singular(blocks: np.ndarray, factors: list[BlockLuFactor]) -> tuple[int, str] | None:
+def first_singular(blocks: np.ndarray, lu_entries: np.ndarray | list[np.ndarray]) -> tuple[int, str] | None:
     """Position and description of the first near-singular block of a
-    (count, s, s) stack, found by one vectorized test over all of them, or
-    None.
+    (count, s, s) stack, given the LU entries LAPACK getrf left for each
+    (a stack of the same shape, or a list of s x s arrays), found by one
+    vectorized test over all of them, or None.
 
     A pivot smaller than 1e-14 times the largest initial entry magnitude of
     its block is treated as singular so downstream solves fail loudly instead
     of emitting NaNs; an exactly zero pivot, which getrf reports, is one of
-    these.
+    these. The pivots are read through one strided view of the stacked
+    entries.
     """
     scale = np.abs(blocks).max(axis=(1, 2))
-    pivots = np.abs(np.array([np.diagonal(f.lu_entries) for f in factors]))
+    pivots = np.abs(np.diagonal(np.reshape(lu_entries, blocks.shape), axis1=1, axis2=2))
     bad = np.flatnonzero((scale == 0.0) | np.any(pivots < 1e-14 * scale[:, None], axis=1))
     if not len(bad):
         return None

@@ -171,11 +171,11 @@ def apply_at_inverse(P: AtPreconditioner, v: np.ndarray) -> np.ndarray:
     v1 = v[:n_u]
     v2 = v[n_u : n_u + n_y]
     v3 = v[n_u + n_y :]
-    w1 = P.ju.solve(v1, trans="T")
+    w1 = P.ju.apply_T(v1)
     t2 = P.Jy_T @ w1
-    w2 = P.byy.solve(v2 - t2)
+    w2 = P.byy.apply(v2 - t2)
     t3 = P.Jy @ w2
-    w3 = P.ju.solve(v3 - t3)
+    w3 = P.ju.apply(v3 - t3)
     return np.concatenate([w3, w2, w1])
 
 

@@ -14,22 +14,15 @@ SuperLU's solve with its LU of U_blk and a scatter back.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs
 
-from .blocklinalg import (
-    BlockLuFactor,
-    Factor,
-    block_rows,
-    canonical_bsr,
-    first_singular,
-    getrf,
-    triangular_split,
-    triangular_sweep,
-)
+from .blocklinalg import Factor, block_rows, canonical_bsr, first_singular, triangular_split, triangular_sweep
 from .errors import DimensionMismatch, SingularBlock, SingularPivotBlock
 
 __all__ = [
@@ -66,27 +59,28 @@ def _diagonal_positions(A) -> tuple[np.ndarray, int]:
     return stored[:first_missing], first_missing
 
 
-def _diag_lus(A) -> list[BlockLuFactor]:
-    """LU factors of the diagonal blocks of A, one getrf call each and one
-    pivot check for all; raises SingularBlock for the first block row whose
-    diagonal block is missing or singular."""
+def _diag_lus(A) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The (nb, s, s) stack of the diagonal blocks of A and their LU factors
+    (lu, piv), one LAPACK dgetrf call each and one pivot check for all;
+    raises SingularBlock for the first block row whose diagonal block is
+    missing or singular."""
     stored, first_missing = _diagonal_positions(A)
     blocks = A.data[stored]
-    factors = [getrf(blk) for blk in blocks]
-    bad = first_singular(blocks, factors)
+    factors = [dgetrf(blk)[:2] for blk in blocks]
+    bad = first_singular(blocks, [lu for lu, _ in factors])
     if bad:
         raise SingularBlock(f"block row {bad[0]}: {bad[1]}")
     if first_missing < len(A.indptr) - 1:
         raise SingularBlock(f"block row {first_missing}: diagonal block missing from pattern")
-    return factors
+    return blocks, factors
 
 
 def build_block_jacobi(A) -> Factor:
     """Invert every diagonal block of the square BSR matrix A, after the
     pivot check of their LU factors; a solve is one sparse product."""
     A = _square_bsr(A)
-    nb, s = len(_diag_lus(A)), A.blocksize[0]
-    inv = np.linalg.inv(A.data[_diagonal_positions(A)[0]])
+    diag, _ = _diag_lus(A)
+    (nb, s, _), inv = diag.shape, np.linalg.inv(diag)
     # Row a of block m holds inv[m, a, :] at the point columns of block m.
     cols = np.broadcast_to(np.arange(nb * s).reshape(nb, 1, s), inv.shape).ravel()
     indptr = np.arange(0, nb * s * s + 1, s)
@@ -103,11 +97,11 @@ def _fill_terms(A) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     not stored, listed by k, then i ascending, then j in column order.
 
     The pattern is never augmented, so the table is static. Each A_kk^-1 A_kj
-    is its own getrs call, the products are one batched matmul and each
+    is its own dgetrs call, the products are one batched matmul and each
     squared norm is the pairwise np.sum over the flattened fill block, the
     floats of one product and one np.sum per term.
     """
-    diag_lus = _diag_lus(A)
+    _, diag_lus = _diag_lus(A)
     n, s = len(A.indptr) - 1, A.blocksize[0]
     rows, cols = block_rows(A.indptr), A.indices.astype(np.int64)
     outs = np.flatnonzero(rows != cols)
@@ -130,7 +124,7 @@ def _fill_terms(A) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     solved_at, which = np.unique(kj, return_inverse=True)
     # getrs returns Fortran-ordered blocks; the stack keeps that layout, so
     # each product is the same gemm call as ik @ akj on one block.
-    solved = [diag_lus[k].solve(A.data[t]).T for k, t in zip(rows[solved_at].tolist(), solved_at.tolist())]
+    solved = [dgetrs(*diag_lus[k], A.data[t])[0].T for k, t in zip(rows[solved_at].tolist(), solved_at.tolist())]
     solved = np.array(solved).reshape(len(solved_at), s, s).transpose(0, 2, 1)
     fill = np.matmul(A.data[ik], solved[which])
     norms = np.sum((fill * fill).reshape(len(fill), s * s), axis=1)
@@ -184,7 +178,7 @@ def mdf_order(A) -> MdfOrdering:
         for t in range(bounds[k], bounds[k + 1]):
             if alive[ti[t]] and alive[tj[t]]:
                 total += f[t]
-        return float(np.sqrt(total))
+        return math.sqrt(total)
 
     keys = [_heap_key(w, k) for k, w in enumerate(weights)]
     heap = keys.copy()
@@ -243,31 +237,31 @@ def bilu0_blocks(A, order: np.ndarray) -> scipy.sparse.bsr_matrix:
     work = _permuted_copy(A, order)
     diag_pos, first_missing = _diagonal_positions(work)
     diag_pos = diag_pos.tolist()
-    diag_lu: list[BlockLuFactor] = []
     row_ptr = work.indptr.tolist()
     col_idx = work.indices.tolist()
+    # Views of the blocks: the elimination writes its results in place.
     blocks = list(work.data)
+    lus, pivs = [], []
     # The pivots are checked once, after the elimination: what a singular
     # pivot does to the rows after it is discarded with the factors.
     with np.errstate(all="ignore"):
         for i in range(first_missing):
             lo, hi = row_ptr[i], row_ptr[i + 1]
             where = dict(zip(col_idx[lo:hi], range(lo, hi)))
-            for t in range(lo, hi):
+            # Row i's blocks left of its diagonal; for each, row k's right of k's.
+            for t in range(lo, diag_pos[i]):
                 k = col_idx[t]
-                if k >= i:
-                    break
                 # L_ik = A_ik U_kk^-1, computed via the transposed pivot solve.
-                lik = diag_lu[k].solve(blocks[t].T, trans="T").T
-                blocks[t] = lik
-                for koff in range(row_ptr[k], row_ptr[k + 1]):
-                    j = col_idx[koff]
-                    if j > k and j in where:
-                        blocks[where[j]] = blocks[where[j]] - lik @ blocks[koff]
-            diag_lu.append(getrf(blocks[diag_pos[i]]))
-    # The reshape gives an empty list the (0, s, s) shape of no blocks.
-    work.data[:] = np.reshape(blocks, work.data.shape)
-    bad = first_singular(work.data[diag_pos], diag_lu)
+                lik = dgetrs(lus[k], pivs[k], blocks[t].T, trans=1)[0].T
+                blocks[t][...] = lik
+                for koff in range(diag_pos[k] + 1, row_ptr[k + 1]):
+                    w = where.get(col_idx[koff])
+                    if w is not None:
+                        blocks[w] -= lik @ blocks[koff]
+            lu, piv, _ = dgetrf(blocks[diag_pos[i]])
+            lus.append(lu)
+            pivs.append(piv)
+    bad = first_singular(work.data[diag_pos], lus)
     if bad:
         raise SingularPivotBlock(f"step {bad[0]}: {bad[1]}")
     if first_missing < len(order):

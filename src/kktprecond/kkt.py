@@ -297,9 +297,13 @@ def kkt_matvec(sys: KktSystem, v):
 def reference_solution(sys: KktSystem) -> np.ndarray:
     """Solution of the KKT system by one sparse direct solve.
 
-    SuperLU factors the CSC form of the system's cached matrix K, the one
-    kkt_matvec multiplies by, through blocklinalg.checked_splu. Raises
-    SingularSystem where a pivot is zero or below its relative threshold.
+    SuperLU factors the system's cached matrix K, the one kkt_matvec
+    multiplies by, through blocklinalg.checked_splu. K is exactly symmetric
+    by construction (B_uu and Byy are symmetric products and sums, and K
+    mirrors B_uy, Ju and Jy entry by entry), so its CSR arrays are its CSC
+    arrays, and K.T, the CSC matrix on them, is K without a conversion.
+    Raises SingularSystem where a pivot is zero or below its relative
+    threshold.
     """
-    lu = checked_splu(sys.K.tocsc(), SingularSystem, f"KKT matrix of dimension {sys.dimension}")
+    lu = checked_splu(sys.K.T, SingularSystem, f"KKT matrix of dimension {sys.dimension}")
     return lu.solve(sys.rhs())

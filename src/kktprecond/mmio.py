@@ -115,8 +115,10 @@ def read_matrix(path, shape=None):
     as a canonical BSR matrix if the file carries a block-sizes line. Of
     repeated (row, col) entries the last in the file wins. A size line other
     than the expected shape, if one is given, is rejected before anything is
-    allocated for it. A non-blank line after the declared entries and a
-    value that is nan or infinite are errors."""
+    allocated for it; without one, a shape whose row-major entry keys do
+    not fit int64 is rejected before any array is sized from it. A
+    non-blank line after the declared entries and a value that is nan or
+    infinite are errors."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     _check_banner(path, lines, _BANNER)
@@ -138,6 +140,9 @@ def read_matrix(path, shape=None):
     rows, cols, vals = entries["row"] - 1, entries["col"] - 1, entries["val"]
     if nnz and (rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols):
         raise ManifestError(f"{path}: entry outside the declared {shown(n_rows)} x {shown(n_cols)} shape")
+    # The sort key row * n_cols + col and the index arrays are int64.
+    if max(n_rows, 1) * max(n_cols, 1) >= 2**63:
+        raise ManifestError(f"{path}: size line declares {shown(n_rows)} x {shown(n_cols)}, past the int64 index range")
     # Sort by (row, col); the sort is stable, so the last of repeated entries
     # is the last in file order, and it is the one kept.
     key = rows * n_cols + cols
@@ -190,7 +195,7 @@ def read_vector(path) -> np.ndarray:
     with open(path) as fh:
         lines = fh.read().splitlines()
     _check_banner(path, lines, _BANNER_ARRAY)
-    lines = [ln for ln in lines[1:] if ln and not ln.startswith("%")]
+    lines = [ln for ln in lines[1:] if ln and ln[0] != "%"]
     n, m = _size_line(path, lines, 0, 2)
     if m != 1:
         raise ManifestError(f"{path}: expected a single-column vector, got {m} columns")

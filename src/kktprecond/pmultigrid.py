@@ -51,6 +51,6 @@ def pmg_apply(A, coarse: CoarseSystem, smoother: Callable[[np.ndarray], np.ndarr
     b = np.asarray(b, dtype=float)
     if b.shape != (A.dimension,):
         raise DimensionMismatch(f"vector length {b.shape} incompatible with dimension {A.dimension}")
-    s = coarse.P @ coarse.lu.solve(coarse.Q @ b)
+    s = coarse.P @ coarse.lu.apply(coarse.Q @ b)
     s = s + smoother(b - A.apply(s))
     return s

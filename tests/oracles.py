@@ -14,9 +14,12 @@ functions compute: the blocks of dgprecond.bilu0_blocks in MDF order, and
 the values of conprec.point_ilu0_values, read in the pattern of the Byy
 they factor.
 
-The replaced kernels (scipy's lu_factor / lu_solve wrappers, MDF weights
+The replaced kernels (scipy's lu_factor / lu_solve wrappers, the getrf /
+BlockLuFactor.solve wrappers of one block's LAPACK getrf / getrs with their
+checks, MDF weights
 recomputed from the blocks, the MDF order from a per-row fill table with an
-argmin scan per step, the block and point ILU0 factors split into L and U
+argmin scan per step, the block ILU0 elimination through those wrappers,
+the block and point ILU0 factors split into L and U
 through COO, tril and triu and a sum with the identity, the block and point
 IKJ loops with per-update lookups, the preconditioner apply through the
 transposed view of Jy, the mesh transfer Py built by a loop and the
@@ -28,7 +31,9 @@ every file and found its blocks by np.unique, the SQP
 step solved on build_kkt's K, the point ILU0 solve through identity
 permutations, the step's product sums gathered from every row's full outer
 product, the residual and the Jacobian blocks of one test degree at a time,
-the basis tables of a degree built in three calls)
+the basis tables of a degree built in three calls, the preconditioner
+cycle reaching every factor through Factor.solve, the reference solve of
+K.tocsc())
 do the same float operations in the same order as their
 replacements, so tests compare the two with np.array_equal.
 
@@ -43,7 +48,8 @@ convergence measure of a candidate GMRES solution, evaluated from scratch;
 the generic constrained preconditioner [[G, Jt^T], [Jt, 0]] applied in dense
 product form, with the SingularSchurComplement it raises; the checked dense
 LU of one block (dense_lu_factor) and the exact dense-inverse preconditioner
-built on it (lu_preconditioner), a LinearOperator, the tests' record of an
+built on it (lu_preconditioner), a Factor on scipy's dense LU for
+hand-built preconditioners (dense_factor), a LinearOperator, the tests' record of an
 ad-hoc operator; the symbolic block sparsity accounting of acceptance
 criterion 7 (ata_pattern, count_block_sparsity); and the
 shock-tracking problem oracles: the exact profile, the tracked optimum,
@@ -55,24 +61,27 @@ linearizes at a point (u, y).
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse
 
 from kktprecond import shocktrack
-from kktprecond.blocklinalg import (
-    BlockLuFactor,
-    Factor,
-    first_singular,
-    getrf,
-    sparse_lu,
-    triangular_sweep,
-)
+from kktprecond.blocklinalg import Factor, check_trans, checked_splu, first_singular, sparse_lu, triangular_sweep
 from kktprecond.conprec import _VARIANT_TABLE, point_ilu0_values
-from kktprecond.dgprecond import bilu0_blocks, mdf_order
-from kktprecond.errors import DimensionMismatch, KktPrecondError, ManifestError, SingularBlock, ZeroReference
+from kktprecond.dgprecond import _diagonal_positions, _permuted_copy, _square_bsr, bilu0_blocks, mdf_order
+from kktprecond.errors import (
+    DimensionMismatch,
+    KktPrecondError,
+    ManifestError,
+    SingularBlock,
+    SingularPivotBlock,
+    SingularSystem,
+    ZeroReference,
+)
 from kktprecond.kkt import reference_solution
 from kktprecond.krylov import EXACT_SOLUTION, PRECONDITIONED_RESIDUAL
 from kktprecond.mmio import (
@@ -465,6 +474,49 @@ def fill_table_mdf_order(A):
     return order, selected
 
 
+def per_block_bilu0_blocks(A, order):
+    """dgprecond.bilu0_blocks with every pivot block factored by getrf and
+    every L_ik solved through BlockLuFactor.solve, each row k's blocks
+    scanned from its first, every updated block a new array, and the blocks
+    reshaped back into the permuted copy."""
+    A = _square_bsr(A)
+    order = np.asarray(order)
+    n = len(A.indptr) - 1
+    if not (
+        order.shape == (n,) and np.issubdtype(order.dtype, np.integer) and np.array_equal(np.sort(order), np.arange(n))
+    ):
+        raise ValueError(f"order must be an integer permutation of the block rows 0..{n - 1}")
+    work = _permuted_copy(A, order)
+    diag_pos, first_missing = _diagonal_positions(work)
+    diag_pos = diag_pos.tolist()
+    diag_lu = []
+    row_ptr = work.indptr.tolist()
+    col_idx = work.indices.tolist()
+    blocks = list(work.data)
+    with np.errstate(all="ignore"):
+        for i in range(first_missing):
+            lo, hi = row_ptr[i], row_ptr[i + 1]
+            where = dict(zip(col_idx[lo:hi], range(lo, hi)))
+            for t in range(lo, hi):
+                k = col_idx[t]
+                if k >= i:
+                    break
+                lik = diag_lu[k].solve(blocks[t].T, trans="T").T
+                blocks[t] = lik
+                for koff in range(row_ptr[k], row_ptr[k + 1]):
+                    j = col_idx[koff]
+                    if j > k and j in where:
+                        blocks[where[j]] = blocks[where[j]] - lik @ blocks[koff]
+            diag_lu.append(getrf(blocks[diag_pos[i]]))
+    work.data[:] = np.reshape(blocks, work.data.shape)
+    bad = first_singular(work.data[diag_pos], [f.lu_entries for f in diag_lu])
+    if bad:
+        raise SingularPivotBlock(f"step {bad[0]}: {bad[1]}")
+    if first_missing < len(order):
+        raise SingularPivotBlock(f"step {first_missing}: diagonal block missing from permuted pattern")
+    return work
+
+
 def coo_block_split(F):
     """CSC L_blk (strict lower blocks plus the identity) and U_blk (blocks on
     and above the diagonal) of the block ILU0 blocks F, through F's COO
@@ -584,6 +636,26 @@ def five_step_apply(P, sys, v):
     return s + bare(v - K @ s), A0
 
 
+def factor_solve_apply(P, v):
+    """A catalog preconditioner's M^-1 v with every factor, the coarse LU
+    included, reached through Factor.solve and its checks, as the cycle
+    called them before it called apply and apply_T directly."""
+    v = np.asarray(v, dtype=float)
+    n_u, n_y = P.ju.n, P.byy.n
+
+    def bare(b):
+        w1 = P.ju.solve(b[:n_u], trans="T")
+        w2 = P.byy.solve(b[n_u : n_u + n_y] - P.Jy_T @ w1)
+        w3 = P.ju.solve(b[n_u + n_y :] - P.Jy @ w2)
+        return np.concatenate([w3, w2, w1])
+
+    if P.multigrid is None:
+        return bare(v)
+    sys, coarse = P.multigrid
+    s = coarse.P @ coarse.lu.solve(coarse.Q @ v)
+    return s + bare(v - sys.apply(s))
+
+
 def per_block_pivot_check(blocks, factors):
     """Position of the first block that first_singular's per-block test
     rejects, or None."""
@@ -679,6 +751,13 @@ def csc_view_assemble_Byy(sys):
     Bxx = (Ax.T @ Ax) + sys.kappa**2 * (Rm.T @ Rm) + sys.gamma * sys.D
     Byy = (Phi.T @ Bxx @ Phi).tocsr()
     return 0.5 * (Byy + Byy.T)
+
+
+def tocsc_reference_solution(sys):
+    """reference_solution with SuperLU given K.tocsc(), the transposition
+    that K's exact symmetry makes an identity."""
+    lu = checked_splu(sys.K.tocsc(), SingularSystem, f"KKT matrix of dimension {sys.dimension}")
+    return lu.solve(sys.rhs())
 
 
 def kkt_sqp_step(problem, state):
@@ -975,6 +1054,39 @@ def generic_constrained_inverse(G: np.ndarray, Jt: np.ndarray, v: np.ndarray) ->
 # Dense LU and sparsity accounting -------------------------------------------
 
 
+@dataclass
+class BlockLuFactor:
+    """In-place LU with partial pivoting of one square dense block, as LAPACK
+    getrf leaves it (0-based pivots): the wrapper through which the MDF and
+    block ILU0 loops reached getrs before they called dgetrs directly."""
+
+    lu_entries: np.ndarray
+    pivots: np.ndarray
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        """Solve A x = b, or A^T x = b for trans="T", for a vector or a matrix
+        of right-hand sides, by LAPACK getrs."""
+        check_trans(trans)
+        b = np.asarray(b, dtype=float)
+        if b.ndim not in (1, 2) or b.shape[0] != len(self.pivots):
+            raise DimensionMismatch(f"right-hand side {b.shape} incompatible with block of order {len(self.pivots)}")
+        if b.size == 0:
+            return np.empty_like(b)
+        x, info = scipy.linalg.lapack.dgetrs(self.lu_entries, self.pivots, b, trans=int(trans == "T"))
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of getrs")
+        return x
+
+
+def getrf(block: np.ndarray) -> BlockLuFactor:
+    """LAPACK getrf of one square dense block, with no pivot test (see
+    first_singular)."""
+    lu, piv, info = scipy.linalg.lapack.dgetrf(block)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrf")
+    return BlockLuFactor(lu, piv)
+
+
 def dense_lu_factor(block: np.ndarray) -> BlockLuFactor:
     """Factor one dense block as PA = LU by LAPACK getrf, rejecting
     near-singular blocks as first_singular does."""
@@ -984,7 +1096,7 @@ def dense_lu_factor(block: np.ndarray) -> BlockLuFactor:
     if not block.size:
         return BlockLuFactor(np.empty_like(block), np.arange(0, dtype=np.int32))
     lu = getrf(block)
-    bad = first_singular(block[None], [lu])
+    bad = first_singular(block[None], [lu.lu_entries])
     if bad:
         raise SingularBlock(bad[1])
     return lu
@@ -1006,6 +1118,13 @@ def lu_preconditioner(M) -> LinearOperator:
     raises SingularBlock."""
     lu = dense_lu_factor(M)
     return LinearOperator(lu.lu_entries.shape[0], lu.solve)
+
+
+def dense_factor(A) -> Factor:
+    """A Factor solving with scipy's dense LU of A, for preconditioners
+    assembled by hand from dense pieces."""
+    lu = scipy.linalg.lu_factor(np.asarray(A, dtype=float))
+    return Factor(len(A), partial(scipy.linalg.lu_solve, lu), partial(scipy.linalg.lu_solve, lu, trans=1))
 
 
 def ata_pattern(A) -> scipy.sparse.csr_matrix:

@@ -38,6 +38,7 @@ from oracles import (
     ata_pattern,
     bilu_matrix,
     count_block_sparsity,
+    dense_factor,
     dense_kkt,
     densify_at_matrix,
     distortion,
@@ -58,17 +59,6 @@ def announce(capsys):
         assert ok, f"criterion {num} failed: {detail}"
 
     return _announce
-
-
-class _DenseLu:
-    """solve(v, trans=...) facade over a dense LU for hand-built fixtures."""
-
-    def __init__(self, A):
-        self._lu = scipy.linalg.lu_factor(np.asarray(A, dtype=float))
-        self.n = len(A)
-
-    def solve(self, v, trans="N"):
-        return scipy.linalg.lu_solve(self._lu, v, trans=1 if trans == "T" else 0)
 
 
 def test_criterion_01_application_matches_dense_oracle(sys16_k1, announce):
@@ -117,8 +107,8 @@ def test_criterion_03_scalar_five_step_value(announce):
     Byy=[5], v=(2,5,4) returns (1.4, 0.4, 1.0) to 1e-14."""
     prec = AtPreconditioner(
         variant="A0",
-        ju=_DenseLu([[2.0]]),
-        byy=_DenseLu([[5.0]]),
+        ju=dense_factor([[2.0]]),
+        byy=dense_factor([[5.0]]),
         Jy=scipy.sparse.csr_matrix(np.array([[3.0]])),
     )
     got = apply_at_inverse(prec, np.array([2.0, 5.0, 4.0]))

@@ -6,6 +6,7 @@ their order, so every comparison here is np.array_equal, never a tolerance.
 
 import dataclasses
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,31 +15,44 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kktprecond import shocktrack
-from kktprecond.blocklinalg import first_singular, getrf, triangular_split
+from kktprecond import conprec, dgprecond, shocktrack
+from kktprecond.blocklinalg import first_singular, triangular_split
 from kktprecond.conprec import CATALOG, build_at_preconditioner, point_ilu0_factor, point_ilu0_values
-from kktprecond.dgprecond import bilu0_blocks, mdf_order
-from kktprecond.errors import ManifestError, SingularBlock
+from kktprecond.dgprecond import MdfOrdering, bilu0_blocks, mdf_order
+from kktprecond.errors import KktPrecondError, ManifestError, SingularBlock
 from kktprecond.kkt import SystemDims, assemble_Byy, kkt_matvec, reference_solution
+from kktprecond.krylov import EXACT_SOLUTION, GmresConfig, gmres_solve
 from kktprecond.manifest import export_system
 from kktprecond.mmio import _parse_block_tag, read_matrix, read_vector, write_matrix
 from kktprecond.pmultigrid import assemble_coarse
-from kktprecond.shocktrack import ShockTrackProblem1d, build_kkt, dg_residual, initial_state, phi_map
+from kktprecond.shocktrack import (
+    ShockTrackProblem1d,
+    SqpConfig,
+    build_kkt,
+    dg_residual,
+    initial_state,
+    phi_map,
+    run_sqp,
+)
 from kktprecond.stencil import generate_stencil_system
 from oracles import (
+    LinearOperator,
     argsort_read_matrix,
     bmat_kkt,
     coo_block_split,
     coo_block_to_scipy,
     csc_view_assemble_Byy,
     dense_lu_factor,
+    factor_solve_apply,
     fill_table_mdf_order,
     five_step_apply,
+    getrf,
     ikj_bilu_blocks,
     ikj_point_ilu0_values,
     looped_transfers,
     nine_product_matvec,
     outer_product_row_sums,
+    per_block_bilu0_blocks,
     per_block_pivot_check,
     permuted_point_ilu0_factor,
     recomputing_mdf_order,
@@ -49,6 +63,7 @@ from oracles import (
     single_degree_jacobian,
     single_degree_residual,
     three_table_basis,
+    tocsc_reference_solution,
     transposing_kkt,
     tril_point_split,
     two_pass_read_matrix,
@@ -411,7 +426,7 @@ def block_batches(draw):
 def test_vectorized_pivot_check_matches_per_block_check(blocks):
     factors = [getrf(b) for b in blocks]
     want = per_block_pivot_check(blocks, factors)
-    bad = first_singular(blocks, factors)
+    bad = first_singular(blocks, [f.lu_entries for f in factors])
     if want is None:
         assert bad is None
         return
@@ -687,3 +702,130 @@ def test_basis_tables_match_three_table_oracle(p, q):
         basis = problem.basis(degree)
         for got, want in zip((basis.V, basis.D, basis.t0, basis.t1), three_table_basis(problem, degree)):
             assert got.shape == want.shape and np.array_equal(_bits(got), _bits(want))
+
+
+def _outcome(build):
+    """build()'s result, or the type and message of the error it raised: a
+    package error, or SuperLU's RuntimeError on an exactly singular factor."""
+    try:
+        return build()
+    except (KktPrecondError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def degree_systems(sys8_k1, sys16_k1):
+    """State-1 systems whose Ju blocks have sizes 1 to 4: p = 0, 1, 2, 3."""
+
+    def first_step(n_elem, p, q):
+        prob = ShockTrackProblem1d(n_elem=n_elem, p=p, q=q)
+        return build_kkt(prob, run_sqp(prob, SqpConfig(max_iters=1))[1])
+
+    return {0: first_step(32, 0, 1), 1: sys8_k1, 2: sys16_k1, 3: first_step(16, 3, 1)}
+
+
+def _same_bilu_as_per_block_path(A):
+    """The MDF order and weights, the bilu0_blocks data, and L and U against
+    the per-block path (getrf and BlockLuFactor.solve per block), bit for
+    bit; a singular pivot must raise the same error on both."""
+    order = _same_mdf(A).order
+    got = _outcome(lambda: bilu0_blocks(A, order))
+    want = _outcome(lambda: per_block_bilu0_blocks(A, order))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+    assert np.array_equal(_bits(got.data), _bits(want.data))
+    split = triangular_split(got.data, got.indices, got.indptr)
+    for g, w in zip(split, triangular_split(want.data, want.indices, want.indptr), strict=True):
+        _same_csc(g, w)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_bilu_matches_per_block_path_on_systems(p, degree_systems):
+    Ju = degree_systems[p].Ju
+    assert Ju.blocksize == (p + 1, p + 1)
+    _same_bilu_as_per_block_path(Ju)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_bilu_matches_per_block_path_on_stencils(seed, block):
+    _same_bilu_as_per_block_path(scaled_stencil(seed, 6, block))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["nan", "inf", "-inf", "zero", "ties"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bilu_matches_per_block_path_on_perturbed_stencils(seed, kind):
+    _same_bilu_as_per_block_path(perturbed_stencil(seed, kind))
+
+
+def _per_block_build(monkeypatch, build):
+    """build() with MDF ordered by the per-block fill table and block ILU0
+    factored by the per-block loop."""
+    with monkeypatch.context() as m:
+        m.setattr(dgprecond, "bilu0_blocks", per_block_bilu0_blocks)
+        m.setattr(conprec, "mdf_order", lambda A: MdfOrdering(*fill_table_mdf_order(A)))
+        m.setattr(dgprecond, "mdf_order", lambda A: MdfOrdering(*fill_table_mdf_order(A)))
+        return build()
+
+
+def _same_report(got, want):
+    """Two GMRES outcomes alike: the same package error, or the same
+    iterations, stop, history, solution and residuals, bit for bit."""
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert (got.iterations, got.converged, got.stop_reason) == (want.iterations, want.converged, want.stop_reason)
+    for g, w in ((got.history, want.history), (got.solution, want.solution)):
+        assert np.array_equal(_bits(g), _bits(w))
+    assert np.array_equal(_bits([got.criterion, got.true_residual]), _bits([want.criterion, want.true_residual]))
+
+
+@pytest.mark.parametrize("variant", CATALOG)
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_catalog_gmres_reports_match_per_block_path(p, variant, degree_systems, monkeypatch):
+    # The new builds and the cycle that calls apply / apply_T against the
+    # per-block builds applied through Factor.solve, over whole solves.
+    sys = degree_systems[p]
+    cfg = GmresConfig(tol=1e-3, max_iters=1000, criterion=EXACT_SOLUTION, reference=reference_solution(sys))
+    new = build_at_preconditioner(sys, variant)
+    old = _per_block_build(monkeypatch, lambda: build_at_preconditioner(sys, variant))
+    want = gmres_solve(sys, sys.rhs(), LinearOperator(old.dimension, partial(factor_solve_apply, old)), cfg)
+    assert want.converged
+    _same_report(gmres_solve(sys, sys.rhs(), new, cfg), want)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["nan", "inf", "-inf", "zero", "ties", "none"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_block_factor_gmres_reports_match_per_block_path_on_perturbed_stencils(seed, kind, monkeypatch):
+    # GMRES on the stencil itself, with block Jacobi or block ILU0 in MDF
+    # order as M, applied through apply against the per-block build's solve.
+    A = scaled_stencil(seed) if kind == "none" else perturbed_stencil(seed, kind)
+    operator = LinearOperator(A.shape[0], A.dot)
+    b = np.random.default_rng(seed).standard_normal(A.shape[0])
+    cfg = GmresConfig(tol=1e-10, max_iters=200)
+    for build in (dgprecond.build_block_jacobi, lambda A: dgprecond.bilu0_factor(A, dgprecond.mdf_order(A))):
+        new = _outcome(lambda: build(A))
+        old = _per_block_build(monkeypatch, lambda: _outcome(lambda: build(A)))
+        if isinstance(old, tuple):
+            assert new == old
+            continue
+        want = _outcome(lambda: gmres_solve(operator, b, LinearOperator(old.n, old.solve), cfg))
+        _same_report(_outcome(lambda: gmres_solve(operator, b, LinearOperator(new.n, new.apply), cfg)), want)
+
+
+@pytest.mark.parametrize("case", [(8, 1, 1), (16, 2, 2), (5, 0, 1), (7, 3, 2), (64, 2, 2)])
+def test_reference_solve_factors_k_without_a_transposition(case, prob64, states64):
+    # K is exactly symmetric, so K.T, the CSC matrix on K's own arrays, is
+    # K.tocsc() array for array, and the reference solution keeps its bits;
+    # (64, 2, 2) is the catalog's run.
+    prob = prob64 if case == (64, 2, 2) else ShockTrackProblem1d(*case)
+    for state in states64 if case == (64, 2, 2) else run_sqp(prob, SqpConfig()):
+        sys = build_kkt(prob, state)
+        K_T, C = sys.K.T, sys.K.tocsc()
+        _same_csc(K_T, C)
+        assert np.array_equal(_bits(K_T.data), _bits(C.data))
+        assert np.array_equal(_bits(reference_solution(sys)), _bits(tocsc_reference_solution(sys)))

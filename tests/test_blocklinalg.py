@@ -5,11 +5,11 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from kktprecond.blocklinalg import canonical_bsr, sparse_lu
+from kktprecond.blocklinalg import canonical_bsr, first_singular, sparse_lu
 from kktprecond.errors import DimensionMismatch, PatternViolation, SingularBlock
 from kktprecond.pmultigrid import assemble_coarse
 from kktprecond.stencil import generate_stencil_system
-from oracles import dense_lu_factor
+from oracles import dense_lu_factor, getrf
 
 
 def bsr(blocks, indices, indptr, n_block_cols):
@@ -233,3 +233,15 @@ def test_block_to_scipy_without_stored_blocks():
     assert S.shape == (5, 4)
     assert S.nnz == 0
     np.testing.assert_array_equal(S.toarray(), np.zeros((5, 4)))
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_first_singular_rejects_pivots_below_1e_14_of_the_largest_entry(stacked):
+    # A pivot of 2e-14 passes in a block whose largest entry is 1, and fails
+    # where it is 4; the LU entries may come as a list or as one stack.
+    blocks = np.array([np.diag([1.0, 2e-14]), np.diag([2e-14, 1.0]), np.diag([4.0, 2e-14])])
+    lu_entries = [getrf(block).lu_entries for block in blocks]
+    if stacked:
+        lu_entries = np.array(lu_entries)
+    assert first_singular(blocks, lu_entries) == (2, "pivot below 1e-14 relative threshold (scale 4)")
+    assert first_singular(blocks[:2], lu_entries[:2]) is None

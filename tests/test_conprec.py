@@ -38,6 +38,7 @@ from oracles import (
     LinearOperator,
     SingularSchurComplement,
     byy_matrix,
+    dense_factor,
     densify_at_matrix,
     generic_constrained_inverse,
     ju_matrix,
@@ -55,25 +56,14 @@ def point(arr):
     return scipy.sparse.csr_matrix(np.asarray(arr, dtype=float))
 
 
-class DenseLu:
-    """solve(v, trans=...) facade over a dense LU, for hand-built fixtures."""
-
-    def __init__(self, A):
-        self._lu = scipy.linalg.lu_factor(np.asarray(A, dtype=float))
-        self.n = len(A)
-
-    def solve(self, v, trans="N"):
-        return scipy.linalg.lu_solve(self._lu, v, trans=1 if trans == "T" else 0)
-
-
 def manual_at(Ju, Byy, Jy):
     """Exact-solve AtPreconditioner assembled directly from dense pieces."""
     Ju = np.asarray(Ju, dtype=float)
     Byy = np.asarray(Byy, dtype=float)
     return AtPreconditioner(
         variant="A0",
-        ju=DenseLu(Ju),
-        byy=DenseLu(Byy),
+        ju=dense_factor(Ju),
+        byy=dense_factor(Byy),
         Jy=scipy.sparse.csr_matrix(np.asarray(Jy, dtype=float)),
     )
 
@@ -314,6 +304,21 @@ def test_catalog64_iteration_counts_are_pinned(state, prob64, states64):
 def _first_step_system(n_elem, p, q):
     prob = ShockTrackProblem1d(n_elem=n_elem, p=p, q=q)
     return build_kkt(prob, run_sqp(prob, SqpConfig(max_iters=1))[1])
+
+
+# The same counts on the 1x1-block path: state 1 of n_elem=32, p=0, q=1, in
+# CATALOG order. The *-p0 variants restrict to degree 0, the whole space, so
+# their coarse solve is exact. tier1.yml pins them again through the console
+# script.
+PINNED_P0_ITERATIONS = [3, 67, 15, 61, 3, 1, 1, 1]
+
+
+def test_catalog_iteration_counts_are_pinned_at_p0():
+    sys = _first_step_system(32, 0, 1)
+    assert sys.Ju.blocksize == (1, 1)
+    results = [count_iterations(sys, variant) for variant in CATALOG]
+    assert all(converged for _, converged in results)
+    assert [iters for iters, _ in results] == PINNED_P0_ITERATIONS
 
 
 @pytest.mark.parametrize("name", ["sys8_k1", "sys16_k1", "n32_p0_q1", "n16_p3_q1"])

@@ -202,6 +202,39 @@ def test_reader_bounds_a_huge_declared_size_in_its_message(tmp_path):
     assert str(exc.value) == f"{path}: entry outside the declared 10000000000000000000... x 2 shape"
 
 
+@pytest.mark.parametrize(
+    "size_line", [f"{10**400} 2 1", f"2 {10**400} 1", f"{2**40} {2**40} 1"], ids=["rows", "cols", "product"]
+)
+def test_reader_without_shape_rejects_a_size_line_past_int64_keys(tmp_path, size_line):
+    # Without an expected shape, a size line whose row-major entry keys do
+    # not fit int64 is one short ManifestError, raised before any array is
+    # sized from it (a bare ValueError, OverflowError or an 8 TiB MemoryError
+    # before).
+    path = tmp_path / "o.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate real general\n{size_line}\n1 1 1.0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ManifestError, match="past the int64 index range") as exc:
+            read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert len(str(exc.value)) < len(str(path)) + 100
+
+
+def test_reader_without_shape_takes_keys_up_to_the_int64_limit(tmp_path):
+    # One row of 2**63 - 1 columns keeps every key below 2**63; one more
+    # column does not.
+    path = tmp_path / "edge.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate real general\n1 {2**63 - 1} 1\n1 {2**63 - 1} 2.5\n")
+    A = read_matrix(path)
+    assert A.shape == (1, 2**63 - 1) and A.indices.tolist() == [2**63 - 2] and A.data.tolist() == [2.5]
+    path.write_text(f"%%MatrixMarket matrix coordinate real general\n1 {2**63} 1\n1 1 2.5\n")
+    with pytest.raises(ManifestError, match="past the int64 index range"):
+        read_matrix(path)
+
+
 def test_reader_rejects_truncated_entry_list(tmp_path):
     path = tmp_path / "t.mtx"
     write_block_file(path, [(1, 1, 1.0), (2, 2, 2.0)])
@@ -281,6 +314,33 @@ def test_reader_rejects_malformed_size_line(tmp_path, size_line):
 def test_vector_reader_rejects_malformed_lines(tmp_path, text):
     path = tmp_path / "v.mtx"
     path.write_text("%%MatrixMarket matrix array real general\n" + text)
+    with pytest.raises(ManifestError):
+        read_vector(path)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("% note\n\n3 1\n%\n1.5\n\n%% 9.0\n-2.0\n%4.0\n3.0\n\n", [1.5, -2.0, 3.0]),
+        ("%\n%%\n2 1\n0.5\n%%MatrixMarket matrix array real general\n-0.0\n", [0.5, -0.0]),
+        ("0 1\n\n%\n", []),
+    ],
+)
+def test_vector_reader_skips_comment_and_blank_lines(tmp_path, text, want):
+    # Every line that starts with % and every empty line is skipped, wherever
+    # it stands; the rest are the size line and the values.
+    path = tmp_path / "c.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n" + text)
+    got = read_vector(path)
+    assert np.array_equal(got.view(np.int64), np.array(want, dtype=float).view(np.int64))
+
+
+@pytest.mark.parametrize("line", [" % indented", " ", "\t"])
+def test_vector_reader_keeps_lines_that_only_look_skippable(tmp_path, line):
+    # A % after a blank is not a comment, and a line of white space is not
+    # empty: each is read as a value, and rejected as one.
+    path = tmp_path / "c.mtx"
+    path.write_text(f"%%MatrixMarket matrix array real general\n2 1\n1.0\n{line}\n2.0\n")
     with pytest.raises(ManifestError):
         read_vector(path)
 
