@@ -157,19 +157,13 @@ def mdf_order(A) -> MdfOrdering:
     A = _square_bsr(A)
     n = len(A.indptr) - 1
     k_of, i_of, j_of, norms = _fill_terms(A)
-    count = np.bincount(k_of, minlength=n)
-    start = np.cumsum(count) - count
-    # Every row's first weight, its terms added in table order across rows.
-    totals = np.zeros(n)
-    for t in range(count.max(initial=0)):
-        has = np.flatnonzero(count > t)
-        totals[has] += norms[start[has] + t]
-    weights = np.sqrt(totals).tolist()
+    # Every row's first weight, its terms added from 0.0 in table order.
+    weights = np.sqrt(np.bincount(k_of, weights=norms, minlength=n)).tolist()
     # The rows whose weight drops a term when row r is eliminated.
     pairs = np.unique(np.concatenate([i_of, j_of]) * n + np.concatenate([k_of, k_of]))
     dep_ptr = np.searchsorted(pairs // n, np.arange(n + 1)).tolist()
     dependents = (pairs % n).tolist()
-    bounds = np.append(start, len(norms)).tolist()
+    bounds = np.searchsorted(k_of, np.arange(n + 1)).tolist()
     ti, tj, f = i_of.tolist(), j_of.tolist(), norms.tolist()
     alive = [True] * n
 

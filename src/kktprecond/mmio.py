@@ -115,10 +115,9 @@ def read_matrix(path, shape=None):
     as a canonical BSR matrix if the file carries a block-sizes line. Of
     repeated (row, col) entries the last in the file wins. A size line other
     than the expected shape, if one is given, is rejected before anything is
-    allocated for it; without one, a shape whose row-major entry keys do
-    not fit int64 is rejected before any array is sized from it. A
-    non-blank line after the declared entries and a value that is nan or
-    infinite are errors."""
+    allocated for it, and so is a size-line integer of 2**31 or more: the
+    index arrays are int32. A non-blank line after the declared entries and
+    a value that is nan or infinite are errors."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     _check_banner(path, lines, _BANNER)
@@ -140,9 +139,9 @@ def read_matrix(path, shape=None):
     rows, cols, vals = entries["row"] - 1, entries["col"] - 1, entries["val"]
     if nnz and (rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols):
         raise ManifestError(f"{path}: entry outside the declared {shown(n_rows)} x {shown(n_cols)} shape")
-    # The sort key row * n_cols + col and the index arrays are int64.
-    if max(n_rows, 1) * max(n_cols, 1) >= 2**63:
-        raise ManifestError(f"{path}: size line declares {shown(n_rows)} x {shown(n_cols)}, past the int64 index range")
+    if max(n_rows, n_cols, nnz) >= 2**31:
+        sizes = " ".join(shown(n) for n in (n_rows, n_cols, nnz))
+        raise ManifestError(f"{path}: size line {sizes} is past the int32 index range")
     # Sort by (row, col); the sort is stable, so the last of repeated entries
     # is the last in file order, and it is the one kept.
     key = rows * n_cols + cols
@@ -153,15 +152,14 @@ def read_matrix(path, shape=None):
     order = order[last]
     rows, cols, vals = rows[order], cols[order], vals[order]
     # scipy keeps int32 index arrays as given and scans int64 ones to
-    # narrow them; sizes that need int64 keep it.
-    index = np.int32 if max(n_rows, n_cols, nnz) < 2**31 else np.int64
+    # narrow them.
     if block_sizes is None:
         row_ptr = np.searchsorted(rows, np.arange(n_rows + 1))
-        return scipy.sparse.csr_matrix((vals, cols.astype(index), row_ptr.astype(index)), shape=(n_rows, n_cols))
-    return _entries_to_block(path, n_rows, n_cols, rows, cols, vals, *block_sizes, index)
+        return scipy.sparse.csr_matrix((vals, cols.astype(np.int32), row_ptr.astype(np.int32)), shape=(n_rows, n_cols))
+    return _entries_to_block(path, n_rows, n_cols, rows, cols, vals, *block_sizes)
 
 
-def _entries_to_block(path, n_rows, n_cols, rows, cols, vals, rbs, cbs, index):
+def _entries_to_block(path, n_rows, n_cols, rows, cols, vals, rbs, cbs):
     """BSR matrix from unique entries sorted by (row, col), its blocks filled
     as one (count, r, c) array. One stable sort by block orders the entries
     block by block; the stored blocks are where the block changes."""
@@ -177,7 +175,7 @@ def _entries_to_block(path, n_rows, n_cols, rows, cols, vals, rbs, cbs, index):
     blocks = np.zeros((len(bi), r, c))
     blocks.reshape(-1)[(np.cumsum(first) - 1) * (r * c) + (rows % r * c + cols % c)[order]] = vals[order]
     indptr = np.searchsorted(bi, np.arange(len(rbs) + 1))
-    return scipy.sparse.bsr_matrix((blocks, bj.astype(index), indptr.astype(index)), shape=(n_rows, n_cols))
+    return scipy.sparse.bsr_matrix((blocks, bj.astype(np.int32), indptr.astype(np.int32)), shape=(n_rows, n_cols))
 
 
 def write_vector(path, v: np.ndarray) -> None:

@@ -20,8 +20,9 @@ weight g = dG/dX and the node positions themselves. The enriched residual
 and the SQP driver solves the saddle-point step system by one sparse direct
 (SuperLU) factorization, recording every linearization state for the
 benchmark harness. Each step sums its matrix K and gradient g from the
-element blocks into a pattern built once per problem (assemble_step), bit
-for bit the K and g of build_kkt, which systems for export still use.
+element blocks into a pattern built once per problem (assemble_step), each
+product entry's terms added in scipy's order by one np.bincount, bit for
+bit the K and g of build_kkt, which systems for export still use.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ class ShockTrackProblem1d:
 
     @cached_property
     def step_pattern(self) -> _StepPattern:
-        """The pattern and term tables of every SQP step system, built on the
+        """The pattern and term lists of every SQP step system, built on the
         first step."""
         return _StepPattern(self)
 
@@ -458,19 +459,17 @@ def initial_state(
 
 
 def _row_sum_terms(cols: np.ndarray, n_rows: int, nz: int):
-    """Pairs (I, J) and the factor positions of the sums S_IJ = sum_r A[r, I] A[r, J].
+    """Pairs (I, J) and the terms of the sums S_IJ = sum_r A[r, I] A[r, J].
 
     A's rows come in groups of n_rows, one per element; cols[e, c] is the
     global column of local column c in group e, or -1 for none. The pairs
     are every I <= J < nz, and every (I, nz), that share a group, sorted by
-    (I, J). Term t of pair k is A.flat[left[t, k]] * A.flat[right[t, k]],
-    with A of shape (groups, n_rows, width) padded by the zero group that
-    _row_sums appends: shared groups in ascending order, then the rows of
-    each, so ascending global row r; a pair with fewer shared groups is
-    padded by terms in the zero group. Both int32 tables have shape
-    (slots * n_rows, pairs).
+    (I, J). Term t is A.flat[left[t]] * A.flat[right[t]] of pair pair[t],
+    with A of shape (groups, n_rows, width); each pair's terms are
+    contiguous, its shared groups in ascending order and then the rows of
+    each, so ascending global row r. left and right are int32, pair intp.
     """
-    n_groups, width = cols.shape
+    width = cols.shape[1]
     ok = (cols[:, :, None] >= 0) & (cols[:, :, None] <= cols[:, None, :]) & (cols[:, :, None] < nz)
     g, c1, c2 = np.nonzero(ok)
     I, J = cols[g, c1], cols[g, c2]
@@ -478,43 +477,34 @@ def _row_sum_terms(cols: np.ndarray, n_rows: int, nz: int):
     I, J, g, c1, c2 = I[order], J[order], g[order], c1[order], c2[order]
     new = np.ones(len(I), dtype=bool)
     new[1:] = (I[1:] != I[:-1]) | (J[1:] != J[:-1])
-    first = np.flatnonzero(new)
-    pair = np.cumsum(new) - 1
-    slot = np.arange(len(I)) - first[pair]
-    n_slots = int(slot.max(initial=-1)) + 1
-    rows = (np.arange(n_rows) * width)[:, None]
-    tables = []
-    for c in (c1, c2):
-        base = np.full((n_slots, len(first)), n_groups * n_rows * width)
-        base[slot, pair] = g * n_rows * width + c
-        tables.append((base[:, None, :] + rows).reshape(n_slots * n_rows, len(first)).astype(np.int32))
-    return I[first], J[first], tables[0], tables[1]
+    rows = np.arange(n_rows) * width
+    left, right = ((g * n_rows * width + c)[:, None] + rows for c in (c1, c2))
+    pair = np.repeat(np.cumsum(new, dtype=np.intp) - 1, n_rows)
+    return I[new], J[new], left.ravel().astype(np.int32), right.ravel().astype(np.int32), pair
 
 
-def _row_sums(A: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Each sum of products that a column of left and right (_row_sum_terms)
-    names, over A of shape (groups, rows, width): one multiply and one add
-    per term, from 0.0 in term order, as scipy's sparse products sum them.
-    One row of the tables, term t of every pair, is summed at a time."""
-    A = np.concatenate([A, np.zeros((1,) + A.shape[1:])]).ravel()
-    acc = np.zeros(left.shape[1])
-    for l, r in zip(left, right):
-        acc += A.take(l) * A.take(r)
-    return acc
+def _row_sums(A: np.ndarray, left: np.ndarray, right: np.ndarray, pair: np.ndarray, n_pairs: int) -> np.ndarray:
+    """The n_pairs sums of products that left, right and pair
+    (_row_sum_terms) name over A: np.bincount adds each term to its pair's
+    sum in term order, from 0.0, as scipy's sparse products sum them."""
+    A = A.ravel()
+    terms = A.take(left)
+    terms *= A.take(right)
+    return np.bincount(pair, weights=terms, minlength=n_pairs)
 
 
 class _StepPattern:
-    """What every step system of one problem shares: the term tables of its
+    """What every step system of one problem shares: the term lists of its
     products and K's candidate entries, sorted by (row, column).
 
-    r_terms and m_terms are each the (left, right) int32 factor-position
-    tables of _row_sum_terms, which _row_sums sums one term row at a time.
+    r_terms and m_terms are each the (left, right, pair, n_pairs) terms of
+    _row_sum_terms, which _row_sums sums by pair.
 
     Unknowns are numbered as in K: u, then the interior mesh nodes y, then
     lambda from nz = N_u + N_y. A row of the enriched residual R in element
     e holds the unknowns of elements e-1, e and e+1, the element's interior
     mesh nodes and, as column nz, R itself; a row of the mesh distortion
-    holds the mesh nodes and rmsh. So one table gives B_uu, B_uy, the
+    holds the mesh nodes and rmsh. So one term list gives B_uu, B_uy, the
     dRdx^T dRdx part of Byy and the gradient sums, and the other the
     dRmshdx^T dRmshdx part of Byy and of the gradient.
     """
@@ -531,8 +521,9 @@ class _StepPattern:
         interior = (nodes > 0) & (nodes < problem.dims.n_x - 1)
         y_cols = np.where(interior, n_u + nodes - 1, -1)
         r_col = np.full((n, 1), nz)
-        I, J, *self.r_terms = _row_sum_terms(np.hstack([u_cols.reshape(n, -1), y_cols, r_col]), n_p + 1, nz)
-        I_m, J_m, *self.m_terms = _row_sum_terms(np.hstack([y_cols, r_col]), 1, nz)
+        I, J, *r_terms = _row_sum_terms(np.hstack([u_cols.reshape(n, -1), y_cols, r_col]), n_p + 1, nz)
+        I_m, J_m, *m_terms = _row_sum_terms(np.hstack([y_cols, r_col]), 1, nz)
+        self.r_terms, self.m_terms = (*r_terms, len(I)), (*m_terms, len(I_m))
         # The mesh pairs are the R pairs with I in y, in the same order.
         self.mesh_pairs = np.searchsorted(I * (nz + 1) + J, I_m * (nz + 1) + J_m)
         self.yy = yy = J_m < nz

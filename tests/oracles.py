@@ -18,7 +18,8 @@ The replaced kernels (scipy's lu_factor / lu_solve wrappers, the getrf /
 BlockLuFactor.solve wrappers of one block's LAPACK getrf / getrs with their
 checks, MDF weights
 recomputed from the blocks, the MDF order from a per-row fill table with an
-argmin scan per step, the block ILU0 elimination through those wrappers,
+argmin scan per step, the MDF first weights summed a term slot at a time,
+the block ILU0 elimination through those wrappers,
 the block and point ILU0 factors split into L and U
 through COO, tril and triu and a sum with the identity, the block and point
 IKJ loops with per-update lookups, the preconditioner apply through the
@@ -29,8 +30,9 @@ converted and transposed by scipy, Byy summed on CSC views, the reader
 with a second loadtxt and a reshape per block and the reader that sorted
 every file and found its blocks by np.unique, the SQP
 step solved on build_kkt's K, the point ILU0 solve through identity
-permutations, the step's product sums gathered from every row's full outer
-product, the residual and the Jacobian blocks of one test degree at a time,
+permutations, the step's product sums from term tables padded to the
+widest pair and summed a table row at a time, the residual and the
+Jacobian blocks of one test degree at a time,
 the basis tables of a degree built in three calls, the preconditioner
 cycle reaching every factor through Factor.solve, the reference solve of
 K.tocsc())
@@ -72,7 +74,7 @@ import scipy.sparse
 from kktprecond import shocktrack
 from kktprecond.blocklinalg import Factor, check_trans, checked_splu, first_singular, sparse_lu, triangular_sweep
 from kktprecond.conprec import _VARIANT_TABLE, point_ilu0_values
-from kktprecond.dgprecond import _diagonal_positions, _permuted_copy, _square_bsr, bilu0_blocks, mdf_order
+from kktprecond.dgprecond import _diagonal_positions, _fill_terms, _permuted_copy, _square_bsr, bilu0_blocks, mdf_order
 from kktprecond.errors import (
     DimensionMismatch,
     KktPrecondError,
@@ -474,6 +476,41 @@ def fill_table_mdf_order(A):
     return order, selected
 
 
+def per_slot_mdf_order(A):
+    """mdf_order as it summed the first weights: the table of
+    dgprecond._fill_terms, each row's first weight from 0.0 by a loop over
+    term slots (term t of every row that has one, a slot at a time), each
+    weight that loses a term recomputed over the alive rows' terms in table
+    order, and an argmin over the alive rows at every step; returns (order,
+    weights_at_selection)."""
+    A = _square_bsr(A)
+    n = len(A.indptr) - 1
+    k_of, i_of, j_of, norms = _fill_terms(A)
+    count = np.bincount(k_of, minlength=n)
+    start = np.cumsum(count) - count
+    totals = np.zeros(n)
+    for t in range(count.max(initial=0)):
+        has = np.flatnonzero(count > t)
+        totals[has] += norms[start[has] + t]
+    weights = np.sqrt(totals)
+    alive = np.ones(n, dtype=bool)
+    order = np.empty(n, dtype=int)
+    selected = np.empty(n)
+    for step in range(n):
+        candidates = np.flatnonzero(alive)
+        k = int(candidates[np.argmin(weights[candidates])])
+        order[step] = k
+        selected[step] = weights[k]
+        alive[k] = False
+        for m in np.unique(k_of[(i_of == k) | (j_of == k)]):
+            total = 0.0
+            for t in range(start[m], start[m] + count[m]):
+                if alive[i_of[t]] and alive[j_of[t]]:
+                    total += norms[t]
+            weights[m] = np.sqrt(total)
+    return order, selected
+
+
 def per_block_bilu0_blocks(A, order):
     """dgprecond.bilu0_blocks with every pivot block factored by getrf and
     every L_ik solved through BlockLuFactor.solve, each row k's blocks
@@ -832,19 +869,43 @@ def single_degree_jacobian(problem, ue, gx, test_degree: int):
     return diag, sub, sup, dx
 
 
-def outer_product_row_sums(A, left, right) -> np.ndarray:
-    """shocktrack._row_sums as it was: every row's full outer product over A
-    of shape (groups, rows, width), padded by a zero group, gathered at the
-    flat outer-product position of each term, and summed from 0.0 term by
-    term. Term (left, right) is the outer-product entry (left, right % width)
-    of left's row."""
-    width = A.shape[-1]
-    A = np.concatenate([A, np.zeros((1,) + A.shape[1:])])
-    outer = (A[:, :, :, None] * A[:, :, None, :]).ravel()
-    terms = left.astype(np.int64) * width + right % width
-    acc = np.zeros(terms.shape[1])
-    for t in outer.take(terms):
-        acc += t
+def padded_row_sum_terms(cols: np.ndarray, n_rows: int, nz: int):
+    """shocktrack._row_sum_terms as it was: the pairs (I, J) and two int32
+    tables left and right of shape (slots * n_rows, pairs). Term t of pair
+    k is A.flat[left[t, k]] * A.flat[right[t, k]], with A of shape (groups,
+    n_rows, width) padded by the zero group that padded_row_sums appends:
+    shared groups in ascending order, then the rows of each; a pair with
+    fewer shared groups than the widest is padded by terms in the zero
+    group."""
+    n_groups, width = cols.shape
+    ok = (cols[:, :, None] >= 0) & (cols[:, :, None] <= cols[:, None, :]) & (cols[:, :, None] < nz)
+    g, c1, c2 = np.nonzero(ok)
+    I, J = cols[g, c1], cols[g, c2]
+    order = np.lexsort((g, J, I))
+    I, J, g, c1, c2 = I[order], J[order], g[order], c1[order], c2[order]
+    new = np.ones(len(I), dtype=bool)
+    new[1:] = (I[1:] != I[:-1]) | (J[1:] != J[:-1])
+    first = np.flatnonzero(new)
+    pair = np.cumsum(new) - 1
+    slot = np.arange(len(I)) - first[pair]
+    n_slots = int(slot.max(initial=-1)) + 1
+    rows = (np.arange(n_rows) * width)[:, None]
+    tables = []
+    for c in (c1, c2):
+        base = np.full((n_slots, len(first)), n_groups * n_rows * width)
+        base[slot, pair] = g * n_rows * width + c
+        tables.append((base[:, None, :] + rows).reshape(n_slots * n_rows, len(first)).astype(np.int32))
+    return I[first], J[first], tables[0], tables[1]
+
+
+def padded_row_sums(A, left, right) -> np.ndarray:
+    """shocktrack._row_sums as it was: the sums of padded_row_sum_terms'
+    tables over A of shape (groups, rows, width) and its zero group, one
+    table row (term t of every pair) added at a time from 0.0."""
+    A = np.concatenate([A, np.zeros((1,) + A.shape[1:])]).ravel()
+    acc = np.zeros(left.shape[1])
+    for l, r in zip(left, right):
+        acc += A.take(l) * A.take(r)
     return acc
 
 

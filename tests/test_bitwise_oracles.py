@@ -51,9 +51,11 @@ from oracles import (
     ikj_point_ilu0_values,
     looped_transfers,
     nine_product_matvec,
-    outer_product_row_sums,
+    padded_row_sum_terms,
+    padded_row_sums,
     per_block_bilu0_blocks,
     per_block_pivot_check,
+    per_slot_mdf_order,
     permuted_point_ilu0_factor,
     recomputing_mdf_order,
     scipy_lu_factor,
@@ -171,6 +173,18 @@ def test_mdf_order_and_splits_match_oracles_on_larger_stencils(seed, n, block):
     got = _same_mdf(A)
     B = A.tocsr()
     _same_splits(bilu0_blocks(A, got.order), B, point_ilu0_values(B))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+@pytest.mark.parametrize("seed, n", [(0, 6), (5, 9)])
+def test_mdf_order_matches_per_slot_first_weights_on_stencils(seed, n, block):
+    # The first weights come from one bincount over the fill table; the
+    # oracle sums them a term slot at a time.
+    A = scaled_stencil(seed, n, block)
+    got = mdf_order(A)
+    order, weights = per_slot_mdf_order(A)
+    assert np.array_equal(got.order, order)
+    assert np.array_equal(_bits(got.weights_at_selection), _bits(weights))
 
 
 def perturbed_stencil(seed, kind):
@@ -483,24 +497,29 @@ def test_block_to_scipy_matches_coo_construction(A):
     assert got.indices.dtype == want.indices.dtype and got.indptr.dtype == want.indptr.dtype
 
 
-@pytest.mark.parametrize("n_groups, n_rows, width, nz", [(1, 1, 3, 2), (6, 3, 5, 9), (12, 4, 7, 10), (30, 1, 4, 12)])
-def test_row_sums_match_the_outer_product_sums(n_groups, n_rows, width, nz):
-    """The chunked sums equal the full outer-product gather bit for bit, and
-    both equal each pair's terms summed from 0.0 over its shared groups and
+@pytest.mark.parametrize(
+    "n_groups, n_rows, width, nz, drop",
+    [(1, 1, 3, 2, 0.2), (6, 3, 5, 9, 0.2), (12, 4, 7, 10, 0.2), (30, 1, 4, 12, 0.2), (5, 2, 4, 6, 1.0)],
+)
+def test_row_sums_match_the_outer_product_sums(n_groups, n_rows, width, nz, drop):
+    """The bincount sums equal the padded tables' sums bit for bit, and both
+    equal each pair's terms summed from 0.0 over its shared groups and
     their rows in ascending order, on A with signed zeros and pairs that
-    share fewer groups than the tables have slots."""
+    share fewer groups than the widest pair; with every column dropped
+    there is no pair and no term."""
     rng = np.random.default_rng(n_groups * 100 + width)
     cols = np.array([rng.choice(nz, width - 1, replace=False) for _ in range(n_groups)])
-    cols[rng.random(cols.shape) < 0.2] = -1
+    cols[rng.random(cols.shape) < drop] = -1
     cols = np.hstack([cols, np.full((n_groups, 1), nz)])
     A = rng.standard_normal((n_groups, n_rows, width))
     A[rng.random(A.shape) < 0.3] = 0.0
     A[rng.random(A.shape) < 0.2] = -0.0
 
-    I, J, left, right = shocktrack._row_sum_terms(cols, n_rows, nz)
-    assert left.dtype == right.dtype == np.int32 and left.shape == right.shape == (left.shape[0], len(I))
-    got = shocktrack._row_sums(A, left, right)
-    assert np.array_equal(_bits(got), _bits(outer_product_row_sums(A, left, right)))
+    I, J, left, right, pair = shocktrack._row_sum_terms(cols, n_rows, nz)
+    padded_I, padded_J, padded_left, padded_right = padded_row_sum_terms(cols, n_rows, nz)
+    assert np.array_equal(I, padded_I) and np.array_equal(J, padded_J)
+    got = shocktrack._row_sums(A, left, right, pair, len(I))
+    assert np.array_equal(_bits(got), _bits(padded_row_sums(A, padded_left, padded_right)))
 
     want, shared = [], []
     for i, j in zip(I, J):
@@ -516,8 +535,12 @@ def test_row_sums_match_the_outer_product_sums(n_groups, n_rows, width, nz):
     pairs = {(int(c1), int(c2)) for g in cols for c1 in g for c2 in g if 0 <= c1 <= c2 and c1 < nz}
     assert sorted(pairs) == list(zip(I.tolist(), J.tolist()))
     assert np.array_equal(_bits(got), _bits(want))
-    assert left.shape[0] == max(shared) * n_rows
-    if n_groups > 1:
+    # One term per shared group and row, each pair's terms contiguous.
+    assert np.array_equal(np.bincount(pair, minlength=len(I)), np.array(shared, dtype=int) * n_rows)
+    assert np.all(np.diff(pair) >= 0)
+    if drop == 1.0:
+        assert len(I) == len(left) == 0
+    elif n_groups > 1:
         assert min(shared) < max(shared)
 
 

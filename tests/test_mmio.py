@@ -203,18 +203,19 @@ def test_reader_bounds_a_huge_declared_size_in_its_message(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "size_line", [f"{10**400} 2 1", f"2 {10**400} 1", f"{2**40} {2**40} 1"], ids=["rows", "cols", "product"]
+    "size_line",
+    [f"{10**400} 2 1", f"2 {10**400} 1", f"{2**40} {2**40} 1", f"{2**62} 1 1", f"{2**63 - 1} 1 1", f"{2**40} 1 1"],
+    ids=["rows", "cols", "product", "rows-2**62", "rows-int64-max", "rows-2**40"],
 )
 def test_reader_without_shape_rejects_a_size_line_past_int64_keys(tmp_path, size_line):
-    # Without an expected shape, a size line whose row-major entry keys do
-    # not fit int64 is one short ManifestError, raised before any array is
-    # sized from it (a bare ValueError, OverflowError or an 8 TiB MemoryError
-    # before).
+    # Without an expected shape, a size line past the int32 index range is
+    # one short ManifestError, raised before any array is sized from it (a
+    # bare ValueError, OverflowError or an 8 TiB MemoryError before).
     path = tmp_path / "o.mtx"
     path.write_text(f"%%MatrixMarket matrix coordinate real general\n{size_line}\n1 1 1.0\n")
     tracemalloc.start()
     try:
-        with pytest.raises(ManifestError, match="past the int64 index range") as exc:
+        with pytest.raises(ManifestError, match="past the int32 index range") as exc:
             read_matrix(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -223,15 +224,16 @@ def test_reader_without_shape_rejects_a_size_line_past_int64_keys(tmp_path, size
     assert len(str(exc.value)) < len(str(path)) + 100
 
 
-def test_reader_without_shape_takes_keys_up_to_the_int64_limit(tmp_path):
-    # One row of 2**63 - 1 columns keeps every key below 2**63; one more
-    # column does not.
+def test_reader_without_shape_takes_sizes_below_2_to_the_31(tmp_path):
+    # One row of 2**31 - 1 columns is read; one more column is not. The edge
+    # is tried on the columns: the row pointer is sized from the rows.
     path = tmp_path / "edge.mtx"
-    path.write_text(f"%%MatrixMarket matrix coordinate real general\n1 {2**63 - 1} 1\n1 {2**63 - 1} 2.5\n")
+    path.write_text(f"%%MatrixMarket matrix coordinate real general\n1 {2**31 - 1} 1\n1 {2**31 - 1} 2.5\n")
     A = read_matrix(path)
-    assert A.shape == (1, 2**63 - 1) and A.indices.tolist() == [2**63 - 2] and A.data.tolist() == [2.5]
-    path.write_text(f"%%MatrixMarket matrix coordinate real general\n1 {2**63} 1\n1 1 2.5\n")
-    with pytest.raises(ManifestError, match="past the int64 index range"):
+    assert A.shape == (1, 2**31 - 1) and A.indices.tolist() == [2**31 - 2] and A.data.tolist() == [2.5]
+    assert A.indices.dtype == A.indptr.dtype == np.int32
+    path.write_text(f"%%MatrixMarket matrix coordinate real general\n1 {2**31} 1\n1 1 2.5\n")
+    with pytest.raises(ManifestError, match=f"size line 1 {2**31} 1 is past the int32 index range"):
         read_matrix(path)
 
 

@@ -99,6 +99,16 @@ def test_step_system_is_build_kkts_at_random_states(n_elem):
                     assert_step_system_is_build_kkts(prob, DgState(u, y, st0.lam, 0, 0.0, kappa, gamma))
 
 
+@pytest.mark.parametrize("p, q", [(1, 1), (2, 2)])
+@pytest.mark.parametrize("n_elem", [1024, 4096])
+def test_step_system_is_build_kkts_at_large_patterns(n_elem, p, q):
+    """Patterns past every SQP run (all above STEP_CAP, so sqp_step never
+    assembles them), at the initial state."""
+    prob = ShockTrackProblem1d(n_elem, p, q)
+    assert 2 * prob.dims.n_u + prob.dims.n_y > shocktrack.STEP_CAP
+    assert_step_system_is_build_kkts(prob, initial_state(prob))
+
+
 @pytest.mark.parametrize("case", TRAJECTORY_CASES, ids=TRAJECTORY_IDS)
 def test_sqp_run_is_the_oracle_steps_run(case, monkeypatch):
     """The same u, y, lambda and alpha at every state, or the same failure
