@@ -6,9 +6,15 @@ is orthogonalized by classical Gram-Schmidt with one reorthogonalization
 (CGS2): two BLAS-2 passes h = V w, w -= V^T h against the whole basis, which
 keeps V orthonormal to working precision (Giraud, Langou & Rozloznik, Numer.
 Math. 2005). The Hessenberg columns are triangularized with Givens rotations
-into an upper triangle stored packed by columns and solved with BLAS dtpsv.
-The basis and the triangle grow in chunks, so storage follows the iterations
-actually taken, not max_iters.
+into an upper triangle stored packed by columns and solved with BLAS dtpsv:
+each new column is written into its packed place and the earlier rotations
+are applied to it in place by one LAPACK dlasr call, reached through the
+function pointer scipy.linalg.cython_lapack exports. dlasr does the float
+operations of the Python loop it replaced (tests/oracles.py givens_column)
+in the same order, so the bits are the same as long as scipy's LAPACK is
+compiled without FMA contraction, as its OpenBLAS build is on x86-64. The
+basis, the triangle and the rotations grow in chunks, so storage follows the
+iterations actually taken, not max_iters.
 
 Convergence is measured either by the preconditioned relative residual
 
@@ -28,10 +34,12 @@ max_iters, and the stop decision is always taken on the explicit error.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cython_lapack
 from scipy.linalg.blas import dtpsv
 
 from .errors import DimensionMismatch, NonFinite, ZeroReference
@@ -60,6 +68,25 @@ _CHUNK = 64
 # small errors it can be rounding noise; below this value the explicit error
 # is formed whatever the tolerance.
 _ESTIMATE_FLOOR = 1e-5
+
+
+def _lapack_routine(name: str, *argtypes):
+    """ctypes function of a LAPACK routine returning void, from the capsule
+    scipy.linalg.cython_lapack exports for it. The capsule functions get
+    their own prototypes, so the shared ctypes.pythonapi is left as it is."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )
+    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
+
+
+_CHAR, _INT, _ADDRESS = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+# dlasr(side, pivot, direct, m, n, c, s, a, lda), with c, s and a passed as
+# the addresses of float64 arrays.
+_dlasr = _lapack_routine("dlasr", _CHAR, _CHAR, _CHAR, _INT, _INT, _ADDRESS, _ADDRESS, _ADDRESS, _INT)
+_ONE = ctypes.c_int(1)
 
 
 @dataclass(frozen=True)
@@ -126,7 +153,9 @@ def gmres_solve(A, b: np.ndarray, M, cfg: GmresConfig | None = None) -> SolveRep
     """Solve A s = b with left-preconditioned GMRES (no restart). A and M are
     read through dimension and apply(v), as a KktSystem and a preconditioner.
 
-    Raises NonFinite if an Arnoldi vector or the returned iterate is not
+    Raises DimensionMismatch if b or the exact-solution reference is not a
+    vector of the operator's dimension, NonFinite if either contains NaN or
+    Inf, and NonFinite if an Arnoldi vector or the returned iterate is not
     finite, which a breakdown on a singular operator can give.
     """
     if cfg is None:
@@ -137,6 +166,13 @@ def gmres_solve(A, b: np.ndarray, M, cfg: GmresConfig | None = None) -> SolveRep
         raise DimensionMismatch("operator, preconditioner, and rhs dimensions disagree")
     if not np.all(np.isfinite(b)):
         raise NonFinite("right-hand side contains NaN or Inf")
+    exact = cfg.criterion == EXACT_SOLUTION
+    if exact:
+        ref = np.asarray(cfg.reference, dtype=float)
+        if ref.shape != (n,):
+            raise DimensionMismatch(f"reference solution has shape {ref.shape}, expected ({n},)")
+        if not np.all(np.isfinite(ref)):
+            raise NonFinite("reference solution contains NaN or Inf")
 
     b_prec = M.apply(b)
     beta = np.linalg.norm(b_prec)
@@ -144,9 +180,7 @@ def gmres_solve(A, b: np.ndarray, M, cfg: GmresConfig | None = None) -> SolveRep
         zero = np.zeros(n)
         return SolveReport(zero, 0, True, np.zeros(0), TOLERANCE, 0.0, _true_residual(A, b, zero))
 
-    exact = cfg.criterion == EXACT_SOLUTION
     if exact:
-        ref = np.asarray(cfg.reference, dtype=float)
         ref_norm = float(np.linalg.norm(ref))
         if ref_norm < 1e-300:
             raise ZeroReference("reference solution has zero norm")
@@ -157,8 +191,10 @@ def gmres_solve(A, b: np.ndarray, M, cfg: GmresConfig | None = None) -> SolveRep
     R = np.zeros(rows * (rows + 1) // 2)  # rotated Hessenberg matrix, upper triangle packed by columns
     g = np.zeros(rows)  # rotated beta e_1
     c = np.zeros(rows)  # c_i = v_i . s_ex
-    cs: list[float] = []
-    sn: list[float] = []
+    CS = np.zeros(rows)  # rotation j zeroes the subdiagonal entry of column j:
+    SN = np.zeros(rows)  # (x_j, x_j+1) -> (CS x_j + SN x_j+1, CS x_j+1 - SN x_j)
+    cs_at, sn_at, r_at = CS.ctypes.data, SN.ctypes.data, R.ctypes.data  # as dlasr reads them
+    m = ctypes.c_int()
     V[0] = b_prec / beta
     g[0] = beta
     if exact:
@@ -169,11 +205,15 @@ def gmres_solve(A, b: np.ndarray, M, cfg: GmresConfig | None = None) -> SolveRep
         if j + 1 == len(V):
             rows = min(2 * rows, max_it + 1)
             V, R, g, c = _grow(V, (rows, n)), _grow(R, rows * (rows + 1) // 2), _grow(g, rows), _grow(c, rows)
+            CS, SN = _grow(CS, rows), _grow(SN, rows)
+            cs_at, sn_at, r_at = CS.ctypes.data, SN.ctypes.data, R.ctypes.data
 
         w = M.apply(A.apply(V[j]))
-        if not np.all(np.isfinite(w)):
-            raise NonFinite(f"Arnoldi vector at iteration {j + 1} contains NaN or Inf")
+        # A NaN or Inf entry makes the norm NaN or Inf, so a finite norm
+        # needs no scan.
         norm_w0 = np.linalg.norm(w)
+        if not math.isfinite(norm_w0) and not np.all(np.isfinite(w)):
+            raise NonFinite(f"Arnoldi vector at iteration {j + 1} contains NaN or Inf")
         basis = V[: j + 1]
         h = basis @ w
         w -= h @ basis
@@ -187,26 +227,20 @@ def gmres_solve(A, b: np.ndarray, M, cfg: GmresConfig | None = None) -> SolveRep
             if exact:
                 c[j + 1] = V[j + 1] @ ref
 
-        # Apply the accumulated rotations to the new column, then zero its
-        # subdiagonal entry with one more.
-        col = h.tolist()
-        col.append(h_next)
-        for i in range(j):
-            hi, hj = col[i], col[i + 1]
-            col[i] = cs[i] * hi + sn[i] * hj
-            col[i + 1] = -sn[i] * hi + cs[i] * hj
-        denom = math.hypot(col[j], col[j + 1])
-        if denom < 1e-300:
-            cs.append(1.0)
-            sn.append(0.0)
-        else:
-            cs.append(col[j] / denom)
-            sn.append(col[j + 1] / denom)
-        col[j] = cs[j] * col[j] + sn[j] * col[j + 1]
+        # Apply the accumulated rotations to the new column in its packed
+        # place, then zero its subdiagonal entry h_next with one more.
         start = j * (j + 1) // 2
-        R[start : start + j + 1] = col[: j + 1]
-        g[j + 1] = -sn[j] * g[j]
-        g[j] = cs[j] * g[j]
+        R[start : start + j + 1] = h
+        if j:
+            m.value = j + 1
+            _dlasr(b"L", b"V", b"F", m, _ONE, cs_at, sn_at, r_at + R.itemsize * start, m)
+        r_jj = R.item(start + j)
+        denom = math.hypot(r_jj, h_next)
+        cs, sn = (1.0, 0.0) if denom < 1e-300 else (r_jj / denom, h_next / denom)
+        CS[j], SN[j] = cs, sn
+        R[start + j] = cs * r_jj + sn * h_next
+        g[j + 1] = -sn * g[j]
+        g[j] = cs * g[j]
 
         k = j + 1
         last = breakdown or k == max_it

@@ -1,7 +1,7 @@
 """Test oracles: dense Ju~ / Byy~ factors and the assembled At matrix, the
 modified Gram-Schmidt GMRES loop that `krylov.gmres_solve` replaced, and the
 plain kernels that the operator, the dense LU, the factor builds, the Matrix
-Market reader and the reference assembly replaced.
+Market reader, the reference assembly and GMRES's Givens rotations replaced.
 
 Every factor is one blocklinalg.Factor, so the dense oracles dispatch on
 the Ju~ and Byy~ kinds that conprec._VARIANT_TABLE names for a variant, not
@@ -35,7 +35,8 @@ widest pair and summed a table row at a time, the residual and the
 Jacobian blocks of one test degree at a time,
 the basis tables of a degree built in three calls, the preconditioner
 cycle reaching every factor through Factor.solve, the reference solve of
-K.tocsc())
+K.tocsc(), the Python loop that applied GMRES's earlier Givens rotations to
+each new Hessenberg column)
 do the same float operations in the same order as their
 replacements, so tests compare the two with np.array_equal.
 
@@ -60,6 +61,7 @@ function of the mesh for finite differences, and the state build_kkt
 linearizes at a point (u, y).
 """
 
+import ctypes
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -278,6 +280,35 @@ def mgs_gmres(A, b, M, cfg):
 
 
 # Replaced kernels -----------------------------------------------------------
+
+
+def givens_column(col, cs, sn) -> np.ndarray:
+    """The Python loop that gmres_solve's dlasr call replaced: the rotations
+    (cs[i], sn[i]), i = 0, 1, ..., applied in turn to the entries i and
+    i + 1 of a Hessenberg column, in Python floats."""
+    col = np.asarray(col, dtype=float).tolist()
+    cs = np.asarray(cs, dtype=float).tolist()
+    sn = np.asarray(sn, dtype=float).tolist()
+    for i in range(len(cs)):
+        hi, hj = col[i], col[i + 1]
+        col[i] = cs[i] * hi + sn[i] * hj
+        col[i + 1] = -sn[i] * hi + cs[i] * hj
+    return np.array(col)
+
+
+def _doubles(address: int, size: int) -> np.ndarray:
+    """The size doubles at a raw address, as a writable array view."""
+    return np.ctypeslib.as_array(ctypes.cast(address, ctypes.POINTER(ctypes.c_double)), (size,))
+
+
+def looping_dlasr(side, pivot, direct, m, n, c, s, a, lda):
+    """Stand-in for krylov._dlasr, with its arguments, that rotates the one
+    column at address a by givens_column, so a solve with it patched in is a
+    solve with the replaced loop."""
+    assert (side, pivot, direct, n.value, lda.value) == (b"L", b"V", b"F", 1, m.value)
+    rows = m.value
+    column = _doubles(a, rows)
+    column[:] = givens_column(column, _doubles(c, rows - 1), _doubles(s, rows - 1))
 
 
 def stacked_diagonal(groups) -> scipy.sparse.csr_matrix:

@@ -4,6 +4,7 @@ Each kernel keeps the float operations of its oracle in `oracles.py` and
 their order, so every comparison here is np.array_equal, never a tolerance.
 """
 
+import ctypes
 import dataclasses
 import os
 from functools import partial
@@ -15,7 +16,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kktprecond import conprec, dgprecond, shocktrack
+from kktprecond import conprec, dgprecond, krylov, shocktrack
 from kktprecond.blocklinalg import first_singular, triangular_split
 from kktprecond.conprec import CATALOG, build_at_preconditioner, point_ilu0_factor, point_ilu0_values
 from kktprecond.dgprecond import MdfOrdering, bilu0_blocks, mdf_order
@@ -47,9 +48,11 @@ from oracles import (
     fill_table_mdf_order,
     five_step_apply,
     getrf,
+    givens_column,
     ikj_bilu_blocks,
     ikj_point_ilu0_values,
     looped_transfers,
+    looping_dlasr,
     nine_product_matvec,
     padded_row_sum_terms,
     padded_row_sums,
@@ -73,6 +76,7 @@ from oracles import (
     word_by_word_block_tag,
 )
 from test_compiled_factors import dominant_block_matrices
+from test_krylov import shifted_system
 from test_mmio import sparse_or_block_matrices
 
 SYSTEMS = ("sys8_k1", "sys16_k1", "sys8_zero_coupling")
@@ -852,3 +856,122 @@ def test_reference_solve_factors_k_without_a_transposition(case, prob64, states6
         _same_csc(K_T, C)
         assert np.array_equal(_bits(K_T.data), _bits(C.data))
         assert np.array_equal(_bits(reference_solution(sys)), _bits(tocsc_reference_solution(sys)))
+
+
+# GMRES rotations --------------------------------------------------------------
+
+
+def _dlasr_column(col, cs, sn) -> np.ndarray:
+    """col rotated in place by the dlasr call of gmres_solve: side L, pivot
+    V, direct F, one column of len(col) rows."""
+    a, c, s = (np.array(x, dtype=float) for x in (col, cs, sn))
+    m = ctypes.c_int(len(a))
+    krylov._dlasr(b"L", b"V", b"F", m, ctypes.c_int(1), c.ctypes.data, s.ctypes.data, a.ctypes.data, m)
+    return a
+
+
+def _is_identity(c, s) -> bool:
+    return c == 1.0 and s == 0.0
+
+
+def _skipping_identities(col, cs, sn) -> np.ndarray:
+    """givens_column with every rotation (1, +-0) left out, one rotation at a
+    time."""
+    col = np.array(col, dtype=float)
+    for i, (c, s) in enumerate(zip(cs, sn, strict=True)):
+        if not _is_identity(c, s):
+            col[i : i + 2] = givens_column(col[i : i + 2], [c], [s])
+    return col
+
+
+@st.composite
+def rotated_columns(draw):
+    """A column of 1 to 300 entries of magnitude 1e-300 to 1e300 with random
+    signs, some of them signed zeros, and one rotation per neighbour pair:
+    (cos t, sin t), or an exact (+-1, +-0) or (+-0, +-1) one."""
+    rows = draw(st.integers(1, 300))
+    zeros, exact = draw(st.sampled_from([0.0, 0.1, 0.5])), draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    col = rng.choice([-1.0, 1.0], rows) * 10.0 ** rng.uniform(-300.0, 300.0, rows)
+    col[rng.random(rows) < zeros] *= 0.0
+    t = rng.uniform(0.0, 2.0 * np.pi, rows - 1)
+    cs, sn = np.cos(t), np.sin(t)
+    special = np.flatnonzero(rng.random(rows - 1) < exact)
+    pairs = np.array([(1.0, 0.0), (1.0, -0.0), (-1.0, 0.0), (-1.0, -0.0), (0.0, 1.0), (-0.0, -1.0)])
+    cs[special], sn[special] = pairs[rng.integers(0, len(pairs), len(special))].T
+    return col, cs, sn
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rotated_columns())
+def test_dlasr_rotates_a_column_as_the_python_loop(case):
+    # dlasr skips a rotation (1, +-0), which the loop applies as x + 0 y:
+    # that can only turn a -0.0 into +0.0. So dlasr is the loop without
+    # those rotations bit for bit, and the loop itself up to signed zeros.
+    col, cs, sn = case
+    got, want = _dlasr_column(col, cs, sn), givens_column(col, cs, sn)
+    assert np.array_equal(_bits(got), _bits(_skipping_identities(col, cs, sn)))
+    assert np.array_equal(got, want)
+    if not any(_is_identity(c, s) for c, s in zip(cs, sn, strict=True)):
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_dlasr_keeps_a_negative_zero_that_the_loop_turns_positive():
+    col, cs, sn = [-0.0, 1.0], [1.0], [0.0]
+    assert np.array_equal(_bits(givens_column(col, cs, sn)), _bits([0.0, 1.0]))
+    assert np.array_equal(_bits(_dlasr_column(col, cs, sn)), _bits([-0.0, 1.0]))
+
+
+def _same_report_as_loop(monkeypatch, solve):
+    """solve() against solve() with the rotations applied by givens_column,
+    bit for bit."""
+    got = _outcome(solve)
+    with monkeypatch.context() as m:
+        m.setattr(krylov, "_dlasr", looping_dlasr)
+        want = _outcome(solve)
+    _same_report(got, want)
+    return got
+
+
+@pytest.fixture(scope="module")
+def catalog64_all_states(prob64, states64):
+    return [build_kkt(prob64, state) for state in states64[1:7]]
+
+
+@pytest.mark.parametrize("variant", CATALOG)
+def test_catalog_gmres_reports_match_rotation_loop(variant, catalog64_all_states, degree_systems, monkeypatch):
+    # All 8 variants on catalog states 1 to 6 of (64, 2, 2) and on the p = 0
+    # to 3 systems, under both convergence criteria.
+    for sys in [*catalog64_all_states, *degree_systems.values()]:
+        M, b = build_at_preconditioner(sys, variant), sys.rhs()
+        exact = GmresConfig(tol=1e-3, max_iters=1000, criterion=EXACT_SOLUTION, reference=reference_solution(sys))
+        for cfg in (exact, GmresConfig(tol=1e-8, max_iters=1000)):
+            rep = _same_report_as_loop(monkeypatch, lambda: gmres_solve(sys, b, M, cfg))
+            assert rep.iterations > 1 or variant in ("A0", "A0-p0", "BJ-p0", "BILU-p0")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["nan", "inf", "-inf", "zero", "ties", "none"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stencil_gmres_reports_match_rotation_loop(seed, kind, monkeypatch):
+    A = scaled_stencil(seed) if kind == "none" else perturbed_stencil(seed, kind)
+    operator = LinearOperator(A.shape[0], A.dot)
+    b = np.random.default_rng(seed).standard_normal(A.shape[0])
+    cfg = GmresConfig(tol=1e-10, max_iters=200)
+    for build in (dgprecond.build_block_jacobi, lambda A: dgprecond.bilu0_factor(A, dgprecond.mdf_order(A))):
+        M = _outcome(lambda: build(A))
+        if not isinstance(M, tuple):
+            _same_report_as_loop(monkeypatch, lambda: gmres_solve(operator, b, LinearOperator(M.n, M.apply), cfg))
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["residual", "exact-solution"])
+def test_gmres_report_over_storage_chunks_matches_rotation_loop(exact, monkeypatch):
+    # Over 128 iterations: CS, SN and R grow from 64 rows twice, and the
+    # rotations are read from the new arrays.
+    A, b = shifted_system(3, 300, 1.05)
+    cfg = GmresConfig(tol=1e-10)
+    if exact:
+        cfg = GmresConfig(tol=1e-10, criterion=EXACT_SOLUTION, reference=np.linalg.solve(A, b))
+    operator = LinearOperator(300, lambda v: A @ v)
+    rep = _same_report_as_loop(monkeypatch, lambda: gmres_solve(operator, b, LinearOperator(300, np.copy), cfg))
+    assert rep.converged and rep.iterations > 128

@@ -1,5 +1,7 @@
 """GMRES solver and convergence criteria."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,44 @@ def test_dimension_mismatch_rejected():
         gmres_solve(op, np.zeros(2), LinearOperator(3, np.copy), GmresConfig())
 
 
+def _never_applied(v):
+    raise AssertionError("operator applied before the reference was checked")
+
+
+@pytest.mark.parametrize(
+    "reference", [np.ones(2), np.ones((3, 1)), np.ones((1, 3)), np.ones(())], ids=["short", "column", "row", "scalar"]
+)
+def test_reference_of_another_shape_rejected_before_any_apply(reference):
+    op = LinearOperator(3, _never_applied)
+    cfg = GmresConfig(criterion=EXACT_SOLUTION, reference=reference)
+    with pytest.raises(DimensionMismatch, match="reference solution has shape"):
+        gmres_solve(op, np.ones(3), op, cfg)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_reference_rejected_before_any_apply(bad):
+    op = LinearOperator(3, _never_applied)
+    cfg = GmresConfig(criterion=EXACT_SOLUTION, reference=np.array([1.0, bad, 0.0]))
+    with pytest.raises(NonFinite, match="reference solution contains NaN or Inf"):
+        gmres_solve(op, np.ones(3), op, cfg)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_arnoldi_vector_rejected(bad):
+    op = LinearOperator(3, lambda v: np.array([1.0, bad, 0.0]) + v)
+    with pytest.raises(NonFinite, match="^Arnoldi vector at iteration 1 contains NaN or Inf$"):
+        gmres_solve(op, np.ones(3), LinearOperator(3, np.copy), GmresConfig())
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+def test_finite_arnoldi_vector_with_an_overflowing_norm_is_not_rejected():
+    # ||A e_1||^2 = 1e400 overflows, but every entry is finite: the solve
+    # goes on, and the space closes at once with the exact solution.
+    rep = run(np.diag([1e200, 1.0]), [1.0, 0.0], tol=1e-8)
+    assert (rep.iterations, rep.converged) == (1, True)
+    assert np.array_equal(rep.solution, [1e-200, 0.0])
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         GmresConfig(tol=0.0)
@@ -260,6 +300,20 @@ def test_solve_over_several_storage_chunks_matches_oracle(exact):
     rep = assert_matches_oracle(A, b, LinearOperator(300, np.copy), cfg)
     assert rep.converged
     assert rep.iterations > 128
+
+
+def test_storage_follows_the_iterations_taken_under_tracemalloc():
+    # One array of max_iters doubles alone would be 8 MB; the basis, the
+    # triangle and the rotations of a 50-row solve take tens of kB.
+    A, b = shifted_system(4, 50, 3.0)
+    tracemalloc.start()
+    try:
+        rep = run(A, b, tol=1e-8, max_iters=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.converged
+    assert peak < 200_000
 
 
 def test_huge_max_iters_allocates_only_what_is_used():
