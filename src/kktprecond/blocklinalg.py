@@ -18,12 +18,11 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .errors import DimensionMismatch, PatternViolation, SingularBlock
+from .errors import PatternViolation, SingularBlock
 
 __all__ = [
     "Factor",
     "block_rows",
-    "check_trans",
     "checked_splu",
     "first_singular",
     "sparse_lu",
@@ -32,12 +31,6 @@ __all__ = [
     "canonical_bsr",
     "canonical_csr",
 ]
-
-
-def check_trans(trans: str) -> None:
-    """Reject a trans other than SuperLU's "N" (A x = b) and "T" (A^T x = b)."""
-    if trans not in ("N", "T"):
-        raise ValueError(f"trans must be 'N' or 'T', got {trans!r}")
 
 
 def first_singular(blocks: np.ndarray, lu_entries: np.ndarray | list[np.ndarray]) -> tuple[int, str] | None:
@@ -68,14 +61,6 @@ class Factor:
     n: int
     apply: Callable[[np.ndarray], np.ndarray]
     apply_T: Callable[[np.ndarray], np.ndarray]
-
-    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
-        """Solve M x = b, or M^T x = b for trans="T" (SuperLU's convention)."""
-        check_trans(trans)
-        b = np.asarray(b, dtype=float)
-        if b.shape != (self.n,):
-            raise DimensionMismatch(f"vector length {b.shape} incompatible with dimension {self.n}")
-        return (self.apply if trans == "N" else self.apply_T)(b)
 
 
 def block_rows(indptr) -> np.ndarray:

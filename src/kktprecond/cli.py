@@ -8,7 +8,8 @@ with a leading comment line carrying the GMRES settings.
 Exit codes: 0 success, 2 usage error, 1 numerical failure. Each rule on an
 outside value has one home, whose TypeError or ValueError _usage makes a
 usage error before any SQP run: manifest.json_value (JSON types),
-kkt.check_weights (kappa, gamma), SqpConfig and GenerateConfig (max_iters, states).
+kkt.check_weights (kappa, gamma), kkt.check_case (the case name, a CSV
+field), SqpConfig and GenerateConfig (max_iters, states).
 """
 
 from __future__ import annotations

@@ -9,15 +9,15 @@ All eight catalog variants share the block anti-triangular layout
 whose inverse applies in five steps (three solves, two products). The Hessian
 approximation keeps only the mesh-mesh block; Ju~ is the exact Jacobian, its
 block diagonal, or its block ILU0 factorization, and Byy~ is exact, diagonal,
-or a point ILU0. Every approximation is a blocklinalg.Factor, with scipy's
-SuperLU call, solve(rhs, trans="N"); trans="T" solves with the transpose.
-The exact LU is SuperLU's own solve, block Jacobi one product with the
-inverted diagonal blocks and point Jacobi one product with the reciprocal
-diagonal. Block ILU0 is, when built, a natural-order sweep with its block
-lower factor (blocklinalg.triangular_sweep) and SuperLU's LU of its block
-upper factor, in the MDF order; point ILU0 is its two natural-order sweeps.
-The *-p0 variants wrap the application in a two-level p-multigrid cycle with
-this preconditioner as the smoother, on the system's transfers. A
+or a point ILU0. Every approximation is a blocklinalg.Factor, whose apply
+and apply_T solve with it and with its transpose. The exact LU is SuperLU's
+own solve, block Jacobi one product with the inverted diagonal blocks and
+point Jacobi one product with the reciprocal diagonal. Block ILU0 is, when
+built, a natural-order sweep with its block lower factor
+(blocklinalg.triangular_sweep) and SuperLU's LU of its block upper factor,
+in the MDF order; point ILU0 is its two natural-order sweeps. The *-p0
+variants wrap the application in a two-level p-multigrid cycle with this
+preconditioner as the smoother, on the system's transfers. A
 preconditioner is GMRES's M: its apply(v) is M^-1 v.
 """
 
@@ -46,7 +46,17 @@ __all__ = [
     "apply_at_inverse",
 ]
 
-CATALOG = ("A0", "BJ", "BILU", "BJ-ilu", "BILU-ilu", "A0-p0", "BJ-p0", "BILU-p0")
+_VARIANT_TABLE = {
+    "A0": ("exact", "exact", False),
+    "BJ": ("block_jacobi", "point_jacobi", False),
+    "BILU": ("bilu", "point_jacobi", False),
+    "BJ-ilu": ("block_jacobi", "point_ilu0", False),
+    "BILU-ilu": ("bilu", "point_ilu0", False),
+    "A0-p0": ("exact", "exact", True),
+    "BJ-p0": ("block_jacobi", "point_jacobi", True),
+    "BILU-p0": ("bilu", "point_jacobi", True),
+}
+CATALOG = tuple(_VARIANT_TABLE)
 
 
 def point_jacobi(B: scipy.sparse.csr_matrix) -> Factor:
@@ -195,18 +205,6 @@ def _build_byy_approx(sys: KktSystem, kind: str):
     if kind == "point_jacobi":
         return point_jacobi(Byy)
     return point_ilu0_factor(Byy)
-
-
-_VARIANT_TABLE = {
-    "A0": ("exact", "exact", False),
-    "BJ": ("block_jacobi", "point_jacobi", False),
-    "BILU": ("bilu", "point_jacobi", False),
-    "BJ-ilu": ("block_jacobi", "point_ilu0", False),
-    "BILU-ilu": ("bilu", "point_ilu0", False),
-    "A0-p0": ("exact", "exact", True),
-    "BJ-p0": ("block_jacobi", "point_jacobi", True),
-    "BILU-p0": ("bilu", "point_jacobi", True),
-}
 
 
 def build_at_preconditioner(sys: KktSystem, variant: str) -> AtPreconditioner:

@@ -20,15 +20,16 @@ other factor, B_yy and J_y are scipy CSR.
 KktSystem is the one record of the system at a state: the seven factor
 matrices, kappa and gamma, g and r, and, optionally, its discretization
 record SystemDims (n_elem, p, q). SystemDims alone computes the sizes N_u,
-N_y and N_x from n_elem, p and q, checks their ranges, and builds the
-p-multigrid transfers (KktSystem.transfers). check_weights is the one rule
-on kappa and gamma (finite and nonnegative), which KktSystem, SqpConfig and
-the manifest apply. A system assembles B_yy and J_y from its factors when
-it is built, and the whole matrix K, as canonical CSR, on first use, and
-caches it. kkt_matvec is the one product with K: a system is the operator
-A that GMRES and the p-multigrid cycle apply, and the coarse matrix is
-Q (K P). One sparse direct solve of K (reference_solution) is the reference
-solution that GMRES is measured against. The SQP step
+N_y and N_x from n_elem, p and q, checks their ranges, holds the enriched
+test degree, and builds the p-multigrid transfers (KktSystem.transfers).
+check_weights is the one rule on kappa and gamma (finite and nonnegative),
+which KktSystem, SqpConfig and the manifest apply, and check_case the one
+rule on a case name, a CSV field. A system assembles B_yy and J_y from its
+factors when it is built, and the whole matrix K, as canonical CSR, on
+first use, and caches it. kkt_matvec is the one product with K: a system is
+the operator A that GMRES and the p-multigrid cycle apply, and the coarse
+matrix is Q (K P). One sparse direct solve of K (reference_solution) is the
+reference solution that GMRES is measured against. The SQP step
 (shocktrack.assemble_step) sums the same K, bit for bit, from the element
 blocks, without a system.
 """
@@ -43,11 +44,12 @@ import numpy as np
 import scipy.sparse
 
 from .blocklinalg import block_rows, canonical_bsr, canonical_csr, checked_splu
-from .errors import DimensionMismatch, SingularSystem
+from .errors import DimensionMismatch, SingularSystem, shown
 
 __all__ = [
     "SystemDims",
     "KktSystem",
+    "check_case",
     "check_weights",
     "assemble_Byy",
     "kkt_matvec",
@@ -58,7 +60,9 @@ __all__ = [
 @dataclass(frozen=True)
 class SystemDims:
     """Discretization record of a system: an n_elem mesh with solution degree
-    p and mesh degree q, and the sizes that follow from them."""
+    p and mesh degree q, and the sizes that follow from them. The tracking
+    residual R is tested in the enriched space of degree test_degree, p + 1,
+    whose n_u_enriched rows are the rows of dRdu and dRdx."""
 
     n_elem: int
     p: int
@@ -77,8 +81,12 @@ class SystemDims:
         return self.n_elem * (self.p + 1)
 
     @property
+    def test_degree(self) -> int:
+        return self.p + 1
+
+    @property
     def n_u_enriched(self) -> int:
-        return self.n_elem * (self.p + 2)
+        return self.n_elem * (self.test_degree + 1)
 
     @property
     def n_x(self) -> int:
@@ -132,6 +140,13 @@ def check_weights(kappa, gamma) -> None:
     for name, weight in (("kappa", kappa), ("gamma", gamma)):
         if not (weight >= 0 and math.isfinite(weight)):
             raise ValueError(f"invalid {name} {weight!r}: must be finite and nonnegative")
+
+
+def check_case(case: str) -> None:
+    """The case name rule: no comma, double quote or line break, which would
+    split its CSV row, else ValueError."""
+    if any(ch in case for ch in ',"\r\n'):
+        raise ValueError(f"invalid case {shown(case)}: must not contain a comma, a double quote or a line break")
 
 
 def assemble_Byy(sys: KktSystem) -> scipy.sparse.csr_matrix:

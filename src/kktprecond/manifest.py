@@ -5,14 +5,14 @@ block, so B_uu is never materialized on disk; Byy is re-assembled on import,
 which doubles as a consistency check of the stored factors.
 
 ju.mtx and dRdu.mtx carry a %%block-sizes line and import as BSR matrices
-with (p+1) x (p+1) and (p+2) x (p+1) blocks; the scalar factors do not. A
-scalar factor written with one (dRdx.mtx and drdx.mtx of older manifests)
-imports as the CSR view of its blocks. Every manifest number is read by
-json_value, the JSON type rule that the sweep spec shares. The manifest's
-n_elem, p and q make its SystemDims, whose range rule (n_elem >= 1,
-p >= 0, q >= 1) is checked, with kkt.check_weights on kappa and gamma,
-before any matrix file is read; every matrix file is read with the shape
-those dimensions give it.
+with (p+1) x (p+1) and (t+1) x (p+1) blocks, t the SystemDims test_degree;
+the scalar factors do not. A scalar factor written with one (dRdx.mtx and
+drdx.mtx of older manifests) imports as the CSR view of its blocks. Every
+manifest number is read by json_value, the JSON type rule that the sweep
+spec shares. The manifest's n_elem, p and q make its SystemDims, whose
+range rule (n_elem >= 1, p >= 0, q >= 1) is checked, with kkt.check_weights
+on kappa and gamma and kkt.check_case on the case, before any matrix file
+is read; every matrix file is read with the shape those dimensions give it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import os
 import scipy.sparse
 
 from .errors import ManifestError, shown
-from .kkt import KktSystem, SystemDims, check_weights
+from .kkt import KktSystem, SystemDims, check_case, check_weights
 from .mmio import read_matrix, read_vector, write_matrix, write_vector
 
 __all__ = ["MANIFEST_VERSION", "export_system", "import_system", "json_value"]
@@ -129,6 +129,7 @@ def import_system(path) -> KktSystem:
     try:
         dims = SystemDims(n_elem, p, q)
         check_weights(kappa, gamma)
+        check_case(case)
     except ValueError as exc:
         raise ManifestError(f"{path}: {exc}")
     if state_index < 0:
@@ -147,7 +148,7 @@ def import_system(path) -> KktSystem:
         "elasticity": (dims.n_x, dims.n_x),
     }
     loaded = {key: load("matrices", key, lambda full: read_matrix(full, shapes[key])) for key in shapes}
-    for key, want in (("ju", (dims.p + 1, dims.p + 1)), ("dRdu", (dims.p + 2, dims.p + 1))):
+    for key, want in (("ju", (dims.p + 1, dims.p + 1)), ("dRdu", (dims.test_degree + 1, dims.p + 1))):
         if not isinstance(loaded[key], scipy.sparse.bsr_matrix):
             raise ManifestError(f"{path}: matrix {key} has no %%block-sizes line")
         if loaded[key].blocksize != want:

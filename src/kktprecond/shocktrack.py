@@ -12,8 +12,9 @@ without error.
 
 In one dimension the transformed volume flux equals the physical flux; the
 mesh coordinates enter the residual only through the source-term quadrature
-weight g = dG/dX and the node positions themselves. The enriched residual
-(test degree p+1) drives the tracking objective
+weight g = dG/dX and the node positions themselves. The residual R tested
+in the enriched space of degree t = dims.test_degree drives the tracking
+objective
 
     f = 1/2 ||R||^2 + kappa^2/2 ||R_msh||^2,
 
@@ -36,7 +37,7 @@ import scipy.sparse
 
 from .blocklinalg import checked_splu
 from .errors import InvertedElement, LineSearchFailure, SingularSystem, SizeCapExceeded
-from .kkt import KktSystem, SystemDims, check_weights
+from .kkt import KktSystem, SystemDims, check_case, check_weights
 
 __all__ = [
     "SHOCK_POSITION",
@@ -124,17 +125,19 @@ class ShockTrackProblem1d:
         self.bc_left = bc_left
         self.bc_right = bc_right
 
-        # Gauss rule exact through polynomial degree 2p + q + 2.
-        self.n_quad = (2 * p + q + 3 + 1) // 2
-        t, w = np.polynomial.legendre.leggauss(self.n_quad)
-        self.quad_pts = 0.5 * (t + 1.0)
+        # Gauss rule exact through 2p + t - 1, the degree of f(U) phi_t', and
+        # p + q + t + 1, two above the source terms; t is the test degree.
+        t = self.dims.test_degree
+        self.n_quad = max(p + q + t + 1, 2 * p + t - 1) // 2 + 1
+        nodes, w = np.polynomial.legendre.leggauss(self.n_quad)
+        self.quad_pts = 0.5 * (nodes + 1.0)
         self.quad_wts = 0.5 * w
 
         # One table per degree, at the quadrature points and the two element
         # ends; Horner's rule is elementwise, so each point's values are those
         # of a table of that point alone.
         self._basis: dict[int, _Basis] = {}
-        for deg in {p, p + 1, q}:
+        for deg in {p, t, q}:
             V, D = _lagrange_tables(deg, np.concatenate([self.quad_pts, [0.0, 1.0]]))
             self._basis[deg] = _Basis(V[:-2], D[:-2], V[-2], V[-1])
 
@@ -280,10 +283,11 @@ def dg_residual(problem: ShockTrackProblem1d, u, x, test_degree: int) -> np.ndar
     return _residuals(problem, u, x, (test_degree,))[1][0]
 
 
-def _tridiag_bsr(n: int, row_size: int, col_size: int, diag, sub, sup) -> scipy.sparse.bsr_matrix:
-    """Assemble a block tridiagonal BSR matrix from per-element block stacks;
-    the sub block of the first row and the super block of the last are
-    dropped."""
+def _tridiag_bsr(diag, sub, sup) -> scipy.sparse.bsr_matrix:
+    """Assemble a block tridiagonal BSR matrix from per-element block stacks,
+    of shape (n, rows, columns) each; the sub block of the first row and the
+    super block of the last are dropped."""
+    n, row_size, col_size = diag.shape
     cols = np.arange(n)[:, None] + np.arange(-1, 2)
     keep = (cols >= 0) & (cols < n)
     blocks = np.stack([sub, diag, sup], axis=1)[keep]
@@ -351,9 +355,9 @@ def _distortion_derivs(problem: ShockTrackProblem1d, gx: np.ndarray, h: np.ndarr
 
 def _linearize(problem: ShockTrackProblem1d, state):
     """r, R, the element Jacobian blocks (diag, sub, sup, dx) of the p and
-    the p+1 residual, rmsh and its derivatives (_distortion_derivs) at a
-    state, from one geometry and one residual pass."""
-    degrees = (problem.p, problem.p + 1)
+    the test degree residual, rmsh and its derivatives (_distortion_derivs)
+    at a state, from one geometry and one residual pass."""
+    degrees = (problem.p, problem.dims.test_degree)
     gx, (r, R) = _residuals(problem, state.u, phi_map(problem, state.y), degrees)
     jac, jac_t = _jacobians(problem, np.asarray(state.u, dtype=float)[problem.elem_u], gx, degrees)
     rmsh, h = _distortion(problem, gx)
@@ -405,16 +409,15 @@ def build_kkt(problem: ShockTrackProblem1d, state: DgState, case: str = "case") 
     element blocks of one _linearize call, as assemble_step sums its K."""
     kappa, gamma = state.kappa, state.gamma
     check_weights(kappa, gamma)
-    n, n_p, n_t = problem.n_elem, problem.p + 1, problem.p + 2
     r, R, (diag, sub, sup, dx), (diag_t, sub_t, sup_t, dx_t), rmsh, drmsh = _linearize(problem, state)
 
-    dRdu = _tridiag_bsr(n, n_t, n_p, diag_t, sub_t, sup_t)
+    dRdu = _tridiag_bsr(diag_t, sub_t, sup_t)
     dRdx = _mesh_column_csr(problem, dx_t)
     dRmshdx = _mesh_column_csr(problem, drmsh[:, None, :])
     g = _gradient(problem, R, rmsh, dRdu, dRdx, dRmshdx, kappa)
 
     return KktSystem(
-        Ju=_tridiag_bsr(n, n_p, n_p, diag, sub, sup),
+        Ju=_tridiag_bsr(diag, sub, sup),
         dRdu=dRdu,
         dRdx=dRdx,
         drdx=_mesh_column_csr(problem, dx),
@@ -510,7 +513,7 @@ class _StepPattern:
     """
 
     def __init__(self, problem: ShockTrackProblem1d):
-        n, n_p, q = problem.n_elem, problem.p + 1, problem.q
+        n, n_p, n_t, q = problem.n_elem, problem.p + 1, problem.dims.test_degree + 1, problem.q
         n_u, n_y = problem.dims.n_u, problem.dims.n_y
         nz = n_u + n_y
         self.dim = nz + n_u
@@ -521,7 +524,7 @@ class _StepPattern:
         interior = (nodes > 0) & (nodes < problem.dims.n_x - 1)
         y_cols = np.where(interior, n_u + nodes - 1, -1)
         r_col = np.full((n, 1), nz)
-        I, J, *r_terms = _row_sum_terms(np.hstack([u_cols.reshape(n, -1), y_cols, r_col]), n_p + 1, nz)
+        I, J, *r_terms = _row_sum_terms(np.hstack([u_cols.reshape(n, -1), y_cols, r_col]), n_t, nz)
         I_m, J_m, *m_terms = _row_sum_terms(np.hstack([y_cols, r_col]), 1, nz)
         self.r_terms, self.m_terms = (*r_terms, len(I)), (*m_terms, len(I_m))
         # The mesh pairs are the R pairs with I in y, in the same order.
@@ -576,11 +579,10 @@ def assemble_step(problem: ShockTrackProblem1d, state: DgState) -> StepSystem:
     dropped from every product and sum block, and Ju and Ju^T keep their
     stored zeros.
     """
-    pat = problem.step_pattern
-    n, n_t = problem.n_elem, problem.p + 2
+    pat, n = problem.step_pattern, problem.n_elem
     r, R, (diag, sub, sup, dx), (diag_t, sub_t, sup_t, dx_t), rmsh, drmsh = _linearize(problem, state)
 
-    sums = _row_sums(np.concatenate([sub_t, diag_t, sup_t, dx_t, R.reshape(n, n_t, 1)], axis=2), *pat.r_terms)
+    sums = _row_sums(np.concatenate([sub_t, diag_t, sup_t, dx_t, R.reshape(n, -1, 1)], axis=2), *pat.r_terms)
     mesh = _row_sums(np.concatenate([drmsh, rmsh[:, None]], axis=1)[:, None, :], *pat.m_terms)
     mesh = sums[pat.mesh_pairs] + state.kappa**2 * mesh
     sums[pat.byy_pairs] = mesh[pat.yy] + state.gamma * pat.D_yy
@@ -610,7 +612,7 @@ def sqp_step(problem: ShockTrackProblem1d, state: DgState) -> tuple[np.ndarray, 
 
 def _merit_components(problem: ShockTrackProblem1d, u, y, kappa: float):
     """Objective value and constraint residual without any Jacobian work."""
-    gx, (R, r) = _residuals(problem, u, phi_map(problem, y), (problem.p + 1, problem.p))
+    gx, (R, r) = _residuals(problem, u, phi_map(problem, y), (problem.dims.test_degree, problem.p))
     rmsh, _ = _distortion(problem, gx)
     return _objective(R, rmsh, kappa), r
 
@@ -674,8 +676,9 @@ def run_sqp(
 @dataclass(frozen=True)
 class GenerateConfig:
     """Problem generator settings read from a key-value config file. Its sqp
-    checks kappa, gamma and max_iters; states must name at least one of the
-    states 0..max_iters a run produces, else ValueError."""
+    checks kappa, gamma and max_iters, and kkt.check_case its case name;
+    states must name at least one of the states 0..max_iters a run
+    produces, else ValueError."""
 
     n_elem: int = 8
     p: int = 1
@@ -690,6 +693,7 @@ class GenerateConfig:
     case: str | None = None
 
     def __post_init__(self):
+        check_case(self.case_name)
         n = self.sqp.max_iters
         if not self.states:
             raise ValueError("invalid states: name at least one state to export")

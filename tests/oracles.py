@@ -34,7 +34,7 @@ permutations, the step's product sums from term tables padded to the
 widest pair and summed a table row at a time, the residual and the
 Jacobian blocks of one test degree at a time,
 the basis tables of a degree built in three calls, the preconditioner
-cycle reaching every factor through Factor.solve, the reference solve of
+cycle written out factor by factor, the reference solve of
 K.tocsc(), the Python loop that applied GMRES's earlier Givens rotations to
 each new Hessenberg column)
 do the same float operations in the same order as their
@@ -74,7 +74,7 @@ import scipy.linalg.lapack
 import scipy.sparse
 
 from kktprecond import shocktrack
-from kktprecond.blocklinalg import Factor, check_trans, checked_splu, first_singular, sparse_lu, triangular_sweep
+from kktprecond.blocklinalg import Factor, checked_splu, first_singular, sparse_lu, triangular_sweep
 from kktprecond.conprec import _VARIANT_TABLE, point_ilu0_values
 from kktprecond.dgprecond import _diagonal_positions, _fill_terms, _permuted_copy, _square_bsr, bilu0_blocks, mdf_order
 from kktprecond.errors import (
@@ -690,9 +690,9 @@ def five_step_apply(P, sys, v):
     n_u, n_y = P.ju.n, P.byy.n
 
     def bare(b):
-        w1 = P.ju.solve(b[:n_u], trans="T")
-        w2 = P.byy.solve(b[n_u : n_u + n_y] - P.Jy.T @ w1)
-        w3 = P.ju.solve(b[n_u + n_y :] - P.Jy @ w2)
+        w1 = P.ju.apply_T(b[:n_u])
+        w2 = P.byy.apply(b[n_u : n_u + n_y] - P.Jy.T @ w1)
+        w3 = P.ju.apply(b[n_u + n_y :] - P.Jy @ w2)
         return np.concatenate([w3, w2, w1])
 
     if P.multigrid is None:
@@ -700,27 +700,26 @@ def five_step_apply(P, sys, v):
     K = bmat_kkt(sys)
     prolong, restrict = sys.dims.transfers()
     A0 = restrict @ (K @ prolong)
-    s = prolong @ sparse_lu(A0).solve(restrict @ v)
+    s = prolong @ sparse_lu(A0).apply(restrict @ v)
     return s + bare(v - K @ s), A0
 
 
-def factor_solve_apply(P, v):
-    """A catalog preconditioner's M^-1 v with every factor, the coarse LU
-    included, reached through Factor.solve and its checks, as the cycle
-    called them before it called apply and apply_T directly."""
+def factor_apply(P, v):
+    """A catalog preconditioner's M^-1 v written out from the apply and
+    apply_T of its factors, the coarse LU included, in the cycle's order."""
     v = np.asarray(v, dtype=float)
     n_u, n_y = P.ju.n, P.byy.n
 
     def bare(b):
-        w1 = P.ju.solve(b[:n_u], trans="T")
-        w2 = P.byy.solve(b[n_u : n_u + n_y] - P.Jy_T @ w1)
-        w3 = P.ju.solve(b[n_u + n_y :] - P.Jy @ w2)
+        w1 = P.ju.apply_T(b[:n_u])
+        w2 = P.byy.apply(b[n_u : n_u + n_y] - P.Jy_T @ w1)
+        w3 = P.ju.apply(b[n_u + n_y :] - P.Jy @ w2)
         return np.concatenate([w3, w2, w1])
 
     if P.multigrid is None:
         return bare(v)
     sys, coarse = P.multigrid
-    s = coarse.P @ coarse.lu.solve(coarse.Q @ v)
+    s = coarse.P @ coarse.lu.apply(coarse.Q @ v)
     return s + bare(v - sys.apply(s))
 
 
@@ -835,7 +834,7 @@ def kkt_sqp_step(problem, state):
     and r and the residuals R and rmsh."""
     sys = build_kkt(problem, state)
     sol = reference_solution(sys)
-    gx, (R,) = shocktrack._residuals(problem, state.u, phi_map(problem, state.y), (problem.p + 1,))
+    gx, (R,) = shocktrack._residuals(problem, state.u, phi_map(problem, state.y), (problem.dims.test_degree,))
     rmsh, _ = shocktrack._distortion(problem, gx)
     nz = problem.dims.n_u + problem.dims.n_y
     return sol[:nz], sol[nz:], StepSystem(sys.K.tocsc(), sys.g, sys.r, R, rmsh)
@@ -1158,7 +1157,8 @@ class BlockLuFactor:
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
         """Solve A x = b, or A^T x = b for trans="T", for a vector or a matrix
         of right-hand sides, by LAPACK getrs."""
-        check_trans(trans)
+        if trans not in ("N", "T"):
+            raise ValueError(f"trans must be 'N' or 'T', got {trans!r}")
         b = np.asarray(b, dtype=float)
         if b.ndim not in (1, 2) or b.shape[0] != len(self.pivots):
             raise DimensionMismatch(f"right-hand side {b.shape} incompatible with block of order {len(self.pivots)}")

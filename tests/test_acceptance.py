@@ -170,8 +170,8 @@ def test_criterion_05_derivatives_match_finite_differences(announce):
         f = build_kkt(prob, state_at(prob, u0, y0))
         checks = [
             (fd(lambda u: dg_residual(prob, u, x0, prob.p), u0), f.Ju.toarray()),
-            (fd(lambda u: dg_residual(prob, u, x0, prob.p + 1), u0), f.dRdu.toarray()),
-            (fd(lambda x: dg_residual(prob, u0, x, prob.p + 1), x0), f.dRdx.toarray()),
+            (fd(lambda u: dg_residual(prob, u, x0, prob.dims.test_degree), u0), f.dRdu.toarray()),
+            (fd(lambda x: dg_residual(prob, u0, x, prob.dims.test_degree), x0), f.dRdx.toarray()),
             (fd(lambda x: dg_residual(prob, u0, x, prob.p), x0), f.drdx.toarray()),
             (fd(lambda x: distortion(prob, x), x0), f.dRmshdx.toarray()),
         ]
@@ -203,7 +203,7 @@ def test_criterion_06_sqp_tracks_the_shock(announce):
     final = states[-1]
     x = phi_map(prob, final.y)
     node_err = float(np.min(np.abs(x - 0.6)))
-    R = dg_residual(prob, final.u, x, prob.p + 1)
+    R = dg_residual(prob, final.u, x, prob.dims.test_degree)
     f_err = 0.5 * float(R @ R)
     ok = (
         len(states) - 1 <= 100

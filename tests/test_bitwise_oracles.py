@@ -44,7 +44,7 @@ from oracles import (
     coo_block_to_scipy,
     csc_view_assemble_Byy,
     dense_lu_factor,
-    factor_solve_apply,
+    factor_apply,
     fill_table_mdf_order,
     five_step_apply,
     getrf,
@@ -341,9 +341,9 @@ def test_point_ilu0_solve_matches_permuted_lu(name, request):
     Byy = request.getfixturevalue(name).Byy
     F, want = point_ilu0_factor(Byy), permuted_point_ilu0_factor(Byy)
     rng = np.random.default_rng(3)
-    for trans in ("N", "T"):
+    for got, expect in ((F.apply, want.apply), (F.apply_T, want.apply_T)):
         v = rng.standard_normal(Byy.shape[0])
-        assert np.array_equal(F.solve(v, trans=trans), want.solve(v, trans=trans))
+        assert np.array_equal(got(v), expect(v))
 
 
 @pytest.mark.parametrize("name", ["sys8_k1", "sys16_k1"])
@@ -813,13 +813,13 @@ def _same_report(got, want):
 @pytest.mark.parametrize("variant", CATALOG)
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
 def test_catalog_gmres_reports_match_per_block_path(p, variant, degree_systems, monkeypatch):
-    # The new builds and the cycle that calls apply / apply_T against the
-    # per-block builds applied through Factor.solve, over whole solves.
+    # The new builds and their cycle against the per-block builds applied
+    # factor by factor (factor_apply), over whole solves.
     sys = degree_systems[p]
     cfg = GmresConfig(tol=1e-3, max_iters=1000, criterion=EXACT_SOLUTION, reference=reference_solution(sys))
     new = build_at_preconditioner(sys, variant)
     old = _per_block_build(monkeypatch, lambda: build_at_preconditioner(sys, variant))
-    want = gmres_solve(sys, sys.rhs(), LinearOperator(old.dimension, partial(factor_solve_apply, old)), cfg)
+    want = gmres_solve(sys, sys.rhs(), LinearOperator(old.dimension, partial(factor_apply, old)), cfg)
     assert want.converged
     _same_report(gmres_solve(sys, sys.rhs(), new, cfg), want)
 
@@ -829,7 +829,7 @@ def test_catalog_gmres_reports_match_per_block_path(p, variant, degree_systems, 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_block_factor_gmres_reports_match_per_block_path_on_perturbed_stencils(seed, kind, monkeypatch):
     # GMRES on the stencil itself, with block Jacobi or block ILU0 in MDF
-    # order as M, applied through apply against the per-block build's solve.
+    # order as M, applied through apply against the per-block build's apply.
     A = scaled_stencil(seed) if kind == "none" else perturbed_stencil(seed, kind)
     operator = LinearOperator(A.shape[0], A.dot)
     b = np.random.default_rng(seed).standard_normal(A.shape[0])
@@ -840,7 +840,7 @@ def test_block_factor_gmres_reports_match_per_block_path_on_perturbed_stencils(s
         if isinstance(old, tuple):
             assert new == old
             continue
-        want = _outcome(lambda: gmres_solve(operator, b, LinearOperator(old.n, old.solve), cfg))
+        want = _outcome(lambda: gmres_solve(operator, b, LinearOperator(old.n, old.apply), cfg))
         _same_report(_outcome(lambda: gmres_solve(operator, b, LinearOperator(new.n, new.apply), cfg)), want)
 
 

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from kktprecond.blocklinalg import Factor, triangular_sweep
 from kktprecond.conprec import CATALOG, build_at_preconditioner, point_ilu0_factor, point_ilu0_values
 from kktprecond.dgprecond import bilu0_factor, build_block_jacobi, mdf_order
-from kktprecond.errors import DimensionMismatch
-from oracles import bilu_matrix, dense_lu_factor, ju_matrix, point_ilu0_matrix
+from oracles import bilu_matrix, ju_matrix, point_ilu0_matrix
 
 
 @st.composite
@@ -51,7 +50,7 @@ def test_compiled_solves_match_dense_oracles(A, trans):
     )
     for factor, M in factors:
         expect = np.linalg.solve(M if trans == "N" else M.T, v)
-        np.testing.assert_allclose(factor.solve(v, trans=trans), expect, rtol=1e-10)
+        np.testing.assert_allclose((factor.apply if trans == "N" else factor.apply_T)(v), expect, rtol=1e-10)
 
 
 def test_catalog_never_calls_spsolve_triangular(sys8_k1, monkeypatch):
@@ -68,46 +67,10 @@ def test_catalog_never_calls_spsolve_triangular(sys8_k1, monkeypatch):
         assert np.all(np.isfinite(out))
 
 
-@pytest.mark.parametrize("variant", CATALOG)
-def test_factor_solves_reject_wrong_length(variant, sys8_k1):
-    P = build_at_preconditioner(sys8_k1, variant)
-    for factor, n in ((P.ju, sys8_k1.n_u), (P.byy, sys8_k1.n_y)):
-        for bad in (np.array([8.0]), np.ones(n + 1), np.ones((n, 1))):
-            for trans in ("N", "T"):
-                with pytest.raises(DimensionMismatch):
-                    factor.solve(bad, trans=trans)
-
-
 def test_triangular_sweep_rejects_a_factor_superlu_would_pivot():
     swap = scipy.sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(RuntimeError, match="permuted"):
         triangular_sweep(swap)
-
-
-# The solve-protocol factors: the dense block LU, and the Ju~ and Byy~ of
-# every catalog variant.
-FACTOR_CASES = [("BlockLuFactor", None, None)] + [
-    ("Factor", variant, part) for variant in CATALOG for part in ("ju", "byy")
-]
-
-
-def _factor_of(kind, variant, part, sys):
-    """A factor of one solve-protocol type built on sys, with its order."""
-    if kind == "BlockLuFactor":
-        return dense_lu_factor(np.array([[2.0, 1.0], [1.0, 3.0]])), 2
-    P = build_at_preconditioner(sys, variant)
-    return getattr(P, part), sys.n_u if part == "ju" else sys.n_y
-
-
-@pytest.mark.parametrize(
-    "kind, variant, part", FACTOR_CASES, ids=["-".join(filter(None, case)) for case in FACTOR_CASES]
-)
-def test_factor_solves_reject_unknown_trans(kind, variant, part, sys8_k1):
-    factor, n = _factor_of(kind, variant, part, sys8_k1)
-    assert type(factor).__name__ == kind
-    for bad in ("X", "t", "C", 1):
-        with pytest.raises(ValueError, match=f"trans must be 'N' or 'T', got {bad!r}"):
-            factor.solve(np.ones(n), trans=bad)
 
 
 # SuperLU factorizations per build: the exact LU is factored once and solved

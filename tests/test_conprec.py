@@ -156,20 +156,20 @@ def test_point_jacobi_identity():
         warnings.simplefilter("error")
         J = point_jacobi(point(np.eye(4)))
     v = np.array([1.0, -2.0, 3.0, 4.0])
-    np.testing.assert_array_equal(J.solve(v), v)
+    np.testing.assert_array_equal(J.apply(v), v)
 
 
 def test_point_jacobi_uses_only_diagonal():
     J = point_jacobi(point(np.array([[2.0, 7.0], [0.0, 4.0]])))
-    np.testing.assert_array_equal(J.solve(np.array([2.0, 4.0])), [1.0, 1.0])
-    np.testing.assert_array_equal(J.solve(np.array([1.0, 1.0])), [0.5, 0.25])
+    np.testing.assert_array_equal(J.apply(np.array([2.0, 4.0])), [1.0, 1.0])
+    np.testing.assert_array_equal(J.apply(np.array([1.0, 1.0])), [0.5, 0.25])
 
 
 def test_point_jacobi_safeguards_zero_diagonal():
     B = point(np.array([[0.0, 1.0], [1.0, 3.0]]))
     with pytest.warns(RuntimeWarning):
         J = point_jacobi(B)
-    np.testing.assert_array_equal(J.solve(np.array([1.0, 3.0])), [1.0, 1.0])
+    np.testing.assert_array_equal(J.apply(np.array([1.0, 3.0])), [1.0, 1.0])
 
 
 def test_point_jacobi_rejects_rectangular():
@@ -183,8 +183,8 @@ def test_point_ilu0_exact_on_diagonal():
     F = point_ilu0_factor(B)
     np.testing.assert_allclose(point_ilu0_matrix(B, point_ilu0_values(B)), A, rtol=1e-15)
     v = np.array([4.0, 10.0, 1.0])
-    np.testing.assert_allclose(F.solve(v), [2.0, 2.0, 2.0], rtol=1e-15)
-    np.testing.assert_allclose(F.solve(v, trans="T"), np.linalg.solve(A.T, v), rtol=1e-15)
+    np.testing.assert_allclose(F.apply(v), [2.0, 2.0, 2.0], rtol=1e-15)
+    np.testing.assert_allclose(F.apply_T(v), np.linalg.solve(A.T, v), rtol=1e-15)
 
 
 def test_point_ilu0_exact_on_tridiagonal():
@@ -196,7 +196,7 @@ def test_point_ilu0_exact_on_tridiagonal():
     F = point_ilu0_factor(B)
     np.testing.assert_allclose(point_ilu0_matrix(B, point_ilu0_values(B)), A, rtol=1e-12, atol=1e-13)
     v = rng.standard_normal(n)
-    np.testing.assert_allclose(F.solve(v), np.linalg.solve(A, v), rtol=1e-10)
+    np.testing.assert_allclose(F.apply(v), np.linalg.solve(A, v), rtol=1e-10)
 
 
 def grid_laplacian(m):
@@ -219,8 +219,8 @@ def test_point_ilu0_drops_fill_yet_beats_jacobi():
     dense = A.toarray()
     op = LinearOperator(16, lambda v: dense @ v)
     cfg = GmresConfig(tol=1e-8, max_iters=100)
-    it_ilu = gmres_solve(op, b, LinearOperator(16, F.solve), cfg).iterations
-    it_jac = gmres_solve(op, b, LinearOperator(16, point_jacobi(A).solve), cfg).iterations
+    it_ilu = gmres_solve(op, b, LinearOperator(16, F.apply), cfg).iterations
+    it_jac = gmres_solve(op, b, LinearOperator(16, point_jacobi(A).apply), cfg).iterations
     assert it_ilu < it_jac
 
 
@@ -333,8 +333,8 @@ def test_block_ilu0_is_exact_in_1d(name, request):
     P = bilu0_factor(Ju, ordering)
     lu = scipy.sparse.linalg.splu(Ju.tocsc())
     v = np.random.default_rng(9).standard_normal(Ju.shape[0])
-    for trans in ("N", "T"):
-        np.testing.assert_allclose(P.solve(v, trans=trans), lu.solve(v, trans=trans), rtol=1e-12)
+    for apply, trans in ((P.apply, "N"), (P.apply_T, "T")):
+        np.testing.assert_allclose(apply(v), lu.solve(v, trans=trans), rtol=1e-12)
 
 
 @pytest.mark.parametrize("n_elem, p, q", [(64, 2, 2), (256, 1, 1), (100, 3, 1), (16, 2, 2)])
@@ -349,9 +349,9 @@ def test_point_ilu0_is_exact_in_1d(n_elem, p, q):
     F = point_ilu0_factor(Byy)
     lu = scipy.sparse.linalg.splu(Byy.tocsc())
     v = np.random.default_rng(11).standard_normal(Byy.shape[0])
-    for trans in ("N", "T"):
+    for apply, trans in ((F.apply, "N"), (F.apply_T, "T")):
         expect = lu.solve(v, trans=trans)
-        assert np.linalg.norm(F.solve(v, trans=trans) - expect) <= 1e-10 * np.linalg.norm(expect)
+        assert np.linalg.norm(apply(v) - expect) <= 1e-10 * np.linalg.norm(expect)
 
 
 @pytest.mark.parametrize("variant", CATALOG)
@@ -363,10 +363,10 @@ def test_factor_solves_match_dense_oracle(variant, sys16_k1):
     byy = byy_matrix(byy_kind, Byy)
     rng = np.random.default_rng(23)
     v = rng.standard_normal(P.ju.n)
-    np.testing.assert_allclose(P.ju.solve(v), np.linalg.solve(ju, v), rtol=1e-10)
-    np.testing.assert_allclose(P.ju.solve(v, trans="T"), np.linalg.solve(ju.T, v), rtol=1e-10)
+    np.testing.assert_allclose(P.ju.apply(v), np.linalg.solve(ju, v), rtol=1e-10)
+    np.testing.assert_allclose(P.ju.apply_T(v), np.linalg.solve(ju.T, v), rtol=1e-10)
     v = rng.standard_normal(P.byy.n)
-    np.testing.assert_allclose(P.byy.solve(v), np.linalg.solve(byy, v), rtol=1e-10)
+    np.testing.assert_allclose(P.byy.apply(v), np.linalg.solve(byy, v), rtol=1e-10)
 
 
 HOOKED_NAMES = (

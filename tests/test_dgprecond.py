@@ -70,11 +70,11 @@ def test_block_jacobi_is_exact_inverse_of_block_diagonal():
     P = build_block_jacobi(A)
     v = rng.standard_normal(9)
     np.testing.assert_allclose(
-        P.solve(v), np.linalg.solve(A.toarray(), v), rtol=1e-12
+        P.apply(v), np.linalg.solve(A.toarray(), v), rtol=1e-12
     )
     dense = A.toarray()
     op = LinearOperator(9, lambda w: dense @ w)
-    M = LinearOperator(9, P.solve)
+    M = LinearOperator(9, P.apply)
     rep = gmres_solve(op, v, M, GmresConfig(tol=1e-8))
     assert rep.converged and rep.iterations == 1
 
@@ -105,9 +105,9 @@ def test_block_jacobi_matches_per_block_lu_solves(name, request):
     diag = A.data[_diagonal(A)]
     P = build_block_jacobi(A)
     v = np.random.default_rng(6).standard_normal(A.shape[0])
-    for trans in ("N", "T"):
+    for apply, trans in ((P.apply, "N"), (P.apply_T, "T")):
         want = np.concatenate([getrf(D).solve(v[m * s : (m + 1) * s], trans) for m, D in enumerate(diag)])
-        np.testing.assert_allclose(P.solve(v, trans=trans), want, rtol=1e-12)
+        np.testing.assert_allclose(apply(v), want, rtol=1e-12)
 
 
 def test_block_jacobi_identity_diagonals_is_identity_map():
@@ -118,17 +118,17 @@ def test_block_jacobi_identity_diagonals_is_identity_map():
             blk[:] = np.eye(2)
     P = build_block_jacobi(A)
     v = rng.standard_normal(6)
-    np.testing.assert_allclose(P.solve(v), v, rtol=1e-14)
+    np.testing.assert_allclose(P.apply(v), v, rtol=1e-14)
 
 
 def test_block_jacobi_examples_and_transpose():
     A = block_diag_matrix([np.eye(3), np.eye(3)])
     v = np.arange(6.0)
-    np.testing.assert_array_equal(build_block_jacobi(A).solve(v), v)
+    np.testing.assert_array_equal(build_block_jacobi(A).apply(v), v)
 
     A2 = block_diag_matrix([np.array([[2.0]]), np.array([[2.0]])])
     np.testing.assert_allclose(
-        build_block_jacobi(A2).solve(np.array([4.0, 4.0])), [2.0, 2.0]
+        build_block_jacobi(A2).apply(np.array([4.0, 4.0])), [2.0, 2.0]
     )
 
     rng = np.random.default_rng(3)
@@ -137,7 +137,7 @@ def test_block_jacobi_examples_and_transpose():
     P3 = build_block_jacobi(A3)
     w = rng.standard_normal(8)
     np.testing.assert_allclose(
-        P3.solve(w, trans="T"),
+        P3.apply_T(w),
         np.linalg.solve(A3.toarray().T, w),
         rtol=1e-12,
     )
@@ -252,9 +252,9 @@ def test_bilu_block_diagonal_factors_trivially():
         for got, want in zip(F.data, A.data, strict=True):
             np.testing.assert_array_equal(got, want)
         v = rng.standard_normal(2 * n)
-        np.testing.assert_allclose(P.solve(v), np.linalg.solve(A.toarray(), v), rtol=1e-12)
-        np.testing.assert_allclose(P.solve(v, trans="T"), np.linalg.solve(A.toarray().T, v), rtol=1e-12)
-        np.testing.assert_allclose(P.solve(v), build_block_jacobi(A).solve(v), rtol=1e-12)
+        np.testing.assert_allclose(P.apply(v), np.linalg.solve(A.toarray(), v), rtol=1e-12)
+        np.testing.assert_allclose(P.apply_T(v), np.linalg.solve(A.toarray().T, v), rtol=1e-12)
+        np.testing.assert_allclose(P.apply(v), build_block_jacobi(A).apply(v), rtol=1e-12)
 
 
 def test_bilu_exact_on_block_tridiagonal():
@@ -269,9 +269,9 @@ def test_bilu_exact_on_block_tridiagonal():
     assert defect <= 1e-12
 
     w = rng.standard_normal(15)
-    np.testing.assert_allclose(P.solve(w), np.linalg.solve(dense, w), rtol=1e-10)
+    np.testing.assert_allclose(P.apply(w), np.linalg.solve(dense, w), rtol=1e-10)
     np.testing.assert_allclose(
-        P.solve(w, trans="T"), np.linalg.solve(dense.T, w), rtol=1e-10
+        P.apply_T(w), np.linalg.solve(dense.T, w), rtol=1e-10
     )
 
 
@@ -310,9 +310,9 @@ def test_bilu_inverse_consistent_with_permuted_factors(name, request):
     np.testing.assert_array_equal(bilu_matrix(A), approx)
     rng = np.random.default_rng(8)
     w = rng.standard_normal(n)
-    np.testing.assert_allclose(P.solve(w), np.linalg.solve(approx, w), rtol=1e-10)
+    np.testing.assert_allclose(P.apply(w), np.linalg.solve(approx, w), rtol=1e-10)
     np.testing.assert_allclose(
-        P.solve(w, trans="T"), np.linalg.solve(approx.T, w), rtol=1e-10
+        P.apply_T(w), np.linalg.solve(approx.T, w), rtol=1e-10
     )
 
 
@@ -320,7 +320,7 @@ def test_bilu_identity_factor_returns_input():
     A = block_diag_matrix([np.eye(2), np.eye(2)])
     P = bilu0_factor(A, natural_order(2))
     w = np.array([1.0, -2.0, 3.0, -4.0])
-    np.testing.assert_allclose(P.solve(w), w, rtol=1e-14)
+    np.testing.assert_allclose(P.apply(w), w, rtol=1e-14)
 
 
 def test_bilu_singular_pivot_raises():

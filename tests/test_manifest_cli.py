@@ -24,6 +24,7 @@ from conftest import singular_system, zero_coupling_system
 from kktprecond.cli import CATALOG, CSV_COLUMNS, main
 from kktprecond.conprec import build_at_preconditioner
 from kktprecond.errors import LineSearchFailure, ManifestError, SingularBlock
+from kktprecond.kkt import check_case
 from kktprecond.manifest import export_system, import_system
 from kktprecond.mmio import read_matrix
 from kktprecond.stencil import generate_stencil_system
@@ -450,7 +451,7 @@ def test_cli_solves_block_tagged_mesh_jacobians_as_before(sys8_k1, tmp_path, cap
     outputs = []
     for tagged in (False, True):
         if tagged:
-            for fname, rows_per_elem in (("dRdx.mtx", dims.p + 2), ("drdx.mtx", dims.p + 1)):
+            for fname, rows_per_elem in (("dRdx.mtx", dims.test_degree + 1), ("drdx.mtx", dims.p + 1)):
                 lines = (tmp_path / fname).read_text().splitlines()
                 rows = ",".join([str(rows_per_elem)] * dims.n_elem)
                 lines.insert(1, f"%%block-sizes rows={rows} cols={','.join(['1'] * dims.n_x)}")
@@ -522,6 +523,53 @@ def test_cli_generate_names_the_file_and_line_of_an_unknown_key(tmp_path, capsys
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {cfg}:3: unknown config key 'order'\n"
     assert sqp_calls == [] and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["left,right", 'say "x"', "a\rb", "a\nb"], ids=["comma", "quote", "cr", "lf"])
+def test_check_case_rejects_what_would_split_a_csv_row(case):
+    with pytest.raises(ValueError, match="invalid case"):
+        check_case(case)
+    check_case("burgers1d-n8-p1-q1; left/right")
+
+
+@pytest.mark.parametrize("case", ["left,right", 'say "x"'], ids=["comma", "quote"])
+def test_cli_generate_rejects_a_case_that_breaks_the_csv(tmp_path, capsys, sqp_calls, case):
+    cfg = write_config(tmp_path, f"n_elem = 8\ncase = {case}\n")
+    assert main(["generate", cfg, str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: invalid case") and err.count("\n") == 1
+    assert sqp_calls == [] and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["left,right", "a\nb"], ids=["comma", "lf"])
+def test_cli_sweep_rejects_a_fixed_case_that_breaks_the_csv(tmp_path, capsys, sqp_calls, case):
+    spec = {"axis": "gamma", "values": [0.1], "preconditioners": ["A0"], "fixed": {"n_elem": 8, "case": case}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["sweep", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: invalid case") and err.count("\n") == 1
+    assert sqp_calls == []
+
+
+@pytest.mark.parametrize("case", ["left,right", "a\nb", "a\r"], ids=["comma", "lf", "cr"])
+def test_import_rejects_a_case_that_breaks_the_csv_before_reading_matrices(sys8_k1, tmp_path, capsys, monkeypatch, case):
+    path = export_system(sys8_k1, tmp_path)
+    with open(path) as fh:
+        manifest = json.load(fh)
+    manifest["case"] = case
+    with open(path, "w") as fh:
+        json.dump(manifest, fh)
+
+    def unread(*args, **kwargs):
+        raise AssertionError("a matrix file was read")
+
+    monkeypatch.setattr("kktprecond.manifest.read_matrix", unread)
+    with pytest.raises(ManifestError, match="invalid case"):
+        import_system(path)
+    assert main(["solve", path, "--precond", "A0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "invalid case" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("where", ["sweep", "manifest"])

@@ -120,7 +120,7 @@ def test_tracked_state_solves_both_test_spaces(p, q):
     x = phi_map(prob, st.y)
     assert np.any(x == SHOCK_POSITION)
     r = dg_residual(prob, st.u, x, prob.p)
-    R = dg_residual(prob, st.u, x, prob.p + 1)
+    R = dg_residual(prob, st.u, x, prob.dims.test_degree)
     assert np.linalg.norm(r, np.inf) <= 1e-12
     assert np.linalg.norm(R, np.inf) <= 1e-12
 
@@ -172,6 +172,35 @@ def test_jacobian_rows_are_block_tridiagonal(sys8_k1):
 # Derivative verification ----------------------------------------------------
 
 
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("p", range(7))
+def test_gauss_rule_integrates_residuals_and_jacobians_exactly(p, q, monkeypatch):
+    """Three more Gauss points move neither residual, of degree p or of the
+    test degree t, nor any Jacobian block beyond rounding: the rule is exact
+    through the degree of every integrand, the volume term f(U) phi' of
+    degree 2p + t - 1 among them."""
+    leggauss = np.polynomial.legendre.leggauss
+
+    def problem(extra):
+        with monkeypatch.context() as m:
+            m.setattr(np.polynomial.legendre, "leggauss", lambda n: leggauss(n + extra))
+            return ShockTrackProblem1d(6, p, q)
+
+    prob, finer = problem(0), problem(3)
+    st0 = initial_state(prob)
+    u = st0.u + 0.3 * np.random.default_rng(0).standard_normal(prob.dims.n_u)
+    x = phi_map(prob, st0.y)
+    degrees = (p, prob.dims.test_degree)
+
+    def parts(P):
+        gx, residuals = shocktrack._residuals(P, u, x, degrees)
+        blocks = shocktrack._jacobians(P, u[P.elem_u], gx, degrees)
+        return residuals + [block for per_degree in blocks for block in per_degree]
+
+    for got, want in zip(parts(prob), parts(finer), strict=True):
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
 def test_jacobians_match_finite_differences():
     prob = ShockTrackProblem1d(6, 1, 1)
     rng = np.random.default_rng(42)
@@ -184,10 +213,10 @@ def test_jacobians_match_finite_differences():
             fd_jacobian(lambda u: dg_residual(prob, u, x0, prob.p), u0), f.Ju.toarray()
         )
         assert_rel_close(
-            fd_jacobian(lambda u: dg_residual(prob, u, x0, prob.p + 1), u0), f.dRdu.toarray()
+            fd_jacobian(lambda u: dg_residual(prob, u, x0, prob.dims.test_degree), u0), f.dRdu.toarray()
         )
         assert_rel_close(
-            fd_jacobian(lambda x: dg_residual(prob, u0, x, prob.p + 1), x0), f.dRdx.toarray()
+            fd_jacobian(lambda x: dg_residual(prob, u0, x, prob.dims.test_degree), x0), f.dRdx.toarray()
         )
         assert_rel_close(
             fd_jacobian(lambda x: dg_residual(prob, u0, x, prob.p), x0), f.drdx.toarray()
@@ -256,7 +285,7 @@ def test_tracked_state_is_stationary(prob8):
 def test_objective_without_mesh_penalty_is_enriched_residual_energy(prob8, states8):
     st = states8[1]
     f, _ = objective_and_gradient(prob8, st.u, st.y, kappa=0.0)
-    R = dg_residual(prob8, st.u, phi_map(prob8, st.y), prob8.p + 1)
+    R = dg_residual(prob8, st.u, phi_map(prob8, st.y), prob8.dims.test_degree)
     assert f == 0.5 * (R @ R)
 
 

@@ -2,18 +2,23 @@
 against build_kkt, its oracle, bit for bit, and the SQP runs it drives
 against runs on the oracle step (oracles.kkt_sqp_step)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse
 
 from kktprecond import shocktrack
 from kktprecond.errors import LineSearchFailure
+from kktprecond.kkt import SystemDims
+from kktprecond.manifest import export_system, import_system
 from kktprecond.shocktrack import (
     DgState,
     ShockTrackProblem1d,
     SqpConfig,
     assemble_step,
     build_kkt,
+    dg_residual,
     initial_state,
     phi_map,
     run_sqp,
@@ -107,6 +112,39 @@ def test_step_system_is_build_kkts_at_large_patterns(n_elem, p, q):
     prob = ShockTrackProblem1d(n_elem, p, q)
     assert 2 * prob.dims.n_u + prob.dims.n_y > shocktrack.STEP_CAP
     assert_step_system_is_build_kkts(prob, initial_state(prob))
+
+
+@pytest.mark.parametrize("case", [(19, 1, 1), (64, 2, 2), (33, 3, 1), (16, 0, 1)], ids=lambda c: "-".join(map(str, c)))
+def test_every_path_reads_the_test_degree_from_dims(case, monkeypatch, tmp_path):
+    """With SystemDims.test_degree raised to p + 2 before any problem is
+    built, the step, build_kkt, the merit, the residual and the manifest all
+    follow it: the test degree has one home."""
+    monkeypatch.setattr(SystemDims, "test_degree", property(lambda dims: dims.p + 2))
+    prob = ShockTrackProblem1d(*case)
+    n_elem, p, _ = case
+    t = prob.dims.test_degree
+    assert t == p + 2 and prob.dims.n_u_enriched == n_elem * (p + 3)
+    st0 = initial_state(prob)
+    state = replace(st0, u=st0.u + 0.1 * np.random.default_rng(n_elem).standard_normal(prob.dims.n_u))
+    assert_step_system_is_build_kkts(prob, state)
+
+    step = assemble_step(prob, state)
+    assert same_bits(dg_residual(prob, state.u, phi_map(prob, state.y), t), step.R)
+    merit, r = shocktrack._merit_components(prob, state.u, state.y, state.kappa)
+    assert same_bits(merit, shocktrack._objective(step.R, step.rmsh, state.kappa)) and same_bits(r, step.r)
+    sys = build_kkt(prob, state)
+    assert sys.dRdu.blocksize == (p + 3, p + 1)
+    assert sys.dRdu.shape == sys.dRdx.shape[:1] + (prob.dims.n_u,) == (prob.dims.n_u_enriched, prob.dims.n_u)
+
+    loaded = import_system(export_system(sys, tmp_path))
+    assert loaded.dims == sys.dims
+    for name in ("Ju", "dRdu", "dRdx", "drdx", "dRmshdx", "dPhidy", "D", "Byy", "Jy"):
+        got, want = getattr(loaded, name), getattr(sys, name)
+        assert got.format == want.format and got.shape == want.shape
+        assert getattr(got, "blocksize", None) == getattr(want, "blocksize", None)
+        assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+        assert same_bits(got.data, want.data)
+    assert same_bits(loaded.g, sys.g) and same_bits(loaded.r, sys.r)
 
 
 @pytest.mark.parametrize("case", TRAJECTORY_CASES, ids=TRAJECTORY_IDS)
