@@ -2,7 +2,7 @@
 against build_kkt, its oracle, bit for bit, and the SQP runs it drives
 against runs on the oracle step (oracles.kkt_sqp_step)."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -119,6 +119,7 @@ def test_every_path_reads_the_test_degree_from_dims(case, monkeypatch, tmp_path)
     """With SystemDims.test_degree raised to p + 2 before any problem is
     built, the step, build_kkt, the merit, the residual and the manifest all
     follow it: the test degree has one home."""
+    assert [f.name for f in fields(SystemDims)] == ["n_elem", "p", "q"]
     monkeypatch.setattr(SystemDims, "test_degree", property(lambda dims: dims.p + 2))
     prob = ShockTrackProblem1d(*case)
     n_elem, p, _ = case
