@@ -219,9 +219,6 @@ def build_at_preconditioner(sys: KktSystem, variant: str) -> AtPreconditioner:
         Jy=sys.Jy,
     )
     if with_pmg:
-        transfers = sys.transfers
-        if transfers is None:
-            raise UnknownPreconditioner(f"{variant}: p-multigrid needs transfers on the system")
-        prec.multigrid = (sys, assemble_coarse(sys, *transfers))
+        prec.multigrid = (sys, assemble_coarse(sys, *sys.transfers))
     return prec
 

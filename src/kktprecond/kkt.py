@@ -18,20 +18,20 @@ dRdu are scipy BSR matrices, whose blocks the preconditioners use; every
 other factor, B_yy and J_y are scipy CSR.
 
 KktSystem is the one record of the system at a state: the seven factor
-matrices, kappa and gamma, g and r, and, optionally, its discretization
-record SystemDims (n_elem, p, q). SystemDims alone computes the sizes N_u,
-N_y and N_x from n_elem, p and q, checks their ranges, holds the enriched
-test degree, and builds the p-multigrid transfers (KktSystem.transfers).
+matrices, kappa and gamma, g and r, and its discretization record SystemDims
+(n_elem, p, q). SystemDims alone computes the sizes N_u, N_y and N_x from
+n_elem, p and q, checks their ranges, holds the enriched test degree and the
+one table of factor shapes (SystemDims.shapes), which the record and the
+manifest read, and builds the p-multigrid transfers (KktSystem.transfers).
 check_weights is the one rule on kappa and gamma (finite and nonnegative),
-which KktSystem, SqpConfig and the manifest apply, and check_case the one
-rule on a case name, a CSV field. A system assembles B_yy and J_y from its
-factors when it is built, and the whole matrix K, as canonical CSR, on
-first use, and caches it. kkt_matvec is the one product with K: a system is
-the operator A that GMRES and the p-multigrid cycle apply, and the coarse
-matrix is Q (K P). One sparse direct solve of K (reference_solution) is the
-reference solution that GMRES is measured against. The SQP step
-(shocktrack.assemble_step) sums the same K, bit for bit, from the element
-blocks, without a system.
+and check_case the one rule on a case name, a CSV field; the record applies
+both. A system assembles B_yy and J_y from its factors when it is built, and
+the whole matrix K, as canonical CSR, on first use, and caches it.
+kkt_matvec is the one product with K: a system is the operator A that GMRES
+and the p-multigrid cycle apply, and the coarse matrix is Q (K P). One
+sparse direct solve of K (reference_solution) is the reference solution that
+GMRES is measured against. The SQP step (shocktrack.assemble_step) sums the
+same K, bit for bit, from the element blocks, without a system.
 """
 
 from __future__ import annotations
@@ -95,6 +95,23 @@ class SystemDims:
     @property
     def n_y(self) -> int:
         return self.n_x - 2
+
+    @property
+    def shapes(self) -> dict[str, tuple[int, int]]:
+        """(rows, cols) of each KktSystem factor, by field name. Each factor
+        has one block row and one block column per element, so the block
+        shape of the BSR factors Ju and dRdu is (rows // n_elem, cols //
+        n_elem)."""
+        n_u, n_ue, n_x, n_y = self.n_u, self.n_u_enriched, self.n_x, self.n_y
+        return {
+            "Ju": (n_u, n_u),
+            "dRdu": (n_ue, n_u),
+            "dRdx": (n_ue, n_x),
+            "drdx": (n_u, n_x),
+            "dRmshdx": (self.n_elem, n_x),
+            "dPhidy": (n_x, n_y),
+            "D": (n_x, n_x),
+        }
 
     def transfers(self) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
         """The p-multigrid prolongation P = diag(Pu, Py, Pu) and restriction
@@ -175,10 +192,13 @@ def assemble_Byy(sys: KktSystem) -> scipy.sparse.csr_matrix:
 @dataclass(kw_only=True)
 class KktSystem:
     """The saddle-point system at one state: the factor matrices of its
-    blocks, the weights kappa and gamma, and the right-hand-side data g and
-    r. Ju and dRdu must be canonical scipy BSR (one block row per element);
-    the other factors are made canonical scipy CSR here, and Byy is
-    assemble_Byy of them, made canonical CSR alike."""
+    blocks, the weights kappa and gamma, the right-hand-side data g and r,
+    and the discretization record dims. Every factor must have the shape
+    dims.shapes gives it; Ju and dRdu must be canonical scipy BSR with one
+    block row and one block column per element, and the other factors are
+    made canonical scipy CSR here. A factor of another shape or block shape
+    raises DimensionMismatch. Byy is assemble_Byy of the factors, made
+    canonical CSR alike."""
 
     Ju: scipy.sparse.bsr_matrix
     dRdu: scipy.sparse.bsr_matrix
@@ -191,32 +211,25 @@ class KktSystem:
     gamma: float
     g: np.ndarray
     r: np.ndarray
+    dims: SystemDims
     Byy: scipy.sparse.csr_matrix = field(init=False)
-    dims: SystemDims | None = None
     state_index: int = 0
     case: str = "case"
 
     def __post_init__(self):
-        for name in ("Ju", "dRdu"):
-            setattr(self, name, canonical_bsr(getattr(self, name), name))
-        for name in ("dRdx", "drdx", "dRmshdx", "dPhidy", "D"):
-            setattr(self, name, canonical_csr(getattr(self, name), name))
-        n_u, n_y = self.n_u, self.n_y
-        n_x = self.dPhidy.shape[0]
-        if self.Ju.shape != (n_u, n_u) or self.Ju.blocksize[0] != self.Ju.blocksize[1]:
-            raise DimensionMismatch("Ju must be square with square blocks")
-        if self.dRdu.shape[1] != n_u:
-            raise DimensionMismatch("dRdu column count must match Ju")
-        if self.dRdx.shape[0] != self.dRdu.shape[0] or self.dRdx.shape[1] != n_x:
-            raise DimensionMismatch("dRdx must be (enriched rows) x (mesh coefficients)")
-        if self.drdx.shape != (n_u, n_x):
-            raise DimensionMismatch("drdx must be N_u x N_x")
-        if self.dRmshdx.shape[1] != n_x:
-            raise DimensionMismatch("dRmshdx column count must match mesh coefficients")
-        if self.D.shape != (n_x, n_x):
-            raise DimensionMismatch("D must be N_x x N_x")
+        n_elem = self.dims.n_elem
+        for name, shape in self.dims.shapes.items():
+            blocked = name in ("Ju", "dRdu")
+            A = (canonical_bsr if blocked else canonical_csr)(getattr(self, name), name)
+            if A.shape != shape:
+                raise DimensionMismatch(f"{name} is {A.shape[0]} x {A.shape[1]}, expected {shape[0]} x {shape[1]}")
+            if blocked and A.blocksize != (want := (shape[0] // n_elem, shape[1] // n_elem)):
+                raise DimensionMismatch(f"{name} has {A.blocksize} blocks, expected {want}")
+            setattr(self, name, A)
         check_weights(self.kappa, self.gamma)
+        check_case(self.case)
 
+        n_u, n_y = self.n_u, self.n_y
         self.g = np.asarray(self.g, dtype=float)
         self.r = np.asarray(self.r, dtype=float)
         if self.g.shape != (n_u + n_y,):
@@ -230,11 +243,11 @@ class KktSystem:
 
     @property
     def n_u(self) -> int:
-        return self.Ju.shape[1]
+        return self.dims.n_u
 
     @property
     def n_y(self) -> int:
-        return self.dPhidy.shape[1]
+        return self.dims.n_y
 
     @property
     def dimension(self) -> int:
@@ -277,9 +290,9 @@ class KktSystem:
         return -np.concatenate([self.g, self.r])
 
     @property
-    def transfers(self) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix] | None:
-        """dims.transfers(), built on every read, or None without dims."""
-        return None if self.dims is None else self.dims.transfers()
+    def transfers(self) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
+        """dims.transfers(), built on every read."""
+        return self.dims.transfers()
 
     def apply(self, v):
         """K v: the system as the operator A that GMRES and the p-multigrid

@@ -16,12 +16,12 @@ compiled without FMA contraction, as its OpenBLAS build is on x86-64. The
 basis, the triangle and the rotations grow in chunks, so storage follows the
 iterations actually taken, not max_iters.
 
-Convergence is measured either by the preconditioned relative residual
+Convergence is measured by the preconditioned relative residual
 
     ||M^-1 A s - M^-1 b|| / ||M^-1 b||,
 
-which the rotations give for free, or, when a reference solution s_ex is
-supplied, by the relative error
+which the rotations give for free, or, exactly when GmresConfig holds a
+reference solution s_ex, by the relative error
 
     ||s_ex - s|| / ||s_ex||.
 
@@ -54,9 +54,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_ITERS = 1000
-
-PRECONDITIONED_RESIDUAL = "preconditioned_residual"
-EXACT_SOLUTION = "exact_solution"
 
 TOLERANCE = "tolerance"
 MAX_ITERS = "max_iters"
@@ -91,9 +88,11 @@ _ONE = ctypes.c_int(1)
 
 @dataclass(frozen=True)
 class GmresConfig:
+    """GMRES settings; a reference solution selects the exact-solution
+    criterion, else the criterion is the preconditioned residual."""
+
     tol: float = DEFAULT_TOL
     max_iters: int = DEFAULT_MAX_ITERS
-    criterion: str = PRECONDITIONED_RESIDUAL
     reference: np.ndarray | None = None
 
     def __post_init__(self):
@@ -101,10 +100,6 @@ class GmresConfig:
             raise ValueError("tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.criterion not in (PRECONDITIONED_RESIDUAL, EXACT_SOLUTION):
-            raise ValueError(f"unknown criterion {self.criterion!r}")
-        if (self.criterion == EXACT_SOLUTION) != (self.reference is not None):
-            raise ValueError("reference vector required exactly for the exact-solution criterion")
 
 
 @dataclass
@@ -166,7 +161,7 @@ def gmres_solve(A, b: np.ndarray, M, cfg: GmresConfig | None = None) -> SolveRep
         raise DimensionMismatch("operator, preconditioner, and rhs dimensions disagree")
     if not np.all(np.isfinite(b)):
         raise NonFinite("right-hand side contains NaN or Inf")
-    exact = cfg.criterion == EXACT_SOLUTION
+    exact = cfg.reference is not None
     if exact:
         ref = np.asarray(cfg.reference, dtype=float)
         if ref.shape != (n,):

@@ -4,15 +4,20 @@ The manifest persists the factor matrices rather than any assembled Hessian
 block, so B_uu is never materialized on disk; Byy is re-assembled on import,
 which doubles as a consistency check of the stored factors.
 
-ju.mtx and dRdu.mtx carry a %%block-sizes line and import as BSR matrices
-with (p+1) x (p+1) and (t+1) x (p+1) blocks, t the SystemDims test_degree;
+ju.mtx and dRdu.mtx carry a %%block-sizes line and import as BSR matrices;
 the scalar factors do not. A scalar factor written with one (dRdx.mtx and
 drdx.mtx of older manifests) imports as the CSR view of its blocks. Every
 manifest number is read by json_value, the JSON type rule that the sweep
-spec shares. The manifest's n_elem, p and q make its SystemDims, whose
-range rule (n_elem >= 1, p >= 0, q >= 1) is checked, with kkt.check_weights
-on kappa and gamma and kkt.check_case on the case, before any matrix file
-is read; every matrix file is read with the shape those dimensions give it.
+spec shares.
+
+Before any file is read, the manifest's n_elem, p and q make its SystemDims,
+whose range rule (n_elem >= 1, p >= 0, q >= 1) is checked with
+kkt.check_weights on kappa and gamma, kkt.check_case on the case and the
+stated sizes against those dimensions. Every matrix file is then read with
+the shape SystemDims.shapes gives it, checked on its size line before
+anything is allocated, and ju.mtx and dRdu.mtx must carry a block-sizes
+line. The rest is the record's: KktSystem checks the element block shapes
+and the vector lengths, and its DimensionMismatch becomes a ManifestError.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import os
 
 import scipy.sparse
 
-from .errors import ManifestError, shown
+from .errors import DimensionMismatch, ManifestError, shown
 from .kkt import KktSystem, SystemDims, check_case, check_weights
 from .mmio import read_matrix, read_vector, write_matrix, write_vector
 
@@ -63,8 +68,6 @@ def json_value(value, kind, what: str):
 
 def export_system(sys: KktSystem, outdir, prefix: str = "") -> str:
     """Write the factor matrices, vectors, and manifest; returns the manifest path."""
-    if sys.dims is None:
-        raise ManifestError("cannot export a system without discretization metadata")
     os.makedirs(outdir, exist_ok=True)
     dims = sys.dims
     matrices = {}
@@ -138,33 +141,21 @@ def import_system(path) -> KktSystem:
         if value != getattr(dims, key):
             raise ManifestError(f"{path}: dimension {key}={shown(value)} inconsistent with n_elem/p/q")
 
-    shapes = {
-        "ju": (dims.n_u, dims.n_u),
-        "dRdu": (dims.n_u_enriched, dims.n_u),
-        "dRdx": (dims.n_u_enriched, dims.n_x),
-        "drdx": (dims.n_u, dims.n_x),
-        "dRmshdx": (dims.n_elem, dims.n_x),
-        "dPhidy": (dims.n_x, dims.n_y),
-        "elasticity": (dims.n_x, dims.n_x),
-    }
-    loaded = {key: load("matrices", key, lambda full: read_matrix(full, shapes[key])) for key in shapes}
-    for key, want in (("ju", (dims.p + 1, dims.p + 1)), ("dRdu", (dims.test_degree + 1, dims.p + 1))):
+    shapes = dims.shapes
+    loaded = {key: load("matrices", key, lambda full: read_matrix(full, shapes[attr])) for key, attr in _MATRIX_FIELDS}
+    for key in ("ju", "dRdu"):
         if not isinstance(loaded[key], scipy.sparse.bsr_matrix):
             raise ManifestError(f"{path}: matrix {key} has no %%block-sizes line")
-        if loaded[key].blocksize != want:
-            raise ManifestError(f"{path}: matrix {key} has {loaded[key].blocksize} blocks, expected {want}")
-    g = load("vectors", "g", read_vector)
-    r = load("vectors", "r", read_vector)
-    if g.shape != (dims.n_u + dims.n_y,) or r.shape != (dims.n_u,):
-        raise ManifestError(f"{path}: vector lengths inconsistent with dimensions")
-
-    return KktSystem(
-        **{attr: loaded[key] for key, attr in _MATRIX_FIELDS},
-        kappa=kappa,
-        gamma=gamma,
-        g=g,
-        r=r,
-        dims=dims,
-        state_index=state_index,
-        case=case,
-    )
+    try:
+        return KktSystem(
+            **{attr: loaded[key] for key, attr in _MATRIX_FIELDS},
+            kappa=kappa,
+            gamma=gamma,
+            g=load("vectors", "g", read_vector),
+            r=load("vectors", "r", read_vector),
+            dims=dims,
+            state_index=state_index,
+            case=case,
+        )
+    except DimensionMismatch as exc:
+        raise ManifestError(f"{path}: {exc}")

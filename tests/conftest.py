@@ -15,7 +15,7 @@ import scipy.sparse
 from kktprecond import ShockTrackProblem1d, build_kkt, run_sqp
 from kktprecond.conprec import build_at_preconditioner
 from kktprecond.kkt import reference_solution
-from kktprecond.krylov import EXACT_SOLUTION, GmresConfig, gmres_solve
+from kktprecond.krylov import GmresConfig, gmres_solve
 from kktprecond.shocktrack import SqpConfig
 
 
@@ -88,6 +88,6 @@ def count_iterations(sys, precond, tol=1e-3, max_iters=1000):
     if isinstance(precond, str):
         precond = build_at_preconditioner(sys, precond)
     rhs = sys.rhs()
-    cfg = GmresConfig(tol=tol, max_iters=max_iters, criterion=EXACT_SOLUTION, reference=reference_solution(sys))
+    cfg = GmresConfig(tol=tol, max_iters=max_iters, reference=reference_solution(sys))
     report = gmres_solve(sys, rhs, precond, cfg)
     return report.iterations, report.converged

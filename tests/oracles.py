@@ -87,7 +87,6 @@ from kktprecond.errors import (
     ZeroReference,
 )
 from kktprecond.kkt import reference_solution
-from kktprecond.krylov import EXACT_SOLUTION, PRECONDITIONED_RESIDUAL
 from kktprecond.mmio import (
     _BANNER,
     _BLOCK_TAG,
@@ -1087,6 +1086,10 @@ def coo_block_to_scipy(A):
     csr = scipy.sparse.coo_matrix((A.data.ravel(), (rows, cols)), shape=shape).tocsr()
     csr.sort_indices()
     return csr
+
+
+PRECONDITIONED_RESIDUAL = "preconditioned_residual"
+EXACT_SOLUTION = "exact_solution"
 
 
 def evaluate_criterion(kind, A, M, b, s, s_ex=None) -> float:

@@ -1,16 +1,20 @@
-"""Every module attribute the benchmark tracer wraps still exists.
+"""Every module attribute the benchmark tracer wraps still exists, and the
+catalog workload runs the package's catalog.
 
 bench/tracing.py replaces module globals to time layers; a missing one only
 shows as a name under hooks_missing in a traced run, with that layer reading
-0. This test reads the hook table and the literal wrap calls from the source
-with ast, without importing the benchmark, and resolves each of them.
+0. These tests read the hook table, the literal wrap calls and the workloads'
+CATALOG from the source with ast, without importing the benchmark.
 """
 
 import ast
 import importlib
 import pathlib
 
-BENCH_TRACING = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+import kktprecond
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+BENCH_TRACING = BENCH / "tracing.py"
 
 # Neither cli.py nor shocktrack.py has a dense solve any more: the reference
 # solve and the SQP step are both one sparse direct solve, so the traced
@@ -48,3 +52,15 @@ def test_every_benchmark_hook_exists():
         if getattr(importlib.import_module(module), attr, None) is None
     }
     assert missing == KNOWN_STALE
+
+
+def test_catalog_workload_runs_the_catalog():
+    """bench/workloads.py keeps its own literal CATALOG; it must list
+    kktprecond.CATALOG's names in the same order."""
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    (value,) = (
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "CATALOG" for t in node.targets)
+    )
+    assert ast.literal_eval(value) == kktprecond.CATALOG

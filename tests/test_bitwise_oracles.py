@@ -22,7 +22,7 @@ from kktprecond.conprec import CATALOG, build_at_preconditioner, point_ilu0_fact
 from kktprecond.dgprecond import MdfOrdering, bilu0_blocks, mdf_order
 from kktprecond.errors import KktPrecondError, ManifestError, SingularBlock
 from kktprecond.kkt import SystemDims, assemble_Byy, kkt_matvec, reference_solution
-from kktprecond.krylov import EXACT_SOLUTION, GmresConfig, gmres_solve
+from kktprecond.krylov import GmresConfig, gmres_solve
 from kktprecond.manifest import export_system
 from kktprecond.mmio import _parse_block_tag, read_matrix, read_vector, write_matrix
 from kktprecond.pmultigrid import assemble_coarse
@@ -816,7 +816,7 @@ def test_catalog_gmres_reports_match_per_block_path(p, variant, degree_systems, 
     # The new builds and their cycle against the per-block builds applied
     # factor by factor (factor_apply), over whole solves.
     sys = degree_systems[p]
-    cfg = GmresConfig(tol=1e-3, max_iters=1000, criterion=EXACT_SOLUTION, reference=reference_solution(sys))
+    cfg = GmresConfig(tol=1e-3, max_iters=1000, reference=reference_solution(sys))
     new = build_at_preconditioner(sys, variant)
     old = _per_block_build(monkeypatch, lambda: build_at_preconditioner(sys, variant))
     want = gmres_solve(sys, sys.rhs(), LinearOperator(old.dimension, partial(factor_apply, old)), cfg)
@@ -944,7 +944,7 @@ def test_catalog_gmres_reports_match_rotation_loop(variant, catalog64_all_states
     # to 3 systems, under both convergence criteria.
     for sys in [*catalog64_all_states, *degree_systems.values()]:
         M, b = build_at_preconditioner(sys, variant), sys.rhs()
-        exact = GmresConfig(tol=1e-3, max_iters=1000, criterion=EXACT_SOLUTION, reference=reference_solution(sys))
+        exact = GmresConfig(tol=1e-3, max_iters=1000, reference=reference_solution(sys))
         for cfg in (exact, GmresConfig(tol=1e-8, max_iters=1000)):
             rep = _same_report_as_loop(monkeypatch, lambda: gmres_solve(sys, b, M, cfg))
             assert rep.iterations > 1 or variant in ("A0", "A0-p0", "BJ-p0", "BILU-p0")
@@ -971,7 +971,7 @@ def test_gmres_report_over_storage_chunks_matches_rotation_loop(exact, monkeypat
     A, b = shifted_system(3, 300, 1.05)
     cfg = GmresConfig(tol=1e-10)
     if exact:
-        cfg = GmresConfig(tol=1e-10, criterion=EXACT_SOLUTION, reference=np.linalg.solve(A, b))
+        cfg = GmresConfig(tol=1e-10, reference=np.linalg.solve(A, b))
     operator = LinearOperator(300, lambda v: A @ v)
     rep = _same_report_as_loop(monkeypatch, lambda: gmres_solve(operator, b, LinearOperator(300, np.copy), cfg))
     assert rep.converged and rep.iterations > 128

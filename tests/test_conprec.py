@@ -30,7 +30,7 @@ from kktprecond.errors import (
     UnknownPreconditioner,
     ZeroPivot,
 )
-from kktprecond.kkt import KktSystem
+from kktprecond.kkt import KktSystem, SystemDims
 from kktprecond.krylov import GmresConfig, gmres_solve
 from kktprecond.dgprecond import bilu0_factor, mdf_order
 from kktprecond.shocktrack import ShockTrackProblem1d, SqpConfig, build_kkt, run_sqp
@@ -82,6 +82,7 @@ def tiny_system(rng):
         gamma=0.5,
         g=rng.standard_normal(3),
         r=rng.standard_normal(2),
+        dims=SystemDims(1, 1, 2),
     )
 
 
@@ -454,13 +455,6 @@ def test_approximations_differ_on_coupled_system(sys8_k1):
     a0 = build_at_preconditioner(sys8_k1, "A0").apply(v)
     bj = build_at_preconditioner(sys8_k1, "BJ").apply(v)
     assert np.linalg.norm(a0 - bj) > 1e-8 * np.linalg.norm(a0)
-
-
-def test_multigrid_variant_needs_dimensions():
-    sys = tiny_system(np.random.default_rng(19))
-    assert sys.dims is None and sys.transfers is None
-    with pytest.raises(UnknownPreconditioner):
-        build_at_preconditioner(sys, "A0-p0")
 
 
 # Names of the 1D discretization; the catalog reads a system's blocks, the

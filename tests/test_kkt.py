@@ -46,6 +46,7 @@ def tiny_system(rng=None, kappa=0.5, gamma=0.25):
         gamma=gamma,
         g=np.zeros(3),
         r=np.zeros(2),
+        dims=SystemDims(1, 1, 2),
     )
 
 
@@ -60,22 +61,24 @@ def test_byy_zero_when_all_terms_vanish():
 
 
 def test_byy_reduces_to_elasticity():
+    # Two elements of mesh degree 2: five mesh nodes, three of them interior.
     rng = np.random.default_rng(2)
-    D = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+    D = np.diag(np.full(5, 2.0)) - np.eye(5, k=1) - np.eye(5, k=-1)
     f = KktSystem(
-        Ju=single_block(np.eye(2)),
-        dRdu=single_block(rng.standard_normal((3, 2))),
-        dRdx=point(np.zeros((3, 3))),
-        drdx=point(rng.standard_normal((2, 3))),
-        dRmshdx=point(np.zeros((1, 3))),
-        dPhidy=point(np.eye(3)),
+        Ju=scipy.sparse.bsr_matrix(np.eye(2), blocksize=(1, 1)),
+        dRdu=scipy.sparse.bsr_matrix(rng.standard_normal((4, 2)), blocksize=(2, 1)),
+        dRdx=point(np.zeros((4, 5))),
+        drdx=point(rng.standard_normal((2, 5))),
+        dRmshdx=point(np.zeros((2, 5))),
+        dPhidy=point(np.eye(5, 3, k=-1)),
         D=point(D),
         kappa=0.7,
-        gamma=1.0,
+        gamma=1.5,
         g=np.zeros(5),
         r=np.zeros(2),
+        dims=SystemDims(2, 0, 2),
     )
-    np.testing.assert_allclose(assemble_Byy(f).toarray(), D, rtol=1e-14)
+    np.testing.assert_allclose(assemble_Byy(f).toarray(), 1.5 * D[1:4, 1:4], rtol=1e-14)
 
 
 def test_byy_matches_dense_triple_product():
@@ -122,6 +125,7 @@ def test_matvec_byy_only_identity():
         gamma=1.0,
         g=np.zeros(3),
         r=np.zeros(2),
+        dims=SystemDims(1, 1, 2),
     )
     np.testing.assert_array_equal(sys.Byy.toarray(), [[1.0]])
     v = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
@@ -228,6 +232,7 @@ def test_dense_zero_factors_give_zero_matrix():
         gamma=0.0,
         g=np.zeros(3),
         r=np.zeros(2),
+        dims=SystemDims(1, 1, 2),
     )
     np.testing.assert_array_equal(sys.K.toarray(), np.zeros((5, 5)))
 
@@ -330,6 +335,7 @@ def test_factor_validation_rejects_inconsistent_shapes():
             gamma=0.0,
             g=f.g,
             r=f.r,
+            dims=f.dims,
         )
     with pytest.raises(ValueError):
         KktSystem(
@@ -344,6 +350,7 @@ def test_factor_validation_rejects_inconsistent_shapes():
             gamma=0.0,
             g=f.g,
             r=f.r,
+            dims=f.dims,
         )
 
 
@@ -398,8 +405,21 @@ def test_block_factors_must_be_canonical_bsr():
         Ju = scipy.sparse.bsr_matrix((np.ones((3, 1, 1)), indices, [0, 2, 3]), shape=(2, 2))
         with pytest.raises(PatternViolation, match="Ju"):
             dataclasses.replace(f, Ju=Ju)
-    with pytest.raises(DimensionMismatch, match="square blocks"):
+    with pytest.raises(DimensionMismatch, match=r"^Ju has \(1, 2\) blocks, expected \(2, 2\)$"):
         dataclasses.replace(f, Ju=scipy.sparse.bsr_matrix(np.eye(2), blocksize=(1, 2)))
+
+
+def test_system_checks_every_factor_against_the_dims_table():
+    # dims is required, and the one table of factor shapes also catches a
+    # dRmshdx row count and a dRdu block shape that no other check sees.
+    (dims,) = (f for f in dataclasses.fields(KktSystem) if f.name == "dims")
+    assert dims.default is dataclasses.MISSING and dims.default_factory is dataclasses.MISSING
+    f = tiny_system()
+    assert f.dims.shapes == {name: getattr(f, name).shape for name in f.dims.shapes}
+    with pytest.raises(DimensionMismatch, match="^dRmshdx is 2 x 3, expected 1 x 3$"):
+        dataclasses.replace(f, dRmshdx=point(np.zeros((2, 3))))
+    with pytest.raises(DimensionMismatch, match=r"^dRdu has \(1, 2\) blocks, expected \(3, 2\)$"):
+        dataclasses.replace(f, dRdu=scipy.sparse.bsr_matrix(np.ones((3, 2)), blocksize=(1, 2)))
 
 
 def test_system_validation_rejects_wrong_vector_lengths():

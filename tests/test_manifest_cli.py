@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -27,6 +28,7 @@ from kktprecond.errors import LineSearchFailure, ManifestError, SingularBlock
 from kktprecond.kkt import check_case
 from kktprecond.manifest import export_system, import_system
 from kktprecond.mmio import read_matrix
+from kktprecond.shocktrack import build_kkt
 from kktprecond.stencil import generate_stencil_system
 from oracles import dense_kkt
 
@@ -423,6 +425,25 @@ def test_cli_solve_mixed_block_sizes_exits_2(sys8_k1, tmp_path, capsys, fname):
     assert "mixed block sizes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "fname, message",
+    [("ju.mtx", "Ju has (1, 1) blocks, expected (2, 2)"), ("dRdu.mtx", "dRdu has (1, 1) blocks, expected (3, 2)")],
+)
+def test_cli_solve_wrong_uniform_block_shape_exits_2(sys8_k1, tmp_path, capsys, fname, message):
+    # One 1 per row and per column: a block-sizes line mmio accepts, whose
+    # blocks are not the element blocks the system's dimensions give.
+    path = export_system(sys8_k1, tmp_path)
+    lines = (tmp_path / fname).read_text().splitlines()
+    n_rows, n_cols, _ = map(int, lines[2].split())
+    lines[1] = f"%%block-sizes rows={','.join(['1'] * n_rows)} cols={','.join(['1'] * n_cols)}"
+    (tmp_path / fname).write_text("\n".join(lines) + "\n")
+    with pytest.raises(ManifestError, match=re.escape(message)):
+        import_system(path)
+    assert main(["solve", path, "--precond", "A0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("error:") == 1 and err.count("\n") == 1 and message in err
+
+
 @pytest.mark.parametrize("fname, want", [("ju.mtx", "expected 16 x 16"), ("dRdx.mtx", "expected 24 x 9")])
 def test_import_rejects_a_size_line_before_allocating(sys8_k1, tmp_path, fname, want):
     # A damaged size line declaring ten million rows is checked against the
@@ -530,6 +551,21 @@ def test_check_case_rejects_what_would_split_a_csv_row(case):
     with pytest.raises(ValueError, match="invalid case"):
         check_case(case)
     check_case("burgers1d-n8-p1-q1; left/right")
+
+
+def test_library_path_applies_the_case_rule_before_export(prob8, states8, sys8_k1, tmp_path):
+    # build_kkt's system applies check_case itself, so a case that import
+    # would refuse is never exported.
+    for case in ("left,right", "a\nb"):
+        with pytest.raises(ValueError) as rule:
+            check_case(case)
+        with pytest.raises(ValueError) as raised:
+            export_system(build_kkt(prob8, states8[1], case=case), tmp_path / "out")
+        assert str(raised.value) == str(rule.value)
+        with pytest.raises(ValueError) as raised:
+            dataclasses.replace(sys8_k1, case=case)
+        assert str(raised.value) == str(rule.value)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("case", ["left,right", 'say "x"'], ids=["comma", "quote"])
