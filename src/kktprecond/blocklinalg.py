@@ -1,7 +1,8 @@
 """The pivot test of dense block LUs, the Factor type that every Ju~ / Byy~
 approximation is (SuperLU's solve of a sparse LU, or triangular sweeps
-compiled by triangular_sweep), and the canonical forms of the sparse
-matrices.
+compiled by triangular_sweep), the canonical forms of the sparse matrices,
+and csr_product, the product with a CSR matrix that every GMRES iteration
+makes through scipy's compiled kernel.
 
 Matrices whose block structure the preconditioners use (the DG Jacobians Ju
 and dRdu) are scipy BSR matrices with one block row per element, kept
@@ -17,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.sparse._sparsetools import csr_matvec
 
-from .errors import PatternViolation, SingularBlock
+from .errors import DimensionMismatch, PatternViolation, SingularBlock
 
 __all__ = [
     "Factor",
@@ -30,6 +32,7 @@ __all__ = [
     "triangular_sweep",
     "canonical_bsr",
     "canonical_csr",
+    "csr_product",
 ]
 
 
@@ -199,3 +202,29 @@ def canonical_csr(M, name: str = "matrix") -> scipy.sparse.csr_matrix:
         M.sum_duplicates()
     return M
 
+
+def csr_product(A) -> Callable[[np.ndarray], np.ndarray]:
+    """The product x -> A @ x of a float64 CSR matrix A with a vector x of
+    length A.shape[1], bit for bit. A's own indptr, indices and data are
+    bound once, and each call runs scipy's compiled csr_matvec into a zeroed
+    float64 vector: the kernel and the arrays that A @ x reaches after its
+    Python checks. The kernel reads x without bounds checks, so an x of any
+    other shape raises DimensionMismatch before it runs.
+
+    scipy.sparse._sparsetools is private; this is the one place the package
+    uses it (README, "Products at kernel speed"). Raises TypeError unless A
+    is CSR with float64 data.
+    """
+    if getattr(A, "format", None) != "csr" or A.dtype != np.float64:
+        raise TypeError(f"csr_product needs a float64 CSR matrix, got {type(A).__name__}")
+    (M, N), indptr, indices, data = A.shape, A.indptr, A.indices, A.data
+    shape = (N,)
+
+    def product(x: np.ndarray) -> np.ndarray:
+        if getattr(x, "shape", None) != shape:
+            raise DimensionMismatch(f"operand shape {np.shape(x)} incompatible with a {M} x {N} matrix")
+        y = np.zeros(M)
+        csr_matvec(M, N, indptr, indices, data, x, y)
+        return y
+
+    return product

@@ -19,7 +19,10 @@ import contextlib
 import functools
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import replace
+
+import numpy as np
 
 from .conprec import CATALOG, build_at_preconditioner
 from .errors import KktPrecondError, ManifestError, UnknownPreconditioner
@@ -64,11 +67,12 @@ def _gmres_config(tol, max_iters) -> GmresConfig:
         return GmresConfig(tol=tol, max_iters=max_iters)
 
 
-def _solve_one(sys, precond_name: str, gmres: GmresConfig):
-    """Run one preconditioned solve; returns (iters, converged)."""
+def _solve_one(sys, precond_name: str, gmres: GmresConfig, reference: Callable[[], np.ndarray]):
+    """Run one preconditioned solve, measured against reference(), which is
+    called after the preconditioner is built; returns (iters, converged)."""
     prec = build_at_preconditioner(sys, precond_name)
     rhs = sys.rhs()
-    cfg = replace(gmres, reference=reference_solution(sys))
+    cfg = replace(gmres, reference=reference())
     report = gmres_solve(sys, rhs, prec, cfg)
     return report.iterations, report.converged
 
@@ -125,7 +129,7 @@ def cmd_generate(args) -> int:
 def cmd_solve(args) -> int:
     gmres = _gmres_config(args.tol, args.max_iters)
     sys_loaded = import_system(args.manifest)
-    iters, converged = _solve_one(sys_loaded, args.precond, gmres)
+    iters, converged = _solve_one(sys_loaded, args.precond, gmres, functools.partial(reference_solution, sys_loaded))
     print(_csv_header(gmres.tol, gmres.max_iters))
     print(_csv_row(sys_loaded, args.precond, iters, converged))
     return 0
@@ -215,9 +219,13 @@ def cmd_sweep(args) -> int:
 
     rows = []
     for value_pos, sys_i in _sweep_systems(spec):
+        # One factorization of K per system: the first solve whose build
+        # succeeds computes the reference, and the others reuse it. A
+        # reference that raises is not kept, so each variant reports it.
+        reference = functools.cache(functools.partial(reference_solution, sys_i))
         for precond_pos, name in enumerate(preconds):
             try:
-                iters, converged = _solve_one(sys_i, name, gmres)
+                iters, converged = _solve_one(sys_i, name, gmres, reference)
             except KktPrecondError as exc:
                 print(f"error: {sys_i.case} {name}: {type(exc).__name__}: {exc}", file=sys.stderr)
                 iters, converged = gmres.max_iters, False

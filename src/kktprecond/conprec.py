@@ -19,18 +19,23 @@ in the MDF order; point ILU0 is its two natural-order sweeps. The *-p0
 variants wrap the application in a two-level p-multigrid cycle with this
 preconditioner as the smoother, on the system's transfers. A
 preconditioner is GMRES's M: its apply(v) is M^-1 v.
+
+Every sparse product of an application (Jy, Jy^T, block Jacobi's inverted
+blocks, the cycle's transfers and K) is a blocklinalg.csr_product, bit for
+bit A @ x.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse
 
-from .blocklinalg import Factor, block_rows, sparse_lu, triangular_split, triangular_sweep
+from .blocklinalg import Factor, block_rows, csr_product, sparse_lu, triangular_split, triangular_sweep
 from .dgprecond import bilu0_factor, build_block_jacobi, mdf_order
 from .errors import DimensionMismatch, PatternViolation, UnknownPreconditioner, ZeroPivot
 from .kkt import KktSystem
@@ -150,10 +155,12 @@ class AtPreconditioner:
         return 2 * self.ju.n + self.byy.n
 
     @cached_property
-    def Jy_T(self) -> scipy.sparse.csr_matrix:
-        """Jy^T as CSR, built on the first apply; its product adds each row
-        in ascending column order, as the transposed view of Jy would."""
-        return self.Jy.T.tocsr()
+    def Jy_products(self) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+        """The products with Jy and with Jy^T (blocklinalg.csr_product),
+        bound on the first apply. Jy^T is the CSR of the transpose, whose
+        product adds each row in ascending column order, as the transposed
+        view of Jy would."""
+        return csr_product(self.Jy), csr_product(self.Jy.T.tocsr())
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """M^-1 v: apply_at_inverse of v, or with multigrid the whole cycle:
@@ -181,10 +188,11 @@ def apply_at_inverse(P: AtPreconditioner, v: np.ndarray) -> np.ndarray:
     v1 = v[:n_u]
     v2 = v[n_u : n_u + n_y]
     v3 = v[n_u + n_y :]
+    Jy, Jy_T = P.Jy_products
     w1 = P.ju.apply_T(v1)
-    t2 = P.Jy_T @ w1
+    t2 = Jy_T(w1)
     w2 = P.byy.apply(v2 - t2)
-    t3 = P.Jy @ w2
+    t3 = Jy(w2)
     w3 = P.ju.apply(v3 - t3)
     return np.concatenate([w3, w2, w1])
 

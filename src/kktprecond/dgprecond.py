@@ -2,10 +2,12 @@
 
 Both approximate a square block-sparse DG Jacobian as a blocklinalg.Factor.
 Block Jacobi keeps only the diagonal blocks, inverted when built, so a solve
-is one sparse product. Block ILU0 runs a block IKJ elimination restricted to
-the original sparsity pattern (fill positions are skipped), after a greedy
-reordering of the block rows that at each step eliminates the row whose
-discarded fill has the smallest aggregate Frobenius norm (bilu0_blocks).
+is one sparse product, through scipy's compiled kernel
+(blocklinalg.csr_product). Block ILU0 runs a block IKJ elimination
+restricted to the original sparsity pattern (fill positions are skipped),
+after a greedy reordering of the block rows that at each step eliminates
+the row whose discarded fill has the smallest aggregate Frobenius norm
+(bilu0_blocks).
 bilu0_factor splits those blocks into L_blk and U_blk at the block level:
 a solve is a gather into the permuted order, a compiled sweep with L_blk,
 SuperLU's solve with its LU of U_blk and a scatter back.
@@ -22,7 +24,15 @@ import scipy.sparse
 import scipy.sparse.linalg
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from .blocklinalg import Factor, block_rows, canonical_bsr, first_singular, triangular_split, triangular_sweep
+from .blocklinalg import (
+    Factor,
+    block_rows,
+    canonical_bsr,
+    csr_product,
+    first_singular,
+    triangular_split,
+    triangular_sweep,
+)
 from .errors import DimensionMismatch, SingularBlock, SingularPivotBlock
 
 __all__ = [
@@ -77,7 +87,8 @@ def _diag_lus(A) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
 
 def build_block_jacobi(A) -> Factor:
     """Invert every diagonal block of the square BSR matrix A, after the
-    pivot check of their LU factors; a solve is one sparse product."""
+    pivot check of their LU factors; a solve is one sparse product with
+    the inverted blocks, or their transposes, by blocklinalg.csr_product."""
     A = _square_bsr(A)
     diag, _ = _diag_lus(A)
     (nb, s, _), inv = diag.shape, np.linalg.inv(diag)
@@ -88,7 +99,7 @@ def build_block_jacobi(A) -> Factor:
     def csr(blocks):
         return scipy.sparse.csr_matrix((blocks.ravel(), cols, indptr), shape=A.shape)
 
-    return Factor(A.shape[0], csr(inv).dot, csr(inv.transpose(0, 2, 1)).dot)
+    return Factor(A.shape[0], csr_product(csr(inv)), csr_product(csr(inv.transpose(0, 2, 1))))
 
 
 def _fill_terms(A) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -17,7 +17,20 @@ class KktPrecondError(Exception):
 
 
 class DimensionMismatch(KktPrecondError):
-    """Operand shapes or block layouts are incompatible."""
+    """Operand shapes or block layouts are incompatible. One about a named
+    field of a record (of_field) carries the field and the detail that
+    follows its name in the message, so a reader of the record can name the
+    field's source instead."""
+
+    field: str | None = None
+    detail: str | None = None
+
+    @classmethod
+    def of_field(cls, field: str, detail: str) -> "DimensionMismatch":
+        """The error "{field} {detail}" about the named field."""
+        exc = cls(f"{field} {detail}")
+        exc.field, exc.detail = field, detail
+        return exc
 
 
 class SingularBlock(KktPrecondError):

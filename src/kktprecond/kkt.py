@@ -26,24 +26,26 @@ manifest read, and builds the p-multigrid transfers (KktSystem.transfers).
 check_weights is the one rule on kappa and gamma (finite and nonnegative),
 and check_case the one rule on a case name, a CSV field; the record applies
 both. A system assembles B_yy and J_y from its factors when it is built, and
-the whole matrix K, as canonical CSR, on first use, and caches it.
-kkt_matvec is the one product with K: a system is the operator A that GMRES
-and the p-multigrid cycle apply, and the coarse matrix is Q (K P). One
-sparse direct solve of K (reference_solution) is the reference solution that
-GMRES is measured against. The SQP step (shocktrack.assemble_step) sums the
-same K, bit for bit, from the element blocks, without a system.
+the whole matrix K, as canonical CSR, on first use, and caches it with its
+product K_product (blocklinalg.csr_product). kkt_matvec is the one product
+with K: a system is the operator A that GMRES and the p-multigrid cycle
+apply, and the coarse matrix is Q (K P). One sparse direct solve of K
+(reference_solution) is the reference solution that GMRES is measured
+against. The SQP step (shocktrack.assemble_step) sums the same K, bit for
+bit, from the element blocks, without a system.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse
 
-from .blocklinalg import block_rows, canonical_bsr, canonical_csr, checked_splu
+from .blocklinalg import block_rows, canonical_bsr, canonical_csr, checked_splu, csr_product
 from .errors import DimensionMismatch, SingularSystem, shown
 
 __all__ = [
@@ -196,8 +198,9 @@ class KktSystem:
     and the discretization record dims. Every factor must have the shape
     dims.shapes gives it; Ju and dRdu must be canonical scipy BSR with one
     block row and one block column per element, and the other factors are
-    made canonical scipy CSR here. A factor of another shape or block shape
-    raises DimensionMismatch. Byy is assemble_Byy of the factors, made
+    made canonical scipy CSR here. A factor of another shape or block
+    shape, or a g or r of another length, raises the DimensionMismatch
+    of_field that names it. Byy is assemble_Byy of the factors, made
     canonical CSR alike."""
 
     Ju: scipy.sparse.bsr_matrix
@@ -222,9 +225,11 @@ class KktSystem:
             blocked = name in ("Ju", "dRdu")
             A = (canonical_bsr if blocked else canonical_csr)(getattr(self, name), name)
             if A.shape != shape:
-                raise DimensionMismatch(f"{name} is {A.shape[0]} x {A.shape[1]}, expected {shape[0]} x {shape[1]}")
+                raise DimensionMismatch.of_field(
+                    name, f"is {A.shape[0]} x {A.shape[1]}, expected {shape[0]} x {shape[1]}"
+                )
             if blocked and A.blocksize != (want := (shape[0] // n_elem, shape[1] // n_elem)):
-                raise DimensionMismatch(f"{name} has {A.blocksize} blocks, expected {want}")
+                raise DimensionMismatch.of_field(name, f"has {A.blocksize} blocks, expected {want}")
             setattr(self, name, A)
         check_weights(self.kappa, self.gamma)
         check_case(self.case)
@@ -232,10 +237,10 @@ class KktSystem:
         n_u, n_y = self.n_u, self.n_y
         self.g = np.asarray(self.g, dtype=float)
         self.r = np.asarray(self.r, dtype=float)
-        if self.g.shape != (n_u + n_y,):
-            raise DimensionMismatch("gradient length must be N_u + N_y")
-        if self.r.shape != (n_u,):
-            raise DimensionMismatch("residual length must be N_u")
+        for name, want in (("g", (n_u + n_y,)), ("r", (n_u,))):
+            shape = getattr(self, name).shape
+            if shape != want:
+                raise DimensionMismatch.of_field(name, f"has shape {shape}, expected {want}")
         self.Byy = canonical_csr(assemble_Byy(self), "Byy")
         # J_y is needed in transposed form by the preconditioners, so it is
         # stored as the explicit sparse product.
@@ -285,6 +290,12 @@ class KktSystem:
         indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=dim))])
         return scipy.sparse.csr_matrix((vals[order], cols[order], indptr), shape=(dim, dim))
 
+    @cached_property
+    def K_product(self) -> Callable[[np.ndarray], np.ndarray]:
+        """v -> K v for a vector v of length dimension: K's arrays bound once
+        by blocklinalg.csr_product, the product of every GMRES iteration."""
+        return csr_product(self.K)
+
     def rhs(self) -> np.ndarray:
         """Right-hand side -(g, r) of the SQP step system."""
         return -np.concatenate([self.g, self.r])
@@ -313,13 +324,15 @@ def _entries(A, row0: int, col0: int):
 
 def kkt_matvec(sys: KktSystem, v):
     """Product K v of the system's assembled saddle-point matrix with (v_u,
-    v_y, v_lambda): v is a 1-D vector, or a sparse block of columns with one
-    row per unknown, whose product is returned as CSR."""
+    v_y, v_lambda): v is a 1-D vector, whose product is the system's cached
+    K_product, scipy's compiled kernel on K's arrays, or a sparse block of
+    columns with one row per unknown, whose product is scipy's, returned as
+    CSR. Either product is K @ v, bit for bit."""
     block = scipy.sparse.issparse(v)
     v = scipy.sparse.csr_matrix(v, dtype=float) if block else np.asarray(v, dtype=float)
     if v.shape[0] != sys.dimension or (not block and v.ndim != 1):
         raise DimensionMismatch(f"operand shape {v.shape} incompatible with dimension {sys.dimension}")
-    return sys.K @ v
+    return sys.K @ v if block else sys.K_product(v)
 
 
 def reference_solution(sys: KktSystem) -> np.ndarray:

@@ -17,7 +17,8 @@ stated sizes against those dimensions. Every matrix file is then read with
 the shape SystemDims.shapes gives it, checked on its size line before
 anything is allocated, and ju.mtx and dRdu.mtx must carry a block-sizes
 line. The rest is the record's: KktSystem checks the element block shapes
-and the vector lengths, and its DimensionMismatch becomes a ManifestError.
+and the vector lengths, and its DimensionMismatch becomes a ManifestError
+that names the file the manifest lists for the field at fault.
 """
 
 from __future__ import annotations
@@ -106,8 +107,9 @@ def import_system(path) -> KktSystem:
     except ValueError as exc:  # not JSON, not UTF-8, or an integer past int's digit limit
         raise ManifestError(f"{path}: invalid JSON ({exc})")
     base = os.path.dirname(os.path.abspath(path))
+    listed = {}  # the file the manifest lists for each KktSystem field
 
-    def load(section, key, reader):
+    def load(section, key, field, reader):
         try:
             fname = manifest[section][key]
             full = os.path.join(base, fname)
@@ -115,6 +117,7 @@ def import_system(path) -> KktSystem:
             raise ManifestError(f"{path}: missing or malformed {section} entry {key!r}")
         if not os.path.exists(full):
             raise ManifestError(f"{path}: referenced file missing: {fname}")
+        listed[field] = fname
         return reader(full)
 
     try:
@@ -142,7 +145,9 @@ def import_system(path) -> KktSystem:
             raise ManifestError(f"{path}: dimension {key}={shown(value)} inconsistent with n_elem/p/q")
 
     shapes = dims.shapes
-    loaded = {key: load("matrices", key, lambda full: read_matrix(full, shapes[attr])) for key, attr in _MATRIX_FIELDS}
+    loaded = {
+        key: load("matrices", key, attr, lambda full: read_matrix(full, shapes[attr])) for key, attr in _MATRIX_FIELDS
+    }
     for key in ("ju", "dRdu"):
         if not isinstance(loaded[key], scipy.sparse.bsr_matrix):
             raise ManifestError(f"{path}: matrix {key} has no %%block-sizes line")
@@ -151,11 +156,11 @@ def import_system(path) -> KktSystem:
             **{attr: loaded[key] for key, attr in _MATRIX_FIELDS},
             kappa=kappa,
             gamma=gamma,
-            g=load("vectors", "g", read_vector),
-            r=load("vectors", "r", read_vector),
+            g=load("vectors", "g", "g", read_vector),
+            r=load("vectors", "r", "r", read_vector),
             dims=dims,
             state_index=state_index,
             case=case,
         )
     except DimensionMismatch as exc:
-        raise ManifestError(f"{path}: {exc}")
+        raise ManifestError(f"{path}: {listed[exc.field]} {exc.detail}" if exc.field in listed else f"{path}: {exc}")

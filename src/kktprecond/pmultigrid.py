@@ -6,18 +6,21 @@ prolongation P and restriction Q that its system provides
 discretization. A is anything with a dimension and apply(v), a KktSystem
 in the catalog. One application of the wrapper is: restrict the right-hand
 side, solve the Galerkin coarse matrix directly, prolongate, then apply the
-smoother once as a correction.
+smoother once as a correction. The restriction and prolongation of a cycle
+are compiled products (blocklinalg.csr_product) on the arrays of Q and P,
+bound when the coarse system is built; the sparse block K P of the assembly
+stays scipy's product.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
 
-from .blocklinalg import Factor, sparse_lu
+from .blocklinalg import Factor, csr_product, sparse_lu
 from .errors import DimensionMismatch, SingularBlock, SingularCoarseMatrix
 
 __all__ = [
@@ -29,10 +32,18 @@ __all__ = [
 
 @dataclass
 class CoarseSystem:
+    """The Galerkin coarse matrix A0, its sparse LU, and the CSR transfers P
+    and Q with their products prolong and restrict (blocklinalg.csr_product)."""
+
     A0: scipy.sparse.csr_matrix
     lu: Factor
     P: scipy.sparse.csr_matrix
     Q: scipy.sparse.csr_matrix
+    prolong: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
+    restrict: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.prolong, self.restrict = csr_product(self.P), csr_product(self.Q)
 
 
 def assemble_coarse(A, P, Q) -> CoarseSystem:
@@ -51,6 +62,6 @@ def pmg_apply(A, coarse: CoarseSystem, smoother: Callable[[np.ndarray], np.ndarr
     b = np.asarray(b, dtype=float)
     if b.shape != (A.dimension,):
         raise DimensionMismatch(f"vector length {b.shape} incompatible with dimension {A.dimension}")
-    s = coarse.P @ coarse.lu.apply(coarse.Q @ b)
+    s = coarse.prolong(coarse.lu.apply(coarse.restrict(b)))
     s = s + smoother(b - A.apply(s))
     return s

@@ -711,7 +711,7 @@ def factor_apply(P, v):
 
     def bare(b):
         w1 = P.ju.apply_T(b[:n_u])
-        w2 = P.byy.apply(b[n_u : n_u + n_y] - P.Jy_T @ w1)
+        w2 = P.byy.apply(b[n_u : n_u + n_y] - P.Jy.T.tocsr() @ w1)
         w3 = P.ju.apply(b[n_u + n_y :] - P.Jy @ w2)
         return np.concatenate([w3, w2, w1])
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kktprecond import conprec, dgprecond, krylov, shocktrack
-from kktprecond.blocklinalg import first_singular, triangular_split
+from kktprecond.blocklinalg import block_rows, first_singular, triangular_split
 from kktprecond.conprec import CATALOG, build_at_preconditioner, point_ilu0_factor, point_ilu0_values
 from kktprecond.dgprecond import MdfOrdering, bilu0_blocks, mdf_order
 from kktprecond.errors import KktPrecondError, ManifestError, SingularBlock
@@ -359,6 +359,40 @@ def test_catalog_apply_matches_five_step_oracle(name, variant, request):
     if A0 is not None:
         _, coarse = P.multigrid
         assert np.array_equal(coarse.A0.toarray(), A0.toarray())
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_compiled_products_are_the_scipy_products(name, request):
+    # Every product of a GMRES iteration runs through csr_product, and each
+    # is scipy's product with the matrix it stands for, bit for bit: K, Jy,
+    # the transposed view of Jy, block Jacobi's inverted diagonal blocks
+    # and their transposes, and the transfers of the cycle.
+    sys = request.getfixturevalue(name)
+    rng = np.random.default_rng(11)
+
+    def vector(n):
+        v = rng.standard_normal(n)
+        v[::4] = -0.0
+        return v
+
+    def same(got, want):
+        assert np.array_equal(_bits(got), _bits(want))
+
+    x, u, y = vector(sys.dimension), vector(sys.n_u), vector(sys.n_y)
+    same(sys.K_product(x), sys.K @ x)
+    prec = build_at_preconditioner(sys, "BJ-p0")
+    Jy, Jy_T = prec.Jy_products
+    same(Jy(y), sys.Jy @ y)
+    same(Jy_T(u), sys.Jy.T @ u)
+    Ju = sys.Ju
+    inverted = scipy.sparse.block_diag(list(np.linalg.inv(Ju.data[Ju.indices == block_rows(Ju.indptr)])), format="csr")
+    same(prec.ju.apply(u), inverted @ u)
+    same(prec.ju.apply_T(u), inverted.T @ u)
+    _, coarse = prec.multigrid
+    prolong, restrict = sys.dims.transfers()
+    same(coarse.restrict(x), restrict @ x)
+    c = vector(prolong.shape[1])
+    same(coarse.prolong(c), prolong @ c)
 
 
 def _bits(a) -> np.ndarray:

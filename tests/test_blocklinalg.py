@@ -1,12 +1,19 @@
-"""BSR canonical form and dense-block kernels."""
+"""BSR canonical form, dense-block kernels and the compiled CSR product."""
+
+import ast
+import pathlib
 
 import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kktprecond.blocklinalg import canonical_bsr, first_singular, sparse_lu
+import kktprecond
+from kktprecond.blocklinalg import canonical_bsr, csr_product, first_singular, sparse_lu
 from kktprecond.errors import DimensionMismatch, PatternViolation, SingularBlock
+from kktprecond.kkt import kkt_matvec
 from kktprecond.pmultigrid import assemble_coarse
 from kktprecond.stencil import generate_stencil_system
 from oracles import dense_lu_factor, getrf
@@ -245,3 +252,113 @@ def test_first_singular_rejects_pivots_below_1e_14_of_the_largest_entry(stacked)
         lu_entries = np.array(lu_entries)
     assert first_singular(blocks, lu_entries) == (2, "pivot below 1e-14 relative threshold (scale 4)")
     assert first_singular(blocks[:2], lu_entries[:2]) is None
+
+
+# Compiled CSR product ---------------------------------------------------------
+
+
+@st.composite
+def csr_operands(draw):
+    """A float64 CSR matrix with its index arrays as int32 or int64, and a
+    vector to multiply: rows may be empty and the matrix may store nothing,
+    stored zeros and -0.0 entries are kept, and a row may repeat or misorder
+    its column indices, as the arrays of a non-canonical matrix do."""
+    m, n = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    counts = draw(st.lists(st.integers(0, 4 if n else 0), min_size=m, max_size=m))
+    values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e6, 1e6, width=64))
+    data = draw(st.lists(values, min_size=sum(counts), max_size=sum(counts)))
+    indices = draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=sum(counts), max_size=sum(counts)))
+    index_dtype = draw(st.sampled_from([np.int32, np.int64]))
+    A = scipy.sparse.csr_matrix(
+        (np.array(data, dtype=float), np.array(indices, dtype=int), np.cumsum([0] + counts)), shape=(m, n)
+    )
+    # The constructor picks the smallest index dtype; set the drawn one.
+    A.indices, A.indptr = A.indices.astype(index_dtype), A.indptr.astype(index_dtype)
+    x = np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=float)
+    return A, x
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(csr_operands())
+def test_csr_product_is_the_scipy_product_bit_for_bit(operand):
+    A, x = operand
+    got, want = csr_product(A)(x), A @ x
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_csr_product_operands_cover_every_edge():
+    # The strategy above reaches empty rows, an empty matrix, stored -0.0
+    # entries and both index dtypes.
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(csr_operands())
+    def record(operand):
+        A, _ = operand
+        rows = np.diff(A.indptr)
+        seen.update(
+            name
+            for name, hit in [
+                ("empty row", (rows == 0).any()),
+                ("nnz 0", A.nnz == 0 and A.shape[0] > 0),
+                ("stored zero", (A.data == 0.0).any()),
+                ("-0.0", np.signbit(A.data[A.data == 0.0]).any()),
+                ("int32", A.indices.dtype == np.int32),
+                ("int64", A.indices.dtype == np.int64),
+            ]
+            if hit
+        )
+
+    record()
+    assert seen == {"empty row", "nnz 0", "stored zero", "-0.0", "int32", "int64"}
+
+
+def test_csr_product_rejects_other_shapes_before_the_kernel_runs():
+    A = scipy.sparse.csr_matrix(np.arange(6.0).reshape(2, 3))
+    product = csr_product(A)
+    np.testing.assert_array_equal(product(np.ones(3)), [3.0, 12.0])
+    for x in (np.ones(2), np.ones(4), np.ones((3, 1)), np.float64(1.0), [1.0, 1.0, 1.0]):
+        with pytest.raises(DimensionMismatch, match="incompatible with a 2 x 3 matrix"):
+            product(x)
+
+
+def test_csr_product_needs_a_float64_csr_matrix():
+    A = scipy.sparse.csr_matrix(np.eye(2))
+    for other in (A.tocsc(), A.astype(np.float32), A.astype(np.int64), A.toarray()):
+        with pytest.raises(TypeError, match="float64 CSR matrix"):
+            csr_product(other)
+
+
+WRONG_LENGTHS = {"0": lambda n: 0, "n-1": lambda n: n - 1, "n+1": lambda n: n + 1, "2n": lambda n: 2 * n}
+
+
+@pytest.mark.parametrize("length", WRONG_LENGTHS.values(), ids=WRONG_LENGTHS.keys())
+def test_kkt_matvec_rejects_a_wrong_length_before_the_compiled_product(sys8_k1, length):
+    # The compiled kernel does not bound its reads; kkt_matvec and the
+    # product itself both refuse a vector of another length.
+    n = sys8_k1.dimension
+    v = np.ones(length(n))
+    with pytest.raises(DimensionMismatch, match=f"incompatible with dimension {n}"):
+        kkt_matvec(sys8_k1, v)
+    with pytest.raises(DimensionMismatch):
+        sys8_k1.K_product(v)
+    np.testing.assert_array_equal(kkt_matvec(sys8_k1, np.ones(n)), sys8_k1.K @ np.ones(n))
+
+
+def test_only_blocklinalg_uses_the_private_sparsetools_module():
+    # csr_product is the one route to scipy.sparse._sparsetools: no other
+    # package module imports it or reaches it as an attribute.
+    users = set()
+    for path in sorted(pathlib.Path(kktprecond.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            if any("_sparsetools" in name for name in names):
+                users.add(path.name)
+    assert users == {"blocklinalg.py"}

@@ -22,12 +22,13 @@ from hypothesis import strategies as st
 import kktprecond
 import kktprecond.cli
 from conftest import singular_system, zero_coupling_system
+from kktprecond.blocklinalg import checked_splu
 from kktprecond.cli import CATALOG, CSV_COLUMNS, main
 from kktprecond.conprec import build_at_preconditioner
-from kktprecond.errors import LineSearchFailure, ManifestError, SingularBlock
+from kktprecond.errors import LineSearchFailure, ManifestError, SingularBlock, SingularSystem
 from kktprecond.kkt import check_case
 from kktprecond.manifest import export_system, import_system
-from kktprecond.mmio import read_matrix
+from kktprecond.mmio import read_matrix, write_vector
 from kktprecond.shocktrack import build_kkt
 from kktprecond.stencil import generate_stencil_system
 from oracles import dense_kkt
@@ -427,7 +428,10 @@ def test_cli_solve_mixed_block_sizes_exits_2(sys8_k1, tmp_path, capsys, fname):
 
 @pytest.mark.parametrize(
     "fname, message",
-    [("ju.mtx", "Ju has (1, 1) blocks, expected (2, 2)"), ("dRdu.mtx", "dRdu has (1, 1) blocks, expected (3, 2)")],
+    [
+        ("ju.mtx", "ju.mtx has (1, 1) blocks, expected (2, 2)"),
+        ("dRdu.mtx", "dRdu.mtx has (1, 1) blocks, expected (3, 2)"),
+    ],
 )
 def test_cli_solve_wrong_uniform_block_shape_exits_2(sys8_k1, tmp_path, capsys, fname, message):
     # One 1 per row and per column: a block-sizes line mmio accepts, whose
@@ -442,6 +446,20 @@ def test_cli_solve_wrong_uniform_block_shape_exits_2(sys8_k1, tmp_path, capsys, 
     assert main(["solve", path, "--precond", "A0"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.count("error:") == 1 and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("key, want", [("g", "has shape (22,), expected (23,)"), ("r", "has shape (15,), expected (16,)")])
+def test_import_names_the_listed_file_of_a_vector_of_wrong_length(sys8_k1, tmp_path, capsys, key, want):
+    # The record's length check names the file the manifest lists, with its
+    # prefix, not the KktSystem field.
+    path = export_system(sys8_k1, tmp_path, prefix="state1_")
+    write_vector(tmp_path / f"state1_{key}.mtx", getattr(sys8_k1, key)[:-1])
+    message = f"state1_{key}.mtx {want}"
+    with pytest.raises(ManifestError, match=re.escape(message)):
+        import_system(path)
+    assert main(["solve", path, "--precond", "A0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and message in err
 
 
 @pytest.mark.parametrize("fname, want", [("ju.mtx", "expected 16 x 16"), ("dRdx.mtx", "expected 24 x 9")])
@@ -822,6 +840,60 @@ def test_cli_sweep_reports_solve_errors(tmp_path, capsys, monkeypatch):
     assert rows[1][8] == "1000"
     case = rows[1][0]
     assert err.splitlines() == [f"error: {case} BJ: SingularBlock: block row 3: pivot below threshold"]
+
+
+def test_cli_sweep_factors_k_once_per_system(tmp_path, capsys, monkeypatch):
+    # Every variant of a system is measured against one reference solution:
+    # K is factored once per system of the sweep, not once per solve.
+    factored = []
+
+    def counting(A, error, context):
+        factored.append(A.shape)
+        return checked_splu(A, error, context)
+
+    monkeypatch.setattr(kktprecond.kkt, "checked_splu", counting)
+    spec = tmp_path / "sweep.json"
+    spec.write_text(
+        json.dumps({"axis": "gamma", "values": [0.1, 0.01], "preconditioners": list(CATALOG), "fixed": {"n_elem": 8}})
+    )
+    assert main(["sweep", str(spec)]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[2:]
+    assert len(rows) == 2 * len(CATALOG) and all(row.endswith(",true") for row in rows)
+    assert len(factored) == 2
+
+
+def test_cli_sweep_reports_a_failed_reference_after_each_build(tmp_path, capsys, monkeypatch):
+    # The reference is computed after the preconditioner is built, so a
+    # failing build is reported before it, and a reference that raises is
+    # not kept: every variant whose build succeeds reports it again.
+    events = []
+
+    def failing_build(sys, variant):
+        events.append(("build", variant))
+        if variant == "BJ":
+            raise SingularBlock("block row 3: pivot below threshold")
+        return build_at_preconditioner(sys, variant)
+
+    def failing_reference(sys):
+        events.append(("reference", None))
+        raise SingularSystem("KKT matrix of dimension 41: singular")
+
+    monkeypatch.setattr(kktprecond.cli, "build_at_preconditioner", failing_build)
+    monkeypatch.setattr(kktprecond.cli, "reference_solution", failing_reference)
+    spec = tmp_path / "sweep.json"
+    spec.write_text(
+        json.dumps({"axis": "gamma", "values": [0.1], "preconditioners": ["A0", "BJ", "BILU"], "fixed": {"n_elem": 8}})
+    )
+    assert main(["sweep", str(spec)]) == 0
+    out, err = capsys.readouterr()
+    assert [row.split(",")[8:] for row in out.strip().splitlines()[2:]] == [["1000", "false"]] * 3
+    case = out.strip().splitlines()[2].split(",")[0]
+    assert err.splitlines() == [
+        f"error: {case} A0: SingularSystem: KKT matrix of dimension 41: singular",
+        f"error: {case} BJ: SingularBlock: block row 3: pivot below threshold",
+        f"error: {case} BILU: SingularSystem: KKT matrix of dimension 41: singular",
+    ]
+    assert events == [("build", "A0"), ("reference", None), ("build", "BJ"), ("build", "BILU"), ("reference", None)]
 
 
 def test_main_runs_the_command_bound_at_call_time(sys8_k1, tmp_path, capsys, monkeypatch):
