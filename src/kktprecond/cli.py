@@ -144,7 +144,8 @@ def _degrees(val, q: int) -> dict:
 
 
 def _sweep_systems(spec: dict):
-    """Yield (sort_key, KktSystem) pairs along the requested study axis.
+    """Yield the KktSystems along the requested study axis, in the order of
+    its values.
 
     Every value is checked, and every problem built, before the first SQP
     run: each number by json_value, and each setting by the GenerateConfig
@@ -182,17 +183,17 @@ def _sweep_systems(spec: dict):
     if axis == "state":
         problem = _problem(base)
         states = _sqp_states(base, problem)
-        for i, k in enumerate(ks):
-            yield i, build_kkt(problem, states[k], case=base.case_name)
+        for k in ks:
+            yield build_kkt(problem, states[k], case=base.case_name)
     elif axis in ("kappa", "gamma"):
         problem = _problem(base)
         state = _sqp_states(base, problem)[state_index]
-        for i, cfg in enumerate(cfgs):
-            yield i, build_kkt(problem, replace(state, kappa=cfg.kappa, gamma=cfg.gamma), case=base.case_name)
+        for cfg in cfgs:
+            yield build_kkt(problem, replace(state, kappa=cfg.kappa, gamma=cfg.gamma), case=base.case_name)
     else:
         problems = [_problem(cfg) for cfg in cfgs]
-        for i, (cfg, problem) in enumerate(zip(cfgs, problems)):
-            yield i, build_kkt(problem, _sqp_states(cfg, problem)[state_index], case=cfg.case_name)
+        for cfg, problem in zip(cfgs, problems):
+            yield build_kkt(problem, _sqp_states(cfg, problem)[state_index], case=cfg.case_name)
 
 
 def cmd_sweep(args) -> int:
@@ -218,22 +219,19 @@ def cmd_sweep(args) -> int:
     gmres = _gmres_config(tol, max_iters)
 
     rows = []
-    for value_pos, sys_i in _sweep_systems(spec):
+    for sys_i in _sweep_systems(spec):
         # One factorization of K per system: the first solve whose build
         # succeeds computes the reference, and the others reuse it. A
         # reference that raises is not kept, so each variant reports it.
         reference = functools.cache(functools.partial(reference_solution, sys_i))
-        for precond_pos, name in enumerate(preconds):
+        for name in preconds:
             try:
                 iters, converged = _solve_one(sys_i, name, gmres, reference)
             except KktPrecondError as exc:
                 print(f"error: {sys_i.case} {name}: {type(exc).__name__}: {exc}", file=sys.stderr)
                 iters, converged = gmres.max_iters, False
-            rows.append(((value_pos, precond_pos), _csv_row(sys_i, name, iters, converged)))
-    rows.sort(key=lambda item: item[0])
-    print(_csv_header(gmres.tol, gmres.max_iters))
-    for _, row in rows:
-        print(row)
+            rows.append(_csv_row(sys_i, name, iters, converged))
+    print(_csv_header(gmres.tol, gmres.max_iters), *rows, sep="\n")
     return 0
 
 

@@ -125,11 +125,11 @@ def point_ilu0_values(B: scipy.sparse.csr_matrix) -> np.ndarray:
 
 
 def point_ilu0_factor(B: scipy.sparse.csr_matrix) -> Factor:
-    """point_ilu0_values of B, split into L and U by
-    blocklinalg.triangular_split with blocks of size 1, compiled to its two
-    natural-order triangular sweeps (blocklinalg.triangular_sweep): a solve
-    is a forward then a backward sweep, or the transposed sweeps for
-    trans="T"."""
+    """point_ilu0_values of B, split into L = tril(S, -1) + I and U =
+    triu(S) by blocklinalg.triangular_split, scipy's BSR-to-CSC conversion
+    of blocks of size 1, compiled to its two natural-order triangular
+    sweeps (blocklinalg.triangular_sweep): a solve is a forward then a
+    backward sweep, or the transposed sweeps for trans="T"."""
     lower, upper = map(triangular_sweep, triangular_split(point_ilu0_values(B).reshape(-1, 1, 1), B.indices, B.indptr))
     return Factor(
         B.shape[0],

@@ -275,10 +275,11 @@ def bilu0_blocks(A, order: np.ndarray) -> scipy.sparse.bsr_matrix:
 
 
 def bilu0_factor(A, ordering: MdfOrdering) -> Factor:
-    """bilu0_blocks of A in the ordering, split at the block level: L_blk,
-    its strict lower blocks plus the identity, is compiled by
-    triangular_sweep, and U_blk, its blocks on and above the diagonal, is
-    factored by SuperLU in natural column order with partial pivoting.
+    """bilu0_blocks of A in the ordering, split at the block level by
+    triangular_split's BSR-to-CSC conversions: L_blk, its strict lower
+    blocks plus the identity, is compiled by triangular_sweep, and U_blk,
+    its blocks on and above the diagonal, is factored by SuperLU in
+    natural column order with partial pivoting.
     U_blk is block upper triangular, so every pivot stays in its diagonal
     block and SuperLU's solve is U_blk^-1; trans="T" is its own transposed
     solve."""

@@ -622,14 +622,18 @@ def run_sqp(
     cfg: SqpConfig = SqpConfig(),
     initial: DgState | None = None,
 ) -> list[DgState]:
-    """SQP iteration with an l1 merit line search; returns every state visited."""
-    state = initial_state(problem, cfg.kappa, cfg.gamma) if initial is None else initial
+    """SQP iteration with an l1 merit line search; returns every state
+    visited. Every returned state carries cfg's kappa and gamma: those of
+    initial are replaced, so the first step uses the merit's own weights."""
+    if initial is None:
+        state = initial_state(problem, cfg.kappa, cfg.gamma)
+    else:
+        state = replace(initial, kappa=cfg.kappa, gamma=cfg.gamma)
     states = [state]
     mu = None
     n_u = problem.dims.n_u
 
     for _ in range(cfg.max_iters):
-        # step.g is the merit objective's gradient while state.kappa is cfg.kappa.
         dz, eta, step = sqp_step(problem, state)
         if np.linalg.norm(dz, np.inf) <= STEP_TOL:
             states[-1] = replace(state, lam=-eta)

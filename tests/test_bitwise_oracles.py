@@ -139,11 +139,14 @@ def _same_mdf(A):
 
 
 def _same_csc(got, want):
-    """Identical CSC arrays and dtypes, as SuperLU receives them."""
+    """Identical CSC arrays and dtypes, as SuperLU receives them, down to
+    the signs of zeros and the sorted flag."""
     assert got.format == want.format == "csc" and got.shape == want.shape
     for name in ("indptr", "indices", "data"):
         g, w = getattr(got, name), getattr(want, name)
         assert g.dtype == w.dtype and np.array_equal(g, w, equal_nan=name == "data")
+    assert np.array_equal(np.signbit(got.data), np.signbit(want.data))
+    assert got.has_sorted_indices == want.has_sorted_indices
 
 
 def _same_splits(F, B, values):

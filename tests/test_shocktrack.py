@@ -307,6 +307,20 @@ def test_sqp_stops_immediately_at_tracked_state(prob8):
     assert np.all(np.isfinite(states[0].lam))
 
 
+def test_sqp_steps_from_an_initial_state_on_the_config_weights():
+    # initial_state's default weights differ from cfg's; the run must not
+    # take its first step on them.
+    prob = ShockTrackProblem1d(n_elem=16, p=1, q=1)
+    cfg = SqpConfig(kappa=1e-2, gamma=1e-1)
+    given = run_sqp(prob, cfg, initial=initial_state(prob))
+    default = run_sqp(prob, cfg)
+    for g, d in zip(given, default, strict=True):
+        assert (g.kappa, g.gamma) == (d.kappa, d.gamma) == (cfg.kappa, cfg.gamma)
+        assert (g.alpha, g.k) == (d.alpha, d.k)
+        for name in ("u", "y", "lam"):
+            assert np.array_equal(getattr(g, name), getattr(d, name))
+
+
 def test_sqp_converges_to_shock_aligned_solution(prob8, states8):
     # Away from the shock the objective is flat once the residual vanishes, so
     # only the shock node has a unique limit; the solution must interpolate the
