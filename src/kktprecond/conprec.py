@@ -35,7 +35,16 @@ from functools import cached_property, partial
 import numpy as np
 import scipy.sparse
 
-from .blocklinalg import Factor, block_rows, csr_product, sparse_lu, triangular_split, triangular_sweep
+from .blocklinalg import (
+    Factor,
+    block_rows,
+    csr_arrays,
+    csr_product,
+    csr_transpose,
+    sparse_lu,
+    triangular_split,
+    triangular_sweep,
+)
 from .dgprecond import bilu0_factor, build_block_jacobi, mdf_order
 from .errors import DimensionMismatch, PatternViolation, UnknownPreconditioner, ZeroPivot
 from .kkt import KktSystem
@@ -157,10 +166,10 @@ class AtPreconditioner:
     @cached_property
     def Jy_products(self) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
         """The products with Jy and with Jy^T (blocklinalg.csr_product),
-        bound on the first apply. Jy^T is the CSR of the transpose, whose
-        product adds each row in ascending column order, as the transposed
-        view of Jy would."""
-        return csr_product(self.Jy), csr_product(self.Jy.T.tocsr())
+        bound on the first apply. Jy^T is the CSR of the transpose
+        (blocklinalg.csr_transpose), whose product adds each row in
+        ascending column order, as the transposed view of Jy would."""
+        return csr_product(self.Jy), csr_product(csr_transpose(csr_arrays(self.Jy)).tocsr())
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """M^-1 v: apply_at_inverse of v, or with multigrid the whole cycle:

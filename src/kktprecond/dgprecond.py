@@ -210,13 +210,15 @@ def mdf_order(A) -> MdfOrdering:
 
 def _permuted_copy(A, order: np.ndarray) -> scipy.sparse.bsr_matrix:
     """P A P^T for the block row order: row m of the copy is row order[m] of
-    A, its columns renumbered the same way and sorted."""
+    A, its columns renumbered the same way and sorted. Its index arrays are
+    int32, which scipy's constructor takes without scanning them."""
     n = len(order)
-    pos = np.empty(n, dtype=int)
-    pos[order] = np.arange(n)
+    pos = np.empty(n, dtype=np.int32)
+    pos[order] = np.arange(n, dtype=np.int32)
     new_cols = pos[A.indices]
-    stored = np.lexsort((new_cols, pos[block_rows(A.indptr)]))
-    indptr = np.concatenate([[0], np.cumsum(np.diff(A.indptr)[order])])
+    # The keys new_row * n + new_col are distinct.
+    stored = np.argsort(pos[block_rows(A.indptr)].astype(np.int64) * n + new_cols)
+    indptr = np.concatenate([[0], np.cumsum(np.diff(A.indptr)[order])]).astype(np.int32)
     return scipy.sparse.bsr_matrix((A.data[stored], new_cols[stored], indptr), shape=A.shape)
 
 

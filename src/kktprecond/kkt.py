@@ -45,7 +45,21 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 
-from .blocklinalg import block_rows, canonical_bsr, canonical_csr, checked_splu, csr_product
+from .blocklinalg import (
+    CsrArrays,
+    bsr_to_csr,
+    canonical_bsr,
+    canonical_csr,
+    checked_splu,
+    csr_arrays,
+    csr_matmul,
+    csr_plus,
+    csr_product,
+    csr_transpose,
+    csr_vstack,
+    sort_rows,
+    sparse_product,
+)
 from .errors import DimensionMismatch, SingularSystem, shown
 
 __all__ = [
@@ -176,19 +190,21 @@ def assemble_Byy(sys: KktSystem) -> scipy.sparse.csr_matrix:
     run on CSR operands that are already transposed: a CSC product is the
     CSR product of the transposes, so every intermediate holds the same
     arrays as its CSC counterpart, here as the CSR of its transpose, and the
-    result is bit for bit the same. Scalings act on the data in place."""
-    Ax, Rm, Phi = sys.dRdx, sys.dRmshdx, sys.dPhidy
-    mesh = Rm.T.tocsr() @ Rm
-    mesh.data *= sys.kappa**2
-    elastic = sys.D.T.tocsr()
-    elastic.data *= sys.gamma
-    Bxx_T = Ax.T.tocsr() @ Ax + mesh + elastic
-    B_T = Phi.T.tocsr() @ (Bxx_T @ Phi)
-    B = B_T.T.tocsr()
-    B_T.sort_indices()
-    Byy = B + B_T
-    Byy.data *= 0.5
-    return Byy
+    result is bit for bit the same. Every transpose, product, sum and sort
+    is a call of the blocklinalg kernel layer on bare arrays, the kernels
+    scipy's operators reach, and one scipy matrix is built at the end; the
+    scalings act on the data in place."""
+    Ax, Rm, D, Phi = map(csr_arrays, (sys.dRdx, sys.dRmshdx, sys.D, sys.dPhidy))
+    mesh = csr_matmul(csr_transpose(Rm), Rm)
+    mesh.data[...] *= sys.kappa**2
+    elastic = csr_transpose(D)
+    elastic.data[...] *= sys.gamma
+    Bxx_T = csr_plus(csr_plus(csr_matmul(csr_transpose(Ax), Ax), mesh), elastic)
+    B_T = csr_matmul(csr_transpose(Phi), csr_matmul(Bxx_T, Phi))
+    B = csr_transpose(B_T)
+    Byy = csr_plus(B, sort_rows(B_T))
+    Byy.data[...] *= 0.5
+    return Byy.tocsr()
 
 
 @dataclass(kw_only=True)
@@ -244,7 +260,7 @@ class KktSystem:
         self.Byy = canonical_csr(assemble_Byy(self), "Byy")
         # J_y is needed in transposed form by the preconditioners, so it is
         # stored as the explicit sparse product.
-        self.Jy = (self.drdx @ self.dPhidy).tocsr()
+        self.Jy = sparse_product(self.drdx, self.dPhidy)
 
     @property
     def n_u(self) -> int:
@@ -265,30 +281,24 @@ class KktSystem:
         product or the sparse direct solve.
 
         Every stored entry of its blocks is kept, explicit zeros included.
-        B_uu = dRdu^T dRdu and B_uy = dRdu^T (dRdx dPhidy) are scipy CSR
-        products; Byy, Ju and Jy are read from their stored arrays, and the
-        transposed blocks B_uy^T, Ju^T and Jy^T are the entries of B_uy, Ju
-        and Jy with row and column swapped, so scipy converts and transposes
-        only dRdu. No two blocks overlap, so one sort of all entries by
-        (row, column) gives the canonical arrays that stacking the blocks
+        Each step is a call of the blocklinalg kernel layer: B_uu = dRdu^T
+        dRdu and B_uy = dRdu^T (dRdx dPhidy) are CSR products on dRdu's CSR
+        arrays and their transpose, and Ju is its BSR-to-CSR conversion.
+        Each block row of K is the transpose of its blocks' transposes
+        stacked, and K the three block rows stacked (csr_vstack, the
+        concatenation of scipy's vstack). A transpose comes out with every
+        row sorted, so K has the canonical arrays that stacking the blocks
         with bmat and sorting its rows gives.
         """
-        n_u, n_y, dim = self.n_u, self.n_y, self.dimension
-        dRdu = self.dRdu.tocsr()
-        dRdu_T = dRdu.T.tocsr()
-        parts = [
-            _entries(dRdu_T @ dRdu, 0, 0),
-            _entries(dRdu_T @ (self.dRdx @ self.dPhidy), 0, n_u),
-            _entries(self.Ju, n_u + n_y, 0),
-            _entries(self.Jy, n_u + n_y, n_u),
-        ]
-        parts += [(cols, rows, vals) for rows, cols, vals in parts[1:]]
-        parts.append(_entries(self.Byy, n_u, n_u))
-        rows, cols, vals = (np.concatenate(arrays) for arrays in zip(*parts))
-        # The keys are distinct; a stable sort finds the sorted runs of the blocks.
-        order = np.argsort(rows * dim + cols, kind="stable")
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=dim))])
-        return scipy.sparse.csr_matrix((vals[order], cols[order], indptr), shape=(dim, dim))
+        n_u = self.n_u
+        dRdu, Ju = (bsr_to_csr(A.data, A.indices, A.indptr, A.shape) for A in (self.dRdu, self.Ju))
+        dRdu_T = csr_transpose(dRdu)
+        B_uu = csr_matmul(dRdu_T, dRdu)
+        B_uy = csr_matmul(dRdu_T, csr_matmul(csr_arrays(self.dRdx), csr_arrays(self.dPhidy)))
+        Byy, Jy, T = csr_arrays(self.Byy), csr_arrays(self.Jy), csr_transpose
+        # The transposes of the block rows [B_uu B_uy Ju^T], [B_uy^T Byy Jy^T] and [Ju Jy 0].
+        columns = [[T(B_uu), T(B_uy), Ju], [B_uy, T(Byy), Jy], [T(Ju), T(Jy), CsrArrays.zeros((n_u, n_u))]]
+        return csr_vstack([T(csr_vstack(blocks)) for blocks in columns]).tocsr()
 
     @cached_property
     def K_product(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -311,28 +321,18 @@ class KktSystem:
         return kkt_matvec(self, v)
 
 
-def _entries(A, row0: int, col0: int):
-    """Row, column and value of every stored entry of a CSR or BSR matrix
-    whose top left corner sits at (row0, col0), in storage order."""
-    if A.format != "bsr":
-        return block_rows(A.indptr) + row0, A.indices + col0, A.data
-    (r, c), nb = A.blocksize, len(A.indices)
-    rows = (block_rows(A.indptr)[:, None] * r + np.arange(row0, row0 + r)).repeat(c)
-    cols = A.indices[:, None].astype(np.int64) * c + np.arange(col0, col0 + c)
-    return rows, np.broadcast_to(cols[:, None, :], (nb, r, c)).ravel(), A.data.ravel()
-
-
 def kkt_matvec(sys: KktSystem, v):
     """Product K v of the system's assembled saddle-point matrix with (v_u,
     v_y, v_lambda): v is a 1-D vector, whose product is the system's cached
     K_product, scipy's compiled kernel on K's arrays, or a sparse block of
-    columns with one row per unknown, whose product is scipy's, returned as
-    CSR. Either product is K @ v, bit for bit."""
+    columns with one row per unknown and int32 indices, whose product is the
+    kernel layer's (blocklinalg.sparse_product), returned as CSR. Either
+    product is K @ v, bit for bit."""
     block = scipy.sparse.issparse(v)
     v = scipy.sparse.csr_matrix(v, dtype=float) if block else np.asarray(v, dtype=float)
     if v.shape[0] != sys.dimension or (not block and v.ndim != 1):
         raise DimensionMismatch(f"operand shape {v.shape} incompatible with dimension {sys.dimension}")
-    return sys.K @ v if block else sys.K_product(v)
+    return sparse_product(sys.K, v) if block else sys.K_product(v)
 
 
 def reference_solution(sys: KktSystem) -> np.ndarray:

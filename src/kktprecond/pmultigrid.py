@@ -8,8 +8,9 @@ in the catalog. One application of the wrapper is: restrict the right-hand
 side, solve the Galerkin coarse matrix directly, prolongate, then apply the
 smoother once as a correction. The restriction and prolongation of a cycle
 are compiled products (blocklinalg.csr_product) on the arrays of Q and P,
-bound when the coarse system is built; the sparse block K P of the assembly
-stays scipy's product.
+bound when the coarse system is built; the assembly's sparse products, K P
+(the operator's own apply) and Q (K P), run through the kernel layer
+(blocklinalg.sparse_product).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .blocklinalg import Factor, csr_product, sparse_lu
+from .blocklinalg import Factor, csr_product, sparse_lu, sparse_product
 from .errors import DimensionMismatch, SingularBlock, SingularCoarseMatrix
 
 __all__ = [
@@ -48,8 +49,10 @@ class CoarseSystem:
 
 def assemble_coarse(A, P, Q) -> CoarseSystem:
     """Galerkin coarse matrix A0 = Q (A P), with A P one application of A to
-    the sparse block P, and its sparse LU."""
-    A0 = Q @ A.apply(P)
+    the sparse block P, and its sparse LU. A P must come back as float64
+    CSR with int32 indices, as a KktSystem's does; the product with Q is
+    blocklinalg.sparse_product, Q @ (A P) bit for bit."""
+    A0 = sparse_product(Q, A.apply(P))
     try:
         lu = sparse_lu(A0)
     except SingularBlock as exc:

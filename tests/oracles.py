@@ -26,7 +26,10 @@ IKJ loops with per-update lookups, the preconditioner apply through the
 transposed view of Jy, the mesh transfer Py built by a loop and the
 transfers stacked by block_diag, the
 KKT matrix assembled by bmat's COO path and by bmat of blocks each
-converted and transposed by scipy, Byy summed on CSC views, the reader
+converted and transposed by scipy, Byy summed on CSC views, the set-up
+products through scipy's operators (Byy, Jy, K by one argsort of its
+entries, K P and the coarse matrix, and the triangular splits by scipy's
+BSR-to-CSC conversions), the reader
 with a second loadtxt and a reshape per block and the reader that sorted
 every file and found its blocks by np.unique, the SQP
 step solved on build_kkt's K, the point ILU0 solve through identity
@@ -74,7 +77,7 @@ import scipy.linalg.lapack
 import scipy.sparse
 
 from kktprecond import shocktrack
-from kktprecond.blocklinalg import Factor, checked_splu, first_singular, sparse_lu, triangular_sweep
+from kktprecond.blocklinalg import Factor, block_rows, checked_splu, first_singular, sparse_lu, triangular_sweep
 from kktprecond.conprec import _VARIANT_TABLE, point_ilu0_values
 from kktprecond.dgprecond import _diagonal_positions, _fill_terms, _permuted_copy, _square_bsr, bilu0_blocks, mdf_order
 from kktprecond.errors import (
@@ -817,6 +820,84 @@ def csc_view_assemble_Byy(sys):
     Bxx = (Ax.T @ Ax) + sys.kappa**2 * (Rm.T @ Rm) + sys.gamma * sys.D
     Byy = (Phi.T @ Bxx @ Phi).tocsr()
     return 0.5 * (Byy + Byy.T)
+
+
+def scipy_assemble_Byy(sys):
+    """kkt.assemble_Byy through scipy's operators: the same transposes,
+    products, sums and row sort on scipy CSR matrices, each a scipy object."""
+    Ax, Rm, Phi = sys.dRdx, sys.dRmshdx, sys.dPhidy
+    mesh = Rm.T.tocsr() @ Rm
+    mesh.data *= sys.kappa**2
+    elastic = sys.D.T.tocsr()
+    elastic.data *= sys.gamma
+    Bxx_T = Ax.T.tocsr() @ Ax + mesh + elastic
+    B_T = Phi.T.tocsr() @ (Bxx_T @ Phi)
+    B = B_T.T.tocsr()
+    B_T.sort_indices()
+    Byy = B + B_T
+    Byy.data *= 0.5
+    return Byy
+
+
+def scipy_Jy(sys):
+    """KktSystem.Jy through scipy's product."""
+    return (sys.drdx @ sys.dPhidy).tocsr()
+
+
+def _coo_entries(A, row0: int, col0: int):
+    """Row, column and value of every stored entry of a CSR or BSR matrix
+    whose top left corner sits at (row0, col0), in storage order."""
+    if A.format != "bsr":
+        return block_rows(A.indptr) + row0, A.indices + col0, A.data
+    (r, c), nb = A.blocksize, len(A.indices)
+    rows = (block_rows(A.indptr)[:, None] * r + np.arange(row0, row0 + r)).repeat(c)
+    cols = A.indices[:, None].astype(np.int64) * c + np.arange(col0, col0 + c)
+    return rows, np.broadcast_to(cols[:, None, :], (nb, r, c)).ravel(), A.data.ravel()
+
+
+def argsort_kkt(sys):
+    """KktSystem.K through scipy's products, B_uu and B_uy on scipy's
+    conversion and transpose of dRdu, with every block's entries, the
+    transposed blocks' by swapping row and column, put in order by one
+    stable argsort of (row, column)."""
+    n_u, n_y, dim = sys.n_u, sys.n_y, sys.dimension
+    dRdu = sys.dRdu.tocsr()
+    dRdu_T = dRdu.T.tocsr()
+    parts = [
+        _coo_entries(dRdu_T @ dRdu, 0, 0),
+        _coo_entries(dRdu_T @ (sys.dRdx @ sys.dPhidy), 0, n_u),
+        _coo_entries(sys.Ju, n_u + n_y, 0),
+        _coo_entries(sys.Jy, n_u + n_y, n_u),
+    ]
+    parts += [(cols, rows, vals) for rows, cols, vals in parts[1:]]
+    parts.append(_coo_entries(sys.Byy, n_u, n_u))
+    rows, cols, vals = (np.concatenate(arrays) for arrays in zip(*parts))
+    order = np.argsort(rows * dim + cols, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=dim))])
+    return scipy.sparse.csr_matrix((vals[order], cols[order], indptr), shape=(dim, dim))
+
+
+def scipy_coarse_matrix(sys, P, Q):
+    """The coarse matrix Q (K P) of pmultigrid.assemble_coarse, both products
+    scipy's, returned with K P."""
+    KP = sys.K @ scipy.sparse.csr_matrix(P, dtype=float)
+    return Q @ KP, KP
+
+
+def scipy_triangular_split(blocks, indices, indptr):
+    """blocklinalg.triangular_split through scipy's BSR matrices, their
+    tocsc() and eliminate_zeros()."""
+    blocks = np.asarray(blocks, dtype=float)
+    nb, s = len(indptr) - 1, blocks.shape[1]
+    row_of = block_rows(indptr)
+    upper = row_of <= indices
+    u_ptr = np.append(0, np.cumsum(np.bincount(row_of[upper], minlength=nb)))
+    U = scipy.sparse.bsr_matrix((blocks[upper], indices[upper], u_ptr), shape=(nb * s, nb * s)).tocsc()
+    lower = np.where(upper[:, None, None], 0.0, blocks)
+    lower[row_of == indices] = np.eye(s)
+    L = scipy.sparse.bsr_matrix((lower, indices, indptr), shape=U.shape).tocsc()
+    L.eliminate_zeros()
+    return L, U
 
 
 def tocsc_reference_solution(sys):

@@ -39,6 +39,7 @@ from kktprecond.stencil import generate_stencil_system
 from oracles import (
     LinearOperator,
     argsort_read_matrix,
+    argsort_kkt,
     bmat_kkt,
     coo_block_split,
     coo_block_to_scipy,
@@ -61,8 +62,12 @@ from oracles import (
     per_slot_mdf_order,
     permuted_point_ilu0_factor,
     recomputing_mdf_order,
+    scipy_assemble_Byy,
+    scipy_coarse_matrix,
+    scipy_Jy,
     scipy_lu_factor,
     scipy_lu_solve,
+    scipy_triangular_split,
     sliced_block_matvec,
     sliced_coarse_matrix,
     single_degree_jacobian,
@@ -668,6 +673,45 @@ def test_kkt_matrix_matches_transposing_assembly(name, request):
 def test_kkt_matrix_matches_transposing_assembly_on_catalog_states(catalog64_systems):
     for sys in catalog64_systems:
         assert _same_layout(sys.K, transposing_kkt(sys))
+
+
+def _same_csr(got, want):
+    """Identical CSR arrays and dtypes, down to the signs of zeros and the
+    sorted flag, as _same_csc compares CSC matrices."""
+    assert got.format == want.format == "csr" and got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and np.array_equal(g, w, equal_nan=name == "data")
+    assert np.array_equal(np.signbit(got.data), np.signbit(want.data))
+    assert got.has_sorted_indices == want.has_sorted_indices
+
+
+@pytest.fixture(scope="module")
+def setup_systems(prob64, states64, degree_systems):
+    """The six catalog states of (64, 2, 2) and state 1 of (32, 0, 1)."""
+    assert len(states64) == 7
+    return [build_kkt(prob64, state) for state in states64[1:]] + [degree_systems[0]]
+
+
+def test_setup_products_match_scipy_operators(setup_systems):
+    # Every sparse product of a solve's set-up through the kernel layer
+    # against the same steps through scipy's operators, bit for bit: Byy,
+    # Jy, K, K P, the coarse matrix, and the splits of the block ILU0 of Ju
+    # and of the point ILU0 of Byy.
+    for sys in setup_systems:
+        _same_csr(assemble_Byy(sys), scipy_assemble_Byy(sys))
+        _same_csr(sys.Byy, scipy_assemble_Byy(sys))
+        _same_csr(sys.Jy, scipy_Jy(sys))
+        _same_csr(sys.K, argsort_kkt(sys))
+        P, Q = sys.transfers
+        want_A0, want_KP = scipy_coarse_matrix(sys, P, Q)
+        _same_csr(kkt_matvec(sys, P), want_KP)
+        _same_csr(assemble_coarse(sys, P, Q).A0, want_A0)
+        F = bilu0_blocks(sys.Ju, mdf_order(sys.Ju).order)
+        values = point_ilu0_values(sys.Byy)
+        for args in ((F.data, F.indices, F.indptr), (values.reshape(-1, 1, 1), sys.Byy.indices, sys.Byy.indptr)):
+            for got, want in zip(triangular_split(*args), scipy_triangular_split(*args), strict=True):
+                _same_csc(got, want)
 
 
 @pytest.mark.parametrize("name", SYSTEMS)

@@ -1,4 +1,5 @@
-"""BSR canonical form, dense-block kernels and the compiled CSR product."""
+"""BSR canonical form, dense-block kernels, the compiled CSR product and the
+kernel layer of the set-up products."""
 
 import ast
 import pathlib
@@ -11,7 +12,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kktprecond
-from kktprecond.blocklinalg import canonical_bsr, csr_product, first_singular, sparse_lu
+from kktprecond.blocklinalg import (
+    CsrArrays,
+    bsr_to_csr,
+    canonical_bsr,
+    csr_arrays,
+    csr_matmul,
+    csr_plus,
+    csr_product,
+    csr_transpose,
+    csr_vstack,
+    drop_zeros,
+    first_singular,
+    sort_rows,
+    sparse_lu,
+    sparse_product,
+)
 from kktprecond.errors import DimensionMismatch, PatternViolation, SingularBlock
 from kktprecond.kkt import kkt_matvec
 from kktprecond.pmultigrid import assemble_coarse
@@ -141,6 +157,21 @@ def test_canonical_bsr_rejects_other_types_and_keeps_float_arrays():
         canonical_bsr(A.toarray())
     ints = scipy.sparse.bsr_matrix((np.ones((1, 2, 2), dtype=int), [0], [0, 1]), shape=(2, 2))
     assert canonical_bsr(ints).dtype == np.float64
+
+
+def test_canonical_bsr_checks_a_matrix_again_when_its_arrays_change():
+    # A checked matrix is not checked again, unless an array or its shape
+    # was replaced since (scipy keeps its own has_canonical_format flag).
+    A = random_block_tridiagonal(3, 2, np.random.default_rng(2))
+    assert canonical_bsr(A) is A and canonical_bsr(A) is A
+    A.indices = A.indices + 3
+    with pytest.raises(PatternViolation):
+        canonical_bsr(A)
+    B = random_block_tridiagonal(3, 2, np.random.default_rng(2))
+    canonical_bsr(B)
+    B.indptr = np.array([0, 2, 1, 7], dtype=B.indptr.dtype)
+    with pytest.raises(PatternViolation):
+        canonical_bsr(B)
 
 
 # Matvec kernels: a block product goes through the scalar CSR view ----------
@@ -362,3 +393,158 @@ def test_only_blocklinalg_uses_the_private_sparsetools_module():
             if any("_sparsetools" in name for name in names):
                 users.add(path.name)
     assert users == {"blocklinalg.py"}
+
+
+# The kernel layer -------------------------------------------------------------
+
+KERNEL_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]), st.just(np.nan), st.floats(-1e6, 1e6, width=64)
+)
+
+
+def drawn_csr(draw, m, n):
+    """An m x n float64 CSR matrix with int32 indices whose rows may be
+    empty and may repeat or misorder their column indices; stored zeros,
+    -0.0 and NaN entries are kept."""
+    counts = draw(st.lists(st.integers(0, 3 if n else 0), min_size=m, max_size=m))
+    data = draw(st.lists(KERNEL_VALUES, min_size=sum(counts), max_size=sum(counts)))
+    indices = draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=sum(counts), max_size=sum(counts)))
+    return scipy.sparse.csr_matrix(
+        (np.array(data, dtype=float), np.array(indices, dtype=np.int32), np.cumsum([0] + counts, dtype=np.int32)),
+        shape=(m, n),
+    )
+
+
+@st.composite
+def kernel_operands(draw):
+    """Operands of every kernel helper: A and C of one shape m x k (C is
+    sometimes -A, so the sum cancels), B of shape k x n, and a BSR matrix of
+    R x C blocks."""
+    m, k, n = (draw(st.integers(0, 6)) for _ in range(3))
+    A = drawn_csr(draw, m, k)
+    C = scipy.sparse.csr_matrix((-A.data, A.indices, A.indptr), shape=A.shape) if draw(st.booleans()) else None
+    C = drawn_csr(draw, m, k) if C is None else C
+    B = drawn_csr(draw, k, n)
+    R, Cb = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    nb_rows, nb_cols = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    pattern = drawn_csr(draw, nb_rows, nb_cols)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = rng.choice(np.array([0.0, -0.0, np.nan, 1.5, -2.25]), (pattern.nnz, R, Cb))
+    S = scipy.sparse.bsr_matrix((blocks, pattern.indices, pattern.indptr), shape=(nb_rows * R, nb_cols * Cb))
+    return A, B, C, S
+
+
+def _copy(A) -> CsrArrays:
+    return CsrArrays(A.shape, A.indptr.copy(), A.indices.copy(), A.data.copy())
+
+
+def _same_kernel_result(got: CsrArrays, want):
+    """The layer's arrays, as the next kernel call gets them, against a
+    scipy operator's result, bit for bit: arrays, dtypes, signs of zeros
+    and the sorted flag."""
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and np.array_equal(g, w, equal_nan=name == "data")
+    assert np.array_equal(np.signbit(got.data), np.signbit(want.data))
+    assert got.tocsr().has_sorted_indices == want.has_sorted_indices
+
+
+def _kernel_cases(A, B, C, S):
+    """(layer result, scipy result) of every kernel helper on the operands."""
+    sorted_copy, without_zeros = A.copy(), A.copy()
+    sorted_copy.sort_indices()
+    without_zeros.eliminate_zeros()
+    A_arrays = csr_arrays(A)
+    transposed = csr_transpose(A_arrays)
+    csc = A.tocsc()
+    return [
+        (transposed, A.T.tocsr()),
+        (transposed, scipy.sparse.csr_matrix((csc.data, csc.indices, csc.indptr), shape=csc.shape[::-1])),
+        (csr_matmul(A_arrays, csr_arrays(B)), A @ B),
+        (csr_plus(A_arrays, csr_arrays(C)), A + C),
+        (sort_rows(_copy(A)), sorted_copy),
+        (drop_zeros(_copy(A)), without_zeros),
+        (bsr_to_csr(S.data, S.indices, S.indptr, S.shape), S.tocsr()),
+        (csr_vstack([A_arrays, csr_arrays(C), A_arrays]), scipy.sparse.vstack([A, C, A], format="csr")),
+        (csr_vstack([A_arrays]), scipy.sparse.vstack([A], format="csr")),
+    ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kernel_operands())
+def test_kernel_layer_is_scipy_operators_bit_for_bit(operands):
+    for got, want in _kernel_cases(*operands):
+        _same_kernel_result(got, want)
+    # The results are int32 and float64 throughout, as the next kernel call needs.
+    A, B, _, _ = operands
+    assert sparse_product(A, B).indices.dtype == np.int32
+
+
+def test_kernel_operands_cover_every_edge():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(kernel_operands())
+    def record(operands):
+        A, B, C, S = operands
+        ones = [scipy.sparse.csr_matrix((np.ones(M.nnz), M.indices, M.indptr), shape=M.shape) for M in (A, B)]
+        dense_A, dense_C = A.toarray(), C.toarray()
+        stored = A.data[A.data == 0.0]
+        seen.update(
+            name
+            for name, hit in [
+                ("empty row", (np.diff(A.indptr) == 0).any()),
+                ("empty product", A.shape[0] > 0 and (ones[0] @ ones[1]).nnz == 0),
+                ("stored 0.0", (~np.signbit(stored)).any()),
+                ("stored -0.0", np.signbit(stored).any()),
+                ("cancelling sum", ((dense_A != 0) & (dense_C != 0) & (dense_A + dense_C == 0)).any()),
+                ("unsorted sum operand", not A.has_sorted_indices or not C.has_sorted_indices),
+                (f"{S.blocksize[0]}x{S.blocksize[1]} blocks", S.nnz > 0),
+                ("NaN kept by drop_zeros", np.isnan(A.data).any()),
+            ]
+            if hit
+        )
+
+    record()
+    blocks = {f"{r}x{c} blocks" for r in (1, 2, 3) for c in (1, 2, 3)}
+    edges = {"empty row", "empty product", "stored 0.0", "stored -0.0", "cancelling sum", "unsorted sum operand"}
+    assert seen == edges | blocks | {"NaN kept by drop_zeros"}
+
+
+def test_kernel_layer_needs_int32_indices_and_float64_data():
+    A = scipy.sparse.csr_matrix(np.arange(6.0).reshape(2, 3))
+    wide = CsrArrays(A.shape, A.indptr.astype(np.int64), A.indices.astype(np.int64), A.data)
+    single = CsrArrays(A.shape, A.indptr, A.indices, A.data.astype(np.float32))
+    S = scipy.sparse.bsr_matrix(np.eye(4), blocksize=(2, 2))
+    for bad in (wide, single):
+        for helper in (csr_transpose, sort_rows, drop_zeros, lambda M: csr_vstack([M])):
+            with pytest.raises(TypeError, match="int32 indices and float64 data"):
+                helper(bad)
+        with pytest.raises(TypeError, match="int32 indices and float64 data"):
+            csr_matmul(csr_arrays(A), bad._replace(shape=(3, 2)))
+        with pytest.raises(TypeError, match="int32 indices and float64 data"):
+            csr_plus(bad, csr_arrays(A))
+    for bad in (A.tocsc(), A.astype(np.float32), S):
+        with pytest.raises(TypeError):
+            csr_arrays(bad)
+    int64 = A.copy()
+    int64.indices, int64.indptr = A.indices.astype(np.int64), A.indptr.astype(np.int64)
+    with pytest.raises(TypeError, match="int32 indices and float64 data"):
+        sparse_product(int64, A.T.tocsr())
+    with pytest.raises(TypeError, match="int32 indices and float64 data"):
+        bsr_to_csr(S.data, S.indices.astype(np.int64), S.indptr, S.shape)
+    with pytest.raises(TypeError, match="int32 indices and float64 data"):
+        bsr_to_csr(S.data.astype(np.float32), S.indices, S.indptr, S.shape)
+
+
+def test_kernel_layer_rejects_mismatched_shapes():
+    A = csr_arrays(scipy.sparse.csr_matrix(np.ones((2, 3))))
+    with pytest.raises(DimensionMismatch):
+        csr_matmul(A, A)
+    with pytest.raises(DimensionMismatch):
+        csr_plus(A, csr_transpose(A))
+    with pytest.raises(DimensionMismatch):
+        csr_vstack([A, csr_transpose(A)])
+    with pytest.raises(DimensionMismatch):
+        bsr_to_csr(np.ones((2, 2, 2)), np.array([0, 1], np.int32), np.array([0, 2], np.int32), (4, 4))

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse
 
 from kktprecond.blocklinalg import block_rows
+from kktprecond.conprec import build_at_preconditioner
 from kktprecond.dgprecond import MdfOrdering, bilu0_blocks, bilu0_factor, build_block_jacobi, mdf_order
 from kktprecond.errors import SingularBlock, SingularPivotBlock
 from kktprecond.krylov import GmresConfig, gmres_solve
@@ -349,3 +350,25 @@ def test_bilu_rejects_an_order_that_is_not_a_permutation(order):
     for build in (lambda: bilu0_blocks(A, order), lambda: bilu0_factor(A, MdfOrdering(np.asarray(order), None))):
         with pytest.raises(ValueError, match="integer permutation of the block rows 0..8"):
             build()
+
+
+def test_a_bilu_build_checks_its_matrix_in_full_once(sys16_k1, monkeypatch):
+    # mdf_order, then bilu0_factor through bilu0_blocks, on a fresh matrix:
+    # one full format check; on a system's Ju, which the system checked
+    # when it was built: none.
+    full = []
+    check = scipy.sparse.bsr_matrix.check_format
+
+    def counting(self, full_check=True):
+        full.append(full_check)
+        return check(self, full_check)
+
+    monkeypatch.setattr(scipy.sparse.bsr_matrix, "check_format", counting)
+    Ju = sys16_k1.Ju
+    A = scipy.sparse.bsr_matrix((Ju.data.copy(), Ju.indices.copy(), Ju.indptr.copy()), shape=Ju.shape)
+    full.clear()
+    bilu0_factor(A, mdf_order(A))
+    assert full.count(True) == 1
+    full.clear()
+    build_at_preconditioner(sys16_k1, "BILU-ilu")
+    assert full.count(True) == 0
