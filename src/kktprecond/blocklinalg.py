@@ -24,6 +24,7 @@ import scipy.sparse.linalg
 from scipy.sparse._sparsetools import (
     bsr_tocsr,
     csr_eliminate_zeros,
+    csr_has_canonical_format,
     csr_has_sorted_indices,
     csr_matmat,
     csr_matmat_maxnnz,
@@ -43,6 +44,7 @@ __all__ = [
     "sparse_lu",
     "triangular_split",
     "triangular_sweep",
+    "canonical_pattern",
     "canonical_bsr",
     "canonical_csr",
     "csr_product",
@@ -63,6 +65,7 @@ __all__ = [
 SPARSETOOLS_KERNELS = (
     bsr_tocsr,
     csr_eliminate_zeros,
+    csr_has_canonical_format,
     csr_has_sorted_indices,
     csr_matmat,
     csr_matmat_maxnnz,
@@ -72,6 +75,10 @@ SPARSETOOLS_KERNELS = (
     csr_tocsc,
 )
 
+# The relative pivot test of first_singular and checked_splu, and its message.
+PIVOT_THRESHOLD = 1e-14
+_SMALL_PIVOT = f"pivot below {PIVOT_THRESHOLD:g} relative threshold (scale {{:g}})"
+
 
 def first_singular(blocks: np.ndarray, lu_entries: np.ndarray | list[np.ndarray]) -> tuple[int, str] | None:
     """Position and description of the first near-singular block of a
@@ -79,18 +86,18 @@ def first_singular(blocks: np.ndarray, lu_entries: np.ndarray | list[np.ndarray]
     (a stack of the same shape, or a list of s x s arrays), found by one
     vectorized test over all of them, or None.
 
-    A pivot smaller than 1e-14 times the largest initial entry magnitude of
-    its block is treated as singular so downstream solves fail loudly instead
-    of emitting NaNs; an exactly zero pivot, which getrf reports, is one of
+    A pivot below PIVOT_THRESHOLD times the largest initial entry magnitude
+    of its block is singular, so downstream solves fail loudly instead of
+    emitting NaNs; an exactly zero pivot, which getrf reports, is one of
     these. The pivots are read through one strided view of the stacked
     entries.
     """
     scale = np.abs(blocks).max(axis=(1, 2))
     pivots = np.abs(np.diagonal(np.reshape(lu_entries, blocks.shape), axis1=1, axis2=2))
-    bad = np.flatnonzero((scale == 0.0) | np.any(pivots < 1e-14 * scale[:, None], axis=1))
+    bad = np.flatnonzero((scale == 0.0) | np.any(pivots < PIVOT_THRESHOLD * scale[:, None], axis=1))
     if not len(bad):
         return None
-    return int(bad[0]), f"pivot below 1e-14 relative threshold (scale {scale[bad[0]]:g})"
+    return int(bad[0]), _SMALL_PIVOT.format(scale[bad[0]])
 
 
 @dataclass(frozen=True)
@@ -171,8 +178,8 @@ def checked_splu(A, error: type[Exception], context: str) -> scipy.sparse.linalg
     ordering and partial pivoting.
 
     Raises error, its message prefixed by context, where SuperLU meets an
-    exactly zero pivot or a pivot of U is below 1e-14 times the largest entry
-    magnitude of A, the relative test of first_singular.
+    exactly zero pivot or a pivot of U is below PIVOT_THRESHOLD times the
+    largest entry magnitude of A, the relative test of first_singular.
     """
     A = scipy.sparse.csc_matrix(A)
     try:
@@ -180,8 +187,8 @@ def checked_splu(A, error: type[Exception], context: str) -> scipy.sparse.linalg
     except RuntimeError as exc:
         raise error(f"{context}: {exc}") from exc
     scale = np.abs(A.data).max(initial=0.0)
-    if np.any(np.abs(lu.U.diagonal()) < 1e-14 * scale):
-        raise error(f"{context}: pivot below 1e-14 relative threshold (scale {scale:g})")
+    if np.any(np.abs(lu.U.diagonal()) < PIVOT_THRESHOLD * scale):
+        raise error(f"{context}: {_SMALL_PIVOT.format(scale)}")
     return lu
 
 
@@ -192,37 +199,31 @@ def sparse_lu(A) -> Factor:
     return Factor(lu.shape[0], lu.solve, lambda b: lu.solve(b, trans="T"))
 
 
-def canonical_bsr(M, name: str = "matrix") -> scipy.sparse.bsr_matrix:
-    """M as a float BSR matrix; a float input keeps its arrays.
-
-    Raises TypeError if M is not BSR and PatternViolation if its index
-    arrays are malformed or a block row repeats or misorders its block
-    column indices.
-
-    A matrix is checked in full once: the arrays and shape that passed are
-    remembered on the float matrix returned, as scipy remembers
-    has_canonical_format, and a later call with the same arrays and shape
-    returns at once, so a system's Ju is not checked again by each factor
-    built on it. Arrays modified in place are not checked again.
-    """
-    if getattr(M, "format", None) != "bsr":
-        raise TypeError(f"{name} must be a scipy BSR matrix, got {type(M).__name__}")
-    checked = getattr(M, "_canonical_arrays", None)
-    if checked is not None and checked[0] == M.shape and all(a is b for a, b in zip(checked[1:], _arrays(M))):
-        return M
+def canonical_pattern(M, name: str) -> bool:
+    """Whether the CSR or BSR matrix M has strictly increasing column (block
+    column) indices in every row, read from its arrays on every call, never
+    from scipy's cached has_canonical_format. Malformed index arrays raise
+    PatternViolation prefixed by name. check_format's full check bounds them
+    first, since the kernel reads them unchecked; it leaves the pointer of a
+    matrix that stores nothing unbounded, so that pointer must be all zero."""
     try:
         M.check_format(full_check=True)
     except ValueError as exc:
         raise PatternViolation(f"{name}: {exc}") from exc
-    if not M.has_canonical_format:
+    if M.nnz == 0:
+        return not M.indptr.any()
+    return bool(csr_has_canonical_format(len(M.indptr) - 1, M.indptr, M.indices))
+
+
+def canonical_bsr(M, name: str = "matrix") -> scipy.sparse.bsr_matrix:
+    """M as a float BSR matrix, a float input keeping its arrays. Raises
+    TypeError if M is not BSR and PatternViolation unless canonical_pattern
+    finds its block column indices well formed and strictly increasing."""
+    if getattr(M, "format", None) != "bsr":
+        raise TypeError(f"{name} must be a scipy BSR matrix, got {type(M).__name__}")
+    if not canonical_pattern(M, name):
         raise PatternViolation(f"{name}: block column indices must be strictly increasing in every block row")
-    M = M.astype(float, copy=False)
-    M._canonical_arrays = (M.shape, *_arrays(M))
-    return M
-
-
-def _arrays(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return M.indptr, M.indices, M.data
+    return M.astype(float, copy=False)
 
 
 def canonical_csr(M, name: str = "matrix") -> scipy.sparse.csr_matrix:

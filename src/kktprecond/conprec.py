@@ -38,6 +38,7 @@ import scipy.sparse
 from .blocklinalg import (
     Factor,
     block_rows,
+    canonical_pattern,
     csr_arrays,
     csr_product,
     csr_transpose,
@@ -90,15 +91,13 @@ def point_ilu0_values(B: scipy.sparse.csr_matrix) -> np.ndarray:
     """Zero-fill scalar ILU of B in natural ordering, by IKJ elimination
     restricted to its pattern: the strict lower part of L (unit diagonal
     implied) and U, stored in B's pattern. B must be canonical CSR (sorted
-    column indices, no repeated entries)."""
+    column indices, no repeated entries, as canonical_pattern reads them)."""
     n = B.shape[0]
     if B.shape[1] != n:
         raise DimensionMismatch("point ILU0 needs a square matrix")
-    if not B.has_canonical_format:
+    if not canonical_pattern(B, "point ILU0"):
         raise PatternViolation("point ILU0 needs sorted column indices without repeated entries")
-    row_ptr = B.indptr.astype(np.int64)
-    col_idx = B.indices.astype(np.int64)
-    values = B.data.astype(float)
+    row_ptr, col_idx, values = B.indptr, B.indices, B.data.astype(float)
     rows = block_rows(row_ptr)
     diag_pos = np.full(n, -1, dtype=int)
     on_diag = np.flatnonzero(col_idx == rows)
@@ -209,7 +208,7 @@ def apply_at_inverse(P: AtPreconditioner, v: np.ndarray) -> np.ndarray:
 def _build_ju_approx(sys: KktSystem, kind: str):
     Ju = sys.Ju
     if kind == "exact":
-        return sparse_lu(Ju.tocsr())
+        return sparse_lu(Ju)
     if kind == "block_jacobi":
         return build_block_jacobi(Ju)
     return bilu0_factor(Ju, mdf_order(Ju))

@@ -192,8 +192,8 @@ def assemble_Byy(sys: KktSystem) -> scipy.sparse.csr_matrix:
     arrays as its CSC counterpart, here as the CSR of its transpose, and the
     result is bit for bit the same. Every transpose, product, sum and sort
     is a call of the blocklinalg kernel layer on bare arrays, the kernels
-    scipy's operators reach, and one scipy matrix is built at the end; the
-    scalings act on the data in place."""
+    scipy's operators reach; the scalings act on the data in place. The
+    result, the sum of two canonical matrices, is one canonical CSR matrix."""
     Ax, Rm, D, Phi = map(csr_arrays, (sys.dRdx, sys.dRmshdx, sys.D, sys.dPhidy))
     mesh = csr_matmul(csr_transpose(Rm), Rm)
     mesh.data[...] *= sys.kappa**2
@@ -216,8 +216,7 @@ class KktSystem:
     block row and one block column per element, and the other factors are
     made canonical scipy CSR here. A factor of another shape or block
     shape, or a g or r of another length, raises the DimensionMismatch
-    of_field that names it. Byy is assemble_Byy of the factors, made
-    canonical CSR alike."""
+    of_field that names it. Byy is assemble_Byy(self), canonical as built."""
 
     Ju: scipy.sparse.bsr_matrix
     dRdu: scipy.sparse.bsr_matrix
@@ -257,7 +256,7 @@ class KktSystem:
             shape = getattr(self, name).shape
             if shape != want:
                 raise DimensionMismatch.of_field(name, f"has shape {shape}, expected {want}")
-        self.Byy = canonical_csr(assemble_Byy(self), "Byy")
+        self.Byy = assemble_Byy(self)
         # J_y is needed in transposed form by the preconditioners, so it is
         # stored as the explicit sparse product.
         self.Jy = sparse_product(self.drdx, self.dPhidy)

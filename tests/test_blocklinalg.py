@@ -12,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kktprecond
+import kktprecond.blocklinalg as blocklinalg
 from kktprecond.blocklinalg import (
     CsrArrays,
     bsr_to_csr,
     canonical_bsr,
+    canonical_pattern,
     csr_arrays,
     csr_matmul,
     csr_plus,
@@ -28,6 +30,8 @@ from kktprecond.blocklinalg import (
     sparse_lu,
     sparse_product,
 )
+from kktprecond.conprec import point_ilu0_values
+from kktprecond.dgprecond import bilu0_blocks, build_block_jacobi, mdf_order
 from kktprecond.errors import DimensionMismatch, PatternViolation, SingularBlock
 from kktprecond.kkt import kkt_matvec
 from kktprecond.pmultigrid import assemble_coarse
@@ -160,8 +164,7 @@ def test_canonical_bsr_rejects_other_types_and_keeps_float_arrays():
 
 
 def test_canonical_bsr_checks_a_matrix_again_when_its_arrays_change():
-    # A checked matrix is not checked again, unless an array or its shape
-    # was replaced since (scipy keeps its own has_canonical_format flag).
+    # Every call reads the arrays, so a replaced array is checked again.
     A = random_block_tridiagonal(3, 2, np.random.default_rng(2))
     assert canonical_bsr(A) is A and canonical_bsr(A) is A
     A.indices = A.indices + 3
@@ -172,6 +175,79 @@ def test_canonical_bsr_checks_a_matrix_again_when_its_arrays_change():
     B.indptr = np.array([0, 2, 1, 7], dtype=B.indptr.dtype)
     with pytest.raises(PatternViolation):
         canonical_bsr(B)
+
+
+def test_canonical_bsr_rejects_misordered_indices_after_a_first_check():
+    # A 1 x 3 block row passes, then its indices are replaced by in-range
+    # but misordered ones: rejected, as a fresh matrix on those arrays is,
+    # whatever scipy cached as has_canonical_format at the first check.
+    A = bsr(np.ones((3, 1, 1)), np.array([0, 1, 2], dtype=np.int32), np.array([0, 3], dtype=np.int32), 3)
+    assert canonical_bsr(A) is A and A.has_canonical_format
+    A.indices = np.array([2, 1, 0], dtype=np.int32)
+    for M in (A, bsr(A.data, A.indices, A.indptr, 3)):
+        with pytest.raises(PatternViolation, match="strictly increasing in every block row"):
+            canonical_bsr(M)
+
+
+def test_canonical_pattern_reads_no_pointer_past_the_entries(monkeypatch):
+    # Where nothing is stored, check_format's full check does not bound the
+    # index pointer, which the kernel would follow past the entries: a
+    # nonzero one is not canonical, and the kernel does not run.
+    def unbounded_read(*args):
+        raise AssertionError("csr_has_canonical_format ran on a matrix that stores nothing")
+
+    monkeypatch.setattr(blocklinalg, "csr_has_canonical_format", unbounded_read)
+    for fmt in ("bsr", "csr"):
+        empty = scipy.sparse.csr_matrix((2, 2)).asformat(fmt)
+        assert canonical_pattern(empty, "empty")
+        empty.indptr = np.array([0, 2**30, 0], dtype=np.int32)
+        assert not canonical_pattern(empty, "empty")
+
+
+@st.composite
+def canonical_block_systems(draw):
+    """A square canonical BSR matrix whose diagonal blocks are stored and
+    dominate, so that every factor builds, with at least one block row of
+    two or more blocks."""
+    n, s = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    off_diagonal = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    pattern = np.eye(n, dtype=bool) | np.reshape(off_diagonal, (n, n))
+    pattern[0, 1] = True
+    rows, cols = np.nonzero(pattern)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = rng.uniform(-1.0, 1.0, (len(rows), s, s))
+    blocks[rows == cols] += 2 * n * s * np.eye(s)
+    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
+    return bsr(blocks, cols.astype(np.int32), indptr, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(canonical_block_systems(), st.data())
+def test_every_pattern_check_reads_the_arrays_after_a_first_check(A, data):
+    # Each entry point passes a canonical matrix, then rejects it once its
+    # indices are replaced by a copy with two entries of one row swapped:
+    # no check trusts what an earlier call or scipy cached on the object.
+    n = len(A.indptr) - 1
+    B = A.tocsr()
+    entry_points = [
+        (A, canonical_bsr),
+        (A, mdf_order),
+        (A, lambda M: bilu0_blocks(M, np.arange(n))),
+        (A, build_block_jacobi),
+        (B, point_ilu0_values),
+    ]
+    for M, check in entry_points:
+        check(M)
+    for M, check in entry_points:
+        long_rows = np.flatnonzero(np.diff(M.indptr) >= 2)
+        start = int(M.indptr[data.draw(st.sampled_from(long_rows.tolist()))])
+        original = M.indices
+        broken = original.copy()
+        broken[[start, start + 1]] = broken[[start + 1, start]]
+        M.indices = broken
+        with pytest.raises(PatternViolation):
+            check(M)
+        M.indices = original
 
 
 # Matvec kernels: a block product goes through the scalar CSR view ----------

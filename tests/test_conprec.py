@@ -14,6 +14,7 @@ import kktprecond.conprec as conprec
 import kktprecond.kkt as kkt
 import kktprecond.pmultigrid as pmultigrid
 from conftest import count_iterations
+from kktprecond.blocklinalg import sparse_lu
 from kktprecond.conprec import (
     CATALOG,
     AtPreconditioner,
@@ -238,6 +239,22 @@ def test_point_ilu0_rejects_non_canonical_csr():
         point_ilu0_factor(B)
 
 
+def test_point_ilu0_rejects_misordered_columns_after_a_first_factor():
+    # Swapping row 0's two entries, indices and data together, keeps the
+    # matrix but not the order: after one factor, the next call is rejected
+    # as a fresh matrix on those arrays is, whatever scipy cached as
+    # has_canonical_format at the first call.
+    B = scipy.sparse.csr_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]]))
+    x = np.array([1.0, -2.0, 3.0])
+    np.testing.assert_allclose(point_ilu0_factor(B).apply(B @ x), x, rtol=1e-14)
+    assert B.has_canonical_format
+    for a in (B.indices, B.data):
+        a[[0, 1]] = a[[1, 0]]
+    for M in (B, scipy.sparse.csr_matrix((B.data, B.indices, B.indptr), shape=B.shape)):
+        with pytest.raises(PatternViolation, match="sorted column indices without repeated entries"):
+            point_ilu0_factor(M)
+
+
 def test_point_ilu0_zero_stored_pivot_raises():
     B = scipy.sparse.csr_matrix(([0.0, 1.0, 1.0, 0.0], [0, 1, 0, 1], [0, 2, 4]), shape=(2, 2))
     with pytest.raises(ZeroPivot):
@@ -245,6 +262,21 @@ def test_point_ilu0_zero_stored_pivot_raises():
 
 
 # Catalog construction -------------------------------------------------------
+
+
+def test_a0_factors_ju_through_one_conversion(sys8_k1):
+    # sparse_lu converts the BSR Ju to CSC as bsr_matrix.tocsc() does, by
+    # way of CSR: SuperLU gets the arrays of Ju.tocsr(), and the exact Ju~
+    # solves bit for bit as sparse_lu(Ju.tocsr()) does.
+    Ju = sys8_k1.Ju
+    got, want = scipy.sparse.csc_matrix(Ju), scipy.sparse.csc_matrix(Ju.tocsr())
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+    assert got.indices.dtype == np.int32
+    v = np.random.default_rng(3).standard_normal(Ju.shape[0])
+    ju, exact = build_at_preconditioner(sys8_k1, "A0").ju, sparse_lu(Ju.tocsr())
+    assert np.array_equal(ju.apply(v), exact.apply(v)) and np.array_equal(ju.apply_T(v), exact.apply_T(v))
 
 
 def test_all_catalog_variants_build_and_apply(sys8_k1):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+import kktprecond.blocklinalg as blocklinalg
 from kktprecond.blocklinalg import block_rows
 from kktprecond.conprec import build_at_preconditioner
 from kktprecond.dgprecond import MdfOrdering, bilu0_blocks, bilu0_factor, build_block_jacobi, mdf_order
@@ -352,23 +353,34 @@ def test_bilu_rejects_an_order_that_is_not_a_permutation(order):
             build()
 
 
-def test_a_bilu_build_checks_its_matrix_in_full_once(sys16_k1, monkeypatch):
-    # mdf_order, then bilu0_factor through bilu0_blocks, on a fresh matrix:
-    # one full format check; on a system's Ju, which the system checked
-    # when it was built: none.
-    full = []
+def test_a_bilu_build_checks_its_matrix_arrays_on_every_call(sys16_k1, monkeypatch):
+    # mdf_order, then bilu0_factor through bilu0_blocks: one full format
+    # check and one read of the order of the block column indices each, on
+    # a fresh matrix and on a system's Ju alike, though the system checked
+    # its Ju when it was built: nothing is remembered between calls. The
+    # catalog build adds point ILU0's read of Byy's column indices.
+    full, orders = [], []
     check = scipy.sparse.bsr_matrix.check_format
+    kernel = blocklinalg.csr_has_canonical_format
 
     def counting(self, full_check=True):
         full.append(full_check)
         return check(self, full_check)
 
+    def reading(n_rows, indptr, indices):
+        orders.append(n_rows)
+        return kernel(n_rows, indptr, indices)
+
     monkeypatch.setattr(scipy.sparse.bsr_matrix, "check_format", counting)
-    Ju = sys16_k1.Ju
+    monkeypatch.setattr(blocklinalg, "csr_has_canonical_format", reading)
+    Ju, Byy = sys16_k1.Ju, sys16_k1.Byy
     A = scipy.sparse.bsr_matrix((Ju.data.copy(), Ju.indices.copy(), Ju.indptr.copy()), shape=Ju.shape)
+    for M in (A, Ju):
+        full.clear()
+        orders.clear()
+        bilu0_factor(M, mdf_order(M))
+        assert full.count(True) == 2 and orders == [16, 16]
     full.clear()
-    bilu0_factor(A, mdf_order(A))
-    assert full.count(True) == 1
-    full.clear()
+    orders.clear()
     build_at_preconditioner(sys16_k1, "BILU-ilu")
-    assert full.count(True) == 0
+    assert full.count(True) == 2 and orders == [16, 16, Byy.shape[0]]

@@ -1,6 +1,7 @@
 """KKT system assembly, matrix-free action, and sparsity accounting."""
 
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import scipy.sparse
 
 from conftest import singular_system
+from kktprecond.blocklinalg import canonical_csr, canonical_pattern
 from kktprecond.errors import DimensionMismatch, PatternViolation, SingularSystem
 from kktprecond.kkt import (
     KktSystem,
@@ -391,6 +393,25 @@ def test_scalar_factors_are_made_canonical_csr():
     assert isinstance(sys.Byy, scipy.sparse.csr_matrix) and sys.Byy.has_canonical_format
     with pytest.raises(TypeError):
         dataclasses.replace(f, dRdx=f.Ju.toarray())
+
+
+@pytest.mark.parametrize("n_elem, p, q", [(64, 2, 2), (32, 0, 1), (16, 1, 2), (100, 3, 1), (8, 1, 1)])
+def test_system_keeps_assemble_byy_as_built(n_elem, p, q):
+    """assemble_Byy's result is canonical, as read from its arrays, so the
+    system keeps it as built: canonical_csr, which the system once applied
+    to it, returns equal arrays, down to the signs of zeros. Up to six SQP states, each with its own
+    weights and with kappa, gamma or both zero."""
+    prob = ShockTrackProblem1d(n_elem=n_elem, p=p, q=q)
+    states = run_sqp(prob, SqpConfig(max_iters=5))
+    for state in states:
+        for kappa, gamma in ((state.kappa, state.gamma), (0.0, state.gamma), (state.kappa, 0.0), (0.0, 0.0)):
+            sys = build_kkt(prob, dataclasses.replace(state, kappa=kappa, gamma=gamma))
+            Byy = assemble_Byy(sys)
+            assert canonical_pattern(Byy, "Byy") and Byy.indices.dtype == np.int32
+            for M, name in itertools.product((sys.Byy, canonical_csr(Byy, "Byy")), ("indptr", "indices", "data")):
+                got, want = getattr(M, name), getattr(Byy, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_block_factors_must_be_canonical_bsr():
