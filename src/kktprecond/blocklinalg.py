@@ -215,23 +215,34 @@ def canonical_pattern(M, name: str) -> bool:
     return bool(csr_has_canonical_format(len(M.indptr) - 1, M.indptr, M.indices))
 
 
+def _int32_indexed(M):
+    """The CSR or BSR matrix M on int32 index arrays, the ones the kernel
+    layer takes: wider arrays are narrowed where their values fit, as
+    scipy's constructors narrow them; int32 arrays are kept."""
+    if M.indptr.dtype == M.indices.dtype == np.int32:
+        return M
+    return type(M)((M.data, M.indices, M.indptr), shape=M.shape)
+
+
 def canonical_bsr(M, name: str = "matrix") -> scipy.sparse.bsr_matrix:
-    """M as a float BSR matrix, a float input keeping its arrays. Raises
-    TypeError if M is not BSR and PatternViolation unless canonical_pattern
-    finds its block column indices well formed and strictly increasing."""
+    """M as a float BSR matrix on int32 index arrays (_int32_indexed); a
+    float input on int32 arrays keeps its arrays. Raises TypeError if M is
+    not BSR and PatternViolation unless canonical_pattern finds its block
+    column indices well formed and strictly increasing."""
     if getattr(M, "format", None) != "bsr":
         raise TypeError(f"{name} must be a scipy BSR matrix, got {type(M).__name__}")
     if not canonical_pattern(M, name):
         raise PatternViolation(f"{name}: block column indices must be strictly increasing in every block row")
-    return M.astype(float, copy=False)
+    return _int32_indexed(M).astype(float, copy=False)
 
 
 def canonical_csr(M, name: str = "matrix") -> scipy.sparse.csr_matrix:
-    """M as a float CSR matrix with sorted column indices and no repeated
-    entries (repeats are summed); a canonical float CSR input keeps its arrays."""
+    """M as a float CSR matrix on int32 index arrays (_int32_indexed), with
+    sorted column indices and no repeated entries (repeats are summed); a
+    canonical float CSR input on int32 arrays keeps its arrays."""
     if not scipy.sparse.issparse(M):
         raise TypeError(f"{name} must be a scipy sparse matrix, got {type(M).__name__}")
-    M = scipy.sparse.csr_matrix(M, dtype=float)
+    M = _int32_indexed(scipy.sparse.csr_matrix(M, dtype=float))
     if not M.has_canonical_format:
         M = M.copy()
         M.sum_duplicates()

@@ -1,8 +1,9 @@
 """Export/import of KKT systems as Matrix Market files plus a JSON manifest.
 
 The manifest persists the factor matrices rather than any assembled Hessian
-block, so B_uu is never materialized on disk; Byy is re-assembled on import,
-which doubles as a consistency check of the stored factors.
+block, so B_uu is never materialized on disk; Byy and Jy are re-assembled
+from the imported factors when the KktSystem is built, as for a system
+build_kkt makes.
 
 ju.mtx and dRdu.mtx carry a %%block-sizes line and import as BSR matrices;
 the scalar factors do not. A scalar factor written with one (dRdx.mtx and

@@ -341,8 +341,8 @@ def _first_step_system(n_elem, p, q):
 
 # The same counts on the 1x1-block path: state 1 of n_elem=32, p=0, q=1, in
 # CATALOG order. The *-p0 variants restrict to degree 0, the whole space, so
-# their coarse solve is exact. tier1.yml pins them again through the console
-# script.
+# their coarse solve is exact. test_cli_end_to_end pins them again through
+# generate and solve.
 PINNED_P0_ITERATIONS = [3, 67, 15, 61, 3, 1, 1, 1]
 
 

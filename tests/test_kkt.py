@@ -10,6 +10,7 @@ import scipy.sparse
 
 from conftest import singular_system
 from kktprecond.blocklinalg import canonical_csr, canonical_pattern
+from kktprecond.conprec import build_at_preconditioner
 from kktprecond.errors import DimensionMismatch, PatternViolation, SingularSystem
 from kktprecond.kkt import (
     KktSystem,
@@ -18,6 +19,7 @@ from kktprecond.kkt import (
     kkt_matvec,
     reference_solution,
 )
+from kktprecond.krylov import GmresConfig, gmres_solve
 from kktprecond.shocktrack import ShockTrackProblem1d, SqpConfig, build_kkt, run_sqp
 from kktprecond.stencil import generate_stencil_system
 from oracles import ata_pattern, count_block_sparsity, dense_kkt, state_at
@@ -412,6 +414,35 @@ def test_system_keeps_assemble_byy_as_built(n_elem, p, q):
                 got, want = getattr(M, name), getattr(Byy, name)
                 assert got.dtype == want.dtype and np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _int64_indexed(M):
+    """A copy of the CSR or BSR matrix M on int64 index arrays, which its
+    check_format accepts."""
+    M = M.copy()
+    M.indptr, M.indices = M.indptr.astype(np.int64), M.indices.astype(np.int64)
+    M.check_format(full_check=True)
+    return M
+
+
+def test_int64_index_arrays_are_narrowed_at_the_record(sys8_k1):
+    """Factors on int64 index arrays give the system the int32 ones give: the
+    same factor, Byy, Jy and K arrays, and the same solves, bit for bit, not
+    a TypeError of the kernel layer at the first Byy or K."""
+    factors = {name: _int64_indexed(getattr(sys8_k1, name)) for name in sys8_k1.dims.shapes}
+    wide = dataclasses.replace(sys8_k1, **factors)
+    for name in (*factors, "Byy", "Jy", "K"):
+        got, want = getattr(wide, name), getattr(sys8_k1, name)
+        for arr in ("indptr", "indices", "data"):
+            assert getattr(got, arr).dtype == getattr(want, arr).dtype, (name, arr)
+            np.testing.assert_array_equal(getattr(got, arr), getattr(want, arr))
+    for variant in ("A0", "BJ-p0", "BILU-ilu"):
+        got, want = (
+            gmres_solve(s, s.rhs(), build_at_preconditioner(s, variant), GmresConfig(reference=reference_solution(s)))
+            for s in (wide, sys8_k1)
+        )
+        assert got.iterations == want.iterations and got.converged
+        np.testing.assert_array_equal(got.solution, want.solution)
 
 
 def test_block_factors_must_be_canonical_bsr():

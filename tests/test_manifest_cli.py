@@ -306,8 +306,9 @@ def test_non_finite_entry_is_a_manifest_error(sys8_k1, tmp_path, capsys, fname, 
         import_system(path)
     for precond in CATALOG:
         assert main(["solve", path, "--precond", precond]) == 2
-        err = capsys.readouterr().err
-        assert err.count("error:") == 1 and err.startswith("error: ") and fname in err and "not a finite number" in err
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("error:") == 1 and err.startswith("error: ")
+        assert fname in err and "not a finite number" in err
 
 
 @pytest.mark.parametrize(
@@ -509,9 +510,12 @@ def test_cli_solves_block_tagged_mesh_jacobians_as_before(sys8_k1, tmp_path, cap
 
 @pytest.mark.parametrize("precond", ["A0", "A0-p0", "BJ", "BILU"])
 def test_cli_solve_singular_system_exits_1(sys8_k1, tmp_path, capsys, precond):
-    # A0 and A0-p0 fail on the exact Byy factor, BJ and BILU on the reference.
+    # A0 and A0-p0 fail on the exact Byy factor, BJ and BILU on the reference,
+    # after point Jacobi of Byy has safeguarded its zero diagonal entry.
     path = export_system(singular_system(sys8_k1), tmp_path)
-    assert main(["solve", path, "--precond", precond]) == 1
+    safeguard = pytest.warns(RuntimeWarning, match="zero diagonal entries safeguarded to 1")
+    with safeguard if precond in ("BJ", "BILU") else contextlib.nullcontext():
+        assert main(["solve", path, "--precond", precond]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "singular" in err
@@ -711,6 +715,7 @@ def test_cli_generate_rejects_bad_problem_parameters(tmp_path, capsys, text):
         "kappa = inf\n",
         "gamma = inf\n",
         "bc_left = nan\n",
+        "bc_left = inf\n",
         "bc_right = -inf\n",
         "states =\n",
         "n_elem = 16\n",
@@ -725,6 +730,7 @@ def test_cli_generate_rejects_bad_problem_parameters(tmp_path, capsys, text):
         "kappa-inf",
         "gamma-inf",
         "bc-left-nan",
+        "bc-left-inf",
         "bc-right-minus-inf",
         "states-empty",
         "n-elem-repeated",
@@ -734,7 +740,7 @@ def test_cli_generate_rejects_bad_weights_and_states_before_the_sqp_run(tmp_path
     cfg = write_config(tmp_path, "n_elem = 8\n" + text)
     assert main(["generate", cfg, str(tmp_path / "out")]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error:")
+    assert out == "" and err.startswith("error: ") and err.count("error:") == 1 and err.count("\n") == 1
     assert sqp_calls == [] and not (tmp_path / "out").exists()
 
 
@@ -1164,26 +1170,47 @@ def test_test_extra_covers_every_test_import():
     assert markers.get("tomli") == 'python_version < "3.11"'
 
 
-def test_console_script_runs(tmp_path):
+# Runs of the console script, one per exit code: argument lists run in turn,
+# every one but the last exiting 0, and the exit code of the last. "{tmp}"
+# stands for the test's directory, which holds case.cfg (n_elem=8) and
+# singular.cfg (a numerically singular first step).
+CONSOLE_RUNS = {
+    "generate-then-solve": (
+        [["generate", "{tmp}/case.cfg", "{tmp}/out"], ["solve", "{tmp}/out/state1_manifest.json", "--precond", "A0"]],
+        0,
+    ),
+    "usage-error": ([["stencil", "{tmp}/s.mtx", "--n", "0", "--block", "2"]], 2),
+    "numerical-failure": ([["generate", "{tmp}/singular.cfg", "{tmp}/out"]], 1),
+}
+
+
+@pytest.mark.parametrize("runs, status", CONSOLE_RUNS.values(), ids=CONSOLE_RUNS)
+def test_console_script_runs(tmp_path, runs, status):
     scripts = _declared_console_scripts()
     assert scripts.get("kktprecond") == "kktprecond.cli:main"
+    write_config(tmp_path)
+    (tmp_path / "singular.cfg").write_text("n_elem = 8\nsource = no\nbc_left = 0.5\nbc_right = -0.5\n")
 
     # Run the declared entry point in a fresh interpreter, as the generated
     # console-script wrapper does, with the imported package first on the path.
     pkg_parent = os.path.dirname(os.path.dirname(kktprecond.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_parent, env.get("PYTHONPATH")]))
-    out = tmp_path / "s.mtx"
     code = "import sys; from kktprecond.cli import main; sys.exit(main())"
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "stencil", str(out), "--n", "2", "--block", "1"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert out.exists()
-    assert str(out) in proc.stdout
+    for argv in runs:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *(arg.format(tmp=tmp_path) for arg in argv)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == (status if argv is runs[-1] else 0), proc.stderr
+    if status == 0:
+        lines = proc.stdout.splitlines()
+        assert lines[1] == CSV_COLUMNS and lines[2].startswith("burgers1d-n8-p1-q1,A0,") and lines[2].endswith(",true")
+    else:
+        assert proc.stdout == "" and proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert not (tmp_path / "s.mtx").exists() and not (tmp_path / "out").exists()
 
 
 @pytest.mark.skipif(
