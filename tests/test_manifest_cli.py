@@ -1089,7 +1089,7 @@ def test_cli_stencil_deterministic_output(tmp_path, capsys):
     out2 = tmp_path / "b.mtx"
     assert main(["stencil", str(out1), "--n", "3", "--block", "2", "--seed", "5"]) == 0
     assert main(["stencil", str(out2), "--n", "3", "--block", "2", "--seed", "5"]) == 0
-    capsys.readouterr()
+    assert capsys.readouterr().out == f"{out1}\n{out2}\n"
     assert out1.read_bytes() == out2.read_bytes()
 
     A = read_matrix(str(out1))
@@ -1170,26 +1170,27 @@ def test_test_extra_covers_every_test_import():
     assert markers.get("tomli") == 'python_version < "3.11"'
 
 
-# Runs of the console script, one per exit code: argument lists run in turn,
-# every one but the last exiting 0, and the exit code of the last. "{tmp}"
-# stands for the test's directory, which holds case.cfg (n_elem=8) and
-# singular.cfg (a numerically singular first step).
+# Runs of the console script in the test's directory: the arguments and the
+# exit code. The solve reads the n_elem=8 manifest that the test generates in
+# process first; singular.cfg makes the first SQP step numerically singular.
 CONSOLE_RUNS = {
-    "generate-then-solve": (
-        [["generate", "{tmp}/case.cfg", "{tmp}/out"], ["solve", "{tmp}/out/state1_manifest.json", "--precond", "A0"]],
-        0,
-    ),
-    "usage-error": ([["stencil", "{tmp}/s.mtx", "--n", "0", "--block", "2"]], 2),
-    "numerical-failure": ([["generate", "{tmp}/singular.cfg", "{tmp}/out"]], 1),
+    "stencil": (["stencil", "s.mtx", "--n", "2", "--block", "1"], 0),
+    "solve": (["solve", "out/state1_manifest.json", "--precond", "A0"], 0),
+    "usage-error": (["stencil", "s.mtx", "--n", "0", "--block", "2"], 2),
+    "numerical-failure": (["generate", "singular.cfg", "out"], 1),
 }
 
 
-@pytest.mark.parametrize("runs, status", CONSOLE_RUNS.values(), ids=CONSOLE_RUNS)
-def test_console_script_runs(tmp_path, runs, status):
+@pytest.mark.parametrize("argv, status", CONSOLE_RUNS.values(), ids=CONSOLE_RUNS)
+def test_console_script_runs(tmp_path, capsys, argv, status):
     scripts = _declared_console_scripts()
     assert scripts.get("kktprecond") == "kktprecond.cli:main"
-    write_config(tmp_path)
-    (tmp_path / "singular.cfg").write_text("n_elem = 8\nsource = no\nbc_left = 0.5\nbc_right = -0.5\n")
+    if argv[0] == "solve":
+        assert main(["generate", write_config(tmp_path), str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+    elif argv[0] == "generate":
+        (tmp_path / "singular.cfg").write_text("n_elem = 8\nsource = no\nbc_left = 0.5\nbc_right = -0.5\n")
+    before = sorted(os.listdir(tmp_path))
 
     # Run the declared entry point in a fresh interpreter, as the generated
     # console-script wrapper does, with the imported package first on the path.
@@ -1197,20 +1198,16 @@ def test_console_script_runs(tmp_path, runs, status):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_parent, env.get("PYTHONPATH")]))
     code = "import sys; from kktprecond.cli import main; sys.exit(main())"
-    for argv in runs:
-        proc = subprocess.run(
-            [sys.executable, "-c", code, *(arg.format(tmp=tmp_path) for arg in argv)],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert proc.returncode == (status if argv is runs[-1] else 0), proc.stderr
-    if status == 0:
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, capture_output=True, text=True, env=env)
+    assert proc.returncode == status, proc.stderr
+    if status:
+        assert proc.stdout == "" and proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == before
+    elif argv[0] == "stencil":
+        assert proc.stdout == "s.mtx\n" and (tmp_path / "s.mtx").exists()
+    else:
         lines = proc.stdout.splitlines()
         assert lines[1] == CSV_COLUMNS and lines[2].startswith("burgers1d-n8-p1-q1,A0,") and lines[2].endswith(",true")
-    else:
-        assert proc.stdout == "" and proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-        assert not (tmp_path / "s.mtx").exists() and not (tmp_path / "out").exists()
 
 
 @pytest.mark.skipif(
