@@ -75,7 +75,8 @@ SPARSETOOLS_KERNELS = (
     csr_tocsc,
 )
 
-# The relative pivot test of first_singular and checked_splu, and its message.
+# The relative pivot test of first_singular, checked_splu and the SQP step's
+# band LU (shocktrack), and its message.
 PIVOT_THRESHOLD = 1e-14
 _SMALL_PIVOT = f"pivot below {PIVOT_THRESHOLD:g} relative threshold (scale {{:g}})"
 

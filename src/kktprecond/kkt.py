@@ -32,7 +32,10 @@ with K: a system is the operator A that GMRES and the p-multigrid cycle
 apply, and the coarse matrix is Q (K P). One sparse direct solve of K
 (reference_solution) is the reference solution that GMRES is measured
 against. The SQP step (shocktrack.assemble_step) sums the same K, bit for
-bit, from the element blocks, without a system.
+bit, from the element blocks, without a system, and solves it by a LAPACK
+band LU with the unknowns in element order, where K is banded; a system
+read from a manifest need not be banded, so reference_solution keeps
+SuperLU.
 """
 
 from __future__ import annotations

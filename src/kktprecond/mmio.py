@@ -45,11 +45,14 @@ def write_matrix(path, A) -> None:
         (r, c), (m, n) = A.blocksize, A.shape
         lines.append(f"{_BLOCK_TAG} rows={','.join([str(r)] * (m // r))} cols={','.join([str(c)] * (n // c))}")
     S = canonical_csr(A)
-    rows = np.repeat(np.arange(1, S.shape[0] + 1), np.diff(S.indptr))
     lines.append(f"{S.shape[0]} {S.shape[1]} {S.nnz}")
-    lines.extend(map("{} {} {:.17g}".format, rows.tolist(), (S.indices + 1).tolist(), S.data.tolist()))
+    # One %-format call over the entries' (row, col, value) fields, interleaved.
+    fields = [None] * (3 * S.nnz)
+    fields[0::3] = np.repeat(np.arange(1, S.shape[0] + 1), np.diff(S.indptr)).tolist()
+    fields[1::3] = (S.indices + 1).tolist()
+    fields[2::3] = S.data.tolist()
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines) + "\n" + "%d %d %.17g\n" * S.nnz % tuple(fields))
 
 
 def _parse_block_tag(path, line: str):
@@ -181,10 +184,8 @@ def _entries_to_block(path, n_rows, n_cols, rows, cols, vals, rbs, cbs):
 def write_vector(path, v: np.ndarray) -> None:
     """Write a dense vector in array format (n x 1)."""
     v = np.asarray(v, dtype=float).ravel()
-    lines = [_BANNER_ARRAY, f"{len(v)} 1"]
-    lines.extend(map("{:.17g}".format, v.tolist()))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{_BANNER_ARRAY}\n{len(v)} 1\n" + "%.17g\n" * len(v) % tuple(v.tolist()))
 
 
 def read_vector(path) -> np.ndarray:

@@ -18,12 +18,13 @@ objective
 
     f = 1/2 ||R||^2 + kappa^2/2 ||R_msh||^2,
 
-and the SQP driver solves the saddle-point step system by one sparse direct
-(SuperLU) factorization, recording every linearization state for the
-benchmark harness. Each step sums its matrix K and gradient g from the
-element blocks into a pattern built once per problem (assemble_step), each
-product entry's terms added in scipy's order by one np.bincount, bit for
-bit the K and g of build_kkt, which systems for export still use.
+and the SQP driver solves the saddle-point step system by one LAPACK band
+LU factorization (dgbtrf) with the unknowns in element order, recording
+every linearization state for the benchmark harness. Each step sums its
+matrix K and gradient g from the element blocks into a pattern built once
+per problem (assemble_step), each product entry's terms added in scipy's
+order by one np.bincount, bit for bit the K and g of build_kkt, which
+systems for export still use.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .blocklinalg import checked_splu
+from .blocklinalg import _SMALL_PIVOT, PIVOT_THRESHOLD
 from .errors import InvertedElement, LineSearchFailure, SingularSystem, SizeCapExceeded
 from .kkt import KktSystem, SystemDims, check_case, check_weights
 
@@ -63,8 +65,9 @@ SHOCK_POSITION = 0.6
 SMOOTH_WIDTH = 0.05
 
 # Largest step dimension 2 N_u + N_y that sqp_step solves. It guards no
-# memory (the step is a sparse solve); it only keeps the benchmark's generate
-# outcomes, two n_elem=1024 failures among them, until its counts are normalized.
+# memory (the step's band LU holds 2 kl + ku + 1 doubles per unknown, 43 at
+# p = q = 2); it only keeps the benchmark's generate outcomes, two n_elem=1024
+# failures among them, until its counts are normalized.
 STEP_CAP = 5000
 
 # SQP line search factor, smallest step and Armijo constant; stop at |dz| <= STEP_TOL.
@@ -498,7 +501,8 @@ def _row_sums(A: np.ndarray, left: np.ndarray, right: np.ndarray, pair: np.ndarr
 
 class _StepPattern:
     """What every step system of one problem shares: the term lists of its
-    products and K's candidate entries, sorted by (row, column).
+    products, K's candidate entries, sorted by (row, column), and the
+    element order in which K is banded, which its band LU (solve) uses.
 
     r_terms and m_terms are each the (left, right, pair, n_pairs) terms of
     _row_sum_terms, which _row_sums sums by pair.
@@ -556,6 +560,47 @@ class _StepPattern:
         self.always = always[order]
         self.indptr = np.searchsorted(rows[order], np.arange(self.dim + 1))
 
+        # Element order: element e's u, its lambda, then its interior mesh
+        # nodes q e + 1 ... q e + q. pi[i] is unknown i's place in it.
+        elem = np.hstack([problem.elem_u, nz + problem.elem_u, y_cols[:, 1:]])
+        self.order = elem[elem >= 0]
+        self.pi = np.empty(self.dim, dtype=np.intp)
+        self.pi[self.order] = np.arange(self.dim)
+
+    def band(self, K: scipy.sparse.csc_matrix) -> tuple[np.ndarray, int, int]:
+        """K, a step matrix of this pattern in CSC form, in element order in
+        LAPACK's band storage for dgbtrf, with its bandwidths kl and ku in
+        that order: one scatter puts K[i, j] at (kl + ku + pi[i] - pi[j], pi[j])
+        of the Fortran array of 2 kl + ku + 1 rows."""
+        offset = self.pi.take(K.indices)
+        pos = np.repeat(self.pi, np.diff(K.indptr))
+        offset -= pos
+        kl, ku = int(offset.max(initial=0)), int(-offset.min(initial=0))
+        rows = 2 * kl + ku + 1
+        # The flat position rows pi[j] + kl + ku + pi[i] - pi[j] of each entry.
+        pos *= rows
+        pos += offset
+        pos += kl + ku
+        band = np.zeros(rows * self.dim)
+        band[pos] = K.data
+        return band.reshape(self.dim, rows).T, kl, ku
+
+    def solve(self, K: scipy.sparse.csc_matrix, rhs: np.ndarray) -> np.ndarray:
+        """The solution of K x = rhs, for a step matrix K of this pattern in
+        CSC form, by one LAPACK band LU (dgbtrf, then dgbtrs) of its band
+        storage in element order.
+
+        Raises SingularSystem where a pivot, U's diagonal in row kl + ku of
+        the factored array, is zero or below PIVOT_THRESHOLD times the
+        largest entry magnitude of K, the relative test of checked_splu.
+        """
+        band, kl, ku = self.band(K)
+        lu, piv, info = dgbtrf(band, kl, ku, overwrite_ab=True)
+        scale = np.abs(K.data).max(initial=0.0)
+        if info > 0 or np.any(np.abs(lu[kl + ku]) < PIVOT_THRESHOLD * scale):
+            raise SingularSystem(f"KKT matrix of dimension {self.dim}: {_SMALL_PIVOT.format(scale)}")
+        return dgbtrs(lu, kl, ku, rhs[self.order], piv, overwrite_b=True)[0][self.pi]
+
 
 @dataclass(frozen=True)
 class StepSystem:
@@ -596,17 +641,16 @@ def assemble_step(problem: ShockTrackProblem1d, state: DgState) -> StepSystem:
 
 
 def sqp_step(problem: ShockTrackProblem1d, state: DgState) -> tuple[np.ndarray, np.ndarray, StepSystem]:
-    """(dz, eta) from one SuperLU solve of the step system (assemble_step),
-    and that system, whose gradient and residuals start the line search;
-    SingularSystem if K is singular, SizeCapExceeded before any assembly if
-    it exceeds STEP_CAP."""
+    """(dz, eta) from one band LU solve of the step system (assemble_step)
+    in element order (_StepPattern.solve), and that system, whose gradient
+    and residuals start the line search; SingularSystem if K is singular,
+    SizeCapExceeded before any assembly if it exceeds STEP_CAP."""
     nz = problem.dims.n_u + problem.dims.n_y
     dim = nz + problem.dims.n_u
     if dim > STEP_CAP:
         raise SizeCapExceeded(f"SQP step system of dimension {dim} exceeds cap {STEP_CAP}")
     sys = assemble_step(problem, state)
-    lu = checked_splu(sys.K, SingularSystem, f"KKT matrix of dimension {dim}")
-    sol = lu.solve(-np.concatenate([sys.g, sys.r]))
+    sol = problem.step_pattern.solve(sys.K, -np.concatenate([sys.g, sys.r]))
     return sol[:nz], sol[nz:], sys
 
 

@@ -89,7 +89,6 @@ from kktprecond.errors import (
     SingularSystem,
     ZeroReference,
 )
-from kktprecond.kkt import reference_solution
 from kktprecond.mmio import (
     _BANNER,
     _BLOCK_TAG,
@@ -908,12 +907,14 @@ def tocsc_reference_solution(sys):
 
 
 def kkt_sqp_step(problem, state):
-    """The SQP step as build_kkt and kkt.reference_solution give it, the
-    step that shocktrack.sqp_step assembled before it summed K and g from
-    the element blocks: (dz, eta) and the StepSystem of the system's K, g
-    and r and the residuals R and rmsh."""
+    """The SQP step on build_kkt's system, the step that shocktrack.sqp_step
+    assembled before it summed K and g from the element blocks: (dz, eta),
+    solved by the step's own band LU (problem.step_pattern.solve) on K.T,
+    the CSC matrix on K's CSR arrays, which K's exact symmetry makes K, and
+    the StepSystem of the system's K, g and r and the residuals R and
+    rmsh."""
     sys = build_kkt(problem, state)
-    sol = reference_solution(sys)
+    sol = problem.step_pattern.solve(sys.K.T, sys.rhs())
     gx, (R,) = shocktrack._residuals(problem, state.u, phi_map(problem, state.y), (problem.dims.test_degree,))
     rmsh, _ = shocktrack._distortion(problem, gx)
     nz = problem.dims.n_u + problem.dims.n_y

@@ -378,6 +378,14 @@ PINNED_POINT_TEXT = """\
 1 3 0.33333333333333331
 3 2 -4.0000000000000001e-300
 """
+PINNED_VECTOR_TEXT = """\
+%%MatrixMarket matrix array real general
+4 1
+-0
+0.33333333333333331
+-4.0000000000000001e-300
+2
+"""
 
 
 def test_writer_bytes_are_pinned(tmp_path):
@@ -389,6 +397,9 @@ def test_writer_bytes_are_pinned(tmp_path):
         path = tmp_path / "pin.mtx"
         write_matrix(path, M)
         assert path.read_text() == text
+    path = tmp_path / "pin_vector.mtx"
+    write_vector(path, np.array([-0.0, 1.0 / 3.0, -4.0e-300, 2.0]))
+    assert path.read_text() == PINNED_VECTOR_TEXT
 
 
 @st.composite

@@ -380,7 +380,7 @@ def test_merit_function_decreases(prob8, states8):
 
 @pytest.mark.parametrize("n_elem, p, q", [(64, 2, 2), (100, 3, 1)])
 def test_sqp_step_matches_lu_solve_of_dense_products(n_elem, p, q):
-    """The sparse step (SuperLU on the assembled K) agrees with a general LU
+    """The step (a band LU of the assembled K) agrees with a general LU
     solve of the dense-product oracle matrix at the first SQP states."""
     prob = ShockTrackProblem1d(n_elem=n_elem, p=p, q=q)
     for state in run_sqp(prob, SqpConfig(max_iters=3)):
