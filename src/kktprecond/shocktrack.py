@@ -21,10 +21,11 @@ objective
 and the SQP driver solves the saddle-point step system by one LAPACK band
 LU factorization (dgbtrf) with the unknowns in element order, recording
 every linearization state for the benchmark harness. Each step sums its
-matrix K and gradient g from the element blocks into a pattern built once
-per problem (assemble_step), each product entry's terms added in scipy's
-order by one np.bincount, bit for bit the K and g of build_kkt, which
-systems for export still use.
+gradient g and its matrix K, straight into band storage, from the element
+blocks over the terms that a pattern built once per problem finds not
+structurally zero (assemble_step), each product entry's terms added in
+scipy's order by one np.bincount: bit for bit the K and g of build_kkt,
+which systems for export still use.
 """
 
 from __future__ import annotations
@@ -464,29 +465,32 @@ def initial_state(
     )
 
 
-def _row_sum_terms(cols: np.ndarray, n_rows: int, nz: int):
-    """Pairs (I, J) and the terms of the sums S_IJ = sum_r A[r, I] A[r, J].
+def _row_sum_terms(cols: np.ndarray, live: np.ndarray, nz: int):
+    """Pairs (I, J) and the live terms of the sums S_IJ = sum_r A[r, I] A[r, J].
 
     A's rows come in groups of n_rows, one per element; cols[e, c] is the
-    global column of local column c in group e, or -1 for none. The pairs
-    are every I <= J < nz, and every (I, nz), that share a group, sorted by
-    (I, J). Term t is A.flat[left[t]] * A.flat[right[t]] of pair pair[t],
-    with A of shape (groups, n_rows, width); each pair's terms are
+    global column of local column c in group e, or -1 for none, and
+    live[r, c] is False where A[e, r, c] is an exact zero in every group.
+    The terms are those of every I <= J < nz, and every (I, nz), sharing a
+    group, whose factors are both live; the pairs, those with a term, are
+    sorted by (I, J). Term t is A.flat[left[t]] * A.flat[right[t]] of pair
+    pair[t], with A of shape (groups, n_rows, width); each pair's terms are
     contiguous, its shared groups in ascending order and then the rows of
-    each, so ascending global row r. left and right are int32, pair intp.
+    each. left and right are int32, pair intp. A dropped term is an exact
+    +-0 product of finite factors, and a sum from 0.0 is never -0.0, so it
+    would leave every sum's bits as they are.
     """
-    width = cols.shape[1]
-    ok = (cols[:, :, None] >= 0) & (cols[:, :, None] <= cols[:, None, :]) & (cols[:, :, None] < nz)
-    g, c1, c2 = np.nonzero(ok)
+    n_rows, width = live.shape
+    c = cols[:, None, :, None]
+    ok = (c >= 0) & (c <= cols[:, None, None, :]) & (c < nz) & live[:, :, None] & live[:, None, :]
+    g, r, c1, c2 = np.nonzero(ok)
     I, J = cols[g, c1], cols[g, c2]
-    order = np.lexsort((g, J, I))
-    I, J, g, c1, c2 = I[order], J[order], g[order], c1[order], c2[order]
+    order = np.lexsort((r, g, J, I))
+    I, J, g, r, c1, c2 = I[order], J[order], g[order], r[order], c1[order], c2[order]
     new = np.ones(len(I), dtype=bool)
     new[1:] = (I[1:] != I[:-1]) | (J[1:] != J[:-1])
-    rows = np.arange(n_rows) * width
-    left, right = ((g * n_rows * width + c)[:, None] + rows for c in (c1, c2))
-    pair = np.repeat(np.cumsum(new, dtype=np.intp) - 1, n_rows)
-    return I[new], J[new], left.ravel().astype(np.int32), right.ravel().astype(np.int32), pair
+    left, right = (((g * n_rows + r) * width + c).astype(np.int32) for c in (c1, c2))
+    return I[new], J[new], left, right, np.cumsum(new, dtype=np.intp) - 1
 
 
 def _row_sums(A: np.ndarray, left: np.ndarray, right: np.ndarray, pair: np.ndarray, n_pairs: int) -> np.ndarray:
@@ -499,10 +503,18 @@ def _row_sums(A: np.ndarray, left: np.ndarray, right: np.ndarray, pair: np.ndarr
     return np.bincount(pair, weights=terms, minlength=n_pairs)
 
 
+def _live_blocks(problem: ShockTrackProblem1d, degree: int):
+    """Where _jacobians' blocks (sub, diag, sup) at degree can be nonzero:
+    sub and sup are multiples of t0 (x) t1 and t1 (x) t0; diag is dense."""
+    tb, pb = problem.basis(degree), problem.basis(problem.p)
+    sub = np.outer(tb.t0 != 0.0, pb.t1 != 0.0)
+    return sub, np.ones_like(sub), np.outer(tb.t1 != 0.0, pb.t0 != 0.0)
+
+
 class _StepPattern:
     """What every step system of one problem shares: the term lists of its
-    products, K's candidate entries, sorted by (row, column), and the
-    element order in which K is banded, which its band LU (solve) uses.
+    products, the band storage of K's live entries, and the element order
+    in which K is banded, which its band LU (solve) uses.
 
     r_terms and m_terms are each the (left, right, pair, n_pairs) terms of
     _row_sum_terms, which _row_sums sums by pair.
@@ -513,7 +525,13 @@ class _StepPattern:
     mesh nodes and, as column nz, R itself; a row of the mesh distortion
     holds the mesh nodes and rmsh. So one term list gives B_uu, B_uy, the
     dRdx^T dRdx part of Byy and the gradient sums, and the other the
-    dRmshdx^T dRmshdx part of Byy and of the gradient.
+    dRmshdx^T dRmshdx part of Byy and of the gradient. The live blocks
+    (_live_blocks) of the test degree prune the terms, and those of p Ju.
+
+    K[i, j] goes to row kl + ku + pi[i] - pi[j] of column pi[j] of the
+    Fortran array of band_rows = 2 kl + ku + 1 rows that dgbtrf factors:
+    value src[k] of assemble_step's list to flat position pos[k], kl = ku
+    the bandwidths of these live entries.
     """
 
     def __init__(self, problem: ShockTrackProblem1d):
@@ -528,8 +546,9 @@ class _StepPattern:
         interior = (nodes > 0) & (nodes < problem.dims.n_x - 1)
         y_cols = np.where(interior, n_u + nodes - 1, -1)
         r_col = np.full((n, 1), nz)
-        I, J, *r_terms = _row_sum_terms(np.hstack([u_cols.reshape(n, -1), y_cols, r_col]), n_t, nz)
-        I_m, J_m, *m_terms = _row_sum_terms(np.hstack([y_cols, r_col]), 1, nz)
+        live = np.hstack([*_live_blocks(problem, n_t - 1), np.ones((n_t, q + 2), dtype=bool)])
+        I, J, *r_terms = _row_sum_terms(np.hstack([u_cols.reshape(n, -1), y_cols, r_col]), live, nz)
+        I_m, J_m, *m_terms = _row_sum_terms(np.hstack([y_cols, r_col]), np.ones((1, q + 2), dtype=bool), nz)
         self.r_terms, self.m_terms = (*r_terms, len(I)), (*m_terms, len(I_m))
         # The mesh pairs are the R pairs with I in y, in the same order.
         self.mesh_pairs = np.searchsorted(I * (nz + 1) + J, I_m * (nz + 1) + J_m)
@@ -538,13 +557,13 @@ class _StepPattern:
         self.D_yy = np.asarray(problem.D[I_m[yy] - n_u + 1, J_m[yy] - n_u + 1]).ravel()
         self.gu_pairs = np.flatnonzero((J == nz) & (I < n_u))
 
-        # Candidate entries: each (u, y) pair and its mirror, then Ju, Ju^T,
-        # Jy and Jy^T from the element blocks of the p residual.
+        # K's entries: each (u, y) pair and its mirror, then the live Ju,
+        # Ju^T, Jy and Jy^T entries of the p residual's element blocks.
         n_r = len(I)
         sym = np.flatnonzero(J < nz)
         mirror = sym[I[sym] != J[sym]]
         b, k, i, a = np.indices((n, 3, n_p, n_p)).reshape(4, -1)
-        ju = np.flatnonzero((b - 1 + k >= 0) & (b - 1 + k < n))
+        ju = np.flatnonzero((b - 1 + k >= 0) & (b - 1 + k < n) & np.stack(_live_blocks(problem, problem.p))[k, i, a])
         lam_ju, u_ju = nz + b[ju] * n_p + i[ju], (b[ju] - 1 + k[ju]) * n_p + a[ju]
         b, i, l = np.indices((n, n_p, q + 1)).reshape(3, -1)
         jy = np.flatnonzero(interior[b, l])
@@ -553,12 +572,6 @@ class _StepPattern:
         rows = np.concatenate([I[sym], J[mirror], lam_ju, u_ju, lam_jy, y_jy])
         cols = np.concatenate([J[sym], I[mirror], u_ju, lam_ju, y_jy, lam_jy])
         src = np.concatenate([sym, mirror, n_r + ju, n_r + ju, n_r + n_ju + jy, n_r + n_ju + jy])
-        always = np.repeat([False, True, False], [len(sym) + len(mirror), 2 * len(ju), 2 * len(jy)])
-        order = np.argsort(rows * self.dim + cols)
-        self.cols = cols[order].astype(np.int32)
-        self.src = src[order]
-        self.always = always[order]
-        self.indptr = np.searchsorted(rows[order], np.arange(self.dim + 1))
 
         # Element order: element e's u, its lambda, then its interior mesh
         # nodes q e + 1 ... q e + q. pi[i] is unknown i's place in it.
@@ -567,36 +580,25 @@ class _StepPattern:
         self.pi = np.empty(self.dim, dtype=np.intp)
         self.pi[self.order] = np.arange(self.dim)
 
-    def band(self, K: scipy.sparse.csc_matrix) -> tuple[np.ndarray, int, int]:
-        """K, a step matrix of this pattern in CSC form, in element order in
-        LAPACK's band storage for dgbtrf, with its bandwidths kl and ku in
-        that order: one scatter puts K[i, j] at (kl + ku + pi[i] - pi[j], pi[j])
-        of the Fortran array of 2 kl + ku + 1 rows."""
-        offset = self.pi.take(K.indices)
-        pos = np.repeat(self.pi, np.diff(K.indptr))
-        offset -= pos
-        kl, ku = int(offset.max(initial=0)), int(-offset.min(initial=0))
-        rows = 2 * kl + ku + 1
-        # The flat position rows pi[j] + kl + ku + pi[i] - pi[j] of each entry.
-        pos *= rows
-        pos += offset
-        pos += kl + ku
-        band = np.zeros(rows * self.dim)
-        band[pos] = K.data
-        return band.reshape(self.dim, rows).T, kl, ku
+        offset = self.pi[rows] - self.pi[cols]
+        self.kl, self.ku = int(offset.max(initial=0)), int(-offset.min(initial=0))
+        self.band_rows = 2 * self.kl + self.ku + 1
+        pos = self.pi[cols] * self.band_rows + self.kl + self.ku + offset
+        by_pos = np.argsort(pos)
+        self.pos, self.src = pos[by_pos], src[by_pos]
 
-    def solve(self, K: scipy.sparse.csc_matrix, rhs: np.ndarray) -> np.ndarray:
-        """The solution of K x = rhs, for a step matrix K of this pattern in
-        CSC form, by one LAPACK band LU (dgbtrf, then dgbtrs) of its band
-        storage in element order.
+    def solve(self, band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """The solution of K x = rhs, for a step matrix K in this pattern's
+        band storage, by one LAPACK band LU (dgbtrf, then dgbtrs) that
+        overwrites band.
 
         Raises SingularSystem where a pivot, U's diagonal in row kl + ku of
-        the factored array, is zero or below PIVOT_THRESHOLD times the
-        largest entry magnitude of K, the relative test of checked_splu.
+        the factored array, is zero or below PIVOT_THRESHOLD times max |K|,
+        max |band| before factoring: the relative test of checked_splu.
         """
-        band, kl, ku = self.band(K)
+        kl, ku = self.kl, self.ku
+        scale = np.abs(band).max(initial=0.0)
         lu, piv, info = dgbtrf(band, kl, ku, overwrite_ab=True)
-        scale = np.abs(K.data).max(initial=0.0)
         if info > 0 or np.any(np.abs(lu[kl + ku]) < PIVOT_THRESHOLD * scale):
             raise SingularSystem(f"KKT matrix of dimension {self.dim}: {_SMALL_PIVOT.format(scale)}")
         return dgbtrs(lu, kl, ku, rhs[self.order], piv, overwrite_b=True)[0][self.pi]
@@ -604,11 +606,11 @@ class _StepPattern:
 
 @dataclass(frozen=True)
 class StepSystem:
-    """The SQP step system at one state, K as CSC arrays (K is exactly
-    symmetric, so they are also its CSR arrays), and the residuals the line
-    search reads."""
+    """The SQP step system at one state, K in its pattern's band storage
+    (_StepPattern), which sqp_step's solve overwrites with K's LU factors,
+    and the residuals the line search reads."""
 
-    K: scipy.sparse.csc_matrix
+    band: np.ndarray
     g: np.ndarray
     r: np.ndarray
     R: np.ndarray
@@ -616,13 +618,13 @@ class StepSystem:
 
 
 def assemble_step(problem: ShockTrackProblem1d, state: DgState) -> StepSystem:
-    """build_kkt(problem, state)'s K, g and r, bit for bit, from the element
-    blocks of both residuals and of the mesh distortion.
+    """build_kkt(problem, state)'s K in band storage, g and r, bit for bit
+    but for the sign of a zero of K, from the element blocks of both
+    residuals and of the mesh distortion.
 
-    Every product entry is summed as scipy sums it (_row_sums), Byy is
-    (dRdx terms + kappa^2 dRmshdx terms) + gamma D, exact zeros are
-    dropped from every product and sum block, and Ju and Ju^T keep their
-    stored zeros.
+    Every product entry is summed as scipy sums it, over its live terms
+    (_row_sums), Byy is (dRdx terms + kappa^2 dRmshdx terms) + gamma D, and
+    each live entry of K is written once into a zeroed band array.
     """
     pat, n = problem.step_pattern, problem.n_elem
     r, R, (diag, sub, sup, dx), (diag_t, sub_t, sup_t, dx_t), rmsh, drmsh = _linearize(problem, state)
@@ -633,24 +635,22 @@ def assemble_step(problem: ShockTrackProblem1d, state: DgState) -> StepSystem:
     sums[pat.byy_pairs] = mesh[pat.yy] + state.gamma * pat.D_yy
     g = np.concatenate([sums[pat.gu_pairs], 0.0 + mesh[~pat.yy]])
 
-    vals = np.concatenate([sums, np.stack([sub, diag, sup], axis=1).ravel(), dx.ravel()])[pat.src]
-    kept = np.flatnonzero(pat.always | (vals != 0.0))
-    indptr = np.searchsorted(kept, pat.indptr).astype(np.int32)
-    K = scipy.sparse.csc_matrix((vals[kept], pat.cols[kept], indptr), shape=(pat.dim, pat.dim))
-    return StepSystem(K, g, r, R, rmsh)
+    band = np.zeros(pat.band_rows * pat.dim)
+    band[pat.pos] = np.concatenate([sums, np.stack([sub, diag, sup], axis=1).ravel(), dx.ravel()]).take(pat.src)
+    return StepSystem(band.reshape(pat.dim, pat.band_rows).T, g, r, R, rmsh)
 
 
 def sqp_step(problem: ShockTrackProblem1d, state: DgState) -> tuple[np.ndarray, np.ndarray, StepSystem]:
-    """(dz, eta) from one band LU solve of the step system (assemble_step)
-    in element order (_StepPattern.solve), and that system, whose gradient
-    and residuals start the line search; SingularSystem if K is singular,
-    SizeCapExceeded before any assembly if it exceeds STEP_CAP."""
+    """(dz, eta) from one band LU solve (_StepPattern.solve) of the step
+    system (assemble_step), and that system, its band now K's LU factors,
+    whose g and residuals start the line search; SingularSystem if K is
+    singular, SizeCapExceeded before any assembly if it exceeds STEP_CAP."""
     nz = problem.dims.n_u + problem.dims.n_y
     dim = nz + problem.dims.n_u
     if dim > STEP_CAP:
         raise SizeCapExceeded(f"SQP step system of dimension {dim} exceeds cap {STEP_CAP}")
     sys = assemble_step(problem, state)
-    sol = problem.step_pattern.solve(sys.K, -np.concatenate([sys.g, sys.r]))
+    sol = problem.step_pattern.solve(sys.band, -np.concatenate([sys.g, sys.r]))
     return sol[:nz], sol[nz:], sys
 
 

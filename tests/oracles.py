@@ -32,9 +32,11 @@ entries, K P and the coarse matrix, and the triangular splits by scipy's
 BSR-to-CSC conversions), the reader
 with a second loadtxt and a reshape per block and the reader that sorted
 every file and found its blocks by np.unique, the SQP
-step solved on build_kkt's K, the point ILU0 solve through identity
+step solved on build_kkt's K scattered into band storage from its sparse
+arrays, the point ILU0 solve through identity
 permutations, the step's product sums from term tables padded to the
-widest pair and summed a table row at a time, the residual and the
+widest pair, every term included, and summed a table row at a time,
+the residual and the
 Jacobian blocks of one test degree at a time,
 the basis tables of a degree built in three calls, the preconditioner
 cycle written out factor by factor, the reference solve of
@@ -906,19 +908,51 @@ def tocsc_reference_solution(sys):
     return lu.solve(sys.rhs())
 
 
+def pattern_band(pattern, K) -> np.ndarray:
+    """_StepPattern.band as it was, on the pattern's own kl and ku: the
+    nonzeros of K, a step matrix, each K[i, j] scattered to row kl + ku +
+    pi[i] - pi[j] of column pi[j] of the Fortran band array of 2 kl + ku + 1
+    rows. Asserts that every one lies at an entry of the pattern, so inside
+    its band."""
+    C = scipy.sparse.coo_matrix(K)
+    keep = C.data != 0.0
+    i, j = pattern.pi[C.row[keep]], pattern.pi[C.col[keep]]
+    assert np.all((i - j <= pattern.kl) & (j - i <= pattern.ku)), "a nonzero of K outside the pattern's band"
+    pos = j * pattern.band_rows + pattern.kl + pattern.ku + i - j
+    assert np.isin(pos, pattern.pos).all(), "a nonzero of K outside the pattern"
+    band = np.zeros(pattern.band_rows * pattern.dim)
+    band[pos] = C.data[keep]
+    return band.reshape(pattern.dim, pattern.band_rows).T
+
+
 def kkt_sqp_step(problem, state):
     """The SQP step on build_kkt's system, the step that shocktrack.sqp_step
     assembled before it summed K and g from the element blocks: (dz, eta),
-    solved by the step's own band LU (problem.step_pattern.solve) on K.T,
-    the CSC matrix on K's CSR arrays, which K's exact symmetry makes K, and
-    the StepSystem of the system's K, g and r and the residuals R and
+    solved by the step's own band LU (problem.step_pattern.solve) on the
+    nonzeros of K in the pattern's band storage (pattern_band), and the
+    StepSystem of that band, the system's g and r and the residuals R and
     rmsh."""
     sys = build_kkt(problem, state)
-    sol = problem.step_pattern.solve(sys.K.T, sys.rhs())
+    band = pattern_band(problem.step_pattern, sys.K)
+    sol = problem.step_pattern.solve(band.copy(order="F"), sys.rhs())
     gx, (R,) = shocktrack._residuals(problem, state.u, phi_map(problem, state.y), (problem.dims.test_degree,))
     rmsh, _ = shocktrack._distortion(problem, gx)
     nz = problem.dims.n_u + problem.dims.n_y
-    return sol[:nz], sol[nz:], StepSystem(sys.K.tocsc(), sys.g, sys.r, R, rmsh)
+    return sol[:nz], sol[nz:], StepSystem(band, sys.g, sys.r, R, rmsh)
+
+
+def residual_row_columns(problem) -> np.ndarray:
+    """The global column of each local column of the rows of the enriched
+    residual R in element e, as _StepPattern numbers them for
+    shocktrack._row_sum_terms: the u of elements e-1, e and e+1 (-1 past
+    either end), the element's interior mesh nodes (-1 at a pinned end)
+    and nz = N_u + N_y for R itself."""
+    n, n_p, (n_u, n_y, n_x) = problem.n_elem, problem.p + 1, (problem.dims.n_u, problem.dims.n_y, problem.dims.n_x)
+    nbr = np.arange(n)[:, None] + np.arange(-1, 2)
+    u_cols = np.where(((nbr >= 0) & (nbr < n))[:, :, None], nbr[:, :, None] * n_p + np.arange(n_p), -1)
+    nodes = problem.elem_x
+    y_cols = np.where((nodes > 0) & (nodes < n_x - 1), n_u + nodes - 1, -1)
+    return np.hstack([u_cols.reshape(n, -1), y_cols, np.full((n, 1), n_u + n_y)])
 
 
 def three_table_basis(problem, degree: int):

@@ -544,15 +544,26 @@ def test_block_to_scipy_matches_coo_construction(A):
 
 
 @pytest.mark.parametrize(
-    "n_groups, n_rows, width, nz, drop",
-    [(1, 1, 3, 2, 0.2), (6, 3, 5, 9, 0.2), (12, 4, 7, 10, 0.2), (30, 1, 4, 12, 0.2), (5, 2, 4, 6, 1.0)],
+    "n_groups, n_rows, width, nz, drop, dead",
+    [
+        (1, 1, 3, 2, 0.2, 0.0),
+        (6, 3, 5, 9, 0.2, 0.0),
+        (12, 4, 7, 10, 0.2, 0.0),
+        (30, 1, 4, 12, 0.2, 0.0),
+        (5, 2, 4, 6, 1.0, 0.0),
+        (6, 3, 5, 9, 0.2, 0.4),
+        (12, 4, 7, 10, 0.2, 0.5),
+    ],
 )
-def test_row_sums_match_the_outer_product_sums(n_groups, n_rows, width, nz, drop):
-    """The bincount sums equal the padded tables' sums bit for bit, and both
-    equal each pair's terms summed from 0.0 over its shared groups and
-    their rows in ascending order, on A with signed zeros and pairs that
-    share fewer groups than the widest pair; with every column dropped
-    there is no pair and no term."""
+def test_row_sums_match_the_outer_product_sums(n_groups, n_rows, width, nz, drop, dead):
+    """The bincount sums equal the padded tables' sums of every term bit for
+    bit, and both equal each pair's terms summed from 0.0 over its shared
+    groups and their rows in ascending order, on A with signed zeros and
+    pairs that share fewer groups than the widest pair; with every column
+    dropped there is no pair and no term. With a share dead of A's (row,
+    column) places not live, A an exact +-0 there in every group, the terms
+    with a dead factor are left out and a pair with none left goes, whose
+    sum of every term is 0.0."""
     rng = np.random.default_rng(n_groups * 100 + width)
     cols = np.array([rng.choice(nz, width - 1, replace=False) for _ in range(n_groups)])
     cols[rng.random(cols.shape) < drop] = -1
@@ -560,34 +571,53 @@ def test_row_sums_match_the_outer_product_sums(n_groups, n_rows, width, nz, drop
     A = rng.standard_normal((n_groups, n_rows, width))
     A[rng.random(A.shape) < 0.3] = 0.0
     A[rng.random(A.shape) < 0.2] = -0.0
+    live = rng.random((n_rows, width)) >= dead
+    A[:, ~live] = rng.choice([0.0, -0.0], size=A[:, ~live].shape)
 
-    I, J, left, right, pair = shocktrack._row_sum_terms(cols, n_rows, nz)
+    I, J, left, right, pair = shocktrack._row_sum_terms(cols, live, nz)
     padded_I, padded_J, padded_left, padded_right = padded_row_sum_terms(cols, n_rows, nz)
-    assert np.array_equal(I, padded_I) and np.array_equal(J, padded_J)
+    at = np.searchsorted(padded_I * (nz + 1) + padded_J, I * (nz + 1) + J)
+    assert np.array_equal(I, padded_I[at]) and np.array_equal(J, padded_J[at])
     got = shocktrack._row_sums(A, left, right, pair, len(I))
-    assert np.array_equal(_bits(got), _bits(padded_row_sums(A, padded_left, padded_right)))
+    every = padded_row_sums(A, padded_left, padded_right)
+    assert np.array_equal(_bits(got), _bits(every[at]))
+    assert not _bits(np.delete(every, at)).any()
 
-    want, shared = [], []
+    want, n_terms, shared = [], [], []
     for i, j in zip(I, J):
-        acc, n_shared = 0.0, 0
+        acc, count, n_shared = 0.0, 0, 0
         for g in range(n_groups):
             c1, c2 = np.flatnonzero(cols[g] == i), np.flatnonzero(cols[g] == j)
             if c1.size and c2.size:
                 n_shared += 1
                 for row in range(n_rows):
-                    acc += A[g, row, c1[0]] * A[g, row, c2[0]]
+                    if live[row, c1[0]] and live[row, c2[0]]:
+                        acc += A[g, row, c1[0]] * A[g, row, c2[0]]
+                        count += 1
         want.append(acc)
+        n_terms.append(count)
         shared.append(n_shared)
-    pairs = {(int(c1), int(c2)) for g in cols for c1 in g for c2 in g if 0 <= c1 <= c2 and c1 < nz}
+    pairs = {
+        (int(g[c1]), int(g[c2]))
+        for g in cols
+        for c1 in range(width)
+        for c2 in range(width)
+        if 0 <= g[c1] <= g[c2] and g[c1] < nz and (live[:, c1] & live[:, c2]).any()
+    }
     assert sorted(pairs) == list(zip(I.tolist(), J.tolist()))
     assert np.array_equal(_bits(got), _bits(want))
-    # One term per shared group and row, each pair's terms contiguous.
-    assert np.array_equal(np.bincount(pair, minlength=len(I)), np.array(shared, dtype=int) * n_rows)
+    # One term per shared group and row where both factors are live, each
+    # pair's terms contiguous.
+    assert np.array_equal(np.bincount(pair, minlength=len(I)), n_terms) and min(n_terms, default=1) > 0
     assert np.all(np.diff(pair) >= 0)
     if drop == 1.0:
         assert len(I) == len(left) == 0
-    elif n_groups > 1:
-        assert min(shared) < max(shared)
+    elif dead == 0.0:
+        assert n_terms == [k * n_rows for k in shared]
+        if n_groups > 1:
+            assert min(shared) < max(shared)
+    else:
+        assert len(I) < len(padded_I) and len(left) < n_rows * sum(shared)
 
 
 @pytest.mark.parametrize("source_on", [True, False])

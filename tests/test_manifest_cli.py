@@ -767,10 +767,10 @@ def test_cli_generate_singular_step_exits_1(tmp_path, capsys):
 
 
 def test_cli_generate_near_singular_step_exits_1(tmp_path, capsys):
-    """With boundary values 0.5 / -0.5 and no source term, no step matrix has
-    an exactly zero pivot, so SuperLU alone runs every step silently; the
-    first has condition number about 6e16, and the relative pivot test stops
-    the run there."""
+    """With boundary values 0.5 / -0.5 and no source term the first step
+    matrix has condition number about 6e16, and its band LU meets an
+    exactly zero pivot (dgbtrf's info 39); the run stops there with the
+    relative pivot test's text."""
     cfg = write_config(tmp_path, "n_elem = 8\nsource = no\nbc_left = 0.5\nbc_right = -0.5\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -1,7 +1,8 @@
 """The SQP step system summed from the element blocks (shocktrack.assemble_step)
 against build_kkt, its oracle, bit for bit, the SQP runs it drives against
-runs on the oracle step (oracles.kkt_sqp_step, build_kkt's K through the
-same band solve), and the band solve against SuperLU's along those runs."""
+runs on the oracle step (oracles.kkt_sqp_step, build_kkt's K scattered into
+the same band storage and solved the same way), and the band solve against
+SuperLU's along those runs."""
 
 from dataclasses import fields, replace
 
@@ -26,7 +27,7 @@ from kktprecond.shocktrack import (
     run_sqp,
     sqp_step,
 )
-from oracles import kkt_sqp_step
+from oracles import kkt_sqp_step, pattern_band
 
 # (n_elem, p, q) and the steps of its default SQP run: the generate cases
 # below STEP_CAP, (100, 2, 2) failing its line search at iteration 12 and
@@ -52,12 +53,15 @@ def same_bits(a, b) -> bool:
 
 
 def assert_step_system_is_build_kkts(prob, state):
+    """The step's band array is the nonzeros of build_kkt's K in the
+    pattern's band storage (pattern_band asserts that each lies in the
+    pattern), bit for bit once +0.0 maps -0.0 to 0.0: an exact zero the
+    step writes need not be stored in build_kkt's K, or not with its sign."""
     step = assemble_step(prob, state)
     sys = build_kkt(prob, state)
-    assert step.K.format == "csc"
-    assert np.array_equal(step.K.indptr, sys.K.indptr)
-    assert np.array_equal(step.K.indices, sys.K.indices)
-    assert same_bits(step.K.data, sys.K.data)
+    band = pattern_band(prob.step_pattern, sys.K)
+    assert step.band.flags.f_contiguous and step.band.shape == band.shape
+    assert same_bits(step.band + 0.0, band + 0.0)
     assert same_bits(step.g, sys.g)
     assert same_bits(step.r, sys.r)
 
@@ -176,31 +180,34 @@ SUPERLU_RTOL = {(100, 3, 1): 1e-7}
 @pytest.mark.parametrize("case", TRAJECTORY_CASES, ids=TRAJECTORY_IDS)
 def test_band_step_is_superlus_step_along_the_sqp_run(case, monkeypatch):
     """At every state of the run, the step's band LU solve agrees with a
-    SuperLU solve (blocklinalg.checked_splu) of the same K, the solve the
-    step made before, to SUPERLU_RTOL, 1e-11 where it names no case."""
+    SuperLU solve (blocklinalg.checked_splu) of the same K, build_kkt's, the
+    solve the step made before, to SUPERLU_RTOL, 1e-11 where it names no
+    case."""
     prob = ShockTrackProblem1d(*case)
     _, visited = run_with_step(prob, sqp_step, monkeypatch)
     for state in visited:
-        step = assemble_step(prob, state)
-        rhs = -np.concatenate([step.g, step.r])
-        expect = checked_splu(step.K, SingularSystem, "step").solve(rhs)
+        sys = build_kkt(prob, state)
+        rhs = sys.rhs()
+        expect = checked_splu(sys.K.tocsc(), SingularSystem, "step").solve(rhs)
         got = np.concatenate(sqp_step(prob, state)[:2])
         assert np.linalg.norm(got - expect) <= SUPERLU_RTOL.get(case, 1e-11) * np.linalg.norm(expect)
 
 
 def test_sqp_iteration_builds_no_kkt_factors(prob8, states8, monkeypatch):
-    """No KktSystem, factor Jacobian, sparse product or bmat: the
-    run reaches the same states without any of them."""
+    """No KktSystem, factor Jacobian, sparse matrix of K, sparse product or
+    bmat: the run reaches the same states without any of them."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("KKT factor assembly in an SQP iteration")
 
+    prob = ShockTrackProblem1d(n_elem=8, p=1, q=1)
     for name in ("build_kkt", "KktSystem", "_tridiag_bsr", "_mesh_column_csr"):
         monkeypatch.setattr(shocktrack, name, forbidden)
     monkeypatch.setattr(scipy.sparse, "bmat", forbidden)
     monkeypatch.setattr(scipy.sparse.csr_matrix, "__matmul__", forbidden)
     monkeypatch.setattr(scipy.sparse.csc_matrix, "__matmul__", forbidden)
-    states = run_sqp(ShockTrackProblem1d(n_elem=8, p=1, q=1), SqpConfig())
+    monkeypatch.setattr(scipy.sparse, "csc_matrix", forbidden)
+    states = run_sqp(prob, SqpConfig())
     assert len(states) == len(states8)
     assert all(same_bits(a.u, b.u) and same_bits(a.y, b.y) for a, b in zip(states, states8))
 
