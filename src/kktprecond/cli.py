@@ -281,7 +281,8 @@ def main(argv=None) -> int:
     try:
         # Looked up at call time, so a replaced module attribute is the one run.
         return globals()[f"cmd_{args.command}"](args)
-    except (UsageError, UnknownPreconditioner, ManifestError, FileNotFoundError) as exc:
+    except (UsageError, UnknownPreconditioner, ManifestError,
+            FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (KktPrecondError, OSError) as exc:

@@ -473,10 +473,11 @@ def _row_sum_terms(cols: np.ndarray, live: np.ndarray, nz: int):
     live[r, c] is False where A[e, r, c] is an exact zero in every group.
     The terms are those of every I <= J < nz, and every (I, nz), sharing a
     group, whose factors are both live; the pairs, those with a term, are
-    sorted by (I, J). Term t is A.flat[left[t]] * A.flat[right[t]] of pair
-    pair[t], with A of shape (groups, n_rows, width); each pair's terms are
-    contiguous, its shared groups in ascending order and then the rows of
-    each. left and right are int32, pair intp. A dropped term is an exact
+    numbered by np.unique, in ascending (I, J). Term t is A.flat[left[t]] *
+    A.flat[right[t]] of pair pair[t], with A of shape (groups, n_rows,
+    width); the terms come in np.nonzero's row-major order, and a column
+    appears at most once in a group, so each pair's in ascending (group,
+    row). left and right are int32, pair intp. A dropped term is an exact
     +-0 product of finite factors, and a sum from 0.0 is never -0.0, so it
     would leave every sum's bits as they are.
     """
@@ -484,13 +485,9 @@ def _row_sum_terms(cols: np.ndarray, live: np.ndarray, nz: int):
     c = cols[:, None, :, None]
     ok = (c >= 0) & (c <= cols[:, None, None, :]) & (c < nz) & live[:, :, None] & live[:, None, :]
     g, r, c1, c2 = np.nonzero(ok)
-    I, J = cols[g, c1], cols[g, c2]
-    order = np.lexsort((r, g, J, I))
-    I, J, g, r, c1, c2 = I[order], J[order], g[order], r[order], c1[order], c2[order]
-    new = np.ones(len(I), dtype=bool)
-    new[1:] = (I[1:] != I[:-1]) | (J[1:] != J[:-1])
+    keys, pair = np.unique(cols[g, c1] * (nz + 1) + cols[g, c2], return_inverse=True)
     left, right = (((g * n_rows + r) * width + c).astype(np.int32) for c in (c1, c2))
-    return I[new], J[new], left, right, np.cumsum(new, dtype=np.intp) - 1
+    return *np.divmod(keys, nz + 1), left, right, pair
 
 
 def _row_sums(A: np.ndarray, left: np.ndarray, right: np.ndarray, pair: np.ndarray, n_pairs: int) -> np.ndarray:
@@ -520,13 +517,15 @@ class _StepPattern:
     _row_sum_terms, which _row_sums sums by pair.
 
     Unknowns are numbered as in K: u, then the interior mesh nodes y, then
-    lambda from nz = N_u + N_y. A row of the enriched residual R in element
-    e holds the unknowns of elements e-1, e and e+1, the element's interior
-    mesh nodes and, as column nz, R itself; a row of the mesh distortion
-    holds the mesh nodes and rmsh. So one term list gives B_uu, B_uy, the
-    dRdx^T dRdx part of Byy and the gradient sums, and the other the
-    dRmshdx^T dRmshdx part of Byy and of the gradient. The live blocks
-    (_live_blocks) of the test degree prune the terms, and those of p Ju.
+    lambda from nz = N_u + N_y. One table, uy_cols, holds the columns of a
+    residual row in element e, as its blocks [sub | diag | sup | dx] lay
+    them out: the unknowns of elements e-1, e and e+1 and the element's
+    interior mesh nodes. A row of the enriched residual R adds, as column
+    nz, R itself; a row of the mesh distortion holds the mesh nodes and
+    rmsh. So one term list gives B_uu, B_uy, the dRdx^T dRdx part of Byy and
+    the gradient sums, and the other the dRmshdx^T dRmshdx part of Byy and
+    of the gradient. The live blocks (_live_blocks) of the test degree prune
+    the terms, and those of p the table's Ju and Jy entries of K.
 
     K[i, j] goes to row kl + ku + pi[i] - pi[j] of column pi[j] of the
     Fortran array of band_rows = 2 kl + ku + 1 rows that dgbtrf factors:
@@ -543,11 +542,10 @@ class _StepPattern:
         nbr = np.arange(n)[:, None] + np.arange(-1, 2)
         u_cols = np.where(((nbr >= 0) & (nbr < n))[:, :, None], nbr[:, :, None] * n_p + np.arange(n_p), -1)
         nodes = problem.elem_x
-        interior = (nodes > 0) & (nodes < problem.dims.n_x - 1)
-        y_cols = np.where(interior, n_u + nodes - 1, -1)
-        r_col = np.full((n, 1), nz)
+        y_cols = np.where((nodes > 0) & (nodes < problem.dims.n_x - 1), n_u + nodes - 1, -1)
+        uy_cols, r_col = np.hstack([u_cols.reshape(n, -1), y_cols]), np.full((n, 1), nz)
         live = np.hstack([*_live_blocks(problem, n_t - 1), np.ones((n_t, q + 2), dtype=bool)])
-        I, J, *r_terms = _row_sum_terms(np.hstack([u_cols.reshape(n, -1), y_cols, r_col]), live, nz)
+        I, J, *r_terms = _row_sum_terms(np.hstack([uy_cols, r_col]), live, nz)
         I_m, J_m, *m_terms = _row_sum_terms(np.hstack([y_cols, r_col]), np.ones((1, q + 2), dtype=bool), nz)
         self.r_terms, self.m_terms = (*r_terms, len(I)), (*m_terms, len(I_m))
         # The mesh pairs are the R pairs with I in y, in the same order.
@@ -557,21 +555,18 @@ class _StepPattern:
         self.D_yy = np.asarray(problem.D[I_m[yy] - n_u + 1, J_m[yy] - n_u + 1]).ravel()
         self.gu_pairs = np.flatnonzero((J == nz) & (I < n_u))
 
-        # K's entries: each (u, y) pair and its mirror, then the live Ju,
-        # Ju^T, Jy and Jy^T entries of the p residual's element blocks.
-        n_r = len(I)
+        # K's entries: each (u, y) pair and its mirror, then each live entry
+        # (lambda, u or y) of the p residual's rows and its mirror, whose
+        # value follows the sums at its flat place in [sub | diag | sup | dx].
         sym = np.flatnonzero(J < nz)
         mirror = sym[I[sym] != J[sym]]
-        b, k, i, a = np.indices((n, 3, n_p, n_p)).reshape(4, -1)
-        ju = np.flatnonzero((b - 1 + k >= 0) & (b - 1 + k < n) & np.stack(_live_blocks(problem, problem.p))[k, i, a])
-        lam_ju, u_ju = nz + b[ju] * n_p + i[ju], (b[ju] - 1 + k[ju]) * n_p + a[ju]
-        b, i, l = np.indices((n, n_p, q + 1)).reshape(3, -1)
-        jy = np.flatnonzero(interior[b, l])
-        lam_jy, y_jy = nz + b[jy] * n_p + i[jy], n_u + q * b[jy] + l[jy] - 1
-        n_ju = n * 3 * n_p * n_p
-        rows = np.concatenate([I[sym], J[mirror], lam_ju, u_ju, lam_jy, y_jy])
-        cols = np.concatenate([J[sym], I[mirror], u_ju, lam_ju, y_jy, lam_jy])
-        src = np.concatenate([sym, mirror, n_r + ju, n_r + ju, n_r + n_ju + jy, n_r + n_ju + jy])
+        live_p = np.hstack([*_live_blocks(problem, problem.p), np.ones((n_p, q + 1), dtype=bool)])
+        e, i, c = np.nonzero((uy_cols[:, None, :] >= 0) & live_p)
+        lam, uy = nz + e * n_p + i, uy_cols[e, c]
+        jac = len(I) + (lam - nz) * live_p.shape[1] + c
+        rows = np.concatenate([I[sym], J[mirror], lam, uy])
+        cols = np.concatenate([J[sym], I[mirror], uy, lam])
+        src = np.concatenate([sym, mirror, jac, jac])
 
         # Element order: element e's u, its lambda, then its interior mesh
         # nodes q e + 1 ... q e + q. pi[i] is unknown i's place in it.
@@ -624,7 +619,8 @@ def assemble_step(problem: ShockTrackProblem1d, state: DgState) -> StepSystem:
 
     Every product entry is summed as scipy sums it, over its live terms
     (_row_sums), Byy is (dRdx terms + kappa^2 dRmshdx terms) + gamma D, and
-    each live entry of K is written once into a zeroed band array.
+    each live entry of K, gathered from the sums and the p residual's rows
+    [sub | diag | sup | dx], is written once into a zeroed band array.
     """
     pat, n = problem.step_pattern, problem.n_elem
     r, R, (diag, sub, sup, dx), (diag_t, sub_t, sup_t, dx_t), rmsh, drmsh = _linearize(problem, state)
@@ -636,7 +632,7 @@ def assemble_step(problem: ShockTrackProblem1d, state: DgState) -> StepSystem:
     g = np.concatenate([sums[pat.gu_pairs], 0.0 + mesh[~pat.yy]])
 
     band = np.zeros(pat.band_rows * pat.dim)
-    band[pat.pos] = np.concatenate([sums, np.stack([sub, diag, sup], axis=1).ravel(), dx.ravel()]).take(pat.src)
+    band[pat.pos] = np.concatenate([sums, np.concatenate([sub, diag, sup, dx], axis=2).ravel()]).take(pat.src)
     return StepSystem(band.reshape(pat.dim, pat.band_rows).T, g, r, R, rmsh)
 
 

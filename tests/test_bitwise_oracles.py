@@ -606,10 +606,14 @@ def test_row_sums_match_the_outer_product_sums(n_groups, n_rows, width, nz, drop
     }
     assert sorted(pairs) == list(zip(I.tolist(), J.tolist()))
     assert np.array_equal(_bits(got), _bits(want))
-    # One term per shared group and row where both factors are live, each
-    # pair's terms contiguous.
+    # One term per shared group and row where both factors are live; the
+    # pairs numbered in ascending (I, J), and each pair's terms, wherever
+    # they lie in the list, in ascending group x n_rows + row: the order the
+    # bincount sums rest on.
     assert np.array_equal(np.bincount(pair, minlength=len(I)), n_terms) and min(n_terms, default=1) > 0
-    assert np.all(np.diff(pair) >= 0)
+    assert np.all(np.diff(I * (nz + 1) + J) > 0)
+    by_pair = np.argsort(pair, kind="stable")
+    assert np.all(np.diff(left[by_pair] // width)[np.diff(pair[by_pair]) == 0] > 0)
     if drop == 1.0:
         assert len(I) == len(left) == 0
     elif dead == 0.0:

@@ -536,6 +536,29 @@ def test_cli_solve_missing_manifest(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{dir}", "--precond", "A0"],
+        ["generate", "{dir}", "{out}"],
+        ["sweep", "{dir}"],
+        ["generate", "{cfg}", "{file}"],
+        ["generate", "{cfg}", "{file}/sub"],
+        ["stencil", "{dir}", "--n", "2", "--block", "1"],
+    ],
+    ids=["solve-dir", "generate-dir", "sweep-dir", "generate-out-file", "generate-out-under-file", "stencil-dir"],
+)
+def test_cli_path_of_the_wrong_kind_exits_2(tmp_path, capsys, argv):
+    """A directory where a file is read or written, or a file where an
+    output directory goes, is a usage error: one error line, no output."""
+    paths = {"dir": tmp_path / "d", "file": tmp_path / "f", "out": tmp_path / "out", "cfg": write_config(tmp_path)}
+    paths["dir"].mkdir()
+    paths["file"].write_text("")
+    assert main([a.format(**paths) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_generate_bad_config(tmp_path, capsys):
     cfg = write_config(tmp_path, "order = 3\n")
     assert main(["generate", cfg, str(tmp_path / "out")]) == 2
